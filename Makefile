@@ -1,7 +1,7 @@
 # Tier-1 flow: `make ci` is what a checkin must keep green.
 GO ?= go
 
-.PHONY: build test race vet bench bench-hotpath bench-grid bench-shard bench-hybrid bench-policy bench-workload bench-check cache-clear cover ci conformance update-golden fuzz-smoke
+.PHONY: build test race vet bench-module bench bench-hotpath bench-grid bench-shard bench-hybrid bench-policy bench-workload bench-check cache-clear cover ci conformance update-golden fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# bench-module vets and smoke-tests bench/, the repository's benchmark. It
+# is a nested module (BENCHMARK.json runs it from its own directory), so
+# `go build ./...` and `go test ./...` above never compile its imports of
+# eac/internal/...; without this target an internal signature change that
+# breaks the harness would only surface at the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # cover runs the unit suite with coverage and prints the per-function
 # summary plus the total. -short keeps the long simulations out.
@@ -136,5 +144,5 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
 
 # The conformance harness runs inside `make test` (it is part of the
-# ordinary suite); fuzz-smoke is the only extra tier-1 step.
-ci: build test race fuzz-smoke
+# ordinary suite); bench-module and fuzz-smoke are the extra tier-1 steps.
+ci: build test race bench-module fuzz-smoke

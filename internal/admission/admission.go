@@ -217,8 +217,8 @@ type Prober struct {
 	stageStart []sim.Time // when each stage began sending
 	stageFracs []float64  // Result.StageFracs buffer, reused across attempts
 
-	checkEv  *sim.Event // periodic early-stop check
-	stageEv  *sim.Event // end of the currently sending stage
+	checkEv  sim.Event // periodic early-stop check
+	stageEv  sim.Event // end of the currently sending stage
 	finished bool
 }
 
@@ -227,8 +227,8 @@ type Prober struct {
 func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, pool *netsim.Pool, done func(Result)) *Prober {
 	p := &Prober{s: s, pool: pool}
 	p.cbr = trafgen.NewCBR(s, 1, 1, p.emit) // re-parameterized by Reinit
-	p.checkEv = sim.NewEvent(p.periodicCheck)
-	p.stageEv = sim.NewEvent(p.endStage)
+	p.checkEv.Init(p.periodicCheck)
+	p.stageEv.Init(p.endStage)
 	p.Reinit(cfg, flowID, r, pktSize, route, done)
 	return p
 }
@@ -298,8 +298,8 @@ func (p *Prober) Start(now sim.Time) {
 	p.cbr.SetRate(p.rates[0])
 	p.cbr.Start(now)
 	// The stage stops sending at stageDur and is judged Guard later.
-	p.s.Schedule(p.stageEv, now+p.cfg.stageDur())
-	p.s.Schedule(p.checkEv, now+p.checkInterval())
+	p.s.Schedule(&p.stageEv, now+p.cfg.stageDur())
+	p.s.Schedule(&p.checkEv, now+p.checkInterval())
 }
 
 // checkInterval is the cadence of the timer-driven early-stop check.
@@ -309,8 +309,8 @@ func (p *Prober) checkInterval() sim.Time { return 100 * sim.Millisecond }
 func (p *Prober) Abort() {
 	p.finished = true
 	p.cbr.Stop()
-	p.s.Cancel(p.checkEv)
-	p.s.Cancel(p.stageEv)
+	p.s.Cancel(&p.checkEv)
+	p.s.Cancel(&p.stageEv)
 }
 
 // emit sends one probe packet.
@@ -346,7 +346,7 @@ func (p *Prober) endStage(now sim.Time) {
 		p.stageStart[p.stage] = now
 		p.cbr.SetRate(p.rates[p.stage])
 		p.cbr.Start(now)
-		p.s.Schedule(p.stageEv, now+p.cfg.stageDur())
+		p.s.Schedule(&p.stageEv, now+p.cfg.stageDur())
 	}
 }
 
@@ -387,7 +387,7 @@ func (p *Prober) periodicCheck(now sim.Time) {
 		p.finish(now, Result{Accepted: false, Fraction: p.fraction(st)})
 		return
 	}
-	p.s.Schedule(p.checkEv, now+p.checkInterval())
+	p.s.Schedule(&p.checkEv, now+p.checkInterval())
 }
 
 // plannedPackets returns how many packets a full stage would send.
@@ -469,8 +469,8 @@ func (p *Prober) finish(now sim.Time, r Result) {
 	}
 	p.finished = true
 	p.cbr.Stop()
-	p.s.Cancel(p.checkEv)
-	p.s.Cancel(p.stageEv)
+	p.s.Cancel(&p.checkEv)
+	p.s.Cancel(&p.stageEv)
 	p.stageFracs = p.stageFracs[:0]
 	for i := range p.sent {
 		r.Sent += p.sent[i]

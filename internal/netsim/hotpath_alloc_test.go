@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"eac/internal/sim"
+	"eac/internal/stats"
+	"eac/internal/trafgen"
 )
 
 // poolSink terminates routes and recycles packets, like the scenario
@@ -16,10 +18,12 @@ func (ps *poolSink) Receive(_ sim.Time, p *Packet) { ps.pool.Put(p) }
 // probe traffic through a marking virtual queue and a pushout discipline,
 // with drops recycled — past its warmup transient, then requires that
 // continuing the simulation allocates nothing. This pins the pooling
-// contract of the hot path: once the event heap, the ring buffers, and the
-// packet pool have grown to steady-state size, the per-packet path (emit,
-// enqueue, mark, drop, transmit, propagate, deliver, recycle) must be
-// allocation-free.
+// contract of the hot path: once the event heap, the lane and link ring
+// buffers, and the packet pool have grown to steady-state size, the
+// per-packet path (tick, lane append and promotion, emit, enqueue, mark,
+// drop, transmit, propagate, deliver, recycle) must be allocation-free.
+// The data packets come from on-off sources, so their ticks go through a
+// sim lane; the probe stream reschedules on the heap.
 func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	s := sim.New()
 	pool := &Pool{}
@@ -30,7 +34,18 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	route := []Receiver{link, &poolSink{pool: pool}}
 
 	// Offered load ~1.2x the link rate so the queue stays full and the
-	// drop/pushout/mark branches all run.
+	// drop/pushout/mark branches all run: sixteen on-off sources, on half
+	// the time at 1.25 Mb/s, plus a 2.4 Mb/s probe stream.
+	startData := func() {
+		rng := stats.NewRNG(1)
+		for i := 0; i < 16; i++ {
+			trafgen.NewExpOnOff(s, rng, 1.25e6, 1000, 0.05, 0.05, func(now sim.Time, size int) {
+				p := pool.Get()
+				p.Kind, p.Band, p.Size, p.Route = Data, BandData, size, route
+				Send(now, p)
+			}).Start(0)
+		}
+	}
 	emitEvery := func(kind Kind, band, size int, period sim.Time) {
 		var ev *sim.Event
 		ev = sim.NewEvent(func(now sim.Time) {
@@ -44,18 +59,23 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 		})
 		s.Schedule(ev, 0)
 	}
-	emitEvery(Data, BandData, 1000, 800*sim.Microsecond)
+	startData()
 	emitEvery(Probe, BandProbe, 500, 1700*sim.Microsecond)
 
 	until := 2 * sim.Second
 	s.Run(until) // warmup: grow rings, heap, and pool to steady state
 
+	appends, drops := s.Counters().LaneAppends, link.Stats.Dropped[Data]
 	allocs := testing.AllocsPerRun(5, func() {
 		until += 200 * sim.Millisecond
 		s.Run(until)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state per-packet path allocated %v times per 200ms slice, want 0", allocs)
+	}
+	if s.Counters().LaneAppends == appends || link.Stats.Dropped[Data] == drops {
+		t.Fatalf("guarded section is vacuous: lane appends %d -> %d, data drops %d -> %d",
+			appends, s.Counters().LaneAppends, drops, link.Stats.Dropped[Data])
 	}
 
 	// Reused-worker path: rewind the simulator and the link as the grid
@@ -67,7 +87,7 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	q.SetCap(64)
 	link.Marker = NewVirtualQueue(9e6, 64*1000)
 	link.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
-	emitEvery(Data, BandData, 1000, 800*sim.Microsecond)
+	startData()
 	emitEvery(Probe, BandProbe, 500, 1700*sim.Microsecond)
 	until = 200 * sim.Millisecond
 	s.Run(until) // refill queues and pipe from the recycled pool

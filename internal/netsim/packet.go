@@ -61,7 +61,8 @@ type Packet struct {
 
 	// Route is the sequence of receivers the packet visits; hop indexes
 	// the next one. The final receiver is the terminating endpoint. The
-	// route slice is owned by the flow and shared by its packets.
+	// route slice is shared and read-only: scenario hands every packet of
+	// every flow of a class the same one.
 	Route []Receiver
 	hop   int
 }

@@ -110,7 +110,7 @@ func (r *Runner) startFluid(now sim.Time, f *flowState) {
 	r.activeFlows++
 	r.obs.SpanDataStart(now, f.id, f.class)
 	life := sim.Seconds(r.rngLife.Exp(r.cfg.LifetimeSec))
-	r.s.Schedule(f.stopEv, now+life)
+	r.s.Schedule(&f.stopEv, now+life)
 }
 
 // stopFluid ends a fluid flow's data phase (lifetime expired).

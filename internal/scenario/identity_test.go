@@ -27,19 +27,19 @@ func identityCfg() Config {
 }
 
 // TestGeometryByteIdentity pins the tentpole's safety argument: the event
-// heap and the ring buffers are pure priority/FIFO containers keyed by a
-// total order, so their initial capacities (and hence their growth and
-// internal arrangement) must not be observable in simulation output. It
-// runs the same scenarios with capacity 1 — forcing growth on nearly every
-// insertion — and with generous capacities, and requires the aggregated
-// results to be deep-equal.
+// heap, the lane rings and the link ring buffers are pure priority/FIFO
+// containers keyed by a total order, so their initial capacities (and hence
+// their growth and internal arrangement) must not be observable in
+// simulation output. It runs the same scenarios with capacity 1 — forcing
+// growth on nearly every insertion — and with generous capacities, and
+// requires the aggregated results to be deep-equal.
 func TestGeometryByteIdentity(t *testing.T) {
-	heap0, ring0 := sim.HeapInitCap, netsim.RingInitCap
-	defer func() { sim.HeapInitCap, netsim.RingInitCap = heap0, ring0 }()
+	heap0, lane0, ring0 := sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap
+	defer func() { sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap = heap0, lane0, ring0 }()
 
 	seeds := []uint64{1, 2}
-	run := func(heapCap, ringCap int) MultiMetrics {
-		sim.HeapInitCap, netsim.RingInitCap = heapCap, ringCap
+	run := func(heapCap, laneCap, ringCap int) MultiMetrics {
+		sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap = heapCap, laneCap, ringCap
 		mm, err := RunSeeds(identityCfg(), seeds)
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +47,11 @@ func TestGeometryByteIdentity(t *testing.T) {
 		return mm
 	}
 
-	grown := run(1, 1)
-	preallocated := run(1024, 1024)
-	if !reflect.DeepEqual(grown, preallocated) {
-		t.Fatalf("container geometry leaked into results:\ncap 1:    %+v\ncap 1024: %+v",
-			grown, preallocated)
+	preallocated := run(1024, 64, 1024)
+	for _, caps := range [][3]int{{1, 1, 1}, {1024, 1, 1024}, {1, 64, 1}} {
+		if grown := run(caps[0], caps[1], caps[2]); !reflect.DeepEqual(grown, preallocated) {
+			t.Fatalf("container geometry leaked into results:\nheap/lane/ring caps %v: %+v\ncaps 1024/64/1024:      %+v",
+				caps, grown, preallocated)
+		}
 	}
 }

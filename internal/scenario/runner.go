@@ -17,17 +17,17 @@ import (
 )
 
 // flowState tracks one offered flow through its lifecycle. The fields
-// listed in releaseFlows — route capacity, stop event, prober, and the two
-// per-flow closures — survive recycling; everything else is per-run.
+// listed in releaseFlows — stop event, prober, and the two per-flow
+// closures — survive recycling; everything else is per-run.
 type flowState struct {
 	id        int
 	class     int
-	route     []netsim.Receiver
+	route     []netsim.Receiver // the class's shared template (Runner.tmpl)
 	prober    *admission.Prober
 	probeDone func(admission.Result) // prober completion, captures this flowState
 	emitFn    trafgen.EmitFunc       // source emission hook, captures this flowState
 	src       trafgen.Source
-	stopEv    *sim.Event
+	stopEv    sim.Event
 	counted   bool // decision falls inside the measurement window
 	attempts  int  // completed admission attempts (for retries)
 	extends   int  // probe extensions granted by the policy this attempt chain
@@ -95,8 +95,13 @@ type Runner struct {
 	flows     []*flowState
 	hot       []flowHot    // per-flow packet counters, parallel to flows
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
-	arrEv     *sim.Event   // the single pending flow-arrival event
-	classes   []ClassMetrics
+	flowSlab  []flowState  // remainder of the arena block newFlow carves from
+	// tmpl holds one packet route per class, shared by all its flows and
+	// immutable for the run: the class path's links and the owner's sink,
+	// with portals at shard crossings on the sharded path (routeTemplates).
+	tmpl    [][]netsim.Receiver
+	arrEv   *sim.Event // the single pending flow-arrival event
+	classes []ClassMetrics
 
 	winStart, winEnd sim.Time // packet accounting window
 	decided          int64
@@ -160,6 +165,7 @@ func newRunner(cfg Config) *Runner {
 		r.links = append(r.links, l)
 		r.wireLink(i, maxPkt)
 	}
+	r.tmpl = r.serialTemplates()
 	r.setupHybrid()
 	r.classes = make([]ClassMetrics, len(cfg.Classes))
 	for i := range r.classes {
@@ -314,8 +320,8 @@ func (r *Runner) canReuse(cfg Config) bool { return len(r.links) == len(cfg.Link
 // reset rewinds an already-run Runner into the state newRunner(cfg) would
 // produce, recycling the expensive allocations of the previous run: the
 // event-heap slab, the link pipe and queue rings, the packet pool's
-// freelist, retired flow states (with their route slices and stop events),
-// and the RNG stream structs. The recycled state is output-neutral —
+// freelist, retired flow states (with their stop events and probers), and
+// the RNG stream structs. The recycled state is output-neutral —
 // Sim.Reset rewinds the FIFO tie-break counter, Pool.Put zeroes packets,
 // and ring/heap geometry is proven irrelevant by the byte-identity tests —
 // so a reused runner's Metrics are identical to a fresh runner's
@@ -351,6 +357,7 @@ func (r *Runner) reset(cfg Config) {
 		}
 		r.wireLink(i, maxPkt)
 	}
+	r.tmpl = r.serialTemplates() // classes and paths may have changed
 	r.setupHybrid()
 
 	if cap(r.classes) >= len(cfg.Classes) {
@@ -378,10 +385,9 @@ func (r *Runner) reset(cfg Config) {
 }
 
 // releaseFlows retires the previous run's flow states into the freelist,
-// keeping each one's route slice and stop event (whose closure captures
-// the flowState pointer, which stays valid across reuse). Must run before
-// Sim.Reset wipes the heap, which is what makes the blanket Forget calls
-// safe.
+// keeping each one's stop event (whose closure captures the flowState
+// pointer, which stays valid across reuse). Must run before Sim.Reset wipes
+// the heap, which is what makes the blanket Forget calls safe.
 func (r *Runner) releaseFlows() {
 	r.arrEv.Forget()
 	for _, f := range r.flows {
@@ -389,14 +395,7 @@ func (r *Runner) releaseFlows() {
 			f.prober.ForgetEvents()
 		}
 		f.stopEv.Forget()
-		route := f.route[:0]
-		if r.slot != nil {
-			// Sharded flows share the class route template; keeping an
-			// aliased slice across runs would invite appends into it.
-			route = nil
-		}
 		*f = flowState{
-			route:     route,
 			stopEv:    f.stopEv,
 			prober:    f.prober,
 			probeDone: f.probeDone,
@@ -408,8 +407,12 @@ func (r *Runner) releaseFlows() {
 	r.hot = r.hot[:0]
 }
 
+// flowSlabSize is the flowState arena block size (cf. netsim's packet slabs).
+const flowSlabSize = 64
+
 // newFlow hands out the next flowState — recycled when the freelist has
-// one — registered under the next flow ID.
+// one, else carved from the arena — registered under the next flow ID and
+// routed over its class template.
 func (r *Runner) newFlow(class int) *flowState {
 	var f *flowState
 	if n := len(r.freeFlows); n > 0 {
@@ -417,11 +420,16 @@ func (r *Runner) newFlow(class int) *flowState {
 		r.freeFlows[n-1] = nil
 		r.freeFlows = r.freeFlows[:n-1]
 	} else {
-		f = &flowState{}
-		f.stopEv = sim.NewEvent(func(at sim.Time) { r.stopFlow(at, f) })
+		if len(r.flowSlab) == 0 {
+			r.flowSlab = make([]flowState, flowSlabSize)
+		}
+		f = &r.flowSlab[0]
+		r.flowSlab = r.flowSlab[1:]
+		f.stopEv.Init(func(at sim.Time) { r.stopFlow(at, f) })
 	}
 	f.id = len(r.flows)
 	f.class = class
+	f.route = r.tmpl[class]
 	r.flows = append(r.flows, f)
 	r.hot = append(r.hot, flowHot{})
 	return f
@@ -576,7 +584,6 @@ func (r *Runner) prepopulate() {
 	for i := 0; i < n; i++ {
 		class := r.pickClass()
 		f := r.newFlow(class)
-		r.buildRoute(f, class)
 		f.active = true
 		r.startData(0, f)
 	}
@@ -650,29 +657,7 @@ func (r *Runner) pickClass() int {
 }
 
 // path returns a class's link path (defaulting to link 0).
-func (r *Runner) path(class int) []int {
-	p := r.cfg.Classes[class].Path
-	if len(p) == 0 {
-		return []int{0}
-	}
-	return p
-}
-
-// buildRoute assembles a flow's packet route for its class: the congested
-// links of the class path terminating at the shared sink (the runner
-// itself). Sharded runners instead share the per-class route template,
-// which splices portal hops at shard boundaries (see shard.go); templates
-// are immutable for the duration of a run, so sharing is safe.
-func (r *Runner) buildRoute(f *flowState, class int) {
-	if r.slot != nil {
-		f.route = r.slot.tmpl[class]
-		return
-	}
-	for _, li := range r.path(class) {
-		f.route = append(f.route, r.links[li])
-	}
-	f.route = append(f.route, (*sinkRecv)(r))
-}
+func (r *Runner) path(class int) []int { return classPath(&r.cfg, class) }
 
 func (r *Runner) onFlowArrival(now sim.Time) {
 	var class int
@@ -695,7 +680,6 @@ func (r *Runner) onFlowArrival(now sim.Time) {
 	cl := r.cfg.Classes[class]
 	f := r.newFlow(class)
 	r.obs.Arrival(now, f.id, class)
-	r.buildRoute(f, class)
 
 	switch r.cfg.Method {
 	case MBAC:
@@ -863,7 +847,7 @@ func (r *Runner) startData(now sim.Time, f *flowState) {
 	r.activeFlows++
 	r.obs.SpanDataStart(now, f.id, f.class)
 	life := sim.Seconds(r.rngLife.Exp(r.cfg.LifetimeSec))
-	r.s.Schedule(f.stopEv, now+life)
+	r.s.Schedule(&f.stopEv, now+life)
 }
 
 func (r *Runner) emitData(now sim.Time, f *flowState, size int) {

@@ -437,3 +437,28 @@ func TestRunSeedsParallelError(t *testing.T) {
 		t.Fatal("expected config error from parallel run")
 	}
 }
+
+// TestLaneShareBasicScenario verifies, on the paper's §4.1 single-link
+// configuration, the premise the monotone lanes rest on: fixed-interval
+// source and probe ticks are a large share of everything the run
+// schedules, and they do reach the lanes (measured 32.7 % at 1200 s).
+func TestLaneShareBasicScenario(t *testing.T) {
+	cfg := quickCfg()
+	cfg.PrepopulateUtil = 0.9
+	cfg.Duration, cfg.Warmup = 120*sim.Second, 20*sim.Second
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	c := r.Sim().Counters()
+	share := float64(c.LaneAppends) / float64(c.LaneAppends+c.HeapSchedules)
+	t.Logf("%d events: %d heap schedules, %d lane appends (%.1f %%), %d promotions, %d scrubbed, heap high-water %d",
+		c.Executed, c.HeapSchedules, c.LaneAppends, 100*share, c.Promotions, c.Scrubbed, c.HeapHighWater)
+	if share < 0.25 {
+		t.Fatalf("lane appends are %.1f %% of schedules, want >= 25 %%", 100*share)
+	}
+	if c.Promotions > c.LaneAppends || c.HeapHighWater == 0 || c.Executed == 0 {
+		t.Fatalf("implausible ledger: %+v", c)
+	}
+}

@@ -85,7 +85,7 @@ func ShardableK(cfg Config, k int) int {
 }
 
 // classPath returns a class's link path with the single-link default
-// applied (mirrors Runner.path without needing a Runner).
+// applied.
 func classPath(cfg *Config, class int) []int {
 	p := cfg.Classes[class].Path
 	if len(p) == 0 {
@@ -180,16 +180,15 @@ func (pt *portal) ReceiveTxEnd(txEnd, delay sim.Time, p *netsim.Packet) {
 }
 
 // shardSlot is the per-shard state the Runner hooks consult: the shard's
-// runner, its owned links, the shared route templates, the owned class
-// weights, and the drop tally for packets of remote flows dropped here.
+// runner, its owned links, the owned class weights, and the drop tally for
+// packets of remote flows dropped here.
 type shardSlot struct {
 	idx    int
 	r      *Runner
 	links  []*netsim.Link // links living on this shard
 	onDrop func(now sim.Time, p *netsim.Packet)
 
-	tmpl           [][]netsim.Receiver // per-class route templates (shared, exec-owned)
-	classW         []float64           // owned class weights (0 for foreign classes)
+	classW         []float64 // owned class weights (0 for foreign classes)
 	ownedW, totalW float64
 	dropWin        []int64 // per-class window drops on this shard's links
 }
@@ -211,8 +210,7 @@ type shardExec struct {
 
 	ex    *shard.Exec[*netsim.Packet]
 	slots []*shardSlot
-	links []*netsim.Link      // global link list, indexed like cfg.Links
-	tmpl  [][]netsim.Receiver // per-class route templates
+	links []*netsim.Link // global link list, indexed like cfg.Links
 
 	// obs is the merged per-shard collector set (nil/inert unless
 	// Config.Obs is active). Each shard's collector is owned by that
@@ -290,7 +288,12 @@ func newShardExec(cfg Config, k int) (*shardExec, error) {
 		e.links[i] = l
 		sl.links = append(sl.links, l)
 	}
-	e.buildTemplates()
+	tmpl := plan.routeTemplates(&cfg, e.links,
+		func(from, to int) netsim.Receiver { return &portal{src: e.ex.Shard(from), dst: to} },
+		func(shard int) *Runner { return e.slots[shard].r })
+	for _, sl := range e.slots {
+		sl.r.tmpl = tmpl
+	}
 	e.wireObs()
 	e.buildPolicies()
 	return e, nil
@@ -364,32 +367,36 @@ func (e *shardExec) applyWeights(cfg Config) {
 	}
 }
 
-// buildTemplates assembles the per-class shared route templates, splicing
-// a portal at every shard crossing (including the return to the owner's
-// sink after the final link).
-func (e *shardExec) buildTemplates() {
-	cfg := &e.cfg
-	e.tmpl = make([][]netsim.Receiver, len(cfg.Classes))
+// routeTemplates assembles a plan's shared per-class packet routes: each
+// class path's links, a portal at every shard crossing (including the
+// return to the owner's sink after the final link), then the owner's sink.
+// The serial runner's routes are the one-shard plan's, which has no
+// crossing and so never asks for a portal.
+func (p *shardPlan) routeTemplates(cfg *Config, links []*netsim.Link, portal func(from, to int) netsim.Receiver, owner func(shard int) *Runner) [][]netsim.Receiver {
+	tmpl := make([][]netsim.Receiver, len(cfg.Classes))
 	for c := range cfg.Classes {
-		o := e.plan.owner[c]
+		o := p.owner[c]
 		cur := o
-		var tmpl []netsim.Receiver
+		var t []netsim.Receiver
 		for _, li := range classPath(cfg, c) {
-			if s := e.plan.shardOf[li]; s != cur {
-				tmpl = append(tmpl, &portal{src: e.ex.Shard(cur), dst: s})
+			if s := p.shardOf[li]; s != cur {
+				t = append(t, portal(cur, s))
 				cur = s
 			}
-			tmpl = append(tmpl, e.links[li])
+			t = append(t, links[li])
 		}
 		if cur != o {
-			tmpl = append(tmpl, &portal{src: e.ex.Shard(cur), dst: o})
+			t = append(t, portal(cur, o))
 		}
-		tmpl = append(tmpl, (*sinkRecv)(e.slots[o].r))
-		e.tmpl[c] = tmpl
+		tmpl[c] = append(t, (*sinkRecv)(owner(o)))
 	}
-	for _, sl := range e.slots {
-		sl.tmpl = e.tmpl
-	}
+	return tmpl
+}
+
+// serialTemplates builds r's routes over its own links, ending at r.
+func (r *Runner) serialTemplates() [][]netsim.Receiver {
+	plan, _ := planShards(&r.cfg, 1) // one shard has no boundary link to reject
+	return plan.routeTemplates(&r.cfg, r.links, nil, func(int) *Runner { return r })
 }
 
 // canReuse reports whether reset can adapt this executor to cfg: same

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eac/internal/admission"
+	"eac/internal/netsim"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
@@ -135,5 +136,102 @@ func TestWorkspaceAllocReduction(t *testing.T) {
 	if reused > 0.7*fresh {
 		t.Fatalf("reused-worker path allocates %.0f/run vs %.0f fresh (%.0f%%), want <= 70%%",
 			reused, fresh, 100*reused/fresh)
+	}
+}
+
+// TestSerialRoutesShared pins the route-template unification: on the serial
+// path every flow of a class carries the class's one template (same backing
+// array, not a per-flow copy), and a Workspace whose next config keeps the
+// link count — so the Runner is reset, not rebuilt — but changes the class
+// and path layout routes the new run over fresh templates.
+func TestSerialRoutesShared(t *testing.T) {
+	links := []LinkSpec{
+		{RateBps: 1e6, Delay: 5 * sim.Millisecond, BufferPkts: 20},
+		{RateBps: 1e6, Delay: 5 * sim.Millisecond, BufferPkts: 20},
+	}
+	first := reuseCfg(1)
+	first.Links = links
+	first.Classes = []ClassSpec{{Preset: trafgen.EXP1, Eps: -1, Path: []int{0, 1}}}
+	second := reuseCfg(2)
+	second.Links = links
+	second.Classes = []ClassSpec{
+		{Preset: trafgen.EXP1, Eps: -1, Path: []int{1}},
+		{Preset: trafgen.EXP2, Eps: -1, Path: []int{1, 0}},
+	}
+
+	ws := NewWorkspace()
+	if _, err := ws.Run(first); err != nil {
+		t.Fatal(err)
+	}
+	r := ws.r
+	old := r.tmpl[0]
+	byClass := map[int]*flowState{}
+	for _, f := range r.flows {
+		if g, ok := byClass[f.class]; ok && &g.route[0] != &f.route[0] {
+			t.Fatalf("flows %d and %d of class %d hold separate route arrays", g.id, f.id, f.class)
+		}
+		byClass[f.class] = f
+	}
+	if len(r.flows) < 2 || &r.flows[0].route[0] != &old[0] {
+		t.Fatalf("flows do not carry the runner's class template (%d flows)", len(r.flows))
+	}
+
+	reused, err := ws.Run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.r != r {
+		t.Fatal("test setup: workspace rebuilt the runner instead of resetting it")
+	}
+	sink := netsim.Receiver((*sinkRecv)(r))
+	want := [][]netsim.Receiver{{r.links[1], sink}, {r.links[1], r.links[0], sink}}
+	if !reflect.DeepEqual(r.tmpl, want) {
+		t.Fatalf("templates after reuse = %v, want %v", r.tmpl, want)
+	}
+	if &r.tmpl[0][0] == &old[0] || len(old) != 3 || old[0] != netsim.Receiver(r.links[0]) {
+		t.Fatal("reset rewrote the previous run's template in place")
+	}
+	fresh, err := Run(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, reused) {
+		t.Fatalf("reused runner with a new class layout diverges from a fresh run\nfresh:  %+v\nreused: %+v", fresh, reused)
+	}
+}
+
+// TestAllocsPerFlowArrival is the ceiling on the per-flow allocation bill:
+// heap allocations of a whole run divided by the flows it offered (the
+// per-packet path allocates nothing, so flows are what a run pays for).
+// Measured when written: 19.2 per flow on a fresh Runner (26.1 before flow
+// states moved to slabs and events into their owners) and 3.3 on a primed
+// Workspace (unchanged: what is left there is retry and stage-guard
+// one-shots). The ceilings leave ~15 % for a different seed or flow mix.
+func TestAllocsPerFlowArrival(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement runs several simulations")
+	}
+	cfg := reuseCfg(3)
+	cfg.InterArrival = 0.2 // ~250 arrivals, most of them rejected and retried
+	cfg = cfg.WithDefaults()
+	var flows int
+	fresh := testing.AllocsPerRun(2, func() {
+		r := newRunner(cfg)
+		r.Run()
+		flows = len(r.flows)
+	})
+	ws := NewWorkspace()
+	if _, err := ws.Run(cfg); err != nil { // prime slabs, freelist, probers
+		t.Fatal(err)
+	}
+	reused := testing.AllocsPerRun(2, func() {
+		if _, err := ws.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perFresh, perReused := fresh/float64(flows), reused/float64(flows)
+	t.Logf("%d flows: %.1f allocs/flow fresh, %.1f reused", flows, perFresh, perReused)
+	if perFresh > 22 || perReused > 4 {
+		t.Fatalf("allocs per flow arrival: %.1f fresh (ceiling 22), %.1f reused (ceiling 4)", perFresh, perReused)
 	}
 }

@@ -19,9 +19,17 @@
 // is a total order, so any correct priority queue dispatches the exact
 // same sequence; heap geometry can never affect simulation results
 // (pinned by the byte-identity tests).
+//
+// Periodic ticks — a third of all events on the paper's scenarios — are the
+// heap's worst case: each is rescheduled at now + constant and sinks below
+// every other source's tick. They go through monotone lanes instead (see
+// Lane): FIFO rings whose head alone occupies a heap slot.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a simulation timestamp or duration in nanoseconds.
 type Time int64
@@ -51,12 +59,21 @@ type Event struct {
 	when    Time
 	seq     uint64 // seq of the live entry; FIFO tie-break at equal times
 	pending bool
+	// lane is the Lane holding the live entry (0 = the heap proper). A
+	// uint8 in the padding after pending keeps Event at 32 bytes; a
+	// pointer would push it into the 48-byte size class, which alone cost
+	// 7 % peak RSS on a figure-2 grid cell (TestEventSize pins this).
+	lane Lane
 }
 
 // NewEvent returns an event that invokes fn when it fires.
 func NewEvent(fn func(now Time)) *Event {
 	return &Event{fn: fn}
 }
+
+// Init sets the callback of an event embedded by value in its owner, in
+// place of a NewEvent allocation. Call it once, before the first Schedule.
+func (e *Event) Init(fn func(now Time)) { e.fn = fn }
 
 // Pending reports whether the event is currently scheduled.
 func (e *Event) Pending() bool { return e.pending }
@@ -67,8 +84,10 @@ func (e *Event) Pending() bool { return e.pending }
 // slot is gone but its flag is stale). Components that keep events across
 // Sim.Reset — the run-state reuse path in scenario — call Forget before
 // rescheduling them. Calling it on an event whose Sim was NOT reset
-// desynchronizes the heap's live-entry accounting; use Cancel there.
-func (e *Event) Forget() { e.pending = false }
+// desynchronizes the heap's live-entry accounting; use Cancel there. The
+// lane id goes too: after Reset it would name whatever lane took that slot
+// in the next run.
+func (e *Event) Forget() { e.pending, e.lane = false, 0 }
 
 // When returns the time the event is scheduled for. Only meaningful while
 // Pending.
@@ -111,12 +130,31 @@ type Sim struct {
 	now    Time
 	seq    uint64
 	heap   []entry
-	nLive  int    // scheduled (non-tombstone) entries
-	nDead  int    // tombstones still buried in the heap
-	nRun   uint64 // events executed
-	hole   bool   // heap[0] is a consumed entry awaiting removal or reuse
+	nLive  int  // scheduled (non-tombstone) entries, heap and lane rings
+	nDead  int  // tombstones still buried in the heap
+	hole   bool // heap[0] is a consumed entry awaiting removal or reuse
 	halted bool
+	ctr    Counters
+
+	lanes    []lane // rings are retained across Reset
+	nLanes   int    // lanes[:nLanes] are assigned this run
+	laneKeys [maxLanes]Time
 }
+
+// Counters is the simulator's always-on ledger of queue work for the
+// current run (Reset zeroes it): plain integer increments on paths that
+// already write the Sim.
+type Counters struct {
+	Executed      uint64 // events dispatched
+	HeapSchedules uint64 // Schedule/ScheduleLane calls that inserted into the heap
+	LaneAppends   uint64 // ScheduleLane calls absorbed by a lane ring
+	Promotions    uint64 // lane followers moved into the heap
+	Scrubbed      uint64 // tombstones discarded, heap and rings
+	HeapHighWater int    // most heap slots ever occupied at once
+}
+
+// Counters returns the run's ledger so far.
+func (s *Sim) Counters() Counters { return s.ctr }
 
 // New returns an empty simulator at time zero.
 func New() *Sim {
@@ -127,22 +165,28 @@ func New() *Sim {
 func (s *Sim) Now() Time { return s.now }
 
 // Reset returns the simulator to an empty queue at time zero, retaining
-// the heap's backing array so a subsequent run of similar event density
-// performs no heap growth at all. The sequence counter is also reset, so
-// a replayed workload observes identical FIFO tie-breaking and therefore
-// identical dispatch order (the per-worker run-state reuse path depends
-// on this). Events that were still pending are NOT notified: their slots
-// vanish with the heap, and an owner that reuses such an event across
-// Reset must call Event.Forget before rescheduling it.
+// the heap's and the lane rings' backing arrays so a subsequent run of
+// similar event density performs no growth at all. The sequence counter is
+// also reset, so a replayed workload observes identical FIFO tie-breaking
+// and therefore identical dispatch order (the per-worker run-state reuse
+// path depends on this). Lane handles are void after Reset: the next run
+// assigns the table afresh. Events that were still pending are NOT
+// notified: their slots vanish with the heap, and an owner that reuses
+// such an event across Reset must call Event.Forget before rescheduling it.
 func (s *Sim) Reset() {
 	clear(s.heap) // drop Event pointers so dead runs are collectable
 	s.heap = s.heap[:0]
-	s.now, s.seq, s.nLive, s.nDead, s.nRun = 0, 0, 0, 0, 0
+	for i := range s.lanes[:s.nLanes] {
+		s.lanes[i].reset()
+	}
+	s.nLanes = 0
+	s.now, s.seq, s.nLive, s.nDead = 0, 0, 0, 0
 	s.hole, s.halted = false, false
+	s.ctr = Counters{}
 }
 
 // Executed returns the number of events executed so far.
-func (s *Sim) Executed() uint64 { return s.nRun }
+func (s *Sim) Executed() uint64 { return s.ctr.Executed }
 
 // Schedule arranges for e to fire at absolute time at. It panics if e is
 // already pending (use Reschedule) or if at precedes the current time.
@@ -158,22 +202,31 @@ func (s *Sim) Schedule(e *Event, at Time) {
 	e.pending = true
 	s.seq++
 	s.nLive++
+	s.ctr.HeapSchedules++
+	s.push(entry{when: at, seq: e.seq, e: e})
+}
+
+// push inserts an entry into the heap.
+func (s *Sim) push(ent entry) {
 	if s.hole {
 		// The dispatch loop left the just-consumed root in place. Nearly
 		// every event in this workload reschedules a near-future successor
-		// (source ticks, txDone, pipe delivery) from inside its own
+		// (txDone, pipe delivery, a lane's follower) from inside its own
 		// callback, so instead of paying a full leaf-sink pop plus a push,
 		// reuse the root slot: one replace-root siftDown that terminates
 		// almost immediately for near-minimum times, and never touches the
 		// heap's tail. Heap arrangement cannot affect dispatch order — the
 		// (when, seq) key is a total order — so this is behaviour-neutral.
 		s.hole = false
-		s.heap[0] = entry{when: at, seq: e.seq, e: e}
+		s.heap[0] = ent
 		s.siftDown(0)
 		return
 	}
 	i := len(s.heap)
-	s.heap = append(s.heap, entry{when: at, seq: e.seq, e: e})
+	s.heap = append(s.heap, ent)
+	if i >= s.ctr.HeapHighWater {
+		s.ctr.HeapHighWater = i + 1
+	}
 	s.siftUp(i)
 }
 
@@ -194,7 +247,11 @@ func (s *Sim) Cancel(e *Event) {
 	if e.pending {
 		e.pending = false
 		s.nLive--
-		s.nDead++
+		if e.lane != 0 {
+			s.cancelLane(e)
+		} else {
+			s.nDead++
+		}
 	}
 }
 
@@ -233,12 +290,23 @@ func (s *Sim) Peek() (when Time, ok bool) {
 // next event is later than until. The clock is left at the time of the last
 // executed event (or at until if no event at/before until remained, so that
 // subsequent Run calls may continue).
+func (s *Sim) Run(until Time) {
+	if s.run(until) || (!s.halted && s.now < until) {
+		s.now = until
+	}
+}
+
+// RunAll executes events until the queue is empty.
+func (s *Sim) RunAll() { s.run(math.MaxInt64) }
+
+// run is the dispatch loop; it reports whether it stopped at an event
+// later than until (false: the queue drained or Halt was called).
 //
 // Events sharing a timestamp are bulk-drained: the bound check and clock
 // update happen once per distinct timestamp, not once per event, which
 // matters for the multi-hop scenarios where a burst's arrivals land on the
 // same nanosecond.
-func (s *Sim) Run(until Time) {
+func (s *Sim) run(until Time) (beyond bool) {
 	s.halted = false
 	for !s.halted {
 		s.scrub()
@@ -247,20 +315,24 @@ func (s *Sim) Run(until Time) {
 		}
 		when := s.heap[0].when
 		if when > until {
-			s.now = until
-			return
+			return true
 		}
 		s.now = when
 		for {
 			e := s.heap[0].e // live: scrub ran
 			e.pending = false
 			s.nLive--
-			s.nRun++
+			s.ctr.Executed++
 			// Leave the consumed root in place as a hole: if the callback
-			// schedules (the overwhelmingly common case), Schedule reuses
-			// the slot with one replace-root sift instead of a full
-			// leaf-sink pop plus a push.
+			// schedules (the overwhelmingly common case), push reuses the
+			// slot with one replace-root sift instead of a full leaf-sink
+			// pop plus a push. A lane head's follower takes it right away.
 			s.hole = true
+			if e.lane != 0 {
+				l := &s.lanes[e.lane-1]
+				e.lane = 0
+				s.promote(l)
+			}
 			e.fn(when)
 			if s.hole {
 				s.hole = false
@@ -275,41 +347,7 @@ func (s *Sim) Run(until Time) {
 			}
 		}
 	}
-	if !s.halted && s.now < until {
-		s.now = until
-	}
-}
-
-// RunAll executes events until the queue is empty.
-func (s *Sim) RunAll() {
-	s.halted = false
-	for !s.halted {
-		s.scrub()
-		if len(s.heap) == 0 {
-			return
-		}
-		when := s.heap[0].when
-		s.now = when
-		for {
-			e := s.heap[0].e
-			e.pending = false
-			s.nLive--
-			s.nRun++
-			s.hole = true
-			e.fn(when)
-			if s.hole {
-				s.hole = false
-				s.popRoot()
-			}
-			if s.halted {
-				return
-			}
-			s.scrub()
-			if len(s.heap) == 0 || s.heap[0].when != when {
-				break
-			}
-		}
-	}
+	return false
 }
 
 // Len returns the number of pending events.
@@ -332,6 +370,7 @@ func (s *Sim) scrubSlow() {
 	for s.nDead > 0 && len(s.heap) > 0 && !s.heap[0].live() {
 		s.popRoot()
 		s.nDead--
+		s.ctr.Scrubbed++
 	}
 }
 

@@ -27,8 +27,9 @@ type CBR struct {
 	rateBps float64
 	pktSize int
 	iv      sim.Time // per-packet interval, precomputed from rate and size
+	lane    sim.Lane // the simulator's lane for ticks iv apart
 	emit    EmitFunc
-	ev      *sim.Event
+	ev      sim.Event
 	active  bool
 }
 
@@ -39,7 +40,7 @@ func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
 	}
 	c := &CBR{s: s, pktSize: pktSize, emit: emit}
 	c.SetRate(rateBps)
-	c.ev = sim.NewEvent(c.tick)
+	c.ev.Init(c.tick)
 	return c
 }
 
@@ -47,6 +48,7 @@ func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
 func (c *CBR) SetRate(rateBps float64) {
 	c.rateBps = rateBps
 	c.iv = sim.Time(float64(c.pktSize*8) / rateBps * float64(sim.Second))
+	c.lane = c.s.Lane(c.iv)
 }
 
 // Reinit re-parameterizes an idle CBR for another use, keeping its event
@@ -70,15 +72,13 @@ func (c *CBR) Forget() {
 	c.ev.Forget()
 }
 
-func (c *CBR) interval() sim.Time { return c.iv }
-
 // Start implements Source. The first packet is emitted immediately.
 func (c *CBR) Start(now sim.Time) {
 	if c.active {
 		return
 	}
 	c.active = true
-	c.s.Schedule(c.ev, now)
+	c.s.Schedule(&c.ev, now)
 }
 
 // Stop implements Source.
@@ -87,7 +87,7 @@ func (c *CBR) Stop() {
 		return
 	}
 	c.active = false
-	c.s.Cancel(c.ev)
+	c.s.Cancel(&c.ev)
 }
 
 func (c *CBR) tick(now sim.Time) {
@@ -96,7 +96,7 @@ func (c *CBR) tick(now sim.Time) {
 	// may Stop this source — e.g. a prober rejecting on the packet it just
 	// sent; rescheduling unconditionally would tick forever.
 	if c.active {
-		c.s.Schedule(c.ev, now+c.interval())
+		c.s.ScheduleLane(c.lane, &c.ev, now+c.iv)
 	}
 }
 
@@ -108,12 +108,13 @@ type OnOff struct {
 	burstBps float64
 	pktSize  int
 	iv       sim.Time       // per-packet interval at the burst rate, precomputed
+	lane     sim.Lane       // the simulator's lane for ticks iv apart
 	onDur    func() float64 // seconds
 	offDur   func() float64
 	emit     EmitFunc
 	rng      *stats.RNG
 
-	ev     *sim.Event // next packet while on, or on-transition while off
+	ev     sim.Event // next packet while on, or on-transition while off
 	onEnd  sim.Time
 	on     bool
 	active bool
@@ -126,7 +127,8 @@ func NewOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, 
 	}
 	o := &OnOff{s: s, rng: rng, burstBps: burstBps, pktSize: pktSize, onDur: onDur, offDur: offDur, emit: emit}
 	o.iv = sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
-	o.ev = sim.NewEvent(o.tick)
+	o.lane = s.Lane(o.iv)
+	o.ev.Init(o.tick)
 	return o
 }
 
@@ -148,8 +150,6 @@ func NewParetoOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, o
 		func() float64 { return rng.Pareto(shape, offMean) },
 		emit)
 }
-
-func (o *OnOff) interval() sim.Time { return o.iv }
 
 // Start implements Source. The source begins in the on or off state with
 // probability proportional to the state mean durations, for approximate
@@ -177,18 +177,18 @@ func (o *OnOff) Stop() {
 		return
 	}
 	o.active = false
-	o.s.Cancel(o.ev)
+	o.s.Cancel(&o.ev)
 }
 
 func (o *OnOff) enterOn(now sim.Time) {
 	o.on = true
 	o.onEnd = now + sim.Seconds(o.onDur())
-	o.s.Schedule(o.ev, now) // first packet immediately
+	o.s.Schedule(&o.ev, now) // first packet immediately
 }
 
 func (o *OnOff) enterOff(now sim.Time) {
 	o.on = false
-	o.s.Schedule(o.ev, now+sim.Seconds(o.offDur()))
+	o.s.Schedule(&o.ev, now+sim.Seconds(o.offDur()))
 }
 
 func (o *OnOff) tick(now sim.Time) {
@@ -204,11 +204,11 @@ func (o *OnOff) tick(now sim.Time) {
 	if !o.active { // stopped from inside emit (see CBR.tick)
 		return
 	}
-	next := now + o.interval()
+	next := now + o.iv
 	if next > o.onEnd {
-		next = o.onEnd // fires the off transition
+		next = o.onEnd // fires the off transition (off the lane if that breaks its order)
 	}
-	o.s.Schedule(o.ev, next)
+	o.s.ScheduleLane(o.lane, &o.ev, next)
 }
 
 // On reports whether the source is currently in its on state (for tests).
