@@ -60,14 +60,17 @@ func BenchmarkWorkload(b *testing.B) {
 		b.Fatal(err)
 	}
 
+	onoff, err := eac.ParseSchedule("const:30:2,const:30:0.5")
+	if err != nil {
+		b.Fatal(err)
+	}
+
 	rows := []struct {
 		name string
 		mut  func(*eac.Config)
 	}{
 		{"stationary", func(c *eac.Config) {}},
-		{"onoff", func(c *eac.Config) {
-			c.Load = eac.LoadSpec{PeriodSec: 60, OnFraction: 0.5, OnFactor: 2, OffFactor: 0.5}
-		}},
+		{"onoff", func(c *eac.Config) { c.Schedule = onoff }},
 		{"spike", func(c *eac.Config) { c.Schedule = spike }},
 		{"replay", func(c *eac.Config) { c.Replay = trace }},
 	}

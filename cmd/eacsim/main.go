@@ -100,12 +100,8 @@ func main() {
 		adaptProbe = flag.Bool("policy.adapt-probe", false, "epoch-adaptive: also adapt the probe duration")
 
 		// Nonstationary load modulation (see README "Temporal workloads").
-		loadPeriod = flag.Float64("load.period", 0, "on/off arrival modulation period, seconds (0 = stationary)")
-		loadOnFrac = flag.Float64("load.on-fraction", 0, "fraction of each period in the on phase (0 = default 0.5)")
-		loadOnF    = flag.Float64("load.on-factor", 0, "arrival-rate factor in the on phase (0 = default 2)")
-		loadOffF   = flag.Float64("load.off-factor", 0, "arrival-rate factor in the off phase (default 0 = silent)")
-		loadSched  = flag.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold' (see README; exclusive with -load.period)")
-		loadReplay = flag.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.period and -load.schedule)")
+		loadSched  = flag.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
+		loadReplay = flag.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
 
 		// Result cache (see README "Result cache").
 		useCache = flag.Bool("cache", false, "serve repeated runs from the content-addressed result cache")
@@ -152,16 +148,7 @@ func main() {
 	if *useRED {
 		cfg.Queue = scenario.QueueRED
 	}
-	if *loadPeriod > 0 {
-		cfg.Load = scenario.LoadSpec{
-			PeriodSec: *loadPeriod, OnFraction: *loadOnFrac,
-			OnFactor: *loadOnF, OffFactor: *loadOffF,
-		}
-	}
 	if *loadSched != "" {
-		if *loadPeriod > 0 {
-			log.Fatal("-load.schedule and -load.period are mutually exclusive")
-		}
 		s, err := scenario.ParseSchedule(*loadSched)
 		if err != nil {
 			log.Fatal(err)
@@ -169,8 +156,8 @@ func main() {
 		cfg.Schedule = s
 	}
 	if *loadReplay != "" {
-		if *loadPeriod > 0 || *loadSched != "" {
-			log.Fatal("-load.replay is mutually exclusive with -load.period and -load.schedule")
+		if *loadSched != "" {
+			log.Fatal("-load.replay and -load.schedule are mutually exclusive")
 		}
 		tr, err := scenario.LoadReplay(*loadReplay)
 		if err != nil {
@@ -297,12 +284,6 @@ func main() {
 			"topology": *topology, "shards": cfg.Shards,
 			"policy": cfg.Policy.Kind.String(),
 		}
-		if cfg.Load.Active() {
-			man.Config["load_period_s"] = cfg.Load.PeriodSec
-			man.Config["load_on_fraction"] = cfg.Load.OnFraction
-			man.Config["load_on_factor"] = cfg.Load.OnFactor
-			man.Config["load_off_factor"] = cfg.Load.OffFactor
-		}
 		if cfg.Schedule.Active() {
 			man.Config["load_schedule"] = cfg.Schedule.String()
 		}
@@ -363,9 +344,6 @@ func main() {
 		if cfg.Policy.Kind != admission.PolicyStatic {
 			fmt.Printf("policy   : %s\n", cfg.Policy.Kind)
 		}
-	}
-	if cfg.Load.Active() {
-		fmt.Printf("load     : on/off modulation, period=%.3gs\n", cfg.Load.PeriodSec)
 	}
 	if cfg.Schedule.Active() {
 		fmt.Printf("load     : schedule %s (peak %.3gx)\n", cfg.Schedule, cfg.Schedule.Peak())

@@ -154,9 +154,6 @@ type (
 	PolicyKind = admission.PolicyKind
 	// Policy is the pluggable decision interface itself.
 	Policy = admission.Policy
-	// LoadSpec modulates flow arrivals with a periodic on/off pattern
-	// (nonstationary load; zero value means stationary arrivals).
-	LoadSpec = scenario.LoadSpec
 )
 
 // Temporal workload engine (see DESIGN.md §6): composable phase schedules

@@ -166,7 +166,7 @@ func (o Options) runJobs(jobs []Job) error {
 			// did not pick a temporal source of their own are modulated,
 			// so experiments that sweep nonstationarity explicitly keep
 			// their configured dynamics.
-			if !c.Load.Active() && !c.Schedule.Active() && c.Replay == nil {
+			if !c.Schedule.Active() && c.Replay == nil {
 				if o.Replay != nil {
 					c.Replay = o.Replay
 				} else if o.Schedule.Active() {

@@ -81,16 +81,20 @@ func PolicySweep(o Options) (Table, error) {
 	return t, err
 }
 
-// thrashLoad returns the on/off load modulation for the mode: the period
-// scales with the flow dynamics (quick mode shrinks lifetimes tenfold),
-// doubled arrivals in the on phase and silence in the off phase, keeping
-// the mean offered load of the stationary scenario.
-func thrashLoad(o Options) scenario.LoadSpec {
-	period := 200.0
+// thrashLoad returns the on/off load modulation for the mode, a cycling
+// two-phase schedule: the period scales with the flow dynamics (quick mode
+// shrinks lifetimes tenfold), doubled arrivals in the on half and silence
+// in the off half, keeping the mean offered load of the stationary
+// scenario.
+func thrashLoad(o Options) scenario.Schedule {
+	half := 100.0
 	if o.Quick {
-		period = 20
+		half = 10
 	}
-	return scenario.LoadSpec{PeriodSec: period, OnFraction: 0.5, OnFactor: 2, OffFactor: 0}
+	return scenario.Schedule{Phases: []scenario.Phase{
+		{Kind: scenario.PhaseConst, DurationSec: half, From: 2, To: 2},
+		{Kind: scenario.PhaseConst, DurationSec: half, From: 0, To: 0},
+	}}
 }
 
 // PolicyThrash compares admission policies under nonstationary on/off
@@ -114,7 +118,7 @@ func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.P
 	}
 	base := o.base(3.5)
 	base.Classes = classes1(trafgen.EXP1)
-	base.Load = thrashLoad(o)
+	base.Schedule = thrashLoad(o)
 	policies := []admission.PolicyConfig{
 		{Kind: admission.PolicyStatic},
 		{Kind: admission.PolicyEpochAdaptive},

@@ -49,7 +49,7 @@ import "math"
 // zero-loss acceptance threshold — is deliberately NOT defaulted.
 // TestParamsZeroAsUnset pins this contract; any new field whose zero is a
 // valid configuration must follow the Eps precedent and stay out of
-// WithDefaults (the LoadSpec.OnFactor clobbering bug class).
+// WithDefaults (the clobbered-explicit-zero bug class).
 type Params struct {
 	Lambda  float64 // flow arrival rate, 1/s
 	Tlife   float64 // mean accepted-flow lifetime, s

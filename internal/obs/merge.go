@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"eac/internal/sim"
 )
@@ -248,55 +246,15 @@ func (m *Merged) WritePerfetto(w io.Writer) error {
 }
 
 // Flush writes the merged artifacts under the same names a serial run
-// would use and returns the paths written. A nil or disabled set flushes
-// nothing.
+// would use and returns the paths written. A set of one collector is a
+// serial run and writes that collector's serial formats (no shard column).
+// A nil or disabled set flushes nothing.
 func (m *Merged) Flush() ([]string, error) {
 	if !m.Enabled() {
 		return nil, nil
 	}
-	var paths []string
-	write := func(path string, render func(io.Writer) error) error {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		paths = append(paths, path)
-		return nil
+	if len(m.cs) == 1 {
+		return m.cs[0].Flush()
 	}
-	if p := m.cfg.SeriesPath(m.seed); p != "" {
-		if err := write(p, m.WriteSeries); err != nil {
-			return paths, err
-		}
-	}
-	if p := m.cfg.TraceFile(m.seed); p != "" {
-		if err := write(p, m.WriteTrace); err != nil {
-			return paths, err
-		}
-	}
-	if p := m.cfg.SpansPath(m.seed); p != "" {
-		if err := write(p, m.WriteSpans); err != nil {
-			return paths, err
-		}
-	}
-	if p := m.cfg.HistPath(m.seed); p != "" {
-		if err := write(p, m.WriteHist); err != nil {
-			return paths, err
-		}
-	}
-	if p := m.cfg.PerfettoFile(); p != "" {
-		if err := write(p, m.WritePerfetto); err != nil {
-			return paths, err
-		}
-	}
-	return paths, nil
+	return flushArtifacts(m.cfg, m.seed, m)
 }

@@ -398,15 +398,35 @@ func (c *Collector) WriteSeries(w io.Writer) error {
 	return nil
 }
 
-// Flush writes the enabled artifacts (series CSV, event trace) into the
-// configured directory and returns the paths written. A nil or disabled
-// collector flushes nothing.
+// Flush writes the enabled artifacts (series CSV, event trace, spans,
+// histograms, Perfetto export) into the configured directory and returns
+// the paths written. A nil or disabled collector flushes nothing.
 func (c *Collector) Flush() ([]string, error) {
 	if !c.Enabled() {
 		return nil, nil
 	}
+	return flushArtifacts(c.cfg, c.seed, c)
+}
+
+// artifactWriter renders a run's artifacts: a Collector in the serial
+// formats, a Merged set with shard provenance.
+type artifactWriter interface {
+	WriteSeries(io.Writer) error
+	WriteTrace(io.Writer) error
+	WriteSpans(io.Writer) error
+	WriteHist(io.Writer) error
+	WritePerfetto(io.Writer) error
+}
+
+// flushArtifacts renders each artifact cfg enables into its file, in the
+// fixed order series, trace, spans, hist, perfetto, and returns the paths
+// written (also on error: the ones completed before it).
+func flushArtifacts(cfg Config, seed uint64, w artifactWriter) ([]string, error) {
 	var paths []string
 	write := func(path string, render func(io.Writer) error) error {
+		if path == "" {
+			return nil
+		}
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
@@ -424,28 +444,17 @@ func (c *Collector) Flush() ([]string, error) {
 		paths = append(paths, path)
 		return nil
 	}
-	if p := c.cfg.SeriesPath(c.seed); p != "" {
-		if err := write(p, c.WriteSeries); err != nil {
-			return paths, err
-		}
-	}
-	if p := c.cfg.TraceFile(c.seed); p != "" {
-		if err := write(p, c.WriteTrace); err != nil {
-			return paths, err
-		}
-	}
-	if p := c.cfg.SpansPath(c.seed); p != "" {
-		if err := write(p, c.WriteSpans); err != nil {
-			return paths, err
-		}
-	}
-	if p := c.cfg.HistPath(c.seed); p != "" {
-		if err := write(p, c.WriteHist); err != nil {
-			return paths, err
-		}
-	}
-	if p := c.cfg.PerfettoFile(); p != "" {
-		if err := write(p, c.WritePerfetto); err != nil {
+	for _, a := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{cfg.SeriesPath(seed), w.WriteSeries},
+		{cfg.TraceFile(seed), w.WriteTrace},
+		{cfg.SpansPath(seed), w.WriteSpans},
+		{cfg.HistPath(seed), w.WriteHist},
+		{cfg.PerfettoFile(), w.WritePerfetto},
+	} {
+		if err := write(a.path, a.render); err != nil {
 			return paths, err
 		}
 	}

@@ -6,9 +6,10 @@
 // allocated share by data packets, data packet loss probability, and
 // per-class flow blocking probability.
 //
-// Concurrency: a single run is strictly single-threaded, but distinct
-// runs are independent — a Runner and everything it reaches (its Sim, its
-// packet pool, its RNG streams) is per-run state, and the package-level
+// Concurrency: a run uses one goroutine per domain (one in all, unless
+// Config.Shards asks for more), and distinct runs are independent — a
+// Runner and everything it reaches (its domains' simulators, packet
+// pools and RNG streams) is per-run state, and the package-level
 // tables it consults (trafgen presets, admission designs) are immutable
 // after init. RunSeedsParallel and the experiment sweep engine rely on
 // this to execute runs on concurrent goroutines.
@@ -16,13 +17,13 @@ package scenario
 
 import (
 	"fmt"
-	"math"
 
 	"eac/internal/admission"
 	"eac/internal/cache"
 	"eac/internal/mbac"
 	"eac/internal/obs"
 	"eac/internal/sim"
+	"eac/internal/stats"
 	"eac/internal/trafgen"
 )
 
@@ -96,48 +97,6 @@ type ClassSpec struct {
 	Path []int
 }
 
-// LoadSpec modulates the aggregate flow-arrival rate over time: a square
-// wave alternating an on phase (arrival rate scaled by OnFactor) and an
-// off phase (scaled by OffFactor), repeating every PeriodSec. The runner
-// realizes it by Lewis–Shedler thinning: arrivals are drawn at the peak
-// rate and kept with probability factor(now)/max(factor), which is exact
-// for piecewise-constant intensities. The zero value (PeriodSec == 0)
-// disables modulation and leaves the stationary process untouched.
-type LoadSpec struct {
-	// PeriodSec is the on/off cycle length, simulated seconds.
-	PeriodSec float64
-	// OnFraction is the fraction of each period spent in the on phase
-	// (default 0.5).
-	OnFraction float64
-	// OnFactor scales the mean arrival rate during the on phase (default
-	// 2); OffFactor scales it during the off phase (default 0 — silence).
-	// The defaults preserve the stationary process's mean offered load.
-	OnFactor, OffFactor float64
-}
-
-// Active reports whether the spec modulates arrivals at all.
-func (l LoadSpec) Active() bool { return l.PeriodSec > 0 }
-
-// withDefaults resolves an active spec's unset knobs (inactive specs stay
-// zero so unmodulated configs fingerprint identically).
-func (l LoadSpec) withDefaults() LoadSpec {
-	if !l.Active() {
-		return l
-	}
-	if l.OnFraction == 0 {
-		l.OnFraction = 0.5
-	}
-	// Default the factors only when BOTH are zero (the fully-unset spec).
-	// An explicit OnFactor 0 with a positive OffFactor is a valid inverted
-	// duty cycle — silence during the on phase — and clobbering it with
-	// the default 2 silently changed the workload (pinned by
-	// TestLoadInvertedWave).
-	if l.OnFactor == 0 && l.OffFactor == 0 {
-		l.OnFactor = 2
-	}
-	return l
-}
-
 // HybridConfig selects the hybrid fluid/packet engine: the listed
 // background classes' data phases are carried as piecewise-constant fluid
 // rates on their path links (admission probing stays packet-level), so
@@ -192,22 +151,19 @@ type Config struct {
 	InterArrival float64
 	// LifetimeSec is the mean exponential flow lifetime (default 300 s).
 	LifetimeSec float64
-	// Load, when active, modulates the arrival rate over time (the
-	// nonstationary on/off workload; see LoadSpec). The zero value keeps
-	// the stationary Poisson process, byte-identical to prior releases.
-	Load LoadSpec
 	// Schedule, when active, drives the arrival rate through a sequence of
 	// composable load phases (constant, ramp, spike, sawtooth, sine; see
 	// Schedule and ParseSchedule), realized by Lewis–Shedler thinning
-	// against the schedule's global peak on the same dedicated "load" RNG
-	// stream LoadSpec uses. Mutually exclusive with Load and Replay.
+	// against the schedule's global peak on the dedicated "load" RNG
+	// stream. The zero value keeps the stationary Poisson process.
+	// Mutually exclusive with Replay.
 	Schedule Schedule
 	// Replay, when non-nil, replaces the Poisson arrival process entirely:
 	// flow arrival times and classes are re-driven verbatim from a
 	// recorded obs JSONL trace (see ReplayTrace and LoadReplay), so a
 	// replayed run with the same seed and parameters reproduces the
 	// recorded run's aggregate metrics byte-for-byte. Mutually exclusive
-	// with Load and Schedule.
+	// with Schedule.
 	Replay *ReplayTrace
 
 	Method Method
@@ -264,16 +220,15 @@ type Config struct {
 	// artifacts the caller asked for.
 	Cache *cache.Store
 
-	// Shards, if 2 or more, partitions the topology by link into that many
-	// shard domains and runs them concurrently under the conservative
-	// windowed executor (internal/sim/shard), using boundary-link
-	// propagation delay as lookahead. The count is clamped to the number
-	// of links; 0 or 1 selects the serial path, which remains
-	// byte-identical to previous releases. Sharded runs are deterministic
-	// for a fixed shard count but only statistically equivalent to the
-	// serial path (the per-shard arrival processes are independent
-	// thinnings of the aggregate process); see DESIGN.md §4e. Requires
-	// Method EAC or None and inactive Obs.
+	// Shards is the number K of domains the run's links are partitioned
+	// into (clamped to the number of links; 0 means 1). Every run is K
+	// domains under the conservative windowed executor
+	// (internal/sim/shard): K = 1 is the single-threaded run every golden
+	// records, K ≥ 2 runs the domains concurrently with boundary-link
+	// propagation delay as lookahead. Runs are deterministic for a fixed K
+	// but only statistically equivalent across K (the per-domain arrival
+	// processes are independent thinnings of the aggregate process); see
+	// DESIGN.md §4e. K ≥ 2 requires Method EAC or None and Hybrid off.
 	Shards int
 
 	// Hybrid, when enabled, carries the configured background classes'
@@ -281,7 +236,7 @@ type Config struct {
 	// fluid/packet engine; see HybridConfig). Disabled by default — the
 	// zero value leaves the packet path byte-identical. Requires Method
 	// EAC or None (MBAC and Passive measure data packets the fluid no
-	// longer sends) and the serial path (no sharding).
+	// longer sends) and Shards ≤ 1.
 	Hybrid HybridConfig
 
 	// PrepopulateUtil, if positive, seeds the simulation at time zero
@@ -301,25 +256,42 @@ func (c Config) WithDefaults() Config {
 	if len(c.Classes) == 0 {
 		c.Classes = []ClassSpec{{Name: "EXP1", Preset: trafgen.EXP1, Weight: 1, Eps: -1}}
 	}
-	for i := range c.Classes {
-		if c.Classes[i].Weight == 0 {
+	// Classes and Links are the caller's slices, possibly shared by
+	// concurrent runs of one Config (RunSeedsParallel): an element that
+	// needs a default is filled in a copy. Resolved configs copy nothing.
+	copied := false
+	for i, cl := range c.Classes {
+		if cl.Weight != 0 && cl.Name != "" {
+			continue
+		}
+		if !copied {
+			c.Classes, copied = append([]ClassSpec(nil), c.Classes...), true
+		}
+		if cl.Weight == 0 {
 			c.Classes[i].Weight = 1
 		}
-		if c.Classes[i].Name == "" {
-			c.Classes[i].Name = c.Classes[i].Preset.Name
+		if cl.Name == "" {
+			c.Classes[i].Name = cl.Preset.Name
 		}
 	}
-	if len(c.Links) == 0 {
+	copied = len(c.Links) == 0
+	if copied {
 		c.Links = []LinkSpec{{}}
 	}
-	for i := range c.Links {
-		if c.Links[i].RateBps == 0 {
+	for i, ls := range c.Links {
+		if ls.RateBps != 0 && ls.Delay != 0 && ls.BufferPkts != 0 {
+			continue
+		}
+		if !copied {
+			c.Links, copied = append([]LinkSpec(nil), c.Links...), true
+		}
+		if ls.RateBps == 0 {
 			c.Links[i].RateBps = 10e6
 		}
-		if c.Links[i].Delay == 0 {
+		if ls.Delay == 0 {
 			c.Links[i].Delay = 20 * sim.Millisecond
 		}
-		if c.Links[i].BufferPkts == 0 {
+		if ls.BufferPkts == 0 {
 			c.Links[i].BufferPkts = 200
 		}
 	}
@@ -343,7 +315,6 @@ func (c Config) WithDefaults() Config {
 	}
 	c.AC = c.AC.WithDefaults()
 	c.Policy = c.Policy.WithDefaults()
-	c.Load = c.Load.withDefaults()
 	c.Hybrid = c.Hybrid.withDefaults()
 	if c.Method == MBAC && c.MS.Target == 0 {
 		c.MS.Target = 0.95
@@ -394,28 +365,12 @@ func (c Config) Validate() error {
 	if c.Policy.Kind != admission.PolicyStatic && c.Method != EAC {
 		return fmt.Errorf("scenario: admission policy %s requires method EAC", c.Policy.Kind)
 	}
-	if c.Load.Active() {
-		if c.Load.OnFraction <= 0 || c.Load.OnFraction > 1 {
-			return fmt.Errorf("scenario: load OnFraction must be in (0, 1]")
-		}
-		if c.Load.OnFactor < 0 || c.Load.OffFactor < 0 {
-			return fmt.Errorf("scenario: negative load factor")
-		}
-		if c.Load.OnFactor == 0 && c.Load.OffFactor == 0 {
-			return fmt.Errorf("scenario: load modulation with both factors zero offers no traffic")
-		}
-	}
-	if c.Schedule.Active() {
-		if c.Load.Active() {
-			return fmt.Errorf("scenario: Load and Schedule are mutually exclusive")
-		}
-		if err := c.Schedule.Validate(); err != nil {
-			return err
-		}
+	if err := c.Schedule.Validate(); err != nil {
+		return err
 	}
 	if c.Replay != nil {
-		if c.Load.Active() || c.Schedule.Active() {
-			return fmt.Errorf("scenario: Replay is mutually exclusive with Load and Schedule")
+		if c.Schedule.Active() {
+			return fmt.Errorf("scenario: Replay and Schedule are mutually exclusive")
 		}
 		if mc := c.Replay.MaxClass(); mc >= len(c.Classes) {
 			return fmt.Errorf("scenario: replay trace references class %d but the config has %d classes", mc, len(c.Classes))
@@ -434,7 +389,7 @@ func (c Config) Validate() error {
 			}
 		}
 		if c.Shards >= 2 {
-			return fmt.Errorf("scenario: hybrid engine runs on the serial path (fluid link state is not shard-local)")
+			return fmt.Errorf("scenario: hybrid engine requires Shards <= 1 (fluid link state is not shard-local)")
 		}
 	}
 	if c.Shards < 0 {
@@ -543,22 +498,22 @@ func Aggregate(runs []Metrics) MultiMetrics {
 	if len(runs) == 0 {
 		return mm
 	}
-	var util, loss, block, probe, decided, retries, mdel, p99, meps math64
+	var util, loss, block, probe, decided, retries, mdel, p99, meps stats.Welford
 	mm.Mean.Classes = make([]ClassMetrics, len(runs[0].Classes))
 	mm.Mean.Links = make([]LinkMetrics, len(runs[0].Links))
 	for i := range mm.Mean.Classes {
 		mm.Mean.Classes[i].Name = runs[0].Classes[i].Name
 	}
 	for _, r := range runs {
-		util.add(r.Utilization)
-		loss.add(r.DataLossProb)
-		block.add(r.BlockingProb)
-		probe.add(r.ProbeShare)
-		decided.add(float64(r.Decided))
-		retries.add(float64(r.Retries))
-		mdel.add(r.MeanDelaySec)
-		p99.add(r.P99DelaySec)
-		meps.add(r.MeanEps)
+		util.Add(r.Utilization)
+		loss.Add(r.DataLossProb)
+		block.Add(r.BlockingProb)
+		probe.Add(r.ProbeShare)
+		decided.Add(float64(r.Decided))
+		retries.Add(float64(r.Retries))
+		mdel.Add(r.MeanDelaySec)
+		p99.Add(r.P99DelaySec)
+		meps.Add(r.MeanEps)
 		for i := range r.Classes {
 			mm.Mean.Classes[i].Arrived += r.Classes[i].Arrived
 			mm.Mean.Classes[i].Accepted += r.Classes[i].Accepted
@@ -573,38 +528,16 @@ func Aggregate(runs []Metrics) MultiMetrics {
 			mm.Mean.Links[i].ProbeLossProb += r.Links[i].ProbeLossProb / float64(len(runs))
 		}
 	}
-	mm.Mean.Utilization = util.avg()
-	mm.Mean.DataLossProb = loss.avg()
-	mm.Mean.BlockingProb = block.avg()
-	mm.Mean.ProbeShare = probe.avg()
-	mm.Mean.Decided = int64(decided.avg() * float64(len(runs)))
-	mm.Mean.Retries = int64(retries.avg() * float64(len(runs)))
-	mm.Mean.MeanDelaySec = mdel.avg()
-	mm.Mean.P99DelaySec = p99.avg()
-	mm.Mean.MeanEps = meps.avg()
-	mm.UtilStderr = util.stderr()
-	mm.LossStderr = loss.stderr()
+	mm.Mean.Utilization = util.Mean()
+	mm.Mean.DataLossProb = loss.Mean()
+	mm.Mean.BlockingProb = block.Mean()
+	mm.Mean.ProbeShare = probe.Mean()
+	mm.Mean.Decided = int64(decided.Mean() * float64(len(runs)))
+	mm.Mean.Retries = int64(retries.Mean() * float64(len(runs)))
+	mm.Mean.MeanDelaySec = mdel.Mean()
+	mm.Mean.P99DelaySec = p99.Mean()
+	mm.Mean.MeanEps = meps.Mean()
+	mm.UtilStderr = util.StderrMean()
+	mm.LossStderr = loss.StderrMean()
 	return mm
-}
-
-// math64 is a tiny Welford helper local to aggregation.
-type math64 struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-func (m *math64) add(x float64) {
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-func (m *math64) avg() float64 { return m.mean }
-func (m *math64) stderr() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return math.Sqrt(m.m2/float64(m.n-1)) / math.Sqrt(float64(m.n))
 }

@@ -1,0 +1,765 @@
+package scenario
+
+import (
+	"eac/internal/admission"
+	"eac/internal/mbac"
+	"eac/internal/netsim"
+	"eac/internal/obs"
+	"eac/internal/sim"
+	"eac/internal/stats"
+	"eac/internal/trafgen"
+)
+
+// flowState tracks one offered flow through its lifecycle. The fields
+// listed in releaseFlows — stop event, prober, and the two per-flow
+// closures — survive recycling; everything else is per-run.
+type flowState struct {
+	id        int
+	class     int
+	route     []netsim.Receiver // the class's shared template (domain.tmpl)
+	prober    *admission.Prober
+	probeDone func(admission.Result) // prober completion, captures this flowState
+	emitFn    trafgen.EmitFunc       // source emission hook, captures this flowState
+	src       trafgen.Source
+	stopEv    sim.Event
+	counted   bool // decision falls inside the measurement window
+	attempts  int  // completed admission attempts (for retries)
+	extends   int  // probe extensions granted by the policy this attempt chain
+
+	active   bool
+	fluid    bool    // data phase carried on the fluid plane (hybrid engine)
+	lastFrac float64 // bad-packet fraction of the last probe (EAC)
+	lastEps  float64 // threshold the last probe ran against (EAC)
+}
+
+// flowHot holds the per-flow counters touched on every packet event. They
+// live in one contiguous arena (domain.hot, indexed by flow ID) rather than
+// inside the pointer-scattered flowState structs, so the packet hot loop —
+// emit, sink — walks cache-local memory. One entry is 40 bytes.
+type flowHot struct {
+	dataSeq          int64
+	winSent, winRecv int64 // emitted/arrived within the accounting window
+	sentAll, recvAll int64
+}
+
+// domain is one shard domain of a run: a private simulator, the links that
+// live on it, and everything the classes it owns need — their arrival
+// process, flows, probers, admission policy and terminating sink. A class
+// is owned by the domain of the first link on its path, so all of a flow's
+// state is local to one domain; only its packets travel, through portals at
+// the boundary links. During a run a domain is touched only by its own
+// worker goroutine.
+//
+// ms, monitors and hyb.bgs are parallel to links but read by global link
+// number: the methods that use them (MBAC, Passive, the hybrid engine) run
+// at K = 1 only (Config.Validate), where the domain's links are the whole
+// topology.
+type domain struct {
+	cfg Config
+	s   *sim.Sim
+	idx int
+	// streamSuffix labels this domain's RNG streams: empty at K = 1 (the
+	// stream names every golden was recorded with), "@s<idx>" otherwise, so
+	// the domains' thinned arrival processes are independent.
+	streamSuffix string
+
+	links    []*netsim.Link // links living on this domain, ascending
+	ms       []*mbac.MeasuredSum
+	monitors []*lossMonitor
+	pool     netsim.Pool
+	// onDrop is onLinkDrop as a func value, made once so that rewiring a
+	// link does not allocate.
+	onDrop func(sim.Time, *netsim.Packet)
+
+	rngArr, rngPick, rngLife, rngSrc, rngRetry, rngLoad stats.RNG
+	// rngBg is the fluid backgrounds' congestion-dice stream, seeded only
+	// by setupHybrid.
+	rngBg stats.RNG
+
+	// classW holds the weights of the classes this domain owns (0 for
+	// foreign classes), ownedW their sum and totalW the sum over all
+	// classes: the domain draws its own Poisson arrival stream at the
+	// aggregate rate scaled by ownedW/totalW and picks only among its own
+	// classes (thinning a Poisson process splits it into independent
+	// Poisson processes).
+	classW         []float64
+	ownedW, totalW float64
+	// meanIA is the mean inter-arrival time of this domain's arrival
+	// stream: Config.InterArrival scaled up by totalW/ownedW.
+	meanIA float64
+	// dropWin counts, per class, the window data packets dropped on this
+	// domain's links — the flow that sent them may live on another domain.
+	dropWin []int64
+
+	// policy is the domain's admission policy instance (Method EAC only).
+	// The static default reproduces the pre-policy code path exactly.
+	policy admission.Policy
+	// loadMaxF caches an active Schedule's peak factor — the Lewis–Shedler
+	// thinning envelope. 0 means modulation is off and the arrival path
+	// (including its RNG consumption) is that of the stationary process.
+	loadMaxF float64
+	// schedCur is the monotone phase cursor of an active Schedule, reset
+	// with the rest of the run state so Workspace reuse cannot leak a
+	// previous run's phase position (TestWorkspaceLoadByteIdentical).
+	schedCur schedCursor
+	// replay / replayIdx drive trace-replay arrivals: replayIdx is the
+	// next recorded arrival to schedule. Entries for classes owned by other
+	// domains are skipped, which partitions the recorded aggregate exactly
+	// as class ownership partitions the live process.
+	replay    *ReplayTrace
+	replayIdx int
+	// epsSum / epsN accumulate the admission threshold in force for each
+	// EAC flow decided inside the window (Metrics.MeanEps).
+	epsSum float64
+	epsN   int64
+
+	flows     []*flowState
+	hot       []flowHot    // per-flow packet counters, parallel to flows
+	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
+	flowSlab  []flowState  // remainder of the arena block newFlow carves from
+	// tmpl is the run's per-class packet routes (Runner.routeTemplates),
+	// shared by every domain and immutable for the run.
+	tmpl    [][]netsim.Receiver
+	arrEv   *sim.Event // the single pending flow-arrival event
+	classes []ClassMetrics
+
+	winStart, winEnd sim.Time // packet accounting window
+	decided          int64
+	retries          int64
+
+	// hyb is non-nil when the hybrid fluid/packet engine is enabled
+	// (Config.Hybrid); see hybrid.go.
+	hyb *hybridState
+
+	// Observability (nil/inert by default; see Config.Obs).
+	obs         *obs.Collector
+	activeFlows int // flows currently in their data phase
+	lastSample  sim.Time
+	lastBits    []int64 // per-link data bits at the previous sample
+
+	// End-to-end data delay statistics over the accounting window:
+	// Welford for the mean plus a 1 ms-bucket histogram for percentiles.
+	delayStats stats.Welford
+	delayHist  [1001]int64 // [i] = delays in [i, i+1) ms; last = overflow
+}
+
+func newDomain(idx int, s *sim.Sim, suffix string) *domain {
+	d := &domain{idx: idx, s: s, streamSuffix: suffix}
+	d.arrEv = sim.NewEvent(d.onFlowArrival)
+	d.onDrop = d.onLinkDrop
+	return d
+}
+
+// reset puts the domain into the state a run of cfg starts from, whether
+// it is new or has run before: the previous run's flow states, packets and
+// RNG structs are recycled, everything that feeds the output is rewritten.
+// Links, routes, observability and policy are the kernel's to wire
+// afterwards (Runner.reset).
+func (d *domain) reset(cfg Config, owner []int) {
+	d.releaseFlows()
+	d.s.Reset()
+	d.cfg = cfg
+	d.rngArr.ReseedStream(cfg.Seed, "arrivals"+d.streamSuffix)
+	d.rngPick.ReseedStream(cfg.Seed, "classpick"+d.streamSuffix)
+	d.rngLife.ReseedStream(cfg.Seed, "lifetimes"+d.streamSuffix)
+	d.rngSrc.ReseedStream(cfg.Seed, "sources"+d.streamSuffix)
+	d.rngRetry.ReseedStream(cfg.Seed, "retries"+d.streamSuffix)
+	d.rngLoad.ReseedStream(cfg.Seed, "load"+d.streamSuffix)
+	d.winStart = cfg.Warmup
+	d.winEnd = cfg.Duration - cfg.Drain
+
+	d.loadMaxF = 0
+	d.schedCur = schedCursor{}
+	d.replay = cfg.Replay
+	d.replayIdx = 0
+	if d.replay == nil && cfg.Schedule.Active() {
+		// Replay drives arrival times directly and needs no envelope.
+		d.loadMaxF = cfg.Schedule.Peak()
+	}
+
+	n := len(cfg.Classes)
+	if cap(d.classW) < n {
+		d.classW = make([]float64, n)
+		d.dropWin = make([]int64, n)
+		d.classes = make([]ClassMetrics, n)
+	}
+	d.classW, d.dropWin, d.classes = d.classW[:n], d.dropWin[:n], d.classes[:n]
+	clear(d.dropWin)
+	clear(d.classes)
+	d.ownedW, d.totalW = 0, 0
+	for c, cl := range cfg.Classes {
+		d.totalW += cl.Weight
+		d.classW[c] = 0
+		if owner[c] == d.idx {
+			d.classW[c] = cl.Weight
+			d.ownedW += cl.Weight
+		}
+	}
+	// A domain that owns every class — always, at K = 1 — draws the
+	// aggregate process at exactly InterArrival: x*w/w need not round-trip
+	// in floating point.
+	d.meanIA = cfg.InterArrival
+	if d.ownedW > 0 && d.ownedW != d.totalW {
+		d.meanIA = cfg.InterArrival * d.totalW / d.ownedW
+	}
+
+	d.links, d.ms, d.monitors = d.links[:0], d.ms[:0], d.monitors[:0]
+	d.decided, d.retries = 0, 0
+	d.epsSum, d.epsN = 0, 0
+	d.activeFlows, d.lastSample = 0, 0
+	d.delayStats = stats.Welford{}
+	d.delayHist = [1001]int64{}
+}
+
+// loadFactor returns the Schedule's arrival-rate scale in force at now
+// (only called while modulation is active). The phase clock is absolute
+// simulated time, so every domain evaluates the same factor at the same
+// instant.
+func (d *domain) loadFactor(now sim.Time) float64 {
+	return d.cfg.Schedule.factorAt(now.Sec(), &d.schedCur)
+}
+
+// buildPolicy constructs the domain's admission policy and wires its
+// environment: the token bucket is scaled to the domain's owned weight
+// share (so the aggregate admission rate is the configured one), and the
+// adaptive policy reads post-admission loss from the domain's own links
+// and reports epochs to its collector. Requires links wired; Method EAC
+// only.
+func (d *domain) buildPolicy() admission.Policy {
+	p := admission.NewPolicy(d.cfg.Policy, d.cfg.AC)
+	switch pol := p.(type) {
+	case *admission.TokenBucket:
+		pol.Scale(d.ownedW / d.totalW)
+	case *admission.EpochAdaptive:
+		pol.SetLossSignal(func() (arrived, dropped int64) {
+			for _, l := range d.links {
+				arrived += l.Stats.Arrived[netsim.Data]
+				dropped += l.Stats.Dropped[netsim.Data]
+			}
+			return
+		})
+		pol.SetEpochHook(func(now sim.Time, st admission.EpochStats) {
+			d.obs.Epoch(now, st.Epoch, st.Eps, st.ProbeDur, st.RejectRate, st.LossRate)
+		})
+	}
+	return p
+}
+
+// wireLink takes ownership of link i, whose hooks are clear (just built, or
+// just Reset), and attaches its method-specific machinery: drop hook,
+// marking shadow queue, MBAC load tap, passive loss monitor.
+func (d *domain) wireLink(i int, l *netsim.Link, maxPkt int) {
+	cfg, ls := &d.cfg, d.cfg.Links[i]
+	d.links = append(d.links, l)
+	l.OnDrop = d.onDrop
+	if cfg.Method == EAC {
+		switch cfg.AC.Design.Signal {
+		case admission.Mark:
+			l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
+		case admission.VDrop:
+			l.Marker = netsim.NewVirtualQueue(cfg.VQFactor*ls.RateBps, int64(ls.BufferPkts*maxPkt))
+			l.VQDropProbes = true
+		}
+	}
+	switch cfg.Method {
+	case MBAC:
+		m := mbac.New(ls.RateBps, cfg.MS)
+		l.OnArrive = m.Tap()
+		d.ms = append(d.ms, m)
+	case Passive:
+		lm := newLossMonitor(cfg.PV.WindowSec)
+		l.OnArrive = func(now sim.Time, p *netsim.Packet) { lm.onArrive(now) }
+		l.OnDrop = func(now sim.Time, p *netsim.Packet) {
+			lm.onDrop(now)
+			d.onLinkDrop(now, p)
+		}
+		d.monitors = append(d.monitors, lm)
+	}
+}
+
+// observe attaches the domain's collector (nil unless Config.Obs is
+// active): link taps, class names and the horizon. A nil or disabled
+// collector leaves every hot path untouched.
+func (d *domain) observe(c *obs.Collector) {
+	d.obs = c
+	if !c.Enabled() {
+		return
+	}
+	for _, l := range d.links {
+		l.Tap = c.RegisterLink(l.Name)
+	}
+	for _, cl := range d.cfg.Classes {
+		c.RegisterClass(cl.Name)
+	}
+	c.SetDuration(d.cfg.Duration)
+}
+
+// releaseFlows retires the previous run's flow states into the freelist,
+// keeping each one's stop event (whose closure captures the flowState
+// pointer, which stays valid across reuse). Must run before Sim.Reset wipes
+// the heap, which is what makes the blanket Forget calls safe.
+func (d *domain) releaseFlows() {
+	d.arrEv.Forget()
+	for _, f := range d.flows {
+		if f.prober != nil {
+			f.prober.ForgetEvents()
+		}
+		f.stopEv.Forget()
+		*f = flowState{
+			stopEv:    f.stopEv,
+			prober:    f.prober,
+			probeDone: f.probeDone,
+			emitFn:    f.emitFn,
+		}
+		d.freeFlows = append(d.freeFlows, f)
+	}
+	d.flows = d.flows[:0]
+	d.hot = d.hot[:0]
+}
+
+// flowSlabSize is the flowState arena block size (cf. netsim's packet slabs).
+const flowSlabSize = 64
+
+// newFlow hands out the next flowState — recycled when the freelist has
+// one, else carved from the arena — registered under the next flow ID and
+// routed over its class template.
+func (d *domain) newFlow(class int) *flowState {
+	var f *flowState
+	if n := len(d.freeFlows); n > 0 {
+		f = d.freeFlows[n-1]
+		d.freeFlows[n-1] = nil
+		d.freeFlows = d.freeFlows[:n-1]
+	} else {
+		if len(d.flowSlab) == 0 {
+			d.flowSlab = make([]flowState, flowSlabSize)
+		}
+		f = &d.flowSlab[0]
+		d.flowSlab = d.flowSlab[1:]
+		f.stopEv.Init(func(at sim.Time) { d.stopFlow(at, f) })
+	}
+	f.id = len(d.flows)
+	f.class = class
+	f.route = d.tmpl[class]
+	d.flows = append(d.flows, f)
+	d.hot = append(d.hot, flowHot{})
+	return f
+}
+
+// stopFlow ends a flow's data phase (its lifetime expired).
+func (d *domain) stopFlow(now sim.Time, f *flowState) {
+	if f.fluid {
+		d.stopFluid(now, f)
+		return
+	}
+	f.src.Stop()
+	f.active = false
+	d.activeFlows--
+	d.obs.SpanDataEnd(now, f.id)
+}
+
+// onLinkDrop is the drop hook of the domain's links: it books the loss
+// against the packet's class when it was a data packet emitted inside the
+// accounting window, then recycles the packet. The count is per class and
+// per link owner because the flow may live on another domain. Counting
+// drops where they happen (instead of inferring them as winSent-winRecv at
+// the end) keeps packets still in flight when the run ends out of the loss
+// statistics.
+func (d *domain) onLinkDrop(now sim.Time, p *netsim.Packet) {
+	if p.Kind == netsim.Data && p.SentAt >= d.winStart && p.SentAt <= d.winEnd {
+		d.dropWin[p.Class]++
+	}
+	d.pool.Put(p)
+}
+
+// start schedules the domain's time-zero work: the warmup boundary (link
+// counters, and the fluid plane's delivered/offered integrals that feed
+// window utilization, restart there), obs sampling, the prepopulated flows
+// and the first arrival.
+func (d *domain) start() {
+	d.s.Call(d.cfg.Warmup, func(now sim.Time) {
+		for _, l := range d.links {
+			l.Stats.Reset(now)
+			if l.Bg != nil {
+				l.Bg.ResetWindow(now)
+			}
+		}
+	})
+	d.startObsSampling()
+	d.prepopulate()
+	if d.ownedW > 0 {
+		d.scheduleNextArrival(0)
+	}
+}
+
+// startObsSampling schedules the periodic per-queue sampling event over
+// the domain's links. The event only reads simulator state, so enabling it
+// does not perturb the simulated dynamics.
+func (d *domain) startObsSampling() {
+	if !d.obs.Sampling() {
+		return
+	}
+	d.lastBits = make([]int64, len(d.links))
+	iv := d.obs.Interval()
+	var ev *sim.Event
+	ev = sim.NewEvent(func(now sim.Time) {
+		d.sampleObs(now)
+		if now+iv <= d.cfg.Duration {
+			d.s.Schedule(ev, now+iv)
+		}
+	})
+	d.s.Schedule(ev, iv)
+}
+
+// sampleObs appends one time-series point per link: queue depth,
+// utilization over the elapsed interval, cumulative counters, shadow
+// backlog, and the active-flow count. The link index recorded in each
+// sample is the position in d.links, which is the collector's
+// RegisterLink order.
+func (d *domain) sampleObs(now sim.Time) {
+	dt := (now - d.lastSample).Sec()
+	for i, l := range d.links {
+		bits := l.Stats.SentBits[netsim.Data]
+		if bits < d.lastBits[i] {
+			d.lastBits[i] = 0 // counters were reset at the warmup boundary
+		}
+		var util float64
+		if dt > 0 {
+			util = float64(bits-d.lastBits[i]) / (l.RateBps * dt)
+		}
+		d.lastBits[i] = bits
+		s := obs.Sample{
+			T: now.Sec(), Link: i, Depth: l.QueueLen(), Busy: l.Busy(),
+			ActiveFlows: d.activeFlows, Util: util,
+			Arrived: l.Stats.Arrived, Dropped: l.Stats.Dropped,
+			Marked: l.Stats.Marked, SentPkts: l.Stats.SentPkts,
+		}
+		if l.Marker != nil {
+			s.VQBacklog = l.Marker.TotalBacklog()
+		}
+		if l.Bg != nil {
+			s.FluidBg = l.Bg.Rate()
+			s.FluidMark = l.Bg.Congestion()
+		}
+		d.obs.AddSample(s)
+	}
+	d.lastSample = now
+}
+
+// prepopulate seeds already-admitted flows per Config.PrepopulateUtil: the
+// topology-wide count apportioned to this domain by its owned weight share.
+func (d *domain) prepopulate() {
+	if d.cfg.PrepopulateUtil <= 0 || d.ownedW <= 0 {
+		return
+	}
+	var avg, wsum float64
+	for _, cl := range d.cfg.Classes {
+		avg += cl.Weight * cl.Preset.AvgRate
+		wsum += cl.Weight
+	}
+	avg /= wsum
+	n := int(d.cfg.PrepopulateUtil*d.cfg.Links[0].RateBps/avg + 0.5)
+	n = int(float64(n)*d.ownedW/d.totalW + 0.5)
+	for i := 0; i < n; i++ {
+		class := d.pickClass()
+		f := d.newFlow(class)
+		f.active = true
+		d.startData(0, f)
+	}
+}
+
+func (d *domain) scheduleNextArrival(now sim.Time) {
+	if d.replay != nil {
+		d.scheduleNextReplay()
+		return
+	}
+	mean := d.meanIA
+	if d.loadMaxF > 0 {
+		// Lewis–Shedler thinning: draw at the peak modulated rate;
+		// onFlowArrival keeps each arrival with probability
+		// factor(now)/loadMaxF.
+		mean /= d.loadMaxF
+	}
+	gap := sim.Seconds(d.rngArr.Exp(mean))
+	at := now + gap
+	if at >= d.cfg.Duration {
+		return
+	}
+	// Only one arrival is ever pending (each firing schedules the next),
+	// so a single persistent event serves the whole run.
+	d.s.Schedule(d.arrEv, at)
+}
+
+// scheduleNextReplay schedules the next recorded arrival this domain owns;
+// a recorded time at or past the horizon ends the stream, mirroring the
+// live arrival process.
+func (d *domain) scheduleNextReplay() {
+	for d.replayIdx < len(d.replay.arrivals) {
+		a := d.replay.arrivals[d.replayIdx]
+		if d.classW[a.Class] <= 0 {
+			d.replayIdx++
+			continue
+		}
+		if a.At >= d.cfg.Duration {
+			return
+		}
+		d.s.Schedule(d.arrEv, a.At)
+		return
+	}
+}
+
+// pickClass samples a class index by weight among the classes the domain
+// owns (classW zeroes the rest), which together with the thinned arrival
+// rate reconstructs the scenario's per-class Poisson arrival processes
+// exactly in distribution.
+func (d *domain) pickClass() int {
+	x := d.rngPick.Float64() * d.ownedW
+	for i, w := range d.classW {
+		x -= w
+		if x < 0 {
+			return i
+		}
+	}
+	return len(d.classW) - 1
+}
+
+// path returns a class's link path (defaulting to link 0).
+func (d *domain) path(class int) []int { return classPath(&d.cfg, class) }
+
+func (d *domain) onFlowArrival(now sim.Time) {
+	var class int
+	if d.replay != nil {
+		// The pending arrival is the one scheduleNextReplay stopped at;
+		// consume it and line up the next before anything else so the
+		// Schedule-call order matches the live path (next arrival first,
+		// then the flow's own events) — the replay round-trip's
+		// byte-identity depends on that order.
+		class = d.replay.arrivals[d.replayIdx].Class
+		d.replayIdx++
+		d.scheduleNextArrival(now)
+	} else {
+		d.scheduleNextArrival(now)
+		if d.loadMaxF > 0 && d.rngLoad.Float64()*d.loadMaxF >= d.loadFactor(now) {
+			return // thinned away: the modulated rate is below peak right now
+		}
+		class = d.pickClass()
+	}
+	cl := d.cfg.Classes[class]
+	f := d.newFlow(class)
+	d.obs.Arrival(now, f.id, class)
+
+	switch d.cfg.Method {
+	case MBAC:
+		hops := make([]*mbac.MeasuredSum, 0, len(d.path(class)))
+		for _, li := range d.path(class) {
+			hops = append(hops, d.ms[li])
+		}
+		d.recordDecision(now, f, mbac.AdmitPath(now, cl.Preset.TokenRate, hops))
+		if flowAccepted(f) {
+			d.startData(now, f)
+		}
+	case Passive:
+		admitted := true
+		for _, li := range d.path(class) {
+			if d.monitors[li].Estimate(now) > d.cfg.AC.Eps {
+				admitted = false
+				break
+			}
+		}
+		d.recordDecision(now, f, admitted)
+		if admitted {
+			d.startData(now, f)
+		}
+	case None:
+		d.recordDecision(now, f, true)
+		d.startData(now, f)
+	default: // EAC
+		d.admitEAC(now, f)
+	}
+}
+
+// maxProbeExtends caps how many extra probes a policy's OutcomeExtend can
+// chain onto one admission attempt before the attempt falls back to the
+// normal rejection path.
+const maxProbeExtends = 3
+
+// admitEAC runs one admission attempt through the policy layer: the
+// policy sees the attempt (class threshold resolved into BaseEps) and
+// either settles it outright or parameterizes the probe. The static
+// default always probes at BaseEps, reproducing the pre-policy behaviour
+// exactly.
+func (d *domain) admitEAC(now sim.Time, f *flowState) {
+	base := d.cfg.AC.Eps
+	if cl := d.cfg.Classes[f.class]; cl.Eps >= 0 {
+		base = cl.Eps
+	}
+	dec := d.policy.Decide(admission.Request{
+		Now: now, FlowID: f.id, Class: f.class, Attempts: f.attempts, BaseEps: base,
+	})
+	// The threshold in force for this attempt, whatever the action — it
+	// feeds Metrics.MeanEps when the flow's final decision is recorded
+	// (outright admits/rejects carry the policy's Eps as published, zero
+	// for policies that do not probe).
+	f.lastEps = dec.Eps
+	switch dec.Action {
+	case admission.ActionAdmit:
+		d.recordDecision(now, f, true)
+		d.startData(now, f)
+	case admission.ActionReject:
+		// Policy rejections are final: the retry back-off exists to
+		// re-measure a congested path, not to re-ask a rate limiter.
+		d.recordDecision(now, f, false)
+	default:
+		d.startProbe(now, f, dec)
+	}
+}
+
+// startProbe launches (or relaunches, on retry) a flow's admission probe
+// with the policy's threshold and optional probe-duration override. The
+// completion closure and the prober itself are per-flowState, created on
+// first use and recycled with it; the closure reads only live state (the
+// domain, the flowState), so recycling cannot leak a previous run's
+// decisions.
+func (d *domain) startProbe(now sim.Time, f *flowState, dec admission.Decision) {
+	cl := d.cfg.Classes[f.class]
+	ac := d.cfg.AC
+	ac.Eps = dec.Eps
+	if dec.ProbeDur > 0 {
+		ac.ProbeDur = dec.ProbeDur
+	}
+	f.lastEps = dec.Eps
+	if f.probeDone == nil {
+		f.probeDone = func(res admission.Result) {
+			at := d.s.Now()
+			f.attempts++
+			f.lastFrac = res.Fraction
+			switch d.policy.Judge(at, admission.Observation{
+				Res: res, Attempts: f.attempts, Eps: f.lastEps,
+			}) {
+			case admission.OutcomeAccept:
+				d.recordDecision(at, f, true)
+				d.startData(at, f)
+				return
+			case admission.OutcomeExtend:
+				// The policy wants another look (e.g. the threshold moved
+				// mid-probe); re-attempt immediately, without burning a
+				// retry, up to the extension cap.
+				if f.extends < maxProbeExtends {
+					f.extends++
+					d.admitEAC(at, f)
+					return
+				}
+			}
+			// Footnote 10: rejected flows retry with exponential back-off.
+			if f.attempts <= d.cfg.MaxRetries {
+				backoff := d.cfg.RetryBackoffSec * float64(int64(1)<<uint(f.attempts-1))
+				delay := sim.Seconds(backoff * d.rngRetry.Uniform(0.5, 1.5))
+				if at+delay < d.cfg.Duration {
+					d.retries++
+					d.s.Call(at+delay, func(t sim.Time) { d.admitEAC(t, f) })
+					return
+				}
+			}
+			d.recordDecision(at, f, false)
+		}
+	}
+	if f.prober == nil {
+		f.prober = admission.NewProber(d.s, ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize,
+			f.route, &d.pool, f.probeDone)
+	} else {
+		f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, f.probeDone)
+	}
+	d.obs.SpanProbeStart(now, f.id, f.class)
+	f.prober.Start(now)
+}
+
+// flowAccepted reports whether the decision recorded the flow as accepted.
+func flowAccepted(f *flowState) bool { return f.active }
+
+// recordDecision books the admission outcome; accepted flows are marked
+// active (data not yet started).
+func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
+	f.active = accepted
+	d.obs.Decision(now, f.id, f.class, accepted, f.attempts, f.lastFrac)
+	if now < d.winStart || now > d.winEnd {
+		return
+	}
+	f.counted = true
+	d.decided++
+	if d.cfg.Method == EAC {
+		d.epsSum += f.lastEps
+		d.epsN++
+	}
+	cm := &d.classes[f.class]
+	cm.Arrived++
+	if accepted {
+		cm.Accepted++
+	} else {
+		cm.Blocked++
+	}
+}
+
+// startData begins the admitted flow's data phase and schedules its death.
+func (d *domain) startData(now sim.Time, f *flowState) {
+	if d.hyb != nil && d.hyb.isBg[f.class] {
+		d.startFluid(now, f)
+		return
+	}
+	cl := d.cfg.Classes[f.class]
+	if f.emitFn == nil {
+		f.emitFn = func(at sim.Time, size int) { d.emitData(at, f, size) }
+	}
+	f.src = cl.Preset.New(d.s, &d.rngSrc, f.emitFn)
+	f.src.Start(now)
+	d.activeFlows++
+	d.obs.SpanDataStart(now, f.id, f.class)
+	life := sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec))
+	d.s.Schedule(&f.stopEv, now+life)
+}
+
+func (d *domain) emitData(now sim.Time, f *flowState, size int) {
+	h := &d.hot[f.id]
+	pk := d.pool.Get()
+	pk.FlowID = f.id
+	pk.Class = f.class
+	pk.Kind = netsim.Data
+	pk.Band = netsim.BandData
+	pk.Size = size
+	pk.Seq = h.dataSeq
+	pk.Route = f.route
+	h.dataSeq++
+	h.sentAll++
+	if now >= d.winStart && now <= d.winEnd {
+		h.winSent++
+	}
+	netsim.Send(now, pk)
+}
+
+// sinkRecv adapts the domain as the terminating Receiver of the routes of
+// the classes it owns.
+type sinkRecv domain
+
+// Receive implements netsim.Receiver.
+func (k *sinkRecv) Receive(now sim.Time, p *netsim.Packet) {
+	d := (*domain)(k)
+	f := d.flows[p.FlowID]
+	if p.Kind == netsim.Probe {
+		if f.prober != nil {
+			f.prober.OnProbeArrival(now, p)
+		}
+	} else {
+		h := &d.hot[p.FlowID]
+		h.recvAll++
+		if p.SentAt >= d.winStart && p.SentAt <= d.winEnd {
+			h.winRecv++
+			dl := now - p.SentAt
+			d.delayStats.Add(dl.Sec())
+			ms := int(dl / sim.Millisecond)
+			if ms >= len(d.delayHist) {
+				ms = len(d.delayHist) - 1
+			}
+			d.delayHist[ms]++
+			d.obs.Delay(p.Class, dl)
+		}
+	}
+	d.pool.Put(p)
+}

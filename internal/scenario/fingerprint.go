@@ -15,7 +15,9 @@ import (
 // would keep serving the old numbers.
 // v2: Metrics gained MeanEps (threshold-in-force accounting); cached v1
 // entries would decode with MeanEps=0 and silently misreport adaptive runs.
-const ResultsVersion = "eac/results/v2"
+// v3: Config.Load is gone (a square wave is a two-phase Schedule) and with
+// it the load= line below, so every key changed anyway.
+const ResultsVersion = "eac/results/v3"
 
 // Fingerprint returns the content address of this configuration's results:
 // a hex SHA-256 over ResultsVersion plus a canonical encoding of every
@@ -38,8 +40,8 @@ func (c Config) Fingerprint() string {
 	w("v=%s\n", ResultsVersion)
 	w("seed=%d method=%d queue=%d\n", c.Seed, c.Method, c.Queue)
 	// The effective (clamped) shard count, not the raw field: Shards=0,
-	// Shards=1, and any value that clamps down to 1 all run the identical
-	// serial path and must share a cache entry.
+	// Shards=1, and any value that clamps down to 1 are all the same K = 1
+	// run and must share a cache entry.
 	w("shards=%d\n", effectiveShards(c))
 	w("tau=%g life=%g vq=%g prepop=%g\n",
 		c.InterArrival, c.LifetimeSec, c.VQFactor, c.PrepopulateUtil)
@@ -52,8 +54,6 @@ func (c Config) Fingerprint() string {
 		c.Policy.Kind, c.Policy.BucketCap, c.Policy.BucketRate, c.Policy.BucketCost,
 		c.Policy.Epoch, c.Policy.EpsMin, c.Policy.EpsMax, c.Policy.Step, c.Policy.TargetLoss,
 		c.Policy.AdaptProbe, int64(c.Policy.ProbeMin), int64(c.Policy.ProbeMax))
-	w("load=%g/%g/%g/%g\n",
-		c.Load.PeriodSec, c.Load.OnFraction, c.Load.OnFactor, c.Load.OffFactor)
 	// Schedule and replay lines appear only when active, so configs that use
 	// neither keep the same canonical encoding as before they existed.
 	if c.Schedule.Active() {

@@ -92,10 +92,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Policy.AdaptProbe": func(c *Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, AdaptProbe: true}
 		},
-		"Load.Period":     func(c *Config) { c.Load.PeriodSec = 20 },
-		"Load.OnFraction": func(c *Config) { c.Load = LoadSpec{PeriodSec: 20, OnFraction: 0.25} },
-		"Load.OnFactor":   func(c *Config) { c.Load = LoadSpec{PeriodSec: 20, OnFactor: 3} },
-		"Load.OffFactor":  func(c *Config) { c.Load = LoadSpec{PeriodSec: 20, OffFactor: 0.5} },
 		"Schedule.Phases": func(c *Config) {
 			c.Schedule = Schedule{Phases: []Phase{{Kind: PhaseConst, DurationSec: 10, From: 2, To: 2}}}
 		},
@@ -175,13 +171,12 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestFingerprintCoversConfig(t *testing.T) {
 	want := map[reflect.Type][]string{
 		reflect.TypeOf(Config{}): {"Name", "Classes", "Links", "InterArrival",
-			"LifetimeSec", "Load", "Schedule", "Replay", "Method", "AC", "MS", "PV", "Policy",
+			"LifetimeSec", "Schedule", "Replay", "Method", "AC", "MS", "PV", "Policy",
 			"Queue", "VQFactor",
 			"Duration", "Warmup", "Drain", "MaxRetries", "RetryBackoffSec",
 			"Obs", "Cache", "Shards", "Hybrid", "PrepopulateUtil", "Seed"},
 		reflect.TypeOf(ClassSpec{}):        {"Name", "Preset", "Weight", "Eps", "Path"},
 		reflect.TypeOf(LinkSpec{}):         {"RateBps", "Delay", "BufferPkts"},
-		reflect.TypeOf(LoadSpec{}):         {"PeriodSec", "OnFraction", "OnFactor", "OffFactor"},
 		reflect.TypeOf(Schedule{}):         {"Phases", "Hold"},
 		reflect.TypeOf(Phase{}):            {"Kind", "DurationSec", "From", "To"},
 		reflect.TypeOf(ReplayTrace{}):      {"arrivals", "digest", "source"},

@@ -5,10 +5,9 @@ import (
 	"eac/internal/fluid"
 	"eac/internal/netsim"
 	"eac/internal/sim"
-	"eac/internal/stats"
 )
 
-// hybridState is the runner-side half of the hybrid fluid/packet engine
+// hybridState is the domain-side half of the hybrid fluid/packet engine
 // (Config.Hybrid): one netsim.FluidBackground per link carries the
 // background classes' data phases as piecewise-constant fluid rates, and
 // the per-class accumulators below book the offered/lost fluid bits over
@@ -24,7 +23,7 @@ import (
 // locally offered load — upstream thinning of this class's own fluid is
 // not propagated downstream (see DESIGN.md, Hybrid engine).
 type hybridState struct {
-	bgs  []*netsim.FluidBackground // parallel to Runner.links
+	bgs  []*netsim.FluidBackground // parallel to domain.links
 	isBg []bool                    // parallel to Config.Classes
 
 	count   []int     // active fluid flows per class
@@ -34,112 +33,108 @@ type hybridState struct {
 }
 
 // setupHybrid (re)builds the fluid attachments for an enabled hybrid
-// config. Called by newRunner and reset after the links are wired, so the
+// config. Called by Runner.reset after the links are wired, so the
 // backgrounds layer on top of whatever marker/tap machinery the method
 // installed. A disabled config leaves hyb nil and every hot path
 // untouched.
-func (r *Runner) setupHybrid() {
-	r.hyb = nil
-	if !r.cfg.Hybrid.Active() {
+func (d *domain) setupHybrid() {
+	d.hyb = nil
+	if !d.cfg.Hybrid.Active() {
 		return
 	}
-	if r.rngBg == nil {
-		r.rngBg = stats.NewStream(r.cfg.Seed, "fluidbg")
-	} else {
-		r.rngBg.ReseedStream(r.cfg.Seed, "fluidbg")
-	}
+	d.rngBg.ReseedStream(d.cfg.Seed, "fluidbg")
 
 	// The fluid sees the same queue approximation family the packet path
 	// runs: RED links mark/drop on the averaged-queue profile, everything
 	// else is drop-tail at the physical buffer.
 	model := fluid.QueueDropTail
-	if r.cfg.Queue == QueueRED {
+	if d.cfg.Queue == QueueRED {
 		model = fluid.QueueREDApprox
 	}
 
 	h := &hybridState{
-		bgs:     make([]*netsim.FluidBackground, len(r.links)),
-		isBg:    make([]bool, len(r.cfg.Classes)),
-		count:   make([]int, len(r.cfg.Classes)),
-		offered: make([]float64, len(r.cfg.Classes)),
-		lost:    make([]float64, len(r.cfg.Classes)),
+		bgs:     make([]*netsim.FluidBackground, len(d.links)),
+		isBg:    make([]bool, len(d.cfg.Classes)),
+		count:   make([]int, len(d.cfg.Classes)),
+		offered: make([]float64, len(d.cfg.Classes)),
+		lost:    make([]float64, len(d.cfg.Classes)),
 	}
-	if len(r.cfg.Hybrid.Background) == 0 {
+	if len(d.cfg.Hybrid.Background) == 0 {
 		for i := range h.isBg {
 			h.isBg[i] = true
 		}
 	} else {
-		for _, ci := range r.cfg.Hybrid.Background {
+		for _, ci := range d.cfg.Hybrid.Background {
 			h.isBg[ci] = true
 		}
 	}
-	for i, l := range r.links {
-		bg := netsim.NewFluidBackground(l, model, r.cfg.Links[i].BufferPkts, r.rngBg)
-		bg.MaxShare = r.cfg.Hybrid.MaxShare
-		if r.cfg.Method == EAC {
-			// Mirror attachMarker: marking designs get the analytic mark
+	for i, l := range d.links {
+		bg := netsim.NewFluidBackground(l, model, d.cfg.Links[i].BufferPkts, &d.rngBg)
+		bg.MaxShare = d.cfg.Hybrid.MaxShare
+		if d.cfg.Method == EAC {
+			// Mirror wireLink: marking designs get the analytic mark
 			// signal at the shadow queue's service fraction; virtual
 			// dropping folds a probe's mark fate into a drop.
-			switch r.cfg.AC.Design.Signal {
+			switch d.cfg.AC.Design.Signal {
 			case admission.Mark:
 				bg.Marking = true
-				bg.VQFactor = r.cfg.VQFactor
+				bg.VQFactor = d.cfg.VQFactor
 			case admission.VDrop:
 				bg.Marking = true
-				bg.VQFactor = r.cfg.VQFactor
+				bg.VQFactor = d.cfg.VQFactor
 				bg.VDropProbes = true
 			}
 		}
 		h.bgs[i] = bg
 	}
-	r.hyb = h
+	d.hyb = h
 }
 
 // startFluid begins an admitted background flow's data phase on the fluid
 // plane: its average rate joins every path link's background and its
 // death is scheduled from the same lifetime stream the packet path uses,
 // so admission dynamics see an identically distributed population.
-func (r *Runner) startFluid(now sim.Time, f *flowState) {
-	cl := r.cfg.Classes[f.class]
-	r.advanceBg(now)
-	for _, li := range r.path(f.class) {
-		r.hyb.bgs[li].Add(now, cl.Preset.AvgRate)
+func (d *domain) startFluid(now sim.Time, f *flowState) {
+	cl := d.cfg.Classes[f.class]
+	d.advanceBg(now)
+	for _, li := range d.path(f.class) {
+		d.hyb.bgs[li].Add(now, cl.Preset.AvgRate)
 	}
-	r.hyb.count[f.class]++
+	d.hyb.count[f.class]++
 	f.fluid = true
-	r.activeFlows++
-	r.obs.SpanDataStart(now, f.id, f.class)
-	life := sim.Seconds(r.rngLife.Exp(r.cfg.LifetimeSec))
-	r.s.Schedule(&f.stopEv, now+life)
+	d.activeFlows++
+	d.obs.SpanDataStart(now, f.id, f.class)
+	life := sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec))
+	d.s.Schedule(&f.stopEv, now+life)
 }
 
 // stopFluid ends a fluid flow's data phase (lifetime expired).
-func (r *Runner) stopFluid(now sim.Time, f *flowState) {
-	cl := r.cfg.Classes[f.class]
-	r.advanceBg(now)
-	for _, li := range r.path(f.class) {
-		r.hyb.bgs[li].Add(now, -cl.Preset.AvgRate)
+func (d *domain) stopFluid(now sim.Time, f *flowState) {
+	cl := d.cfg.Classes[f.class]
+	d.advanceBg(now)
+	for _, li := range d.path(f.class) {
+		d.hyb.bgs[li].Add(now, -cl.Preset.AvgRate)
 	}
-	r.hyb.count[f.class]--
+	d.hyb.count[f.class]--
 	f.fluid = false
 	f.active = false
-	r.activeFlows--
-	r.obs.SpanDataEnd(now, f.id)
+	d.activeFlows--
+	d.obs.SpanDataEnd(now, f.id)
 }
 
 // advanceBg integrates the per-class offered/lost fluid bits over
 // [lastT, now] clipped to the accounting window, using the loss
 // probabilities currently in force. Must be called BEFORE any rate
 // change at now — the elapsed segment belongs to the old rates.
-func (r *Runner) advanceBg(now sim.Time) {
-	h := r.hyb
+func (d *domain) advanceBg(now sim.Time) {
+	h := d.hyb
 	lo, hi := h.lastT, now
 	h.lastT = now
-	if lo < r.winStart {
-		lo = r.winStart
+	if lo < d.winStart {
+		lo = d.winStart
 	}
-	if hi > r.winEnd {
-		hi = r.winEnd
+	if hi > d.winEnd {
+		hi = d.winEnd
 	}
 	if hi <= lo {
 		return
@@ -149,9 +144,9 @@ func (r *Runner) advanceBg(now sim.Time) {
 		if n == 0 {
 			continue
 		}
-		bits := float64(n) * r.cfg.Classes[c].Preset.AvgRate * dt
+		bits := float64(n) * d.cfg.Classes[c].Preset.AvgRate * dt
 		keep := 1.0
-		for _, li := range r.path(c) {
+		for _, li := range d.path(c) {
 			keep *= 1 - h.bgs[li].PDrop()
 		}
 		h.offered[c] += bits
@@ -165,15 +160,15 @@ func (r *Runner) advanceBg(now sim.Time) {
 // sent/lost deltas for the aggregate loss probability. (Link utilization
 // gains the delivered fluid share separately, once metrics() has built
 // the link table.)
-func (r *Runner) mergeFluidClasses(m *Metrics, now sim.Time) (sent, lost int64) {
-	r.advanceBg(now)
+func (d *domain) mergeFluidClasses(m *Metrics, now sim.Time) (sent, lost int64) {
+	d.advanceBg(now)
 	for c := range m.Classes {
-		if r.hyb.offered[c] == 0 {
+		if d.hyb.offered[c] == 0 {
 			continue
 		}
-		pktBits := float64(8 * r.cfg.Classes[c].Preset.PktSize)
-		s := int64(r.hyb.offered[c]/pktBits + 0.5)
-		l := int64(r.hyb.lost[c]/pktBits + 0.5)
+		pktBits := float64(8 * d.cfg.Classes[c].Preset.PktSize)
+		s := int64(d.hyb.offered[c]/pktBits + 0.5)
+		l := int64(d.hyb.lost[c]/pktBits + 0.5)
 		m.Classes[c].DataSent += s
 		m.Classes[c].DataLost += l
 		sent += s

@@ -130,7 +130,7 @@ func TestHybridValidate(t *testing.T) {
 		{"shards", func(c *Config) {
 			c.Links = []LinkSpec{{}, {}}
 			c.Shards = 2
-		}, "serial"},
+		}, "Shards <= 1"},
 	}
 	for _, tc := range cases {
 		c := hybridCfg(1)

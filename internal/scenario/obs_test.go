@@ -107,15 +107,13 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 
 func TestObsSamplesCarrySimState(t *testing.T) {
 	cfg := shortCfg()
+	cfg.Obs = obs.Config{Enabled: true, MetricsInterval: sim.Second, TraceCapacity: 1 << 10}
 	r, err := NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := obs.New(obs.Config{
-		Enabled: true, MetricsInterval: sim.Second, TraceCapacity: 1 << 10,
-	}, cfg.Seed)
-	r.Observe(c)
-	r.Run()
+	r.Run() // nothing is flushed: the collector is read in place
+	c := r.obs.Collector(0)
 	sams := c.Samples()
 	if len(sams) != 120 {
 		t.Fatalf("samples = %d, want 120", len(sams))

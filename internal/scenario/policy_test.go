@@ -113,12 +113,12 @@ func TestExtendCapBoundsReprobing(t *testing.T) {
 	cfg.PrepopulateUtil = 0
 	cfg.Duration = 60 * sim.Second
 	cfg.Warmup = 10 * sim.Second
-	if err := cfg.Validate(); err != nil {
+	r, err := NewRunner(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(cfg)
 	pol := &extendForever{probes: map[int]int{}}
-	r.policy = pol
+	r.doms[0].policy = pol
 	m := r.Run()
 	if m.Decided == 0 {
 		t.Fatal("no admission decisions")
@@ -180,7 +180,7 @@ func onOffCfg(seed uint64) Config {
 		LifetimeSec:  30,
 		Method:       EAC,
 		AC:           admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.05},
-		Load:         LoadSpec{PeriodSec: 40, OnFraction: 0.5, OnFactor: 2, OffFactor: 0},
+		Schedule:     squareWave(20, 2, 20, 0),
 		Duration:     600 * sim.Second,
 		Warmup:       60 * sim.Second,
 		Seed:         seed,

@@ -340,8 +340,8 @@ func TestPacketConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Run()
-	if r.pool.Allocated > 3000 {
-		t.Fatalf("allocated %d packets; pooling is not reusing them", r.pool.Allocated)
+	if r.doms[0].pool.Allocated > 3000 {
+		t.Fatalf("allocated %d packets; pooling is not reusing them", r.doms[0].pool.Allocated)
 	}
 }
 
@@ -460,5 +460,30 @@ func TestLaneShareBasicScenario(t *testing.T) {
 	}
 	if c.Promotions > c.LaneAppends || c.HeapHighWater == 0 || c.Executed == 0 {
 		t.Fatalf("implausible ledger: %+v", c)
+	}
+}
+
+// TestRunLeavesCallerSlicesAlone pins that defaults are filled into copies:
+// the Classes and Links backing arrays a caller passes in (and may share
+// between the concurrent runs of RunSeedsParallel) read the same after Run
+// as before.
+func TestRunLeavesCallerSlicesAlone(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Duration, cfg.Warmup = 40*sim.Second, 10*sim.Second
+	cfg.Classes = []ClassSpec{{Preset: trafgen.EXP1, Eps: -1}, {Name: "named", Preset: trafgen.EXP1, Weight: 2, Eps: -1}}
+	cfg.Links = []LinkSpec{{}, {RateBps: 5e6}}
+	cfg.Classes[1].Path = []int{0, 1}
+	if _, err := RunSeedsParallel(cfg, DefaultSeeds(2), 2); err != nil {
+		t.Fatal(err)
+	}
+	if cl := cfg.Classes[0]; cl.Name != "" || cl.Weight != 0 {
+		t.Errorf("Run wrote defaults into the caller's Classes: %+v", cl)
+	}
+	if cfg.Links[0] != (LinkSpec{}) || cfg.Links[1] != (LinkSpec{RateBps: 5e6}) {
+		t.Errorf("Run wrote defaults into the caller's Links: %+v", cfg.Links)
+	}
+	resolved := cfg.WithDefaults()
+	if again := resolved.WithDefaults(); &again.Classes[0] != &resolved.Classes[0] || &again.Links[0] != &resolved.Links[0] {
+		t.Fatal("WithDefaults copied the slices of an already resolved config")
 	}
 }

@@ -32,42 +32,6 @@ func shardChainConfig(links int) Config {
 	return cfg
 }
 
-// TestShardSerialIdentity pins that Shards=0, Shards=1, and any count that
-// clamps to 1 are the byte-identical serial path.
-func TestShardSerialIdentity(t *testing.T) {
-	base := shardChainConfig(3)
-	ref, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, k := range map[string]int{"one": 1, "zero": 0} {
-		c := base
-		c.Shards = k
-		m, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(m, ref) {
-			t.Errorf("Shards=%s diverged from the serial path", name)
-		}
-	}
-	// Single link: any shard request clamps to serial.
-	single := Config{Duration: 20 * sim.Second, Warmup: 5 * sim.Second,
-		InterArrival: 0.5, LifetimeSec: 60, PrepopulateUtil: 0.5, Seed: 3}
-	sref, err := Run(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.Shards = 8
-	m, err := Run(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, sref) {
-		t.Error("Shards on a single-link topology must clamp to the serial path")
-	}
-}
-
 // TestShardDeterministic: for a fixed shard count, repeated fresh runs are
 // bitwise identical — barrier exchange and per-shard streams are fully
 // deterministic.
@@ -119,20 +83,36 @@ func TestShardPlausible(t *testing.T) {
 	}
 }
 
-// TestShardWorkspaceReuse pins that the sharded reuse seam is
-// output-neutral: a Workspace cycling through sharded configs reproduces
-// fresh-executor results exactly.
+// TestShardWorkspaceReuse pins that kernel reuse is output-neutral at
+// K > 1: a Workspace cycling through sharded configs reproduces
+// fresh-kernel results exactly — including a config whose boundary link
+// (link 1 at K = 2) has another delay, so the executor's window changes
+// under the reused kernel.
 func TestShardWorkspaceReuse(t *testing.T) {
 	a := shardChainConfig(4)
 	a.Shards = 2
 	b := a
 	b.Seed = 99
+	b.Links = append([]LinkSpec(nil), a.Links...)
 	b.Links[0].RateBps = 8e6 // same structure, different parameters
+	c := a
+	c.Links = append([]LinkSpec(nil), a.Links...)
+	c.Links[1].Delay = 7 * sim.Millisecond
 	ws := NewWorkspace()
-	for _, cfg := range []Config{a, b, a} {
+	var kernel *Runner
+	for i, cfg := range []Config{a, b, c, a} {
 		got, err := ws.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if kernel == nil {
+			kernel = ws.r
+		}
+		if ws.r != kernel {
+			t.Fatalf("run %d rebuilt the kernel instead of resetting it", i)
+		}
+		if w, want := ws.r.ex.Window, cfg.WithDefaults().Links[1].Delay; w != want {
+			t.Fatalf("run %d: executor window %v, want the boundary delay %v", i, w, want)
 		}
 		want, err := Run(cfg)
 		if err != nil {

@@ -17,13 +17,12 @@ import (
 )
 
 // This file is the temporal workload engine: a Schedule of composable load
-// phases generalizing the single square wave of LoadSpec, and a ReplayTrace
-// that re-drives flow arrivals recorded in an obs JSONL event trace. Both
-// are realized on the arrival path of runner.go — a Schedule by
-// Lewis–Shedler thinning against its global peak on the dedicated "load"
-// RNG stream (exact for any intensity bounded by the peak, not just the
-// piecewise-constant square wave), a ReplayTrace by scheduling the recorded
-// arrival times and classes verbatim.
+// phases, and a ReplayTrace that re-drives flow arrivals recorded in an obs
+// JSONL event trace. Both are realized on the arrival path of domain.go — a
+// Schedule by Lewis–Shedler thinning against its global peak on the
+// dedicated "load" RNG stream (exact for any intensity bounded by the
+// peak), a ReplayTrace by scheduling the recorded arrival times and classes
+// verbatim.
 
 // PhaseKind selects how a phase's arrival-rate factor evolves over its
 // duration.
@@ -172,12 +171,12 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// schedCursor is the runner's monotone position inside a Schedule: the
+// schedCursor is a domain's monotone position inside a Schedule: the
 // absolute start (seconds) of the current phase and its index. Arrivals
 // query the schedule in non-decreasing time order, so advancing the cursor
 // makes each evaluation O(1) amortized however many cycles have elapsed.
-// The zero value points at the first phase at time zero; Runner resets it
-// with the rest of the run state (Workspace reuse must not leak a previous
+// The zero value points at the first phase at time zero; domain.reset
+// rewinds it with the rest of the run state (Workspace reuse must not leak a previous
 // run's phase position).
 type schedCursor struct {
 	idx   int

@@ -54,18 +54,18 @@ func TestParseSchedule(t *testing.T) {
 func TestParseScheduleErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
-		"hold",             // no phases
-		"wave:10:1",        // unknown kind
-		"const:10",         // missing factor
-		"const:10:1:2",     // too many args
-		"ramp:10:1",        // ramp needs two factors
-		"const:ten:1",      // non-numeric
-		"const:0:1",        // zero duration
-		"const:-5:1",       // negative duration
-		"const:10:-1",      // negative factor
-		"const:10:0",       // peak zero: no traffic ever
-		"steps:10",         // steps needs at least one factor
-		"flash:10:5:1",     // flash needs four args
+		"hold",                 // no phases
+		"wave:10:1",            // unknown kind
+		"const:10",             // missing factor
+		"const:10:1:2",         // too many args
+		"ramp:10:1",            // ramp needs two factors
+		"const:ten:1",          // non-numeric
+		"const:0:1",            // zero duration
+		"const:-5:1",           // negative duration
+		"const:10:-1",          // negative factor
+		"const:10:0",           // peak zero: no traffic ever
+		"steps:10",             // steps needs at least one factor
+		"flash:10:5:1",         // flash needs four args
 		"sine:10:1:" + "1e999", // non-finite factor
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
@@ -122,7 +122,16 @@ func TestScheduleFactorAt(t *testing.T) {
 	}
 }
 
-// --- Lewis–Shedler thinning against the square wave (PR 8 bugfix audit) --
+// --- Lewis–Shedler thinning against a square wave -----------------------
+
+// squareWave is the cycling two-phase schedule: factor on for onSec, then
+// off for offSec.
+func squareWave(onSec, on, offSec, off float64) Schedule {
+	return Schedule{Phases: []Phase{
+		{Kind: PhaseConst, DurationSec: onSec, From: on, To: on},
+		{Kind: PhaseConst, DurationSec: offSec, From: off, To: off},
+	}}
+}
 
 // loadCountCfg is a light scenario for counting arrivals: no admission
 // control, tiny lifetimes, and a Warmup/Drain pair placing the accounting
@@ -150,63 +159,34 @@ func loadCountCfg(winStart, winEnd float64) Config {
 	}
 }
 
-// TestLoadOffFactorPeak pins the thinning envelope when OffFactor exceeds
-// OnFactor: the peak must be max(OnFactor, OffFactor). Were the envelope
-// OnFactor (the PR 8 audit's suspected bug), thinning could never raise
-// the rate above 1x and the off window would see ~100 arrivals instead of
-// ~300.
-func TestLoadOffFactorPeak(t *testing.T) {
-	load := LoadSpec{PeriodSec: 100, OnFraction: 0.5, OnFactor: 1, OffFactor: 3}
-
-	off := loadCountCfg(50, 100)
-	off.Load = load
-	m, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poisson(300): +/-4 sigma is ~±69.
-	if m.Decided < 220 || m.Decided > 380 {
-		t.Errorf("off-phase window saw %d arrivals, want ~300 (3x of 2/s over 50s)", m.Decided)
-	}
-
-	on := loadCountCfg(0, 50)
-	on.Load = load
-	m, err = Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Decided < 55 || m.Decided > 145 {
-		t.Errorf("on-phase window saw %d arrivals, want ~100 (1x of 2/s over 50s)", m.Decided)
-	}
-}
-
-// TestLoadInvertedWave pins the withDefaults fix: an explicit OnFactor 0
-// with a positive OffFactor is an inverted duty cycle (silence during the
-// on phase), not an unset knob to be defaulted to 2.
+// TestLoadInvertedWave pins a silent first phase: a factor of exactly 0
+// thins every candidate arrival away, whatever the peak of the schedule
+// (here the 3x second phase).
 func TestLoadInvertedWave(t *testing.T) {
 	cfg := loadCountCfg(0, 50)
-	cfg.Load = LoadSpec{PeriodSec: 100, OnFraction: 0.5, OffFactor: 3}
+	cfg.Schedule = squareWave(50, 0, 50, 3)
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Decided != 0 {
-		t.Errorf("inverted wave: on-phase window saw %d arrivals, want exactly 0", m.Decided)
+		t.Errorf("inverted wave: silent-phase window saw %d arrivals, want exactly 0", m.Decided)
 	}
 }
 
-// TestLoadOnFractionFull pins OnFraction = 1: the whole period is the on
-// phase, a plain rate scaling with no silent part.
+// TestLoadOnFractionFull pins the one-phase cycling schedule: the factor
+// equals the peak at every instant, a plain rate scaling in which thinning
+// keeps every candidate.
 func TestLoadOnFractionFull(t *testing.T) {
 	cfg := loadCountCfg(0, 100)
-	cfg.Load = LoadSpec{PeriodSec: 10, OnFraction: 1, OnFactor: 2, OffFactor: 0}
+	cfg.Schedule = Schedule{Phases: []Phase{{Kind: PhaseConst, DurationSec: 10, From: 2, To: 2}}}
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Poisson(400): +/-4 sigma is ±80.
 	if m.Decided < 310 || m.Decided > 490 {
-		t.Errorf("OnFraction=1 saw %d arrivals over 100s, want ~400 (2x of 2/s)", m.Decided)
+		t.Errorf("constant 2x schedule saw %d arrivals over 100s, want ~400 (2x of 2/s)", m.Decided)
 	}
 }
 
@@ -267,7 +247,7 @@ func TestWorkspaceLoadByteIdentical(t *testing.T) {
 		mut(&cfg)
 		return cfg
 	}
-	onoff := func(c *Config) { c.Load = LoadSpec{PeriodSec: 20, OnFraction: 0.5, OnFactor: 2} }
+	onoff := func(c *Config) { c.Schedule = squareWave(10, 2, 10, 0) }
 	spike := func(c *Config) {
 		c.Schedule = Schedule{Phases: []Phase{
 			{Kind: PhaseConst, DurationSec: 20, From: 1, To: 1},
@@ -341,9 +321,9 @@ func TestParseReplayTolerant(t *testing.T) {
 	in := strings.Join([]string{
 		`{"t":0.5,"ev":"arrival","flow":3,"class":1}`,
 		`{"t":0.25,"ev":"enqueue","link":"l0","flow":1}`, // other kind: skipped
-		`not json at all`,                                // damaged: skipped
-		`{"t":-1,"ev":"arrival","class":0}`,              // negative time: skipped
-		`{"t":1.5,"ev":"arrival","class":0,"shard":1}`,   // sharded form parses too
+		`not json at all`,                              // damaged: skipped
+		`{"t":-1,"ev":"arrival","class":0}`,            // negative time: skipped
+		`{"t":1.5,"ev":"arrival","class":0,"shard":1}`, // sharded form parses too
 		``,
 	}, "\n")
 	tr, err := ParseReplay(strings.NewReader(in), "mem")

@@ -3,29 +3,27 @@ package scenario
 import "encoding/json"
 
 // Workspace executes runs back-to-back on recycled simulator state. The
-// first Run builds a Runner; later Runs rewind it in place (Runner.reset),
-// reusing the event-heap slab, the link rings, the packet pool, retired
-// flow states, and the RNG structs instead of reallocating them per cell.
-// Reuse is output-neutral: a Workspace's Metrics are byte-identical to
-// fresh per-run construction for any sequence of configs and seeds.
+// first Run builds a kernel (Runner); later Runs rewind it in place
+// (Runner.reset), reusing the event-heap slabs, the link rings, the packet
+// pools, retired flow states, and the RNG structs instead of reallocating
+// them per cell. Reuse is output-neutral: a Workspace's Metrics are
+// byte-identical to fresh per-run construction for any sequence of configs
+// and seeds.
 //
-// A Workspace is single-threaded, like the Runner it wraps. The grid paths
+// A Workspace is used from one goroutine at a time. The grid paths
 // (RunSeedsParallel, the experiments engine) give each worker goroutine its
 // own Workspace.
 type Workspace struct {
-	r  *Runner
-	sx *shardExec // sharded-path twin of r, reused across sharded runs
+	r *Runner
 }
 
 // NewWorkspace returns an empty workspace; the first Run populates it.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// Run behaves exactly like the package-level Run — same defaults,
-// validation, metrics, observability flush, and cache protocol — but
-// recycles the previous run's allocations when the topology size matches.
-// Configs with an effective shard count above 1 take the sharded executor
-// (with its own reuse seam, one Workspace per shard set); all others take
-// the byte-identical serial path.
+// Run resolves and validates cfg, runs it on cfg.Shards domains, flushes
+// the observability artifacts and follows the cache protocol (Config.Cache).
+// The previous run's kernel is recycled when the domain count and the
+// topology size match.
 func (ws *Workspace) Run(cfg Config) (Metrics, error) {
 	m, _, err := ws.RunRecorded(cfg)
 	return m, err
@@ -39,38 +37,23 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	if err := cfg.Validate(); err != nil {
 		return Metrics{}, RunRecord{}, err
 	}
-	rec := RunRecord{Seed: cfg.Seed, Shards: 1}
+	rec := RunRecord{Seed: cfg.Seed, Shards: effectiveShards(cfg)}
 	key, m, ok := cacheGet(cfg)
 	if ok {
 		rec.Cached = true
-		rec.Shards = effectiveShards(cfg)
 		return m, rec, nil
 	}
-	if k := effectiveShards(cfg); k > 1 {
-		if ws.sx != nil && ws.sx.canReuse(cfg, k) {
-			ws.sx.reset(cfg)
-		} else {
-			sx, err := newShardExec(cfg, k)
-			if err != nil {
-				return Metrics{}, rec, err
-			}
-			ws.sx = sx
-		}
-		m = ws.sx.run()
-		rec.Shards, rec.ShardExecuted = k, ws.sx.executed()
-		if _, err := ws.sx.flushObs(); err != nil {
-			return m, rec, err
-		}
-		cachePut(cfg, key, m)
-		return m, rec, nil
+	plan, err := planShards(&cfg, rec.Shards)
+	if err != nil {
+		return Metrics{}, rec, err
 	}
-	if ws.r != nil && ws.r.canReuse(cfg) {
-		ws.r.reset(cfg)
+	if ws.r != nil && ws.r.canReuse(cfg, plan) {
+		ws.r.reset(cfg, plan)
 	} else {
-		ws.r = newRunner(cfg)
+		ws.r = newRunner(cfg, plan)
 	}
 	m = ws.r.Run()
-	rec.ShardExecuted = []uint64{ws.r.Sim().Executed()}
+	rec.ShardExecuted = ws.r.ex.Executed()
 	if _, err := ws.r.FlushObs(); err != nil {
 		return m, rec, err
 	}
@@ -79,18 +62,13 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 }
 
 // ShardExecuted returns the per-shard executed-event counts of the most
-// recent sharded run; a workspace that has only run the serial path
-// returns the serial simulator's count as a one-element slice, and a
-// workspace that has not run anything returns nil. Benchmarks use it to
-// report load balance and the critical-path speedup bound.
+// recent run (one entry at K = 1), nil before the first. Benchmarks use it
+// to report load balance and the critical-path speedup bound.
 func (ws *Workspace) ShardExecuted() []uint64 {
-	if ws.sx != nil {
-		return ws.sx.executed()
+	if ws.r == nil {
+		return nil
 	}
-	if ws.r != nil {
-		return []uint64{ws.r.Sim().Executed()}
-	}
-	return nil
+	return ws.r.ex.Executed()
 }
 
 // cacheGet consults cfg.Cache for the run's fingerprinted result. The

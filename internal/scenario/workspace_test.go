@@ -139,8 +139,8 @@ func TestWorkspaceAllocReduction(t *testing.T) {
 	}
 }
 
-// TestSerialRoutesShared pins the route-template unification: on the serial
-// path every flow of a class carries the class's one template (same backing
+// TestSerialRoutesShared pins the route-template unification: at K = 1
+// every flow of a class carries the class's one template (same backing
 // array, not a per-flow copy), and a Workspace whose next config keeps the
 // link count — so the Runner is reset, not rebuilt — but changes the class
 // and path layout routes the new run over fresh templates.
@@ -164,16 +164,17 @@ func TestSerialRoutesShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := ws.r
-	old := r.tmpl[0]
+	d := r.doms[0]
+	old := d.tmpl[0]
 	byClass := map[int]*flowState{}
-	for _, f := range r.flows {
+	for _, f := range d.flows {
 		if g, ok := byClass[f.class]; ok && &g.route[0] != &f.route[0] {
 			t.Fatalf("flows %d and %d of class %d hold separate route arrays", g.id, f.id, f.class)
 		}
 		byClass[f.class] = f
 	}
-	if len(r.flows) < 2 || &r.flows[0].route[0] != &old[0] {
-		t.Fatalf("flows do not carry the runner's class template (%d flows)", len(r.flows))
+	if len(d.flows) < 2 || &d.flows[0].route[0] != &old[0] {
+		t.Fatalf("flows do not carry the runner's class template (%d flows)", len(d.flows))
 	}
 
 	reused, err := ws.Run(second)
@@ -183,12 +184,12 @@ func TestSerialRoutesShared(t *testing.T) {
 	if ws.r != r {
 		t.Fatal("test setup: workspace rebuilt the runner instead of resetting it")
 	}
-	sink := netsim.Receiver((*sinkRecv)(r))
+	sink := netsim.Receiver((*sinkRecv)(d))
 	want := [][]netsim.Receiver{{r.links[1], sink}, {r.links[1], r.links[0], sink}}
-	if !reflect.DeepEqual(r.tmpl, want) {
-		t.Fatalf("templates after reuse = %v, want %v", r.tmpl, want)
+	if !reflect.DeepEqual(d.tmpl, want) {
+		t.Fatalf("templates after reuse = %v, want %v", d.tmpl, want)
 	}
-	if &r.tmpl[0][0] == &old[0] || len(old) != 3 || old[0] != netsim.Receiver(r.links[0]) {
+	if &d.tmpl[0][0] == &old[0] || len(old) != 3 || old[0] != netsim.Receiver(r.links[0]) {
 		t.Fatal("reset rewrote the previous run's template in place")
 	}
 	fresh, err := Run(second)
@@ -216,9 +217,12 @@ func TestAllocsPerFlowArrival(t *testing.T) {
 	cfg = cfg.WithDefaults()
 	var flows int
 	fresh := testing.AllocsPerRun(2, func() {
-		r := newRunner(cfg)
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r.Run()
-		flows = len(r.flows)
+		flows = len(r.doms[0].flows)
 	})
 	ws := NewWorkspace()
 	if _, err := ws.Run(cfg); err != nil { // prime slabs, freelist, probers
