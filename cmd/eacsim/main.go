@@ -117,6 +117,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seeds < 1 {
+		log.Fatalf("-seeds must be >= 1, got %d", *seeds)
+	}
 	if *pprofAddr != "" {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
 	}

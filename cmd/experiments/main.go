@@ -68,6 +68,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seeds < 0 {
+		log.Fatalf("-seeds must be >= 0 (0 = mode default), got %d", *seeds)
+	}
 	if *pprofAddr != "" {
 		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
 	}
@@ -217,7 +220,9 @@ func main() {
 			if *manifest {
 				man := obs.NewManifest()
 				man.Workers = w
-				man.Seeds = opts.SeedValues()
+				if man.Seeds, err = opts.SeedValues(); err != nil {
+					log.Fatal(err)
+				}
 				man.WallSeconds = wall.Seconds()
 				man.Config = map[string]any{
 					"experiment": ex.ID, "title": ex.Title,

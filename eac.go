@@ -32,11 +32,14 @@
 //
 // See the examples directory for runnable programs and EXPERIMENTS.md for
 // the reproduction of every table and figure in the paper.
+//
+// The surface is what it takes to build a Config, run it and read the
+// result: the types of Config's fields and of the returned values, the
+// constants and constructors that produce them, and the run functions.
+// Workspaces, fingerprints, manifests and shard planning stay internal.
 package eac
 
 import (
-	"io"
-
 	"eac/internal/admission"
 	"eac/internal/cache"
 	"eac/internal/fluid"
@@ -79,17 +82,9 @@ type (
 	TCPShareResult = scenario.TCPShareResult
 	// ObsConfig configures a run's observability collector (Config.Obs):
 	// per-queue telemetry time series, a JSONL packet/event trace, and
-	// artifact output. The zero value keeps observability disabled with
-	// zero overhead and byte-identical output.
+	// artifact output. The zero value disables it at zero cost.
 	ObsConfig = obs.Config
-	// ObsManifest is the structured per-invocation run record written
-	// next to result files.
-	ObsManifest = obs.Manifest
 )
-
-// NewObsManifest returns a run manifest stamped with the current process
-// environment.
-func NewObsManifest() ObsManifest { return obs.NewManifest() }
 
 // Admission-control configuration.
 type (
@@ -97,8 +92,6 @@ type (
 	ACConfig = admission.Config
 	// Design selects congestion signal and probe band.
 	Design = admission.Design
-	// ProbeResult summarizes one finished probe.
-	ProbeResult = admission.Result
 )
 
 // Admission methods.
@@ -147,13 +140,10 @@ const (
 // and probe-parameter choice behind Config.Policy.
 type (
 	// PolicyConfig selects and parameterizes the admission policy of an
-	// EAC scenario. The zero value is the classic static-ε prober,
-	// byte-identical to runs that predate the policy layer.
+	// EAC scenario. The zero value is the paper's static-ε prober.
 	PolicyConfig = admission.PolicyConfig
 	// PolicyKind enumerates the built-in policies.
 	PolicyKind = admission.PolicyKind
-	// Policy is the pluggable decision interface itself.
-	Policy = admission.Policy
 )
 
 // Temporal workload engine (see DESIGN.md §6): composable phase schedules
@@ -191,12 +181,6 @@ func NewReplayTrace(arrivals []ReplayArrival, source string) (*ReplayTrace, erro
 // LoadReplay reads a recorded obs JSONL event trace into a replay source.
 func LoadReplay(path string) (*ReplayTrace, error) { return scenario.LoadReplay(path) }
 
-// ParseReplay reads an obs JSONL event trace from r into a replay source;
-// source labels the trace in manifests.
-func ParseReplay(r io.Reader, source string) (*ReplayTrace, error) {
-	return scenario.ParseReplay(r, source)
-}
-
 // Built-in admission policies.
 const (
 	PolicyStatic        = admission.PolicyStatic
@@ -205,10 +189,6 @@ const (
 	PolicyTokenBucket   = admission.PolicyTokenBucket
 	PolicyEpochAdaptive = admission.PolicyEpochAdaptive
 )
-
-// ParsePolicyKind resolves a policy name ("static", "always-admit",
-// "never-admit", "token-bucket", "epoch-adaptive") to its kind.
-func ParsePolicyKind(s string) (PolicyKind, error) { return admission.ParsePolicyKind(s) }
 
 // Traffic source presets of Table 1.
 var (
@@ -226,30 +206,11 @@ type Preset = trafgen.Preset
 // LookupPreset resolves a preset by name (EXP1..EXP4, POO1, StarWars).
 func LookupPreset(name string) (Preset, error) { return trafgen.Lookup(name) }
 
-// Run executes one scenario and returns its metrics. When cfg.Shards
-// requests (or AutoShards selects) more than one shard, the run uses the
-// conservative-parallel sharded executor (DESIGN.md §4e); Shards <= 1 is
-// the byte-identical serial path.
+// Run executes one scenario and returns its metrics. A run is always
+// K >= 1 domains over one kernel (DESIGN.md §4e): cfg.Shards > 1 asks the
+// conservative-parallel executor for that many, and Shards <= 1 is K = 1,
+// the barrier-free case whose output the goldens pin byte for byte.
 func Run(cfg Config) (Metrics, error) { return scenario.Run(cfg) }
-
-// MetroStarOptions sizes the MetroStar large-topology preset.
-type MetroStarOptions = scenario.MetroStarOptions
-
-// MetroStar builds the large-topology preset (a hub link fed by chains of
-// access links, ≥10⁴ concurrent hosts by default) used to exercise the
-// sharded executor at scale. Callers typically set Duration/Warmup and a
-// shard count on the returned Config.
-func MetroStar(opts MetroStarOptions) Config { return scenario.MetroStar(opts) }
-
-// AutoShards picks a shard count for this scenario on this machine:
-// GOMAXPROCS clamped by topology and method shardability (1 when the
-// scenario cannot shard). A zero Config.Shards always means serial;
-// callers opt in by assigning AutoShards' answer to Config.Shards.
-func AutoShards(cfg Config) int { return scenario.AutoShards(cfg) }
-
-// ShardableK clamps a requested shard count to what the scenario
-// supports; 1 means the serial path.
-func ShardableK(cfg Config, k int) int { return scenario.ShardableK(cfg, k) }
 
 // RunSeeds runs a scenario once per seed and aggregates the results,
 // mirroring the paper's seven-run averaging. Runs execute concurrently
@@ -257,12 +218,6 @@ func ShardableK(cfg Config, k int) int { return scenario.ShardableK(cfg, k) }
 // execution.
 func RunSeeds(cfg Config, seeds []uint64) (MultiMetrics, error) {
 	return scenario.RunSeeds(cfg, seeds)
-}
-
-// RunSeedsParallel is RunSeeds with an explicit worker count (<= 0 means
-// GOMAXPROCS). Results are bitwise-identical for every worker count.
-func RunSeedsParallel(cfg Config, seeds []uint64, workers int) (MultiMetrics, error) {
-	return scenario.RunSeedsParallel(cfg, seeds, workers)
 }
 
 // DefaultSeeds returns n deterministic seeds.
@@ -274,46 +229,14 @@ func RunTCPShare(cfg TCPShareConfig) (TCPShareResult, error) {
 	return scenario.RunTCPShare(cfg)
 }
 
-// Grid throughput layer: the content-addressed result cache and the
-// per-worker simulator-state reuse path (see DESIGN.md §4d).
-type (
-	// ResultCache is the content-addressed on-disk result store. Attach
-	// one via Config.Cache (or experiments.Options.Cache) and runs whose
-	// resolved-config+seed fingerprint is stored are served without
-	// simulating; output is byte-identical either way.
-	ResultCache = cache.Store
-	// CacheStats counts result-cache traffic (hits, misses, corrupt
-	// entries, stores, bytes).
-	CacheStats = cache.Stats
-	// CacheSnapshot pairs CacheStats with the cache directory, as
-	// recorded in run manifests.
-	CacheSnapshot = cache.Snapshot
-	// Workspace runs scenarios back to back on recycled simulator state
-	// (event-heap slab, link rings, packet pool, probers). A Workspace
-	// is single-goroutine; use one per worker.
-	Workspace = scenario.Workspace
-)
-
-// ResultsVersion is the salt folded into every result-cache fingerprint.
-// It is bumped whenever a results-affecting package changes, invalidating
-// stale cached metrics wholesale.
-const ResultsVersion = scenario.ResultsVersion
+// ResultCache is the content-addressed on-disk result store behind
+// Config.Cache (see DESIGN.md §4d): runs whose resolved-config+seed
+// fingerprint is stored are served without simulating, byte-identically.
+type ResultCache = cache.Store
 
 // OpenResultCache opens (creating if necessary) a result cache rooted at
-// dir.
+// dir; an empty dir selects $EAC_CACHE_DIR or the user cache directory.
 func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) }
-
-// DefaultResultCacheDir returns the conventional cache location
-// (os.UserCacheDir()/eac-results, with fallbacks).
-func DefaultResultCacheDir() string { return cache.DefaultDir() }
-
-// NewWorkspace returns an empty workspace; its first Run builds the
-// simulator, later Runs recycle it.
-func NewWorkspace() *Workspace { return scenario.NewWorkspace() }
-
-// Fingerprint returns the content address a run of cfg is cached under:
-// a SHA-256 over the fully-resolved config, the seed, and ResultsVersion.
-func Fingerprint(cfg Config) string { return cfg.Fingerprint() }
 
 // Fluid model (Section 2.2.3 / Figure 1).
 type (
@@ -336,8 +259,7 @@ func NewFluidSolver() *fluid.Solver { return fluid.NewSolver() }
 type (
 	// HybridConfig enables the hybrid fluid/packet engine on a scenario
 	// (Config.Hybrid): data phases become per-link fluid rates, probes
-	// stay packets. The zero value keeps the pure packet engine with
-	// byte-identical output.
+	// stay packets. The zero value keeps the pure packet engine.
 	HybridConfig = scenario.HybridConfig
 	// FluidTransient parameterizes the mean-field ODE model of admission
 	// dynamics (time-varying counterpart of FluidParams).

@@ -1,6 +1,12 @@
 package eac_test
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"eac"
@@ -135,5 +141,100 @@ func TestPublicTCPShare(t *testing.T) {
 func TestTimeHelpers(t *testing.T) {
 	if eac.Seconds(2.5) != 2500*eac.Millisecond {
 		t.Fatal("Seconds conversion")
+	}
+}
+
+// TestDocsReferToExistingThings keeps the four long docs from naming what
+// the tree does not have: every `make <target>`, results/<file>,
+// cmd/<dir>, internal/<path> and Benchmark<Name> they mention must exist
+// in the Makefile, on disk, or as a benchmark of this package.
+func TestDocsReferToExistingThings(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	declared := func(re *regexp.Regexp, src string) map[string]bool {
+		set := map[string]bool{}
+		for _, m := range re.FindAllStringSubmatch(src, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+	targets := declared(regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`), read("Makefile"))
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var testSrc strings.Builder
+	for _, f := range tests {
+		testSrc.WriteString(read(f))
+	}
+	benchmarks := declared(regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`), testSrc.String())
+	// onDisk accepts a path, or a glob with at least one match, after
+	// dropping the punctuation prose leaves behind it ("internal/obs.").
+	onDisk := func(p string) bool {
+		p = strings.TrimRight(p, "./-_")
+		m, err := filepath.Glob(p)
+		return err == nil && len(m) > 0
+	}
+	kinds := []struct {
+		what   string
+		re     *regexp.Regexp // submatch 1 is the thing named
+		exists func(string) bool
+	}{
+		// A target is only read as one in code: after a backtick or at the
+		// start of a (code block) line, so "make sure" in prose is not.
+		{"Makefile target", regexp.MustCompile("(?:^|`)make ([a-z][a-z0-9-]*)"), func(s string) bool { return targets[s] }},
+		{"results file", regexp.MustCompile(`\b(results/[\w.*-]+)`), onDisk},
+		{"command", regexp.MustCompile(`\b(cmd/\w+)`), onDisk},
+		{"internal path", regexp.MustCompile(`\b(internal/[\w./*-]+)`), onDisk},
+		{"root benchmark", regexp.MustCompile(`\b(Benchmark[A-Z]\w*)`), func(s string) bool { return benchmarks[s] }},
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"} {
+		for i, line := range strings.Split(read(doc), "\n") {
+			for _, k := range kinds {
+				for _, m := range k.re.FindAllStringSubmatch(line, -1) {
+					if !k.exists(m[1]) {
+						t.Errorf("%s:%d: names %s %q, which does not exist", doc, i+1, k.what, m[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCommandsRejectBadSeeds drives the built commands: a seed count that
+// selects no run (eacsim needs >= 1; experiments takes 0 as the mode
+// default) must end the process with a message naming -seeds before
+// anything runs — not scenario.DefaultSeeds' makeslice panic, and not
+// eacsim's all-zero table that reads like a result.
+func TestCommandsRejectBadSeeds(t *testing.T) {
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/eacsim", "./cmd/experiments").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"eacsim", "-seeds", "0"},
+		{"eacsim", "-seeds", "-1"},
+		{"eacsim", "-seeds=-9223372036854775808", "-duration", "10", "-warmup", "2"},
+		{"experiments", "-run", "table3", "-seeds", "-2"},
+		{"experiments", "-run", "figure1", "-seeds", "-1"},
+		{"experiments", "-list", "-seeds=-9223372036854775808"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("%v: exit status 0, want a failure", args)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "-seeds") || strings.Contains(msg, "panic") {
+			t.Errorf("%v: stderr %q, want one line naming -seeds", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed a table:\n%s", args, stdout.String())
+		}
 	}
 }

@@ -133,7 +133,10 @@ func (o Options) workers() int {
 // run owns its Sim and RNG streams and seeds are aggregated in order,
 // making the output provably identical to Workers=1.
 func (o Options) runJobs(jobs []Job) error {
-	seeds := o.seeds()
+	seeds, err := o.seeds()
+	if err != nil {
+		return err
+	}
 	ns := len(seeds)
 	total := len(jobs) * ns
 	start := time.Now()

@@ -226,7 +226,11 @@ func TestShardsOption(t *testing.T) {
 	if direct.Shards != 2 {
 		t.Fatalf("multi-hop base should shard 2 ways, ShardableK gave %d", direct.Shards)
 	}
-	want, err := scenario.RunSeeds(direct, o.seeds())
+	seeds, err := o.seeds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scenario.RunSeeds(direct, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

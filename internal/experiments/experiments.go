@@ -134,16 +134,17 @@ func Conformance() Options {
 	}
 }
 
-func (o Options) seeds() []uint64 {
+func (o Options) seeds() ([]uint64, error) {
 	n := o.Seeds
-	if n == 0 {
-		if o.Quick {
-			n = 1
-		} else {
-			n = 7
-		}
+	switch {
+	case n < 0:
+		return nil, fmt.Errorf("experiments: Options.Seeds = %d, want >= 0 (0 = mode default)", n)
+	case n == 0 && o.Quick:
+		n = 1
+	case n == 0:
+		n = 7
 	}
-	return scenario.DefaultSeeds(n)
+	return scenario.DefaultSeeds(n), nil
 }
 
 func (o Options) duration() sim.Time {
@@ -188,8 +189,8 @@ func (o Options) logf(format string, args ...any) {
 }
 
 // SeedValues returns the seed list these options resolve to (for run
-// manifests).
-func (o Options) SeedValues() []uint64 { return o.seeds() }
+// manifests); a negative Seeds is an error.
+func (o Options) SeedValues() ([]uint64, error) { return o.seeds() }
 
 // RunDuration returns the resolved per-run simulated duration.
 func (o Options) RunDuration() sim.Time { return o.duration() }

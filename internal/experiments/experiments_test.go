@@ -61,11 +61,42 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestNegativeSeedsIsAnError: the -seeds flag lands in Options.Seeds, so a
+// negative count is user input. Every consumer of the seed list must
+// answer it with an error naming the field, not with DefaultSeeds'
+// makeslice panic.
+func TestNegativeSeedsIsAnError(t *testing.T) {
+	for _, n := range []int{-1, -2, -1 << 40} {
+		o := Conformance()
+		o.Seeds = n
+		for _, c := range []struct {
+			name string
+			call func() error
+		}{
+			{"SeedValues", func() error { _, err := o.SeedValues(); return err }},
+			{"Table3", func() error { _, err := Table3(o); return err }},
+		} {
+			err := c.call()
+			if err == nil || !strings.Contains(err.Error(), "Seeds") {
+				t.Errorf("Seeds=%d: %s returned %v, want an error naming Seeds", n, c.name, err)
+			}
+		}
+	}
+}
+
 func TestOptionsModes(t *testing.T) {
 	q := Quick()
 	p := Paper()
-	if len(q.seeds()) != 1 || len(p.seeds()) != 7 {
-		t.Fatalf("seed defaults: quick=%d paper=%d", len(q.seeds()), len(p.seeds()))
+	nSeeds := func(o Options) int {
+		t.Helper()
+		s, err := o.seeds()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(s)
+	}
+	if nSeeds(q) != 1 || nSeeds(p) != 7 {
+		t.Fatalf("seed defaults: quick=%d paper=%d", nSeeds(q), nSeeds(p))
 	}
 	if q.duration() != 800*sim.Second || p.duration() != 14000*sim.Second {
 		t.Fatal("duration defaults")
@@ -74,7 +105,7 @@ func TestOptionsModes(t *testing.T) {
 		t.Fatal("tau scaling")
 	}
 	q.Seeds = 3
-	if len(q.seeds()) != 3 {
+	if nSeeds(q) != 3 {
 		t.Fatal("seed override")
 	}
 	q.Duration = 5 * sim.Second

@@ -97,7 +97,11 @@ func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 	if err := o.runJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range o.SeedValues() {
+	seeds, err := o.SeedValues()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range seeds {
 		p := filepath.Join(dir, fmt.Sprintf("pt-eps-0.01-s%d-series.csv", seed))
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			ents, _ := os.ReadDir(dir)
