@@ -311,6 +311,12 @@ func main() {
 				}
 				man.ShardExecuted[fmt.Sprintf("s%d", r.Seed)] = r.ShardExecuted
 			}
+			if len(r.Queue) > 0 {
+				if man.Queue == nil {
+					man.Queue = make(map[string][]sim.Counters, len(recs))
+				}
+				man.Queue[fmt.Sprintf("s%d", r.Seed)] = r.Queue
+			}
 		}
 		if store != nil {
 			man.Cache = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(),

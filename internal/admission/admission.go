@@ -15,6 +15,7 @@ package admission
 
 import (
 	"fmt"
+	"slices"
 
 	"eac/internal/netsim"
 	"eac/internal/sim"
@@ -143,28 +144,19 @@ func (c Config) WithDefaults() Config {
 // stagesInto appends the per-stage probing rates for a flow of token rate
 // r to dst (reusing its capacity).
 func (c Config) stagesInto(dst []float64, r float64) []float64 {
-	switch c.Kind {
-	case SlowStart:
-		n := int(c.ProbeDur / c.StageDur)
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
+	if c.Kind != SlowStart && c.Kind != EarlyReject {
+		return append(dst, r) // Simple: one stage covering the whole probe period
+	}
+	n := max(int(c.ProbeDur/c.StageDur), 1)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		if c.Kind == SlowStart {
 			dst = append(dst, r/float64(int64(1)<<uint(n-1-i)))
-		}
-		return dst
-	case EarlyReject:
-		n := int(c.ProbeDur / c.StageDur)
-		if n < 1 {
-			n = 1
-		}
-		for i := 0; i < n; i++ {
+		} else {
 			dst = append(dst, r)
 		}
-		return dst
-	default: // Simple: one stage covering the whole probe period
-		return append(dst, r)
 	}
+	return dst
 }
 
 // stageDur returns the duration of each stage for this config.
@@ -217,9 +209,19 @@ type Prober struct {
 	stageStart []sim.Time // when each stage began sending
 	stageFracs []float64  // Result.StageFracs buffer, reused across attempts
 
-	checkEv  sim.Event // periodic early-stop check
-	stageEv  sim.Event // end of the currently sending stage
-	finished bool
+	checkEv sim.Event // periodic early-stop check
+	stageEv sim.Event // end of the currently sending stage
+	// judgeEv[st] judges stage st one Guard after it stopped sending: one
+	// event per stage, since a Guard longer than a stage leaves two
+	// outstanding. They fire in stage order, so they share one callback
+	// that judges stage nextJudge. Made when a stage first ends (most
+	// rejected probes never get that far) and kept across Reinit.
+	judgeEv   []sim.Event
+	nextJudge int
+	// All three timers fire a fixed interval after they are set, so every
+	// prober's go through the simulator's lane for that interval.
+	checkLane, stageLane, judgeLane sim.Lane
+	finished                        bool
 }
 
 // NewProber builds a prober for a flow with token rate r (bits/s) and
@@ -263,8 +265,19 @@ func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []
 		p.stageFracs = make([]float64, 0, n)
 	}
 	p.stageFracs = p.stageFracs[:0]
+	// A judge the previous attempt left behind must not judge this one.
+	p.cancelJudges()
+	if len(p.judgeEv) < n {
+		p.judgeEv = nil
+	}
 	p.cbr.Reinit(p.rates[0], pktSize)
-	p.stage, p.started, p.finished = 0, 0, false
+	p.stage, p.nextJudge, p.started, p.finished = 0, 0, 0, false
+}
+
+func (p *Prober) cancelJudges() {
+	for i := range p.judgeEv {
+		p.s.Cancel(&p.judgeEv[i])
+	}
 }
 
 // zeroed returns s resized to n elements, all zero, reusing its capacity.
@@ -287,6 +300,9 @@ func (p *Prober) ForgetEvents() {
 	p.finished = true
 	p.checkEv.Forget()
 	p.stageEv.Forget()
+	for i := range p.judgeEv {
+		p.judgeEv[i].Forget()
+	}
 	p.cbr.Forget()
 }
 
@@ -297,9 +313,11 @@ func (p *Prober) Start(now sim.Time) {
 	p.stageStart[0] = now
 	p.cbr.SetRate(p.rates[0])
 	p.cbr.Start(now)
+	p.stageLane, p.checkLane = p.s.Lane(p.cfg.stageDur()), p.s.Lane(p.checkInterval())
+	p.judgeLane = p.s.Lane(p.cfg.Guard)
 	// The stage stops sending at stageDur and is judged Guard later.
-	p.s.Schedule(&p.stageEv, now+p.cfg.stageDur())
-	p.s.Schedule(&p.checkEv, now+p.checkInterval())
+	p.s.ScheduleLane(p.stageLane, &p.stageEv, now+p.cfg.stageDur())
+	p.s.ScheduleLane(p.checkLane, &p.checkEv, now+p.checkInterval())
 }
 
 // checkInterval is the cadence of the timer-driven early-stop check.
@@ -311,6 +329,7 @@ func (p *Prober) Abort() {
 	p.cbr.Stop()
 	p.s.Cancel(&p.checkEv)
 	p.s.Cancel(&p.stageEv)
+	p.cancelJudges()
 }
 
 // emit sends one probe packet.
@@ -339,14 +358,20 @@ func (p *Prober) endStage(now sim.Time) {
 	p.cbr.Stop()
 	// Judge this stage after the guard; meanwhile, if more stages
 	// remain, they start sending immediately.
-	st := p.stage
-	p.s.CallIn(p.cfg.Guard, func(at sim.Time) { p.judgeStage(at, st) })
+	if p.judgeEv == nil {
+		p.judgeEv = make([]sim.Event, len(p.rates))
+		fn := p.judgeNext
+		for i := range p.judgeEv {
+			p.judgeEv[i].Init(fn)
+		}
+	}
+	p.s.ScheduleLane(p.judgeLane, &p.judgeEv[p.stage], now+p.cfg.Guard)
 	if p.stage+1 < len(p.rates) {
 		p.stage++
 		p.stageStart[p.stage] = now
 		p.cbr.SetRate(p.rates[p.stage])
 		p.cbr.Start(now)
-		p.s.Schedule(&p.stageEv, now+p.cfg.stageDur())
+		p.s.ScheduleLane(p.stageLane, &p.stageEv, now+p.cfg.stageDur())
 	}
 }
 
@@ -387,7 +412,7 @@ func (p *Prober) periodicCheck(now sim.Time) {
 		p.finish(now, Result{Accepted: false, Fraction: p.fraction(st)})
 		return
 	}
-	p.s.Schedule(&p.checkEv, now+p.checkInterval())
+	p.s.ScheduleLane(p.checkLane, &p.checkEv, now+p.checkInterval())
 }
 
 // plannedPackets returns how many packets a full stage would send.
@@ -448,11 +473,19 @@ func (p *Prober) fraction(stage int) float64 {
 	return float64(b) / float64(sent)
 }
 
-// judgeStage applies the stage acceptance test after the guard period.
-func (p *Prober) judgeStage(now sim.Time, stage int) {
+// judgeNext is the callback of every judgeEv; it applies the stage
+// acceptance test after the guard period. Judges come due in stage order,
+// so the one firing is nextJudge's. finish does not cancel a judge still
+// queued: it fires into the finished prober and does nothing, which keeps
+// a run's executed-event count what it was when each judge was a one-shot
+// closure (the benchmark compares it across commits). Reinit and Abort do
+// cancel them.
+func (p *Prober) judgeNext(now sim.Time) {
 	if p.finished {
 		return
 	}
+	stage := p.nextJudge
+	p.nextJudge++ // before finish, whose callback may Reinit and restart p
 	frac := p.fraction(stage)
 	if frac > p.cfg.Eps {
 		p.finish(now, Result{Accepted: false, Fraction: frac})

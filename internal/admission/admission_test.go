@@ -394,3 +394,75 @@ func TestVDropStrings(t *testing.T) {
 		t.Fatalf("got %q", VDropOutOfBand.String())
 	}
 }
+
+// TestProbeAllocBill holds the per-probe allocation bill. A prober's first
+// probe pays for the prober (struct, CBR source, four bound callbacks, eight
+// accounting slices) plus one block of stage-judge events and their shared
+// callback — not an event and a closure per stage, which on a five-stage
+// accepted probe was ten of twenty-four. A reused prober pays nothing.
+func TestProbeAllocBill(t *testing.T) {
+	h := newHarness(10e6, 200, false)
+	cfg := Config{Design: DropInBand, Kind: SlowStart, Eps: 0}
+	sink := &probeSink{pool: &h.pool}
+	route := []netsim.Receiver{h.link, sink}
+	accepted := 0
+	done := func(r Result) {
+		if r.Accepted {
+			accepted++
+		}
+	}
+	probe := func() {
+		if sink.p == nil {
+			sink.p = NewProber(h.s, cfg, 0, 256e3, 125, route, &h.pool, done)
+		} else {
+			sink.p.Reinit(cfg, 0, 256e3, 125, route, done)
+		}
+		sink.p.Start(h.s.Now())
+		h.s.Run(h.s.Now() + 6*sim.Second)
+	}
+	probe() // warm the packet pool, the lanes and the event queue
+	fresh := testing.AllocsPerRun(2, func() { sink.p = nil; probe() })
+	reused := testing.AllocsPerRun(5, probe)
+	t.Logf("five-stage accepted probe: %.0f allocs with a new prober, %.0f reused", fresh, reused)
+	// The new-prober ceiling is for the plain build: `make race` (which
+	// runs -short) instruments one allocation more.
+	if (fresh > 16 && !testing.Short()) || reused != 0 {
+		t.Fatalf("allocs per probe: %.0f fresh (ceiling 16), %.0f reused (want 0)", fresh, reused)
+	}
+	if accepted != 10 { // AllocsPerRun makes one warm-up call of its own
+		t.Fatalf("%d of 10 probes accepted on an idle link", accepted)
+	}
+}
+
+// TestReinitDropsLeftoverJudge: a probe rejected between a stage's end and
+// its judgment leaves that judge queued (it fires into the finished prober
+// and does nothing). If the prober is reused before then, the leftover must
+// not judge the new probe's stage on a Guard's worth of packets.
+func TestReinitDropsLeftoverJudge(t *testing.T) {
+	h := newHarness(10e6, 200, false)
+	cfg := Config{Design: DropInBand, Kind: Simple, Eps: 0, ProbeDur: sim.Second}
+	var results []Result
+	sink := &probeSink{pool: &h.pool}
+	route := []netsim.Receiver{h.link, sink}
+	done := func(r Result) { results = append(results, r) }
+	p := NewProber(h.s, cfg, 0, 256e3, 125, route, &h.pool, done)
+	sink.p = p
+	p.Start(0)
+	h.s.Run(sim.Second + 50*sim.Millisecond) // stage over, judge due at 1.2 s
+	p.OnProbeArrival(h.s.Now(), &netsim.Packet{Stage: 0, Seq: 1 << 20})
+	if len(results) != 1 || results[0].Accepted {
+		t.Fatalf("sequence gap did not reject: %+v", results)
+	}
+	if pending := h.s.Len(); pending != 1 {
+		t.Fatalf("%d events pending after the reject, want the one leftover judge", pending)
+	}
+	p.Reinit(cfg, 0, 256e3, 125, route, done)
+	if h.s.Len() != 0 {
+		t.Fatal("Reinit left the previous attempt's judge queued")
+	}
+	p.Start(h.s.Now())
+	h.s.Run(10 * sim.Second)
+	if len(results) != 2 || !results[1].Accepted || results[1].Elapsed != cfg.ProbeDur+200*sim.Millisecond {
+		t.Fatalf("second probe on an idle link: %+v", results)
+	}
+}

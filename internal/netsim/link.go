@@ -133,8 +133,8 @@ func NewLink(s *sim.Sim, name string, rateBps float64, delay sim.Time, q Discipl
 	}
 	l := &Link{Name: name, RateBps: rateBps, Delay: delay, Q: q, s: s,
 		nsPerBit: float64(sim.Second) / rateBps}
-	l.txDone = sim.NewEvent(l.onTxDone)
-	l.pipeEv = sim.NewEvent(l.onDeliver)
+	l.txDone = sim.NewStreamEvent(l.onTxDone)
+	l.pipeEv = sim.NewStreamEvent(l.onDeliver)
 	return l
 }
 

@@ -8,13 +8,15 @@ import (
 	"time"
 
 	"eac/internal/cache"
+	"eac/internal/sim"
 )
 
 // ManifestSchema versions the manifest layout for downstream tooling.
 // v2 adds shard-awareness: `shards` (the resolved shard count) and
 // `shard_executed` (per-shard executed-event counts keyed by seed), plus
 // the cache snapshot's `bypassed` note. v1 manifests remain readable —
-// the new fields are additive and omitted when empty.
+// the new fields are additive and omitted when empty, as is `queue` (the
+// event-queue ledger per seed and shard), added without a version bump.
 const ManifestSchema = "eac/obs/manifest/v2"
 
 // Manifest is the per-invocation run record written next to result CSVs,
@@ -35,6 +37,10 @@ type Manifest struct {
 	// ShardExecuted records per-shard executed-event counts of sharded
 	// runs, keyed by "s<seed>"; the slice is indexed by shard.
 	ShardExecuted map[string][]uint64 `json:"shard_executed,omitempty"`
+	// Queue records each run's event-queue ledger (sim.Counters: executed
+	// events, schedules per tier, lane appends, high-water marks), keyed
+	// by "s<seed>" and indexed by shard (one entry for a serial run).
+	Queue map[string][]sim.Counters `json:"queue,omitempty"`
 	// Seeds lists every seed simulated.
 	Seeds []uint64 `json:"seeds,omitempty"`
 	// WallSeconds is the invocation's wall-clock duration.

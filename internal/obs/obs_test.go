@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,6 +237,7 @@ func TestManifestV2ShardFields(t *testing.T) {
 	m := NewManifest()
 	m.Shards = 2
 	m.ShardExecuted = map[string][]uint64{"s1": {100, 200}}
+	m.Queue = map[string][]sim.Counters{"s1": {{Executed: 100, StreamSchedules: 90}, {Executed: 200}}}
 	m.Cache = &cache.Snapshot{Dir: "/c", Bypassed: "obs active"}
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := m.Write(path); err != nil {
@@ -248,6 +250,8 @@ func TestManifestV2ShardFields(t *testing.T) {
 	for _, want := range []string{
 		`"shards": 2`,
 		`"shard_executed"`,
+		`"queue"`,
+		`"stream_schedules": 90`,
 		`"bypassed": "obs active"`,
 	} {
 		if !strings.Contains(string(b), want) {
@@ -258,7 +262,8 @@ func TestManifestV2ShardFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards != 2 || got.ShardExecuted["s1"][1] != 200 || got.Cache.Bypassed != "obs active" {
+	if got.Shards != 2 || got.ShardExecuted["s1"][1] != 200 || got.Cache.Bypassed != "obs active" ||
+		!reflect.DeepEqual(got.Queue, m.Queue) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	// Serial manifests omit the shard fields entirely (v1 compatibility).
@@ -267,8 +272,8 @@ func TestManifestV2ShardFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b, _ = os.ReadFile(path); strings.Contains(string(b), "shard") ||
-		strings.Contains(string(b), "bypassed") {
-		t.Fatalf("serial manifest leaked shard/bypass fields:\n%s", b)
+		strings.Contains(string(b), "bypassed") || strings.Contains(string(b), "queue") {
+		t.Fatalf("serial manifest leaked shard/bypass/queue fields:\n%s", b)
 	}
 }
 

@@ -280,6 +280,15 @@ func TestRunSeedsObservedRecords(t *testing.T) {
 		if r.ShardExecuted[0] == 0 || r.ShardExecuted[1] == 0 {
 			t.Fatalf("record %d executed = %v, want nonzero per shard", i, r.ShardExecuted)
 		}
+		for k, q := range r.Queue {
+			if q.Executed != r.ShardExecuted[k] || q.StreamSchedules == 0 || q.StreamSchedules > q.HeapSchedules ||
+				q.StreamHighWater == 0 || q.StreamHighWater > q.HeapHighWater {
+				t.Fatalf("record %d shard %d queue ledger = %+v, executed %d", i, k, q, r.ShardExecuted[k])
+			}
+		}
+		if len(r.Queue) != 2 {
+			t.Fatalf("record %d: %d queue ledgers, want one per shard", i, len(r.Queue))
+		}
 	}
 	mm2, recs2, err := RunSeedsObserved(cfg, seeds, 2)
 	if err != nil {
@@ -295,7 +304,8 @@ func TestRunSeedsObservedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srecs) != 1 || srecs[0].Shards > 1 || len(srecs[0].ShardExecuted) != 1 || srecs[0].ShardExecuted[0] == 0 {
+	if len(srecs) != 1 || srecs[0].Shards > 1 || len(srecs[0].ShardExecuted) != 1 || srecs[0].ShardExecuted[0] == 0 ||
+		len(srecs[0].Queue) != 1 || srecs[0].Queue[0].Executed != srecs[0].ShardExecuted[0] {
 		t.Fatalf("serial record = %+v", srecs[0])
 	}
 }

@@ -345,6 +345,9 @@ type RunRecord struct {
 	// shard (one entry at K = 1). Nil for cached results —
 	// the events were executed in some earlier process.
 	ShardExecuted []uint64
+	// Queue holds each domain's event-queue ledger, indexed like
+	// ShardExecuted and likewise nil for cached results.
+	Queue []sim.Counters
 	// Cached reports whether the result came from the result cache.
 	Cached bool
 }

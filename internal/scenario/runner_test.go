@@ -463,6 +463,46 @@ func TestLaneShareBasicScenario(t *testing.T) {
 	}
 }
 
+// TestTimerTierIsColdAtMetroScale is the count-based guard on the two-tier
+// event queue: at MetroStar scale nearly every queue insert is a link's
+// txDone/delivery or a lane head, and those must reach the stream tier — a
+// constructor that forgets InitStream shows here as a share, with no clock
+// involved — while that tier stays a few slots per link. The hybrid run
+// carries its data as fluid, so there the probers' own timers are a large
+// part of what is left; they go through lanes.
+func TestTimerTierIsColdAtMetroScale(t *testing.T) {
+	cfg := MetroStar(MetroStarOptions{Hosts: 2000})
+	cfg.Method = EAC
+	cfg.AC = admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.01,
+		ProbeDur: 400 * sim.Millisecond, StageDur: 80 * sim.Millisecond, Guard: 16 * sim.Millisecond}
+	cfg.InterArrival /= 20
+	cfg.PrepopulateUtil *= 1.1
+	cfg.Warmup, cfg.Drain, cfg.Seed = sim.Second, 50*sim.Millisecond, 1
+	for _, hybrid := range []bool{false, true} {
+		cfg.Hybrid.Enabled = hybrid
+		cfg.Duration = 2 * sim.Second
+		if hybrid { // two orders of magnitude fewer events per simulated second
+			cfg.Duration = 8 * sim.Second
+		}
+		_, rec, err := NewWorkspace().RunRecorded(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Queue[0]
+		share := float64(c.StreamSchedules) / float64(c.HeapSchedules)
+		t.Logf("hybrid=%v: %d events, %d schedules, %.1f %% on the stream tier (high-water %d of %d), %d lane appends",
+			hybrid, c.Executed, c.HeapSchedules, 100*share, c.StreamHighWater, c.HeapHighWater, c.LaneAppends)
+		if c.Executed < 100000 || share < 0.9 {
+			t.Errorf("hybrid=%v: %d of %d schedules reached the stream tier (%.1f %%, want >= 90 %%), %d events",
+				hybrid, c.StreamSchedules, c.HeapSchedules, 100*share, c.Executed)
+		}
+		if limit := 2*len(cfg.Links) + 64; c.StreamHighWater > limit {
+			t.Errorf("hybrid=%v: stream tier held %d entries, want <= 2 per link + one per lane = %d",
+				hybrid, c.StreamHighWater, limit)
+		}
+	}
+}
+
 // TestRunLeavesCallerSlicesAlone pins that defaults are filled into copies:
 // the Classes and Links backing arrays a caller passes in (and may share
 // between the concurrent runs of RunSeedsParallel) read the same after Run

@@ -54,6 +54,9 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	}
 	m = ws.r.Run()
 	rec.ShardExecuted = ws.r.ex.Executed()
+	for _, d := range ws.r.doms {
+		rec.Queue = append(rec.Queue, d.s.Counters())
+	}
 	if _, err := ws.r.FlushObs(); err != nil {
 		return m, rec, err
 	}

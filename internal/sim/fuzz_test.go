@@ -80,15 +80,18 @@ type firing struct {
 	at sim.Time
 }
 
-// FuzzEventHeap drives the event queue — heap and monotone lanes — with
-// arbitrary interleavings of Schedule, ScheduleLane (at the lane's interval
-// and at arbitrary, mostly non-monotone times), Cancel (of heap-resident
-// lane heads and ring-resident followers alike), Reschedule within, across
-// and out of lanes, Reset and partial Run calls, with events that tick on
-// through their lane from inside their callbacks. Every step is mirrored on
-// refQueue; the dispatch logs, clocks, queue lengths and Peek results must
-// agree exactly, which is the claim that lanes leave the (when, seq) total
-// order untouched. The first input byte picks the lane ring capacity.
+// FuzzEventHeap drives the event queue — both tiers and the monotone lanes
+// — with arbitrary interleavings of Schedule, ScheduleLane (at the lane's
+// interval and at arbitrary, mostly non-monotone times), Cancel (of
+// tier-resident lane heads and ring-resident followers alike), Reschedule
+// within, across and out of lanes, Reset and partial Run calls, with events
+// that tick on through their lane from inside their callbacks. The
+// odd-numbered half of the events are stream events, so every operation
+// lands on either tier and on the two mixed. Every step is mirrored on
+// refQueue, which knows neither tiers nor lanes; the dispatch logs, clocks,
+// queue lengths and Peek results must agree exactly, which is the claim
+// that tiers and lanes leave the (when, seq) total order untouched. The
+// first input byte picks the lane ring capacity.
 //
 // Run with: go test ./internal/sim -fuzz FuzzEventHeap
 func FuzzEventHeap(f *testing.F) {
@@ -102,6 +105,11 @@ func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{1, 32, 6, 33, 7, 34, 6, 49, 7, 24, 9, 56, 0, 32, 6, 35, 7, 24, 40})
 	// Non-monotone lane requests and a plain Reschedule of a lane event.
 	f.Add([]byte{32, 6, 41, 2, 42, 200, 43, 4, 16, 1, 17, 90, 24, 100})
+	// testdata/fuzz/FuzzEventHeap holds the two-tier seeds: cancel the stream
+	// event that is its tier's root; Reschedule that root far into the
+	// future, past timers; Reset with both tiers and both lanes loaded; and a
+	// stream event that was a lane head at Reset (Forget clears the lane and
+	// keeps the flag, which the ledger check under "schedule" observes).
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nEvents = 8
 		period := [2]sim.Time{10, 25}
@@ -127,7 +135,11 @@ func FuzzEventHeap(f *testing.F) {
 		events := make([]*sim.Event, nEvents)
 		for i := 0; i < nEvents; i++ {
 			i := i
-			events[i] = sim.NewEvent(func(now sim.Time) {
+			newEvent := sim.NewEvent
+			if i%2 == 1 {
+				newEvent = sim.NewStreamEvent
+			}
+			events[i] = newEvent(func(now sim.Time) {
 				clock.Observe(now)
 				got = append(got, firing{i, now})
 				if ticks[i] > 0 {
@@ -157,8 +169,13 @@ func FuzzEventHeap(f *testing.F) {
 			case 0: // schedule (skip if pending: Schedule panics by contract)
 				if !e.Pending() {
 					setTicks(id, 0)
+					before := s.Counters().StreamSchedules
 					s.Schedule(e, s.Now()+arg)
 					ref.schedule(id, ref.now+arg)
+					// The flag decides the tier, and survives Reset + Forget.
+					if n := s.Counters().StreamSchedules - before; n != uint64(id%2) {
+						t.Fatalf("op %d: Schedule of event %d booked %d stream schedules", k/2, id, n)
+					}
 				}
 			case 1: // cancel
 				s.Cancel(e)

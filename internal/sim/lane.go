@@ -3,41 +3,41 @@ package sim
 // Lane names a monotone lane of a Sim: a FIFO ring of ordinary
 // (when, seq, *Event) entries whose times are non-decreasing in scheduling
 // order, which "now + d" for a fixed d always is. Only a lane's head
-// occupies a heap slot; a tick rescheduled through its lane is a ring
-// append instead of a sift to the bottom of the heap, and the follower is
-// promoted when the head is dispatched or cancelled.
+// occupies a queue slot, in the stream tier; a tick rescheduled through its
+// lane is a ring append instead of a sift to the bottom of a heap, and the
+// follower is promoted when the head is dispatched or cancelled.
 //
 // Lanes cannot change the dispatch order, for three reasons. Every entry,
-// ring or heap, draws its seq from the one global counter, so (when, seq)
+// ring or tier, draws its seq from the one global counter, so (when, seq)
 // is the same total order as without lanes. A ring is sorted by that key
 // (when non-decreasing by ScheduleLane's check, seq increasing by
-// construction) and its head sits in the heap under its own key, so the
-// heap's minimum is the global minimum. And a ScheduleLane whose time would break the
-// ring's order is not an error: it goes to the heap as a plain Schedule.
-// The interval a lane was asked for is thus only a hint that makes appends
-// likely to succeed; no result depends on it.
+// construction) and its head sits in the stream tier under its own key, so
+// the smaller of the two tier roots is the global minimum. And a
+// ScheduleLane whose time would break the ring's order is not an error: it
+// is queued as a plain Schedule. The interval a lane was asked for is thus
+// only a hint that makes appends likely to succeed; no result depends on it.
 //
 // The zero Lane is "no lane": ScheduleLane with it is Schedule.
 type Lane uint8
 
 // maxLanes bounds the lane table. A run uses one lane per distinct source
 // or probe-stage interval — a handful; requests beyond the table get the
-// zero Lane and fall through to the heap.
+// zero Lane and fall through to Schedule.
 const maxLanes = 64
 
 // LaneInitCap is a lane ring's initial capacity, rounded up to a power of
 // two. Like HeapInitCap it exists for the byte-identity tests.
 var LaneInitCap = 64
 
-// lane is one ring plus the state of its heap-resident head. Invariant:
+// lane is one ring plus the state of its tier-resident head. Invariant:
 // the ring holds entries only while head is set — whenever the head leaves
-// the heap the next live ring entry replaces it at once.
+// the stream tier the next live ring entry replaces it at once.
 type lane struct {
 	buf     []entry // power-of-two ring
 	first   int
 	n       int
 	dead    int    // tombstones in the ring (Cancel of a ring-resident event)
-	head    bool   // an entry of this lane occupies a heap slot
+	head    bool   // an entry of this lane occupies a stream-tier slot
 	headSeq uint64 // that entry's seq
 	tail    Time   // time of the newest entry; appends must not precede it
 }
@@ -95,8 +95,9 @@ func (s *Sim) Lane(d Time) Lane {
 
 // ScheduleLane is Schedule for a periodic tick: when at keeps ln's ring in
 // order (always, for now + the lane's interval) the entry is appended there
-// and no heap work happens; otherwise it is scheduled on the heap. Either
-// way e fires exactly when and in the order Schedule would have fired it.
+// and no heap work happens; otherwise it is scheduled like any event (as
+// the lane's head, in the stream tier, when the lane was idle). Either way e
+// fires exactly when and in the order Schedule would have fired it.
 func (s *Sim) ScheduleLane(ln Lane, e *Event, at Time) {
 	if ln == 0 || int(ln) > s.nLanes {
 		s.Schedule(e, at)
@@ -104,8 +105,8 @@ func (s *Sim) ScheduleLane(ln Lane, e *Event, at Time) {
 	}
 	l := &s.lanes[ln-1]
 	if !l.head || at < l.tail {
-		s.Schedule(e, at)
-		if !l.head { // idle lane: e becomes its heap-resident head
+		s.schedule(e, at, !l.head || e.stream)
+		if !l.head { // idle lane: e becomes its tier-resident head
 			e.lane = ln
 			l.head, l.headSeq, l.tail = true, e.seq, at
 		}
@@ -128,7 +129,7 @@ func (s *Sim) ScheduleLane(ln Lane, e *Event, at Time) {
 
 // promote replaces a lane's departed head with the next live ring entry, if
 // there is one, scrubbing ring tombstones on the way. The entry takes the
-// root when the dispatch loop left a hole there.
+// stream tier's root when the dispatch loop left a hole there.
 func (s *Sim) promote(l *lane) {
 	for l.n > 0 {
 		ent := l.pop()
@@ -139,15 +140,15 @@ func (s *Sim) promote(l *lane) {
 		}
 		l.headSeq = ent.seq
 		s.ctr.Promotions++
-		s.push(ent)
+		s.stream.push(ent)
 		return
 	}
 	l.head = false
 }
 
 // cancelLane detaches a just-cancelled event from its lane. A ring-resident
-// entry becomes a ring tombstone; the heap-resident head becomes an
-// ordinary heap tombstone and its follower is promoted.
+// entry becomes a ring tombstone; the tier-resident head becomes an
+// ordinary tombstone and its follower is promoted.
 func (s *Sim) cancelLane(e *Event) {
 	l := &s.lanes[e.lane-1]
 	e.lane = 0

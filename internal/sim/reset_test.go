@@ -58,8 +58,8 @@ func TestResetReplayIdentical(t *testing.T) {
 	}
 }
 
-// TestResetRetainsHeapCapacity checks Reset keeps the grown backing array
-// (the point of reusing the simulator between grid cells).
+// TestResetRetainsHeapCapacity checks Reset keeps both tiers' grown backing
+// arrays (the point of reusing the simulator between grid cells).
 func TestResetRetainsHeapCapacity(t *testing.T) {
 	old := HeapInitCap
 	HeapInitCap = 1
@@ -67,41 +67,48 @@ func TestResetRetainsHeapCapacity(t *testing.T) {
 	s := New()
 	for i := 0; i < 1000; i++ {
 		s.Schedule(NewEvent(func(Time) {}), Time(i))
+		s.Schedule(NewStreamEvent(func(Time) {}), Time(i))
 	}
-	grown := cap(s.heap)
-	if grown < 1000 {
-		t.Fatalf("heap did not grow: cap %d", grown)
-	}
-	s.Reset()
-	if cap(s.heap) != grown {
-		t.Fatalf("Reset dropped the heap slab: cap %d, want %d", cap(s.heap), grown)
-	}
-	// No stale Event pointers survive (collectability).
-	full := s.heap[:cap(s.heap)]
-	for i, ent := range full {
-		if ent.e != nil {
-			t.Fatalf("heap slot %d retains an event pointer after Reset", i)
+	for name, q := range map[string]*pq{"timer": &s.timer, "stream": &s.stream} {
+		grown := cap(q.h)
+		if grown < 1000 {
+			t.Fatalf("%s tier did not grow: cap %d", name, grown)
+		}
+		s.Reset()
+		if cap(q.h) != grown || len(q.h) != 0 || q.hole || q.high != 0 {
+			t.Fatalf("Reset left the %s tier at cap %d (want %d), len %d, hole %v, high %d",
+				name, cap(q.h), grown, len(q.h), q.hole, q.high)
+		}
+		// No stale Event pointers survive (collectability).
+		for i, ent := range q.h[:cap(q.h)] {
+			if ent.e != nil {
+				t.Fatalf("%s slot %d retains an event pointer after Reset", name, i)
+			}
 		}
 	}
 }
 
 // TestForgetAllowsRescheduleAfterReset covers the documented Forget use:
-// an event pending at Reset time is reusable after Forget.
+// an event pending at Reset time is reusable after Forget — and still a
+// stream event if it was one, the flag being its owner's, not the run's.
 func TestForgetAllowsRescheduleAfterReset(t *testing.T) {
-	s := New()
-	fired := 0
-	e := NewEvent(func(Time) { fired++ })
-	s.Schedule(e, 50)
-	s.Run(10) // e still pending
-	s.Reset()
-	if !e.Pending() {
-		t.Fatal("test setup: event should report stale pending")
-	}
-	e.Forget()
-	s.Schedule(e, 5)
-	s.Run(10)
-	if fired != 1 {
-		t.Fatalf("fired %d times, want 1", fired)
+	for _, newEvent := range []func(func(Time)) *Event{NewEvent, NewStreamEvent} {
+		s := New()
+		fired := 0
+		e := newEvent(func(Time) { fired++ })
+		stream := e.stream
+		s.Schedule(e, 50)
+		s.Run(10) // e still pending
+		s.Reset()
+		if !e.Pending() {
+			t.Fatal("test setup: event should report stale pending")
+		}
+		e.Forget()
+		s.Schedule(e, 5)
+		s.Run(10)
+		if fired != 1 || e.stream != stream {
+			t.Fatalf("fired %d times, want 1; stream flag %v, was %v", fired, e.stream, stream)
+		}
 	}
 }
 

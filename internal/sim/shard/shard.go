@@ -117,7 +117,7 @@ func NewExec[P any](k int, window sim.Time) *Exec[P] {
 	x := &Exec[P]{Window: window, shards: make([]*Shard[P], k)}
 	for i := range x.shards {
 		sh := &Shard[P]{Sim: sim.New(), idx: i, outs: make([][]Msg[P], k)}
-		sh.inboxEv = sim.NewEvent(sh.deliverDue)
+		sh.inboxEv = sim.NewStreamEvent(sh.deliverDue)
 		x.shards[i] = sh
 	}
 	return x

@@ -6,24 +6,34 @@
 // reschedule them, so steady-state simulation performs no per-event heap
 // allocation.
 //
-// The pending-event queue is a 4-ary heap of by-value entries with lazy
-// deletion: each slot carries the (when, seq) ordering key next to the
-// event pointer, so sift operations move 24-byte entries within one
-// contiguous array and never touch an Event (no pointer-chasing cache
-// misses on the hot path), and the four children of a node share one or
-// two cache lines. Cancel and Reschedule do no heap surgery at all: they
-// bump the event's live sequence number, turning the old slot into a
-// tombstone that is discarded when it surfaces at the root. A tombstone
-// scheduled for time T is gone by the time the clock passes T, so stale
-// entries never accumulate beyond the event horizon. The (when, seq) key
-// is a total order, so any correct priority queue dispatches the exact
-// same sequence; heap geometry can never affect simulation results
-// (pinned by the byte-identity tests).
+// The pending-event queue is two instances of one 4-ary heap (pq) of
+// by-value entries with lazy deletion: each slot carries the (when, seq)
+// ordering key next to the event pointer, so sift operations move 24-byte
+// entries within one contiguous array and never touch an Event (no
+// pointer-chasing cache misses on the hot path), and the four children of a
+// node share one or two cache lines. Cancel and Reschedule do no heap
+// surgery at all: they bump the event's live sequence number, turning the
+// old slot into a tombstone that is discarded when it surfaces at a root. A
+// tombstone scheduled for time T is gone by the time the clock passes T, so
+// stale entries never accumulate beyond the event horizon.
 //
-// Periodic ticks — a third of all events on the paper's scenarios — are the
+// The timer tier holds ordinary events: OFF periods, flow lifetimes, probe
+// deadlines — 10^4 to 10^5 of them at MetroStar scale, mostly far in the
+// future. The stream tier holds only heads of monotone streams: an event
+// its owner built with InitStream/NewStreamEvent because each firing
+// schedules its own near-future successor (a link's txDone and pipe
+// delivery, a CBR tick), and the head of every Lane. It stays at a few
+// entries per link, so the events that make up nine tenths of a run sift
+// through two or three cache-resident levels and never move a timer.
+// Dispatch takes the smaller of the two roots. The (when, seq) key is a
+// total order over both tiers, so the tier an event sits in — like heap
+// geometry — can never affect simulation results (pinned by the
+// byte-identity tests and TestStreamHintIsOnlyAHint).
+//
+// Periodic ticks — a third of all events on the paper's scenarios — are a
 // heap's worst case: each is rescheduled at now + constant and sinks below
 // every other source's tick. They go through monotone lanes instead (see
-// Lane): FIFO rings whose head alone occupies a heap slot.
+// Lane): FIFO rings whose head alone occupies a stream-tier slot.
 package sim
 
 import (
@@ -59,11 +69,14 @@ type Event struct {
 	when    Time
 	seq     uint64 // seq of the live entry; FIFO tie-break at equal times
 	pending bool
-	// lane is the Lane holding the live entry (0 = the heap proper). A
-	// uint8 in the padding after pending keeps Event at 32 bytes; a
+	// lane is the Lane holding the live entry (0 = none). It and stream are
+	// bytes in the padding after pending, which keeps Event at 32 bytes; a
 	// pointer would push it into the 48-byte size class, which alone cost
 	// 7 % peak RSS on a figure-2 grid cell (TestEventSize pins this).
 	lane Lane
+	// stream marks a stream head: Schedule puts it in the stream tier. Set
+	// at construction and never cleared; a hint only (see the package doc).
+	stream bool
 }
 
 // NewEvent returns an event that invokes fn when it fires.
@@ -74,6 +87,14 @@ func NewEvent(fn func(now Time)) *Event {
 // Init sets the callback of an event embedded by value in its owner, in
 // place of a NewEvent allocation. Call it once, before the first Schedule.
 func (e *Event) Init(fn func(now Time)) { e.fn = fn }
+
+// NewStreamEvent and InitStream are NewEvent and Init for a stream head: an
+// event whose firing schedules its own near-future successor, so that it is
+// always among the next few to fire. It is queued in the small stream tier.
+func NewStreamEvent(fn func(now Time)) *Event { return &Event{fn: fn, stream: true} }
+
+// InitStream is Init for a stream head (see NewStreamEvent).
+func (e *Event) InitStream(fn func(now Time)) { e.fn, e.stream = fn, true }
 
 // Pending reports whether the event is currently scheduled.
 func (e *Event) Pending() bool { return e.pending }
@@ -86,7 +107,7 @@ func (e *Event) Pending() bool { return e.pending }
 // rescheduling them. Calling it on an event whose Sim was NOT reset
 // desynchronizes the heap's live-entry accounting; use Cancel there. The
 // lane id goes too: after Reset it would name whatever lane took that slot
-// in the next run.
+// in the next run. The stream flag, a property of the owner, stays.
 func (e *Event) Forget() { e.pending, e.lane = false, 0 }
 
 // When returns the time the event is scheduled for. Only meaningful while
@@ -129,10 +150,10 @@ var HeapInitCap = 1024
 type Sim struct {
 	now    Time
 	seq    uint64
-	heap   []entry
-	nLive  int  // scheduled (non-tombstone) entries, heap and lane rings
-	nDead  int  // tombstones still buried in the heap
-	hole   bool // heap[0] is a consumed entry awaiting removal or reuse
+	timer  pq  // ordinary events
+	stream pq  // heads of monotone streams: stream events and lane heads
+	nLive  int // scheduled (non-tombstone) entries, both tiers and lane rings
+	nDead  int // tombstones still buried in the two tiers
 	halted bool
 	ctr    Counters
 
@@ -145,20 +166,29 @@ type Sim struct {
 // current run (Reset zeroes it): plain integer increments on paths that
 // already write the Sim.
 type Counters struct {
-	Executed      uint64 // events dispatched
-	HeapSchedules uint64 // Schedule/ScheduleLane calls that inserted into the heap
-	LaneAppends   uint64 // ScheduleLane calls absorbed by a lane ring
-	Promotions    uint64 // lane followers moved into the heap
-	Scrubbed      uint64 // tombstones discarded, heap and rings
-	HeapHighWater int    // most heap slots ever occupied at once
+	Executed        uint64 `json:"executed"`          // events dispatched
+	HeapSchedules   uint64 `json:"heap_schedules"`    // Schedule/ScheduleLane calls that inserted into a tier
+	StreamSchedules uint64 `json:"stream_schedules"`  // those of them that went to the stream tier
+	LaneAppends     uint64 `json:"lane_appends"`      // ScheduleLane calls absorbed by a lane ring
+	Promotions      uint64 `json:"promotions"`        // lane followers moved into the stream tier
+	Scrubbed        uint64 `json:"scrubbed"`          // tombstones discarded, tiers and rings
+	HeapHighWater   int    `json:"heap_high_water"`   // the two tiers' high-water marks, summed
+	StreamHighWater int    `json:"stream_high_water"` // most stream-tier slots ever occupied at once
 }
 
 // Counters returns the run's ledger so far.
-func (s *Sim) Counters() Counters { return s.ctr }
+func (s *Sim) Counters() Counters {
+	c := s.ctr
+	c.HeapHighWater, c.StreamHighWater = s.timer.high+s.stream.high, s.stream.high
+	return c
+}
 
 // New returns an empty simulator at time zero.
 func New() *Sim {
-	return &Sim{heap: make([]entry, 0, HeapInitCap)}
+	return &Sim{
+		timer:  pq{h: make([]entry, 0, HeapInitCap)},
+		stream: pq{h: make([]entry, 0, min(HeapInitCap, maxLanes))},
+	}
 }
 
 // Now returns the current simulation time.
@@ -174,14 +204,14 @@ func (s *Sim) Now() Time { return s.now }
 // notified: their slots vanish with the heap, and an owner that reuses
 // such an event across Reset must call Event.Forget before rescheduling it.
 func (s *Sim) Reset() {
-	clear(s.heap) // drop Event pointers so dead runs are collectable
-	s.heap = s.heap[:0]
+	s.timer.reset()
+	s.stream.reset()
 	for i := range s.lanes[:s.nLanes] {
 		s.lanes[i].reset()
 	}
 	s.nLanes = 0
 	s.now, s.seq, s.nLive, s.nDead = 0, 0, 0, 0
-	s.hole, s.halted = false, false
+	s.halted = false
 	s.ctr = Counters{}
 }
 
@@ -190,7 +220,10 @@ func (s *Sim) Executed() uint64 { return s.ctr.Executed }
 
 // Schedule arranges for e to fire at absolute time at. It panics if e is
 // already pending (use Reschedule) or if at precedes the current time.
-func (s *Sim) Schedule(e *Event, at Time) {
+func (s *Sim) Schedule(e *Event, at Time) { s.schedule(e, at, e.stream) }
+
+// schedule is Schedule into the named tier.
+func (s *Sim) schedule(e *Event, at Time, stream bool) {
 	if e.pending {
 		panic("sim: Schedule of pending event")
 	}
@@ -203,31 +236,13 @@ func (s *Sim) Schedule(e *Event, at Time) {
 	s.seq++
 	s.nLive++
 	s.ctr.HeapSchedules++
-	s.push(entry{when: at, seq: e.seq, e: e})
-}
-
-// push inserts an entry into the heap.
-func (s *Sim) push(ent entry) {
-	if s.hole {
-		// The dispatch loop left the just-consumed root in place. Nearly
-		// every event in this workload reschedules a near-future successor
-		// (txDone, pipe delivery, a lane's follower) from inside its own
-		// callback, so instead of paying a full leaf-sink pop plus a push,
-		// reuse the root slot: one replace-root siftDown that terminates
-		// almost immediately for near-minimum times, and never touches the
-		// heap's tail. Heap arrangement cannot affect dispatch order — the
-		// (when, seq) key is a total order — so this is behaviour-neutral.
-		s.hole = false
-		s.heap[0] = ent
-		s.siftDown(0)
-		return
+	ent := entry{when: at, seq: e.seq, e: e}
+	if stream {
+		s.ctr.StreamSchedules++
+		s.stream.push(ent)
+	} else {
+		s.timer.push(ent)
 	}
-	i := len(s.heap)
-	s.heap = append(s.heap, ent)
-	if i >= s.ctr.HeapHighWater {
-		s.ctr.HeapHighWater = i + 1
-	}
-	s.siftUp(i)
 }
 
 // ScheduleIn schedules e to fire after delay d.
@@ -275,15 +290,25 @@ func (s *Sim) Halt() { s.halted = true }
 // work per timestamp (or deciding whether a Run call would do anything)
 // use it to avoid a dispatch round trip.
 func (s *Sim) Peek() (when Time, ok bool) {
-	if s.hole {
-		s.hole = false
-		s.popRoot()
-	}
+	s.timer.fill()
+	s.stream.fill()
 	s.scrub()
-	if len(s.heap) == 0 {
+	q := s.next()
+	if len(q.h) == 0 {
 		return 0, false
 	}
-	return s.heap[0].when, true
+	return q.h[0].when, true
+}
+
+// next returns the tier whose root is the earliest pending event: an empty
+// tier when nothing is pending. The caller has scrubbed, and neither tier
+// has an open hole.
+func (s *Sim) next() *pq {
+	q := &s.timer
+	if st := s.stream.h; len(st) > 0 && (len(q.h) == 0 || st[0].before(q.h[0])) {
+		q = &s.stream
+	}
+	return q
 }
 
 // Run executes events in timestamp order until the queue is empty or the
@@ -310,39 +335,38 @@ func (s *Sim) run(until Time) (beyond bool) {
 	s.halted = false
 	for !s.halted {
 		s.scrub()
-		if len(s.heap) == 0 {
+		q := s.next()
+		if len(q.h) == 0 {
 			break
 		}
-		when := s.heap[0].when
+		when := q.h[0].when
 		if when > until {
 			return true
 		}
 		s.now = when
 		for {
-			e := s.heap[0].e // live: scrub ran
+			e := q.h[0].e // live: scrub ran
 			e.pending = false
 			s.nLive--
 			s.ctr.Executed++
-			// Leave the consumed root in place as a hole: if the callback
-			// schedules (the overwhelmingly common case), push reuses the
-			// slot with one replace-root sift instead of a full leaf-sink
-			// pop plus a push. A lane head's follower takes it right away.
-			s.hole = true
+			// Leave the consumed root in place as its tier's hole: if the
+			// callback schedules into that tier (a stream head's successor,
+			// overwhelmingly), push reuses the slot with one replace-root
+			// sift instead of a full leaf-sink pop plus a push. A lane head's
+			// follower takes it right away.
+			q.hole = true
 			if e.lane != 0 {
 				l := &s.lanes[e.lane-1]
 				e.lane = 0
 				s.promote(l)
 			}
 			e.fn(when)
-			if s.hole {
-				s.hole = false
-				s.popRoot()
-			}
+			q.fill()
 			if s.halted {
 				break
 			}
 			s.scrub()
-			if len(s.heap) == 0 || s.heap[0].when != when {
+			if q = s.next(); len(q.h) == 0 || q.h[0].when != when {
 				break
 			}
 		}
@@ -353,8 +377,8 @@ func (s *Sim) run(until Time) (beyond bool) {
 // Len returns the number of pending events.
 func (s *Sim) Len() int { return s.nLive }
 
-// scrub discards tombstones from the root so that heap[0], if the heap is
-// non-empty, is the earliest live event. This is the only place lazy
+// scrub discards tombstones from the two roots so that each, if its tier is
+// non-empty, is that tier's earliest live event. This is the only place lazy
 // deletion pays its debt, and each tombstone is paid for exactly once.
 // While no tombstones are buried (nDead == 0, the common case — Cancel is
 // control-plane, not per-packet), the dispatch loop pays a single integer
@@ -367,48 +391,97 @@ func (s *Sim) scrub() {
 }
 
 func (s *Sim) scrubSlow() {
-	for s.nDead > 0 && len(s.heap) > 0 && !s.heap[0].live() {
-		s.popRoot()
-		s.nDead--
-		s.ctr.Scrubbed++
+	for _, q := range [...]*pq{&s.timer, &s.stream} {
+		for s.nDead > 0 && len(q.h) > 0 && !q.h[0].live() {
+			q.popRoot()
+			s.nDead--
+			s.ctr.Scrubbed++
+		}
+	}
+}
+
+// pq is one tier of the event queue: a 4-ary min-heap of entries under
+// entry.before.
+type pq struct {
+	h    []entry
+	hole bool // h[0] is a consumed entry awaiting removal or reuse
+	high int  // most slots ever occupied at once
+}
+
+// reset empties the tier, keeping its capacity.
+func (q *pq) reset() {
+	clear(q.h) // drop Event pointers so dead runs are collectable
+	*q = pq{h: q.h[:0]}
+}
+
+// push inserts an entry.
+func (q *pq) push(ent entry) {
+	if q.hole {
+		// The dispatch loop left the just-consumed root in place. Nearly
+		// every stream event reschedules a near-future successor (txDone,
+		// pipe delivery, a lane's follower) from inside its own callback, so
+		// instead of paying a full leaf-sink pop plus a push, reuse the root
+		// slot: one replace-root siftDown that terminates almost immediately
+		// for near-minimum times, and never touches the heap's tail. Heap
+		// arrangement cannot affect dispatch order — the (when, seq) key is
+		// a total order — so this is behaviour-neutral.
+		q.hole = false
+		q.h[0] = ent
+		q.siftDown(0)
+		return
+	}
+	i := len(q.h)
+	q.h = append(q.h, ent)
+	if i >= q.high {
+		q.high = i + 1
+	}
+	q.siftUp(i)
+}
+
+// fill closes the hole the dispatch loop left, if nothing reused it.
+func (q *pq) fill() {
+	if q.hole {
+		q.hole = false
+		q.popRoot()
 	}
 }
 
 // popRoot removes the root entry: move the last entry into the hole and
 // sift it down. No Event field is touched — the caller accounts for
 // liveness.
-func (s *Sim) popRoot() {
-	n := len(s.heap) - 1
-	last := s.heap[n]
-	s.heap[n] = entry{}
-	s.heap = s.heap[:n]
+func (q *pq) popRoot() {
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = entry{}
+	q.h = q.h[:n]
 	if n > 0 {
-		s.heap[0] = last
-		s.siftDown(0)
+		q.h[0] = last
+		q.siftDown(0)
 	}
 }
 
 // siftUp moves the entry at index i toward the root. The moving entry is
 // held aside and written once at its final slot (hole sift): one 24-byte
 // entry copy per level, no Event access.
-func (s *Sim) siftUp(i int) {
-	ent := s.heap[i]
+func (q *pq) siftUp(i int) {
+	h := q.h
+	ent := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !ent.before(s.heap[parent]) {
+		if !ent.before(h[parent]) {
 			break
 		}
-		s.heap[i] = s.heap[parent]
+		h[i] = h[parent]
 		i = parent
 	}
-	s.heap[i] = ent
+	h[i] = ent
 }
 
 // siftDown moves the entry at index i toward the leaves. The four children
 // of a node are contiguous entries, so the min-child scan stays within one
 // or two cache lines; the full-node case is unrolled.
-func (s *Sim) siftDown(i int) {
-	h := s.heap
+func (q *pq) siftDown(i int) {
+	h := q.h
 	n := len(h)
 	ent := h[i]
 	for {

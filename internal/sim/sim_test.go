@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -271,5 +272,104 @@ func TestCancelDuringRun(t *testing.T) {
 	s.RunAll()
 	if fired {
 		t.Fatal("cancelled same-timestamp event fired")
+	}
+}
+
+// TestStreamHintIsOnlyAHint runs one random schedule/cancel/run program —
+// events that schedule themselves, each other and their lane from inside
+// their callbacks, so that consumed-root holes open and are reused in both
+// tiers — with no event, every event and every other event flagged as a
+// stream head. The tier an event waits in must not show: the firing log and
+// Len, Peek and the clock after every step are identical.
+func TestStreamHintIsOnlyAHint(t *testing.T) {
+	program := func(seed int64, stream func(i int) bool) (trace []int64, c Counters) {
+		const n = 16
+		s := New()
+		rng := rand.New(rand.NewSource(seed))
+		ln := s.Lane(7)
+		events := make([]Event, n)
+		for i := range events {
+			i, e := i, &events[i]
+			fn := func(now Time) {
+				trace = append(trace, int64(i), int64(now))
+				other := &events[rng.Intn(n)]
+				switch rng.Intn(5) {
+				case 0:
+					s.Schedule(e, now+Time(rng.Intn(20)))
+				case 1:
+					s.ScheduleLane(ln, e, now+7)
+				case 2:
+					s.Cancel(other)
+				case 3:
+					s.Reschedule(other, now+Time(rng.Intn(50)))
+				}
+			}
+			if stream(i) {
+				e.InitStream(fn)
+			} else {
+				e.Init(fn)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			e := &events[rng.Intn(n)]
+			switch at := s.Now() + Time(rng.Intn(100)); rng.Intn(5) {
+			case 0:
+				s.Reschedule(e, at)
+			case 1:
+				s.Reschedule(e, at+1000) // far future: sinks in either tier
+			case 2:
+				s.Cancel(e)
+			case 3:
+				if !e.Pending() {
+					s.ScheduleLane(ln, e, s.Now()+7)
+				}
+			case 4:
+				s.Run(s.Now() + Time(rng.Intn(30)))
+			}
+			when, ok := s.Peek()
+			if !ok {
+				when = -1
+			}
+			trace = append(trace, -1, int64(s.Len()), int64(when), int64(s.Now()))
+		}
+		s.Run(s.Now() + 5000)
+		return append(trace, -2, int64(s.Len()), int64(s.Now())), s.Counters()
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		plain, cp := program(seed, func(int) bool { return false })
+		all, ca := program(seed, func(int) bool { return true })
+		mixed, cm := program(seed, func(i int) bool { return i%2 == 1 })
+		if !reflect.DeepEqual(plain, all) || !reflect.DeepEqual(plain, mixed) {
+			t.Fatalf("seed %d: the stream flag changed the run (%d / %d / %d trace words)",
+				seed, len(plain), len(all), len(mixed))
+		}
+		// Not vacuous: the three runs did use the tiers differently.
+		if cp.Executed < 100 || ca.StreamSchedules != ca.HeapSchedules ||
+			cp.StreamSchedules >= cm.StreamSchedules || cm.StreamSchedules >= ca.StreamSchedules {
+			t.Fatalf("seed %d: stream schedules %d / %d / %d of %d, %d executed",
+				seed, cp.StreamSchedules, cm.StreamSchedules, ca.StreamSchedules, ca.HeapSchedules, cp.Executed)
+		}
+	}
+}
+
+// TestPeekInsideCallback: a callback's Peek must skip the event being
+// dispatched, whose consumed slot is still the root of its tier.
+func TestPeekInsideCallback(t *testing.T) {
+	s := New()
+	var got []Time
+	peek := func(Time) {
+		when, ok := s.Peek()
+		if !ok {
+			when = -1
+		}
+		got = append(got, when)
+	}
+	s.Schedule(NewStreamEvent(peek), 10)
+	s.Schedule(NewEvent(peek), 20)
+	s.Schedule(NewStreamEvent(peek), 30)
+	s.Schedule(NewEvent(peek), 40)
+	s.RunAll()
+	if want := []Time{20, 30, 40, -1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Peek inside callbacks = %v, want %v", got, want)
 	}
 }

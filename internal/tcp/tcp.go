@@ -296,7 +296,7 @@ func NewReceiver(s *sim.Sim, sender *Sender, pool *netsim.Pool) *Receiver {
 		delay: sender.cfg.AckDelay,
 		ooo:   make(map[int64]bool),
 	}
-	r.pipeEv = sim.NewEvent(r.deliverAcks)
+	r.pipeEv = sim.NewStreamEvent(r.deliverAcks)
 	return r
 }
 

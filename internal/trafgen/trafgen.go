@@ -40,7 +40,9 @@ func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
 	}
 	c := &CBR{s: s, pktSize: pktSize, emit: emit}
 	c.SetRate(rateBps)
-	c.ev.Init(c.tick)
+	// A stream head: Start fires the first tick at now and every later one
+	// goes through the lane, so the event never waits among the timers.
+	c.ev.InitStream(c.tick)
 	return c
 }
 
