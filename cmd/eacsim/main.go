@@ -28,18 +28,16 @@ import (
 	"eac/internal/trafgen"
 )
 
+// designNames is the -design vocabulary.
+var designNames = map[string]admission.Design{
+	"drop-in": admission.DropInBand, "drop-out": admission.DropOutOfBand,
+	"mark-in": admission.MarkInBand, "mark-out": admission.MarkOutOfBand,
+	"vdrop-out": admission.VDropOutOfBand,
+}
+
 func parseDesign(s string) (admission.Design, error) {
-	switch s {
-	case "drop-in":
-		return admission.DropInBand, nil
-	case "drop-out":
-		return admission.DropOutOfBand, nil
-	case "mark-in":
-		return admission.MarkInBand, nil
-	case "mark-out":
-		return admission.MarkOutOfBand, nil
-	case "vdrop-out":
-		return admission.VDropOutOfBand, nil
+	if d, ok := designNames[s]; ok {
+		return d, nil
 	}
 	return admission.Design{}, fmt.Errorf("unknown design %q (drop-in, drop-out, mark-in, mark-out, vdrop-out)", s)
 }
@@ -125,6 +123,7 @@ func main() {
 	}
 
 	var cfg scenario.Config
+	var metro *scenario.MetroStarOptions // nil on the basic topology
 	switch *topology {
 	case "basic":
 		preset, err := trafgen.Lookup(*source)
@@ -139,9 +138,8 @@ func main() {
 			PrepopulateUtil: *prepop,
 		}
 	case "metro-star":
-		cfg = scenario.MetroStar(scenario.MetroStarOptions{
-			Chains: *chains, Hops: *hops, Hosts: *hosts,
-		})
+		metro = &scenario.MetroStarOptions{Chains: *chains, Hops: *hops, Hosts: *hosts}
+		cfg = scenario.MetroStar(*metro)
 	default:
 		log.Fatalf("unknown topology %q (basic, metro-star)", *topology)
 	}
@@ -276,25 +274,7 @@ func main() {
 		}
 		man.Seeds = seedVals
 		man.WallSeconds = wall.Seconds()
-		man.Config = map[string]any{
-			"method": *method, "design": *design, "prober": *prober,
-			"eps": *eps, "target": *target, "source": *source,
-			"tau_s": *tau, "life_s": *life, "link_bps": *linkBps,
-			"duration_s": *duration, "warmup_s": *warmup,
-			"prepopulate": *prepop, "probe_s": *probeDur,
-			"red": *useRED, "retries": *retries,
-			"metrics_interval_s": *mInterval, "trace_cap": *traceCap,
-			"topology": *topology, "shards": cfg.Shards,
-			"policy": cfg.Policy.Kind.String(),
-		}
-		if cfg.Schedule.Active() {
-			man.Config["load_schedule"] = cfg.Schedule.String()
-		}
-		if cfg.Replay != nil {
-			man.Config["replay_source"] = cfg.Replay.Source()
-			man.Config["replay_digest"] = cfg.Replay.Digest()
-			man.Config["replay_arrivals"] = cfg.Replay.Len()
-		}
+		man.Config = manifestConfig(cfg, *source, metro)
 		man.Summary = map[string]any{
 			"utilization": m.Utilization, "util_stderr": mm.UtilStderr,
 			"loss": m.DataLossProb, "loss_stderr": mm.LossStderr,
@@ -305,28 +285,11 @@ func main() {
 			man.Shards = cfg.Shards
 		}
 		for _, r := range recs {
-			if r.Shards > 1 && len(r.ShardExecuted) > 0 {
-				if man.ShardExecuted == nil {
-					man.ShardExecuted = make(map[string][]uint64, len(recs))
-				}
-				man.ShardExecuted[fmt.Sprintf("s%d", r.Seed)] = r.ShardExecuted
-			}
-			if len(r.Queue) > 0 {
-				if man.Queue == nil {
-					man.Queue = make(map[string][]sim.Counters, len(recs))
-				}
-				man.Queue[fmt.Sprintf("s%d", r.Seed)] = r.Queue
-			}
+			r.AddTo(&man)
 		}
 		if store != nil {
 			man.Cache = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(),
 				Bypassed: "obs active"}
-		}
-		for _, s := range seedVals {
-			man.Artifacts = append(man.Artifacts, cfg.Obs.AllArtifactPaths(s)...)
-		}
-		if p := cfg.Obs.PerfettoFile(); p != "" {
-			man.Artifacts = append(man.Artifacts, p)
 		}
 		if err := man.Write(cfg.Obs.ManifestPath()); err != nil {
 			log.Fatal(err)

@@ -233,6 +233,12 @@ func main() {
 				if *policy != "" {
 					man.Config["policy"] = *policy
 				}
+				if opts.Hybrid {
+					man.Config["hybrid"] = true
+				}
+				if opts.Shards != 1 {
+					man.Config["shards"] = opts.Shards
+				}
 				if opts.Schedule.Active() {
 					man.Config["load_schedule"] = opts.Schedule.String()
 				}

@@ -12,11 +12,11 @@
 //     `go test ./internal/conformance -update` to regenerate goldens
 //     after an intentional behaviour change.
 //
-//  2. Simulator↔fluid cross-validation (crossval.go): for M/M-style
-//     configurations both models can express, the packet-level simulator
-//     and the numerically solved Markov model are driven from one shared
-//     config and their admitted load and blocking must agree within
-//     documented bounds.
+//  2. Paired comparisons (pair.go): one question answered twice — the
+//     numerically solved Markov model and the packet simulator from one
+//     shared M/M-style config, the packet and hybrid engines on the same,
+//     the serial and a sharded plan of any scenario — whose seed-averaged
+//     metrics must agree within one documented Envelope.
 //
 //  3. Invariant and fuzz checks (invariants subpackage, plus go test
 //     -fuzz targets in internal/sim, internal/netsim, internal/admission

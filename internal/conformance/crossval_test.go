@@ -14,7 +14,14 @@ import (
 // envelopes widen with load. See TESTING.md for the policy.
 type crossCase struct {
 	cc     CrossConfig
-	bounds CrossBounds
+	bounds Envelope
+}
+
+// utilBlock is the envelope both cross-validations hold: utilization and
+// blocking. Loss is reported but not bounded (the fluid model is
+// bufferless), and the fluid side has no delay.
+func utilBlock(util, block float64) Envelope {
+	return Envelope{UtilAbs: util, BlockAbs: block, LossAbs: NotHeld, DelayRel: NotHeld}
 }
 
 func crossCases() []crossCase {
@@ -42,15 +49,15 @@ func crossCases() []crossCase {
 		// load. Blocking needs more room: the fluid model's perfect
 		// instantaneous measurement blocks marginal flows that the
 		// buffered, probe-sampled simulator admits (observed delta ~0.06).
-		{base("underload-0.6", 0.6), CrossBounds{UtilAbs: 0.08, BlockAbs: 0.10}},
+		{base("underload-0.6", 0.6), utilBlock(0.08, 0.10)},
 		// Around capacity: admission starts biting; the discreteness of
 		// "one more 128k flow" against a 1M link costs ~0.13 of capacity,
 		// so the envelope widens (observed deltas ~0.09 util, ~0.11 blocking).
-		{base("critical-1.1", 1.1), CrossBounds{UtilAbs: 0.14, BlockAbs: 0.16}},
+		{base("critical-1.1", 1.1), utilBlock(0.14, 0.16)},
 		// Clear overload: both backends must show heavy blocking and a
 		// utilization pinned near the admissible region's edge (observed
 		// deltas ~0.14 util, ~0.19 blocking).
-		{base("overload-1.5", 1.5), CrossBounds{UtilAbs: 0.18, BlockAbs: 0.23}},
+		{base("overload-1.5", 1.5), utilBlock(0.18, 0.23)},
 	}
 }
 
@@ -65,7 +72,7 @@ func TestCrossValidation(t *testing.T) {
 	for _, tc := range crossCases() {
 		tc := tc
 		t.Run(tc.cc.Name, func(t *testing.T) {
-			r, err := CrossValidate(tc.cc, seeds)
+			r, err := FluidPair(tc.cc, seeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +88,13 @@ func TestCrossValidation(t *testing.T) {
 // bounds and asserts the failure is a readable side-by-side report, not a
 // bare number.
 func TestCrossCheckReportsDivergence(t *testing.T) {
-	r := CrossResult{Config: CrossConfig{Name: "synthetic", Lambda: 0.2, TlifeSec: 30, CapBps: 1e6, RateBps: 128e3}}
-	r.Sim.Utilization = 0.80
-	r.Fluid.Utilization = 0.55
-	r.Sim.BlockingProb = 0.01
-	r.Fluid.Blocking = 0.02
-	err := r.Check(CrossBounds{UtilAbs: 0.10, BlockAbs: 0.10})
+	r := Pair{Name: "synthetic", RefLabel: "fluid", GotLabel: "simulator"}
+	r.Got.Utilization = 0.80
+	r.Ref.Utilization = 0.55
+	r.Got.BlockingProb = 0.01
+	r.Ref.BlockingProb = 0.02
+	r.Got.DataLossProb = 0.5 // not held: must not be reported as a violation
+	err := r.Check(utilBlock(0.10, 0.10))
 	if err == nil {
 		t.Fatal("divergent result passed Check")
 	}
@@ -94,5 +102,8 @@ func TestCrossCheckReportsDivergence(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("report missing %q:\n%s", want, err)
 		}
+	}
+	if strings.Contains(err.Error(), "data loss differs") || strings.Contains(err.Error(), "blocking differs") {
+		t.Errorf("a quantity inside (or without) its bound was reported:\n%s", err)
 	}
 }

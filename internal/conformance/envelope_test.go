@@ -67,14 +67,14 @@ func TestShardEnvelopeFigure2(t *testing.T) {
 	cfg := figure2Cfg()
 	// Three seeds suffice: the claim is bitwise equality, not a
 	// statistical one.
-	r, err := ShardEnvelope(cfg, 8, envelopeSeeds[:3])
+	r, shards, err := ShardPair(cfg, 8, envelopeSeeds[:3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards != 1 {
-		t.Fatalf("single-link scenario resolved to %d shards, want 1", r.Shards)
+	if shards != 1 {
+		t.Fatalf("single-link scenario resolved to %d shards, want 1", shards)
 	}
-	if !reflect.DeepEqual(r.Serial, r.Sharded) {
+	if !reflect.DeepEqual(r.Ref, r.Got) {
 		t.Errorf("clamped plan must be bitwise identical to serial:\n%s", r.Report())
 	}
 	if err := r.Check(Envelope{}); err != nil { // zero envelope: exact
@@ -97,12 +97,12 @@ func TestShardEnvelopeCongestedMultihop(t *testing.T) {
 		t.Skip("envelope comparison runs full scenarios")
 	}
 	cfg := congestedCfg()
-	r, err := ShardEnvelope(cfg, 3, envelopeSeeds)
+	r, shards, err := ShardPair(cfg, 3, envelopeSeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards != 3 {
-		t.Fatalf("resolved to %d shards, want 3", r.Shards)
+	if shards != 3 {
+		t.Fatalf("resolved to %d shards, want 3", shards)
 	}
 	env := Envelope{UtilAbs: 0.04, LossAbs: 2e-3, BlockAbs: 0.04, DelayRel: 0.08}
 	if err := r.Check(env); err != nil {
@@ -132,12 +132,12 @@ func TestShardEnvelopeNonstationary(t *testing.T) {
 		{Kind: scenario.PhaseConst, DurationSec: 60, From: 3, To: 3},
 		{Kind: scenario.PhaseConst, DurationSec: 200, From: 1, To: 1},
 	}, Hold: true}
-	r, err := ShardEnvelope(cfg, 3, envelopeSeeds)
+	r, shards, err := ShardPair(cfg, 3, envelopeSeeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards != 3 {
-		t.Fatalf("resolved to %d shards, want 3", r.Shards)
+	if shards != 3 {
+		t.Fatalf("resolved to %d shards, want 3", shards)
 	}
 	env := Envelope{UtilAbs: 0.05, LossAbs: 3e-3, BlockAbs: 0.05, DelayRel: 0.10}
 	if err := r.Check(env); err != nil {
@@ -167,7 +167,7 @@ func TestEnvelopeCatchesDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := EnvelopeResult{Name: cfg.Name, Shards: 1, Serial: sm.Mean, Sharded: pm.Mean}
+	r := Pair{Name: cfg.Name, RefLabel: "offered", GotLabel: "doubled", Ref: sm.Mean, Got: pm.Mean}
 	env := Envelope{UtilAbs: 0.04, LossAbs: 2e-3, BlockAbs: 0.04, DelayRel: 0.08}
 	if err := r.Check(env); err == nil {
 		t.Fatalf("envelope failed to reject a doubled offered load:\n%s", r.Report())

@@ -9,22 +9,22 @@ import (
 
 // hybridCase pairs a shared config with the documented packet-vs-hybrid
 // agreement envelope. The bounds are calibrated, not derived, and are
-// tighter than the fluid-model crossval envelopes at the same loads:
+// tighter than the fluid-model envelopes at the same loads:
 // both sides run the full admission machinery, so the only modelled
 // difference is the data plane (diffusion queue approximation vs real
 // buffer). Observed deltas over seeds {1,2,3}: util 0.018/0.049/0.094,
 // blocking 0.033/0.028/0.125 at loads 0.6/1.1/1.5. See TESTING.md.
 type hybridCase struct {
 	cc     CrossConfig
-	bounds HybridBounds
+	bounds Envelope
 }
 
 func hybridCases() []hybridCase {
 	cs := crossCases()
 	return []hybridCase{
-		{cs[0].cc, HybridBounds{UtilAbs: 0.05, BlockAbs: 0.07}},
-		{cs[1].cc, HybridBounds{UtilAbs: 0.09, BlockAbs: 0.07}},
-		{cs[2].cc, HybridBounds{UtilAbs: 0.15, BlockAbs: 0.18}},
+		{cs[0].cc, utilBlock(0.05, 0.07)},
+		{cs[1].cc, utilBlock(0.09, 0.07)},
+		{cs[2].cc, utilBlock(0.15, 0.18)},
 	}
 }
 
@@ -39,7 +39,7 @@ func TestHybridCrossValidation(t *testing.T) {
 	for _, tc := range hybridCases() {
 		tc := tc
 		t.Run(tc.cc.Name, func(t *testing.T) {
-			r, err := HybridCrossValidate(tc.cc, seeds)
+			r, err := HybridPair(tc.cc, seeds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func TestHybridEnvelopeNonVacuous(t *testing.T) {
 		t.Skip("runs full simulations")
 	}
 	tc := hybridCases()[1]
-	r, err := HybridCrossValidateWith(tc.cc, []uint64{1, 2, 3}, func(c *scenario.Config) {
+	r, err := HybridPair(tc.cc, []uint64{1, 2, 3}, func(c *scenario.Config) {
 		c.LifetimeSec *= 3
 	})
 	if err != nil {

@@ -208,25 +208,6 @@ func (o Options) runJobs(jobs []Job) error {
 		})
 }
 
-// sequenced returns a copy of o whose Progress callback is serialized by
-// a mutex, so callers that log from concurrent goroutines cannot
-// interleave lines. The engine itself only logs from Done callbacks on
-// the coordinating goroutine; the guard protects direct callers and
-// future parallel paths.
-func (o Options) sequenced() Options {
-	if o.Progress == nil {
-		return o
-	}
-	var mu sync.Mutex
-	inner := o.Progress
-	o.Progress = func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		inner(format, args...)
-	}
-	return o
-}
-
 // stdJob declares a sweep point with the standard completion behaviour:
 // log the point exactly like the sequential engine did, then emit one
 // table row built from the mean metrics.

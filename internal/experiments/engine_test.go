@@ -105,26 +105,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestSequencedProgress checks that the mutex-guarded Progress wrapper
-// still forwards calls (content equality is covered by the determinism
-// test; concurrent interleaving is exercised under -race).
-func TestSequencedProgress(t *testing.T) {
-	var lines []string
-	o := Options{Progress: func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}}
-	s := o.sequenced()
-	s.logf("a %d", 1)
-	s.logf("b %d", 2)
-	if !reflect.DeepEqual(lines, []string{"a 1", "b 2"}) {
-		t.Fatalf("lines = %v", lines)
-	}
-	// Nil Progress stays nil (no wrapper allocated).
-	if (Options{}).sequenced().Progress != nil {
-		t.Fatal("sequenced invented a Progress callback")
-	}
-}
-
 // tinyOpts returns quick-mode options scaled down to seconds of CPU, for
 // end-to-end engine tests that run real simulations.
 func tinyOpts() Options {

@@ -23,7 +23,6 @@ import (
 // result if we increased the Poisson arrival rate of flows with a fixed
 // average probe time").
 func Figure1(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure1",
 		Title:  "Thrashing fluid model: utilization and in-band loss vs probe duration",
@@ -84,7 +83,6 @@ func (o Options) lossLoadJobs(id string, emit func([]string), base scenario.Conf
 // tau = 3.5 s, slow-start probing, the four endpoint designs and the MBAC
 // benchmark.
 func Figure2(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure2",
 		Title:  "Basic scenario loss-load curves (EXP1, tau=3.5s, slow-start)",
@@ -105,7 +103,6 @@ func Figure2(o Options) (Table, error) {
 // readable. MBAC is omitted (the hybrid engine requires an endpoint
 // method).
 func Figure2Hybrid(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:    "figure2_hybrid",
 		Title: "Basic scenario, packet vs hybrid engine (EXP1, tau=3.5s, slow-start)",
@@ -148,7 +145,6 @@ func Figure2Hybrid(o Options) (Table, error) {
 
 // Figure3 compares 5 s and 25 s slow-start probing for in-band dropping.
 func Figure3(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure3",
 		Title:  "Longer probing (in-band dropping, 5 s vs 25 s slow-start)",
@@ -180,7 +176,6 @@ func Figure3(o Options) (Table, error) {
 // load (tau = 1.0 s) with the three probing algorithms plus the MBAC
 // reference.
 func (o Options) highLoad(id string, d admission.Design) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     id,
 		Title:  fmt.Sprintf("High load (tau=1.0s): %s", d),
@@ -261,7 +256,6 @@ func robustnessScenarios() []robustnessScenario {
 // Figure8 regenerates the robustness panels: loss-load curves across six
 // load patterns.
 func Figure8(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure8",
 		Title:  "Robustness: loss-load curves across load patterns",
@@ -286,7 +280,6 @@ func Figure8(o Options) (Table, error) {
 // scenarios, exposing the order-of-magnitude spread that makes a priori
 // loss prediction hard.
 func Figure9(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure9",
 		Title:  "Loss at fixed eps across scenarios (0.01 in-band / 0.05 out-of-band)",
@@ -340,7 +333,6 @@ func Figure9(o Options) (Table, error) {
 // Figure11 regenerates the legacy-router coexistence experiment: TCP
 // utilization against admission-controlled traffic for several eps.
 func Figure11(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "figure11",
 		Title:  "TCP utilization vs eps at a legacy drop-tail router (20 TCP flows)",

@@ -39,7 +39,6 @@ func probing(k admission.PolicyKind) bool {
 // clamped into its adaptation bounds); non-probing policies are single
 // points on the in-band dropping design, where ε does not apply.
 func PolicySweep(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "policy_sweep",
 		Title:  "Per-policy loss-load sweep (EXP1, tau=3.5s, slow-start)",
@@ -109,7 +108,6 @@ func PolicyThrash(o Options) (Table, error) { return PolicyThrashWith(o, nil) }
 // conformance harness uses it to prove the policy goldens are sensitive:
 // starving the token bucket must fail the golden diff.
 func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.PolicyConfig) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "policy_thrash",
 		Title:  "Thrashing resistance under on/off load (EXP1, in-band dropping, slow-start)",

@@ -13,7 +13,6 @@ import (
 // high threshold (0.05 in-band, 0.20 out-of-band). The stricter class
 // suffers higher blocking while both see the same packet loss.
 func Table3(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "table3",
 		Title:  "Blocking probabilities for low and high thresholds",
@@ -61,7 +60,6 @@ func heterogeneousMix() []scenario.ClassSpec {
 // heterogeneous mix: every admission method blocks the high-rate EXP2
 // flows more, the MBAC most strongly.
 func Table4(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "table4",
 		Title:  "Blocking probabilities for small and large flows (heterogeneous mix)",
@@ -128,7 +126,6 @@ func (o Options) multiHopBase() scenario.Config {
 // flows lose roughly three times as many packets as short flows, i.e. the
 // longer path does not impair decision accuracy.
 func Table5(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "table5",
 		Title:  "Loss probability for short vs long flows (multi-hop, eps=0)",
@@ -167,7 +164,6 @@ func Table5(o Options) (Table, error) {
 // blocking, long blocking, and the product approximation
 // 1 - prod(1 - b_i).
 func Table6(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "table6",
 		Title:  "Blocking for short vs long flows (multi-hop, eps=0) and the product approximation",

@@ -40,7 +40,6 @@ func flashSchedule(warm, span float64) scenario.Schedule {
 // static one's stays pinned — the divergence the paper's Section 4.4
 // thrashing analysis predicts. In-band dropping, slow-start probing.
 func FlashCrowd(o Options) (Table, error) {
-	o = o.sequenced()
 	t := Table{
 		ID:     "flash_crowd",
 		Title:  "Admission dynamics through a flash crowd (EXP1, in-band dropping, slow-start)",

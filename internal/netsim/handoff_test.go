@@ -30,8 +30,8 @@ func TestLinkHandoffTraced(t *testing.T) {
 	s := sim.New()
 	l := NewLink(s, "B", 1e6, 5*sim.Millisecond, NewDropTail(10))
 	l.Boundary = true
-	c := obs.New(obs.Config{Enabled: true, TraceCapacity: 8}, 1)
-	l.Tap = c.RegisterLink("B")
+	set := obs.NewMerged(obs.Config{Enabled: true, TraceCapacity: 8}, 1, 1)
+	l.Tap = set.Collector(0).RegisterLink("B")
 	sink := &txEndSink{}
 	p := &Packet{Size: 125, Seq: 3, FlowID: 9, Kind: Probe, Band: BandProbe,
 		Route: []Receiver{l, sink}}
@@ -41,7 +41,7 @@ func TestLinkHandoffTraced(t *testing.T) {
 		t.Fatalf("handover = %+v, want tx end at 1ms with 5ms residual delay", sink)
 	}
 	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
+	if err := set.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -73,13 +73,13 @@ func TestLinkHandoffTraced(t *testing.T) {
 	s2 := sim.New()
 	l2 := NewLink(s2, "B2", 1e6, 5*sim.Millisecond, NewDropTail(10))
 	l2.Boundary = true
-	c2 := obs.New(obs.Config{Enabled: true, TraceCapacity: 8}, 1)
-	l2.Tap = c2.RegisterLink("B2")
+	set2 := obs.NewMerged(obs.Config{Enabled: true, TraceCapacity: 8}, 1, 1)
+	l2.Tap = set2.Collector(0).RegisterLink("B2")
 	plain := &countingSink{}
 	Send(0, &Packet{Size: 125, Kind: Data, Band: BandData, Route: []Receiver{l2, plain}})
 	s2.RunAll()
 	var b2 strings.Builder
-	if err := c2.WriteTrace(&b2); err != nil {
+	if err := set2.WriteTrace(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b2.String(), `"ev":"handoff"`) {

@@ -208,10 +208,10 @@ func TestMarkedCountsOnlyEnqueuedPackets(t *testing.T) {
 // dropped arrival produces a drop event and no mark event.
 func TestTracedMarkOnlyForTransitingPackets(t *testing.T) {
 	s := sim.New()
-	col := obs.New(obs.Config{Enabled: true, TraceCapacity: 64}, 1)
+	set := obs.NewMerged(obs.Config{Enabled: true, TraceCapacity: 64}, 1, 1)
 	l := NewLink(s, "m", 1e6, 0, NewDropTail(1))
 	l.Marker = NewVirtualQueue(8000, 100)
-	l.Tap = col.RegisterLink("m")
+	l.Tap = set.Collector(0).RegisterLink("m")
 	for i := int64(0); i < 3; i++ {
 		p := mkPkt(BandData, Data, i)
 		p.Size = 200
@@ -219,7 +219,7 @@ func TestTracedMarkOnlyForTransitingPackets(t *testing.T) {
 		Send(0, p)
 	}
 	var b strings.Builder
-	if err := col.WriteTrace(&b); err != nil {
+	if err := set.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	marks, drops := 0, 0

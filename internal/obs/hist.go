@@ -58,22 +58,23 @@ func buckets(h *stats.LogHist) []histBucket {
 	return out
 }
 
-// writeHist renders the merged histogram document for a set of per-shard
-// collectors (a serial run passes exactly one). Delay histograms are
-// merged across shards per class — every shard registers the same class
-// list — while depth histograms stay per (link, shard) because a link is
-// owned by exactly one shard.
-func writeHist(w io.Writer, cs []*Collector, seed uint64, exec []uint64) error {
+// WriteHist renders the cross-shard histogram document: delay histograms
+// merged per class (exact, by log-bucket addition) — every shard
+// registers the same class list — depth histograms per (link, shard)
+// because a link is owned by exactly one shard, decision counters and
+// trace drops summed, and the per-shard executed-event counts when there
+// is more than one shard to tell apart.
+func (m *Merged) WriteHist(w io.Writer) error {
 	doc := histDoc{
-		Schema: HistSchema, Seed: seed, Shards: len(cs), ShardExecuted: exec,
+		Schema: HistSchema, Seed: m.seed, Shards: len(m.cs),
 		DelayNs: []classHist{}, QueueDepth: []linkHist{},
 	}
-	if len(cs) == 0 || !cs[0].Enabled() {
-		return json.NewEncoder(w).Encode(doc)
+	if len(m.cs) > 1 {
+		doc.ShardExecuted = m.exec
 	}
-	for class, name := range cs[0].classes {
+	for class, name := range m.cs[0].classes {
 		var merged stats.LogHist
-		for _, c := range cs {
+		for _, c := range m.cs {
 			if class < len(c.delayH) {
 				merged.Merge(c.delayH[class])
 			}
@@ -84,7 +85,7 @@ func writeHist(w io.Writer, cs []*Collector, seed uint64, exec []uint64) error {
 			P99Ns: merged.Quantile(0.99), Buckets: buckets(&merged),
 		})
 	}
-	for shard, c := range cs {
+	for shard, c := range m.cs {
 		doc.Decisions.Admitted += c.dec.Admitted
 		doc.Decisions.Rejected += c.dec.Rejected
 		doc.TraceDropped += c.TraceDropped()
@@ -97,13 +98,4 @@ func writeHist(w io.Writer, cs []*Collector, seed uint64, exec []uint64) error {
 		}
 	}
 	return json.NewEncoder(w).Encode(doc)
-}
-
-// WriteHist renders this collector's histogram artifact (a serial run:
-// one shard, no per-shard event counts).
-func (c *Collector) WriteHist(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	return writeHist(w, []*Collector{c}, c.seed, nil)
 }

@@ -54,9 +54,6 @@ type Manifest struct {
 	// Artifacts lists files produced alongside this manifest (relative
 	// to the manifest's directory unless absolute).
 	Artifacts []string `json:"artifacts,omitempty"`
-	// TraceDropped reports ring-buffer overwrites per seed, keyed by
-	// artifact path, when an event trace was collected.
-	TraceDropped map[string]int64 `json:"trace_dropped,omitempty"`
 	// Cache records result-cache traffic (directory plus hit/miss/
 	// corrupt/byte counters) when the invocation ran with a
 	// content-addressed result store attached.

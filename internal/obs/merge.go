@@ -2,34 +2,43 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 
 	"eac/internal/sim"
 )
 
-// Merged owns one Collector per shard domain of a sharded run and merges
-// their telemetry deterministically at run end: a single series CSV and
-// trace JSONL ordered by (time, shard, sequence), a single span file and
-// histogram document, all under the same artifact names a serial run
-// would use — plus a `shard` column/field identifying the owning domain.
+// Merged owns one Collector per shard domain of a run and is the only
+// writer of its artifacts: a single series CSV and trace JSONL ordered by
+// (time, shard, sequence), a single span file, histogram document and
+// Perfetto export. A set of more than one collector tags every row and
+// event with the owning shard (a `shard` column after `t_s`, a trailing
+// `"shard"` field); a set of one — a serial run — writes the same formats
+// without the tag, and its k-way merges degenerate to in-order.
 //
 // Each shard's collector is touched only by that shard's goroutine
 // during the run (collectors are single-goroutine state; the barrier at
 // run end publishes them to the merging goroutine), so the zero-overhead
 // and nil-safety contracts of Collector carry over per shard. A nil
-// *Merged is the canonical "disabled" value, mirroring *Collector.
+// *Merged is the canonical "disabled" value, mirroring *Collector: the
+// methods a run calls (Collector, Enabled, SetShardExecuted, Flush) are
+// nil-safe, the Write methods need a set.
 type Merged struct {
 	cfg  Config
 	seed uint64
 	cs   []*Collector
+	// tags[i] is the shard tag events of cs[i] carry: &i, or nil in a set
+	// of one. Built once — a per-event &i would heap-allocate per event.
+	tags []*int
 	exec []uint64
 }
 
-// NewMerged returns a merged collector set with k per-shard collectors,
-// or nil when cfg is fully zero. The trace capacity is split across
-// shards (ceil(TraceCapacity/k) each) so a sharded run buffers about as
-// many events in total as a serial one.
+// NewMerged returns a collector set with k per-shard collectors, or nil
+// when cfg is fully zero. The trace capacity is split across shards
+// (ceil(TraceCapacity/k) each) so a sharded run buffers about as many
+// events in total as a serial one.
 func NewMerged(cfg Config, seed uint64, k int) *Merged {
 	if !cfg.Active() || k < 1 {
 		return nil
@@ -38,9 +47,13 @@ func NewMerged(cfg Config, seed uint64, k int) *Merged {
 	if cfg.TraceCapacity > 0 {
 		per.TraceCapacity = (cfg.TraceCapacity + k - 1) / k
 	}
-	m := &Merged{cfg: cfg, seed: seed, cs: make([]*Collector, k)}
+	m := &Merged{cfg: cfg, seed: seed, cs: make([]*Collector, k), tags: make([]*int, k)}
 	for i := range m.cs {
 		m.cs[i] = New(per, seed)
+		if k > 1 {
+			shard := i
+			m.tags[i] = &shard
+		}
 	}
 	return m
 }
@@ -54,60 +67,37 @@ func (m *Merged) Collector(i int) *Collector {
 	return m.cs[i]
 }
 
-// Shards returns the number of per-shard collectors.
-func (m *Merged) Shards() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.cs)
-}
-
 // Enabled reports whether the set records anything.
 func (m *Merged) Enabled() bool { return m != nil && m.cfg.Enabled }
 
 // SetShardExecuted records the per-shard executed-event counts for the
-// histogram artifact and the run manifest.
+// histogram artifact.
 func (m *Merged) SetShardExecuted(exec []uint64) {
 	if m != nil {
 		m.exec = exec
 	}
 }
 
-// ShardExecuted returns the recorded per-shard event counts (nil until
-// SetShardExecuted).
-func (m *Merged) ShardExecuted() []uint64 {
-	if m == nil {
-		return nil
-	}
-	return m.exec
-}
-
-// TraceDropped totals ring-buffer overwrites across all shards.
-func (m *Merged) TraceDropped() int64 {
-	if m == nil {
-		return 0
-	}
-	var n int64
-	for _, c := range m.cs {
-		n += c.TraceDropped()
-	}
-	return n
-}
-
 // WriteSeries renders all shards' time series as one CSV ordered by
-// (time, shard, within-shard sample order), with a shard column after
-// the timestamp. The per-row format otherwise matches the serial CSV.
+// (time, shard, within-shard sample order); a set of more than one has a
+// shard column after the timestamp.
 func (m *Merged) WriteSeries(w io.Writer) error {
-	if _, err := io.WriteString(w, "t_s,shard,link,depth,busy,active_flows,util,vq_backlog_bytes,"+
+	shardCol := ""
+	if len(m.cs) > 1 {
+		shardCol = "shard,"
+	}
+	if _, err := io.WriteString(w, "t_s,"+shardCol+"link,depth,busy,active_flows,util,vq_backlog_bytes,"+
 		"data_arrived,data_dropped,data_marked,data_sent_pkts,"+
-		"probe_arrived,probe_dropped,probe_marked,probe_sent_pkts\n"); err != nil {
+		"probe_arrived,probe_dropped,probe_marked,probe_sent_pkts,"+
+		"fluid_bg_bps,fluid_mark\n"); err != nil {
 		return err
 	}
 	idx := make([]int, len(m.cs))
+	var row []byte
 	for {
 		best := -1
 		for shard, c := range m.cs {
-			if idx[shard] >= len(c.Samples()) {
+			if idx[shard] >= len(c.sams) {
 				continue
 			}
 			if best < 0 || c.sams[idx[shard]].T < m.cs[best].sams[idx[best]].T {
@@ -118,59 +108,51 @@ func (m *Merged) WriteSeries(w io.Writer) error {
 			return nil
 		}
 		c := m.cs[best]
-		s := c.sams[idx[best]]
+		s := &c.sams[idx[best]]
 		idx[best]++
-		busy := 0
+		var busy int64
 		if s.Busy {
 			busy = 1
 		}
-		_, err := fmt.Fprintf(w, "%.6f,%d,%s,%d,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			s.T, best, c.LinkName(s.Link), s.Depth, busy, s.ActiveFlows, s.Util, s.VQBacklog,
-			s.Arrived[0], s.Dropped[0], s.Marked[0], s.SentPkts[0],
-			s.Arrived[1], s.Dropped[1], s.Marked[1], s.SentPkts[1])
-		if err != nil {
+		// strconv into one reused buffer, not Fprintf: the same bytes as
+		// %.6f / %d / %.0f with no boxing of 17 arguments per row.
+		row = strconv.AppendFloat(row[:0], s.T, 'f', 6, 64)
+		if len(m.cs) > 1 {
+			row = strconv.AppendInt(append(row, ','), int64(best), 10)
+		}
+		row = append(append(row, ','), c.LinkName(s.Link)...)
+		for _, v := range [...]int64{int64(s.Depth), busy, int64(s.ActiveFlows)} {
+			row = strconv.AppendInt(append(row, ','), v, 10)
+		}
+		row = strconv.AppendFloat(append(row, ','), s.Util, 'f', 6, 64)
+		row = strconv.AppendInt(append(row, ','), s.VQBacklog, 10)
+		for kind := range s.Arrived {
+			for _, v := range [...]int64{s.Arrived[kind], s.Dropped[kind], s.Marked[kind], s.SentPkts[kind]} {
+				row = strconv.AppendInt(append(row, ','), v, 10)
+			}
+		}
+		row = strconv.AppendFloat(append(row, ','), s.FluidBg, 'f', 0, 64)
+		row = strconv.AppendFloat(append(row, ','), s.FluidMark, 'f', 6, 64)
+		row = append(row, '\n')
+		if _, err := w.Write(row); err != nil {
 			return err
 		}
 	}
 }
 
-// shardPacketEvent / shardDecisionEvent extend the serial JSONL forms
-// with the owning shard.
-type shardPacketEvent struct {
-	packetEvent
-	Shard int `json:"shard"`
-}
-
-type shardDecisionEvent struct {
-	decisionEvent
-	Shard int `json:"shard"`
-}
-
-type shardArrivalEvent struct {
-	arrivalEvent
-	Shard int `json:"shard"`
-}
-
-type shardEpochEvent struct {
-	epochEvent
-	Shard int `json:"shard"`
-}
-
 // WriteTrace k-way-merges the per-shard rings into one JSONL stream
-// ordered by (time, shard, ring order); every event carries a shard
-// field. Within one shard the ring is already in push order, which is
-// that shard's event order.
+// ordered by (time, shard, ring order), oldest first — one JSON object
+// per line. Within one shard the ring is already in push order, which is
+// that shard's event order. Packet events carry link/kind/size/seq/depth,
+// admit/reject events class/attempt/frac.
 func (m *Merged) WriteTrace(w io.Writer) error {
-	if m == nil {
-		return nil
-	}
 	enc := json.NewEncoder(w)
 	idx := make([]int, len(m.cs))
 	for {
 		best := -1
 		var bestAt sim.Time
 		for shard, c := range m.cs {
-			if idx[shard] >= c.TraceLen() {
+			if idx[shard] >= c.trace.n {
 				continue
 			}
 			at := c.trace.at(idx[shard]).at
@@ -184,36 +166,20 @@ func (m *Merged) WriteTrace(w io.Writer) error {
 		c := m.cs[best]
 		rec := c.trace.at(idx[best])
 		idx[best]++
-		var v any
-		switch ev := c.traceEvent(rec).(type) {
-		case packetEvent:
-			v = shardPacketEvent{ev, best}
-		case decisionEvent:
-			v = shardDecisionEvent{ev, best}
-		case arrivalEvent:
-			v = shardArrivalEvent{ev, best}
-		case epochEvent:
-			// Previously fell through the switch and serialized as a bare
-			// null line; epoch events now survive the shard merge too.
-			v = shardEpochEvent{ev, best}
-		}
-		if err := enc.Encode(v); err != nil {
+		if err := enc.Encode(c.traceEvent(rec, m.tags[best])); err != nil {
 			return err
 		}
 	}
 }
 
-// WriteSpans renders every shard's probe-lifecycle spans as JSONL with a
-// shard field, ordered by (shard, flow-creation order). Flow IDs are
+// WriteSpans renders every shard's probe-lifecycle spans as JSONL, one
+// flow per line ordered by (shard, flow-creation order). Flow IDs are
 // per-shard; (shard, flow) is the unique key.
 func (m *Merged) WriteSpans(w io.Writer) error {
-	if m == nil {
-		return nil
-	}
 	enc := json.NewEncoder(w)
 	for shard, c := range m.cs {
 		for i := range c.spans {
-			if err := enc.Encode(shardSpanEvent{c.spanEvent(&c.spans[i]), shard}); err != nil {
+			if err := enc.Encode(c.spanEvent(&c.spans[i], m.tags[shard])); err != nil {
 				return err
 			}
 		}
@@ -221,40 +187,61 @@ func (m *Merged) WriteSpans(w io.Writer) error {
 	return nil
 }
 
-// WriteHist renders the cross-shard histogram document: delay
-// histograms merged per class (exact, by log-bucket addition), depth
-// histograms per (link, shard), decision counters and trace drops
-// summed, per-shard executed-event counts included when recorded.
-func (m *Merged) WriteHist(w io.Writer) error {
-	if m == nil {
-		return nil
-	}
-	return writeHist(w, m.cs, m.seed, m.exec)
-}
-
-// WritePerfetto renders all shards' spans as one Chrome/Perfetto trace:
-// one process per shard, one track per flow.
+// WritePerfetto renders all shards' spans as one Chrome/Perfetto
+// trace-event JSON document: one process per shard (a serial run is
+// shard 0), one track per flow, probe and data phases as duration events.
 func (m *Merged) WritePerfetto(w io.Writer) error {
-	if m == nil {
-		return nil
-	}
-	var evs []perfettoEvent
+	doc := struct {
+		TraceEvents     []perfettoEvent `json:"traceEvents"`
+		DisplayTimeUnit string          `json:"displayTimeUnit"`
+	}{DisplayTimeUnit: "ms"}
 	for shard, c := range m.cs {
-		evs = c.appendPerfetto(evs, shard)
+		doc.TraceEvents = c.appendPerfetto(doc.TraceEvents, shard)
 	}
-	return writePerfetto(w, evs)
+	return json.NewEncoder(w).Encode(doc)
 }
 
-// Flush writes the merged artifacts under the same names a serial run
-// would use and returns the paths written. A set of one collector is a
-// serial run and writes that collector's serial formats (no shard column).
-// A nil or disabled set flushes nothing.
+// Flush renders each artifact the configuration enables into its file, in
+// the fixed order series, trace, spans, hist, perfetto, and returns the
+// paths written (also on error: the ones completed before it). A nil or
+// disabled set flushes nothing.
 func (m *Merged) Flush() ([]string, error) {
 	if !m.Enabled() {
 		return nil, nil
 	}
-	if len(m.cs) == 1 {
-		return m.cs[0].Flush()
+	var paths []string
+	for _, a := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{m.cfg.SeriesPath(m.seed), m.WriteSeries},
+		{m.cfg.TraceFile(m.seed), m.WriteTrace},
+		{m.cfg.SpansPath(m.seed), m.WriteSpans},
+		{m.cfg.HistPath(m.seed), m.WriteHist},
+		{m.cfg.PerfettoFile(), m.WritePerfetto},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeFile(a.path, a.render); err != nil {
+			return paths, err
+		}
+		paths = append(paths, a.path)
 	}
-	return flushArtifacts(m.cfg, m.seed, m)
+	return paths, nil
+}
+
+func writeFile(path string, render func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -16,8 +17,7 @@ func TestNewMergedGating(t *testing.T) {
 		t.Fatal("k=0 constructed a merged set")
 	}
 	var nilM *Merged
-	if nilM.Shards() != 0 || nilM.Enabled() || nilM.Collector(0) != nil ||
-		nilM.TraceDropped() != 0 || nilM.ShardExecuted() != nil {
+	if nilM.Enabled() || nilM.Collector(0) != nil {
 		t.Fatal("nil Merged reports state")
 	}
 	nilM.SetShardExecuted([]uint64{1}) // must not panic
@@ -28,22 +28,22 @@ func TestNewMergedGating(t *testing.T) {
 
 func TestMergedSplitsTraceCapacity(t *testing.T) {
 	m := NewMerged(Config{Enabled: true, TraceCapacity: 10}, 1, 3)
-	if m.Shards() != 3 {
-		t.Fatalf("Shards = %d", m.Shards())
-	}
 	// ceil(10/3) = 4 per shard.
 	tap := m.Collector(0).RegisterLink("L0")
 	for i := 0; i < 5; i++ {
 		tap.Enqueue(0, i, 0, 1, 0, 0)
 	}
-	if m.Collector(0).TraceLen() != 4 || m.TraceDropped() != 1 {
-		t.Fatalf("per-shard cap: len=%d dropped=%d, want 4 and 1",
-			m.Collector(0).TraceLen(), m.TraceDropped())
+	if c := m.Collector(0); c.TraceLen() != 4 || c.TraceDropped() != 1 {
+		t.Fatalf("per-shard cap: len=%d dropped=%d, want 4 and 1", c.TraceLen(), c.TraceDropped())
+	}
+	if m.Collector(2).TraceLen() != 0 {
+		t.Fatal("a third collector shares shard 0's ring")
 	}
 }
 
 // TestMergedSeriesOrder pins the k-way merge invariant: rows ordered by
-// (time, shard), ties broken toward the lowest shard.
+// (time, shard), ties broken toward the lowest shard — and that a sharded
+// row is the serial row plus the shard column, fluid columns included.
 func TestMergedSeriesOrder(t *testing.T) {
 	m := NewMerged(Config{Enabled: true, MetricsInterval: sim.Second}, 1, 2)
 	for i := 0; i < 2; i++ {
@@ -54,12 +54,18 @@ func TestMergedSeriesOrder(t *testing.T) {
 	m.Collector(1).AddSample(Sample{T: 1, Link: 0, Depth: 11})
 	m.Collector(1).AddSample(Sample{T: 2, Link: 0, Depth: 12})
 	m.Collector(0).AddSample(Sample{T: 1, Link: 0, Depth: 1})
-	m.Collector(0).AddSample(Sample{T: 3, Link: 0, Depth: 3})
+	m.Collector(0).AddSample(Sample{T: 3, Link: 0, Depth: 3, FluidBg: 2.5e6, FluidMark: 0.125})
 	var b strings.Builder
 	if err := m.WriteSeries(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if !strings.HasPrefix(lines[0], "t_s,shard,link,") || !strings.HasSuffix(lines[0], ",fluid_bg_bps,fluid_mark") {
+		t.Fatalf("header = %q", lines[0])
+	}
+	if last := "3.000000,0,L0,3,0,0,0.000000,0,0,0,0,0,0,0,0,0,2500000,0.125000"; lines[len(lines)-1] != last {
+		t.Fatalf("last row = %q, want %q", lines[len(lines)-1], last)
+	}
 	want := []string{
 		"1.000000,0,L0,1,", "1.000000,1,L1,11,", "2.000000,1,L1,12,", "3.000000,0,L0,3,",
 	}
@@ -168,5 +174,59 @@ func TestMergedHistMergesDelaysAcrossShards(t *testing.T) {
 	}
 	if len(doc.ShardExecuted) != 2 || doc.ShardExecuted[1] != 200 {
 		t.Fatalf("shard_executed = %v", doc.ShardExecuted)
+	}
+}
+
+// TestFlushAllocsPerEvent bounds what rendering costs per event for a set
+// of one and a set of two: the shard tag must not allocate per event (a
+// helper returning &i does, even when the set of one discards it).
+func TestFlushAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 1000
+	for k := 1; k <= 2; k++ {
+		m := NewMerged(Config{Enabled: true, MetricsInterval: sim.Second, TraceCapacity: k * n}, 1, k)
+		for i := 0; i < k; i++ {
+			c := m.Collector(i)
+			c.RegisterClass("voice")
+			tap := c.RegisterLink("L0")
+			for j := 0; j < n/k; j++ {
+				at := sim.Time(j) * sim.Millisecond
+				switch j % 4 {
+				case 0:
+					c.Arrival(at, j, 0)
+					c.SpanProbeStart(at, j, 0)
+				case 1:
+					c.Decision(at, j-1, 0, true, 1, 0.004)
+				default:
+					tap.Enqueue(at, j, 0, 1500, int64(j)<<20, 300)
+				}
+				c.AddSample(Sample{T: at.Sec(), Depth: 300, Util: 0.7, VQBacklog: 1 << 20,
+					Arrived: [2]int64{1 << 30, 1 << 20}, FluidBg: 2.5e6, FluidMark: 0.125})
+			}
+		}
+		spans := 0
+		for i := 0; i < k; i++ {
+			spans += m.Collector(i).SpanCount()
+		}
+		// Per event: boxing the trace event for the encoder; that plus a
+		// decided span's *bool; nothing for a series row.
+		for _, a := range []struct {
+			name        string
+			events, per int
+			render      func(io.Writer) error
+		}{
+			{"trace", n, 1, m.WriteTrace}, {"spans", spans, 2, m.WriteSpans}, {"series", n, 0, m.WriteSeries},
+		} {
+			got := testing.AllocsPerRun(5, func() {
+				if err := a.render(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if bound := float64(a.per*a.events + 16); got > bound {
+				t.Errorf("K=%d %s: %.0f allocs for %d events, want <= %.0f", k, a.name, got, a.events, bound)
+			}
+		}
 	}
 }

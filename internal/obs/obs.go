@@ -1,6 +1,7 @@
 // Package obs is the simulation observability layer: per-queue telemetry
-// time series, a ring-buffered packet/event trace, and structured run
-// manifests that make every experiment an inspectable artifact.
+// time series, a ring-buffered packet/event trace, probe-lifecycle spans,
+// log-bucket histograms, and structured run manifests that make every
+// experiment an inspectable artifact.
 //
 // The layer is designed around one hard requirement: zero overhead and
 // byte-identical simulation output when disabled. A nil *Collector is the
@@ -11,16 +12,13 @@
 // configuration adds no events, no allocations, and no output changes —
 // preserving the determinism guarantees of the parallel sweep engine.
 //
-// When enabled, a collector gathers three kinds of telemetry:
-//
-//   - Per-link/queue time series, sampled on a configurable sim-time
-//     interval: queue depth, utilization over the interval, cumulative
-//     arrival/drop/mark/sent counters split by packet kind, virtual-queue
-//     shadow backlog, and the active-flow count. Exported as CSV.
-//   - A packet/event trace: enqueue, dequeue, drop, and mark events plus
-//     admission decisions, with sim timestamps, held in a fixed-capacity
-//     ring buffer (oldest events discarded) and exported as JSONL.
-//   - Counters for admission decisions (admitted/rejected).
+// Two types split the work. A Collector is the recorder: one per shard
+// domain, touched only by that domain's goroutine, it takes link taps,
+// decisions, arrivals, epochs, delays, spans and series samples and writes
+// nothing. A Merged set is the writer: it owns the run's collectors (one
+// for a serial run) and is the only code that renders or flushes an
+// artifact, so a serial run's files are the one-collector case of a
+// sharded run's. EXPERIMENTS.md "Observability" describes the formats.
 //
 // Run manifests (manifest.go) tie the artifacts together: one JSON file
 // per invocation recording configuration, seeds, worker count, wall-clock
@@ -29,8 +27,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 
 	"eac/internal/sim"
@@ -42,8 +38,8 @@ import (
 // the simulation's hot paths see only nil checks.
 type Config struct {
 	// Enabled is the master switch. A false value with other fields set
-	// still constructs a Collector (so callers can hold one), but every
-	// recording method is a no-op and Flush writes nothing.
+	// still constructs collectors (so callers can hold one), but every
+	// recording method is a no-op and Merged.Flush writes nothing.
 	Enabled bool
 	// Dir is the artifact output directory (default "." at flush time).
 	Dir string
@@ -142,28 +138,6 @@ func (c Config) ManifestPath() string {
 	return filepath.Join(c.dir(), c.label()+"-manifest.json")
 }
 
-// ArtifactPaths returns the series and trace paths one seed's run will
-// write ("" for disabled parts).
-func (c Config) ArtifactPaths(seed uint64) (series, trace string) {
-	return c.SeriesPath(seed), c.TraceFile(seed)
-}
-
-// AllArtifactPaths returns every per-seed artifact path this
-// configuration writes, in flush order (series, trace, spans, hist),
-// skipping disabled parts. The Perfetto export is not per-seed and is
-// excluded.
-func (c Config) AllArtifactPaths(seed uint64) []string {
-	var out []string
-	for _, p := range []string{
-		c.SeriesPath(seed), c.TraceFile(seed), c.SpansPath(seed), c.HistPath(seed),
-	} {
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Sample is one time-series point for one link, filled by the producer
 // (scenario.Runner reads the link's counters) and appended verbatim.
 type Sample struct {
@@ -191,10 +165,10 @@ type Decisions struct {
 	Admitted, Rejected int64
 }
 
-// Collector gathers one run's telemetry. It is strictly single-run,
-// single-goroutine state — parallel seed runs each construct their own,
-// and sharded runs construct one per shard domain (see Merged) — and a
-// nil *Collector is the canonical "disabled" value.
+// Collector records one shard domain's telemetry (a serial run has one
+// domain). It is strictly single-run, single-goroutine state — a Merged
+// set constructs one per domain and writes what they recorded — and a nil
+// *Collector is the canonical "disabled" value.
 type Collector struct {
 	cfg     Config
 	seed    uint64
@@ -302,24 +276,6 @@ func (c *Collector) Delay(class int, d sim.Time) {
 	}
 }
 
-// DelayHist returns the per-class delay histograms (ns buckets), indexed
-// like RegisterClass calls. Nil when disabled.
-func (c *Collector) DelayHist() []stats.LogHist {
-	if c == nil {
-		return nil
-	}
-	return c.delayH
-}
-
-// DepthHist returns the per-link queue-depth histograms, indexed like
-// RegisterLink calls. Nil when disabled.
-func (c *Collector) DepthHist() []stats.LogHist {
-	if c == nil {
-		return nil
-	}
-	return c.depth
-}
-
 // AddSample appends one time-series point. No-op unless sampling.
 func (c *Collector) AddSample(s Sample) {
 	if !c.Sampling() {
@@ -371,94 +327,6 @@ func (c *Collector) DecisionCounts() Decisions {
 		return Decisions{}
 	}
 	return c.dec
-}
-
-// WriteSeries renders the time series as CSV.
-func (c *Collector) WriteSeries(w io.Writer) error {
-	if _, err := io.WriteString(w, "t_s,link,depth,busy,active_flows,util,vq_backlog_bytes,"+
-		"data_arrived,data_dropped,data_marked,data_sent_pkts,"+
-		"probe_arrived,probe_dropped,probe_marked,probe_sent_pkts,"+
-		"fluid_bg_bps,fluid_mark\n"); err != nil {
-		return err
-	}
-	for _, s := range c.Samples() {
-		busy := 0
-		if s.Busy {
-			busy = 1
-		}
-		_, err := fmt.Fprintf(w, "%.6f,%s,%d,%d,%d,%.6f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%.6f\n",
-			s.T, c.LinkName(s.Link), s.Depth, busy, s.ActiveFlows, s.Util, s.VQBacklog,
-			s.Arrived[0], s.Dropped[0], s.Marked[0], s.SentPkts[0],
-			s.Arrived[1], s.Dropped[1], s.Marked[1], s.SentPkts[1],
-			s.FluidBg, s.FluidMark)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush writes the enabled artifacts (series CSV, event trace, spans,
-// histograms, Perfetto export) into the configured directory and returns
-// the paths written. A nil or disabled collector flushes nothing.
-func (c *Collector) Flush() ([]string, error) {
-	if !c.Enabled() {
-		return nil, nil
-	}
-	return flushArtifacts(c.cfg, c.seed, c)
-}
-
-// artifactWriter renders a run's artifacts: a Collector in the serial
-// formats, a Merged set with shard provenance.
-type artifactWriter interface {
-	WriteSeries(io.Writer) error
-	WriteTrace(io.Writer) error
-	WriteSpans(io.Writer) error
-	WriteHist(io.Writer) error
-	WritePerfetto(io.Writer) error
-}
-
-// flushArtifacts renders each artifact cfg enables into its file, in the
-// fixed order series, trace, spans, hist, perfetto, and returns the paths
-// written (also on error: the ones completed before it).
-func flushArtifacts(cfg Config, seed uint64, w artifactWriter) ([]string, error) {
-	var paths []string
-	write := func(path string, render func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		paths = append(paths, path)
-		return nil
-	}
-	for _, a := range []struct {
-		path   string
-		render func(io.Writer) error
-	}{
-		{cfg.SeriesPath(seed), w.WriteSeries},
-		{cfg.TraceFile(seed), w.WriteTrace},
-		{cfg.SpansPath(seed), w.WriteSpans},
-		{cfg.HistPath(seed), w.WriteHist},
-		{cfg.PerfettoFile(), w.WritePerfetto},
-	} {
-		if err := write(a.path, a.render); err != nil {
-			return paths, err
-		}
-	}
-	return paths, nil
 }
 
 // LinkTap feeds one link's packet-level events into the collector's

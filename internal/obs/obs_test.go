@@ -22,6 +22,11 @@ func enabledCfg(dir string) Config {
 	}
 }
 
+// one wraps a collector as the set of one that writes a serial run's files.
+func one(c *Collector) *Merged {
+	return &Merged{cfg: c.cfg, seed: c.seed, cs: []*Collector{c}, tags: make([]*int, 1)}
+}
+
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
 	if c.Enabled() || c.Sampling() || c.Tracing() {
@@ -40,10 +45,6 @@ func TestNilCollectorIsInert(t *testing.T) {
 	}
 	if tap := c.RegisterLink("L0"); tap != nil {
 		t.Fatal("nil collector handed out a tap")
-	}
-	paths, err := c.Flush()
-	if err != nil || paths != nil {
-		t.Fatalf("nil Flush = %v, %v", paths, err)
 	}
 	var tap *LinkTap
 	tap.Enqueue(0, 0, 0, 100, 0, 1) // must not panic
@@ -79,7 +80,7 @@ func TestDisabledCollectorIsInert(t *testing.T) {
 	if len(c.Samples()) != 0 || c.DecisionCounts() != (Decisions{}) || c.TraceLen() != 0 {
 		t.Fatal("disabled collector recorded something")
 	}
-	paths, err := c.Flush()
+	paths, err := one(c).Flush()
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("disabled Flush wrote %v (err %v)", paths, err)
 	}
@@ -99,7 +100,7 @@ func TestRingWrapsAndCountsDropped(t *testing.T) {
 	}
 	// Oldest-first order after wrapping: flows 6,7,8,9 survive.
 	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
+	if err := one(c).WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -133,7 +134,7 @@ func TestTraceDecisionEvents(t *testing.T) {
 		t.Fatalf("DecisionCounts = %+v", got)
 	}
 	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
+	if err := one(c).WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -158,7 +159,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		FluidBg: 2.5e6, FluidMark: 0.125,
 	})
 	var b strings.Builder
-	if err := c.WriteSeries(&b); err != nil {
+	if err := one(c).WriteSeries(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -182,7 +183,7 @@ func TestFlushWritesArtifacts(t *testing.T) {
 	tap.Enqueue(0, 0, 0, 100, 0, 1)
 	c.AddSample(Sample{T: 1, Link: 0})
 	c.Decision(sim.Second, 0, 0, true, 1, 0) // gives the span artifact content
-	paths, err := c.Flush()
+	paths, err := one(c).Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,15 +211,14 @@ func TestFlushWritesArtifacts(t *testing.T) {
 func TestArtifactPathOverrides(t *testing.T) {
 	cfg := Config{Enabled: true, Dir: "d", Label: "x", MetricsInterval: sim.Second,
 		TraceCapacity: 4, TracePath: "custom.jsonl"}
-	series, trace := cfg.ArtifactPaths(7)
-	if series != filepath.Join("d", "x-s7-series.csv") {
+	if series := cfg.SeriesPath(7); series != filepath.Join("d", "x-s7-series.csv") {
 		t.Fatalf("series = %q", series)
 	}
-	if trace != "custom.jsonl" {
+	if trace := cfg.TraceFile(7); trace != "custom.jsonl" {
 		t.Fatalf("trace = %q", trace)
 	}
 	cfg.Enabled = false
-	if s, tr := cfg.ArtifactPaths(7); s != "" || tr != "" {
+	if s, tr := cfg.SeriesPath(7), cfg.TraceFile(7); s != "" || tr != "" {
 		t.Fatalf("disabled paths = %q, %q", s, tr)
 	}
 	if got := cfg.ManifestPath(); got != filepath.Join("d", "x-manifest.json") {

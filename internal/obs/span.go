@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"eac/internal/sim"
 )
@@ -102,12 +100,7 @@ type spanEvent struct {
 	Frac       float64 `json:"frac"`
 	DataStart  float64 `json:"data_start"`
 	DataEnd    float64 `json:"data_end"`
-}
-
-// shardSpanEvent is spanEvent plus the owning shard (merged output).
-type shardSpanEvent struct {
-	spanEvent
-	Shard int `json:"shard"`
+	Shard      *int    `json:"shard,omitempty"`
 }
 
 func sec(t sim.Time) float64 {
@@ -117,7 +110,7 @@ func sec(t sim.Time) float64 {
 	return t.Sec()
 }
 
-func (c *Collector) spanEvent(s *spanRec) spanEvent {
+func (c *Collector) spanEvent(s *spanRec, shard *int) spanEvent {
 	ev := spanEvent{
 		Flow:       s.flow,
 		Class:      c.ClassName(int(s.class)),
@@ -126,6 +119,7 @@ func (c *Collector) spanEvent(s *spanRec) spanEvent {
 		Frac:       float64(s.frac),
 		DataStart:  sec(s.dataStart),
 		DataEnd:    sec(s.dataEnd),
+		Shard:      shard,
 	}
 	if s.decided {
 		acc := s.accepted
@@ -133,21 +127,6 @@ func (c *Collector) spanEvent(s *spanRec) spanEvent {
 		ev.Attempts = s.attempts
 	}
 	return ev
-}
-
-// WriteSpans renders the probe-lifecycle spans as JSONL, one flow per
-// line in flow-creation order.
-func (c *Collector) WriteSpans(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	for i := range c.spans {
-		if err := enc.Encode(c.spanEvent(&c.spans[i])); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // perfettoEvent is one Chrome trace-event ("X" = complete event with a
@@ -221,20 +200,4 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 		}
 	}
 	return evs
-}
-
-func writePerfetto(w io.Writer, evs []perfettoEvent) error {
-	doc := struct {
-		TraceEvents     []perfettoEvent `json:"traceEvents"`
-		DisplayTimeUnit string          `json:"displayTimeUnit"`
-	}{TraceEvents: evs, DisplayTimeUnit: "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
-// WritePerfetto renders the spans as Chrome/Perfetto trace-event JSON
-// (one process per shard — a serial run is shard 0 — one track per
-// flow; probe and data phases as duration events).
-func (c *Collector) WritePerfetto(w io.Writer) error {
-	return writePerfetto(w, c.appendPerfetto(nil, 0))
 }

@@ -26,7 +26,7 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Fatalf("SpanCount = %d, want 1", c.SpanCount())
 	}
 	var b strings.Builder
-	if err := c.WriteSpans(&b); err != nil {
+	if err := one(c).WriteSpans(&b); err != nil {
 		t.Fatal(err)
 	}
 	var ev spanEvent
@@ -48,7 +48,7 @@ func TestSpanRetryKeepsFirstProbeStart(t *testing.T) {
 	c.SpanProbeStart(9*sim.Second, 5, 1) // retry after back-off
 	c.Decision(12*sim.Second, 5, 1, false, 2, 0.4)
 	var b strings.Builder
-	if err := c.WriteSpans(&b); err != nil {
+	if err := one(c).WriteSpans(&b); err != nil {
 		t.Fatal(err)
 	}
 	var ev spanEvent
@@ -66,7 +66,7 @@ func TestSpanUnsetPhasesSerializeAsMinusOne(t *testing.T) {
 	c := spanCollector()
 	c.SpanDataStart(0, 3, 1)
 	var b strings.Builder
-	if err := c.WriteSpans(&b); err != nil {
+	if err := one(c).WriteSpans(&b); err != nil {
 		t.Fatal(err)
 	}
 	var ev spanEvent
@@ -104,7 +104,7 @@ func TestPerfettoClampsOpenPhases(t *testing.T) {
 	c.SpanProbeStart(95*sim.Second, 0, 0) // undecided at run end
 	c.SpanDataStart(40*sim.Second, 1, 1)  // alive at run end
 	var b strings.Builder
-	if err := c.WritePerfetto(&b); err != nil {
+	if err := one(c).WritePerfetto(&b); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -143,7 +143,7 @@ func TestPerfettoRejectedProbeNamed(t *testing.T) {
 	c.SpanProbeStart(1*sim.Second, 0, 0)
 	c.Decision(3*sim.Second, 0, 0, false, 1, 0.3)
 	var b strings.Builder
-	if err := c.WritePerfetto(&b); err != nil {
+	if err := one(c).WritePerfetto(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `"probe (rejected)"`) {

@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-
-	"eac/internal/sim"
-)
+import "eac/internal/sim"
 
 // Trace event kinds, in the order they appear in JSONL output.
 const (
@@ -74,7 +69,8 @@ func (r *ring) push(rec traceRec) {
 
 func (r *ring) at(i int) traceRec { return r.buf[(r.head+i)%len(r.buf)] }
 
-// packetEvent is the JSONL form of a packet-level trace event.
+// packetEvent is the JSONL form of a packet-level trace event. Like every
+// event form it ends in the owning shard, nil (omitted) in a set of one.
 type packetEvent struct {
 	T     float64 `json:"t"`
 	Ev    string  `json:"ev"`
@@ -84,6 +80,7 @@ type packetEvent struct {
 	Size  int64   `json:"size"`
 	Seq   int64   `json:"seq"`
 	Depth int32   `json:"depth"`
+	Shard *int    `json:"shard,omitempty"`
 }
 
 // decisionEvent is the JSONL form of an admission decision.
@@ -94,6 +91,7 @@ type decisionEvent struct {
 	Class   int     `json:"class"`
 	Attempt int64   `json:"attempt"`
 	Frac    float64 `json:"frac"`
+	Shard   *int    `json:"shard,omitempty"`
 }
 
 // arrivalEvent is the JSONL form of a flow arrival. The field set is the
@@ -104,6 +102,7 @@ type arrivalEvent struct {
 	Ev    string  `json:"ev"`
 	Flow  int32   `json:"flow"`
 	Class int     `json:"class"`
+	Shard *int    `json:"shard,omitempty"`
 }
 
 // epochEvent is the JSONL form of a policy adaptation epoch.
@@ -115,6 +114,7 @@ type epochEvent struct {
 	ProbeMs    float64 `json:"probe_ms"`
 	RejectRate float64 `json:"reject_rate"`
 	LossRate   float64 `json:"loss_rate"`
+	Shard      *int    `json:"shard,omitempty"`
 }
 
 var pktKindNames = [...]string{"data", "probe"}
@@ -161,24 +161,25 @@ func (c *Collector) TraceDropped() int64 {
 	return c.trace.dropped
 }
 
-// traceEvent builds the JSONL form of one buffered record.
-func (c *Collector) traceEvent(rec traceRec) any {
+// traceEvent builds the JSONL form of one buffered record, tagged with
+// the owning shard (nil in a set of one).
+func (c *Collector) traceEvent(rec traceRec, shard *int) any {
 	if rec.ev == evAdmit || rec.ev == evReject {
 		return decisionEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow,
-			Class: int(rec.kind), Attempt: rec.a, Frac: float64(rec.frac),
+			Class: int(rec.kind), Attempt: rec.a, Frac: float64(rec.frac), Shard: shard,
 		}
 	}
 	if rec.ev == evArrival {
 		return arrivalEvent{
-			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow, Class: int(rec.a),
+			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow, Class: int(rec.a), Shard: shard,
 		}
 	}
 	if rec.ev == evEpoch {
 		return epochEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Epoch: rec.flow,
 			Eps: float64(rec.frac), ProbeMs: float64(rec.depth),
-			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6,
+			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6, Shard: shard,
 		}
 	}
 	kind := "data"
@@ -187,22 +188,6 @@ func (c *Collector) traceEvent(rec traceRec) any {
 	}
 	return packetEvent{
 		T: rec.at.Sec(), Ev: evNames[rec.ev], Link: c.LinkName(int(rec.link)),
-		Flow: rec.flow, Kind: kind, Size: rec.a, Seq: rec.b, Depth: rec.depth,
+		Flow: rec.flow, Kind: kind, Size: rec.a, Seq: rec.b, Depth: rec.depth, Shard: shard,
 	}
-}
-
-// WriteTrace renders the buffered events, oldest first, as JSONL — one
-// JSON object per line. Packet events carry link/kind/size/seq/depth;
-// admit/reject events carry class/attempt/frac.
-func (c *Collector) WriteTrace(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	for i := 0; i < c.trace.n; i++ {
-		if err := enc.Encode(c.traceEvent(c.trace.at(i))); err != nil {
-			return err
-		}
-	}
-	return nil
 }

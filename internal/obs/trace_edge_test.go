@@ -24,7 +24,7 @@ func fillRing(c *Collector, n int) *LinkTap {
 func traceFlows(t *testing.T, c *Collector) []int {
 	t.Helper()
 	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
+	if err := one(c).WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := strings.TrimSpace(b.String())
@@ -106,7 +106,7 @@ func TestRingHandoffEvent(t *testing.T) {
 	tap := c.RegisterLink("L0")
 	tap.Handoff(sim.Second, 3, 1, 576, 9)
 	var b strings.Builder
-	if err := c.WriteTrace(&b); err != nil {
+	if err := one(c).WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	var ev packetEvent

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"eac/internal/obs"
+	"eac/internal/admission"
 	"eac/internal/sim"
 )
 
@@ -74,9 +74,8 @@ func metricsDigest(t *testing.T, m Metrics) string {
 // path is held to the same digest as construction. One Workspace serves
 // the whole table: consecutive cases change K and topology under it.
 //
-// The obs half does the same for the observability artifacts (series,
-// trace, spans, histogram) of one K = 1 and one K = 2 run: K = 1 writes
-// the serial formats, K = 2 the merged ones with shard provenance.
+// The obs half does the same for what a run writes, each artifact file
+// held to its own digest.
 func TestKernelDigests(t *testing.T) {
 	reused := func(ws *Workspace, cfg Config) (Metrics, error) {
 		warm := cfg
@@ -104,18 +103,12 @@ func TestKernelDigests(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name   string
-		shards int
-		want   string
-	}{
-		{"obs/k1", 0, "8311b076d5aa63dfa0c1f1e73598b176abd8121d06fc9b03f4334d9945721c3d"},
-		{"obs/k2", 2, "93753c6eb80a2d556c463b2afe2b1614c336f0b7634aa488b76ec03f17b5ec9d"},
-	} {
+	for _, tc := range obsDigestCases() {
 		ws := NewWorkspace()
 		for _, how := range []string{"fresh", "reused"} {
-			cfg := obsShardCfg(4, tc.shards, t.TempDir())
-			cfg.Obs.TraceCapacity = 1 << 12
+			dir := t.TempDir()
+			cfg := tc.cfg(dir)
+			cfg.Obs.PerfettoPath = filepath.Join(dir, "perfetto.json")
 			var err error
 			if how == "fresh" {
 				_, err = Run(cfg)
@@ -125,30 +118,76 @@ func TestKernelDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, how, err)
 			}
-			if got := artifactDigest(t, cfg.Obs, cfg.Seed); got != tc.want {
-				t.Errorf("%s: %s artifact digest %s, want %s", tc.name, how, got, tc.want)
+			oc := cfg.Obs
+			for i, p := range []string{oc.SeriesPath(cfg.Seed), oc.TraceFile(cfg.Seed),
+				oc.SpansPath(cfg.Seed), oc.HistPath(cfg.Seed), oc.PerfettoPath} {
+				b, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(b)
+				if got := hex.EncodeToString(sum[:]); got != tc.want[i] {
+					t.Errorf("%s: %s %s digest %s, want %s", tc.name, how, artifactFiles[i], got, tc.want[i])
+				}
 			}
 		}
 	}
 }
 
-// artifactDigest hashes the run's artifact files, in flush order, each
-// prefixed by its base name.
-func artifactDigest(t *testing.T, oc obs.Config, seed uint64) string {
-	t.Helper()
-	paths := oc.AllArtifactPaths(seed)
-	if len(paths) < 4 {
-		t.Fatalf("expected series, trace, spans and hist artifacts, got %v", paths)
-	}
-	h := sha256.New()
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
+// artifactFiles names the columns of an obsDigestCase, in flush order.
+var artifactFiles = [5]string{"series", "trace", "spans", "hist", "perfetto"}
+
+type obsDigestCase struct {
+	name string
+	cfg  func(dir string) Config
+	want [5]string // sha256 per artifactFiles entry
+}
+
+// obsDigestCases pins every artifact file of an observed run. The digests
+// were recorded at the last commit where Collector wrote the K = 1 files
+// and Merged the K >= 2 ones (0f15220): the one writer reproduces all of
+// them except the K >= 2 series, which gained the fluid_bg_bps and
+// fluid_mark columns the K = 1 writer always had.
+func obsDigestCases() []obsDigestCase {
+	chain := func(shards int) func(string) Config {
+		return func(dir string) Config {
+			cfg := obsShardCfg(4, shards, dir)
+			cfg.Obs.TraceCapacity = 1 << 12
+			return cfg
 		}
-		h.Write([]byte(filepath.Base(p)))
-		h.Write([]byte{0})
-		h.Write(b)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	// The fluid columns are non-zero only here; the adaptive policy puts
+	// epoch events in the trace.
+	hybrid := func(dir string) Config {
+		cfg := hybridCfg(1)
+		cfg.Policy.Kind = admission.PolicyEpochAdaptive
+		cfg.Obs = obsShardCfg(1, 1, dir).Obs
+		return cfg
+	}
+	return []obsDigestCase{
+		{"obs/k1", chain(0), [5]string{
+			"0b249b7382a2c5bf006bacfc19ccf6619611204d90305fb9b7801bd49d03ee42",
+			"6ca0ed0f634c4e714dd8272bc7ae2c9d3d3d5961909044f2bc240c4247539da6",
+			"a5e85a652100130664a5050c1186b8e3fd85acf98ff5b6e14e96cf4782960202",
+			"0987e6f3a368a1e58bf1978e0c9e3b3f0b9ebd9021fa7bd3dd7367f03be461f5",
+			"ded618361d6b611bcd5430dbc6d0d5475db49ba14fdb62c06cb2e1278e0b1453"}},
+		{"obs/k2", chain(2), [5]string{
+			"f6166e69649a8b8aa181ee5fd0f983d64d4adeaea8dadfdd6977f8adbb245fbb", // 67ccdc92…1dcf78 at 0f15220, without the fluid columns
+			"54abfc759b72c5725e6950fcc5c72d4e48ead6cb118d813ff75bd1ebf913571a",
+			"30d8c9fdf20bb989422884735d0a9741350ec7d22764f786902c3c6c98c4473c",
+			"d358262b7a34b7cd30cb8f83c241d8099408f9ed6dae2e3d3ed56d9533c10629",
+			"15dfae1ab8935574fc48e152ecba372b1f2e829ed2909137beb2bbbdd640471c"}},
+		{"obs/k3", chain(3), [5]string{
+			"4d8e4536ca9fb9a01792113e3817ba68e5b96be0103561459669f86b57b2c459", // 0541a7f0…c14841 at 0f15220, without the fluid columns
+			"9d4262d51f4b63d2472ff5a90dc3f38805dcf98d4f980a1f9519602bb3388907",
+			"8081534be9b60a5d3803e5281f2f23243970a73c36bae7a8d18f07c972a6e78c",
+			"897652a6709050e7ddf8055e3bb10b1e99c2cc3f5a28dea411db0221be4cc160",
+			"d7484c9bbc91a5b14a4652fafd082eefee0369d5cc8030131c7df9b26abd2d19"}},
+		{"obs/hybrid-k1", hybrid, [5]string{
+			"6f980a0c5754cef0ccc5a704c906873943d2837af4cc993964f6eb050239bb29",
+			"96a277fc0a3c871ef5508cc10bd75626abdadd5c8713a44a16cdcf7f736eb546",
+			"ba10b845698fd059721394321e3af01f52675c2a204f80242b714d3e39c74af4",
+			"29b3e013582c477881a3f982a9a382982f99325d51b7a0f59ff69971161ee275",
+			"7a06439531961ccf655e041cde717a17ceaf6568f6cd57d6ad04962f934f6cf0"}},
+	}
 }

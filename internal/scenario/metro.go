@@ -22,7 +22,8 @@ type MetroStarOptions struct {
 	Hosts int
 }
 
-func (o MetroStarOptions) withDefaults() MetroStarOptions {
+// WithDefaults resolves the zero dimensions to the preset's defaults.
+func (o MetroStarOptions) WithDefaults() MetroStarOptions {
 	if o.Chains == 0 {
 		o.Chains = 8
 	}
@@ -50,7 +51,7 @@ func (o MetroStarOptions) withDefaults() MetroStarOptions {
 // cross-shard traffic in both directions. Duration and Warmup are left at
 // the paper defaults; benchmarks and experiments override them.
 func MetroStar(opts MetroStarOptions) Config {
-	o := opts.withDefaults()
+	o := opts.WithDefaults()
 	avg := trafgen.EXP1.AvgRate // 128 kb/s per host
 	perChain := float64(o.Hosts) / float64(o.Chains)
 	// Each chain link carries the chain's full up+back population; the hub

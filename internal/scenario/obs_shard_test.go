@@ -309,3 +309,49 @@ func TestRunSeedsObservedRecords(t *testing.T) {
 		t.Fatalf("serial record = %+v", srecs[0])
 	}
 }
+
+// TestRunRecordAddTo: what Flush wrote reaches the manifest through the
+// record — the artifact list is the directory's contents, and the
+// per-seed sections land under "s<seed>".
+func TestRunRecordAddTo(t *testing.T) {
+	dir := t.TempDir()
+	seeds := []uint64{7, 8}
+	_, recs, err := RunSeedsObserved(obsShardCfg(3, 2, dir), seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	for _, r := range recs {
+		r.AddTo(&man)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, e := range ents {
+		onDisk[filepath.Join(dir, e.Name())] = true
+	}
+	if len(man.Artifacts) != 8 || len(onDisk) != 8 {
+		t.Fatalf("manifest lists %d artifacts, directory holds %d; want series, trace, spans, hist x 2 seeds", len(man.Artifacts), len(onDisk))
+	}
+	for _, p := range man.Artifacts {
+		if !onDisk[p] {
+			t.Errorf("manifest lists %s, which Flush did not write", p)
+		}
+	}
+	for _, key := range []string{"s7", "s8"} {
+		if len(man.ShardExecuted[key]) != 2 || len(man.Queue[key]) != 2 {
+			t.Errorf("%s: shard_executed %v, queue %v; want one entry per shard", key, man.ShardExecuted[key], man.Queue[key])
+		}
+	}
+
+	// A serial run has a queue ledger and no shards to list; a cached one
+	// neither, and no artifacts.
+	var serial obs.Manifest
+	RunRecord{Seed: 1, Shards: 1, ShardExecuted: []uint64{9}, Queue: []sim.Counters{{Executed: 9}}}.AddTo(&serial)
+	RunRecord{Seed: 2, Shards: 1, Cached: true}.AddTo(&serial)
+	if serial.ShardExecuted != nil || len(serial.Queue) != 1 || serial.Queue["s1"][0].Executed != 9 || serial.Artifacts != nil {
+		t.Fatalf("serial manifest = %+v", serial)
+	}
+}

@@ -18,9 +18,9 @@ import (
 // advanced together by the conservative windowed executor in
 // internal/sim/shard. The serial run is the K = 1 case — one domain owning
 // every link, no boundary link, no portal, and an executor with no barrier
-// to keep. K is looked at in two places only: a single domain keeps the
-// unsuffixed RNG stream labels (newRunner), and obs.Merged flushes a single
-// collector in the serial artifact formats.
+// to keep. The kernel looks at K in one place only: a single domain keeps
+// the unsuffixed RNG stream labels (newRunner). What the run observed is
+// written by obs.Merged, whose one-collector case is the serial formats.
 //
 // Runs at K > 1 are deterministic per K but only statistically equivalent
 // to K = 1 (each domain draws its own thinned arrival stream);
@@ -348,8 +348,31 @@ type RunRecord struct {
 	// Queue holds each domain's event-queue ledger, indexed like
 	// ShardExecuted and likewise nil for cached results.
 	Queue []sim.Counters
+	// Artifacts lists the observability files the run's flush wrote, in
+	// flush order; nil without an enabled Config.Obs.
+	Artifacts []string
 	// Cached reports whether the result came from the result cache.
 	Cached bool
+}
+
+// AddTo files the run's sections in a manifest: its per-shard event counts
+// (sharded runs only) and event-queue ledger under "s<seed>", and the
+// artifact paths it wrote.
+func (r RunRecord) AddTo(man *obs.Manifest) {
+	key := fmt.Sprintf("s%d", r.Seed)
+	if r.Shards > 1 && len(r.ShardExecuted) > 0 {
+		if man.ShardExecuted == nil {
+			man.ShardExecuted = map[string][]uint64{}
+		}
+		man.ShardExecuted[key] = r.ShardExecuted
+	}
+	if len(r.Queue) > 0 {
+		if man.Queue == nil {
+			man.Queue = map[string][]sim.Counters{}
+		}
+		man.Queue[key] = r.Queue
+	}
+	man.Artifacts = append(man.Artifacts, r.Artifacts...)
 }
 
 // RunSeedsObserved is RunSeedsParallel returning, additionally, one

@@ -122,9 +122,6 @@ func TestShardWorkspaceReuse(t *testing.T) {
 			t.Fatalf("reused sharded executor diverged for seed %d", cfg.Seed)
 		}
 	}
-	if ws.ShardExecuted() == nil {
-		t.Error("ShardExecuted returned nil after sharded runs")
-	}
 }
 
 // TestShardRaceSmoke exercises the cross-shard channels with maximum

@@ -30,7 +30,8 @@ func (ws *Workspace) Run(cfg Config) (Metrics, error) {
 }
 
 // RunRecorded is Run returning, additionally, a RunRecord describing the
-// run (seed, shard count, per-shard executed-event counts, cache hit).
+// run (seed, shard count, per-shard executed-event counts and queue
+// ledgers, the artifact files written, cache hit).
 // The Metrics are computed exactly as Run computes them.
 func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	cfg = cfg.WithDefaults()
@@ -57,21 +58,11 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	for _, d := range ws.r.doms {
 		rec.Queue = append(rec.Queue, d.s.Counters())
 	}
-	if _, err := ws.r.FlushObs(); err != nil {
+	if rec.Artifacts, err = ws.r.FlushObs(); err != nil {
 		return m, rec, err
 	}
 	cachePut(cfg, key, m)
 	return m, rec, nil
-}
-
-// ShardExecuted returns the per-shard executed-event counts of the most
-// recent run (one entry at K = 1), nil before the first. Benchmarks use it
-// to report load balance and the critical-path speedup bound.
-func (ws *Workspace) ShardExecuted() []uint64 {
-	if ws.r == nil {
-		return nil
-	}
-	return ws.r.ex.Executed()
 }
 
 // cacheGet consults cfg.Cache for the run's fingerprinted result. The

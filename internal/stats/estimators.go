@@ -62,72 +62,6 @@ func (w *Welford) StderrMean() float64 {
 	return w.Stddev() / math.Sqrt(float64(w.n))
 }
 
-// Counter is a windowed event counter: it accumulates a value and can be
-// reset, returning the accumulated amount. Used for interval loss counts.
-type Counter struct {
-	total int64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(n int64) { c.total += n }
-
-// Take returns the current count and resets it to zero.
-func (c *Counter) Take() int64 {
-	t := c.total
-	c.total = 0
-	return t
-}
-
-// Total returns the current count without resetting.
-func (c *Counter) Total() int64 { return c.total }
-
-// TimeWeighted accumulates the time integral of a piecewise-constant signal
-// so that Mean returns its time average. Times are arbitrary consistent
-// units (the simulator uses nanoseconds as int64 widened to float64).
-type TimeWeighted struct {
-	lastT    float64
-	value    float64
-	integral float64
-	started  bool
-	startT   float64
-}
-
-// Set records that the signal takes value v from time t onward.
-func (tw *TimeWeighted) Set(t, v float64) {
-	if !tw.started {
-		tw.started = true
-		tw.startT = t
-	} else if t > tw.lastT {
-		tw.integral += tw.value * (t - tw.lastT)
-	}
-	tw.lastT = t
-	tw.value = v
-}
-
-// Mean returns the time average of the signal from the first Set up to time
-// t (extending the last value to t).
-func (tw *TimeWeighted) Mean(t float64) float64 {
-	if !tw.started || t <= tw.startT {
-		return 0
-	}
-	integral := tw.integral
-	if t > tw.lastT {
-		integral += tw.value * (t - tw.lastT)
-	}
-	return integral / (t - tw.startT)
-}
-
-// Reset clears the accumulator but keeps the current value, restarting the
-// averaging window at time t. Used to discard simulation warm-up.
-func (tw *TimeWeighted) Reset(t float64) {
-	v := tw.value
-	started := tw.started
-	*tw = TimeWeighted{}
-	if started {
-		tw.Set(t, v)
-	}
-}
-
 // WindowMax is the Measured Sum load estimator of Jamin, Shenker and Danzig
 // ("Comparison of measurement-based admission control algorithms for
 // Controlled-Load Service", INFOCOM '97): arrivals are averaged over

@@ -60,53 +60,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(3)
-	c.Add(4)
-	if c.Total() != 7 {
-		t.Fatalf("Total = %d", c.Total())
-	}
-	if c.Take() != 7 {
-		t.Fatal("Take mismatch")
-	}
-	if c.Total() != 0 {
-		t.Fatal("Take did not reset")
-	}
-}
-
-func TestTimeWeightedMean(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 10)
-	tw.Set(2, 20) // value 10 for [0,2)
-	tw.Set(3, 0)  // value 20 for [2,3)
-	// At t=4: integral = 10*2 + 20*1 + 0*1 = 40 over 4 seconds.
-	if got := tw.Mean(4); got != 10 {
-		t.Fatalf("Mean(4) = %v, want 10", got)
-	}
-}
-
-func TestTimeWeightedReset(t *testing.T) {
-	var tw TimeWeighted
-	tw.Set(0, 100)
-	tw.Reset(10)
-	// Warm-up discarded: signal holds 100 from t=10.
-	if got := tw.Mean(20); got != 100 {
-		t.Fatalf("Mean after reset = %v, want 100", got)
-	}
-	tw.Set(15, 0)
-	if got := tw.Mean(20); got != 50 {
-		t.Fatalf("Mean = %v, want 50", got)
-	}
-}
-
-func TestTimeWeightedEmpty(t *testing.T) {
-	var tw TimeWeighted
-	if tw.Mean(5) != 0 {
-		t.Fatal("empty TimeWeighted should average 0")
-	}
-}
-
 func TestWindowMaxTracksPeak(t *testing.T) {
 	wm := NewWindowMax(1.0, 5) // 1 s samples, 5 s window
 	// 1000 bits/s for 3 seconds.
