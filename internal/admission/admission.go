@@ -15,7 +15,6 @@ package admission
 
 import (
 	"fmt"
-	"slices"
 
 	"eac/internal/netsim"
 	"eac/internal/sim"
@@ -141,22 +140,21 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// stagesInto appends the per-stage probing rates for a flow of token rate
-// r to dst (reusing its capacity).
-func (c Config) stagesInto(dst []float64, r float64) []float64 {
+// numStages returns how many stages a probe has.
+func (c Config) numStages() int {
 	if c.Kind != SlowStart && c.Kind != EarlyReject {
-		return append(dst, r) // Simple: one stage covering the whole probe period
+		return 1 // Simple: one stage covering the whole probe period
 	}
-	n := max(int(c.ProbeDur/c.StageDur), 1)
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		if c.Kind == SlowStart {
-			dst = append(dst, r/float64(int64(1)<<uint(n-1-i)))
-		} else {
-			dst = append(dst, r)
-		}
+	return max(int(c.ProbeDur/c.StageDur), 1)
+}
+
+// stageRate returns the probing rate of stage i of n for a flow of token
+// rate r.
+func (c Config) stageRate(i, n int, r float64) float64 {
+	if c.Kind == SlowStart {
+		return r / float64(int64(1)<<uint(n-1-i))
 	}
-	return dst
+	return r
 }
 
 // stageDur returns the duration of each stage for this config.
@@ -176,6 +174,9 @@ type Result struct {
 	Sent, Lost, Marked int64
 	// Elapsed is how long the host probed before deciding.
 	Elapsed sim.Time
+	// FlowID is the flow the probe ran for, so that probers of many flows
+	// can report to one callback.
+	FlowID int
 	// StageFracs holds the measured bad-packet fraction of every stage
 	// that sent at least one packet — including on an early reject, where
 	// Fraction alone only reports the deciding stage. The slice is owned
@@ -196,27 +197,18 @@ type Prober struct {
 	pool   *netsim.Pool
 	done   func(Result)
 
-	cbr     *trafgen.CBR
-	rates   []float64
-	stage   int
+	cbr     trafgen.CBR
+	stages  []probeStage // one block: a new prober pays for it once, a reused one never
+	stage   int          // the stage now sending
 	started sim.Time
 
-	sent       []int64
-	recv       []int64
-	marked     []int64
-	gaps       []int64    // losses discovered by sequence gaps
-	expect     []int64    // next expected per-stage sequence
-	stageStart []sim.Time // when each stage began sending
-	stageFracs []float64  // Result.StageFracs buffer, reused across attempts
+	stageFracs []float64 // Result.StageFracs buffer, reused across attempts
 
 	checkEv sim.Event // periodic early-stop check
 	stageEv sim.Event // end of the currently sending stage
-	// judgeEv[st] judges stage st one Guard after it stopped sending: one
-	// event per stage, since a Guard longer than a stage leaves two
-	// outstanding. They fire in stage order, so they share one callback
-	// that judges stage nextJudge. Made when a stage first ends (most
-	// rejected probes never get that far) and kept across Reinit.
-	judgeEv   []sim.Event
+	// The stage judges fire in stage order, so they share one callback, which
+	// judges stage nextJudge.
+	judgeFn   func(sim.Time)
 	nextJudge int
 	// All three timers fire a fixed interval after they are set, so every
 	// prober's go through the simulator's lane for that interval.
@@ -224,72 +216,72 @@ type Prober struct {
 	finished                        bool
 }
 
+// probeStage is one probing stage: its rate, when it began, what it counted.
+type probeStage struct {
+	rate  float64  // bits/s
+	start sim.Time // when the stage began sending
+	stageCounts
+	// judge judges the stage one Guard after it stopped sending: an event per
+	// stage, since a Guard longer than a stage leaves two outstanding.
+	judge sim.Event
+}
+
+type stageCounts struct {
+	sent, recv, marked int64
+	gaps               int64 // losses discovered by sequence gaps
+	expect             int64 // next expected per-stage sequence
+}
+
 // NewProber builds a prober for a flow with token rate r (bits/s) and
 // probe packets of pktSize bytes. done is invoked exactly once.
 func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, pool *netsim.Pool, done func(Result)) *Prober {
 	p := &Prober{s: s, pool: pool}
-	p.cbr = trafgen.NewCBR(s, 1, 1, p.emit) // re-parameterized by Reinit
+	p.cbr.Init(s, 1, 1, p.emit) // re-parameterized by Reinit
 	p.checkEv.Init(p.periodicCheck)
 	p.stageEv.Init(p.endStage)
+	p.judgeFn = p.judgeNext
 	p.Reinit(cfg, flowID, r, pktSize, route, done)
 	return p
 }
 
-// Reinit rewinds an idle prober for another admission attempt, reusing its
-// stage-accounting slices, CBR source, and internal events in place of a
+// Reinit rewinds an idle prober for another admission attempt — of the same
+// flow or, since the scenario recycles probers inside a run, of another —
+// reusing its stage block, CBR source and internal events in place of a
 // NewProber allocation (probers dominate the per-flow allocation bill).
 // The prober must not be probing: finished, Abort-ed, or retired by
 // ForgetEvents after a simulator reset. Stale probe packets cannot confuse
-// the reincarnation — the scenario retries a flow only after a back-off
-// far exceeding the path drain time, and a simulator reset empties the
-// network entirely.
+// the reincarnation: they carry their flow's ID, and the scenario retries a
+// flow only after a back-off far exceeding the path drain time.
 func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, done func(Result)) {
 	cfg = cfg.WithDefaults()
 	p.cfg, p.flowID, p.rate, p.pkt = cfg, flowID, r, pktSize
 	p.route, p.done = route, done
-	p.rates = cfg.stagesInto(p.rates[:0], r)
-	n := len(p.rates)
-	p.sent = zeroed(p.sent, n)
-	p.recv = zeroed(p.recv, n)
-	p.marked = zeroed(p.marked, n)
-	p.gaps = zeroed(p.gaps, n)
-	p.expect = zeroed(p.expect, n)
-	if cap(p.stageStart) < n {
-		p.stageStart = make([]sim.Time, n)
+	// A judge the previous attempt left behind must not judge this one.
+	p.cancelJudges()
+	n := cfg.numStages()
+	if cap(p.stages) < n {
+		p.stages = make([]probeStage, n)
+		for i := range p.stages {
+			p.stages[i].judge.Init(p.judgeFn)
+		}
 	}
-	p.stageStart = p.stageStart[:n]
-	for i := range p.stageStart {
-		p.stageStart[i] = 0
+	p.stages = p.stages[:n]
+	for i := range p.stages {
+		st := &p.stages[i]
+		st.rate, st.start, st.stageCounts = cfg.stageRate(i, n, r), 0, stageCounts{}
 	}
 	if cap(p.stageFracs) < n {
 		p.stageFracs = make([]float64, 0, n)
 	}
 	p.stageFracs = p.stageFracs[:0]
-	// A judge the previous attempt left behind must not judge this one.
-	p.cancelJudges()
-	if len(p.judgeEv) < n {
-		p.judgeEv = nil
-	}
-	p.cbr.Reinit(p.rates[0], pktSize)
+	p.cbr.Reinit(p.stages[0].rate, pktSize)
 	p.stage, p.nextJudge, p.started, p.finished = 0, 0, 0, false
 }
 
 func (p *Prober) cancelJudges() {
-	for i := range p.judgeEv {
-		p.s.Cancel(&p.judgeEv[i])
+	for i := range p.stages {
+		p.s.Cancel(&p.stages[i].judge)
 	}
-}
-
-// zeroed returns s resized to n elements, all zero, reusing its capacity.
-func zeroed(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // ForgetEvents clears the prober's pending internal events without
@@ -300,8 +292,8 @@ func (p *Prober) ForgetEvents() {
 	p.finished = true
 	p.checkEv.Forget()
 	p.stageEv.Forget()
-	for i := range p.judgeEv {
-		p.judgeEv[i].Forget()
+	for i := range p.stages {
+		p.stages[i].judge.Forget()
 	}
 	p.cbr.Forget()
 }
@@ -310,8 +302,8 @@ func (p *Prober) ForgetEvents() {
 func (p *Prober) Start(now sim.Time) {
 	p.started = now
 	p.stage = 0
-	p.stageStart[0] = now
-	p.cbr.SetRate(p.rates[0])
+	p.stages[0].start = now
+	p.cbr.SetRate(p.stages[0].rate)
 	p.cbr.Start(now)
 	p.stageLane, p.checkLane = p.s.Lane(p.cfg.stageDur()), p.s.Lane(p.checkInterval())
 	p.judgeLane = p.s.Lane(p.cfg.Guard)
@@ -343,10 +335,11 @@ func (p *Prober) emit(now sim.Time, size int) {
 	pk.Kind = netsim.Probe
 	pk.Band = band
 	pk.Size = size
+	st := &p.stages[p.stage]
 	pk.Stage = p.stage
-	pk.Seq = p.sent[p.stage]
+	pk.Seq = st.sent
 	pk.Route = p.route
-	p.sent[p.stage]++
+	st.sent++
 	netsim.Send(now, pk)
 }
 
@@ -358,18 +351,11 @@ func (p *Prober) endStage(now sim.Time) {
 	p.cbr.Stop()
 	// Judge this stage after the guard; meanwhile, if more stages
 	// remain, they start sending immediately.
-	if p.judgeEv == nil {
-		p.judgeEv = make([]sim.Event, len(p.rates))
-		fn := p.judgeNext
-		for i := range p.judgeEv {
-			p.judgeEv[i].Init(fn)
-		}
-	}
-	p.s.ScheduleLane(p.judgeLane, &p.judgeEv[p.stage], now+p.cfg.Guard)
-	if p.stage+1 < len(p.rates) {
+	p.s.ScheduleLane(p.judgeLane, &p.stages[p.stage].judge, now+p.cfg.Guard)
+	if p.stage+1 < len(p.stages) {
 		p.stage++
-		p.stageStart[p.stage] = now
-		p.cbr.SetRate(p.rates[p.stage])
+		p.stages[p.stage].start = now
+		p.cbr.SetRate(p.stages[p.stage].rate)
 		p.cbr.Start(now)
 		p.s.ScheduleLane(p.stageLane, &p.stageEv, now+p.cfg.stageDur())
 	}
@@ -378,16 +364,12 @@ func (p *Prober) endStage(now sim.Time) {
 // sentBy returns how many probe packets of a stage had been emitted by
 // time t (the probe stream is CBR, so this is deterministic).
 func (p *Prober) sentBy(stage int, t sim.Time) int64 {
-	start := p.stageStart[stage]
-	if t < start {
+	st := &p.stages[stage]
+	if t < st.start {
 		return 0
 	}
-	interval := sim.Time(float64(p.pkt*8) / p.rates[stage] * float64(sim.Second))
-	n := int64((t-start)/interval) + 1
-	if n > p.sent[stage] {
-		n = p.sent[stage]
-	}
-	return n
+	interval := sim.Time(float64(p.pkt*8) / st.rate * float64(sim.Second))
+	return min(int64((t-st.start)/interval)+1, st.sent)
 }
 
 // periodicCheck implements the time-driven half of the early-stop rule: a
@@ -399,17 +381,13 @@ func (p *Prober) periodicCheck(now sim.Time) {
 	if p.finished {
 		return
 	}
-	st := p.stage
-	lost := p.sentBy(st, now-p.cfg.Guard) - p.recv[st]
-	if lost < p.gaps[st] {
-		lost = p.gaps[st]
-	}
-	bad := lost
+	st := &p.stages[p.stage]
+	bad := max(p.sentBy(p.stage, now-p.cfg.Guard)-st.recv, st.gaps)
 	if p.cfg.Design.Signal == Mark {
-		bad += p.marked[st]
+		bad += st.marked
 	}
-	if float64(bad) > p.cfg.Eps*p.plannedPackets(st) {
-		p.finish(now, Result{Accepted: false, Fraction: p.fraction(st)})
+	if float64(bad) > p.cfg.Eps*p.plannedPackets(p.stage) {
+		p.finish(now, Result{Accepted: false, Fraction: p.fraction(p.stage)})
 		return
 	}
 	p.s.ScheduleLane(p.checkLane, &p.checkEv, now+p.checkInterval())
@@ -417,7 +395,7 @@ func (p *Prober) periodicCheck(now sim.Time) {
 
 // plannedPackets returns how many packets a full stage would send.
 func (p *Prober) plannedPackets(stage int) float64 {
-	return p.rates[stage] * p.cfg.stageDur().Sec() / float64(p.pkt*8)
+	return p.stages[stage].rate * p.cfg.stageDur().Sec() / float64(p.pkt*8)
 }
 
 // OnProbeArrival accounts an arriving probe packet. The caller retains
@@ -426,54 +404,45 @@ func (p *Prober) OnProbeArrival(now sim.Time, pk *netsim.Packet) {
 	if p.finished {
 		return
 	}
-	st := pk.Stage
-	if st < 0 || st >= len(p.expect) {
+	if pk.Stage < 0 || pk.Stage >= len(p.stages) {
 		return
 	}
-	if pk.Seq > p.expect[st] {
-		p.gaps[st] += pk.Seq - p.expect[st]
+	st := &p.stages[pk.Stage]
+	if pk.Seq > st.expect {
+		st.gaps += pk.Seq - st.expect
 	}
-	p.expect[st] = pk.Seq + 1
-	p.recv[st]++
+	st.expect = pk.Seq + 1
+	st.recv++
 	if pk.Marked {
-		p.marked[st]++
+		st.marked++
 	}
-	// Early stop (Section 3.1): once the bad count already guarantees the
-	// stage fraction will exceed eps, stop probing and reject.
-	if float64(p.bad(st)) > p.cfg.Eps*p.plannedPackets(st) {
-		p.finish(now, Result{Accepted: false, Fraction: p.fraction(st)})
-	}
-}
-
-// bad returns the known-bad packet count for a stage: sequence-gap losses
-// plus (for marking designs) marks.
-func (p *Prober) bad(stage int) int64 {
-	b := p.gaps[stage]
+	// Early stop (Section 3.1): once the known-bad count — sequence-gap
+	// losses plus, for marking designs, marks — already guarantees the stage
+	// fraction will exceed eps, stop probing and reject.
+	bad := st.gaps
 	if p.cfg.Design.Signal == Mark {
-		b += p.marked[stage]
+		bad += st.marked
 	}
-	return b
+	if float64(bad) > p.cfg.Eps*p.plannedPackets(pk.Stage) {
+		p.finish(now, Result{Accepted: false, Fraction: p.fraction(pk.Stage)})
+	}
 }
 
 // fraction returns the stage's current bad fraction using losses implied by
 // sent-received (valid once in-flight packets have arrived).
 func (p *Prober) fraction(stage int) float64 {
-	sent := p.sent[stage]
-	if sent == 0 {
+	st := &p.stages[stage]
+	if st.sent == 0 {
 		return 0
 	}
-	lost := sent - p.recv[stage]
-	if lost < p.gaps[stage] {
-		lost = p.gaps[stage]
-	}
-	b := lost
+	b := max(st.sent-st.recv, st.gaps)
 	if p.cfg.Design.Signal == Mark {
-		b += p.marked[stage]
+		b += st.marked
 	}
-	return float64(b) / float64(sent)
+	return float64(b) / float64(st.sent)
 }
 
-// judgeNext is the callback of every judgeEv; it applies the stage
+// judgeNext is the callback of every stage's judge; it applies the stage
 // acceptance test after the guard period. Judges come due in stage order,
 // so the one firing is nextJudge's. finish does not cancel a judge still
 // queued: it fires into the finished prober and does nothing, which keeps
@@ -491,7 +460,7 @@ func (p *Prober) judgeNext(now sim.Time) {
 		p.finish(now, Result{Accepted: false, Fraction: frac})
 		return
 	}
-	if stage == len(p.rates)-1 {
+	if stage == len(p.stages)-1 {
 		p.finish(now, Result{Accepted: true, Fraction: frac})
 	}
 }
@@ -505,15 +474,17 @@ func (p *Prober) finish(now sim.Time, r Result) {
 	p.s.Cancel(&p.checkEv)
 	p.s.Cancel(&p.stageEv)
 	p.stageFracs = p.stageFracs[:0]
-	for i := range p.sent {
-		r.Sent += p.sent[i]
-		r.Marked += p.marked[i]
-		r.Lost += p.sent[i] - p.recv[i]
-		if p.sent[i] > 0 {
+	for i := range p.stages {
+		st := &p.stages[i]
+		r.Sent += st.sent
+		r.Marked += st.marked
+		r.Lost += st.sent - st.recv
+		if st.sent > 0 {
 			p.stageFracs = append(p.stageFracs, p.fraction(i))
 		}
 	}
 	r.StageFracs = p.stageFracs
 	r.Elapsed = now - p.started
+	r.FlowID = p.flowID
 	p.done(r)
 }

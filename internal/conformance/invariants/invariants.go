@@ -224,18 +224,19 @@ func (c *Checker) CheckTokenBucket(name string, tb *trafgen.TokenBucket, capByte
 	}
 }
 
-// CheckLinkQuiescent verifies packet conservation at a drained link:
-// after the simulation has run to completion (empty queue, idle
+// CheckLinkQuiescent verifies packet conservation at a link drained by
+// now: after the simulation has run to completion (empty queue, idle
 // transmitter, empty pipe), every arrived packet must have been either
 // sent or dropped. Only valid if the link's stats were never Reset.
-func (c *Checker) CheckLinkQuiescent(l *netsim.Link) {
-	if l.Busy() || l.QueueLen() != 0 {
-		c.Violationf("%s: not quiescent (busy=%v queued=%d)", l.Name, l.Busy(), l.QueueLen())
+func (c *Checker) CheckLinkQuiescent(now sim.Time, l *netsim.Link) {
+	if l.Busy(now) || l.QueueLen(now) != 0 {
+		c.Violationf("%s: not quiescent (busy=%v queued=%d)", l.Name, l.Busy(now), l.QueueLen(now))
 		return
 	}
+	st := l.StatsAt(now)
 	for k := netsim.Data; k <= netsim.Probe; k++ {
-		arr := l.Stats.Arrived[k]
-		out := l.Stats.SentPkts[k] + l.Stats.Dropped[k]
+		arr := st.Arrived[k]
+		out := st.SentPkts[k] + st.Dropped[k]
 		if arr != out {
 			c.Violationf("%s: %v conservation: arrived=%d but sent+dropped=%d", l.Name, k, arr, out)
 		}

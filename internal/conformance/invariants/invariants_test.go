@@ -172,16 +172,16 @@ func TestCheckLinkQuiescent(t *testing.T) {
 	}
 	s.RunAll()
 	var c invariants.Checker
-	c.CheckLinkQuiescent(l)
+	c.CheckLinkQuiescent(s.Now(), l)
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if delivered == 0 || delivered == 50 {
 		t.Fatalf("expected partial delivery through the full queue, got %d/50", delivered)
 	}
-	l.Stats.Dropped[netsim.Data]++ // cook the books
+	l.StatsAt(s.Now()).Dropped[netsim.Data]++ // cook the books
 	var c2 invariants.Checker
-	c2.CheckLinkQuiescent(l)
+	c2.CheckLinkQuiescent(s.Now(), l)
 	if c2.Err() == nil {
 		t.Fatal("cooked drop counter not flagged")
 	}

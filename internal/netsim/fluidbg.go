@@ -105,8 +105,10 @@ func (bg *FluidBackground) Congestion() float64 { return bg.pDrop + (1-bg.pDrop)
 
 // Add changes the offered background rate by delta bits/s (negative to
 // remove a departing flow) at time now, advancing the integrals to now
-// first and rescaling the link's residual capacity.
+// first and rescaling the link's residual capacity — after syncing the link,
+// so that a transmission it has yet to start before now is timed at the old rate.
 func (bg *FluidBackground) Add(now sim.Time, delta float64) {
+	bg.link.sync(now)
 	bg.advance(now)
 	bg.bps += delta
 	if bg.bps < 0 {

@@ -192,7 +192,8 @@ func TestFluidBackgroundLinkIntegration(t *testing.T) {
 	s.Schedule(ev, 0)
 	s.Run(3 * sim.Second)
 
-	frac := float64(l.Stats.Dropped[Data]) / float64(l.Stats.Arrived[Data])
+	st := l.StatsAt(s.Now())
+	frac := float64(st.Dropped[Data]) / float64(st.Arrived[Data])
 	if math.Abs(frac-bg.PDrop()) > 0.05 {
 		t.Errorf("link-level drop fraction %v, want ~%v", frac, bg.PDrop())
 	}
@@ -203,5 +204,33 @@ func TestFluidBackgroundLinkIntegration(t *testing.T) {
 	}
 	if l.nsPerBit != float64(sim.Second)/10e6 {
 		t.Error("Reset must restore the full serialization rate")
+	}
+}
+
+// TestFluidRateChangeKeepsServiceTimes: a background rate change retimes
+// neither the packet in service nor one whose service began, unobserved,
+// before the change. Three 1 ms packets queue at t = 0 and nothing looks at
+// the link until the rate halves at 2.5 ms: the first two must have been
+// served and the third started at 2 ms at the full rate (done at 3 ms — Add
+// syncs the link before it rescales); only the fourth, which starts at 3 ms,
+// takes 2 ms.
+func TestFluidRateChangeKeepsServiceTimes(t *testing.T) {
+	s := sim.New()
+	const delay = 20 * sim.Millisecond // no delivery wakes the link before the change
+	l := NewLink(s, "bg", 1e6, delay, NewDropTail(8))
+	bg := NewFluidBackground(l, fluid.QueueDropTail, 400, stats.NewStream(1, "fluidbg"))
+	var got []record
+	route := []Receiver{l, recordSink{&got}}
+	for i := int64(0); i < 4; i++ {
+		Send(0, &Packet{Seq: i, Size: 125, Route: route})
+	}
+	s.Call(2500*sim.Microsecond, func(now sim.Time) { bg.Add(now, 0.5e6) })
+	s.RunAll()
+	var want []record
+	for i, end := range []sim.Time{1, 2, 3, 5} {
+		want = append(want, record{hop: -1, seq: int64(i), at: end*sim.Millisecond + delay})
+	}
+	if _, diff := diffRecords(want, got, -1); diff != "" {
+		t.Fatalf("deliveries retimed by the rate change: %s", diff)
 	}
 }

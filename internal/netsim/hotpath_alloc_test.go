@@ -65,7 +65,7 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	until := 2 * sim.Second
 	s.Run(until) // warmup: grow rings, heap, and pool to steady state
 
-	appends, drops := s.Counters().LaneAppends, link.Stats.Dropped[Data]
+	appends, drops := s.Counters().LaneAppends, link.StatsAt(s.Now()).Dropped[Data]
 	allocs := testing.AllocsPerRun(5, func() {
 		until += 200 * sim.Millisecond
 		s.Run(until)
@@ -73,9 +73,9 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state per-packet path allocated %v times per 200ms slice, want 0", allocs)
 	}
-	if s.Counters().LaneAppends == appends || link.Stats.Dropped[Data] == drops {
+	if s.Counters().LaneAppends == appends || link.StatsAt(s.Now()).Dropped[Data] == drops {
 		t.Fatalf("guarded section is vacuous: lane appends %d -> %d, data drops %d -> %d",
-			appends, s.Counters().LaneAppends, drops, link.Stats.Dropped[Data])
+			appends, s.Counters().LaneAppends, drops, link.StatsAt(s.Now()).Dropped[Data])
 	}
 
 	// Reused-worker path: rewind the simulator and the link as the grid

@@ -54,7 +54,7 @@ func TestLinkInvariantsUnderLoad(t *testing.T) {
 	s.Call(0, emit)
 	s.RunAll()
 
-	c.CheckLinkQuiescent(l)
+	c.CheckLinkQuiescent(s.Now(), l)
 	enq, deq, drop := guard.Counts()
 	if enq != int64(sent) {
 		c.Violationf("guard saw %d arrivals, sent %d", enq, sent)

@@ -91,8 +91,9 @@ type Link struct {
 	// shard. On such a link, a packet whose next hop implements
 	// TxEndReceiver is handed over at transmission end — before the
 	// propagation delay — instead of entering the pipe; packets bound for
-	// ordinary receivers still take the pipe. False (the default) skips
-	// the check entirely, leaving the serial path untouched.
+	// ordinary receivers still take the pipe. To hand over on the instant,
+	// a boundary link wakes at every txEnd (see arm). False (the default)
+	// skips all of that, leaving the serial path untouched.
 	Boundary bool
 
 	// OnDrop, if set, observes every dropped packet; the callback owns the
@@ -107,20 +108,27 @@ type Link struct {
 
 	// Tap, if set, streams packet-level telemetry (enqueue, dequeue,
 	// drop, mark) into the observability layer's event trace. Nil — the
-	// default — costs one pointer check per event.
+	// default — costs one pointer check per event. Dequeue and handoff
+	// events are emitted, late, with their true times (sync): a tap must not
+	// wake the link, tracing may not change what is scheduled.
 	Tap *obs.LinkTap
 
-	Stats LinkStats
-
 	s        *sim.Sim
-	busy     bool
 	nsPerBit float64 // float64(sim.Second) / RateBps, precomputed
-	txPkt    *Packet
-	txDone   *sim.Event
-	pipe     []inflight // power-of-two ring buffer, mask-indexed
-	pipeHd   int
-	pipeN    int
-	pipeEv   *sim.Event
+
+	// The server. No event ends a transmission: sync books txPkt and starts
+	// the next packet at txEnd once the clock has passed it, so stats, busy
+	// and the queue are read only behind sync (StatsAt, Busy, QueueLen).
+	stats LinkStats
+	busy  bool
+	txEnd sim.Time
+	txPkt *Packet       // already in the pipe, unless hand is set
+	hand  TxEndReceiver // txPkt is a boundary hand-off, held until txEnd
+
+	pipe   []inflight // power-of-two ring buffer, mask-indexed
+	pipeHd int
+	pipeN  int
+	ev     *sim.Event // the one event: next pipe delivery (boundary: or txEnd, see arm)
 }
 
 // NewLink builds a link. The queue discipline q must be non-nil.
@@ -133,8 +141,7 @@ func NewLink(s *sim.Sim, name string, rateBps float64, delay sim.Time, q Discipl
 	}
 	l := &Link{Name: name, RateBps: rateBps, Delay: delay, Q: q, s: s,
 		nsPerBit: float64(sim.Second) / rateBps}
-	l.txDone = sim.NewStreamEvent(l.onTxDone)
-	l.pipeEv = sim.NewStreamEvent(l.onDeliver)
+	l.ev = sim.NewStreamEvent(l.onDeliver)
 	return l
 }
 
@@ -155,46 +162,43 @@ func (l *Link) Reset(rateBps float64, delay sim.Time, recycle func(*Packet)) {
 	if rateBps <= 0 {
 		panic("netsim: Link.Reset requires positive rate")
 	}
-	if l.txPkt != nil {
-		if recycle != nil {
-			recycle(l.txPkt)
-		}
-		l.txPkt = nil
+	if recycle == nil {
+		recycle = func(*Packet) {}
 	}
+	if l.hand != nil { // held for hand-off; any other txPkt is in the pipe
+		recycle(l.txPkt)
+	}
+	l.txPkt, l.hand = nil, nil
 	for p := l.Q.Dequeue(); p != nil; p = l.Q.Dequeue() {
-		if recycle != nil {
-			recycle(p)
-		}
+		recycle(p)
 	}
 	for l.pipeN > 0 {
 		f := l.pipe[l.pipeHd]
 		l.pipe[l.pipeHd] = inflight{}
 		l.pipeHd = (l.pipeHd + 1) & (len(l.pipe) - 1)
 		l.pipeN--
-		if recycle != nil {
-			recycle(f.p)
-		}
+		recycle(f.p)
 	}
 	l.pipeHd = 0
 	l.RateBps = rateBps
 	l.Delay = delay
 	l.nsPerBit = float64(sim.Second) / rateBps
 	l.busy = false
-	l.Stats = LinkStats{}
+	l.stats = LinkStats{}
 	l.Marker = nil
 	l.Bg = nil
 	l.VQDropProbes = false
 	l.Boundary = false
 	l.OnDrop, l.OnArrive, l.Tap = nil, nil, nil
-	l.txDone.Forget()
-	l.pipeEv.Forget()
+	l.ev.Forget()
 }
 
-// Receive implements Receiver: the packet arrives at this link's queue.
-// The telemetry dispatch happens once here: the untraced path (Tap == nil,
-// the default) runs with no per-branch tap checks at all.
+// Receive implements Receiver: the packet arrives at this link's queue, after
+// every transmission that ends by now — at now too, the tie rule. The untraced
+// path (Tap == nil, the default) runs with no per-branch tap checks at all.
 func (l *Link) Receive(now sim.Time, p *Packet) {
-	l.Stats.Arrived[p.Kind]++
+	l.sync(now)
+	l.stats.Arrived[p.Kind]++
 	if l.OnArrive != nil {
 		l.OnArrive(now, p)
 	}
@@ -230,10 +234,11 @@ func (l *Link) receiveFast(now sim.Time, p *Packet) {
 	// queue: see the LinkStats doc comment.
 	if marked {
 		p.Marked = true
-		l.Stats.Marked[p.Kind]++
+		l.stats.Marked[p.Kind]++
 	}
 	if !l.busy {
 		l.startTx(now)
+		l.arm()
 	}
 }
 
@@ -261,18 +266,19 @@ func (l *Link) receiveTraced(now sim.Time, p *Packet) {
 	}
 	if marked {
 		p.Marked = true
-		l.Stats.Marked[p.Kind]++
+		l.stats.Marked[p.Kind]++
 		l.Tap.Mark(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	}
 	l.Tap.Enqueue(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	if !l.busy {
 		l.startTx(now)
+		l.arm()
 	}
 }
 
 // dropFast books a dropped packet on the tap-free path.
 func (l *Link) dropFast(now sim.Time, p *Packet) {
-	l.Stats.Dropped[p.Kind]++
+	l.stats.Dropped[p.Kind]++
 	if l.OnDrop != nil {
 		l.OnDrop(now, p)
 	}
@@ -280,56 +286,77 @@ func (l *Link) dropFast(now sim.Time, p *Packet) {
 
 // dropTraced books a dropped packet and emits its trace event.
 func (l *Link) dropTraced(now sim.Time, p *Packet) {
-	l.Stats.Dropped[p.Kind]++
+	l.stats.Dropped[p.Kind]++
 	l.Tap.Drop(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	if l.OnDrop != nil {
 		l.OnDrop(now, p)
 	}
 }
 
-// txTime returns the serialization time of p on this link, using the
-// per-link precomputed ns-per-bit scale (no division on the packet path).
-func (l *Link) txTime(p *Packet) sim.Time {
-	return sim.Time(float64(p.Bits()) * l.nsPerBit)
-}
-
-func (l *Link) startTx(now sim.Time) {
+// startTx puts the next queued packet into service at time at (now, or the
+// txEnd sync is catching up from) and, unless it is a hand-off, into the pipe.
+func (l *Link) startTx(at sim.Time) {
 	p := l.Q.Dequeue()
+	l.txPkt, l.busy, l.hand = p, p != nil, nil
 	if p == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
-	l.txPkt = p
 	if l.Tap != nil {
-		l.Tap.Dequeue(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	}
-	l.s.Schedule(l.txDone, now+l.txTime(p))
-}
-
-func (l *Link) onTxDone(now sim.Time) {
-	p := l.txPkt
-	l.txPkt = nil
-	l.Stats.SentBits[p.Kind] += int64(p.Bits())
-	l.Stats.SentPkts[p.Kind]++
+	l.txEnd = at + sim.Time(float64(p.Bits())*l.nsPerBit) // no division on the packet path
 	if l.Boundary {
-		if t, ok := p.nextHop().(TxEndReceiver); ok {
-			if l.Tap != nil {
-				l.Tap.Handoff(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq)
-			}
-			p.hop++
-			t.ReceiveTxEnd(now, l.Delay, p)
-			l.startTx(now)
+		if l.hand, _ = p.nextHop().(TxEndReceiver); l.hand != nil {
 			return
 		}
 	}
 	// Constant propagation delay keeps deliveries FIFO, so one pending
 	// event suffices for the whole pipe.
-	l.pipePush(inflight{at: now + l.Delay, p: p})
-	if !l.pipeEv.Pending() {
-		l.s.Schedule(l.pipeEv, now+l.Delay)
+	l.pipePush(inflight{at: l.txEnd + l.Delay, p: p})
+}
+
+// sync brings the server up to now. It schedules nothing, so an extra call
+// (a sampler, a metric read) cannot move a result.
+func (l *Link) sync(now sim.Time) {
+	if l.busy && l.txEnd <= now {
+		l.finishTx(now)
 	}
-	l.startTx(now)
+}
+
+// finishTx books every transmission that has ended by now at its txEnd and
+// starts the next packet there: Dequeue takes no time and only Receive, which
+// syncs first, changes the queue, so the start sees the queue as of txEnd.
+func (l *Link) finishTx(now sim.Time) {
+	for l.busy && l.txEnd <= now {
+		p, at := l.txPkt, l.txEnd
+		l.stats.SentBits[p.Kind] += int64(p.Bits())
+		l.stats.SentPkts[p.Kind]++
+		if l.hand != nil {
+			if l.Tap != nil {
+				l.Tap.Handoff(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq)
+			}
+			p.hop++
+			l.hand.ReceiveTxEnd(at, l.Delay, p)
+		}
+		l.startTx(at)
+	}
+}
+
+// arm keeps the event at the link's next wake-up: the pipe head and, on a
+// boundary link, txEnd — hand-over then is the shard lookahead and cannot wait
+// for the next arrival. Only a boundary link ever moves a pending event.
+func (l *Link) arm() {
+	at, ok := l.txEnd, l.Boundary && l.busy
+	if l.pipeN > 0 && (!ok || l.pipe[l.pipeHd].at < at) {
+		at, ok = l.pipe[l.pipeHd].at, true
+	}
+	switch {
+	case !ok:
+	case !l.ev.Pending():
+		l.s.Schedule(l.ev, at)
+	case l.ev.When() > at:
+		l.s.Reschedule(l.ev, at)
+	}
 }
 
 func (l *Link) pipePush(f inflight) {
@@ -351,6 +378,7 @@ func (l *Link) pipePush(f inflight) {
 }
 
 func (l *Link) onDeliver(now sim.Time) {
+	l.sync(now)
 	for l.pipeN > 0 && l.pipe[l.pipeHd].at <= now {
 		p := l.pipe[l.pipeHd].p
 		l.pipe[l.pipeHd] = inflight{}
@@ -358,14 +386,15 @@ func (l *Link) onDeliver(now sim.Time) {
 		l.pipeN--
 		p.Forward(now)
 	}
-	if l.pipeN > 0 {
-		l.s.Schedule(l.pipeEv, l.pipe[l.pipeHd].at)
-	}
+	l.arm()
 }
 
-// QueueLen returns the number of packets waiting (excluding any in
-// service).
-func (l *Link) QueueLen() int { return l.Q.Len() }
+// StatsAt returns the link's counters as of now.
+func (l *Link) StatsAt(now sim.Time) *LinkStats { l.sync(now); return &l.stats }
 
-// Busy reports whether a packet is currently being transmitted.
-func (l *Link) Busy() bool { return l.busy }
+// QueueLen returns the number of packets waiting at now (excluding any in
+// service).
+func (l *Link) QueueLen(now sim.Time) int { l.sync(now); return l.Q.Len() }
+
+// Busy reports whether a packet is being transmitted at now.
+func (l *Link) Busy(now sim.Time) bool { l.sync(now); return l.busy }

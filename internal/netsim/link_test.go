@@ -22,8 +22,8 @@ func TestLinkSerializationTiming(t *testing.T) {
 	if sink.lastAt != want {
 		t.Fatalf("delivered at %v, want %v", sink.lastAt, want)
 	}
-	if l.Stats.SentBits[Data] != 1000 {
-		t.Fatalf("SentBits = %d", l.Stats.SentBits[Data])
+	if got := l.StatsAt(s.Now()).SentBits[Data]; got != 1000 {
+		t.Fatalf("SentBits = %d", got)
 	}
 }
 
@@ -75,11 +75,12 @@ func TestLinkThroughputAtSaturation(t *testing.T) {
 	if dropped != 20000-sink.n {
 		t.Fatalf("conservation broken: %d delivered + %d dropped != 20000", sink.n, dropped)
 	}
-	util := l.Stats.Utilization(s.Now(), 1e6)
+	st := l.StatsAt(s.Now())
+	util := st.Utilization(s.Now(), 1e6)
 	if util < 0.98 || util > 1.0 {
 		t.Fatalf("utilization = %v, want ~1", util)
 	}
-	if got := l.Stats.DataLossProb(); got < 0.45 || got > 0.55 {
+	if got := st.DataLossProb(); got < 0.45 || got > 0.55 {
 		t.Fatalf("loss prob = %v, want ~0.5", got)
 	}
 }
@@ -97,7 +98,7 @@ func TestLinkMultiHopRouting(t *testing.T) {
 	if sink.lastAt != want {
 		t.Fatalf("arrived at %v, want %v", sink.lastAt, want)
 	}
-	if l1.Stats.SentPkts[Data] != 1 || l2.Stats.SentPkts[Data] != 1 {
+	if l1.StatsAt(s.Now()).SentPkts[Data] != 1 || l2.StatsAt(s.Now()).SentPkts[Data] != 1 {
 		t.Fatal("per-link counters wrong")
 	}
 }
@@ -117,11 +118,12 @@ func TestLinkProbePushoutCounters(t *testing.T) {
 	Send(0, &Packet{Size: 125, Kind: Probe, Band: BandProbe, Route: []Receiver{l, sink}})
 	// Data arrival pushes out a probe.
 	Send(0, &Packet{Size: 125, Kind: Data, Band: BandData, Route: []Receiver{l, sink}})
-	if l.Stats.Dropped[Probe] != 1 {
-		t.Fatalf("probe drops = %d, want 1", l.Stats.Dropped[Probe])
+	st := l.StatsAt(s.Now())
+	if st.Dropped[Probe] != 1 {
+		t.Fatalf("probe drops = %d, want 1", st.Dropped[Probe])
 	}
-	if l.Stats.Dropped[Data] != 0 {
-		t.Fatalf("data drops = %d, want 0", l.Stats.Dropped[Data])
+	if st.Dropped[Data] != 0 {
+		t.Fatalf("data drops = %d, want 0", st.Dropped[Data])
 	}
 	s.RunAll()
 	if sink.n != 3 {
@@ -135,11 +137,12 @@ func TestLinkStatsReset(t *testing.T) {
 	sink := &countingSink{}
 	Send(0, &Packet{Size: 125, Kind: Data, Band: BandData, Route: []Receiver{l, sink}})
 	s.RunAll()
-	l.Stats.Reset(s.Now())
-	if l.Stats.SentBits[Data] != 0 || l.Stats.Arrived[Data] != 0 {
+	st := l.StatsAt(s.Now())
+	st.Reset(s.Now())
+	if st.SentBits[Data] != 0 || st.Arrived[Data] != 0 {
 		t.Fatal("Reset did not clear counters")
 	}
-	if l.Stats.ResetTime != s.Now() {
+	if st.ResetTime != s.Now() {
 		t.Fatal("Reset epoch wrong")
 	}
 }
@@ -191,13 +194,14 @@ func TestMarkedCountsOnlyEnqueuedPackets(t *testing.T) {
 		p.Route = []Receiver{l}
 		Send(0, p)
 	}
-	if got := l.Stats.Dropped[Data]; got != 1 {
+	st := l.StatsAt(s.Now())
+	if got := st.Dropped[Data]; got != 1 {
 		t.Fatalf("Dropped[Data] = %d, want 1", got)
 	}
-	if got := l.Stats.Marked[Data]; got != 2 {
+	if got := st.Marked[Data]; got != 2 {
 		t.Fatalf("Marked[Data] = %d, want 2 (enqueued packets only)", got)
 	}
-	if got := l.Stats.Arrived[Data]; got != 3 {
+	if got := st.Arrived[Data]; got != 3 {
 		t.Fatalf("Arrived[Data] = %d, want 3", got)
 	}
 }
@@ -240,7 +244,7 @@ func TestTracedMarkOnlyForTransitingPackets(t *testing.T) {
 	if marks != 2 || drops != 1 {
 		t.Fatalf("trace: %d mark, %d drop events, want 2 and 1:\n%s", marks, drops, b.String())
 	}
-	if l.Stats.Marked[Data] != 2 {
-		t.Fatalf("Marked[Data] = %d, want 2", l.Stats.Marked[Data])
+	if got := l.StatsAt(s.Now()).Marked[Data]; got != 2 {
+		t.Fatalf("Marked[Data] = %d, want 2", got)
 	}
 }

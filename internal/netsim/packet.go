@@ -8,6 +8,13 @@
 // traffic class is simulated as a queue served at the speed of its
 // bandwidth limit, so a Link here represents that class's allocated share
 // of a router's output port.
+//
+// A Link spends one event per packet-hop, the delivery. No event ends a
+// transmission: the link catches up (books what ended, starts the next packet
+// at that txEnd) at each arrival, each delivery and behind every read of its
+// state, and a transmission that ends at t is complete before an arrival at t
+// is enqueued. DESIGN.md §4c argues it; reflink_test.go keeps the two-event
+// link this replaced as the tests' reference.
 package netsim
 
 import "eac/internal/sim"

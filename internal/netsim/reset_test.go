@@ -50,7 +50,7 @@ func TestLinkResetReplayIdentical(t *testing.T) {
 		sink := &collectRecv{pool: pool}
 		l.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
 		got := driveLink(s, l, pool, sink)
-		return got, l.Stats
+		return got, *l.StatsAt(s.Now())
 	}
 
 	// Fresh baseline.
@@ -70,8 +70,8 @@ func TestLinkResetReplayIdentical(t *testing.T) {
 	s2.Reset()
 	l2.Reset(1e6, 5*sim.Millisecond, pool2.Put)
 	l2.Q.(*PriorityPushout).SetCap(8)
-	if l2.QueueLen() != 0 || l2.Busy() {
-		t.Fatalf("link not idle after Reset: qlen=%d busy=%v", l2.QueueLen(), l2.Busy())
+	if l2.QueueLen(0) != 0 || l2.Busy(0) {
+		t.Fatalf("link not idle after Reset: qlen=%d busy=%v", l2.QueueLen(0), l2.Busy(0))
 	}
 	gotLog, gotStats := run(s2, l2, &pool2)
 
@@ -89,14 +89,35 @@ func TestLinkResetReplayIdentical(t *testing.T) {
 }
 
 // TestLinkResetRecyclesInFlight checks every packet alive at Reset time —
-// queued, in transmission, or propagating — is handed back exactly once.
+// queued, in transmission, or propagating — is handed back exactly once:
+// the packet in service already sits in the pipe, unless it is a boundary
+// hand-off held for its txEnd.
 func TestLinkResetRecyclesInFlight(t *testing.T) {
+	t.Run("pipe", func(t *testing.T) {
+		sink := &collectRecv{}
+		testLinkResetRecycles(t, sink, sink)
+	})
+	t.Run("handoff", func(t *testing.T) {
+		end := &handoffRecv{}
+		testLinkResetRecycles(t, end, &end.collectRecv)
+	})
+}
+
+// handoffRecv is collectRecv taking custody at transmission end.
+type handoffRecv struct{ collectRecv }
+
+func (h *handoffRecv) ReceiveTxEnd(txEnd, _ sim.Time, p *Packet) { h.Receive(txEnd, p) }
+
+// testLinkResetRecycles resets a boundary link in mid-flight whose packets
+// end at end, which records into sink.
+func testLinkResetRecycles(t *testing.T, end Receiver, sink *collectRecv) {
 	s := sim.New()
 	var pool Pool
 	l := NewLink(s, "L0", 1e6, 50*sim.Millisecond, NewPriorityPushout(8))
+	l.Boundary = true
 	l.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
-	sink := &collectRecv{pool: &pool}
-	route := []Receiver{l, sink}
+	sink.pool = &pool
+	route := []Receiver{l, end}
 	for i := 0; i < 30; i++ {
 		p := pool.Get()
 		p.Size = 1000
@@ -105,12 +126,20 @@ func TestLinkResetRecyclesInFlight(t *testing.T) {
 	}
 	// Stop mid-flight: some packets queued, one in service, some in the pipe.
 	s.Run(10 * sim.Millisecond)
-	if l.QueueLen() == 0 || !l.Busy() {
-		t.Fatalf("test setup: want mid-flight state, qlen=%d busy=%v", l.QueueLen(), l.Busy())
+	if l.QueueLen(s.Now()) == 0 || !l.Busy(s.Now()) {
+		t.Fatalf("test setup: want mid-flight state, qlen=%d busy=%v", l.QueueLen(s.Now()), l.Busy(s.Now()))
 	}
 	recycled := 0
+	seen := map[*Packet]bool{}
 	s.Reset()
-	l.Reset(1e6, 50*sim.Millisecond, func(p *Packet) { recycled++; pool.Put(p) })
+	l.Reset(1e6, 50*sim.Millisecond, func(p *Packet) {
+		if seen[p] {
+			t.Fatal("packet recycled twice")
+		}
+		seen[p] = true
+		recycled++
+		pool.Put(p)
+	})
 	live := int(pool.Allocated) - pool.FreeLen() + recycled + len(sink.got)
 	// Every allocated packet is now accounted for: recycled at Reset,
 	// delivered to the sink (then pooled), or dropped (then pooled).

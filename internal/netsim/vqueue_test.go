@@ -104,10 +104,11 @@ func TestVirtualQueueMarkRateExceedsRealDropRate(t *testing.T) {
 	})
 	s.Schedule(ev, 0)
 	s.RunAll()
-	if l.Stats.Dropped[Data] != 0 {
-		t.Fatalf("real queue dropped %d packets", l.Stats.Dropped[Data])
+	st := l.StatsAt(s.Now())
+	if st.Dropped[Data] != 0 {
+		t.Fatalf("real queue dropped %d packets", st.Dropped[Data])
 	}
-	if l.Stats.Marked[Data] == 0 {
+	if st.Marked[Data] == 0 {
 		t.Fatal("shadow queue produced no marks at 95% load")
 	}
 	if sink.marked == 0 {
@@ -219,20 +220,21 @@ func TestVQDropProbesMode(t *testing.T) {
 	})
 	s.Schedule(ev, 0)
 	s.RunAll()
-	if l.Stats.Dropped[Probe] == 0 {
+	st := l.StatsAt(s.Now())
+	if st.Dropped[Probe] == 0 {
 		t.Fatal("no virtual probe drops at 95% load")
 	}
-	if l.Stats.Marked[Probe] != 0 {
-		t.Fatalf("probes marked (%d) despite VQDropProbes", l.Stats.Marked[Probe])
+	if st.Marked[Probe] != 0 {
+		t.Fatalf("probes marked (%d) despite VQDropProbes", st.Marked[Probe])
 	}
-	if l.Stats.Dropped[Data] != 0 {
-		t.Fatalf("data virtually dropped: %d", l.Stats.Dropped[Data])
+	if st.Dropped[Data] != 0 {
+		t.Fatalf("data virtually dropped: %d", st.Dropped[Data])
 	}
 	// Data is never marked here: its 475 kb/s share fits the 900 kb/s
 	// shadow queue, and arriving data evicts shadow probe backlog rather
 	// than being marked — probes absorb all of the congestion signal.
-	if l.Stats.Marked[Data] != 0 {
-		t.Fatalf("data marked (%d) though its own load fits the shadow queue", l.Stats.Marked[Data])
+	if st.Marked[Data] != 0 {
+		t.Fatalf("data marked (%d) though its own load fits the shadow queue", st.Marked[Data])
 	}
 }
 

@@ -142,10 +142,14 @@ func (m *Merged) WriteSeries(w io.Writer) error {
 
 // WriteTrace k-way-merges the per-shard rings into one JSONL stream
 // ordered by (time, shard, ring order), oldest first — one JSON object
-// per line. Within one shard the ring is already in push order, which is
-// that shard's event order. Packet events carry link/kind/size/seq/depth,
-// admit/reject events class/attempt/frac.
+// per line. Each ring is put in time order first (ring.sortByTime: push
+// order is the shard's event order, which a lazily finished transmission
+// leaves). Packet events carry link/kind/size/seq/depth, admit/reject
+// events class/attempt/frac.
 func (m *Merged) WriteTrace(w io.Writer) error {
+	for _, c := range m.cs {
+		c.trace.sortByTime()
+	}
 	enc := json.NewEncoder(w)
 	idx := make([]int, len(m.cs))
 	for {

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +123,40 @@ func TestMergedTraceOrder(t *testing.T) {
 		if rows[i] != want[i] {
 			t.Fatalf("row %d = %+v, want %+v", i, rows[i], want[i])
 		}
+	}
+}
+
+// TestTraceOrdersLateRecords: a link finishes transmissions lazily, so its
+// dequeue and handoff events reach the ring after events of later instants.
+// The written trace is in time order all the same — also when the ring has
+// wrapped — and events of one instant keep their push order.
+func TestTraceOrdersLateRecords(t *testing.T) {
+	m := NewMerged(Config{Enabled: true, TraceCapacity: 4}, 1, 1)
+	tap := m.Collector(0).RegisterLink("A")
+	tap.Enqueue(1*sim.Second, 1, 0, 1, 0, 0) // overwritten: the ring holds four
+	tap.Enqueue(2*sim.Second, 2, 0, 1, 0, 0)
+	tap.Enqueue(5*sim.Second, 3, 0, 1, 0, 0)
+	tap.Dequeue(3*sim.Second, 4, 0, 1, 0, 0) // late: ended at 3 s, seen at 5 s
+	tap.Handoff(5*sim.Second, 5, 0, 1, 0)    // same instant as flow 3's enqueue, pushed after it
+	var b strings.Builder
+	if err := m.WriteTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		var r struct {
+			T    float64 `json:"t"`
+			Ev   string  `json:"ev"`
+			Flow int     `json:"flow"`
+		}
+		if err := json.Unmarshal([]byte(l), &r); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%v %s %d", r.T, r.Ev, r.Flow))
+	}
+	want := []string{"2 enqueue 2", "3 dequeue 4", "5 enqueue 3", "5 handoff 5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace = %q, want %q", got, want)
 	}
 }
 

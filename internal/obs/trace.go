@@ -1,6 +1,11 @@
 package obs
 
-import "eac/internal/sim"
+import (
+	"cmp"
+	"slices"
+
+	"eac/internal/sim"
+)
 
 // Trace event kinds, in the order they appear in JSONL output.
 const (
@@ -68,6 +73,20 @@ func (r *ring) push(rec traceRec) {
 }
 
 func (r *ring) at(i int) traceRec { return r.buf[(r.head+i)%len(r.buf)] }
+
+// sortByTime puts the buffered records in time order, records of one instant
+// staying in push order. Push order is time order but for a link's dequeue
+// and handoff events: netsim.Link finishes transmissions lazily and emits
+// those, with their true timestamps, when it next looks at the link.
+func (r *ring) sortByTime() {
+	if r.head != 0 { // full and wrapped: rotate the oldest record to the front
+		slices.Reverse(r.buf[:r.head])
+		slices.Reverse(r.buf[r.head:])
+		slices.Reverse(r.buf)
+		r.head = 0
+	}
+	slices.SortStableFunc(r.buf[:r.n], func(a, b traceRec) int { return cmp.Compare(a.at, b.at) })
+}
 
 // packetEvent is the JSONL form of a packet-level trace event. Like every
 // event form it ends in the owning shard, nil (omitted) in a set of one.

@@ -11,20 +11,25 @@ import (
 )
 
 // flowState tracks one offered flow through its lifecycle. The fields
-// listed in releaseFlows — stop event, prober, and the two per-flow
-// closures — survive recycling; everything else is per-run.
+// listed in releaseFlows — the timer and the emission closure — survive
+// recycling; everything else is per-run.
 type flowState struct {
-	id        int
-	class     int
-	route     []netsim.Receiver // the class's shared template (domain.tmpl)
-	prober    *admission.Prober
-	probeDone func(admission.Result) // prober completion, captures this flowState
-	emitFn    trafgen.EmitFunc       // source emission hook, captures this flowState
-	src       trafgen.Source
-	stopEv    sim.Event
-	counted   bool // decision falls inside the measurement window
-	attempts  int  // completed admission attempts (for retries)
-	extends   int  // probe extensions granted by the policy this attempt chain
+	id    int
+	class int
+	route []netsim.Receiver // the class's shared template (domain.tmpl)
+	// prober is the flow's while its admission is open: taken from the
+	// domain's free list at the first probe, handed back when the decision
+	// is final (probeDone).
+	prober *admission.Prober
+	emitFn trafgen.EmitFunc // source emission hook, captures this flowState
+	src    trafgen.Source
+	// timer is the flow's one event: the retry back-off while its admission
+	// is open, then the end of its lifetime. It fires domain.onFlowTimer with
+	// the flow's id as argument.
+	timer    sim.Event
+	counted  bool // decision falls inside the measurement window
+	attempts int  // completed admission attempts (for retries)
+	extends  int  // probe extensions granted by the policy this attempt chain
 
 	active   bool
 	fluid    bool    // data phase carried on the fluid plane (hybrid engine)
@@ -117,6 +122,17 @@ type domain struct {
 	hot       []flowHot    // per-flow packet counters, parallel to flows
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
 	flowSlab  []flowState  // remainder of the arena block newFlow carves from
+	// freeProbers holds the probers no flow is using: a flow whose decision
+	// is final hands its prober on, so a run allocates one generation of
+	// probers — those probing at once — not one per flow.
+	freeProbers []*admission.Prober
+	// mkSrc builds the data sources of each class (trafgen.Preset.Maker).
+	mkSrc []trafgen.Maker
+	// flowTimer and probeDone are the callbacks of every flow's timer and
+	// prober; the flow is named by the event's argument and the result's
+	// FlowID, so neither costs a closure per flow.
+	flowTimer func(sim.Time)
+	probeDone func(admission.Result)
 	// tmpl is the run's per-class packet routes (Runner.routeTemplates),
 	// shared by every domain and immutable for the run.
 	tmpl    [][]netsim.Receiver
@@ -147,6 +163,8 @@ func newDomain(idx int, s *sim.Sim, suffix string) *domain {
 	d := &domain{idx: idx, s: s, streamSuffix: suffix}
 	d.arrEv = sim.NewEvent(d.onFlowArrival)
 	d.onDrop = d.onLinkDrop
+	d.flowTimer = d.onFlowTimer
+	d.probeDone = d.onProbeDone
 	return d
 }
 
@@ -182,13 +200,15 @@ func (d *domain) reset(cfg Config, owner []int) {
 		d.classW = make([]float64, n)
 		d.dropWin = make([]int64, n)
 		d.classes = make([]ClassMetrics, n)
+		d.mkSrc = make([]trafgen.Maker, n)
 	}
-	d.classW, d.dropWin, d.classes = d.classW[:n], d.dropWin[:n], d.classes[:n]
+	d.classW, d.dropWin, d.classes, d.mkSrc = d.classW[:n], d.dropWin[:n], d.classes[:n], d.mkSrc[:n]
 	clear(d.dropWin)
 	clear(d.classes)
 	d.ownedW, d.totalW = 0, 0
 	for c, cl := range cfg.Classes {
 		d.totalW += cl.Weight
+		d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc)
 		d.classW[c] = 0
 		if owner[c] == d.idx {
 			d.classW[c] = cl.Weight
@@ -233,8 +253,9 @@ func (d *domain) buildPolicy() admission.Policy {
 	case *admission.EpochAdaptive:
 		pol.SetLossSignal(func() (arrived, dropped int64) {
 			for _, l := range d.links {
-				arrived += l.Stats.Arrived[netsim.Data]
-				dropped += l.Stats.Dropped[netsim.Data]
+				st := l.StatsAt(d.s.Now())
+				arrived += st.Arrived[netsim.Data]
+				dropped += st.Dropped[netsim.Data]
 			}
 			return
 		})
@@ -295,23 +316,22 @@ func (d *domain) observe(c *obs.Collector) {
 }
 
 // releaseFlows retires the previous run's flow states into the freelist,
-// keeping each one's stop event (whose closure captures the flowState
-// pointer, which stays valid across reuse). Must run before Sim.Reset wipes
-// the heap, which is what makes the blanket Forget calls safe.
+// keeping each one's timer and emission closure (which captures the
+// flowState pointer, valid across reuse), and its probers into theirs. Must
+// run before Sim.Reset wipes the heap, which is what makes the blanket
+// Forget calls safe — a free prober may still have a judge queued.
 func (d *domain) releaseFlows() {
 	d.arrEv.Forget()
 	for _, f := range d.flows {
 		if f.prober != nil {
-			f.prober.ForgetEvents()
+			d.freeProbers = append(d.freeProbers, f.prober)
 		}
-		f.stopEv.Forget()
-		*f = flowState{
-			stopEv:    f.stopEv,
-			prober:    f.prober,
-			probeDone: f.probeDone,
-			emitFn:    f.emitFn,
-		}
+		f.timer.Forget()
+		*f = flowState{timer: f.timer, emitFn: f.emitFn}
 		d.freeFlows = append(d.freeFlows, f)
+	}
+	for _, p := range d.freeProbers {
+		p.ForgetEvents()
 	}
 	d.flows = d.flows[:0]
 	d.hot = d.hot[:0]
@@ -335,14 +355,25 @@ func (d *domain) newFlow(class int) *flowState {
 		}
 		f = &d.flowSlab[0]
 		d.flowSlab = d.flowSlab[1:]
-		f.stopEv.Init(func(at sim.Time) { d.stopFlow(at, f) })
+		f.timer.Init(d.flowTimer)
 	}
 	f.id = len(d.flows)
+	f.timer.SetArg(uint32(f.id))
 	f.class = class
 	f.route = d.tmpl[class]
 	d.flows = append(d.flows, f)
 	d.hot = append(d.hot, flowHot{})
 	return f
+}
+
+// onFlowTimer is the callback of every flow's timer: an admitted flow's
+// lifetime has expired, or a rejected one's retry back-off (footnote 10).
+func (d *domain) onFlowTimer(now sim.Time) {
+	if f := d.flows[d.s.Arg()]; f.active {
+		d.stopFlow(now, f)
+	} else {
+		d.admitEAC(now, f)
+	}
 }
 
 // stopFlow ends a flow's data phase (its lifetime expired).
@@ -378,7 +409,7 @@ func (d *domain) onLinkDrop(now sim.Time, p *netsim.Packet) {
 func (d *domain) start() {
 	d.s.Call(d.cfg.Warmup, func(now sim.Time) {
 		for _, l := range d.links {
-			l.Stats.Reset(now)
+			l.StatsAt(now).Reset(now)
 			if l.Bg != nil {
 				l.Bg.ResetWindow(now)
 			}
@@ -418,7 +449,8 @@ func (d *domain) startObsSampling() {
 func (d *domain) sampleObs(now sim.Time) {
 	dt := (now - d.lastSample).Sec()
 	for i, l := range d.links {
-		bits := l.Stats.SentBits[netsim.Data]
+		st := l.StatsAt(now)
+		bits := st.SentBits[netsim.Data]
 		if bits < d.lastBits[i] {
 			d.lastBits[i] = 0 // counters were reset at the warmup boundary
 		}
@@ -428,10 +460,10 @@ func (d *domain) sampleObs(now sim.Time) {
 		}
 		d.lastBits[i] = bits
 		s := obs.Sample{
-			T: now.Sec(), Link: i, Depth: l.QueueLen(), Busy: l.Busy(),
+			T: now.Sec(), Link: i, Depth: l.QueueLen(now), Busy: l.Busy(now),
 			ActiveFlows: d.activeFlows, Util: util,
-			Arrived: l.Stats.Arrived, Dropped: l.Stats.Dropped,
-			Marked: l.Stats.Marked, SentPkts: l.Stats.SentPkts,
+			Arrived: st.Arrived, Dropped: st.Dropped,
+			Marked: st.Marked, SentPkts: st.SentPkts,
 		}
 		if l.Marker != nil {
 			s.VQBacklog = l.Marker.TotalBacklog()
@@ -614,11 +646,8 @@ func (d *domain) admitEAC(now sim.Time, f *flowState) {
 }
 
 // startProbe launches (or relaunches, on retry) a flow's admission probe
-// with the policy's threshold and optional probe-duration override. The
-// completion closure and the prober itself are per-flowState, created on
-// first use and recycled with it; the closure reads only live state (the
-// domain, the flowState), so recycling cannot leak a previous run's
-// decisions.
+// with the policy's threshold and optional probe-duration override, on the
+// prober the flow holds or else one from the free list.
 func (d *domain) startProbe(now sim.Time, f *flowState, dec admission.Decision) {
 	cl := d.cfg.Classes[f.class]
 	ac := d.cfg.AC
@@ -627,57 +656,71 @@ func (d *domain) startProbe(now sim.Time, f *flowState, dec admission.Decision) 
 		ac.ProbeDur = dec.ProbeDur
 	}
 	f.lastEps = dec.Eps
-	if f.probeDone == nil {
-		f.probeDone = func(res admission.Result) {
-			at := d.s.Now()
-			f.attempts++
-			f.lastFrac = res.Fraction
-			switch d.policy.Judge(at, admission.Observation{
-				Res: res, Attempts: f.attempts, Eps: f.lastEps,
-			}) {
-			case admission.OutcomeAccept:
-				d.recordDecision(at, f, true)
-				d.startData(at, f)
-				return
-			case admission.OutcomeExtend:
-				// The policy wants another look (e.g. the threshold moved
-				// mid-probe); re-attempt immediately, without burning a
-				// retry, up to the extension cap.
-				if f.extends < maxProbeExtends {
-					f.extends++
-					d.admitEAC(at, f)
-					return
-				}
-			}
-			// Footnote 10: rejected flows retry with exponential back-off.
-			if f.attempts <= d.cfg.MaxRetries {
-				backoff := d.cfg.RetryBackoffSec * float64(int64(1)<<uint(f.attempts-1))
-				delay := sim.Seconds(backoff * d.rngRetry.Uniform(0.5, 1.5))
-				if at+delay < d.cfg.Duration {
-					d.retries++
-					d.s.Call(at+delay, func(t sim.Time) { d.admitEAC(t, f) })
-					return
-				}
-			}
-			d.recordDecision(at, f, false)
-		}
+	if n := len(d.freeProbers); f.prober == nil && n > 0 {
+		f.prober, d.freeProbers = d.freeProbers[n-1], d.freeProbers[:n-1]
 	}
 	if f.prober == nil {
 		f.prober = admission.NewProber(d.s, ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize,
-			f.route, &d.pool, f.probeDone)
+			f.route, &d.pool, d.probeDone)
 	} else {
-		f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, f.probeDone)
+		f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, d.probeDone)
 	}
 	d.obs.SpanProbeStart(now, f.id, f.class)
 	f.prober.Start(now)
 }
 
+// onProbeDone is the completion callback of every prober: the policy judges
+// the result, and the flow starts its data, probes again, backs off for a
+// retry, or is rejected for good. It reads only live state (the domain, the
+// flowState), so recycling cannot leak a previous run's decisions.
+func (d *domain) onProbeDone(res admission.Result) {
+	f := d.flows[res.FlowID]
+	at := d.s.Now()
+	f.attempts++
+	f.lastFrac = res.Fraction
+	switch d.policy.Judge(at, admission.Observation{
+		Res: res, Attempts: f.attempts, Eps: f.lastEps,
+	}) {
+	case admission.OutcomeAccept:
+		d.recordDecision(at, f, true)
+		d.startData(at, f)
+		return
+	case admission.OutcomeExtend:
+		// The policy wants another look (e.g. the threshold moved
+		// mid-probe); re-attempt immediately, without burning a
+		// retry, up to the extension cap.
+		if f.extends < maxProbeExtends {
+			f.extends++
+			d.admitEAC(at, f)
+			return
+		}
+	}
+	// Footnote 10: rejected flows retry with exponential back-off.
+	if f.attempts <= d.cfg.MaxRetries {
+		backoff := d.cfg.RetryBackoffSec * float64(int64(1)<<uint(f.attempts-1))
+		delay := sim.Seconds(backoff * d.rngRetry.Uniform(0.5, 1.5))
+		if at+delay < d.cfg.Duration {
+			d.retries++
+			d.s.Schedule(&f.timer, at+delay)
+			return
+		}
+	}
+	d.recordDecision(at, f, false)
+}
+
 // flowAccepted reports whether the decision recorded the flow as accepted.
 func flowAccepted(f *flowState) bool { return f.active }
 
-// recordDecision books the admission outcome; accepted flows are marked
-// active (data not yet started).
+// recordDecision books the admission outcome, which is final; accepted
+// flows are marked active (data not yet started). The flow's prober goes to
+// the free list: the sink ignores the flow's probe packets still in flight
+// (sinkRecv.Receive), and the next user's Reinit cancels a judge the finished
+// probe left queued.
 func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
+	if f.prober != nil {
+		d.freeProbers = append(d.freeProbers, f.prober)
+		f.prober = nil
+	}
 	f.active = accepted
 	d.obs.Decision(now, f.id, f.class, accepted, f.attempts, f.lastFrac)
 	if now < d.winStart || now > d.winEnd {
@@ -704,16 +747,15 @@ func (d *domain) startData(now sim.Time, f *flowState) {
 		d.startFluid(now, f)
 		return
 	}
-	cl := d.cfg.Classes[f.class]
 	if f.emitFn == nil {
 		f.emitFn = func(at sim.Time, size int) { d.emitData(at, f, size) }
 	}
-	f.src = cl.Preset.New(d.s, &d.rngSrc, f.emitFn)
+	f.src = d.mkSrc[f.class](f.emitFn)
 	f.src.Start(now)
 	d.activeFlows++
 	d.obs.SpanDataStart(now, f.id, f.class)
 	life := sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec))
-	d.s.Schedule(&f.stopEv, now+life)
+	d.s.Schedule(&f.timer, now+life)
 }
 
 func (d *domain) emitData(now sim.Time, f *flowState, size int) {

@@ -17,7 +17,10 @@ import (
 // entries would decode with MeanEps=0 and silently misreport adaptive runs.
 // v3: Config.Load is gone (a square wave is a two-phase Schedule) and with
 // it the load= line below, so every key changed anyway.
-const ResultsVersion = "eac/results/v3"
+// v4: netsim.Link finishes transmissions lazily and resolves an arrival at
+// the instant a transmission ends by a stated rule (transmission first),
+// where the order of two events' seq used to decide; results move at ties.
+const ResultsVersion = "eac/results/v4"
 
 // Fingerprint returns the content address of this configuration's results:
 // a hex SHA-256 over ResultsVersion plus a canonical encoding of every

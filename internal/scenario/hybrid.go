@@ -105,7 +105,7 @@ func (d *domain) startFluid(now sim.Time, f *flowState) {
 	d.activeFlows++
 	d.obs.SpanDataStart(now, f.id, f.class)
 	life := sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec))
-	d.s.Schedule(&f.stopEv, now+life)
+	d.s.Schedule(&f.timer, now+life)
 }
 
 // stopFluid ends a fluid flow's data phase (lifetime expired).

@@ -441,7 +441,8 @@ func TestRunSeedsParallelError(t *testing.T) {
 // TestLaneShareBasicScenario verifies, on the paper's §4.1 single-link
 // configuration, the premise the monotone lanes rest on: fixed-interval
 // source and probe ticks are a large share of everything the run
-// schedules, and they do reach the lanes (measured 32.7 % at 1200 s).
+// schedules, and they do reach the lanes (measured 49.5 %: with one link
+// event per packet-hop, every second schedule is a tick).
 func TestLaneShareBasicScenario(t *testing.T) {
 	cfg := quickCfg()
 	cfg.PrepopulateUtil = 0.9
@@ -455,8 +456,8 @@ func TestLaneShareBasicScenario(t *testing.T) {
 	share := float64(c.LaneAppends) / float64(c.LaneAppends+c.HeapSchedules)
 	t.Logf("%d events: %d heap schedules, %d lane appends (%.1f %%), %d promotions, %d scrubbed, heap high-water %d",
 		c.Executed, c.HeapSchedules, c.LaneAppends, 100*share, c.Promotions, c.Scrubbed, c.HeapHighWater)
-	if share < 0.25 {
-		t.Fatalf("lane appends are %.1f %% of schedules, want >= 25 %%", 100*share)
+	if share < 0.4 {
+		t.Fatalf("lane appends are %.1f %% of schedules, want >= 40 %%", 100*share)
 	}
 	if c.Promotions > c.LaneAppends || c.HeapHighWater == 0 || c.Executed == 0 {
 		t.Fatalf("implausible ledger: %+v", c)
@@ -465,11 +466,11 @@ func TestLaneShareBasicScenario(t *testing.T) {
 
 // TestTimerTierIsColdAtMetroScale is the count-based guard on the two-tier
 // event queue: at MetroStar scale nearly every queue insert is a link's
-// txDone/delivery or a lane head, and those must reach the stream tier — a
+// delivery event or a lane head, and those must reach the stream tier — a
 // constructor that forgets InitStream shows here as a share, with no clock
-// involved — while that tier stays a few slots per link. The hybrid run
-// carries its data as fluid, so there the probers' own timers are a large
-// part of what is left; they go through lanes.
+// involved — while that tier stays at one slot per link and lane. The
+// hybrid run carries its data as fluid, so there the probers' own timers
+// are a large part of what is left; they go through lanes.
 func TestTimerTierIsColdAtMetroScale(t *testing.T) {
 	cfg := MetroStar(MetroStarOptions{Hosts: 2000})
 	cfg.Method = EAC
@@ -482,7 +483,7 @@ func TestTimerTierIsColdAtMetroScale(t *testing.T) {
 		cfg.Hybrid.Enabled = hybrid
 		cfg.Duration = 2 * sim.Second
 		if hybrid { // two orders of magnitude fewer events per simulated second
-			cfg.Duration = 8 * sim.Second
+			cfg.Duration = 12 * sim.Second
 		}
 		_, rec, err := NewWorkspace().RunRecorded(cfg)
 		if err != nil {
@@ -496,8 +497,8 @@ func TestTimerTierIsColdAtMetroScale(t *testing.T) {
 			t.Errorf("hybrid=%v: %d of %d schedules reached the stream tier (%.1f %%, want >= 90 %%), %d events",
 				hybrid, c.StreamSchedules, c.HeapSchedules, 100*share, c.Executed)
 		}
-		if limit := 2*len(cfg.Links) + 64; c.StreamHighWater > limit {
-			t.Errorf("hybrid=%v: stream tier held %d entries, want <= 2 per link + one per lane = %d",
+		if limit := len(cfg.Links) + 64; c.StreamHighWater > limit {
+			t.Errorf("hybrid=%v: stream tier held %d entries, want <= one per link + one per lane = %d",
 				hybrid, c.StreamHighWater, limit)
 		}
 	}

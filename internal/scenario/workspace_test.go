@@ -204,10 +204,17 @@ func TestSerialRoutesShared(t *testing.T) {
 // TestAllocsPerFlowArrival is the ceiling on the per-flow allocation bill:
 // heap allocations of a whole run divided by the flows it offered (the
 // per-packet path allocates nothing, so flows are what a run pays for).
-// Measured when written: 19.2 per flow on a fresh Runner (26.1 before flow
-// states moved to slabs and events into their owners) and 3.3 on a primed
-// Workspace (unchanged: what is left there is retry and stage-guard
-// one-shots). The ceilings leave ~15 % for a different seed or flow mix.
+// Measured when written: 3.3 per flow on a fresh Runner (19.2 before probers
+// were recycled inside a run, on-off sources shared their samplers and a
+// flow's one timer served its retries; 26.1 before flow states moved to slabs
+// and events into their owners) and 0.1 on a primed Workspace. The ceilings
+// leave ~15 % for a different seed or flow mix.
+//
+// The steady-state row is the marginal bill: what running twice as long adds,
+// over the flows that adds (0.36 each). Those flows arrive after the first
+// generation of probers exists, so a flow costs its source's two callbacks if
+// it is admitted and nothing if it is not — no prober, stop closure, source
+// struct, samplers or retry one-shot.
 func TestAllocsPerFlowArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement runs several simulations")
@@ -216,14 +223,25 @@ func TestAllocsPerFlowArrival(t *testing.T) {
 	cfg.InterArrival = 0.2 // ~250 arrivals, most of them rejected and retried
 	cfg = cfg.WithDefaults()
 	var flows int
-	fresh := testing.AllocsPerRun(2, func() {
-		r, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Run()
-		flows = len(r.doms[0].flows)
-	})
+	freshRun := func(cfg Config) float64 {
+		return testing.AllocsPerRun(2, func() {
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Run()
+			flows = len(r.doms[0].flows)
+		})
+	}
+	long := cfg
+	long.Duration *= 2
+	freshLong, flowsLong := freshRun(long), flows
+	fresh := freshRun(cfg)
+	perSteady := (freshLong - fresh) / float64(flowsLong-flows)
+	t.Logf("steady state: %.0f allocs for flows %d..%d, %.2f each", freshLong-fresh, flows, flowsLong, perSteady)
+	if flowsLong < 2*flows-flows/4 || perSteady > 2 {
+		t.Fatalf("allocs per flow after the first probe generation: %.2f over %d flows (ceiling 2)", perSteady, flowsLong-flows)
+	}
 	ws := NewWorkspace()
 	if _, err := ws.Run(cfg); err != nil { // prime slabs, freelist, probers
 		t.Fatal(err)
@@ -235,7 +253,7 @@ func TestAllocsPerFlowArrival(t *testing.T) {
 	})
 	perFresh, perReused := fresh/float64(flows), reused/float64(flows)
 	t.Logf("%d flows: %.1f allocs/flow fresh, %.1f reused", flows, perFresh, perReused)
-	if perFresh > 22 || perReused > 4 {
-		t.Fatalf("allocs per flow arrival: %.1f fresh (ceiling 22), %.1f reused (ceiling 4)", perFresh, perReused)
+	if perFresh > 4 || perReused > 0.5 {
+		t.Fatalf("allocs per flow arrival: %.1f fresh (ceiling 4), %.1f reused (ceiling 0.5)", perFresh, perReused)
 	}
 }

@@ -123,6 +123,41 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// TestEventArg: events sharing one callback are told apart by their
+// argument, on every queue an event can wait in (timer tier, stream tier,
+// lane ring), and a callback still reads its own argument after it has
+// scheduled other events.
+func TestEventArg(t *testing.T) {
+	s := New()
+	var got []uint32
+	var evs [6]Event
+	fn := func(now Time) {
+		if now < 20 { // re-arm under a new argument, on a lane
+			e := &evs[s.Arg()]
+			e.SetArg(s.Arg() + 10)
+			s.ScheduleLane(s.Lane(20), e, now+20)
+		}
+		got = append(got, s.Arg())
+	}
+	for i := range evs {
+		if evs[i].Init(fn); i%2 == 1 {
+			evs[i].InitStream(fn)
+		}
+		evs[i].SetArg(uint32(i))
+		s.Schedule(&evs[i], Time(len(evs)-i))
+	}
+	s.RunAll()
+	want := []uint32{5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10}
+	if len(got) != len(want) {
+		t.Fatalf("args seen %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("args seen %v, want %v", got, want)
+		}
+	}
+}
+
 // TestResetWithLoadedLane resets a simulator whose lane still holds a head
 // and ring followers, then replays: the replay must match a fresh run, the
 // ring must be empty (no stale head flag, tail or Event pointer) yet keep

@@ -21,9 +21,9 @@
 // deadlines — 10^4 to 10^5 of them at MetroStar scale, mostly far in the
 // future. The stream tier holds only heads of monotone streams: an event
 // its owner built with InitStream/NewStreamEvent because each firing
-// schedules its own near-future successor (a link's txDone and pipe
-// delivery, a CBR tick), and the head of every Lane. It stays at a few
-// entries per link, so the events that make up nine tenths of a run sift
+// schedules its own near-future successor (a link's pipe delivery, a CBR
+// tick), and the head of every Lane. It stays at one entry per link and
+// lane, so the events that make up nine tenths of a run sift
 // through two or three cache-resident levels and never move a timer.
 // Dispatch takes the smaller of the two roots. The (when, seq) key is a
 // total order over both tiers, so the tier an event sits in — like heap
@@ -77,6 +77,8 @@ type Event struct {
 	// stream marks a stream head: Schedule puts it in the stream tier. Set
 	// at construction and never cleared; a hint only (see the package doc).
 	stream bool
+	// arg is the owner's argument (SetArg), in the last of the padding.
+	arg uint32
 }
 
 // NewEvent returns an event that invokes fn when it fires.
@@ -95,6 +97,12 @@ func NewStreamEvent(fn func(now Time)) *Event { return &Event{fn: fn, stream: tr
 
 // InitStream is Init for a stream head (see NewStreamEvent).
 func (e *Event) InitStream(fn func(now Time)) { e.fn, e.stream = fn, true }
+
+// SetArg stores a small argument with the event — typically the owner's
+// index in a table — that Sim.Arg returns while the event's callback runs.
+// Events of many owners can then share one callback instead of holding a
+// closure each.
+func (e *Event) SetArg(a uint32) { e.arg = a }
 
 // Pending reports whether the event is currently scheduled.
 func (e *Event) Pending() bool { return e.pending }
@@ -155,6 +163,7 @@ type Sim struct {
 	nLive  int // scheduled (non-tombstone) entries, both tiers and lane rings
 	nDead  int // tombstones still buried in the two tiers
 	halted bool
+	arg    uint32 // of the event being dispatched
 	ctr    Counters
 
 	lanes    []lane // rings are retained across Reset
@@ -193,6 +202,10 @@ func New() *Sim {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() Time { return s.now }
+
+// Arg returns the argument (Event.SetArg) of the event whose callback is
+// running.
+func (s *Sim) Arg() uint32 { return s.arg }
 
 // Reset returns the simulator to an empty queue at time zero, retaining
 // the heap's and the lane rings' backing arrays so a subsequent run of
@@ -360,6 +373,7 @@ func (s *Sim) run(until Time) (beyond bool) {
 				e.lane = 0
 				s.promote(l)
 			}
+			s.arg = e.arg
 			e.fn(when)
 			q.fill()
 			if s.halted {
@@ -418,8 +432,8 @@ func (q *pq) reset() {
 func (q *pq) push(ent entry) {
 	if q.hole {
 		// The dispatch loop left the just-consumed root in place. Nearly
-		// every stream event reschedules a near-future successor (txDone,
-		// pipe delivery, a lane's follower) from inside its own callback, so
+		// every stream event reschedules a near-future successor (a pipe
+		// delivery, a lane's follower) from inside its own callback, so
 		// instead of paying a full leaf-sink pop plus a push, reuse the root
 		// slot: one replace-root siftDown that terminates almost immediately
 		// for near-minimum times, and never touches the heap's tail. Heap

@@ -17,12 +17,32 @@ type Preset struct {
 	PktSize     int     // bytes
 	AvgRate     float64 // long-run average rate, bits/s
 
-	build func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source
+	build func(s *sim.Sim, rng *stats.RNG) Maker
 }
+
+// Maker constructs source instances of one preset on one simulator and RNG.
+type Maker func(emit EmitFunc) Source
 
 // New constructs a source instance of this preset.
 func (pr Preset) New(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-	return pr.build(s, rng, emit)
+	return pr.Maker(s, rng)(emit)
+}
+
+// Maker returns the constructor to use for many instances: what they share
+// is built once, here, instead of once per instance (see onOffMaker).
+func (pr Preset) Maker(s *sim.Sim, rng *stats.RNG) Maker { return pr.build(s, rng) }
+
+// expOnOff and paretoOnOff are the build functions of the on-off presets.
+func expOnOff(burstBps float64, pktSize int, onMean, offMean float64) func(*sim.Sim, *stats.RNG) Maker {
+	return func(s *sim.Sim, rng *stats.RNG) Maker {
+		return onOffMaker(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean))
+	}
+}
+
+func paretoOnOff(burstBps float64, pktSize int, onMean, offMean, shape float64) func(*sim.Sim, *stats.RNG) Maker {
+	return func(s *sim.Sim, rng *stats.RNG) Maker {
+		return onOffMaker(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean))
+	}
 }
 
 // Table 1 of the paper. Burst and average rates are bits per second; the
@@ -32,46 +52,38 @@ var (
 	// EXP1: 256k burst, 500 ms on / 500 ms off, 128k average.
 	EXP1 = Preset{
 		Name: "EXP1", TokenRate: 256e3, BucketBytes: 125, PktSize: 125, AvgRate: 128e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewExpOnOff(s, rng, 256e3, 125, 0.5, 0.5, emit)
-		},
+		build: expOnOff(256e3, 125, 0.5, 0.5),
 	}
 	// EXP2: 1024k burst, 125 ms on / 875 ms off, 128k average.
 	EXP2 = Preset{
 		Name: "EXP2", TokenRate: 1024e3, BucketBytes: 125, PktSize: 125, AvgRate: 128e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewExpOnOff(s, rng, 1024e3, 125, 0.125, 0.875, emit)
-		},
+		build: expOnOff(1024e3, 125, 0.125, 0.875),
 	}
 	// EXP3: 512k burst, 500 ms on / 500 ms off, 256k average.
 	EXP3 = Preset{
 		Name: "EXP3", TokenRate: 512e3, BucketBytes: 125, PktSize: 125, AvgRate: 256e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewExpOnOff(s, rng, 512e3, 125, 0.5, 0.5, emit)
-		},
+		build: expOnOff(512e3, 125, 0.5, 0.5),
 	}
 	// EXP4: 256k burst, 5000 ms on / 5000 ms off, 128k average.
 	EXP4 = Preset{
 		Name: "EXP4", TokenRate: 256e3, BucketBytes: 125, PktSize: 125, AvgRate: 128e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewExpOnOff(s, rng, 256e3, 125, 5.0, 5.0, emit)
-		},
+		build: expOnOff(256e3, 125, 5.0, 5.0),
 	}
 	// POO1: Pareto on/off, shape 1.2, otherwise as EXP1.
 	POO1 = Preset{
 		Name: "POO1", TokenRate: 256e3, BucketBytes: 125, PktSize: 125, AvgRate: 128e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewParetoOnOff(s, rng, 256e3, 125, 0.5, 0.5, 1.2, emit)
-		},
+		build: paretoOnOff(256e3, 125, 0.5, 0.5, 1.2),
 	}
 	// StarWars: synthetic VBR video reshaped by dropping to (800 kb/s,
 	// 200 kb = 25000 bytes), 200-byte packets, standing in for the MPEG
 	// trace used in the paper (see DESIGN.md for the substitution note).
 	StarWars = Preset{
 		Name: "StarWars", TokenRate: 800e3, BucketBytes: 25000, PktSize: 200, AvgRate: 360e3,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			tb := NewTokenBucket(800e3, 25000)
-			return NewVideo(s, rng, 200, tb.Shape(emit))
+		build: func(s *sim.Sim, rng *stats.RNG) Maker {
+			return func(emit EmitFunc) Source {
+				tb := NewTokenBucket(800e3, 25000)
+				return NewVideo(s, rng, 200, tb.Shape(emit))
+			}
 		},
 	}
 )
@@ -84,8 +96,8 @@ func NewCBRPreset(rateBps float64, pktSize int) Preset {
 	return Preset{
 		Name:      fmt.Sprintf("CBR-%.0fk", rateBps/1e3),
 		TokenRate: rateBps, BucketBytes: pktSize, PktSize: pktSize, AvgRate: rateBps,
-		build: func(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-			return NewCBR(s, rateBps, pktSize, emit)
+		build: func(s *sim.Sim, _ *stats.RNG) Maker {
+			return func(emit EmitFunc) Source { return NewCBR(s, rateBps, pktSize, emit) }
 		},
 	}
 }

@@ -35,15 +35,22 @@ type CBR struct {
 
 // NewCBR returns a constant-bit-rate source.
 func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
+	c := new(CBR)
+	c.Init(s, rateBps, pktSize, emit)
+	return c
+}
+
+// Init is NewCBR for a CBR embedded by value in its owner (a prober's probe
+// stream). Call it once, at the CBR's final address.
+func (c *CBR) Init(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) {
 	if rateBps <= 0 || pktSize <= 0 {
 		panic("trafgen: NewCBR requires positive rate and packet size")
 	}
-	c := &CBR{s: s, pktSize: pktSize, emit: emit}
+	*c = CBR{s: s, pktSize: pktSize, emit: emit}
 	c.SetRate(rateBps)
 	// A stream head: Start fires the first tick at now and every later one
 	// goes through the lane, so the event never waits among the timers.
 	c.ev.InitStream(c.tick)
-	return c
 }
 
 // SetRate changes the emission rate; it takes effect from the next packet.
@@ -124,33 +131,62 @@ type OnOff struct {
 
 // NewOnOff builds an on-off source with the given duration samplers.
 func NewOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit EmitFunc) *OnOff {
+	o := new(OnOff)
+	o.init(s, rng, burstBps, pktSize, onDur, offDur, emit)
+	return o
+}
+
+func (o *OnOff) init(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit EmitFunc) {
 	if burstBps <= 0 || pktSize <= 0 {
 		panic("trafgen: NewOnOff requires positive rate and packet size")
 	}
-	o := &OnOff{s: s, rng: rng, burstBps: burstBps, pktSize: pktSize, onDur: onDur, offDur: offDur, emit: emit}
+	*o = OnOff{s: s, rng: rng, burstBps: burstBps, pktSize: pktSize, onDur: onDur, offDur: offDur, emit: emit}
 	o.iv = sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
 	o.lane = s.Lane(o.iv)
 	o.ev.Init(o.tick)
-	return o
+}
+
+// expDur and paretoDur are the duration samplers of the on-off sources: they
+// capture an RNG and a mean, nothing of the source that calls them.
+func expDur(rng *stats.RNG, mean float64) func() float64 {
+	return func() float64 { return rng.Exp(mean) }
+}
+
+func paretoDur(rng *stats.RNG, shape, mean float64) func() float64 {
+	return func() float64 { return rng.Pareto(shape, mean) }
 }
 
 // NewExpOnOff builds an on-off source with exponential on and off times
 // (means in seconds).
 func NewExpOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onMean, offMean float64, emit EmitFunc) *OnOff {
-	return NewOnOff(s, rng, burstBps, pktSize,
-		func() float64 { return rng.Exp(onMean) },
-		func() float64 { return rng.Exp(offMean) },
-		emit)
+	return NewOnOff(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean), emit)
 }
 
 // NewParetoOnOff builds an on-off source with Pareto on and off times with
 // the given shape and means; aggregated, such sources produce long-range-
 // dependent traffic for shape < 2.
 func NewParetoOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onMean, offMean, shape float64, emit EmitFunc) *OnOff {
-	return NewOnOff(s, rng, burstBps, pktSize,
-		func() float64 { return rng.Pareto(shape, onMean) },
-		func() float64 { return rng.Pareto(shape, offMean) },
-		emit)
+	return NewOnOff(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean), emit)
+}
+
+// onOffSlab is the OnOff arena block size (cf. netsim's packet slabs).
+const onOffSlab = 64
+
+// onOffMaker returns a constructor of on-off sources that share one pair of
+// duration samplers and are carved from slabs, so that a source costs its
+// tick callback and nothing else — not a struct and two sampler closures
+// per flow, which at MetroStar scale was most of a run's allocations.
+func onOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64) Maker {
+	var slab []OnOff
+	return func(emit EmitFunc) Source {
+		if len(slab) == 0 {
+			slab = make([]OnOff, onOffSlab)
+		}
+		o := &slab[0]
+		slab = slab[1:]
+		o.init(s, rng, burstBps, pktSize, onDur, offDur, emit)
+		return o
+	}
 }
 
 // Start implements Source. The source begins in the on or off state with
