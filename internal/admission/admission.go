@@ -236,7 +236,7 @@ type stageCounts struct {
 // probe packets of pktSize bytes. done is invoked exactly once.
 func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, pool *netsim.Pool, done func(Result)) *Prober {
 	p := &Prober{s: s, pool: pool}
-	p.cbr.Init(s, 1, 1, p.emit) // re-parameterized by Reinit
+	p.cbr.Init(s, 1, 1, p.emit, 0) // re-parameterized by Reinit
 	p.checkEv.Init(p.periodicCheck)
 	p.stageEv.Init(p.endStage)
 	p.judgeFn = p.judgeNext
@@ -325,7 +325,7 @@ func (p *Prober) Abort() {
 }
 
 // emit sends one probe packet.
-func (p *Prober) emit(now sim.Time, size int) {
+func (p *Prober) emit(now sim.Time, _, size int) {
 	band := netsim.BandData
 	if p.cfg.Design.Band == OutOfBand {
 		band = netsim.BandProbe

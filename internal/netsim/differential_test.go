@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -75,7 +76,8 @@ type diffHop struct {
 // In "3hop" the rates fall along the chain, so the inner hops queue and
 // overflow and ties stay accidents. In "3hopEqRate" they are the rule: behind
 // an equal-rate hop every back-to-back packet arrives at exactly the instant
-// its predecessor's transmission ends.
+// its predecessor's transmission ends. "2hopZeroLast" ends in a link with no
+// propagation delay, where a recording endpoint is due at txEnd itself.
 var diffChains = []struct {
 	name string
 	hops []diffHop
@@ -83,6 +85,7 @@ var diffChains = []struct {
 	{"1hop", []diffHop{{10e6, 7 * sim.Millisecond}}},
 	{"3hop", []diffHop{{10e6, 0}, {8e6, 7 * sim.Millisecond}, {6e6, 13 * sim.Microsecond}}},
 	{"3hopEqRate", []diffHop{{10e6, 3 * sim.Millisecond}, {10e6, 0}, {10e6, sim.Millisecond}}},
+	{"2hopZeroLast", []diffHop{{10e6, 2 * sim.Millisecond}, {8e6, 0}}},
 }
 
 // arrival is one generated input packet.
@@ -151,6 +154,11 @@ type chainRun struct {
 	// stats holds each link's counters two thirds into the input — busy
 	// links, transmissions in progress — and at the end.
 	stats []LinkStats
+	// fired counts the dispatches of the last link's one event (a Link's
+	// only), piped the packets its sink got through Receive, and end is the
+	// time of the run's last event.
+	fired, piped int
+	end          sim.Time
 }
 
 type recordSink struct{ out *[]record }
@@ -159,9 +167,43 @@ func (k recordSink) Receive(now sim.Time, p *Packet) {
 	*k.out = append(*k.out, record{hop: -1, seq: p.Seq, at: now, marked: p.Marked})
 }
 
+// recorderSink is recordSink as the scenario's sink is a Recorder: data is
+// booked, with its arrival time, when its last transmission starts, and the
+// packet is wiped as a pool would wipe it — the link may not look at it
+// again; probes take the pipe to Receive, which counts them.
+type recorderSink struct {
+	recordSink
+	piped *int
+}
+
+func (k recorderSink) Receive(now sim.Time, p *Packet) {
+	*k.piped++
+	k.recordSink.Receive(now, p)
+}
+
+func (k recorderSink) Record(at sim.Time, p *Packet) bool {
+	if p.Kind != Data {
+		return false
+	}
+	k.recordSink.Receive(at, p)
+	*p = Packet{}
+	return true
+}
+
+// chainSink selects what ends the chain: a plain Receiver, a Recorder, or a
+// Recorder behind a last link marked Boundary (which wakes at every txEnd and
+// hands nothing over: the sink is no TxEndReceiver).
+type chainSink int
+
+const (
+	plainSink chainSink = iota
+	recSink
+	recSinkBoundary
+)
+
 // runChain pushes in through a chain of links built by mk and records every
 // delivery and every drop.
-func runChain(mk linkMaker, c diffCase, hops []diffHop, seed uint64, in []arrival) chainRun {
+func runChain(mk linkMaker, c diffCase, hops []diffHop, seed uint64, in []arrival, sink chainSink) chainRun {
 	s := sim.New()
 	run := chainRun{dropped: make([][]record, len(hops))}
 	route := make([]Receiver, 0, len(hops)+1)
@@ -171,17 +213,26 @@ func runChain(mk linkMaker, c diffCase, hops []diffHop, seed uint64, in []arriva
 		if c.marker {
 			m = NewVirtualQueue(0.9*hp.rate, 12*1500)
 		}
-		h := h
-		l.attach(m, c.vdrop, false, func(now sim.Time, p *Packet) {
+		h, last := h, h == len(hops)-1
+		l.attach(m, c.vdrop, last && sink == recSinkBoundary, func(now sim.Time, p *Packet) {
 			run.dropped[h] = append(run.dropped[h], record{hop: h, seq: p.Seq, at: now})
 		})
-		if r, ok := l.(*refLink); ok {
-			run.refs = append(run.refs, r)
+		switch l := l.(type) {
+		case *refLink:
+			run.refs = append(run.refs, l)
+		case *Link:
+			if last {
+				l.ev = sim.NewStreamEvent(func(now sim.Time) { run.fired++; l.onDeliver(now) })
+			}
 		}
 		route = append(route, l)
 	}
 	links := route
-	route = append(route, recordSink{&run.delivered})
+	if sink == plainSink {
+		route = append(route, recordSink{&run.delivered})
+	} else {
+		route = append(route, recorderSink{recordSink{&run.delivered}, &run.piped})
+	}
 	readStats := func(now sim.Time) {
 		for _, l := range links {
 			run.stats = append(run.stats, l.(testLink).statsAt(now))
@@ -191,7 +242,12 @@ func runChain(mk linkMaker, c diffCase, hops []diffHop, seed uint64, in []arriva
 
 	inject(s, in, func(int) []Receiver { return route })
 	s.RunAll()
+	run.end = s.Now()
 	readStats(s.Now())
+	// A Recorder books in the order the link catches up, ahead of the clock;
+	// one link delivers no two packets at one instant, so time order is
+	// arrival order.
+	slices.SortStableFunc(run.delivered, func(a, b record) int { return cmp.Compare(a.at, b.at) })
 	return run
 }
 
@@ -249,6 +305,17 @@ func diffRecords(a, b []record, until sim.Time) (n int, diff string) {
 // whole run when it has none), and with the reference made to follow the rule
 // (ruleAtTies), in full, however many ties the input holds. Ties are counted
 // and reported per case.
+//
+// A third run ends the chain in a Recorder — data booked when its last
+// transmission starts, probes through the pipe — behind a last link that is
+// marked Boundary on every other seed. It must reproduce the rule-following
+// reference with its plain sink record for record, and its last link's event
+// must fire no more than once per piped packet plus, for the recorded ones,
+// once per propagation delay of elapsed time (each such wake-up is armed a
+// delay past a transmission end that lies ahead of the clock, so two are more
+// than a delay apart) — or once per packet where that is less, as on a
+// zero-delay link. A boundary link wakes at every txEnd and is held to
+// the records only.
 func TestLinkMatchesReference(t *testing.T) {
 	const seeds, pkts = 200, 3000
 	if testing.Short() {
@@ -275,15 +342,34 @@ func TestLinkMatchesReference(t *testing.T) {
 		for _, c := range diffCases {
 			t.Run(chain.name+"/"+c.name, func(t *testing.T) {
 				var full, asWas, withRule, drops, arrivals, tiesDone, tiesArr int
+				var recorded, piped, fired, firedMax int
+				lastDelay := chain.hops[len(chain.hops)-1].delay
 				for seed := uint64(1); seed <= seeds; seed++ {
 					in := genArrivals(seed, pkts, chain.hops[0].rate)
-					got := runChain(makeLink, c, chain.hops, seed, in)
+					got := runChain(makeLink, c, chain.hops, seed, in, plainSink)
 
-					n, d := compare(t, seed, runChain(makeRuleRefLink, c, chain.hops, seed, in), got, -1)
+					ruled := runChain(makeRuleRefLink, c, chain.hops, seed, in, plainSink)
+					n, d := compare(t, seed, ruled, got, -1)
 					withRule += n
 					drops += d
 
-					ref := runChain(makeRefLink, c, chain.hops, seed, in)
+					sink := recSink + chainSink(seed%2)
+					rec := runChain(makeLink, c, chain.hops, seed, in, sink)
+					compare(t, seed, ruled, rec, -1)
+					if sink == recSink {
+						booked := len(rec.delivered) - rec.piped
+						bound := rec.piped + booked
+						if lastDelay > 0 {
+							bound = rec.piped + min(booked, int((rec.end-in[0].at)/lastDelay)+1)
+						}
+						if rec.fired > bound {
+							t.Fatalf("seed %d: the last link's event fired %d times for %d piped and %d recorded packets in %v, want <= %d",
+								seed, rec.fired, rec.piped, booked, rec.end-in[0].at, bound)
+						}
+						recorded, piped, fired, firedMax = recorded+booked, piped+rec.piped, fired+rec.fired, firedMax+bound
+					}
+
+					ref := runChain(makeRefLink, c, chain.hops, seed, in, plainSink)
 					until := sim.Time(-1)
 					for _, r := range ref.refs {
 						tiesDone += r.tiesDoneFirst
@@ -299,8 +385,13 @@ func TestLinkMatchesReference(t *testing.T) {
 					n, _ = compare(t, seed, ref, got, until)
 					asWas += n
 				}
-				if drops == 0 || withRule < seeds*pkts {
-					t.Fatalf("vacuous: %d records compared, %d of them drops", withRule, drops)
+				if drops == 0 || withRule < seeds*pkts || recorded == 0 || piped == 0 {
+					t.Fatalf("vacuous: %d records compared, %d of them drops; %d recorded, %d piped", withRule, drops, recorded, piped)
+				}
+				t.Logf("recorder sink: 0 records differ; on the %d seeds with a plain last link its event fired %d times for %d piped + %d recorded packets (bound %d)",
+					seeds/2, fired, piped, recorded, firedMax)
+				if lastDelay >= sim.Millisecond && fired > piped+recorded/2 {
+					t.Fatalf("a last link with %v of delay, several service times, woke for most of its recorded packets", lastDelay)
 				}
 				t.Logf("%d seeds, %d arrivals, %d at a tie (%d the reference resolved as the rule says, %d arrival-first); "+
 					"0 of %d records (%d drops) differ from the reference under the rule, 0 of %d from the reference as it was (%d seeds in full, the rest up to the first arrival-first tie)",
@@ -339,6 +430,47 @@ func TestLinkTieRule(t *testing.T) {
 	}
 	if _, refDropped := run(makeRefLink); refDropped != 1 {
 		t.Fatalf("reference link dropped %d at the tie, want 1: the hand-built case is not a tie any more", refDropped)
+	}
+}
+
+// TestLinkWakesBehindRecordedPackets is the case a link without a wake-up
+// bound gets wrong: two data packets and a probe arrive together and nothing
+// arrives after them. The data is booked at the recording sink when its
+// transmission starts, so the pipe stays empty while the link is busy — and
+// the probe behind it must still be started at the second txEnd and delivered
+// at 3 ms + 2 ms on the dot, by the link's own event: armed no later than
+// txEnd + Delay while busy, it wakes once per propagation delay here (3 and
+// 5 ms), not once per packet. Without the bound nothing is pending after the
+// arrivals and the probe is never delivered (or, started by a late read of
+// the link, is scheduled into the past).
+func TestLinkWakesBehindRecordedPackets(t *testing.T) {
+	s := sim.New()
+	l := NewLink(s, "dut", 1e6, 2*sim.Millisecond, NewPriorityPushout(8))
+	fired := 0
+	l.ev = sim.NewStreamEvent(func(now sim.Time) { fired++; l.onDeliver(now) })
+	var got []record
+	var probeAt, probeNow sim.Time
+	piped := 0
+	route := []Receiver{l, recorderSink{recordSink{&got}, &piped}}
+	s.Call(0, func(now sim.Time) {
+		Send(now, &Packet{Seq: 0, Size: 125, Route: route})
+		Send(now, &Packet{Seq: 1, Size: 125, Route: route})
+		Send(now, &Packet{Seq: 2, Size: 125, Kind: Probe, Band: BandProbe,
+			Route: []Receiver{l, recvFunc(func(now sim.Time, p *Packet) { probeAt, probeNow = now, s.Now() })}})
+	})
+	s.RunAll()
+	want := []record{{hop: -1, seq: 0, at: 3 * sim.Millisecond}, {hop: -1, seq: 1, at: 4 * sim.Millisecond}}
+	if _, diff := diffRecords(want, got, -1); diff != "" || piped != 0 {
+		t.Fatalf("recorded data: %s (%d piped)", diff, piped)
+	}
+	if probeAt != 5*sim.Millisecond || probeNow != probeAt {
+		t.Fatalf("probe delivered at %v with the clock at %v, want 5 ms", probeAt, probeNow)
+	}
+	if st := l.StatsAt(s.Now()); st.SentPkts != [2]int64{2, 1} || st.SentBits != [2]int64{2000, 1000} || l.Busy(s.Now()) {
+		t.Fatalf("link counters %+v, busy %v", st, l.Busy(s.Now()))
+	}
+	if fired != 2 {
+		t.Fatalf("the link's event fired %d times, want 2 (at 3 and 5 ms)", fired)
 	}
 }
 

@@ -14,6 +14,17 @@ type poolSink struct{ pool *Pool }
 
 func (ps *poolSink) Receive(_ sim.Time, p *Packet) { ps.pool.Put(p) }
 
+// poolRecorder is poolSink taking data as a Recorder, as that sink does: the
+// probes alone go through the link's pipe.
+type poolRecorder struct{ poolSink }
+
+func (ps *poolRecorder) Record(_ sim.Time, p *Packet) bool {
+	if p.Kind == Data {
+		ps.pool.Put(p)
+	}
+	return p.Kind == Data
+}
+
 // TestSteadyStatePacketPathZeroAlloc drives a congested link — data plus
 // probe traffic through a marking virtual queue and a pushout discipline,
 // with drops recycled — past its warmup transient, then requires that
@@ -21,7 +32,8 @@ func (ps *poolSink) Receive(_ sim.Time, p *Packet) { ps.pool.Put(p) }
 // contract of the hot path: once the event heap, the lane and link ring
 // buffers, and the packet pool have grown to steady-state size, the
 // per-packet path (tick, lane append and promotion, emit, enqueue, mark,
-// drop, transmit, propagate, deliver, recycle) must be allocation-free.
+// drop, transmit, record or propagate and deliver, recycle) must be
+// allocation-free.
 // The data packets come from on-off sources, so their ticks go through a
 // sim lane; the probe stream reschedules on the heap.
 func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
@@ -31,15 +43,15 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	link := NewLink(s, "hot", 10e6, 5*sim.Millisecond, q)
 	link.Marker = NewVirtualQueue(9e6, 64*1000)
 	link.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
-	route := []Receiver{link, &poolSink{pool: pool}}
+	route := []Receiver{link, &poolRecorder{poolSink{pool: pool}}}
 
-	// Offered load ~1.2x the link rate so the queue stays full and the
-	// drop/pushout/mark branches all run: sixteen on-off sources, on half
-	// the time at 1.25 Mb/s, plus a 2.4 Mb/s probe stream.
+	// Offered load ~1.25x the link rate so the queue stays full and the
+	// drop/pushout/mark branches all run: forty EXP3 sources, on half the
+	// time at 512 kb/s, plus a 2.4 Mb/s probe stream.
 	startData := func() {
 		rng := stats.NewRNG(1)
-		for i := 0; i < 16; i++ {
-			trafgen.NewExpOnOff(s, rng, 1.25e6, 1000, 0.05, 0.05, func(now sim.Time, size int) {
+		for i := 0; i < 40; i++ {
+			trafgen.EXP3.New(s, rng, func(now sim.Time, size int) {
 				p := pool.Get()
 				p.Kind, p.Band, p.Size, p.Route = Data, BandData, size, route
 				Send(now, p)

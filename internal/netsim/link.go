@@ -69,6 +69,21 @@ type TxEndReceiver interface {
 	ReceiveTxEnd(txEnd, delay sim.Time, p *Packet)
 }
 
+// Recorder is a terminating Receiver that only books some packets: nothing it
+// does on their arrival can schedule an event or be read before the run ends.
+// A link whose packet has such an endpoint as its last hop calls Record when
+// the transmission starts — the arrival time is known then — and the packet
+// never enters the pipe, so no delivery event exists for it.
+type Recorder interface {
+	Receiver
+	// Record takes custody of p, due at time at, or returns false and the
+	// packet takes the pipe to Receive. It is called in the order the link
+	// catches up (sync), up to a transmission time plus the propagation delay
+	// ahead of the clock: what it books is complete only once every link has
+	// been read at the run's end (StatsAt).
+	Record(at sim.Time, p *Packet) bool
+}
+
 // Link serializes packets at a fixed rate through a queue discipline and
 // delivers them to the packet's next hop after a fixed propagation delay.
 // Per Section 3.2 the rate is the bandwidth allocated to the
@@ -116,19 +131,22 @@ type Link struct {
 	s        *sim.Sim
 	nsPerBit float64 // float64(sim.Second) / RateBps, precomputed
 
-	// The server. No event ends a transmission: sync books txPkt and starts
-	// the next packet at txEnd once the clock has passed it, so stats, busy
-	// and the queue are read only behind sync (StatsAt, Busy, QueueLen).
-	stats LinkStats
-	busy  bool
-	txEnd sim.Time
-	txPkt *Packet       // already in the pipe, unless hand is set
-	hand  TxEndReceiver // txPkt is a boundary hand-off, held until txEnd
+	// The server. No event ends a transmission: sync books the packet in
+	// service (txBits, txKind: it may be recorded and recycled by then) and
+	// starts the next one at txEnd once the clock has passed it, so stats,
+	// busy and the queue are read only behind sync (StatsAt, Busy, QueueLen).
+	stats  LinkStats
+	busy   bool
+	txEnd  sim.Time
+	txBits int64
+	txKind Kind
+	txPkt  *Packet       // held until txEnd for hand, else nil
+	hand   TxEndReceiver // the packet in service is a boundary hand-off
 
 	pipe   []inflight // power-of-two ring buffer, mask-indexed
 	pipeHd int
 	pipeN  int
-	ev     *sim.Event // the one event: next pipe delivery (boundary: or txEnd, see arm)
+	ev     *sim.Event // the one event: a wake-up or the next pipe delivery (see arm)
 }
 
 // NewLink builds a link. The queue discipline q must be non-nil.
@@ -165,7 +183,7 @@ func (l *Link) Reset(rateBps float64, delay sim.Time, recycle func(*Packet)) {
 	if recycle == nil {
 		recycle = func(*Packet) {}
 	}
-	if l.hand != nil { // held for hand-off; any other txPkt is in the pipe
+	if l.txPkt != nil { // held for hand-off; any other is in the pipe or recorded
 		recycle(l.txPkt)
 	}
 	l.txPkt, l.hand = nil, nil
@@ -294,29 +312,39 @@ func (l *Link) dropTraced(now sim.Time, p *Packet) {
 }
 
 // startTx puts the next queued packet into service at time at (now, or the
-// txEnd sync is catching up from) and, unless it is a hand-off, into the pipe.
+// txEnd sync is catching up from) and on its way: held for a boundary
+// hand-off, booked at a recording last hop, or else into the pipe.
 func (l *Link) startTx(at sim.Time) {
 	p := l.Q.Dequeue()
-	l.txPkt, l.busy, l.hand = p, p != nil, nil
+	l.txPkt, l.busy, l.hand = nil, p != nil, nil
 	if p == nil {
 		return
 	}
 	if l.Tap != nil {
 		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	}
-	l.txEnd = at + sim.Time(float64(p.Bits())*l.nsPerBit) // no division on the packet path
+	l.txBits, l.txKind = int64(p.Bits()), p.Kind
+	l.txEnd = at + sim.Time(float64(l.txBits)*l.nsPerBit) // no division on the packet path
 	if l.Boundary {
 		if l.hand, _ = p.nextHop().(TxEndReceiver); l.hand != nil {
+			l.txPkt = p
 			return
+		}
+	}
+	due := l.txEnd + l.Delay
+	if p.hop == len(p.Route)-1 {
+		if r, ok := p.Route[p.hop].(Recorder); ok && r.Record(due, p) {
+			return // p is the recorder's: the link may not touch it again
 		}
 	}
 	// Constant propagation delay keeps deliveries FIFO, so one pending
 	// event suffices for the whole pipe.
-	l.pipePush(inflight{at: l.txEnd + l.Delay, p: p})
+	l.pipePush(inflight{at: due, p: p})
 }
 
-// sync brings the server up to now. It schedules nothing, so an extra call
-// (a sampler, a metric read) cannot move a result.
+// sync brings the server up to now. It schedules nothing, and what a Recorder
+// books is order-free, so an extra call (a sampler, a metric read) cannot move
+// a result.
 func (l *Link) sync(now sim.Time) {
 	if l.busy && l.txEnd <= now {
 		l.finishTx(now)
@@ -328,10 +356,10 @@ func (l *Link) sync(now sim.Time) {
 // syncs first, changes the queue, so the start sees the queue as of txEnd.
 func (l *Link) finishTx(now sim.Time) {
 	for l.busy && l.txEnd <= now {
-		p, at := l.txPkt, l.txEnd
-		l.stats.SentBits[p.Kind] += int64(p.Bits())
-		l.stats.SentPkts[p.Kind]++
-		if l.hand != nil {
+		at := l.txEnd
+		l.stats.SentBits[l.txKind] += l.txBits
+		l.stats.SentPkts[l.txKind]++
+		if p := l.txPkt; p != nil {
 			if l.Tap != nil {
 				l.Tap.Handoff(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq)
 			}
@@ -342,11 +370,18 @@ func (l *Link) finishTx(now sim.Time) {
 	}
 }
 
-// arm keeps the event at the link's next wake-up: the pipe head and, on a
-// boundary link, txEnd — hand-over then is the shard lookahead and cannot wait
-// for the next arrival. Only a boundary link ever moves a pending event.
+// arm keeps the event at the link's next wake-up: the pipe head, and while
+// busy no later than txEnd + Delay — a recorded packet leaves the pipe empty,
+// and whatever sync starts behind it is due after that bound, never in the
+// past. A packet in the pipe is its own bound (head <= txEnd + Delay), so a
+// link of recorded traffic alone wakes once per Delay. On a boundary link the
+// bound is txEnd: hand-over then is the shard lookahead and cannot wait for
+// the next arrival. Only a boundary link ever moves a pending event.
 func (l *Link) arm() {
-	at, ok := l.txEnd, l.Boundary && l.busy
+	at, ok := l.txEnd, l.busy
+	if !l.Boundary {
+		at += l.Delay
+	}
 	if l.pipeN > 0 && (!ok || l.pipe[l.pipeHd].at < at) {
 		at, ok = l.pipe[l.pipeHd].at, true
 	}

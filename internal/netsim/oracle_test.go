@@ -22,8 +22,9 @@ import (
 // confidence interval of the mean over 8 seeds of 4·10^5 packets — nothing
 // calibrated to what the simulator happens to print. Both the link and the
 // two-event reference it replaced are held to it, so the oracle passes on
-// either side of that change. A failure is a finding, not a tolerance to
-// widen.
+// either side of that change, and the link a second time with its sojourn
+// times read through a Recorder: booked when the last transmission starts,
+// with no delivery event. A failure is a finding, not a tolerance to widen.
 func TestOraclePriorityWaits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle run skipped in -short mode")
@@ -48,9 +49,10 @@ func TestOraclePriorityWaits(t *testing.T) {
 	names := [3]string{"all packets (M/D/1)", "high band (Cobham)", "low band (Cobham)"}
 
 	for _, dut := range []struct {
-		name string
-		mk   linkMaker
-	}{{"Link", makeLink}, {"refLink", makeRefLink}} {
+		name     string
+		mk       linkMaker
+		recorder bool
+	}{{"Link", makeLink, false}, {"refLink", makeRefLink, false}, {"LinkRecorder", makeLink, true}} {
 		t.Run(dut.name, func(t *testing.T) {
 			var across [3]stats.Welford // of per-seed means
 			for seed := uint64(1); seed <= seeds; seed++ {
@@ -60,11 +62,15 @@ func TestOraclePriorityWaits(t *testing.T) {
 				l := dut.mk(s, rate, delay, NewPriorityPushout(1<<20))
 				l.attach(nil, false, false, func(sim.Time, *Packet) { dropped++ })
 				svcT := sim.Time(float64(size*8) * float64(sim.Second) / rate)
-				route := []Receiver{l, recvFunc(func(now sim.Time, p *Packet) {
+				sink := recvFunc(func(now sim.Time, p *Packet) {
 					w := (now - p.SentAt - svcT - delay).Sec()
 					wait[0].Add(w)
 					wait[1+p.Band/BandProbe].Add(w)
-				})}
+				})
+				route := []Receiver{l, sink}
+				if dut.recorder {
+					route[1] = recorderFunc{sink}
+				}
 				rng := stats.NewStream(seed, "oracle-md1")
 				sent := 0
 				var arrive *sim.Event
@@ -102,3 +108,8 @@ func TestOraclePriorityWaits(t *testing.T) {
 type recvFunc func(now sim.Time, p *Packet)
 
 func (f recvFunc) Receive(now sim.Time, p *Packet) { f(now, p) }
+
+// recorderFunc is a recvFunc that takes every packet as a Recorder.
+type recorderFunc struct{ recvFunc }
+
+func (f recorderFunc) Record(at sim.Time, p *Packet) bool { f.recvFunc(at, p); return true }

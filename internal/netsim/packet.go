@@ -9,12 +9,15 @@
 // bandwidth limit, so a Link here represents that class's allocated share
 // of a router's output port.
 //
-// A Link spends one event per packet-hop, the delivery. No event ends a
-// transmission: the link catches up (books what ended, starts the next packet
-// at that txEnd) at each arrival, each delivery and behind every read of its
-// state, and a transmission that ends at t is complete before an arrival at t
-// is enqueued. DESIGN.md §4c argues it; reflink_test.go keeps the two-event
-// link this replaced as the tests' reference.
+// A Link spends one event per packet-hop, the delivery, and none on a last hop
+// whose endpoint only records (Recorder): the arrival time is known when the
+// transmission starts and is booked then. No event ends a transmission: the
+// link catches up (books what ended, starts the next packet at that txEnd) at
+// each arrival, each firing of its one event and behind every read of its
+// state. While busy that event is pending no later than txEnd + Delay, and a
+// transmission that ends at t is complete before an arrival at t is enqueued.
+// DESIGN.md §4c argues it; reflink_test.go keeps the two-event link this
+// replaced as the tests' reference.
 package netsim
 
 import "eac/internal/sim"

@@ -91,7 +91,8 @@ func TestLinkResetReplayIdentical(t *testing.T) {
 // TestLinkResetRecyclesInFlight checks every packet alive at Reset time —
 // queued, in transmission, or propagating — is handed back exactly once:
 // the packet in service already sits in the pipe, unless it is a boundary
-// hand-off held for its txEnd.
+// hand-off held for its txEnd, or was booked and pooled by a recording
+// endpoint the moment it went into service.
 func TestLinkResetRecyclesInFlight(t *testing.T) {
 	t.Run("pipe", func(t *testing.T) {
 		sink := &collectRecv{}
@@ -101,7 +102,16 @@ func TestLinkResetRecyclesInFlight(t *testing.T) {
 		end := &handoffRecv{}
 		testLinkResetRecycles(t, end, &end.collectRecv)
 	})
+	t.Run("recorder", func(t *testing.T) {
+		end := &recorderRecv{}
+		testLinkResetRecycles(t, end, &end.collectRecv)
+	})
 }
+
+// recorderRecv is collectRecv as a Recorder.
+type recorderRecv struct{ collectRecv }
+
+func (r *recorderRecv) Record(at sim.Time, p *Packet) bool { r.Receive(at, p); return true }
 
 // handoffRecv is collectRecv taking custody at transmission end.
 type handoffRecv struct{ collectRecv }

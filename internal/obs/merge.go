@@ -152,6 +152,7 @@ func (m *Merged) WriteTrace(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	idx := make([]int, len(m.cs))
+	var forms traceForms
 	for {
 		best := -1
 		var bestAt sim.Time
@@ -170,7 +171,7 @@ func (m *Merged) WriteTrace(w io.Writer) error {
 		c := m.cs[best]
 		rec := c.trace.at(idx[best])
 		idx[best]++
-		if err := enc.Encode(c.traceEvent(rec, m.tags[best])); err != nil {
+		if err := enc.Encode(c.traceEvent(&forms, rec, m.tags[best])); err != nil {
 			return err
 		}
 	}
@@ -181,9 +182,11 @@ func (m *Merged) WriteTrace(w io.Writer) error {
 // per-shard; (shard, flow) is the unique key.
 func (m *Merged) WriteSpans(w io.Writer) error {
 	enc := json.NewEncoder(w)
+	var ev spanEvent
 	for shard, c := range m.cs {
 		for i := range c.spans {
-			if err := enc.Encode(c.spanEvent(&c.spans[i], m.tags[shard])); err != nil {
+			c.spanEvent(&ev, &c.spans[i], m.tags[shard])
+			if err := enc.Encode(&ev); err != nil {
 				return err
 			}
 		}

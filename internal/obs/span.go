@@ -110,8 +110,9 @@ func sec(t sim.Time) float64 {
 	return t.Sec()
 }
 
-func (c *Collector) spanEvent(s *spanRec, shard *int) spanEvent {
-	ev := spanEvent{
+// spanEvent writes the JSONL form of s into ev.
+func (c *Collector) spanEvent(ev *spanEvent, s *spanRec, shard *int) {
+	*ev = spanEvent{
 		Flow:       s.flow,
 		Class:      c.ClassName(int(s.class)),
 		ProbeStart: sec(s.probeStart),
@@ -122,11 +123,9 @@ func (c *Collector) spanEvent(s *spanRec, shard *int) spanEvent {
 		Shard:      shard,
 	}
 	if s.decided {
-		acc := s.accepted
-		ev.Accepted = &acc
+		ev.Accepted = &s.accepted
 		ev.Attempts = s.attempts
 	}
-	return ev
 }
 
 // perfettoEvent is one Chrome trace-event ("X" = complete event with a

@@ -180,33 +180,45 @@ func (c *Collector) TraceDropped() int64 {
 	return c.trace.dropped
 }
 
-// traceEvent builds the JSONL form of one buffered record, tagged with
-// the owning shard (nil in a set of one).
-func (c *Collector) traceEvent(rec traceRec, shard *int) any {
+// traceForms holds one value per JSONL form: traceEvent fills the one a
+// record needs and returns a pointer to it (put), so the encoder is handed
+// no freshly boxed struct per record.
+type traceForms struct {
+	pkt packetEvent
+	dec decisionEvent
+	arr arrivalEvent
+	ep  epochEvent
+}
+
+func put[T any](dst *T, v T) any { *dst = v; return dst }
+
+// traceEvent builds, in f, the JSONL form of one buffered record, tagged
+// with the owning shard (nil in a set of one).
+func (c *Collector) traceEvent(f *traceForms, rec traceRec, shard *int) any {
 	if rec.ev == evAdmit || rec.ev == evReject {
-		return decisionEvent{
+		return put(&f.dec, decisionEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow,
 			Class: int(rec.kind), Attempt: rec.a, Frac: float64(rec.frac), Shard: shard,
-		}
+		})
 	}
 	if rec.ev == evArrival {
-		return arrivalEvent{
+		return put(&f.arr, arrivalEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow, Class: int(rec.a), Shard: shard,
-		}
+		})
 	}
 	if rec.ev == evEpoch {
-		return epochEvent{
+		return put(&f.ep, epochEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Epoch: rec.flow,
 			Eps: float64(rec.frac), ProbeMs: float64(rec.depth),
 			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6, Shard: shard,
-		}
+		})
 	}
 	kind := "data"
 	if int(rec.kind) < len(pktKindNames) {
 		kind = pktKindNames[rec.kind]
 	}
-	return packetEvent{
+	return put(&f.pkt, packetEvent{
 		T: rec.at.Sec(), Ev: evNames[rec.ev], Link: c.LinkName(int(rec.link)),
 		Flow: rec.flow, Kind: kind, Size: rec.a, Seq: rec.b, Depth: rec.depth, Shard: shard,
-	}
+	})
 }

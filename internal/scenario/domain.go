@@ -10,18 +10,19 @@ import (
 	"eac/internal/trafgen"
 )
 
-// flowState tracks one offered flow through its lifecycle. The fields
-// listed in releaseFlows — the timer and the emission closure — survive
-// recycling; everything else is per-run.
+// flowState tracks one offered flow through its lifecycle. The timer
+// survives recycling (releaseFlows); everything else is per-run.
 type flowState struct {
 	id    int
 	class int
 	route []netsim.Receiver // the class's shared template (domain.tmpl)
+	// emitData's counters, beside what else it reads; the sink books per domain.
+	dataSeq int64
+	winSent int64 // emitted within the accounting window
 	// prober is the flow's while its admission is open: taken from the
 	// domain's free list at the first probe, handed back when the decision
 	// is final (probeDone).
 	prober *admission.Prober
-	emitFn trafgen.EmitFunc // source emission hook, captures this flowState
 	src    trafgen.Source
 	// timer is the flow's one event: the retry back-off while its admission
 	// is open, then the end of its lifetime. It fires domain.onFlowTimer with
@@ -35,16 +36,6 @@ type flowState struct {
 	fluid    bool    // data phase carried on the fluid plane (hybrid engine)
 	lastFrac float64 // bad-packet fraction of the last probe (EAC)
 	lastEps  float64 // threshold the last probe ran against (EAC)
-}
-
-// flowHot holds the per-flow counters touched on every packet event. They
-// live in one contiguous arena (domain.hot, indexed by flow ID) rather than
-// inside the pointer-scattered flowState structs, so the packet hot loop —
-// emit, sink — walks cache-local memory. One entry is 40 bytes.
-type flowHot struct {
-	dataSeq          int64
-	winSent, winRecv int64 // emitted/arrived within the accounting window
-	sentAll, recvAll int64
 }
 
 // domain is one shard domain of a run: a private simulator, the links that
@@ -119,7 +110,6 @@ type domain struct {
 	epsN   int64
 
 	flows     []*flowState
-	hot       []flowHot    // per-flow packet counters, parallel to flows
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
 	flowSlab  []flowState  // remainder of the arena block newFlow carves from
 	// freeProbers holds the probers no flow is using: a flow whose decision
@@ -128,11 +118,12 @@ type domain struct {
 	freeProbers []*admission.Prober
 	// mkSrc builds the data sources of each class (trafgen.Preset.Maker).
 	mkSrc []trafgen.Maker
-	// flowTimer and probeDone are the callbacks of every flow's timer and
-	// prober; the flow is named by the event's argument and the result's
-	// FlowID, so neither costs a closure per flow.
+	// flowTimer, probeDone and emit are the callbacks of every flow's timer,
+	// prober and source; the flow is named by the event's argument, the
+	// result's FlowID and emit's id, so none costs a closure per flow.
 	flowTimer func(sim.Time)
 	probeDone func(admission.Result)
+	emit      trafgen.FlowEmit
 	// tmpl is the run's per-class packet routes (Runner.routeTemplates),
 	// shared by every domain and immutable for the run.
 	tmpl    [][]netsim.Receiver
@@ -153,10 +144,11 @@ type domain struct {
 	lastSample  sim.Time
 	lastBits    []int64 // per-link data bits at the previous sample
 
-	// End-to-end data delay statistics over the accounting window:
-	// Welford for the mean plus a 1 ms-bucket histogram for percentiles.
-	delayStats stats.Welford
-	delayHist  [1001]int64 // [i] = delays in [i, i+1) ms; last = overflow
+	// End-to-end data delay over the accounting window: an integer sum and
+	// count, so the mean cannot depend on the order packets were booked in
+	// (sinkRecv.Record), plus a 1 ms-bucket histogram for percentiles.
+	delayNs, delayN int64
+	delayHist       [1001]int64 // [i] = delays in [i, i+1) ms; last = overflow
 }
 
 func newDomain(idx int, s *sim.Sim, suffix string) *domain {
@@ -165,6 +157,7 @@ func newDomain(idx int, s *sim.Sim, suffix string) *domain {
 	d.onDrop = d.onLinkDrop
 	d.flowTimer = d.onFlowTimer
 	d.probeDone = d.onProbeDone
+	d.emit = d.emitData
 	return d
 }
 
@@ -208,7 +201,7 @@ func (d *domain) reset(cfg Config, owner []int) {
 	d.ownedW, d.totalW = 0, 0
 	for c, cl := range cfg.Classes {
 		d.totalW += cl.Weight
-		d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc)
+		d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc, d.emit)
 		d.classW[c] = 0
 		if owner[c] == d.idx {
 			d.classW[c] = cl.Weight
@@ -227,7 +220,7 @@ func (d *domain) reset(cfg Config, owner []int) {
 	d.decided, d.retries = 0, 0
 	d.epsSum, d.epsN = 0, 0
 	d.activeFlows, d.lastSample = 0, 0
-	d.delayStats = stats.Welford{}
+	d.delayNs, d.delayN = 0, 0
 	d.delayHist = [1001]int64{}
 }
 
@@ -316,8 +309,7 @@ func (d *domain) observe(c *obs.Collector) {
 }
 
 // releaseFlows retires the previous run's flow states into the freelist,
-// keeping each one's timer and emission closure (which captures the
-// flowState pointer, valid across reuse), and its probers into theirs. Must
+// keeping each one's timer, and its probers into theirs. Must
 // run before Sim.Reset wipes the heap, which is what makes the blanket
 // Forget calls safe — a free prober may still have a judge queued.
 func (d *domain) releaseFlows() {
@@ -327,14 +319,13 @@ func (d *domain) releaseFlows() {
 			d.freeProbers = append(d.freeProbers, f.prober)
 		}
 		f.timer.Forget()
-		*f = flowState{timer: f.timer, emitFn: f.emitFn}
+		*f = flowState{timer: f.timer}
 		d.freeFlows = append(d.freeFlows, f)
 	}
 	for _, p := range d.freeProbers {
 		p.ForgetEvents()
 	}
 	d.flows = d.flows[:0]
-	d.hot = d.hot[:0]
 }
 
 // flowSlabSize is the flowState arena block size (cf. netsim's packet slabs).
@@ -362,7 +353,6 @@ func (d *domain) newFlow(class int) *flowState {
 	f.class = class
 	f.route = d.tmpl[class]
 	d.flows = append(d.flows, f)
-	d.hot = append(d.hot, flowHot{})
 	return f
 }
 
@@ -392,8 +382,8 @@ func (d *domain) stopFlow(now sim.Time, f *flowState) {
 // against the packet's class when it was a data packet emitted inside the
 // accounting window, then recycles the packet. The count is per class and
 // per link owner because the flow may live on another domain. Counting
-// drops where they happen (instead of inferring them as winSent-winRecv at
-// the end) keeps packets still in flight when the run ends out of the loss
+// drops where they happen (instead of inferring them from sent minus received
+// at the end) keeps packets still in flight when the run ends out of the loss
 // statistics.
 func (d *domain) onLinkDrop(now sim.Time, p *netsim.Packet) {
 	if p.Kind == netsim.Data && p.SentAt >= d.winStart && p.SentAt <= d.winEnd {
@@ -747,10 +737,7 @@ func (d *domain) startData(now sim.Time, f *flowState) {
 		d.startFluid(now, f)
 		return
 	}
-	if f.emitFn == nil {
-		f.emitFn = func(at sim.Time, size int) { d.emitData(at, f, size) }
-	}
-	f.src = d.mkSrc[f.class](f.emitFn)
+	f.src = d.mkSrc[f.class](f.id)
 	f.src.Start(now)
 	d.activeFlows++
 	d.obs.SpanDataStart(now, f.id, f.class)
@@ -758,50 +745,59 @@ func (d *domain) startData(now sim.Time, f *flowState) {
 	d.s.Schedule(&f.timer, now+life)
 }
 
-func (d *domain) emitData(now sim.Time, f *flowState, size int) {
-	h := &d.hot[f.id]
+// emitData sends one data packet of flow id: the emit callback of every source.
+func (d *domain) emitData(now sim.Time, id, size int) {
+	f := d.flows[id]
 	pk := d.pool.Get()
-	pk.FlowID = f.id
+	pk.FlowID = id
 	pk.Class = f.class
 	pk.Kind = netsim.Data
 	pk.Band = netsim.BandData
 	pk.Size = size
-	pk.Seq = h.dataSeq
+	pk.Seq = f.dataSeq
 	pk.Route = f.route
-	h.dataSeq++
-	h.sentAll++
+	f.dataSeq++
 	if now >= d.winStart && now <= d.winEnd {
-		h.winSent++
+		f.winSent++
 	}
 	netsim.Send(now, pk)
 }
 
-// sinkRecv adapts the domain as the terminating Receiver of the routes of
-// the classes it owns.
+// sinkRecv adapts the domain as the terminating endpoint of the routes of the
+// classes it owns. It is passive for data — it counts — so it is a
+// netsim.Recorder; only a probe's arrival can act (the prober's early stop).
 type sinkRecv domain
 
-// Receive implements netsim.Receiver.
+// Receive implements netsim.Receiver: probes always, data when it arrives
+// through a portal from a last link on another domain.
 func (k *sinkRecv) Receive(now sim.Time, p *netsim.Packet) {
+	if k.Record(now, p) {
+		return
+	}
 	d := (*domain)(k)
-	f := d.flows[p.FlowID]
-	if p.Kind == netsim.Probe {
-		if f.prober != nil {
-			f.prober.OnProbeArrival(now, p)
-		}
-	} else {
-		h := &d.hot[p.FlowID]
-		h.recvAll++
-		if p.SentAt >= d.winStart && p.SentAt <= d.winEnd {
-			h.winRecv++
-			dl := now - p.SentAt
-			d.delayStats.Add(dl.Sec())
-			ms := int(dl / sim.Millisecond)
-			if ms >= len(d.delayHist) {
-				ms = len(d.delayHist) - 1
-			}
-			d.delayHist[ms]++
-			d.obs.Delay(p.Class, dl)
-		}
+	if f := d.flows[p.FlowID]; f.prober != nil {
+		f.prober.OnProbeArrival(now, p)
 	}
 	d.pool.Put(p)
+}
+
+// Record implements netsim.Recorder for data: p arrives at time at, which a
+// last link on this domain says when transmission starts. The accumulators
+// thus run ahead of the clock, and are complete once Runner.metrics has synced
+// every link; nothing in the run path reads them. A packet due after the
+// horizon is not booked: its delivery would never have run.
+func (k *sinkRecv) Record(at sim.Time, p *netsim.Packet) bool {
+	if p.Kind != netsim.Data {
+		return false
+	}
+	d := (*domain)(k)
+	if at <= d.cfg.Duration && p.SentAt >= d.winStart && p.SentAt <= d.winEnd {
+		dl := at - p.SentAt
+		d.delayNs += int64(dl)
+		d.delayN++
+		d.delayHist[min(int(dl/sim.Millisecond), len(d.delayHist)-1)]++
+		d.obs.Delay(p.Class, dl)
+	}
+	d.pool.Put(p)
+	return true
 }

@@ -20,7 +20,10 @@ import (
 // v4: netsim.Link finishes transmissions lazily and resolves an arrival at
 // the instant a transmission ends by a stated rule (transmission first),
 // where the order of two events' seq used to decide; results move at ties.
-const ResultsVersion = "eac/results/v4"
+// v5: MeanDelaySec is an integer sum of nanoseconds over a count (its last
+// bits move everywhere), and a link books data at a recording sink with no
+// delivery event, so its one event's seq — its order at ties — differs.
+const ResultsVersion = "eac/results/v5"
 
 // Fingerprint returns the content address of this configuration's results:
 // a hex SHA-256 over ResultsVersion plus a canonical encoding of every

@@ -199,71 +199,14 @@ func (r *Runner) Sim() *sim.Sim { return r.doms[0].s }
 // metrics merges the per-domain results into one Metrics. Per-flow window
 // counters live with the owning domain; window drops are booked per class
 // on the domain of the link that dropped (domain.dropWin). Delay
-// statistics merge via Welford combination plus histogram addition.
-// Iteration is in domain order, so the result is deterministic for a fixed
-// K; at K = 1 every sum has one term and the merge into an empty Welford
-// is a copy, so nothing is rounded that a single accumulator would not
-// round.
+// statistics merge by integer addition. Iteration is in domain order, so
+// the result is deterministic for a fixed K.
 func (r *Runner) metrics() Metrics {
-	// Exec.Run left every domain's clock at Duration.
+	// Exec.Run left every domain's clock at Duration. Reading a link there
+	// makes it book the last packets at its recording sink (sinkRecv.Record),
+	// so the links come before anything a sink accumulated.
 	now := r.cfg.Duration
 	var m Metrics
-	m.Classes = make([]ClassMetrics, len(r.cfg.Classes))
-	for i := range m.Classes {
-		m.Classes[i].Name = r.cfg.Classes[i].Name
-	}
-	// Loss counts actual router drops of window packets, not the
-	// winSent-winRecv difference: a packet emitted inside the window but
-	// still in flight when the run ends was neither delivered nor lost, and
-	// must not inflate the loss probability.
-	var sent, lost int64
-	var epsSum float64
-	var epsN int64
-	var delay stats.Welford
-	var hist [1001]int64
-	for _, d := range r.doms {
-		for i, f := range d.flows {
-			m.Classes[f.class].DataSent += d.hot[i].winSent
-			sent += d.hot[i].winSent
-		}
-		for c, n := range d.dropWin {
-			m.Classes[c].DataLost += n
-			lost += n
-		}
-		if d.hyb != nil {
-			fs, fl := d.mergeFluidClasses(&m, now)
-			sent += fs
-			lost += fl
-		}
-		for c, cm := range d.classes {
-			m.Classes[c].Arrived += cm.Arrived
-			m.Classes[c].Accepted += cm.Accepted
-			m.Classes[c].Blocked += cm.Blocked
-		}
-		m.Decided += d.decided
-		m.Retries += d.retries
-		epsSum += d.epsSum
-		epsN += d.epsN
-		delay.Merge(d.delayStats)
-		for i, v := range d.delayHist {
-			hist[i] += v
-		}
-	}
-	if sent > 0 {
-		m.DataLossProb = float64(lost) / float64(sent)
-	}
-	var blocked int64
-	for _, cm := range m.Classes {
-		blocked += cm.Blocked
-	}
-	if m.Decided > 0 {
-		m.BlockingProb = float64(blocked) / float64(m.Decided)
-	}
-	if epsN > 0 {
-		m.MeanEps = epsSum / float64(epsN)
-	}
-	m.MeanDelaySec = delay.Mean()
-	m.P99DelaySec = delayPercentile(&hist, delay.N(), 0.99)
 	m.Links = make([]LinkMetrics, len(r.links))
 	for i, l := range r.links {
 		st := l.StatsAt(now)
@@ -288,6 +231,65 @@ func (r *Runner) metrics() Metrics {
 	}
 	m.Utilization = m.Links[0].Utilization
 	m.ProbeShare = m.Links[0].ProbeShare
+	m.Classes = make([]ClassMetrics, len(r.cfg.Classes))
+	for i := range m.Classes {
+		m.Classes[i].Name = r.cfg.Classes[i].Name
+	}
+	// Loss counts actual router drops of window packets, not sent minus
+	// received: a packet emitted inside the window but still in flight when
+	// the run ends was neither delivered nor lost, and must not inflate the
+	// loss probability.
+	var sent, lost int64
+	var epsSum float64
+	var epsN int64
+	var delayNs, delayN int64
+	var hist [1001]int64
+	for _, d := range r.doms {
+		for _, f := range d.flows {
+			m.Classes[f.class].DataSent += f.winSent
+			sent += f.winSent
+		}
+		for c, n := range d.dropWin {
+			m.Classes[c].DataLost += n
+			lost += n
+		}
+		if d.hyb != nil {
+			fs, fl := d.mergeFluidClasses(&m, now)
+			sent += fs
+			lost += fl
+		}
+		for c, cm := range d.classes {
+			m.Classes[c].Arrived += cm.Arrived
+			m.Classes[c].Accepted += cm.Accepted
+			m.Classes[c].Blocked += cm.Blocked
+		}
+		m.Decided += d.decided
+		m.Retries += d.retries
+		epsSum += d.epsSum
+		epsN += d.epsN
+		delayNs += d.delayNs
+		delayN += d.delayN
+		for i, v := range d.delayHist {
+			hist[i] += v
+		}
+	}
+	if sent > 0 {
+		m.DataLossProb = float64(lost) / float64(sent)
+	}
+	var blocked int64
+	for _, cm := range m.Classes {
+		blocked += cm.Blocked
+	}
+	if m.Decided > 0 {
+		m.BlockingProb = float64(blocked) / float64(m.Decided)
+	}
+	if epsN > 0 {
+		m.MeanEps = epsSum / float64(epsN)
+	}
+	if delayN > 0 {
+		m.MeanDelaySec = float64(delayNs) / (float64(delayN) * float64(sim.Second))
+	}
+	m.P99DelaySec = delayPercentile(&hist, delayN, 0.99)
 	return m
 }
 

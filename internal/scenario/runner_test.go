@@ -441,8 +441,9 @@ func TestRunSeedsParallelError(t *testing.T) {
 // TestLaneShareBasicScenario verifies, on the paper's §4.1 single-link
 // configuration, the premise the monotone lanes rest on: fixed-interval
 // source and probe ticks are a large share of everything the run
-// schedules, and they do reach the lanes (measured 49.5 %: with one link
-// event per packet-hop, every second schedule is a tick).
+// schedules, and they do reach the lanes (measured 87.1 %: data is booked at
+// the sink with no link event, so what a run schedules is ticks, probe
+// deliveries and one link wake-up per propagation delay).
 func TestLaneShareBasicScenario(t *testing.T) {
 	cfg := quickCfg()
 	cfg.PrepopulateUtil = 0.9
@@ -456,8 +457,8 @@ func TestLaneShareBasicScenario(t *testing.T) {
 	share := float64(c.LaneAppends) / float64(c.LaneAppends+c.HeapSchedules)
 	t.Logf("%d events: %d heap schedules, %d lane appends (%.1f %%), %d promotions, %d scrubbed, heap high-water %d",
 		c.Executed, c.HeapSchedules, c.LaneAppends, 100*share, c.Promotions, c.Scrubbed, c.HeapHighWater)
-	if share < 0.4 {
-		t.Fatalf("lane appends are %.1f %% of schedules, want >= 40 %%", 100*share)
+	if share < 0.8 {
+		t.Fatalf("lane appends are %.1f %% of schedules, want >= 80 %%", 100*share)
 	}
 	if c.Promotions > c.LaneAppends || c.HeapHighWater == 0 || c.Executed == 0 {
 		t.Fatalf("implausible ledger: %+v", c)

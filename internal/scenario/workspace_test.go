@@ -203,57 +203,87 @@ func TestSerialRoutesShared(t *testing.T) {
 
 // TestAllocsPerFlowArrival is the ceiling on the per-flow allocation bill:
 // heap allocations of a whole run divided by the flows it offered (the
-// per-packet path allocates nothing, so flows are what a run pays for).
-// Measured when written: 3.3 per flow on a fresh Runner (19.2 before probers
-// were recycled inside a run, on-off sources shared their samplers and a
-// flow's one timer served its retries; 26.1 before flow states moved to slabs
-// and events into their owners) and 0.1 on a primed Workspace. The ceilings
-// leave ~15 % for a different seed or flow mix.
+// per-packet path allocates nothing, so flows are what a run pays for), fresh
+// and on a primed Workspace, plus the marginal bill — what running twice as
+// long adds, over the flows that adds, which must be at least three quarters
+// of the short run's. Three mixes, because a flow's bill has two parts:
 //
-// The steady-state row is the marginal bill: what running twice as long adds,
-// over the flows that adds (0.36 each). Those flows arrive after the first
-// generation of probers exists, so a flow costs its source's two callbacks if
-// it is admitted and nothing if it is not — no prober, stop closure, source
-// struct, samplers or retry one-shot.
+// "rejected": five arrivals a second on a 1 Mb/s link, nearly all rejected and
+// retried. The bill is probers, 7.5 allocations each: 96 of them serve 261
+// flows (3.3 per flow; 19.2 before probers were recycled inside a run), and
+// the longer run's deeper back-off needs 12 more (0.36 per added flow).
+//
+// "admitted": a 10 Mb/s link that admits most flows. An admitted flow used to
+// cost two closures, its source's tick and its emit hook (4.19 per flow fresh,
+// 1.74 marginal, 1.03 reused); now sources come 64 to a slab with one tick
+// callback and every flow emits through the domain's one hook, the flow named
+// by id, so an admitted flow costs a 32nd of an allocation: 0.04 marginal,
+// 0.17 reused, and 2.36 fresh — the Runner, its slabs and pools and the first
+// generation of probers, spread over 150 flows.
+//
+// "cbr": the same link with a CBR preset, whose sources are not slab-built: an
+// admitted flow costs its CBR and that one's tick callback and no emit hook —
+// 1.89 marginal (2.87 when each flow had its hook), 2.05 reused, 3.61 fresh.
+//
+// The ceilings leave ~15 % for a different seed or flow mix.
 func TestAllocsPerFlowArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement runs several simulations")
 	}
-	cfg := reuseCfg(3)
-	cfg.InterArrival = 0.2 // ~250 arrivals, most of them rejected and retried
-	cfg = cfg.WithDefaults()
-	var flows int
-	freshRun := func(cfg Config) float64 {
-		return testing.AllocsPerRun(2, func() {
-			r, err := NewRunner(cfg)
-			if err != nil {
+	for _, row := range []struct {
+		name                  string
+		preset                trafgen.Preset
+		rateBps, interArrival float64
+		prepopulate           float64
+		fresh, steady, reused float64 // ceilings, allocations per flow
+	}{
+		{"rejected", trafgen.EXP1, 1e6, 0.2, 0.8, 4, 0.5, 0.2},
+		{"admitted", trafgen.EXP1, 10e6, 0.4, 0.2, 2.8, 0.1, 0.2},
+		{"cbr", trafgen.NewCBRPreset(128e3, 125), 10e6, 0.4, 0.2, 4.2, 2.3, 2.3},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := reuseCfg(3)
+			cfg.Classes = []ClassSpec{{Preset: row.preset, Eps: -1}}
+			cfg.Links[0].RateBps, cfg.InterArrival, cfg.PrepopulateUtil = row.rateBps, row.interArrival, row.prepopulate
+			cfg = cfg.WithDefaults()
+			var flows int
+			var accepted int64
+			freshRun := func(cfg Config) float64 {
+				return testing.AllocsPerRun(2, func() {
+					r, err := NewRunner(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					accepted = r.Run().Classes[0].Accepted
+					flows = len(r.doms[0].flows)
+				})
+			}
+			long := cfg
+			long.Duration *= 2
+			freshLong, flowsLong := freshRun(long), flows
+			fresh := freshRun(cfg)
+			perSteady := (freshLong - fresh) / float64(flowsLong-flows)
+			t.Logf("steady state: %.0f allocs for flows %d..%d, %.2f each", freshLong-fresh, flows, flowsLong, perSteady)
+			if flowsLong < 2*flows-flows/4 || perSteady > row.steady {
+				t.Fatalf("allocs per flow after the first probe generation: %.2f over %d flows (ceiling %.2f)", perSteady, flowsLong-flows, row.steady)
+			}
+			ws := NewWorkspace()
+			if _, err := ws.Run(cfg); err != nil { // prime slabs, freelist, probers
 				t.Fatal(err)
 			}
-			r.Run()
-			flows = len(r.doms[0].flows)
+			reused := testing.AllocsPerRun(2, func() {
+				if _, err := ws.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			perFresh, perReused := fresh/float64(flows), reused/float64(flows)
+			t.Logf("%d flows, %d accepted in the window: %.2f allocs/flow fresh, %.2f reused", flows, accepted, perFresh, perReused)
+			if perFresh > row.fresh || perReused > row.reused {
+				t.Fatalf("allocs per flow arrival: %.2f fresh (ceiling %.2f), %.2f reused (ceiling %.2f)", perFresh, row.fresh, perReused, row.reused)
+			}
+			if admits := row.name != "rejected"; admits != (accepted > int64(flows)/3) {
+				t.Fatalf("the %s mix accepted %d of %d flows", row.name, accepted, flows)
+			}
 		})
-	}
-	long := cfg
-	long.Duration *= 2
-	freshLong, flowsLong := freshRun(long), flows
-	fresh := freshRun(cfg)
-	perSteady := (freshLong - fresh) / float64(flowsLong-flows)
-	t.Logf("steady state: %.0f allocs for flows %d..%d, %.2f each", freshLong-fresh, flows, flowsLong, perSteady)
-	if flowsLong < 2*flows-flows/4 || perSteady > 2 {
-		t.Fatalf("allocs per flow after the first probe generation: %.2f over %d flows (ceiling 2)", perSteady, flowsLong-flows)
-	}
-	ws := NewWorkspace()
-	if _, err := ws.Run(cfg); err != nil { // prime slabs, freelist, probers
-		t.Fatal(err)
-	}
-	reused := testing.AllocsPerRun(2, func() {
-		if _, err := ws.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perFresh, perReused := fresh/float64(flows), reused/float64(flows)
-	t.Logf("%d flows: %.1f allocs/flow fresh, %.1f reused", flows, perFresh, perReused)
-	if perFresh > 4 || perReused > 0.5 {
-		t.Fatalf("allocs per flow arrival: %.1f fresh (ceiling 4), %.1f reused (ceiling 0.5)", perFresh, perReused)
 	}
 }

@@ -17,31 +17,35 @@ type Preset struct {
 	PktSize     int     // bytes
 	AvgRate     float64 // long-run average rate, bits/s
 
-	build func(s *sim.Sim, rng *stats.RNG) Maker
+	build func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker
 }
 
-// Maker constructs source instances of one preset on one simulator and RNG.
-type Maker func(emit EmitFunc) Source
+// Maker constructs source instances of one preset on one simulator and RNG:
+// the source it returns for id emits as id.
+type Maker func(id int) Source
 
 // New constructs a source instance of this preset.
 func (pr Preset) New(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
-	return pr.Maker(s, rng)(emit)
+	return pr.Maker(s, rng, func(now sim.Time, _, size int) { emit(now, size) })(0)
 }
 
-// Maker returns the constructor to use for many instances: what they share
-// is built once, here, instead of once per instance (see onOffMaker).
-func (pr Preset) Maker(s *sim.Sim, rng *stats.RNG) Maker { return pr.build(s, rng) }
+// Maker returns the constructor to use for many instances: what they share,
+// emit included, is built once, here, instead of once per instance (see
+// onOffMaker).
+func (pr Preset) Maker(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
+	return pr.build(s, rng, emit)
+}
 
 // expOnOff and paretoOnOff are the build functions of the on-off presets.
-func expOnOff(burstBps float64, pktSize int, onMean, offMean float64) func(*sim.Sim, *stats.RNG) Maker {
-	return func(s *sim.Sim, rng *stats.RNG) Maker {
-		return onOffMaker(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean))
+func expOnOff(burstBps float64, pktSize int, onMean, offMean float64) func(*sim.Sim, *stats.RNG, FlowEmit) Maker {
+	return func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
+		return onOffMaker(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean), emit)
 	}
 }
 
-func paretoOnOff(burstBps float64, pktSize int, onMean, offMean, shape float64) func(*sim.Sim, *stats.RNG) Maker {
-	return func(s *sim.Sim, rng *stats.RNG) Maker {
-		return onOffMaker(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean))
+func paretoOnOff(burstBps float64, pktSize int, onMean, offMean, shape float64) func(*sim.Sim, *stats.RNG, FlowEmit) Maker {
+	return func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
+		return onOffMaker(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean), emit)
 	}
 }
 
@@ -79,10 +83,9 @@ var (
 	// trace used in the paper (see DESIGN.md for the substitution note).
 	StarWars = Preset{
 		Name: "StarWars", TokenRate: 800e3, BucketBytes: 25000, PktSize: 200, AvgRate: 360e3,
-		build: func(s *sim.Sim, rng *stats.RNG) Maker {
-			return func(emit EmitFunc) Source {
-				tb := NewTokenBucket(800e3, 25000)
-				return NewVideo(s, rng, 200, tb.Shape(emit))
+		build: func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
+			return func(id int) Source {
+				return NewVideo(s, rng, 200, NewTokenBucket(800e3, 25000).Shape(emit), id)
 			}
 		},
 	}
@@ -96,8 +99,8 @@ func NewCBRPreset(rateBps float64, pktSize int) Preset {
 	return Preset{
 		Name:      fmt.Sprintf("CBR-%.0fk", rateBps/1e3),
 		TokenRate: rateBps, BucketBytes: pktSize, PktSize: pktSize, AvgRate: rateBps,
-		build: func(s *sim.Sim, _ *stats.RNG) Maker {
-			return func(emit EmitFunc) Source { return NewCBR(s, rateBps, pktSize, emit) }
+		build: func(s *sim.Sim, _ *stats.RNG, emit FlowEmit) Maker {
+			return func(id int) Source { return new(CBR).Init(s, rateBps, pktSize, emit, id) }
 		},
 	}
 }

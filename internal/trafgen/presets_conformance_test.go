@@ -62,7 +62,7 @@ func TestStarWarsReshaperWindowConformance(t *testing.T) {
 	// synthetic video peaks well above 800 kb/s, so some drops must occur.
 	s := sim.New()
 	tb := NewTokenBucket(rate, int(depth))
-	src := NewVideo(s, stats.NewStream(11, "starwars-conformance"), 200, tb.Shape(func(sim.Time, int) {}))
+	src := NewVideo(s, stats.NewStream(11, "starwars-conformance"), 200, tb.Shape(func(sim.Time, int, int) {}), 0)
 	src.Start(0)
 	s.Run(30 * sim.Second)
 	if tb.Dropped == 0 {

@@ -51,11 +51,11 @@ func (tb *TokenBucket) Conform(now sim.Time, size int) bool {
 // Tokens returns the current token level in bytes (for tests).
 func (tb *TokenBucket) Tokens() float64 { return tb.tokens }
 
-// Shape wraps an EmitFunc so that only conforming packets pass.
-func (tb *TokenBucket) Shape(emit EmitFunc) EmitFunc {
-	return func(now sim.Time, size int) {
+// Shape wraps a FlowEmit so that only conforming packets pass.
+func (tb *TokenBucket) Shape(emit FlowEmit) FlowEmit {
+	return func(now sim.Time, id, size int) {
 		if tb.Conform(now, size) {
-			emit(now, size)
+			emit(now, id, size)
 		}
 	}
 }

@@ -10,8 +10,13 @@ import (
 	"eac/internal/stats"
 )
 
-// EmitFunc receives each generated packet as (time, size in bytes). The
-// flow layer wraps it to stamp sequence numbers and routes.
+// FlowEmit receives each generated packet as (time, id, size in bytes): one
+// callback serves every source, and id — given when the source was built —
+// says which is emitting. The flow layer stamps sequence numbers and routes.
+type FlowEmit func(now sim.Time, id, size int)
+
+// EmitFunc is a FlowEmit without the id, for a source built alone (NewCBR,
+// Preset.New).
 type EmitFunc func(now sim.Time, size int)
 
 // Source is a packet generator that can be started and stopped. Sources
@@ -24,38 +29,34 @@ type Source interface {
 // CBR emits fixed-size packets at a constant bit rate.
 type CBR struct {
 	s       *sim.Sim
-	rateBps float64
 	pktSize int
 	iv      sim.Time // per-packet interval, precomputed from rate and size
 	lane    sim.Lane // the simulator's lane for ticks iv apart
-	emit    EmitFunc
+	emit    FlowEmit
+	id      int // emit's id argument
 	ev      sim.Event
 	active  bool
 }
 
 // NewCBR returns a constant-bit-rate source.
 func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
-	c := new(CBR)
-	c.Init(s, rateBps, pktSize, emit)
-	return c
+	return new(CBR).Init(s, rateBps, pktSize, func(now sim.Time, _, size int) { emit(now, size) }, 0)
 }
 
-// Init is NewCBR for a CBR embedded by value in its owner (a prober's probe
-// stream). Call it once, at the CBR's final address.
-func (c *CBR) Init(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) {
-	if rateBps <= 0 || pktSize <= 0 {
-		panic("trafgen: NewCBR requires positive rate and packet size")
-	}
-	*c = CBR{s: s, pktSize: pktSize, emit: emit}
-	c.SetRate(rateBps)
+// Init builds, in place, a CBR that emits as id: one embedded by value in its
+// owner (a prober's probe stream) or a preset's. Call it once, at the CBR's
+// final address.
+func (c *CBR) Init(s *sim.Sim, rateBps float64, pktSize int, emit FlowEmit, id int) *CBR {
+	*c = CBR{s: s, emit: emit, id: id}
+	c.Reinit(rateBps, pktSize)
 	// A stream head: Start fires the first tick at now and every later one
 	// goes through the lane, so the event never waits among the timers.
 	c.ev.InitStream(c.tick)
+	return c
 }
 
 // SetRate changes the emission rate; it takes effect from the next packet.
 func (c *CBR) SetRate(rateBps float64) {
-	c.rateBps = rateBps
 	c.iv = sim.Time(float64(c.pktSize*8) / rateBps * float64(sim.Second))
 	c.lane = c.s.Lane(c.iv)
 }
@@ -65,7 +66,7 @@ func (c *CBR) SetRate(rateBps float64) {
 // way instead of allocating a CBR per admission attempt).
 func (c *CBR) Reinit(rateBps float64, pktSize int) {
 	if rateBps <= 0 || pktSize <= 0 {
-		panic("trafgen: CBR.Reinit requires positive rate and packet size")
+		panic("trafgen: CBR requires positive rate and packet size")
 	}
 	if c.active {
 		panic("trafgen: CBR.Reinit while active")
@@ -100,7 +101,7 @@ func (c *CBR) Stop() {
 }
 
 func (c *CBR) tick(now sim.Time) {
-	c.emit(now, c.pktSize)
+	c.emit(now, c.id, c.pktSize)
 	// emit may deliver synchronously (zero-delay routes) and the receiver
 	// may Stop this source — e.g. a prober rejecting on the packet it just
 	// sent; rescheduling unconditionally would tick forever.
@@ -111,39 +112,23 @@ func (c *CBR) tick(now sim.Time) {
 
 // OnOff alternates between an on state, during which it emits fixed-size
 // packets at the burst rate, and a silent off state. State holding times
-// are drawn from the configured samplers (exponential or Pareto).
+// are drawn from the configured samplers (exponential or Pareto). Sources
+// are built by a preset's Maker (onOffMaker).
 type OnOff struct {
-	s        *sim.Sim
-	burstBps float64
-	pktSize  int
-	iv       sim.Time       // per-packet interval at the burst rate, precomputed
-	lane     sim.Lane       // the simulator's lane for ticks iv apart
-	onDur    func() float64 // seconds
-	offDur   func() float64
-	emit     EmitFunc
-	rng      *stats.RNG
+	s       *sim.Sim
+	pktSize int
+	iv      sim.Time       // per-packet interval at the burst rate, precomputed
+	lane    sim.Lane       // the simulator's lane for ticks iv apart
+	onDur   func() float64 // seconds
+	offDur  func() float64
+	emit    FlowEmit
+	id      int // emit's id argument
+	rng     *stats.RNG
 
 	ev     sim.Event // next packet while on, or on-transition while off
 	onEnd  sim.Time
 	on     bool
 	active bool
-}
-
-// NewOnOff builds an on-off source with the given duration samplers.
-func NewOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit EmitFunc) *OnOff {
-	o := new(OnOff)
-	o.init(s, rng, burstBps, pktSize, onDur, offDur, emit)
-	return o
-}
-
-func (o *OnOff) init(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit EmitFunc) {
-	if burstBps <= 0 || pktSize <= 0 {
-		panic("trafgen: NewOnOff requires positive rate and packet size")
-	}
-	*o = OnOff{s: s, rng: rng, burstBps: burstBps, pktSize: pktSize, onDur: onDur, offDur: offDur, emit: emit}
-	o.iv = sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
-	o.lane = s.Lane(o.iv)
-	o.ev.Init(o.tick)
 }
 
 // expDur and paretoDur are the duration samplers of the on-off sources: they
@@ -156,35 +141,34 @@ func paretoDur(rng *stats.RNG, shape, mean float64) func() float64 {
 	return func() float64 { return rng.Pareto(shape, mean) }
 }
 
-// NewExpOnOff builds an on-off source with exponential on and off times
-// (means in seconds).
-func NewExpOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onMean, offMean float64, emit EmitFunc) *OnOff {
-	return NewOnOff(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean), emit)
-}
-
-// NewParetoOnOff builds an on-off source with Pareto on and off times with
-// the given shape and means; aggregated, such sources produce long-range-
-// dependent traffic for shape < 2.
-func NewParetoOnOff(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onMean, offMean, shape float64, emit EmitFunc) *OnOff {
-	return NewOnOff(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean), emit)
-}
-
 // onOffSlab is the OnOff arena block size (cf. netsim's packet slabs).
 const onOffSlab = 64
 
-// onOffMaker returns a constructor of on-off sources that share one pair of
-// duration samplers and are carved from slabs, so that a source costs its
-// tick callback and nothing else — not a struct and two sampler closures
-// per flow, which at MetroStar scale was most of a run's allocations.
-func onOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64) Maker {
+// onOffMaker returns the constructor of on-off sources of one kind. They
+// share everything but their state — samplers, emit callback, lane — and are
+// carved from slabs with one tick callback each, which finds the source by
+// its event's argument: a source costs a 64th of two allocations, not a
+// struct, two samplers and a tick and an emit closure per flow (at MetroStar
+// scale, most of a run's allocations).
+func onOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit FlowEmit) Maker {
+	if burstBps <= 0 || pktSize <= 0 {
+		panic("trafgen: an on-off source requires positive rate and packet size")
+	}
+	iv := sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
+	proto := OnOff{s: s, rng: rng, pktSize: pktSize, iv: iv, lane: s.Lane(iv), onDur: onDur, offDur: offDur, emit: emit}
 	var slab []OnOff
-	return func(emit EmitFunc) Source {
+	var tick func(sim.Time)
+	return func(id int) Source {
 		if len(slab) == 0 {
-			slab = make([]OnOff, onOffSlab)
+			blk := make([]OnOff, onOffSlab)
+			slab, tick = blk, func(now sim.Time) { blk[s.Arg()].tick(now) }
 		}
 		o := &slab[0]
+		*o = proto
+		o.id = id
+		o.ev.Init(tick)
+		o.ev.SetArg(uint32(onOffSlab - len(slab)))
 		slab = slab[1:]
-		o.init(s, rng, burstBps, pktSize, onDur, offDur, emit)
 		return o
 	}
 }
@@ -238,7 +222,7 @@ func (o *OnOff) tick(now sim.Time) {
 		o.enterOff(now)
 		return
 	}
-	o.emit(now, o.pktSize)
+	o.emit(now, o.id, o.pktSize)
 	if !o.active { // stopped from inside emit (see CBR.tick)
 		return
 	}
@@ -248,6 +232,3 @@ func (o *OnOff) tick(now sim.Time) {
 	}
 	o.s.ScheduleLane(o.lane, &o.ev, next)
 }
-
-// On reports whether the source is currently in its on state (for tests).
-func (o *OnOff) On() bool { return o.active && o.on }

@@ -82,7 +82,7 @@ func TestExpOnOffLongRunRate(t *testing.T) {
 	// EXP1 parameters: 256 kb/s burst, 0.5/0.5 on/off -> 128 kb/s average.
 	rng := stats.NewStream(1, "onoff")
 	_, bytes := collect(t, func(s *sim.Sim, emit EmitFunc) Source {
-		return NewExpOnOff(s, rng, 256e3, 125, 0.5, 0.5, emit)
+		return EXP1.New(s, rng, emit)
 	}, 2000*sim.Second)
 	rate := float64(bytes) * 8 / 2000
 	if math.Abs(rate-128e3)/128e3 > 0.05 {
@@ -93,7 +93,7 @@ func TestExpOnOffLongRunRate(t *testing.T) {
 func TestExpOnOffBurstSpacing(t *testing.T) {
 	rng := stats.NewStream(2, "onoff")
 	times, _ := collect(t, func(s *sim.Sim, emit EmitFunc) Source {
-		return NewExpOnOff(s, rng, 256e3, 125, 0.5, 0.5, emit)
+		return EXP1.New(s, rng, emit)
 	}, 100*sim.Second)
 	if len(times) < 100 {
 		t.Fatalf("too few packets: %d", len(times))
@@ -117,7 +117,7 @@ func TestExpOnOffBurstSpacing(t *testing.T) {
 func TestParetoOnOffRate(t *testing.T) {
 	rng := stats.NewStream(3, "pareto")
 	_, bytes := collect(t, func(s *sim.Sim, emit EmitFunc) Source {
-		return NewParetoOnOff(s, rng, 256e3, 125, 0.5, 0.5, 1.2, emit)
+		return POO1.New(s, rng, emit)
 	}, 5000*sim.Second)
 	rate := float64(bytes) * 8 / 5000
 	// Pareto with alpha=1.2 converges slowly; allow a wide band.
@@ -130,7 +130,7 @@ func TestOnOffStopWhileOn(t *testing.T) {
 	s := sim.New()
 	rng := stats.NewStream(4, "onoff")
 	n := 0
-	o := NewExpOnOff(s, rng, 256e3, 125, 0.5, 0.5, func(sim.Time, int) { n++ })
+	o := EXP1.New(s, rng, func(sim.Time, int) { n++ })
 	o.Start(0)
 	s.Run(10 * sim.Second)
 	o.Stop()
@@ -139,8 +139,8 @@ func TestOnOffStopWhileOn(t *testing.T) {
 	if n != mid {
 		t.Fatal("source kept emitting after Stop")
 	}
-	if o.On() {
-		t.Fatal("stopped source reports On")
+	if oo := o.(*OnOff); oo.active && oo.on {
+		t.Fatal("stopped source is still on")
 	}
 }
 
@@ -193,9 +193,9 @@ func TestTokenBucketOutputConformsProperty(t *testing.T) {
 func TestTokenBucketShapeWrapper(t *testing.T) {
 	tb := NewTokenBucket(8000, 500)
 	var out int
-	emit := tb.Shape(func(sim.Time, int) { out++ })
-	emit(0, 400) // passes
-	emit(0, 400) // dropped (only 100 tokens left)
+	emit := tb.Shape(func(sim.Time, int, int) { out++ })
+	emit(0, 7, 400) // passes
+	emit(0, 7, 400) // dropped (only 100 tokens left)
 	if out != 1 || tb.Dropped != 1 {
 		t.Fatalf("out=%d dropped=%d", out, tb.Dropped)
 	}
@@ -204,7 +204,7 @@ func TestTokenBucketShapeWrapper(t *testing.T) {
 func TestVideoRateAndShape(t *testing.T) {
 	rng := stats.NewStream(5, "video")
 	times, bytes := collect(t, func(s *sim.Sim, emit EmitFunc) Source {
-		return NewVideo(s, rng, 200, emit)
+		return NewVideo(s, rng, 200, func(now sim.Time, _, size int) { emit(now, size) }, 0)
 	}, 500*sim.Second)
 	rate := float64(bytes) * 8 / 500
 	// Mean ~360 kb/s; scene-level lognormal modulation makes single-run
@@ -227,12 +227,12 @@ func TestVideoVariability(t *testing.T) {
 	s := sim.New()
 	rng := stats.NewStream(6, "video")
 	perSec := make([]float64, 300)
-	v := NewVideo(s, rng, 200, func(now sim.Time, size int) {
+	v := NewVideo(s, rng, 200, func(now sim.Time, _, size int) {
 		idx := int(now / sim.Second)
 		if idx < len(perSec) {
 			perSec[idx] += float64(size)
 		}
-	})
+	}, 0)
 	v.Start(0)
 	s.Run(300 * sim.Second)
 	var mean, peak float64
@@ -300,12 +300,61 @@ func TestPresetAverageRates(t *testing.T) {
 	}
 }
 
+// TestMakerSourcesEmitAsTheirID builds sources of every kind of preset from
+// one Maker — more than a slab's worth, so an on-off tick must find its source
+// in the right block — and checks that a packet names the source that sent
+// it: every id emits, and stopping two sources silences exactly their ids.
+func TestMakerSourcesEmitAsTheirID(t *testing.T) {
+	for _, pr := range []Preset{EXP1, POO1, StarWars, NewCBRPreset(64e3, 125)} {
+		t.Run(pr.Name, func(t *testing.T) {
+			const n = onOffSlab + 6
+			stopped := map[int]bool{3: true, onOffSlab + 1: true}
+			s := sim.New()
+			var pkts [n]int
+			mk := pr.Maker(s, stats.NewStream(12, pr.Name), func(now sim.Time, id, size int) {
+				if size != pr.PktSize {
+					t.Fatalf("id %d emitted %d bytes, want %d", id, size, pr.PktSize)
+				}
+				pkts[id]++
+			})
+			srcs := make([]Source, n)
+			for id := range srcs {
+				srcs[id] = mk(id)
+				srcs[id].Start(0)
+			}
+			s.Run(100 * sim.Second)
+			for id := range stopped {
+				srcs[id].Stop()
+			}
+			before := pkts
+			s.Run(200 * sim.Second)
+			for id := range pkts {
+				// A Pareto off time can outlast any run, so a live source
+				// need not have emitted again — but it must have emitted.
+				if before[id] == 0 || pkts[id] < before[id] || stopped[id] && pkts[id] != before[id] {
+					t.Fatalf("source %d (stopped=%v) went from %d to %d packets", id, stopped[id], before[id], pkts[id])
+				}
+			}
+			live := 0
+			for id := range pkts {
+				if pkts[id] > before[id] {
+					live++
+				}
+			}
+			if live < (n-len(stopped))*3/4 {
+				t.Fatalf("%d of %d live sources emitted after the stops", live, n-len(stopped))
+			}
+		})
+	}
+}
+
 func TestConstructorPanics(t *testing.T) {
 	s := sim.New()
 	rng := stats.NewRNG(1)
 	for _, fn := range []func(){
 		func() { NewCBR(s, 0, 125, nil) },
-		func() { NewOnOff(s, rng, 256e3, 0, nil, nil, nil) },
+		func() { expOnOff(256e3, 0, .5, .5)(s, rng, nil) },
+		func() { paretoOnOff(0, 125, .5, .5, 1.2)(s, rng, nil) },
 		func() { NewTokenBucket(0, 100) },
 	} {
 		func() {
@@ -323,7 +372,7 @@ func TestVideoStopHalts(t *testing.T) {
 	s := sim.New()
 	rng := stats.NewStream(9, "video")
 	n := 0
-	v := NewVideo(s, rng, 200, func(sim.Time, int) { n++ })
+	v := NewVideo(s, rng, 200, func(sim.Time, int, int) { n++ }, 0)
 	v.Start(0)
 	s.Run(5 * sim.Second)
 	v.Stop()
@@ -346,7 +395,7 @@ func TestOnOffDoubleStartIsNoop(t *testing.T) {
 	s := sim.New()
 	rng := stats.NewStream(10, "onoff")
 	n := 0
-	o := NewExpOnOff(s, rng, 256e3, 125, 0.5, 0.5, func(sim.Time, int) { n++ })
+	o := EXP1.New(s, rng, func(sim.Time, int) { n++ })
 	o.Start(0)
 	o.Start(0) // must not double-schedule
 	s.Run(2 * sim.Second)

@@ -21,7 +21,8 @@ import (
 type Video struct {
 	s       *sim.Sim
 	rng     *stats.RNG
-	emit    EmitFunc
+	emit    FlowEmit
+	id      int // emit's id argument
 	pktSize int
 
 	frameHz   float64
@@ -41,10 +42,10 @@ type Video struct {
 }
 
 // NewVideo returns a synthetic video source with the default Star Wars-like
-// parameters, emitting pktSize-byte packets.
-func NewVideo(s *sim.Sim, rng *stats.RNG, pktSize int, emit EmitFunc) *Video {
+// parameters, emitting pktSize-byte packets as id.
+func NewVideo(s *sim.Sim, rng *stats.RNG, pktSize int, emit FlowEmit, id int) *Video {
 	v := &Video{
-		s: s, rng: rng, emit: emit, pktSize: pktSize,
+		s: s, rng: rng, emit: emit, id: id, pktSize: pktSize,
 		frameHz:   24,
 		meanBps:   360e3,
 		sigma:     0.45,
@@ -93,7 +94,7 @@ func (v *Video) newScene(now sim.Time) {
 
 func (v *Video) tick(now sim.Time) {
 	if v.pending > 0 {
-		v.emit(now, v.pktSize)
+		v.emit(now, v.id, v.pktSize)
 		v.pending--
 		if v.pending > 0 {
 			v.s.Schedule(v.ev, now+v.gap)
