@@ -46,9 +46,6 @@ func manifestConfig(cfg scenario.Config, source string, metro *scenario.MetroSta
 		case admission.PolicyEpochAdaptive:
 			c["policy_epoch"], c["policy_step"], c["policy_target_loss"] = p.Epoch, p.Step, p.TargetLoss
 			c["policy_eps_min"], c["policy_eps_max"] = p.EpsMin, p.EpsMax
-			if p.AdaptProbe {
-				c["policy_probe_min_s"], c["policy_probe_max_s"] = p.ProbeMin.Sec(), p.ProbeMax.Sec()
-			}
 		}
 	case scenario.MBAC:
 		c["method"], c["target"] = "mbac", cfg.MS.Target

@@ -89,9 +89,14 @@ type PolicyConfig struct {
 	EpsMin, EpsMax, Step, TargetLoss float64
 	// AdaptProbe additionally scales the probe duration opposite to ε
 	// (tighter ε probes longer), clamped to [ProbeMin, ProbeMax].
-	AdaptProbe         bool
-	ProbeMin, ProbeMax sim.Time
+	AdaptProbe bool
 }
+
+// ProbeMin and ProbeMax bound the probe duration AdaptProbe adapts.
+const (
+	ProbeMin = 1 * sim.Second
+	ProbeMax = 15 * sim.Second
+)
 
 // WithDefaults fills the selected kind's unset knobs.
 func (pc PolicyConfig) WithDefaults() PolicyConfig {
@@ -122,12 +127,6 @@ func (pc PolicyConfig) WithDefaults() PolicyConfig {
 		if pc.TargetLoss == 0 {
 			pc.TargetLoss = 0.01
 		}
-		if pc.ProbeMin == 0 {
-			pc.ProbeMin = 1 * sim.Second
-		}
-		if pc.ProbeMax == 0 {
-			pc.ProbeMax = 15 * sim.Second
-		}
 	}
 	return pc
 }
@@ -155,9 +154,6 @@ func (pc PolicyConfig) Validate() error {
 		}
 		if pc.TargetLoss < 0 {
 			return fmt.Errorf("admission: negative TargetLoss")
-		}
-		if pc.ProbeMin <= 0 || pc.ProbeMin > pc.ProbeMax {
-			return fmt.Errorf("admission: epoch-adaptive policy needs 0 < ProbeMin <= ProbeMax")
 		}
 	}
 	return nil
@@ -397,7 +393,7 @@ func NewEpochAdaptive(pc PolicyConfig, ac Config) *EpochAdaptive {
 	p := &EpochAdaptive{cfg: pc}
 	p.eps = clamp(ac.Eps, pc.EpsMin, pc.EpsMax)
 	if pc.AdaptProbe {
-		p.probeDur = clampDur(ac.WithDefaults().ProbeDur, pc.ProbeMin, pc.ProbeMax)
+		p.probeDur = clampDur(ac.WithDefaults().ProbeDur)
 	}
 	return p
 }
@@ -485,7 +481,7 @@ func (p *EpochAdaptive) adapt(now sim.Time) {
 	}
 	p.eps = clamp(p.eps, p.cfg.EpsMin, p.cfg.EpsMax)
 	if p.cfg.AdaptProbe {
-		p.probeDur = clampDur(p.probeDur, p.cfg.ProbeMin, p.cfg.ProbeMax)
+		p.probeDur = clampDur(p.probeDur)
 	}
 	if p.hook != nil {
 		p.hook(now, EpochStats{Epoch: p.epoch, Eps: p.eps, ProbeDur: p.probeDur,
@@ -507,12 +503,4 @@ func clamp(x, lo, hi float64) float64 {
 
 func scaleDur(d sim.Time, f float64) sim.Time { return sim.Time(float64(d) * f) }
 
-func clampDur(d, lo, hi sim.Time) sim.Time {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
+func clampDur(d sim.Time) sim.Time { return min(max(d, ProbeMin), ProbeMax) }

@@ -331,8 +331,8 @@ func FuzzEpochAdaptive(f *testing.F) {
 					t.Fatalf("eps %v escaped [%v, %v]", eps, pc.EpsMin, pc.EpsMax)
 				}
 				if adaptProbe && d.ProbeDur != 0 &&
-					(d.ProbeDur < pc.ProbeMin || d.ProbeDur > pc.ProbeMax) {
-					t.Fatalf("probe duration %v escaped [%v, %v]", d.ProbeDur, pc.ProbeMin, pc.ProbeMax)
+					(d.ProbeDur < admission.ProbeMin || d.ProbeDur > admission.ProbeMax) {
+					t.Fatalf("probe duration %v escaped [%v, %v]", d.ProbeDur, admission.ProbeMin, admission.ProbeMax)
 				}
 				trace = append(trace, string(rune('A'+int(out)))+
 					" "+formatBits(eps)+" "+strconv.FormatInt(int64(d.ProbeDur), 10))

@@ -53,17 +53,28 @@ func checkGolden(t *testing.T, id, got string) {
 }
 
 // TestGoldenFigures re-runs every figure/table experiment at the reduced
-// deterministic conformance scale and diffs its CSV against the golden.
+// deterministic conformance scale, checks the table's shape — unique IDs
+// and titles, every row as wide as the header — and diffs its CSV against
+// the golden.
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression re-runs every experiment; skipped in -short")
 	}
+	seen := map[string]bool{}
 	for _, ex := range experiments.All() {
-		ex := ex
+		if seen[ex.ID] || seen[ex.Title] {
+			t.Errorf("%s: duplicate id or title %q", ex.ID, ex.Title)
+		}
+		seen[ex.ID], seen[ex.Title] = true, true
 		t.Run(ex.ID, func(t *testing.T) {
 			tbl, err := ex.Run(experiments.Conformance())
 			if err != nil {
 				t.Fatal(err)
+			}
+			for i, row := range tbl.Rows {
+				if len(row) != len(ex.Header) {
+					t.Fatalf("row %d has %d cells, header %d: %v", i, len(row), len(ex.Header), row)
+				}
 			}
 			checkGolden(t, ex.ID, tbl.CSV())
 		})

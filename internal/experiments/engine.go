@@ -1,121 +1,154 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"eac/internal/admission"
 	"eac/internal/scenario"
 )
 
-// Job is one declared sweep point: a labelled scenario plus the
-// completion hook that renders its aggregated result. Experiments build
-// their full (design, prober, eps) grid as a []Job and hand it to
-// runJobs, which executes every point×seed run on a shared worker pool
-// and invokes Done strictly in declaration order — so progress logs,
-// table rows, and CSVs are byte-identical to a sequential execution.
-type Job struct {
-	Label string
-	Cfg   scenario.Config
-	// Done receives the seed-aggregated metrics of this point. It runs on
-	// the coordinating goroutine, one job at a time, in declaration
-	// order; it is the only place a job may touch shared state (tables,
-	// progress output).
-	Done func(mm scenario.MultiMetrics) error
+// Experiment is one figure or table of the evaluation, declared as the
+// points of its sweep. Run is the one body that turns points into a Table.
+type Experiment struct {
+	ID     string // e.g. "figure2", "table5"
+	Title  string
+	Header []string
+	Notes  string
+	points func(Options) []Point
 }
 
-// errSkipped marks tasks abandoned after an earlier task failed. Tasks
-// are claimed in index order, so a skipped index is always preceded by a
-// genuinely failed one; the ordered scan in runOrdered therefore never
-// surfaces this sentinel.
-var errSkipped = errors.New("experiments: run skipped after earlier error")
+// Point is one sweep point: a label plus either a scenario run or a
+// direct computation.
+type Point struct {
+	Label string
+	// Cfg is run once per seed; Row renders the seed-mean metrics as a
+	// table row (a nil row emits nothing). Row runs on the coordinating
+	// goroutine, one point at a time, in point order — a point may hand
+	// state to the points after it.
+	Cfg scenario.Config
+	Row func(scenario.Metrics) []string
+	// Solve, if set, replaces the scenario run: one task whose result is
+	// the point's row (Figure 1's fluid solves, Figure 11's TCP-share
+	// runs). Options' per-run overrides do not apply to it.
+	Solve func() ([]string, error)
+}
 
-// runOrdered executes run(0..n-1) on a pool of workers and calls done
-// for each index in increasing order as results become available
-// (streaming: done(i) fires as soon as runs 0..i have all finished, not
-// after the whole batch). The first error — from run, in index order, or
-// from done — stops the sweep and is returned; in-flight runs finish but
-// unclaimed ones are skipped. run receives the claiming worker's index in
-// [0, workers) so callers can keep per-worker state (e.g. a
-// scenario.Workspace recycling simulator slabs between the runs one
-// goroutine happens to claim); results must not depend on which worker
-// runs what.
-func runOrdered[T any](workers, n int, run func(worker, i int) (T, error), done func(i int, v T) error) error {
-	if n == 0 {
-		return nil
+// Run executes every point and returns the table. Parallelism is at task
+// granularity — one task per seed of a scenario point, one per Solve — on
+// the scenario.RunOrdered pool, so with P scenario points and S seeds the
+// pool sees P*S independent simulator runs. Each run owns its Sim and RNG
+// streams and results are consumed in task order, so rows and progress
+// lines are identical for every Options.Workers.
+func (ex Experiment) Run(o Options) (Table, error) {
+	t := Table{ID: ex.ID, Title: ex.Title, Header: ex.Header, Notes: ex.Notes}
+	seeds, err := o.seeds()
+	if err != nil {
+		return t, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	pts := ex.points(o)
+	type task struct{ pt, seed int }
+	var tasks []task
+	for i, p := range pts {
+		if p.Solve != nil {
+			tasks = append(tasks, task{i, 0})
+			continue
+		}
+		for s := range seeds {
+			tasks = append(tasks, task{i, s})
+		}
 	}
-	if workers > n {
-		workers = n
+	type result struct {
+		m   scenario.Metrics
+		row []string
 	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			v, err := run(0, i)
+	// One workspace per worker: the runs a goroutine claims reuse its
+	// simulator state (and worker count cannot affect results — the
+	// workspace reuse path is byte-identical to fresh construction).
+	workspaces := make([]*scenario.Workspace, o.workers())
+	var runs []scenario.Metrics
+	start := time.Now()
+	err = scenario.RunOrdered(o.workers(), len(tasks),
+		func(worker, i int) (result, error) {
+			var r result
+			var err error
+			p := pts[tasks[i].pt]
+			if p.Solve != nil {
+				r.row, err = p.Solve()
+			} else {
+				if workspaces[worker] == nil {
+					workspaces[worker] = scenario.NewWorkspace()
+				}
+				c := o.override(p)
+				c.Seed = seeds[tasks[i].seed]
+				r.m, err = workspaces[worker].Run(c)
+			}
 			if err != nil {
-				return err
+				return r, fmt.Errorf("%s: %w", p.Label, err)
 			}
-			if err := done(i, v); err != nil {
-				return err
+			return r, nil
+		},
+		func(i int, r result) error {
+			if o.ETA != nil {
+				o.ETA(i+1, len(tasks), time.Since(start))
 			}
-		}
-		return nil
-	}
-
-	results := make([]T, n)
-	errs := make([]error, n)
-	completed := make(chan int, n) // buffered: workers never block
-	var nextTask atomic.Int64
-	nextTask.Store(-1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	defer func() {
-		stop.Store(true)
-		wg.Wait()
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(nextTask.Add(1))
-				if i >= n {
-					return
+			p := pts[tasks[i].pt]
+			if p.Solve == nil {
+				if runs = append(runs, r.m); len(runs) < len(seeds) {
+					return nil
 				}
-				if stop.Load() {
-					errs[i] = errSkipped
-				} else {
-					results[i], errs[i] = run(w, i)
-					if errs[i] != nil {
-						stop.Store(true)
-					}
-				}
-				completed <- i
+				mean := scenario.Aggregate(runs).Mean
+				runs = runs[:0]
+				o.logf("%-40s %s", p.Label, mean.Summary())
+				r.row = p.Row(mean)
+			} else {
+				o.logf("%-40s %s", p.Label, strings.Join(r.row, " "))
 			}
-		}(w)
-	}
+			if r.row != nil {
+				t.Rows = append(t.Rows, r.row)
+			}
+			return nil
+		})
+	return t, err
+}
 
-	ready := make([]bool, n)
-	next := 0
-	for range n {
-		ready[<-completed] = true
-		for next < n && ready[next] {
-			if errs[next] != nil {
-				return errs[next]
-			}
-			if err := done(next, results[next]); err != nil {
-				return err
-			}
-			next++
+// override applies the run-wide Options to one scenario point.
+func (o Options) override(p Point) scenario.Config {
+	c := p.Cfg
+	c.Cache = o.Cache
+	if o.Shards > 1 {
+		c.Shards = scenario.ShardableK(c, o.Shards)
+	}
+	if o.Policy != (admission.PolicyConfig{}) && c.Method == scenario.EAC &&
+		c.Policy == (admission.PolicyConfig{}) {
+		c.Policy = o.Policy
+	}
+	if o.Hybrid && !c.Hybrid.Active() &&
+		(c.Method == scenario.EAC || c.Method == scenario.None) {
+		c.Hybrid.Enabled = true
+		// The hybrid engine is serial-only: drop any Shards count the
+		// o.Shards override set above.
+		c.Shards = 0
+	}
+	// Workload overrides follow the Policy rule: only points that did not
+	// pick a temporal source of their own are modulated, so experiments
+	// that sweep nonstationarity explicitly keep their configured dynamics.
+	if !c.Schedule.Active() && c.Replay == nil {
+		if o.Replay != nil {
+			c.Replay = o.Replay
+		} else if o.Schedule.Active() {
+			c.Schedule = o.Schedule
 		}
 	}
-	return nil
+	if o.Obs.Active() {
+		// Per-run observability: every run gets its own collector;
+		// artifacts are named by point label + seed.
+		c.Obs = o.Obs
+		c.Obs.Label = joinLabel(o.Obs.Label, fileLabel(p.Label))
+	}
+	return c
 }
 
 // workers resolves the effective worker-pool size.
@@ -124,104 +157,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// runJobs executes every job's per-seed runs concurrently and fires each
-// job's Done callback in declaration order. Parallelism is at point×seed
-// granularity: with J jobs and S seeds the pool sees J*S independent
-// simulator runs, so even a few long points keep all cores busy. Each
-// run owns its Sim and RNG streams and seeds are aggregated in order,
-// making the output provably identical to Workers=1.
-func (o Options) runJobs(jobs []Job) error {
-	seeds, err := o.seeds()
-	if err != nil {
-		return err
-	}
-	ns := len(seeds)
-	total := len(jobs) * ns
-	start := time.Now()
-	runs := make([]scenario.Metrics, ns)
-	// One workspace per worker: the runs a goroutine claims reuse its
-	// simulator state (and worker count cannot affect results — the
-	// workspace reuse path is byte-identical to fresh construction).
-	workspaces := make([]*scenario.Workspace, o.workers())
-	return runOrdered(o.workers(), total,
-		func(worker, i int) (scenario.Metrics, error) {
-			job, seed := i/ns, i%ns
-			c := jobs[job].Cfg
-			c.Seed = seeds[seed]
-			c.Cache = o.Cache
-			if o.Shards > 1 {
-				c.Shards = scenario.ShardableK(c, o.Shards)
-			}
-			if o.Policy != (admission.PolicyConfig{}) && c.Method == scenario.EAC &&
-				c.Policy == (admission.PolicyConfig{}) {
-				c.Policy = o.Policy
-			}
-			if o.Hybrid && !c.Hybrid.Active() &&
-				(c.Method == scenario.EAC || c.Method == scenario.None) {
-				c.Hybrid.Enabled = true
-				// The hybrid engine is serial-only: drop any Shards count
-				// the o.Shards override set above.
-				c.Shards = 0
-			}
-			// Workload overrides follow the Policy rule: only jobs that
-			// did not pick a temporal source of their own are modulated,
-			// so experiments that sweep nonstationarity explicitly keep
-			// their configured dynamics.
-			if !c.Schedule.Active() && c.Replay == nil {
-				if o.Replay != nil {
-					c.Replay = o.Replay
-				} else if o.Schedule.Active() {
-					c.Schedule = o.Schedule
-				}
-			}
-			if o.Obs.Active() {
-				// Per-run observability: every run gets its own
-				// collector; artifacts are named by point label + seed.
-				c.Obs = o.Obs
-				c.Obs.Label = joinLabel(o.Obs.Label, fileLabel(jobs[job].Label))
-			}
-			ws := workspaces[worker]
-			if ws == nil {
-				ws = scenario.NewWorkspace()
-				workspaces[worker] = ws
-			}
-			m, err := ws.Run(c)
-			if err != nil {
-				return m, fmt.Errorf("%s: %w", jobs[job].Label, err)
-			}
-			return m, nil
-		},
-		func(i int, m scenario.Metrics) error {
-			if o.ETA != nil {
-				o.ETA(i+1, total, time.Since(start))
-			}
-			runs[i%ns] = m
-			if i%ns < ns-1 {
-				return nil
-			}
-			// Last seed of this job: aggregate a copy (MultiMetrics
-			// retains its Runs slice; the buffer is reused per job).
-			mm := scenario.Aggregate(append([]scenario.Metrics(nil), runs...))
-			return jobs[i/ns].Done(mm)
-		})
-}
-
-// stdJob declares a sweep point with the standard completion behaviour:
-// log the point exactly like the sequential engine did, then emit one
-// table row built from the mean metrics.
-func (o Options) stdJob(label string, cfg scenario.Config, emit func([]string), row func(m scenario.Metrics) []string) Job {
-	return Job{Label: label, Cfg: cfg, Done: func(mm scenario.MultiMetrics) error {
-		o.logf("%-40s %s", label, mm.Mean.Summary())
-		emit(row(mm.Mean))
-		return nil
-	}}
-}
-
-// rowsOf returns an emit function appending rows to t.
-func rowsOf(t *Table) func([]string) {
-	return func(cells []string) { t.Rows = append(t.Rows, cells) }
 }
 
 // fileLabel sanitizes a sweep-point label into a filename-safe stem.

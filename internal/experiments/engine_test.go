@@ -1,97 +1,16 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
+	"strconv"
 	"testing"
 	"time"
 
 	"eac/internal/admission"
 	"eac/internal/scenario"
 	"eac/internal/sim"
-	"eac/internal/trafgen"
 )
-
-// TestRunOrderedStreamsInOrder checks the engine's core contract: done
-// fires for every index, in index order, regardless of completion order.
-func TestRunOrderedStreamsInOrder(t *testing.T) {
-	const n = 50
-	var ran atomic.Int64
-	var got []int
-	err := runOrdered(8, n,
-		func(_, i int) (int, error) {
-			// Reverse the natural completion order a little.
-			time.Sleep(time.Duration((n-i)%7) * time.Millisecond)
-			ran.Add(1)
-			return i * i, nil
-		},
-		func(i, v int) error {
-			if v != i*i {
-				t.Errorf("done(%d) got %d", i, v)
-			}
-			got = append(got, i)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(ran.Load()) != n {
-		t.Fatalf("ran %d of %d tasks", ran.Load(), n)
-	}
-	for i, v := range got {
-		if i != v {
-			t.Fatalf("done order %v", got)
-		}
-	}
-}
-
-// TestRunOrderedError checks that a failing run surfaces its own error
-// (not the skip sentinel) and stops the sweep without running every
-// remaining task.
-func TestRunOrderedError(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		var doneCount int
-		err := runOrdered(workers, 100,
-			func(_, i int) (int, error) {
-				if i == 3 {
-					return 0, boom
-				}
-				return i, nil
-			},
-			func(i, v int) error {
-				if i >= 3 {
-					t.Fatalf("done(%d) called past the failure", i)
-				}
-				doneCount++
-				return nil
-			})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
-		}
-		if doneCount > 3 {
-			t.Fatalf("workers=%d: %d done calls", workers, doneCount)
-		}
-	}
-}
-
-// TestRunOrderedDoneError checks that an error from done stops the sweep.
-func TestRunOrderedDoneError(t *testing.T) {
-	halt := errors.New("halt")
-	err := runOrdered(4, 20,
-		func(_, i int) (int, error) { return i, nil },
-		func(i, v int) error {
-			if i == 2 {
-				return halt
-			}
-			return nil
-		})
-	if !errors.Is(err, halt) {
-		t.Fatalf("err = %v, want halt", err)
-	}
-}
 
 // TestWorkersResolution checks the Options.Workers plumbing.
 func TestWorkersResolution(t *testing.T) {
@@ -114,10 +33,39 @@ func tinyOpts() Options {
 	return o
 }
 
-// TestParallelDeterminism is the tentpole's acceptance test: one
+// declared returns an experiment whose sweep is exactly pts.
+func declared(pts ...Point) Experiment {
+	return Experiment{ID: "test", Header: []string{"row"}, points: func(Options) []Point { return pts }}
+}
+
+// runLogged runs ex under o, returning the table and the progress lines.
+func runLogged(t *testing.T, ex Experiment, o Options) (Table, []string) {
+	t.Helper()
+	var lines []string
+	o.Progress = func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	tbl, err := ex.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl, lines
+}
+
+func lookup(t *testing.T, id string) Experiment {
+	t.Helper()
+	ex, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
+}
+
+// TestParallelDeterminism is the engine's acceptance test: one
 // representative figure point run with 1 and 4 workers yields
-// bitwise-identical Metrics, and a whole experiment yields identical
-// Table rows and identical progress lines.
+// bitwise-identical Metrics, and whole experiments yield identical Table
+// rows and identical progress lines — a scenario sweep (table3), Solve
+// points (figure1) and rows that pair two points (figure2_hybrid).
 func TestParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -127,9 +75,7 @@ func TestParallelDeterminism(t *testing.T) {
 	// One representative Figure 2 point, 3 seeds: aggregate metrics must
 	// be bitwise equal (reflect.DeepEqual compares float bits via ==;
 	// identical bits is what full determinism produces).
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.01)
+	cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, 0.01)
 	seeds := scenario.DefaultSeeds(3)
 	seq, err := scenario.RunSeedsParallel(cfg, seeds, 1)
 	if err != nil {
@@ -143,28 +89,49 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Fatalf("figure2 point diverged across worker counts:\nseq %+v\npar %+v", seq.Mean, par.Mean)
 	}
 
-	// Whole experiment: identical Table (rows, notes, everything) and
+	// Whole experiments: identical Table (rows, notes, everything) and
 	// byte-identical progress lines for Workers=1 vs Workers=4.
-	run := func(workers int) (Table, []string) {
+	for _, id := range []string{"table3", "figure1", "figure2_hybrid"} {
 		o := tinyOpts()
-		o.Workers = workers
-		var lines []string
-		o.Progress = func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
+		o.Sparse = true
+		o.Workers = 1
+		tbl1, log1 := runLogged(t, lookup(t, id), o)
+		o.Workers = 4
+		tbl4, log4 := runLogged(t, lookup(t, id), o)
+		if !reflect.DeepEqual(tbl1, tbl4) {
+			t.Fatalf("%s diverged across worker counts:\n%s\n%s", id, tbl1, tbl4)
 		}
-		tbl, err := Table3(o)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(log1, log4) {
+			t.Fatalf("%s progress logs diverged:\n%q\n%q", id, log1, log4)
 		}
-		return tbl, lines
+		if len(tbl1.Rows) == 0 || len(log1) < len(tbl1.Rows) {
+			t.Fatalf("%s: %d rows, %d progress lines", id, len(tbl1.Rows), len(log1))
+		}
 	}
-	tbl1, log1 := run(1)
-	tbl4, log4 := run(4)
-	if !reflect.DeepEqual(tbl1, tbl4) {
-		t.Fatalf("table3 diverged across worker counts:\n%s\n%s", tbl1, tbl4)
+}
+
+// TestRowsInPointOrder: rows and progress lines follow the declared points,
+// not the order their tasks finish in — here the first points take the
+// longest.
+func TestRowsInPointOrder(t *testing.T) {
+	const n = 8
+	var pts []Point
+	for i := range n {
+		pts = append(pts, Point{Label: strconv.Itoa(i), Solve: func() ([]string, error) {
+			time.Sleep(time.Duration(n-i) * 5 * time.Millisecond)
+			return []string{strconv.Itoa(i)}, nil
+		}})
 	}
-	if !reflect.DeepEqual(log1, log4) {
-		t.Fatalf("progress logs diverged:\n%q\n%q", log1, log4)
+	o := tinyOpts()
+	o.Workers = 4
+	tbl, lines := runLogged(t, declared(pts...), o)
+	for i := range n {
+		if len(tbl.Rows) != n || tbl.Rows[i][0] != strconv.Itoa(i) {
+			t.Fatalf("rows %v, want points 0..%d in order", tbl.Rows, n-1)
+		}
+		if want := fmt.Sprintf("%-40d %d", i, i); lines[i] != want {
+			t.Fatalf("progress line %d = %q, want %q", i, lines[i], want)
+		}
 	}
 }
 
@@ -180,7 +147,7 @@ func TestShardsOption(t *testing.T) {
 	run := func(shards int) Table {
 		o := tinyOpts()
 		o.Shards = shards
-		tbl, err := Table3(o)
+		tbl, err := lookup(t, "table3").Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,9 +162,9 @@ func TestShardsOption(t *testing.T) {
 	o := tinyOpts()
 	o.Shards = 2
 	cfg := eacCfg(o.multiHopBase(), admission.DropInBand, admission.SlowStart, 0.01)
-	var got scenario.MultiMetrics
-	err := o.runJobs([]Job{{Label: "shard point", Cfg: cfg,
-		Done: func(mm scenario.MultiMetrics) error { got = mm; return nil }}})
+	var got scenario.Metrics
+	_, err := declared(Point{Label: "shard point", Cfg: cfg,
+		Row: func(m scenario.Metrics) []string { got = m; return nil }}).Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +181,13 @@ func TestShardsOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Mean, want.Mean) {
-		t.Fatalf("engine sharded point != direct sharded run:\n%+v\n%+v", got.Mean, want.Mean)
+	if !reflect.DeepEqual(got, want.Mean) {
+		t.Fatalf("engine sharded point != direct sharded run:\n%+v\n%+v", got, want.Mean)
 	}
+}
+
+// basicPoint is a Figure 2 point at eps whose row is nil.
+func basicPoint(o Options, label string, eps float64) Point {
+	return Point{Label: label, Cfg: eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, eps),
+		Row: func(scenario.Metrics) []string { return nil }}
 }

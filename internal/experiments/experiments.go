@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 4 plus the Section 2.2.3 fluid model). Each
-// experiment returns a Table whose rows correspond to the points of the
-// published figure or the cells of the published table; EXPERIMENTS.md
-// records the paper-vs-measured comparison.
+// experiment is a declaration — its header and the points of its sweep —
+// and its Table's rows correspond to the points of the published figure
+// or the cells of the published table; EXPERIMENTS.md records the
+// paper-vs-measured comparison.
 //
 // Experiments run in one of two modes. Paper mode uses the publication's
 // parameters verbatim: 14000 simulated seconds per run, the first 2000
@@ -12,11 +13,10 @@
 // time), shortens runs, seeds the stationary flow population, and averages
 // fewer seeds, reproducing the same qualitative frontiers in minutes.
 //
-// Execution is parallel: each experiment declares its grid of sweep
-// points as []Job and the engine (engine.go) fans the independent
-// point×seed simulator runs out over a worker pool, reassembling results
-// in declaration order so the output is byte-identical to a sequential
-// run. See Options.Workers.
+// Execution is parallel: one engine (Experiment.Run) fans every
+// experiment's independent point×seed runs out over a worker pool,
+// reassembling results in point order so the output is byte-identical to
+// a sequential run. See Options.Workers.
 package experiments
 
 import (
@@ -54,18 +54,19 @@ type Options struct {
 	// coverage matters less than exercising every experiment's code path.
 	Sparse bool
 	// Progress, if set, receives one line per completed sweep point, in
-	// declaration order regardless of Workers.
+	// point order regardless of Workers: the label and the point's
+	// seed-mean Metrics.Summary() or its solved row, as "%-40s %s".
 	Progress func(format string, args ...any)
-	// ETA, if set, receives sweep progress after each completed
-	// simulator run (completed runs, total runs, elapsed wall-clock), on
-	// the coordinating goroutine in completion order. It is deliberately
-	// separate from Progress: ETA output carries wall-clock times, which
-	// vary run to run, while Progress lines are part of the
-	// byte-identical-output guarantee.
+	// ETA, if set, receives sweep progress (completed tasks, total tasks,
+	// elapsed wall-clock) after each task — a seed of a scenario point, or
+	// a Solve — on the coordinating goroutine. It is deliberately separate
+	// from Progress: ETA output carries wall-clock times, which vary run to
+	// run, while Progress lines are part of the byte-identical-output
+	// guarantee.
 	ETA func(done, total int, elapsed time.Duration)
 	// Shards, when above 1, runs each sweep-point simulation under the
 	// sharded conservative-parallel executor with up to this many shards
-	// (scenario.Config.Shards). Every job's count is clamped through
+	// (scenario.Config.Shards). Every point's count is clamped through
 	// scenario.ShardableK, so single-link or otherwise unshardable
 	// configurations silently take the serial path instead of erroring.
 	// Sharded runs are statistically equivalent but not byte-identical to
@@ -86,14 +87,14 @@ type Options struct {
 	// artifacts of concurrent runs distinct.
 	Obs obs.Config
 	// Policy, when non-zero, overrides the admission policy of every EAC
-	// sweep run whose job did not set one itself (scenario.Config.Policy):
-	// the -policy command-line flag threads through here. Jobs that sweep
+	// sweep run whose point did not set one itself (scenario.Config.Policy):
+	// the -policy command-line flag threads through here. Points that sweep
 	// policies explicitly (the policy experiments) are left untouched.
 	Policy admission.PolicyConfig
 	// Schedule, when active, imposes a temporal workload schedule
-	// (scenario.Config.Schedule) on every sweep run whose job did not set
-	// its own temporal source (Load, Schedule, or Replay): the
-	// -load.schedule command-line flag threads through here. Jobs that
+	// (scenario.Config.Schedule) on every sweep run whose point did not set
+	// its own temporal source (Schedule or Replay): the
+	// -load.schedule command-line flag threads through here. Points that
 	// model nonstationarity themselves (policy_thrash, flash_crowd) are
 	// left untouched.
 	Schedule scenario.Schedule
@@ -104,9 +105,9 @@ type Options struct {
 	Replay *scenario.ReplayTrace
 	// Hybrid, when true, runs every sweep point that supports it under
 	// the hybrid fluid/packet engine (scenario.Config.Hybrid): data
-	// phases become per-link fluid rates, probes stay packets. Jobs whose
+	// phases become per-link fluid rates, probes stay packets. Points whose
 	// method the engine cannot serve (MBAC, Passive — they measure data
-	// packets) and jobs that configured Hybrid themselves are left
+	// packets) and points that configured Hybrid themselves are left
 	// untouched. Hybrid runs fingerprint — and cache — separately from
 	// packet runs; leave this false to reproduce published CSVs exactly.
 	Hybrid bool
@@ -319,9 +320,18 @@ func fixedEps(d admission.Design) float64 {
 	return 0.01
 }
 
-func f(v float64) string  { return fmt.Sprintf("%.4f", v) }
-func e(v float64) string  { return fmt.Sprintf("%.3e", v) }
-func f2(v float64) string { return fmt.Sprintf("%.3f", v) }
+func f(v float64) string    { return fmt.Sprintf("%.4f", v) }
+func e(v float64) string    { return fmt.Sprintf("%.3e", v) }
+func f2(v float64) string   { return fmt.Sprintf("%.3f", v) }
+func knob(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// knobRow renders a loss-load operating point: the leading cells that name
+// it, then utilization, loss and blocking.
+func knobRow(lead ...string) func(scenario.Metrics) []string {
+	return func(m scenario.Metrics) []string {
+		return append(lead[:len(lead):len(lead)], f(m.Utilization), e(m.DataLossProb), f2(m.BlockingProb))
+	}
+}
 
 // eacCfg builds an EAC scenario from a base config.
 func eacCfg(base scenario.Config, d admission.Design, kind admission.ProberKind, eps float64) scenario.Config {

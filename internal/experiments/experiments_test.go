@@ -43,17 +43,12 @@ func TestRegistry(t *testing.T) {
 	if len(all) != 18 {
 		t.Fatalf("expected 18 experiments (9 figures + figure2_hybrid + 4 tables + figure11 + 2 policy + flash_crowd), got %d", len(all))
 	}
-	seen := map[string]bool{}
 	for _, ex := range all {
-		if ex.Run == nil || ex.ID == "" {
+		if ex.points == nil || ex.ID == "" || len(ex.Header) == 0 {
 			t.Fatalf("malformed experiment %+v", ex)
 		}
-		if seen[ex.ID] {
-			t.Fatalf("duplicate id %s", ex.ID)
-		}
-		seen[ex.ID] = true
-		if _, err := Lookup(ex.ID); err != nil {
-			t.Fatal(err)
+		if got, err := Lookup(ex.ID); err != nil || got.Title != ex.Title {
+			t.Fatalf("Lookup(%s) = %q, %v", ex.ID, got.Title, err)
 		}
 	}
 	if _, err := Lookup("nope"); err == nil {
@@ -74,7 +69,8 @@ func TestNegativeSeedsIsAnError(t *testing.T) {
 			call func() error
 		}{
 			{"SeedValues", func() error { _, err := o.SeedValues(); return err }},
-			{"Table3", func() error { _, err := Table3(o); return err }},
+			{"table3", func() error { _, err := lookup(t, "table3").Run(o); return err }},
+			{"figure1", func() error { _, err := lookup(t, "figure1").Run(o); return err }},
 		} {
 			err := c.call()
 			if err == nil || !strings.Contains(err.Error(), "Seeds") {
@@ -147,7 +143,7 @@ func TestMiniExperimentPipeline(t *testing.T) {
 	opts.Warmup = 30 * sim.Second
 	var lines int
 	opts.Progress = func(string, ...any) { lines++ }
-	tbl, err := Table3(opts)
+	tbl, err := lookup(t, "table3").Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +161,7 @@ func TestMiniExperimentPipeline(t *testing.T) {
 }
 
 func TestFigure1Shape(t *testing.T) {
-	opts := Quick()
-	tbl, err := Figure1(opts)
+	tbl, err := lookup(t, "figure1").Run(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

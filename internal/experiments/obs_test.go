@@ -12,7 +12,6 @@ import (
 	"eac/internal/obs"
 	"eac/internal/scenario"
 	"eac/internal/sim"
-	"eac/internal/trafgen"
 )
 
 // TestObsDisabledByteIdentical is the observability layer's acceptance
@@ -29,9 +28,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 
 	// Figure 2 point: zero Obs config vs a constructed-but-disabled
 	// collector in every run.
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.01)
+	cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, 0.01)
 	seeds := scenario.DefaultSeeds(3)
 	plain, err := scenario.RunSeedsParallel(cfg, seeds, 4)
 	if err != nil {
@@ -56,15 +53,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 		o := tinyOpts()
 		o.Workers = 4
 		o.Obs = oc
-		var lines []string
-		o.Progress = func(format string, args ...any) {
-			lines = append(lines, fmt.Sprintf(format, args...))
-		}
-		tbl, err := Table3(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl, lines
+		return runLogged(t, lookup(t, "table3"), o)
 	}
 	tblPlain, logPlain := run(obs.Config{})
 	tblObs, logObs := run(obs.Config{MetricsInterval: sim.Second, TraceCapacity: 1 << 10})
@@ -88,13 +77,7 @@ func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 	o.Seeds = 2
 	o.Obs = obs.Config{Enabled: true, Dir: dir, MetricsInterval: sim.Second}
 
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	jobs := []Job{
-		o.stdJob("pt eps=0.01", eacCfg(base, admission.DropInBand, admission.SlowStart, 0.01),
-			func([]string) {}, func(m scenario.Metrics) []string { return nil }),
-	}
-	if err := o.runJobs(jobs); err != nil {
+	if _, err := declared(basicPoint(o, "pt eps=0.01", 0.01)).Run(o); err != nil {
 		t.Fatal(err)
 	}
 	seeds, err := o.SeedValues()
@@ -115,8 +98,8 @@ func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 }
 
 // TestETAReporting checks that the ETA callback fires once per completed
-// run with monotonically complete counts, independent of the Progress
-// stream.
+// task — each seed of a scenario point and each Solve — with monotonically
+// complete counts, independent of the Progress stream.
 func TestETAReporting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -129,22 +112,16 @@ func TestETAReporting(t *testing.T) {
 	o.ETA = func(done, total int, _ time.Duration) {
 		ticks = append(ticks, tick{done, total})
 	}
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	jobs := []Job{
-		o.stdJob("a", eacCfg(base, admission.DropInBand, admission.SlowStart, 0.01),
-			func([]string) {}, func(m scenario.Metrics) []string { return nil }),
-		o.stdJob("b", eacCfg(base, admission.DropInBand, admission.SlowStart, 0.05),
-			func([]string) {}, func(m scenario.Metrics) []string { return nil }),
-	}
-	if err := o.runJobs(jobs); err != nil {
+	solve := Point{Label: "c", Solve: func() ([]string, error) { return []string{"c"}, nil }}
+	ex := declared(basicPoint(o, "a", 0.01), solve, basicPoint(o, "b", 0.05))
+	if _, err := ex.Run(o); err != nil {
 		t.Fatal(err)
 	}
-	if len(ticks) != 4 {
-		t.Fatalf("ETA ticks = %d, want 4 (2 jobs x 2 seeds)", len(ticks))
+	if len(ticks) != 5 {
+		t.Fatalf("ETA ticks = %d, want 5 (2 scenario points x 2 seeds + 1 solve)", len(ticks))
 	}
 	for i, tk := range ticks {
-		if tk.done != i+1 || tk.total != 4 {
+		if tk.done != i+1 || tk.total != 5 {
 			t.Fatalf("tick %d = %+v", i, tk)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"eac/internal/admission"
 	"eac/internal/scenario"
-	"eac/internal/trafgen"
 )
 
 // This file adds the policy-layer experiments, beyond the paper: a
@@ -33,51 +32,38 @@ func probing(k admission.PolicyKind) bool {
 	return k == admission.PolicyStatic || k == admission.PolicyEpochAdaptive
 }
 
-// PolicySweep regenerates the basic-scenario loss-load frontier once per
+// policySweep regenerates the basic-scenario loss-load frontier once per
 // admission policy. Probing policies sweep the Figure 2 ε grid across all
 // four designs (for the adaptive policy the knob is the initial ε,
 // clamped into its adaptation bounds); non-probing policies are single
 // points on the in-band dropping design, where ε does not apply.
-func PolicySweep(o Options) (Table, error) {
-	t := Table{
-		ID:     "policy_sweep",
-		Title:  "Per-policy loss-load sweep (EXP1, tau=3.5s, slow-start)",
-		Header: []string{"policy", "design", "knob", "utilization", "loss_prob", "blocking"},
-		Notes:  "knob is eps for probing policies (initial eps when adaptive); '-' otherwise",
-	}
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	var jobs []Job
-	for _, pc := range sweepPolicies(o) {
-		pc := pc
-		name := pc.Kind.String()
-		if probing(pc.Kind) {
+var policySweep = Experiment{
+	ID:     "policy_sweep",
+	Title:  "Per-policy loss-load sweep (EXP1, tau=3.5s, slow-start)",
+	Header: []string{"policy", "design", "knob", "utilization", "loss_prob", "blocking"},
+	Notes:  "knob is eps for probing policies (initial eps when adaptive); '-' otherwise",
+	points: func(o Options) []Point {
+		var pts []Point
+		for _, pc := range sweepPolicies(o) {
+			name := pc.Kind.String()
+			if !probing(pc.Kind) {
+				cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, fixedEps(admission.DropInBand))
+				cfg.Policy = pc
+				pts = append(pts, Point{Label: "policy_sweep " + name, Cfg: cfg,
+					Row: knobRow(name, admission.DropInBand.String(), "-")})
+				continue
+			}
 			for _, d := range admission.Designs {
 				for _, eps := range o.epsFor(d) {
-					cfg := eacCfg(base, d, admission.SlowStart, eps)
+					cfg := eacCfg(o.basic(3.5), d, admission.SlowStart, eps)
 					cfg.Policy = pc
-					d, eps := d, eps
-					jobs = append(jobs, o.stdJob(
-						fmt.Sprintf("policy_sweep %s %s eps=%.2f", name, d, eps), cfg,
-						rowsOf(&t), func(m scenario.Metrics) []string {
-							return []string{name, d.String(), fmt.Sprintf("%.2f", eps),
-								f(m.Utilization), e(m.DataLossProb), f2(m.BlockingProb)}
-						}))
+					pts = append(pts, Point{Label: fmt.Sprintf("policy_sweep %s %s eps=%.2f", name, d, eps),
+						Cfg: cfg, Row: knobRow(name, d.String(), knob(eps))})
 				}
 			}
-			continue
 		}
-		cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, fixedEps(admission.DropInBand))
-		cfg.Policy = pc
-		jobs = append(jobs, o.stdJob(
-			fmt.Sprintf("policy_sweep %s", name), cfg,
-			rowsOf(&t), func(m scenario.Metrics) []string {
-				return []string{name, admission.DropInBand.String(), "-",
-					f(m.Utilization), e(m.DataLossProb), f2(m.BlockingProb)}
-			}))
-	}
-	err := o.runJobs(jobs)
-	return t, err
+		return pts
+	},
 }
 
 // thrashLoad returns the on/off load modulation for the mode, a cycling
@@ -108,36 +94,38 @@ func PolicyThrash(o Options) (Table, error) { return PolicyThrashWith(o, nil) }
 // conformance harness uses it to prove the policy goldens are sensitive:
 // starving the token bucket must fail the golden diff.
 func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.PolicyConfig) (Table, error) {
-	t := Table{
+	return policyThrash(mutate).Run(o)
+}
+
+// policyThrash declares policy_thrash with each policy passed through
+// mutate (nil leaves them unchanged).
+func policyThrash(mutate func(admission.PolicyConfig) admission.PolicyConfig) Experiment {
+	return Experiment{
 		ID:     "policy_thrash",
 		Title:  "Thrashing resistance under on/off load (EXP1, in-band dropping, slow-start)",
 		Header: []string{"policy", "utilization", "loss_prob", "blocking", "p99_delay_ms"},
 		Notes:  "on/off arrival modulation: rate doubles half the period, silent otherwise",
+		points: func(o Options) []Point {
+			base := o.basic(3.5)
+			base.Schedule = thrashLoad(o)
+			var pts []Point
+			for _, pc := range sweepPolicies(o) {
+				if pc.Kind == admission.PolicyNeverAdmit {
+					continue // admits nothing, so nothing to thrash
+				}
+				if mutate != nil {
+					pc = mutate(pc)
+				}
+				name := pc.Kind.String()
+				cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
+				cfg.Policy = pc
+				pts = append(pts, Point{Label: "policy_thrash " + name, Cfg: cfg,
+					Row: func(m scenario.Metrics) []string {
+						return []string{name, f(m.Utilization), e(m.DataLossProb),
+							f2(m.BlockingProb), f2(m.P99DelaySec * 1000)}
+					}})
+			}
+			return pts
+		},
 	}
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	base.Schedule = thrashLoad(o)
-	policies := []admission.PolicyConfig{
-		{Kind: admission.PolicyStatic},
-		{Kind: admission.PolicyEpochAdaptive},
-		{Kind: admission.PolicyAlwaysAdmit},
-		{Kind: admission.PolicyTokenBucket, BucketCap: 5, BucketRate: 0.5 / o.tau(3.5), BucketCost: 1},
-	}
-	var jobs []Job
-	for _, pc := range policies {
-		pc := pc
-		if mutate != nil {
-			pc = mutate(pc)
-		}
-		name := pc.Kind.String()
-		cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
-		cfg.Policy = pc
-		jobs = append(jobs, o.stdJob(fmt.Sprintf("policy_thrash %s", name), cfg,
-			rowsOf(&t), func(m scenario.Metrics) []string {
-				return []string{name, f(m.Utilization), e(m.DataLossProb),
-					f2(m.BlockingProb), f2(m.P99DelaySec * 1000)}
-			}))
-	}
-	err := o.runJobs(jobs)
-	return t, err
 }

@@ -1,35 +1,21 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
 
-// Experiment couples an identifier with its generator.
-type Experiment struct {
-	ID    string
-	Title string
-	Run   func(Options) (Table, error)
-}
+	"eac/internal/admission"
+)
 
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"figure1", "Thrashing fluid model", Figure1},
-		{"figure2", "Basic scenario loss-load curves", Figure2},
-		{"figure2_hybrid", "Basic scenario, packet vs hybrid engine", Figure2Hybrid},
-		{"figure3", "Longer probing", Figure3},
-		{"figure4", "High load, in-band dropping", Figure4},
-		{"figure5", "High load, out-of-band dropping", Figure5},
-		{"figure6", "High load, in-band marking", Figure6},
-		{"figure7", "High load, out-of-band marking", Figure7},
-		{"figure8", "Robustness panels", Figure8},
-		{"figure9", "Loss at fixed eps", Figure9},
-		{"table3", "Heterogeneous thresholds", Table3},
-		{"table4", "Large vs small flows", Table4},
-		{"table5", "Multi-hop loss", Table5},
-		{"table6", "Multi-hop blocking", Table6},
-		{"figure11", "TCP coexistence", Figure11},
-		{"policy_sweep", "Per-policy loss-load sweep", PolicySweep},
-		{"policy_thrash", "Policy thrashing resistance under on/off load", PolicyThrash},
-		{"flash_crowd", "Admission dynamics through a flash crowd", FlashCrowd},
+		figure1, figure2, figure2Hybrid, figure3,
+		highLoad("figure4", admission.DropInBand),
+		highLoad("figure5", admission.DropOutOfBand),
+		highLoad("figure6", admission.MarkInBand),
+		highLoad("figure7", admission.MarkOutOfBand),
+		figure8, figure9, table3, table4, table5, table6, figure11,
+		policySweep, policyThrash(nil), flashCrowd,
 	}
 }
 

@@ -1,48 +1,39 @@
 package experiments
 
 import (
-	"fmt"
-
 	"eac/internal/admission"
 	"eac/internal/scenario"
 	"eac/internal/trafgen"
 )
 
-// Table3 regenerates the heterogeneous-threshold experiment: two classes
+// table3 regenerates the heterogeneous-threshold experiment: two classes
 // of EXP1 flows sharing the basic scenario, one with eps=0 and one with a
 // high threshold (0.05 in-band, 0.20 out-of-band). The stricter class
 // suffers higher blocking while both see the same packet loss.
-func Table3(o Options) (Table, error) {
-	t := Table{
-		ID:     "table3",
-		Title:  "Blocking probabilities for low and high thresholds",
-		Header: []string{"design", "block_low_eps", "block_high_eps"},
-		Notes:  "low eps = 0; high eps = 0.05 in-band, 0.20 out-of-band",
-	}
-	var jobs []Job
-	for _, d := range admission.Designs {
-		high := 0.05
-		if d.Band == admission.OutOfBand {
-			high = 0.20
+var table3 = Experiment{
+	ID:     "table3",
+	Title:  "Blocking probabilities for low and high thresholds",
+	Header: []string{"design", "block_low_eps", "block_high_eps"},
+	Notes:  "low eps = 0; high eps = 0.05 in-band, 0.20 out-of-band",
+	points: func(o Options) []Point {
+		var pts []Point
+		for _, d := range admission.Designs {
+			high := 0.05
+			if d.Band == admission.OutOfBand {
+				high = 0.20
+			}
+			base := o.base(3.5)
+			base.Classes = []scenario.ClassSpec{
+				{Name: "low", Preset: trafgen.EXP1, Weight: 1, Eps: 0},
+				{Name: "high", Preset: trafgen.EXP1, Weight: 1, Eps: high},
+			}
+			pts = append(pts, Point{Label: "table3 " + d.String(), Cfg: eacCfg(base, d, admission.SlowStart, 0),
+				Row: func(m scenario.Metrics) []string {
+					return []string{d.String(), f2(m.Classes[0].BlockingProb()), f2(m.Classes[1].BlockingProb())}
+				}})
 		}
-		base := o.base(3.5)
-		base.Classes = []scenario.ClassSpec{
-			{Name: "low", Preset: trafgen.EXP1, Weight: 1, Eps: 0},
-			{Name: "high", Preset: trafgen.EXP1, Weight: 1, Eps: high},
-		}
-		cfg := eacCfg(base, d, admission.SlowStart, 0)
-		d := d
-		jobs = append(jobs, Job{Label: fmt.Sprintf("table3 %s", d), Cfg: cfg,
-			Done: func(mm scenario.MultiMetrics) error {
-				low := mm.Mean.Classes[0]
-				hi := mm.Mean.Classes[1]
-				o.logf("table3 %-22s low=%.3f high=%.3f", d, low.BlockingProb(), hi.BlockingProb())
-				t.Rows = append(t.Rows, []string{d.String(), f2(low.BlockingProb()), f2(hi.BlockingProb())})
-				return nil
-			}})
-	}
-	err := o.runJobs(jobs)
-	return t, err
+		return pts
+	},
 }
 
 // heterogeneousMix is the Figure 8(e) / Table 4 traffic mix: three classes
@@ -56,20 +47,35 @@ func heterogeneousMix() []scenario.ClassSpec {
 	}
 }
 
-// Table4 regenerates the large-vs-small flow discrimination table on the
+// designsAndMBAC declares one point per endpoint design (slow-start
+// probing at eps(d)) and one for MBAC at a 0.95 target, all on base and
+// rendered by row.
+func designsAndMBAC(id string, base scenario.Config, eps func(admission.Design) float64,
+	row func(name string, m scenario.Metrics) []string) []Point {
+	point := func(name string, cfg scenario.Config) Point {
+		return Point{Label: id + " " + name, Cfg: cfg, Row: func(m scenario.Metrics) []string { return row(name, m) }}
+	}
+	var pts []Point
+	for _, d := range admission.Designs {
+		pts = append(pts, point(d.String(), eacCfg(base, d, admission.SlowStart, eps(d))))
+	}
+	return append(pts, point("MBAC", mbacCfg(base, 0.95)))
+}
+
+// table4 regenerates the large-vs-small flow discrimination table on the
 // heterogeneous mix: every admission method blocks the high-rate EXP2
 // flows more, the MBAC most strongly.
-func Table4(o Options) (Table, error) {
-	t := Table{
-		ID:     "table4",
-		Title:  "Blocking probabilities for small and large flows (heterogeneous mix)",
-		Header: []string{"design", "block_small", "block_large"},
-		Notes:  "large = EXP2 (1024 kb/s probe rate); small = EXP1/EXP4/POO1 (256 kb/s)",
-	}
-	collect := func(name string, cfg scenario.Config) Job {
-		return Job{Label: "table4 " + name, Cfg: cfg, Done: func(mm scenario.MultiMetrics) error {
+var table4 = Experiment{
+	ID:     "table4",
+	Title:  "Blocking probabilities for small and large flows (heterogeneous mix)",
+	Header: []string{"design", "block_small", "block_large"},
+	Notes:  "large = EXP2 (1024 kb/s probe rate); small = EXP1/EXP4/POO1 (256 kb/s)",
+	points: func(o Options) []Point {
+		base := o.base(3.5)
+		base.Classes = heterogeneousMix()
+		return designsAndMBAC("table4", base, fixedEps, func(name string, m scenario.Metrics) []string {
 			var smallArr, smallBlk, largeArr, largeBlk int64
-			for _, cm := range mm.Mean.Classes {
+			for _, cm := range m.Classes {
 				if cm.Name == "EXP2" {
 					largeArr += cm.Arrived
 					largeBlk += cm.Blocked
@@ -78,31 +84,11 @@ func Table4(o Options) (Table, error) {
 					smallBlk += cm.Blocked
 				}
 			}
-			bs := float64(smallBlk) / float64(max64(smallArr, 1))
-			bl := float64(largeBlk) / float64(max64(largeArr, 1))
-			o.logf("table4 %-22s small=%.3f large=%.3f", name, bs, bl)
-			t.Rows = append(t.Rows, []string{name, f2(bs), f2(bl)})
-			return nil
-		}}
-	}
-	var jobs []Job
-	for _, d := range admission.Designs {
-		base := o.base(3.5)
-		base.Classes = heterogeneousMix()
-		jobs = append(jobs, collect(d.String(), eacCfg(base, d, admission.SlowStart, fixedEps(d))))
-	}
-	base := o.base(3.5)
-	base.Classes = heterogeneousMix()
-	jobs = append(jobs, collect("MBAC", mbacCfg(base, 0.95)))
-	err := o.runJobs(jobs)
-	return t, err
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+			bs := float64(smallBlk) / float64(max(smallArr, 1))
+			bl := float64(largeBlk) / float64(max(largeArr, 1))
+			return []string{name, f2(bs), f2(bl)}
+		})
+	},
 }
 
 // multiHopBase builds the Figure 10 topology: a three-link backbone with
@@ -122,75 +108,50 @@ func (o Options) multiHopBase() scenario.Config {
 	return base
 }
 
-// Table5 regenerates the multi-hop loss comparison at eps=0: long (3-hop)
+func zeroEps(admission.Design) float64 { return 0 }
+
+// table5 regenerates the multi-hop loss comparison at eps=0: long (3-hop)
 // flows lose roughly three times as many packets as short flows, i.e. the
 // longer path does not impair decision accuracy.
-func Table5(o Options) (Table, error) {
-	t := Table{
-		ID:     "table5",
-		Title:  "Loss probability for short vs long flows (multi-hop, eps=0)",
-		Header: []string{"design", "loss_short", "loss_long", "ratio"},
-		Notes:  "ratio ~ 3 indicates additive per-hop loss with unimpaired decisions",
-	}
-	collect := func(name string, cfg scenario.Config) Job {
-		return Job{Label: "table5 " + name, Cfg: cfg, Done: func(mm scenario.MultiMetrics) error {
-			long := mm.Mean.Classes[0]
+var table5 = Experiment{
+	ID:     "table5",
+	Title:  "Loss probability for short vs long flows (multi-hop, eps=0)",
+	Header: []string{"design", "loss_short", "loss_long", "ratio"},
+	Notes:  "ratio ~ 3 indicates additive per-hop loss with unimpaired decisions",
+	points: func(o Options) []Point {
+		return designsAndMBAC("table5", o.multiHopBase(), zeroEps, func(name string, m scenario.Metrics) []string {
 			var sSent, sLost int64
-			for _, cm := range mm.Mean.Classes[1:] {
+			for _, cm := range m.Classes[1:] {
 				sSent += cm.DataSent
 				sLost += cm.DataLost
 			}
-			ls := float64(sLost) / float64(max64(sSent, 1))
-			ll := long.LossProb()
+			ls := float64(sLost) / float64(max(sSent, 1))
+			ll := m.Classes[0].LossProb()
 			ratio := 0.0
 			if ls > 0 {
 				ratio = ll / ls
 			}
-			o.logf("table5 %-22s short=%.2e long=%.2e ratio=%.1f", name, ls, ll, ratio)
-			t.Rows = append(t.Rows, []string{name, e(ls), e(ll), f2(ratio)})
-			return nil
-		}}
-	}
-	var jobs []Job
-	for _, d := range admission.Designs {
-		jobs = append(jobs, collect(d.String(), eacCfg(o.multiHopBase(), d, admission.SlowStart, 0)))
-	}
-	jobs = append(jobs, collect("MBAC", mbacCfg(o.multiHopBase(), 0.95)))
-	err := o.runJobs(jobs)
-	return t, err
+			return []string{name, e(ls), e(ll), f2(ratio)}
+		})
+	},
 }
 
-// Table6 regenerates the multi-hop blocking comparison: per-link short
+// table6 regenerates the multi-hop blocking comparison: per-link short
 // blocking, long blocking, and the product approximation
 // 1 - prod(1 - b_i).
-func Table6(o Options) (Table, error) {
-	t := Table{
-		ID:     "table6",
-		Title:  "Blocking for short vs long flows (multi-hop, eps=0) and the product approximation",
-		Header: []string{"design", "short_1", "short_2", "short_3", "long", "product"},
-	}
-	collect := func(name string, cfg scenario.Config) Job {
-		return Job{Label: "table6 " + name, Cfg: cfg, Done: func(mm scenario.MultiMetrics) error {
-			long := mm.Mean.Classes[0].BlockingProb()
-			b := make([]float64, 3)
+var table6 = Experiment{
+	ID:     "table6",
+	Title:  "Blocking for short vs long flows (multi-hop, eps=0) and the product approximation",
+	Header: []string{"design", "short_1", "short_2", "short_3", "long", "product"},
+	points: func(o Options) []Point {
+		return designsAndMBAC("table6", o.multiHopBase(), zeroEps, func(name string, m scenario.Metrics) []string {
+			row := []string{name}
 			prod := 1.0
-			for i := 0; i < 3; i++ {
-				b[i] = mm.Mean.Classes[i+1].BlockingProb()
-				prod *= 1 - b[i]
+			for _, cm := range m.Classes[1:4] {
+				row = append(row, f2(cm.BlockingProb()))
+				prod *= 1 - cm.BlockingProb()
 			}
-			o.logf("table6 %-22s short=%.3f/%.3f/%.3f long=%.3f product=%.3f",
-				name, b[0], b[1], b[2], long, 1-prod)
-			t.Rows = append(t.Rows, []string{
-				name, f2(b[0]), f2(b[1]), f2(b[2]), f2(long), f2(1 - prod),
-			})
-			return nil
-		}}
-	}
-	var jobs []Job
-	for _, d := range admission.Designs {
-		jobs = append(jobs, collect(d.String(), eacCfg(o.multiHopBase(), d, admission.SlowStart, 0)))
-	}
-	jobs = append(jobs, collect("MBAC", mbacCfg(o.multiHopBase(), 0.95)))
-	err := o.runJobs(jobs)
-	return t, err
+			return append(row, f2(m.Classes[0].BlockingProb()), f2(1-prod))
+		})
+	},
 }

@@ -6,7 +6,6 @@ import (
 	"eac/internal/admission"
 	"eac/internal/scenario"
 	"eac/internal/sim"
-	"eac/internal/trafgen"
 )
 
 // This file adds the flash-crowd experiment: admission dynamics through a
@@ -31,7 +30,7 @@ func flashSchedule(warm, span float64) scenario.Schedule {
 	}
 }
 
-// FlashCrowd resolves admission dynamics through a flash crowd in time,
+// flashCrowd resolves admission dynamics through a flash crowd in time,
 // for the static policy vs the epoch-adaptive one. Warmup and Drain only
 // move the accounting window, never the dynamics, so re-running the same
 // seeded trajectory with successive windows yields a consistent time
@@ -39,47 +38,42 @@ func flashSchedule(warm, span float64) scenario.Schedule {
 // adaptive policy's mean ε (the threshold in force) moves while the
 // static one's stays pinned — the divergence the paper's Section 4.4
 // thrashing analysis predicts. In-band dropping, slow-start probing.
-func FlashCrowd(o Options) (Table, error) {
-	t := Table{
-		ID:     "flash_crowd",
-		Title:  "Admission dynamics through a flash crowd (EXP1, in-band dropping, slow-start)",
-		Header: []string{"policy", "t0_s", "t1_s", "eps", "blocking", "loss_prob", "utilization"},
-		Notes:  "4x arrival spike; one row per accounting window over the same trajectory",
-	}
-	base := o.base(3.5)
-	base.Classes = classes1(trafgen.EXP1)
-	warm := base.Warmup.Sec()
-	span := base.Duration.Sec() - warm
-	base.Schedule = flashSchedule(warm, span)
-	windows := 6
-	if o.Sparse {
-		windows = 4
-	}
-	policies := []admission.PolicyConfig{
-		{Kind: admission.PolicyStatic},
-		{Kind: admission.PolicyEpochAdaptive, Epoch: 10, TargetLoss: 0.005},
-	}
-	var jobs []Job
-	for _, pc := range policies {
-		pc := pc
-		name := pc.Kind.String()
-		for wi := 0; wi < windows; wi++ {
-			// Windows tile [warmup, duration-2s); the margin keeps the last
-			// window clear of end-of-run drain effects.
-			t0 := warm + (span-2)*float64(wi)/float64(windows)
-			t1 := warm + (span-2)*float64(wi+1)/float64(windows)
-			cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
-			cfg.Policy = pc
-			cfg.Warmup = sim.Seconds(t0)
-			cfg.Drain = cfg.Duration - sim.Seconds(t1)
-			jobs = append(jobs, o.stdJob(
-				fmt.Sprintf("flash_crowd %s w%d", name, wi), cfg,
-				rowsOf(&t), func(m scenario.Metrics) []string {
-					return []string{name, f2(t0), f2(t1), f(m.MeanEps),
-						f2(m.BlockingProb), e(m.DataLossProb), f(m.Utilization)}
-				}))
+var flashCrowd = Experiment{
+	ID:     "flash_crowd",
+	Title:  "Admission dynamics through a flash crowd (EXP1, in-band dropping, slow-start)",
+	Header: []string{"policy", "t0_s", "t1_s", "eps", "blocking", "loss_prob", "utilization"},
+	Notes:  "4x arrival spike; one row per accounting window over the same trajectory",
+	points: func(o Options) []Point {
+		base := o.basic(3.5)
+		warm := base.Warmup.Sec()
+		span := base.Duration.Sec() - warm
+		base.Schedule = flashSchedule(warm, span)
+		windows := 6
+		if o.Sparse {
+			windows = 4
 		}
-	}
-	err := o.runJobs(jobs)
-	return t, err
+		var pts []Point
+		for _, pc := range []admission.PolicyConfig{
+			{Kind: admission.PolicyStatic},
+			{Kind: admission.PolicyEpochAdaptive, Epoch: 10, TargetLoss: 0.005},
+		} {
+			name := pc.Kind.String()
+			for wi := 0; wi < windows; wi++ {
+				// Windows tile [warmup, duration-2s); the margin keeps the last
+				// window clear of end-of-run drain effects.
+				t0 := warm + (span-2)*float64(wi)/float64(windows)
+				t1 := warm + (span-2)*float64(wi+1)/float64(windows)
+				cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
+				cfg.Policy = pc
+				cfg.Warmup = sim.Seconds(t0)
+				cfg.Drain = cfg.Duration - sim.Seconds(t1)
+				pts = append(pts, Point{Label: fmt.Sprintf("flash_crowd %s w%d", name, wi), Cfg: cfg,
+					Row: func(m scenario.Metrics) []string {
+						return []string{name, f2(t0), f2(t1), f(m.MeanEps),
+							f2(m.BlockingProb), e(m.DataLossProb), f(m.Utilization)}
+					}})
+			}
+		}
+		return pts
+	},
 }

@@ -19,24 +19,14 @@ type Config struct {
 	// Target is the utilization target u: admit while load + r <= u*C.
 	// This is the knob swept to trace the MBAC loss-load curve.
 	Target float64
-	// SamplePeriod is the averaging period S of the load estimator
-	// (default 100 ms).
-	SamplePeriod float64
-	// WindowPeriods is the number of periods in the measurement window T
-	// (default 10, i.e. T = 1 s).
-	WindowPeriods int
 }
 
-// WithDefaults fills unset fields with the defaults above.
-func (c Config) WithDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 0.1
-	}
-	if c.WindowPeriods == 0 {
-		c.WindowPeriods = 10
-	}
-	return c
-}
+// The load estimator averages over sample periods S = 100 ms and takes
+// the maximum over a window of T = 10 S = 1 s.
+const (
+	samplePeriod  = 0.1
+	windowPeriods = 10
+)
 
 // MeasuredSum is the per-link admission controller. Attach it to a link's
 // arrival tap and query Admit at flow-arrival instants.
@@ -48,14 +38,13 @@ type MeasuredSum struct {
 
 // New returns a controller for a link of the given capacity (bits/s).
 func New(capBps float64, cfg Config) *MeasuredSum {
-	cfg = cfg.WithDefaults()
 	if cfg.Target <= 0 {
 		panic("mbac: Config.Target must be positive")
 	}
 	return &MeasuredSum{
 		cfg:    cfg,
 		capBps: capBps,
-		est:    stats.NewWindowMax(cfg.SamplePeriod, cfg.WindowPeriods),
+		est:    stats.NewWindowMax(samplePeriod, windowPeriods),
 	}
 }
 

@@ -42,7 +42,7 @@ func TestSerializedBackToBackRequests(t *testing.T) {
 }
 
 func TestTapMeasuresLoad(t *testing.T) {
-	m := New(1e6, Config{Target: 0.9, SamplePeriod: 0.1, WindowPeriods: 10})
+	m := New(1e6, Config{Target: 0.9})
 	tap := m.Tap()
 	// 500 kb/s of data for 2 seconds: 500 packets of 125 bytes per second.
 	for i := 0; i < 1000; i++ {
@@ -74,7 +74,7 @@ func TestTapIgnoresProbes(t *testing.T) {
 }
 
 func TestBoostExpiresAfterWindow(t *testing.T) {
-	m := New(1e6, Config{Target: 0.9, SamplePeriod: 0.1, WindowPeriods: 10})
+	m := New(1e6, Config{Target: 0.9})
 	if !m.Admit(0, 500e3) {
 		t.Fatal("first admit failed")
 	}
@@ -118,10 +118,11 @@ func TestAdmitPathSuccessReservesEverywhere(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins the estimator to Measured Sum's S = 100 ms,
+// T = 1 s, which no Config field overrides.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Target: 0.9}.WithDefaults()
-	if c.SamplePeriod != 0.1 || c.WindowPeriods != 10 {
-		t.Fatalf("defaults = %+v", c)
+	if samplePeriod != 0.1 || windowPeriods != 10 {
+		t.Fatalf("estimator S = %v s over %d periods, want 0.1 s over 10", samplePeriod, windowPeriods)
 	}
 }
 

@@ -74,13 +74,6 @@ const (
 	QueueRED
 )
 
-// PassiveConfig parameterizes passive (egress-monitor) admission.
-type PassiveConfig struct {
-	// WindowSec is the sliding loss-measurement window (default 5 s,
-	// matching the active designs' probe duration).
-	WindowSec float64
-}
-
 // ClassSpec is one traffic class in the offered mix.
 type ClassSpec struct {
 	Name   string
@@ -169,8 +162,6 @@ type Config struct {
 	Method Method
 	AC     admission.Config // used when Method == EAC
 	MS     mbac.Config      // used when Method == MBAC
-	// PV configures passive admission (Method == Passive).
-	PV PassiveConfig
 	// Policy selects the admission policy layered over the probing
 	// machinery (Method == EAC): the zero value is the paper's static-ε
 	// rule, byte-identical to prior releases; other kinds add token-bucket
@@ -318,9 +309,6 @@ func (c Config) WithDefaults() Config {
 	c.Hybrid = c.Hybrid.withDefaults()
 	if c.Method == MBAC && c.MS.Target == 0 {
 		c.MS.Target = 0.95
-	}
-	if c.PV.WindowSec == 0 {
-		c.PV.WindowSec = 5
 	}
 	if c.RetryBackoffSec == 0 {
 		c.RetryBackoffSec = 5

@@ -281,7 +281,7 @@ func (d *domain) wireLink(i int, l *netsim.Link, maxPkt int) {
 		l.OnArrive = m.Tap()
 		d.ms = append(d.ms, m)
 	case Passive:
-		lm := newLossMonitor(cfg.PV.WindowSec)
+		lm := newLossMonitor(passiveWindowSec)
 		l.OnArrive = func(now sim.Time, p *netsim.Packet) { lm.onArrive(now) }
 		l.OnDrop = func(now sim.Time, p *netsim.Packet) {
 			lm.onDrop(now)

@@ -39,6 +39,11 @@ const ResultsVersion = "eac/results/v5"
 // must use distinct names. TestFingerprintCoversConfig pins the exact field
 // lists of every struct hashed here; adding a field to any of them fails
 // that test until this function and the salt are revisited.
+//
+// The passive window, the Measured Sum estimator periods and the adaptive
+// probe-duration clamp are constants, not Config fields, and are not
+// hashed; when they stopped being fields every key changed (one cache miss
+// per entry) while no Metrics moved, so ResultsVersion stayed.
 func (c Config) Fingerprint() string {
 	c = c.WithDefaults()
 	h := sha256.New()
@@ -56,10 +61,10 @@ func (c Config) Fingerprint() string {
 	w("ac=%d/%d/%d eps=%g probe=%d stage=%d guard=%d\n",
 		c.AC.Design.Signal, c.AC.Design.Band, c.AC.Kind, c.AC.Eps,
 		int64(c.AC.ProbeDur), int64(c.AC.StageDur), int64(c.AC.Guard))
-	w("policy=%d bucket=%g/%g/%g epoch=%d eps=%g/%g step=%g target=%g adapt=%t/%d/%d\n",
+	w("policy=%d bucket=%g/%g/%g epoch=%d eps=%g/%g step=%g target=%g adapt=%t\n",
 		c.Policy.Kind, c.Policy.BucketCap, c.Policy.BucketRate, c.Policy.BucketCost,
 		c.Policy.Epoch, c.Policy.EpsMin, c.Policy.EpsMax, c.Policy.Step, c.Policy.TargetLoss,
-		c.Policy.AdaptProbe, int64(c.Policy.ProbeMin), int64(c.Policy.ProbeMax))
+		c.Policy.AdaptProbe)
 	// Schedule and replay lines appear only when active, so configs that use
 	// neither keep the same canonical encoding as before they existed.
 	if c.Schedule.Active() {
@@ -78,8 +83,7 @@ func (c Config) Fingerprint() string {
 	if c.Hybrid.Active() {
 		w("hybrid=%v share=%g\n", c.Hybrid.Background, c.Hybrid.MaxShare)
 	}
-	w("ms=%g/%g/%d\n", c.MS.Target, c.MS.SamplePeriod, c.MS.WindowPeriods)
-	w("pv=%g\n", c.PV.WindowSec)
+	w("ms=%g\n", c.MS.Target)
 	w("classes=%d\n", len(c.Classes))
 	for _, cl := range c.Classes {
 		w("class=%q preset=%q/%g/%d/%d/%g w=%g eps=%g path=%v\n",

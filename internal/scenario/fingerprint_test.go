@@ -65,12 +65,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"AC.StageDur":     func(c *Config) { c.AC.StageDur = 2 * sim.Second },
 		"AC.Guard":        func(c *Config) { c.AC.Guard = sim.Second },
 		"MS.Target":       func(c *Config) { c.MS.Target = 0.9 },
-		"MS.SamplePeriod": func(c *Config) { c.MS.SamplePeriod = 0.2 },
-		"MS.WindowPeriods": func(c *Config) {
-			c.MS.WindowPeriods = 5
-		},
-		"PV.WindowSec": func(c *Config) { c.PV.WindowSec = 10 },
-		"Policy.Kind":  func(c *Config) { c.Policy.Kind = admission.PolicyAlwaysAdmit },
+		"Policy.Kind":     func(c *Config) { c.Policy.Kind = admission.PolicyAlwaysAdmit },
 		"Policy.Bucket": func(c *Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyTokenBucket, BucketRate: 2}
 		},
@@ -171,7 +166,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestFingerprintCoversConfig(t *testing.T) {
 	want := map[reflect.Type][]string{
 		reflect.TypeOf(Config{}): {"Name", "Classes", "Links", "InterArrival",
-			"LifetimeSec", "Schedule", "Replay", "Method", "AC", "MS", "PV", "Policy",
+			"LifetimeSec", "Schedule", "Replay", "Method", "AC", "MS", "Policy",
 			"Queue", "VQFactor",
 			"Duration", "Warmup", "Drain", "MaxRetries", "RetryBackoffSec",
 			"Obs", "Cache", "Shards", "Hybrid", "PrepopulateUtil", "Seed"},
@@ -181,15 +176,14 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		reflect.TypeOf(Phase{}):            {"Kind", "DurationSec", "From", "To"},
 		reflect.TypeOf(ReplayTrace{}):      {"arrivals", "digest", "source"},
 		reflect.TypeOf(ReplayArrival{}):    {"At", "Class"},
-		reflect.TypeOf(PassiveConfig{}):    {"WindowSec"},
 		reflect.TypeOf(HybridConfig{}):     {"Enabled", "Background", "MaxShare"},
 		reflect.TypeOf(admission.Config{}): {"Design", "Kind", "Eps", "ProbeDur", "StageDur", "Guard"},
 		reflect.TypeOf(admission.PolicyConfig{}): {"Kind",
 			"BucketCap", "BucketRate", "BucketCost",
 			"Epoch", "EpsMin", "EpsMax", "Step", "TargetLoss",
-			"AdaptProbe", "ProbeMin", "ProbeMax"},
+			"AdaptProbe"},
 		reflect.TypeOf(admission.Design{}): {"Signal", "Band"},
-		reflect.TypeOf(mbac.Config{}):      {"Target", "SamplePeriod", "WindowPeriods"},
+		reflect.TypeOf(mbac.Config{}):      {"Target"},
 		reflect.TypeOf(trafgen.Preset{}):   {"Name", "TokenRate", "BucketBytes", "PktSize", "AvgRate", "build"},
 	}
 	for typ, fields := range want {

@@ -18,6 +18,10 @@ type lossMonitor struct {
 	curDrop   int64
 }
 
+// passiveWindowSec is the passive monitor's sliding loss-measurement
+// window, matching the active designs' 5 s probe duration.
+const passiveWindowSec = 5
+
 // newLossMonitor builds a monitor with a window of windowSec split into
 // ten buckets.
 func newLossMonitor(windowSec float64) *lossMonitor {

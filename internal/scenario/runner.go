@@ -3,8 +3,6 @@ package scenario
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"eac/internal/netsim"
 	"eac/internal/obs"
@@ -380,59 +378,32 @@ func (r RunRecord) AddTo(man *obs.Manifest) {
 
 // RunSeedsObserved is RunSeedsParallel returning, additionally, one
 // RunRecord per seed (in seed order). The metrics are computed exactly
-// as RunSeedsParallel computes them.
+// as RunSeedsParallel computes them. A failing seed stops the seeds not
+// yet started.
 func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []RunRecord, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	recs := make([]RunRecord, len(seeds))
-	if workers <= 1 {
-		ws := NewWorkspace()
-		runs := make([]Metrics, 0, len(seeds))
-		for i, sd := range seeds {
-			c := cfg
-			c.Seed = sd
-			m, rec, err := ws.RunRecorded(c)
-			if err != nil {
-				return MultiMetrics{}, nil, err
-			}
-			runs = append(runs, m)
-			recs[i] = rec
-		}
-		return Aggregate(runs), recs, nil
-	}
+	// Each worker owns a Workspace: consecutive seeds claimed by the same
+	// goroutine reuse one simulator's slabs, and nothing is shared across
+	// goroutines.
+	wss := make([]*Workspace, workers)
 	runs := make([]Metrics, len(seeds))
-	errs := make([]error, len(seeds))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns a Workspace: consecutive seeds claimed by
-			// the same goroutine reuse one simulator's slabs, and nothing
-			// is shared across goroutines.
-			ws := NewWorkspace()
-			for {
-				i := int(next.Add(1))
-				if i >= len(seeds) {
-					return
-				}
-				c := cfg
-				c.Seed = seeds[i]
-				runs[i], recs[i], errs[i] = ws.RunRecorded(c)
+	recs := make([]RunRecord, len(seeds))
+	err := RunOrdered(workers, len(seeds),
+		func(w, i int) (Metrics, error) {
+			if wss[w] == nil {
+				wss[w] = NewWorkspace()
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return MultiMetrics{}, nil, err
-		}
+			c := cfg
+			c.Seed = seeds[i]
+			m, rec, err := wss[w].RunRecorded(c)
+			recs[i] = rec
+			return m, err
+		},
+		func(i int, m Metrics) error { runs[i] = m; return nil })
+	if err != nil {
+		return MultiMetrics{}, nil, err
 	}
 	return Aggregate(runs), recs, nil
 }
