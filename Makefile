@@ -11,7 +11,7 @@ build:
 test: vet
 	$(GO) test ./...
 
-# race exercises the parallel sweep engine and RunSeedsParallel under the
+# race exercises the parallel sweep engine and RunSeedsObserved under the
 # race detector; -short keeps the long simulations out so it stays fast.
 # The explicit -timeout covers single-core machines, where the race
 # detector's serialization makes the suite many times slower.

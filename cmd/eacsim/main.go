@@ -79,7 +79,7 @@ func main() {
 		chains   = flag.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = flag.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = flag.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = flag.Int("shards", 1, "shard the simulation across up to this many domains (conservative parallel DES; 0 = one per core). Clamped to what the topology and method support; sharded runs are statistically equivalent, not byte-identical, to serial ones")
+		shrds    = flag.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac or none and no -hybrid; sharded runs are statistically equivalent, not byte-identical, to serial ones")
 		hybrid   = flag.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac or none and the serial path (exclusive with -shards > 1)")
 		probeDur = flag.Float64("probe", 5, "total probe duration, seconds")
 		useRED   = flag.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
@@ -242,20 +242,8 @@ func main() {
 		}
 	}
 
-	if *hybrid {
-		cfg.Hybrid.Enabled = true
-	}
-	switch {
-	case *shrds < 0:
-		log.Fatalf("-shards must be >= 0, got %d", *shrds)
-	case *shrds == 0:
-		cfg.Shards = scenario.AutoShards(cfg)
-	default:
-		cfg.Shards = scenario.ShardableK(cfg, *shrds)
-	}
-	if *shrds != 1 && cfg.Shards == 1 {
-		log.Print("sharding: resolved to the serial path (single core with -shards 0, or unshardable topology or method, or the hybrid engine)")
-	}
+	cfg.Hybrid.Enabled = *hybrid
+	cfg.Shards = *shrds
 
 	seedVals := scenario.DefaultSeeds(*seeds)
 	start := time.Now()
@@ -265,6 +253,9 @@ func main() {
 	}
 	wall := time.Since(start)
 	m := mm.Mean
+	// What is printed and filed from here on is the domain count the run
+	// executed: -shards after the link-count clamp.
+	cfg.Shards = recs[0].Shards
 
 	if *obsDir != "" {
 		man := obs.NewManifest()

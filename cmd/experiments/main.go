@@ -23,11 +23,9 @@ import (
 	"strings"
 	"time"
 
-	"eac/internal/admission"
 	"eac/internal/cache"
 	"eac/internal/experiments"
 	"eac/internal/obs"
-	"eac/internal/scenario"
 	"eac/internal/sim"
 )
 
@@ -41,16 +39,9 @@ func main() {
 		duration = flag.Float64("duration", 0, "override run length, seconds")
 		warmup   = flag.Float64("warmup", 0, "override warm-up, seconds")
 		workers  = flag.Int("workers", 0, "parallel simulator runs (0 = one per core); results are identical for any value")
-		shards   = flag.Int("shards", 1, "shard each simulation across up to this many domains (conservative parallel DES; 0 = one per core). Unshardable points run serially; sharded output is statistically equivalent, not byte-identical — leave at 1 to reproduce published CSVs")
-		hybrid   = flag.Bool("hybrid", false, "run every endpoint-method point under the hybrid fluid/packet engine: data phases become per-link fluid rates, probes stay packets. Orders of magnitude faster at large scale; statistically close (see the hybrid crossval envelopes), not byte-identical — leave off to reproduce published CSVs")
 		outDir   = flag.String("out", "results", "directory for CSV output (empty = no files)")
 		verbose  = flag.Bool("v", false, "log every completed run")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
-		policy   = flag.String("policy", "", "override the admission policy of every EAC run that does not sweep policies itself: static, always-admit, never-admit, token-bucket, epoch-adaptive (empty = per-experiment default)")
-
-		// Temporal workload overrides (see EXPERIMENTS.md "Temporal workloads").
-		loadSched  = flag.String("load.schedule", "", "impose a phase schedule on every run without its own temporal source, e.g. 'const:100:1,spike:30:4,hold' (see README)")
-		loadReplay = flag.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL trace in every run without its own temporal source (exclusive with -load.schedule)")
 
 		// Result cache (see README "Result cache").
 		useCache   = flag.Bool("cache", false, "serve repeated runs from the content-addressed result cache")
@@ -106,43 +97,7 @@ func main() {
 	opts.Duration = sim.Seconds(*duration)
 	opts.Warmup = sim.Seconds(*warmup)
 	opts.Workers = *workers
-	opts.Shards = *shards
-	opts.Hybrid = *hybrid
-	if *shards == 0 {
-		opts.Shards = runtime.GOMAXPROCS(0)
-	} else if *shards < 0 {
-		log.Fatalf("-shards must be >= 0, got %d", *shards)
-	}
 	opts.Cache = store
-	if *policy != "" {
-		pk, err := admission.ParsePolicyKind(*policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if pk != admission.PolicyStatic {
-			opts.Policy = admission.PolicyConfig{Kind: pk}
-		}
-	}
-	if *loadSched != "" {
-		if *loadReplay != "" {
-			log.Fatal("-load.schedule and -load.replay are mutually exclusive")
-		}
-		s, err := scenario.ParseSchedule(*loadSched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Schedule = s
-	}
-	if *loadReplay != "" {
-		tr, err := scenario.LoadReplay(*loadReplay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tr.Len() == 0 {
-			log.Fatalf("-load.replay: no arrival events in %s", *loadReplay)
-		}
-		opts.Replay = tr
-	}
 	if *verbose {
 		opts.Progress = func(format string, args ...any) { log.Printf(format, args...) }
 	}
@@ -229,23 +184,6 @@ func main() {
 					"quick":      !*paper,
 					"duration_s": opts.RunDuration().Sec(),
 					"warmup_s":   opts.RunWarmup().Sec(),
-				}
-				if *policy != "" {
-					man.Config["policy"] = *policy
-				}
-				if opts.Hybrid {
-					man.Config["hybrid"] = true
-				}
-				if opts.Shards != 1 {
-					man.Config["shards"] = opts.Shards
-				}
-				if opts.Schedule.Active() {
-					man.Config["load_schedule"] = opts.Schedule.String()
-				}
-				if opts.Replay != nil {
-					man.Config["replay_source"] = opts.Replay.Source()
-					man.Config["replay_digest"] = opts.Replay.Digest()
-					man.Config["replay_arrivals"] = opts.Replay.Len()
 				}
 				man.Summary = map[string]any{"rows": len(tbl.Rows)}
 				man.Artifacts = []string{ex.ID + ".csv"}

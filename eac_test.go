@@ -146,8 +146,9 @@ func TestTimeHelpers(t *testing.T) {
 
 // TestDocsReferToExistingThings keeps the four long docs from naming what
 // the tree does not have: every `make <target>`, results/<file>,
-// cmd/<dir>, internal/<path> and Benchmark<Name> they mention must exist
-// in the Makefile, on disk, or as a benchmark of this package.
+// cmd/<dir>, internal/<path>, Benchmark<Name> and command flag they mention
+// must exist in the Makefile, on disk, as a benchmark of this package, or
+// as a flag the command declares.
 func TestDocsReferToExistingThings(t *testing.T) {
 	read := func(name string) string {
 		b, err := os.ReadFile(name)
@@ -193,6 +194,16 @@ func TestDocsReferToExistingThings(t *testing.T) {
 		{"internal path", regexp.MustCompile(`\b(internal/[\w./*-]+)`), onDisk},
 		{"root benchmark", regexp.MustCompile(`\b(Benchmark[A-Z]\w*)`), func(s string) bool { return benchmarks[s] }},
 	}
+	// A command flag is a -name among the words that follow an invocation
+	// of eacsim or experiments on the same line, up to the end of the code
+	// span or a shell comment; the command must declare it.
+	flagDecl := regexp.MustCompile(`flag\.[A-Z]\w*\("([^"]+)"`)
+	flags := map[string]map[string]bool{}
+	for _, c := range []string{"eacsim", "experiments"} {
+		flags[c] = declared(flagDecl, read("cmd/"+c+"/main.go"))
+	}
+	invocation := regexp.MustCompile("(?:^|[\\s`(])(?:\\./)?(?:cmd/)?(eacsim|experiments)((?:[ \t]+[^\\s`]+)*)")
+	flagArg := regexp.MustCompile(`^-([a-z][\w.-]*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"} {
 		for i, line := range strings.Split(read(doc), "\n") {
 			for _, k := range kinds {
@@ -202,20 +213,58 @@ func TestDocsReferToExistingThings(t *testing.T) {
 					}
 				}
 			}
+			for _, m := range invocation.FindAllStringSubmatch(line, -1) {
+				for _, arg := range strings.Fields(m[2]) {
+					if strings.HasPrefix(arg, "#") {
+						break
+					}
+					if f := flagArg.FindStringSubmatch(arg); f != nil && !flags[m[1]][strings.TrimRight(f[1], ".")] {
+						t.Errorf("%s:%d: names command flag %s -%s, which does not exist", doc, i+1, m[1], f[1])
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestCommandsRejectBadSeeds drives the built commands: a seed count that
-// selects no run (eacsim needs >= 1; experiments takes 0 as the mode
-// default) must end the process with a message naming -seeds before
-// anything runs — not scenario.DefaultSeeds' makeslice panic, and not
-// eacsim's all-zero table that reads like a result.
-func TestCommandsRejectBadSeeds(t *testing.T) {
+// buildCommands builds both commands into a temporary directory. The
+// commands are not inputs of this test binary, so `go test` serves a cached
+// pass after a change to them: run the command tests with -count=1.
+func buildCommands(t *testing.T) string {
+	t.Helper()
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/eacsim", "./cmd/experiments").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// assertRejected runs a built command on bad input and requires what that
+// must produce: exit status 1, a message on stderr naming want, no panic,
+// and no table on stdout.
+func assertRejected(t *testing.T, bin string, args []string, want string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 1 {
+		t.Errorf("%v: %v, want exit status 1", args, err)
+	}
+	if msg := stderr.String(); !strings.Contains(msg, want) || strings.Contains(msg, "panic") {
+		t.Errorf("%v: stderr %q, want a message naming %s", args, msg, want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%v: printed a table:\n%s", args, stdout.String())
+	}
+}
+
+// TestCommandsRejectBadSeeds: a seed count that selects no run (eacsim
+// needs >= 1; experiments takes 0 as the mode default) must end the process
+// with a message naming -seeds before anything runs — not
+// scenario.DefaultSeeds' makeslice panic, and not eacsim's all-zero table
+// that reads like a result.
+func TestCommandsRejectBadSeeds(t *testing.T) {
+	bin := buildCommands(t)
 	for _, args := range [][]string{
 		{"eacsim", "-seeds", "0"},
 		{"eacsim", "-seeds", "-1"},
@@ -224,17 +273,29 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 		{"experiments", "-run", "figure1", "-seeds", "-1"},
 		{"experiments", "-list", "-seeds=-9223372036854775808"},
 	} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(filepath.Join(bin, args[0]), args[1:]...)
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		if err := cmd.Run(); err == nil {
-			t.Errorf("%v: exit status 0, want a failure", args)
-		}
-		if msg := stderr.String(); !strings.Contains(msg, "-seeds") || strings.Contains(msg, "panic") {
-			t.Errorf("%v: stderr %q, want one line naming -seeds", args, msg)
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: printed a table:\n%s", args, stdout.String())
-		}
+		assertRejected(t, bin, args, "-seeds")
+	}
+}
+
+// TestCommandsRejectBadConfig: a value the model cannot run reaches
+// scenario.Config.Validate and ends eacsim with the field's name — not a
+// panic in netsim or mbac, not a run that ignores it, and not a shard
+// request quietly run on one domain.
+func TestCommandsRejectBadConfig(t *testing.T) {
+	bin := buildCommands(t)
+	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"eacsim", "-link", "-1"}, "RateBps"},
+		{[]string{"eacsim", "-method", "mbac", "-target", "-1"}, "MS.Target"},
+		{[]string{"eacsim", "-probe", "-1"}, "ProbeDur"},
+		{[]string{"eacsim", "-shards", "-1"}, "Shards"},
+		{append(metro, "-hybrid"), "Shards"},
+		{append(metro, "-hybrid", "-method", "mbac"), "Shards"},
+		{append(metro, "-method", "mbac"), "Shards"},
+	} {
+		assertRejected(t, bin, tc.args, tc.want)
 	}
 }

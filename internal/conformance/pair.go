@@ -86,36 +86,39 @@ func (p Pair) Report() string {
 	return sb.String()
 }
 
-// runPair runs the two configurations over the same seed set.
-func runPair(p Pair, ref, got scenario.Config, seeds []uint64) (Pair, error) {
+// runPair runs the two configurations over the same seed set and returns,
+// beside the pair, the record of the got side's first seed (what ran).
+func runPair(p Pair, ref, got scenario.Config, seeds []uint64) (Pair, scenario.RunRecord, error) {
+	var rec scenario.RunRecord
 	rm, err := scenario.RunSeeds(ref, seeds)
 	if err != nil {
-		return p, fmt.Errorf("%s run: %w", p.RefLabel, err)
+		return p, rec, fmt.Errorf("%s run: %w", p.RefLabel, err)
 	}
-	gm, err := scenario.RunSeeds(got, seeds)
+	gm, recs, err := scenario.RunSeedsObserved(got, seeds, 0)
 	if err != nil {
-		return p, fmt.Errorf("%s run: %w", p.GotLabel, err)
+		return p, rec, fmt.Errorf("%s run: %w", p.GotLabel, err)
+	}
+	if len(recs) > 0 {
+		rec = recs[0]
 	}
 	p.Ref, p.Got = rm.Mean, gm.Mean
-	return p, nil
+	return p, rec, nil
 }
 
 // ShardPair runs cfg under the serial plan and under a k-shard plan and
-// returns the pair with the shard count the plan resolved to. A sharded
-// run is not bitwise the serial run (arrival processes are thinned into
-// per-shard Poisson streams with their own RNG labels) but simulates the
-// same stochastic system, so the seed-averaged metrics must agree within
-// sampling noise. The count is resolved through scenario.ShardableK, so a
-// topology that cannot shard (single link, incompatible method) compares
-// the serial plan against itself — one harness stays valid across every
-// golden scenario.
+// returns the pair with the shard count the sharded runs executed
+// (RunRecord.Shards: k clamped to the link count). A sharded run is not
+// bitwise the serial run (arrival processes are thinned into per-shard
+// Poisson streams with their own RNG labels) but simulates the same
+// stochastic system, so the seed-averaged metrics must agree within
+// sampling noise. A one-link topology runs K = 1 on both sides and compares
+// the serial plan against itself; a k the model cannot run is an error.
 func ShardPair(cfg scenario.Config, k int, seeds []uint64) (Pair, int, error) {
 	serial, sharded := cfg, cfg
-	serial.Shards = 1
-	sharded.Shards = scenario.ShardableK(cfg, k)
-	p, err := runPair(Pair{Name: cfg.Name, RefLabel: "serial", GotLabel: fmt.Sprintf("%d-shard", sharded.Shards)},
-		serial, sharded, seeds)
-	return p, sharded.Shards, err
+	serial.Shards, sharded.Shards = 1, k
+	p, rec, err := runPair(Pair{Name: cfg.Name, RefLabel: "serial", GotLabel: "sharded"}, serial, sharded, seeds)
+	p.GotLabel = fmt.Sprintf("%d-shard", rec.Shards)
+	return p, rec.Shards, err
 }
 
 // HybridPair runs the packet engine and the hybrid fluid/packet engine on
@@ -132,7 +135,8 @@ func HybridPair(cc CrossConfig, seeds []uint64, mutate func(*scenario.Config)) (
 	if mutate != nil {
 		mutate(&hc)
 	}
-	return runPair(Pair{Name: cc.title(), RefLabel: "packet", GotLabel: "hybrid"}, cc.ScenarioConfig(), hc, seeds)
+	p, _, err := runPair(Pair{Name: cc.title(), RefLabel: "packet", GotLabel: "hybrid"}, cc.ScenarioConfig(), hc, seeds)
+	return p, err
 }
 
 // FluidPair solves the analytic fluid model and runs the packet simulator

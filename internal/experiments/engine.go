@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"eac/internal/admission"
 	"eac/internal/scenario"
 )
 
@@ -32,7 +31,7 @@ type Point struct {
 	Row func(scenario.Metrics) []string
 	// Solve, if set, replaces the scenario run: one task whose result is
 	// the point's row (Figure 1's fluid solves, Figure 11's TCP-share
-	// runs). Options' per-run overrides do not apply to it.
+	// runs). Options.Cache and Options.Obs do not apply to it.
 	Solve func() ([]string, error)
 }
 
@@ -114,37 +113,15 @@ func (ex Experiment) Run(o Options) (Table, error) {
 	return t, err
 }
 
-// override applies the run-wide Options to one scenario point.
+// override applies the run-wide Options to one scenario point: the
+// result cache and per-run observability, both output-neutral — a figure
+// runs the configurations it declares.
 func (o Options) override(p Point) scenario.Config {
 	c := p.Cfg
 	c.Cache = o.Cache
-	if o.Shards > 1 {
-		c.Shards = scenario.ShardableK(c, o.Shards)
-	}
-	if o.Policy != (admission.PolicyConfig{}) && c.Method == scenario.EAC &&
-		c.Policy == (admission.PolicyConfig{}) {
-		c.Policy = o.Policy
-	}
-	if o.Hybrid && !c.Hybrid.Active() &&
-		(c.Method == scenario.EAC || c.Method == scenario.None) {
-		c.Hybrid.Enabled = true
-		// The hybrid engine is serial-only: drop any Shards count the
-		// o.Shards override set above.
-		c.Shards = 0
-	}
-	// Workload overrides follow the Policy rule: only points that did not
-	// pick a temporal source of their own are modulated, so experiments
-	// that sweep nonstationarity explicitly keep their configured dynamics.
-	if !c.Schedule.Active() && c.Replay == nil {
-		if o.Replay != nil {
-			c.Replay = o.Replay
-		} else if o.Schedule.Active() {
-			c.Schedule = o.Schedule
-		}
-	}
 	if o.Obs.Active() {
-		// Per-run observability: every run gets its own collector;
-		// artifacts are named by point label + seed.
+		// Every run gets its own collector; artifacts are named by point
+		// label + seed.
 		c.Obs = o.Obs
 		c.Obs.Label = joinLabel(o.Obs.Label, fileLabel(p.Label))
 	}

@@ -77,11 +77,11 @@ func TestParallelDeterminism(t *testing.T) {
 	// identical bits is what full determinism produces).
 	cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, 0.01)
 	seeds := scenario.DefaultSeeds(3)
-	seq, err := scenario.RunSeedsParallel(cfg, seeds, 1)
+	seq, _, err := scenario.RunSeedsObserved(cfg, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := scenario.RunSeedsParallel(cfg, seeds, 4)
+	par, _, err := scenario.RunSeedsObserved(cfg, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,57 +132,6 @@ func TestRowsInPointOrder(t *testing.T) {
 		if want := fmt.Sprintf("%-40d %d", i, i); lines[i] != want {
 			t.Fatalf("progress line %d = %q, want %q", i, lines[i], want)
 		}
-	}
-}
-
-// TestShardsOption pins the engine's -shards behaviour: on a grid whose
-// points cannot shard (single-link figure 2 scenarios), Options.Shards
-// is clamped away and output is byte-identical to the serial engine; on
-// a shardable multi-hop point the engine actually runs the sharded
-// executor and produces the same metrics as a direct sharded run.
-func TestShardsOption(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	run := func(shards int) Table {
-		o := tinyOpts()
-		o.Shards = shards
-		tbl, err := lookup(t, "table3").Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl
-	}
-	if serial, sharded := run(0), run(4); !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("unshardable grid diverged under Options.Shards:\n%s\n%s", serial, sharded)
-	}
-
-	// Shardable point: the multi-hop base. The engine must hand the
-	// executor the clamped shard count, reproducing a direct sharded run.
-	o := tinyOpts()
-	o.Shards = 2
-	cfg := eacCfg(o.multiHopBase(), admission.DropInBand, admission.SlowStart, 0.01)
-	var got scenario.Metrics
-	_, err := declared(Point{Label: "shard point", Cfg: cfg,
-		Row: func(m scenario.Metrics) []string { got = m; return nil }}).Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := cfg
-	direct.Shards = scenario.ShardableK(cfg, 2)
-	if direct.Shards != 2 {
-		t.Fatalf("multi-hop base should shard 2 ways, ShardableK gave %d", direct.Shards)
-	}
-	seeds, err := o.seeds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scenario.RunSeeds(direct, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Mean) {
-		t.Fatalf("engine sharded point != direct sharded run:\n%+v\n%+v", got, want.Mean)
 	}
 }
 

@@ -64,15 +64,6 @@ type Options struct {
 	// run, while Progress lines are part of the byte-identical-output
 	// guarantee.
 	ETA func(done, total int, elapsed time.Duration)
-	// Shards, when above 1, runs each sweep-point simulation under the
-	// sharded conservative-parallel executor with up to this many shards
-	// (scenario.Config.Shards). Every point's count is clamped through
-	// scenario.ShardableK, so single-link or otherwise unshardable
-	// configurations silently take the serial path instead of erroring.
-	// Sharded runs are statistically equivalent but not byte-identical to
-	// serial ones (they fingerprint — and cache — separately); leave this
-	// zero to reproduce published CSVs exactly.
-	Shards int
 	// Cache, if non-nil, is the content-addressed result store consulted
 	// for every sweep run (scenario.Config.Cache): runs whose resolved
 	// config + seed fingerprint is stored are served without simulating,
@@ -86,31 +77,6 @@ type Options struct {
 	// Obs.TracePath must stay empty here — per-run naming keeps the
 	// artifacts of concurrent runs distinct.
 	Obs obs.Config
-	// Policy, when non-zero, overrides the admission policy of every EAC
-	// sweep run whose point did not set one itself (scenario.Config.Policy):
-	// the -policy command-line flag threads through here. Points that sweep
-	// policies explicitly (the policy experiments) are left untouched.
-	Policy admission.PolicyConfig
-	// Schedule, when active, imposes a temporal workload schedule
-	// (scenario.Config.Schedule) on every sweep run whose point did not set
-	// its own temporal source (Schedule or Replay): the
-	// -load.schedule command-line flag threads through here. Points that
-	// model nonstationarity themselves (policy_thrash, flash_crowd) are
-	// left untouched.
-	Schedule scenario.Schedule
-	// Replay, when non-nil, re-drives every sweep run from a recorded
-	// arrival trace (scenario.Config.Replay), under the same
-	// no-own-temporal-source rule as Schedule: the -load.replay
-	// command-line flag threads through here.
-	Replay *scenario.ReplayTrace
-	// Hybrid, when true, runs every sweep point that supports it under
-	// the hybrid fluid/packet engine (scenario.Config.Hybrid): data
-	// phases become per-link fluid rates, probes stay packets. Points whose
-	// method the engine cannot serve (MBAC, Passive — they measure data
-	// packets) and points that configured Hybrid themselves are left
-	// untouched. Hybrid runs fingerprint — and cache — separately from
-	// packet runs; leave this false to reproduce published CSVs exactly.
-	Hybrid bool
 }
 
 // Quick returns quick-mode options.

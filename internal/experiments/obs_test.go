@@ -30,7 +30,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 	// collector in every run.
 	cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, 0.01)
 	seeds := scenario.DefaultSeeds(3)
-	plain, err := scenario.RunSeedsParallel(cfg, seeds, 4)
+	plain, _, err := scenario.RunSeedsObserved(cfg, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 	if !cfg.Obs.Active() || cfg.Obs.Enabled {
 		t.Fatal("test config must construct a disabled collector")
 	}
-	observed, err := scenario.RunSeedsParallel(cfg, seeds, 4)
+	observed, _, err := scenario.RunSeedsObserved(cfg, seeds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

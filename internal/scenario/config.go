@@ -11,7 +11,7 @@
 // Runner and everything it reaches (its domains' simulators, packet
 // pools and RNG streams) is per-run state, and the package-level
 // tables it consults (trafgen presets, admission designs) are immutable
-// after init. RunSeedsParallel and the experiment sweep engine rely on
+// after init. RunSeedsObserved and the experiment sweep engine rely on
 // this to execute runs on concurrent goroutines.
 package scenario
 
@@ -248,7 +248,7 @@ func (c Config) WithDefaults() Config {
 		c.Classes = []ClassSpec{{Name: "EXP1", Preset: trafgen.EXP1, Weight: 1, Eps: -1}}
 	}
 	// Classes and Links are the caller's slices, possibly shared by
-	// concurrent runs of one Config (RunSeedsParallel): an element that
+	// concurrent runs of one Config (RunSeedsObserved): an element that
 	// needs a default is filled in a copy. Resolved configs copy nothing.
 	copied := false
 	for i, cl := range c.Classes {
@@ -319,10 +319,35 @@ func (c Config) WithDefaults() Config {
 // Validate reports configuration errors a zero default cannot fix.
 func (c Config) Validate() error {
 	if c.InterArrival < 0 || c.LifetimeSec < 0 {
-		return fmt.Errorf("scenario: negative time parameter")
+		return fmt.Errorf("scenario: InterArrival (%g) and LifetimeSec (%g) must be >= 0", c.InterArrival, c.LifetimeSec)
 	}
 	if c.Warmup+c.Drain >= c.Duration && c.Duration > 0 {
 		return fmt.Errorf("scenario: warmup+drain (%v) must be shorter than duration (%v)", c.Warmup+c.Drain, c.Duration)
+	}
+	// Zero selects a default for each of these; a negative value (or a NaN
+	// rate) is a request the model cannot run. A resolved config that
+	// passes therefore has positive link delays: the lookahead every shard
+	// boundary needs.
+	for i, ls := range c.Links {
+		switch {
+		case !(ls.RateBps >= 0):
+			return fmt.Errorf("scenario: Links[%d].RateBps = %g, want >= 0 (0 = default)", i, ls.RateBps)
+		case ls.BufferPkts < 0:
+			return fmt.Errorf("scenario: Links[%d].BufferPkts = %d, want >= 0 (0 = default)", i, ls.BufferPkts)
+		case ls.Delay < 0:
+			return fmt.Errorf("scenario: Links[%d].Delay = %v, want >= 0 (0 = default)", i, ls.Delay)
+		}
+	}
+	for _, d := range []struct {
+		field string
+		v     sim.Time
+	}{{"ProbeDur", c.AC.ProbeDur}, {"StageDur", c.AC.StageDur}, {"Guard", c.AC.Guard}} {
+		if d.v < 0 {
+			return fmt.Errorf("scenario: AC.%s = %v, want >= 0 (0 = default)", d.field, d.v)
+		}
+	}
+	if c.Method == MBAC && !(c.MS.Target >= 0) {
+		return fmt.Errorf("scenario: MS.Target = %g, want >= 0 (0 = default)", c.MS.Target)
 	}
 	total := 0.0
 	for _, cl := range c.Classes {
@@ -364,6 +389,19 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: replay trace references class %d but the config has %d classes", mc, len(c.Classes))
 		}
 	}
+	// K is what Shards says, clamped to the link count; a K the model
+	// cannot run is an error, never a quiet fall-back to one domain.
+	if c.Shards < 0 {
+		return fmt.Errorf("scenario: Shards = %d, want >= 0 (0 and 1 = one domain)", c.Shards)
+	}
+	if effectiveShards(c) > 1 {
+		if c.Method != EAC && c.Method != None {
+			return fmt.Errorf("scenario: Shards = %d requires method EAC or none (%s reads router state across shards)", c.Shards, c.Method)
+		}
+		if c.Hybrid.Active() {
+			return fmt.Errorf("scenario: hybrid engine requires Shards <= 1, got %d (fluid link state is not shard-local)", c.Shards)
+		}
+	}
 	if c.Hybrid.Active() {
 		if c.Method != EAC && c.Method != None {
 			return fmt.Errorf("scenario: hybrid engine requires method EAC or none (%s measures data packets the fluid does not send)", c.Method)
@@ -375,20 +413,6 @@ func (c Config) Validate() error {
 			if ci < 0 || ci >= len(c.Classes) {
 				return fmt.Errorf("scenario: hybrid background references class %d of %d", ci, len(c.Classes))
 			}
-		}
-		if c.Shards >= 2 {
-			return fmt.Errorf("scenario: hybrid engine requires Shards <= 1 (fluid link state is not shard-local)")
-		}
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("scenario: negative shard count")
-	}
-	if k := effectiveShards(c); k > 1 {
-		if c.Method != EAC && c.Method != None {
-			return fmt.Errorf("scenario: sharding requires method EAC or none (%s reads router state across shards)", c.Method)
-		}
-		if _, err := planShards(&c, k); err != nil {
-			return err
 		}
 	}
 	return nil

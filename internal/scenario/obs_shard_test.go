@@ -246,16 +246,6 @@ func TestObsShardedDisabledByteIdentical(t *testing.T) {
 	}
 }
 
-// TestObsShardedMatchesShardedWithoutObs would be redundant with the
-// above; instead pin that ShardableK no longer clamps on observability.
-func TestShardableKAllowsObs(t *testing.T) {
-	cfg := shardChainConfig(4)
-	cfg.Obs = obs.Config{Enabled: true, MetricsInterval: sim.Second}
-	if k := ShardableK(cfg, 3); k != 3 {
-		t.Fatalf("ShardableK with obs = %d, want 3 (obs composes with sharding)", k)
-	}
-}
-
 // TestRunSeedsObservedRecords pins the RunRecord side channel: per-seed
 // shard counts and executed-event totals come back without touching
 // Metrics, identically for serial and pooled workers.

@@ -43,11 +43,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := planShards(&cfg, effectiveShards(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return newRunner(cfg, plan), nil
+	return newRunner(cfg, planShards(&cfg, effectiveShards(cfg))), nil
 }
 
 // newRunner builds the kernel for a resolved, valid cfg and its plan: the
@@ -315,20 +311,10 @@ func delayPercentile(hist *[1001]int64, total int64, q float64) float64 {
 func Run(cfg Config) (Metrics, error) { return NewWorkspace().Run(cfg) }
 
 // RunSeeds runs the scenario once per seed and aggregates, mirroring the
-// paper's 7-run averaging. Runs execute concurrently on up to
-// runtime.GOMAXPROCS(0) cores; see RunSeedsParallel for an explicit
-// worker count. The result is identical to a sequential execution.
+// paper's 7-run averaging: RunSeedsObserved on runtime.GOMAXPROCS(0)
+// workers, without the records.
 func RunSeeds(cfg Config, seeds []uint64) (MultiMetrics, error) {
-	return RunSeedsParallel(cfg, seeds, 0)
-}
-
-// RunSeedsParallel is RunSeeds with an explicit worker count (<= 0 means
-// runtime.GOMAXPROCS(0)). Every run is independent — it owns its Sim, its
-// packet pool, and RNG streams derived only from (seed, label) — and the
-// per-seed Metrics are aggregated in seed order, so the MultiMetrics is
-// bitwise-identical for every worker count; only wall-clock time changes.
-func RunSeedsParallel(cfg Config, seeds []uint64, workers int) (MultiMetrics, error) {
-	mm, _, err := RunSeedsObserved(cfg, seeds, workers)
+	mm, _, err := RunSeedsObserved(cfg, seeds, 0)
 	return mm, err
 }
 
@@ -376,10 +362,13 @@ func (r RunRecord) AddTo(man *obs.Manifest) {
 	man.Artifacts = append(man.Artifacts, r.Artifacts...)
 }
 
-// RunSeedsObserved is RunSeedsParallel returning, additionally, one
-// RunRecord per seed (in seed order). The metrics are computed exactly
-// as RunSeedsParallel computes them. A failing seed stops the seeds not
-// yet started.
+// RunSeedsObserved runs the scenario once per seed on up to workers
+// goroutines (<= 0 means runtime.GOMAXPROCS(0)) and returns the aggregate
+// plus one RunRecord per seed, in seed order. Every run is independent —
+// it owns its Sim, its packet pool, and RNG streams derived only from
+// (seed, label) — and the per-seed Metrics are aggregated in seed order,
+// so the MultiMetrics is bitwise-identical for every worker count; only
+// wall-clock time changes. A failing seed stops the seeds not yet started.
 func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []RunRecord, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eac/internal/admission"
@@ -289,6 +291,31 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidateNamesField: a value the defaults do not fill (they fill
+// zeros) and the model cannot run is an error naming the field — not a
+// panic in netsim or mbac, and not a run that quietly ignores it.
+func TestValidateNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Links[0].RateBps", func(c *Config) { c.Links = []LinkSpec{{RateBps: -1}} }},
+		{"Links[0].RateBps", func(c *Config) { c.Links = []LinkSpec{{RateBps: math.NaN()}} }},
+		{"Links[1].BufferPkts", func(c *Config) { c.Links = []LinkSpec{{}, {BufferPkts: -5}} }},
+		{"Links[0].Delay", func(c *Config) { c.Links = []LinkSpec{{Delay: -sim.Millisecond}} }},
+		{"MS.Target", func(c *Config) { c.Method, c.MS.Target = MBAC, -1 }},
+		{"AC.ProbeDur", func(c *Config) { c.AC.ProbeDur = -sim.Second }},
+		{"AC.StageDur", func(c *Config) { c.AC.StageDur = -sim.Second }},
+		{"AC.Guard", func(c *Config) { c.AC.Guard = -1 }},
+	} {
+		c := quickCfg()
+		tc.mutate(&c)
+		if _, err := Run(c); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.field, err, tc.field)
+		}
+	}
+}
+
 func TestRunSeedsAggregation(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Duration = 150 * sim.Second
@@ -403,12 +430,12 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 	cfg.PrepopulateUtil = 0.5
 	seeds := DefaultSeeds(5)
 
-	seq, err := RunSeedsParallel(cfg, seeds, 1)
+	seq, _, err := RunSeedsObserved(cfg, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := RunSeedsParallel(cfg, seeds, workers)
+		par, _, err := RunSeedsObserved(cfg, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -433,7 +460,7 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 func TestRunSeedsParallelError(t *testing.T) {
 	bad := quickCfg()
 	bad.InterArrival = -1
-	if _, err := RunSeedsParallel(bad, DefaultSeeds(3), 2); err == nil {
+	if _, _, err := RunSeedsObserved(bad, DefaultSeeds(3), 2); err == nil {
 		t.Fatal("expected config error from parallel run")
 	}
 }
@@ -507,7 +534,7 @@ func TestTimerTierIsColdAtMetroScale(t *testing.T) {
 
 // TestRunLeavesCallerSlicesAlone pins that defaults are filled into copies:
 // the Classes and Links backing arrays a caller passes in (and may share
-// between the concurrent runs of RunSeedsParallel) read the same after Run
+// between the concurrent runs of RunSeedsObserved) read the same after Run
 // as before.
 func TestRunLeavesCallerSlicesAlone(t *testing.T) {
 	cfg := quickCfg()
@@ -515,7 +542,7 @@ func TestRunLeavesCallerSlicesAlone(t *testing.T) {
 	cfg.Classes = []ClassSpec{{Preset: trafgen.EXP1, Eps: -1}, {Name: "named", Preset: trafgen.EXP1, Weight: 2, Eps: -1}}
 	cfg.Links = []LinkSpec{{}, {RateBps: 5e6}}
 	cfg.Classes[1].Path = []int{0, 1}
-	if _, err := RunSeedsParallel(cfg, DefaultSeeds(2), 2); err != nil {
+	if _, _, err := RunSeedsObserved(cfg, DefaultSeeds(2), 2); err != nil {
 		t.Fatal(err)
 	}
 	if cl := cfg.Classes[0]; cl.Name != "" || cl.Weight != 0 {

@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-	"runtime"
-
 	"eac/internal/netsim"
 	"eac/internal/sim"
 	"eac/internal/sim/shard"
@@ -32,50 +29,14 @@ import (
 // that equivalence.
 
 // effectiveShards returns the domain count K a resolved config runs with:
-// Shards clamped to the link count, with 0 meaning 1.
+// Shards clamped to the link count, with 0 meaning 1. Whether the model
+// can run that K is Config.Validate's to say.
 func effectiveShards(c Config) int {
 	k := c.Shards
 	if k > len(c.Links) {
 		k = len(c.Links)
 	}
 	if k < 2 {
-		return 1
-	}
-	return k
-}
-
-// AutoShards picks a shard count for cfg: the number of available cores,
-// clamped to what the topology and method support (1 when sharding does
-// not apply). The -shards=0 command-line setting resolves through this.
-func AutoShards(cfg Config) int {
-	return ShardableK(cfg, runtime.GOMAXPROCS(0))
-}
-
-// ShardableK clamps a requested shard count to what cfg supports: at most
-// one shard per link, only for methods whose admission state is shard-local
-// (EAC probing and no admission control; MBAC and Passive read router
-// estimators across the whole path), and only when every boundary link has
-// positive propagation delay (the conservative lookahead). Observability
-// composes with sharding: each shard gets its own collector and the
-// artifacts are merged at run end (see obs.Merged). Returns 1 when
-// sharding does not apply.
-func ShardableK(cfg Config, k int) int {
-	cfg = cfg.WithDefaults()
-	if k > len(cfg.Links) {
-		k = len(cfg.Links)
-	}
-	if k < 2 {
-		return 1
-	}
-	if cfg.Method != EAC && cfg.Method != None {
-		return 1
-	}
-	if cfg.Hybrid.Active() {
-		// Fluid link state is advanced from flow events across the whole
-		// topology; it is not shard-local.
-		return 1
-	}
-	if _, err := planShards(&cfg, k); err != nil {
 		return 1
 	}
 	return k
@@ -102,10 +63,10 @@ type shardPlan struct {
 	window   sim.Time
 }
 
-// planShards partitions cfg's links into k contiguous blocks and derives
-// the boundary set and window. It fails when a boundary link has zero
-// propagation delay, which would leave no lookahead.
-func planShards(cfg *Config, k int) (shardPlan, error) {
+// planShards partitions a resolved, valid cfg's links into k contiguous
+// blocks and derives the boundary set and window. Every link delay is
+// positive there (Validate), so every boundary has lookahead.
+func planShards(cfg *Config, k int) shardPlan {
 	n := len(cfg.Links)
 	p := shardPlan{
 		k:        k,
@@ -138,11 +99,7 @@ func planShards(cfg *Config, k int) (shardPlan, error) {
 		if !b {
 			continue
 		}
-		d := cfg.Links[i].Delay
-		if d <= 0 {
-			return p, fmt.Errorf("scenario: sharding requires positive propagation delay on boundary link %d", i)
-		}
-		if w == 0 || d < w {
+		if d := cfg.Links[i].Delay; w == 0 || d < w {
 			w = d
 		}
 	}
@@ -155,7 +112,7 @@ func planShards(cfg *Config, k int) (shardPlan, error) {
 		}
 	}
 	p.window = w
-	return p, nil
+	return p
 }
 
 // portal is the route hop at a shard border. The upstream boundary link

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"eac/internal/obs"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
@@ -137,48 +139,35 @@ func TestShardRaceSmoke(t *testing.T) {
 	}
 }
 
-// TestShardValidate covers the sharding restrictions.
+// TestShardValidate: K is what Shards says, clamped to the link count, and
+// a K the model cannot run is an error naming the field — never a quiet
+// serial run.
 func TestShardValidate(t *testing.T) {
 	base := shardChainConfig(3)
-	cases := map[string]func(*Config){
-		"negative":   func(c *Config) { c.Shards = -1 },
-		"mbac":       func(c *Config) { c.Shards = 2; c.Method = MBAC },
-		"passive":    func(c *Config) { c.Shards = 2; c.Method = Passive },
-		"zero-delay": func(c *Config) { c.Shards = 3; c.Links[1].Delay = -1 },
-	}
-	for name, mutate := range cases {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string // "" means valid
+	}{
+		{"three", func(c *Config) { c.Shards = 3 }, ""},
+		{"obs", func(c *Config) { c.Shards = 3; c.Obs = obs.Config{Enabled: true, MetricsInterval: sim.Second} }, ""},
+		{"one-link", func(c *Config) { *c = Config{Method: MBAC, Shards: 8} }, ""},
+		{"negative", func(c *Config) { c.Shards = -1 }, "Shards"},
+		{"mbac", func(c *Config) { c.Shards = 2; c.Method = MBAC }, "Shards"},
+		{"passive", func(c *Config) { c.Shards = 2; c.Method = Passive }, "Shards"},
+		{"hybrid", func(c *Config) { c.Shards = 2; c.Hybrid.Enabled = true }, "Shards"},
+		{"negative-delay", func(c *Config) { c.Shards = 3; c.Links[1].Delay = -1 }, "Links[1].Delay"},
+	} {
 		c := base
 		c.Links = append([]LinkSpec(nil), base.Links...)
-		mutate(&c)
-		c = c.WithDefaults()
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: expected a validation error", name)
+		tc.mutate(&c)
+		err := c.WithDefaults().Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: valid config rejected: %v", tc.name, err)
 		}
-	}
-	ok := base
-	ok.Shards = 3
-	if err := ok.WithDefaults().Validate(); err != nil {
-		t.Errorf("valid sharded config rejected: %v", err)
-	}
-}
-
-// TestShardableK pins the clamping rules the auto-selection relies on.
-func TestShardableK(t *testing.T) {
-	multi := shardChainConfig(4)
-	if k := ShardableK(multi, 3); k != 3 {
-		t.Errorf("ShardableK(multi,3)=%d", k)
-	}
-	if k := ShardableK(multi, 9); k != 4 {
-		t.Errorf("ShardableK clamps to link count: got %d", k)
-	}
-	single := Config{}
-	if k := ShardableK(single, 8); k != 1 {
-		t.Errorf("single link must clamp to 1, got %d", k)
-	}
-	mbac := multi
-	mbac.Method = MBAC
-	if k := ShardableK(mbac, 4); k != 1 {
-		t.Errorf("MBAC must clamp to 1, got %d", k)
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
 	}
 }
 

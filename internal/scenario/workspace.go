@@ -11,7 +11,7 @@ import "encoding/json"
 // and seeds.
 //
 // A Workspace is used from one goroutine at a time. The grid paths
-// (RunSeedsParallel, the experiments engine) give each worker goroutine its
+// (RunSeedsObserved, the experiments engine) give each worker goroutine its
 // own Workspace.
 type Workspace struct {
 	r *Runner
@@ -44,10 +44,7 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 		rec.Cached = true
 		return m, rec, nil
 	}
-	plan, err := planShards(&cfg, rec.Shards)
-	if err != nil {
-		return Metrics{}, rec, err
-	}
+	plan := planShards(&cfg, rec.Shards)
 	if ws.r != nil && ws.r.canReuse(cfg, plan) {
 		ws.r.reset(cfg, plan)
 	} else {
@@ -58,6 +55,7 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	for _, d := range ws.r.doms {
 		rec.Queue = append(rec.Queue, d.s.Counters())
 	}
+	var err error
 	if rec.Artifacts, err = ws.r.FlushObs(); err != nil {
 		return m, rec, err
 	}

@@ -81,17 +81,17 @@ func TestWorkspaceByteIdentical(t *testing.T) {
 }
 
 // TestWorkspaceSeedsParallelIdentical checks the grid entry point: the
-// per-worker workspaces of RunSeedsParallel must not change the aggregate,
+// per-worker workspaces of RunSeedsObserved must not change the aggregate,
 // for any worker count.
 func TestWorkspaceSeedsParallelIdentical(t *testing.T) {
 	cfg := reuseCfg(0)
 	seeds := DefaultSeeds(5)
-	base, err := RunSeedsParallel(cfg, seeds, 1)
+	base, _, err := RunSeedsObserved(cfg, seeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		got, err := RunSeedsParallel(cfg, seeds, workers)
+		got, _, err := RunSeedsObserved(cfg, seeds, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
