@@ -138,6 +138,14 @@ func main() {
 			PrepopulateUtil: *prepop,
 		}
 	case "metro-star":
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"-chains", *chains}, {"-hops", *hops}, {"-hosts", *hosts}} {
+			if f.v < 0 {
+				log.Fatalf("%s must be >= 0 (0 = preset default), got %d", f.name, f.v)
+			}
+		}
 		metro = &scenario.MetroStarOptions{Chains: *chains, Hops: *hops, Hosts: *hosts}
 		cfg = scenario.MetroStar(*metro)
 	default:

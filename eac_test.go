@@ -295,6 +295,14 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(metro, "-hybrid"), "Shards"},
 		{append(metro, "-hybrid", "-method", "mbac"), "Shards"},
 		{append(metro, "-method", "mbac"), "Shards"},
+		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
+		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
+		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},
+		{[]string{"eacsim", "-eps", "NaN"}, "AC.Eps"},
+		{[]string{"eacsim", "-prepopulate", "NaN"}, "PrepopulateUtil"},
+		{[]string{"eacsim", "-topology", "metro-star", "-chains", "-1"}, "-chains"},
+		{[]string{"eacsim", "-topology", "metro-star", "-hops", "-2"}, "-hops"},
+		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "-5"}, "-hosts"},
 	} {
 		assertRejected(t, bin, tc.args, tc.want)
 	}

@@ -56,6 +56,10 @@ func checkGolden(t *testing.T, id, got string) {
 // deterministic conformance scale, checks the table's shape — unique IDs
 // and titles, every row as wide as the header — and diffs its CSV against
 // the golden.
+//
+// figure2_hybrid's _hyb columns, and nothing else, were re-recorded at
+// ResultsVersion v6: the fluid population departs on one clock, which keeps
+// its law but moves its sample paths (EXPERIMENTS "Results version v6").
 func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regression re-runs every experiment; skipped in -short")

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"eac/internal/admission"
 	"eac/internal/cache"
@@ -318,6 +319,16 @@ func (c Config) WithDefaults() Config {
 
 // Validate reports configuration errors a zero default cannot fix.
 func (c Config) Validate() error {
+	// NaN and ±Inf pass every sign check; the run divides or draws by these.
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"InterArrival", c.InterArrival}, {"LifetimeSec", c.LifetimeSec},
+		{"PrepopulateUtil", c.PrepopulateUtil}, {"AC.Eps", c.AC.Eps}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s = %g, want a finite number", f.field, f.v)
+		}
+	}
 	if c.InterArrival < 0 || c.LifetimeSec < 0 {
 		return fmt.Errorf("scenario: InterArrival (%g) and LifetimeSec (%g) must be >= 0", c.InterArrival, c.LifetimeSec)
 	}
@@ -350,9 +361,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: MS.Target = %g, want >= 0 (0 = default)", c.MS.Target)
 	}
 	total := 0.0
-	for _, cl := range c.Classes {
+	for i, cl := range c.Classes {
 		if cl.Weight < 0 {
 			return fmt.Errorf("scenario: class %q has negative weight", cl.Name)
+		}
+		if math.IsNaN(cl.Eps) || math.IsInf(cl.Eps, 0) {
+			return fmt.Errorf("scenario: Classes[%d].Eps = %g, want a finite number (< 0 = AC.Eps)", i, cl.Eps)
 		}
 		total += cl.Weight
 		for _, li := range cl.Path {

@@ -33,7 +33,6 @@ type flowState struct {
 	extends  int  // probe extensions granted by the policy this attempt chain
 
 	active   bool
-	fluid    bool    // data phase carried on the fluid plane (hybrid engine)
 	lastFrac float64 // bad-packet fraction of the last probe (EAC)
 	lastEps  float64 // threshold the last probe ran against (EAC)
 }
@@ -109,7 +108,7 @@ type domain struct {
 	epsSum float64
 	epsN   int64
 
-	flows     []*flowState
+	flows     []*flowState // by flow ID; nil for a prepopulated fluid flow
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
 	flowSlab  []flowState  // remainder of the arena block newFlow carves from
 	// freeProbers holds the probers no flow is using: a flow whose decision
@@ -315,6 +314,9 @@ func (d *domain) observe(c *obs.Collector) {
 func (d *domain) releaseFlows() {
 	d.arrEv.Forget()
 	for _, f := range d.flows {
+		if f == nil {
+			continue
+		}
 		if f.prober != nil {
 			d.freeProbers = append(d.freeProbers, f.prober)
 		}
@@ -366,12 +368,8 @@ func (d *domain) onFlowTimer(now sim.Time) {
 	}
 }
 
-// stopFlow ends a flow's data phase (its lifetime expired).
+// stopFlow ends a packet flow's data phase (its lifetime expired).
 func (d *domain) stopFlow(now sim.Time, f *flowState) {
-	if f.fluid {
-		d.stopFluid(now, f)
-		return
-	}
 	f.src.Stop()
 	f.active = false
 	d.activeFlows--
@@ -483,9 +481,21 @@ func (d *domain) prepopulate() {
 	n = int(float64(n)*d.ownedW/d.totalW + 0.5)
 	for i := 0; i < n; i++ {
 		class := d.pickClass()
+		if d.hyb != nil && d.hyb.isBg[class] {
+			// A fluid flow is an ID: no flowState, no event, no Add of its own.
+			d.joinFluid(0, len(d.flows), class)
+			d.flows = append(d.flows, nil)
+			continue
+		}
 		f := d.newFlow(class)
 		f.active = true
 		d.startData(0, f)
+	}
+	if d.hyb != nil {
+		for c, k := range d.hyb.count {
+			d.addFluidRate(0, c, k)
+		}
+		d.redrawDeparture(0)
 	}
 }
 
@@ -731,10 +741,14 @@ func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 	}
 }
 
-// startData begins the admitted flow's data phase and schedules its death.
+// startData begins the admitted flow's data phase: on the fluid plane it
+// joins the population the departure clock ends, else its source starts and
+// its death is scheduled, drawn from the same lifetime stream.
 func (d *domain) startData(now sim.Time, f *flowState) {
 	if d.hyb != nil && d.hyb.isBg[f.class] {
-		d.startFluid(now, f)
+		d.addFluidRate(now, f.class, 1)
+		d.joinFluid(now, f.id, f.class)
+		d.redrawDeparture(now)
 		return
 	}
 	f.src = d.mkSrc[f.class](f.id)

@@ -23,7 +23,9 @@ import (
 // v5: MeanDelaySec is an integer sum of nanoseconds over a count (its last
 // bits move everywhere), and a link books data at a recording sink with no
 // delivery event, so its one event's seq — its order at ties — differs.
-const ResultsVersion = "eac/results/v5"
+// v6: hybrid fluid flows depart on one Exp(τ/N) clock with a uniform victim,
+// not on per-flow lifetimes: the same law, other sample paths.
+const ResultsVersion = "eac/results/v6"
 
 // Fingerprint returns the content address of this configuration's results:
 // a hex SHA-256 over ResultsVersion plus a canonical encoding of every

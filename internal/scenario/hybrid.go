@@ -22,15 +22,24 @@ import (
 // 1 - prod(1-p_l) over its path links, each p_l evaluated at the link's
 // locally offered load — upstream thinning of this class's own fluid is
 // not propagated downstream (see DESIGN.md, Hybrid engine).
+//
+// The fluid population is a count per class, the live flows and one clock:
+// the first of N Exp(τ) lifetimes ends after Exp(τ/N), uniform among them;
+// by memorylessness the clock is redrawn whenever N changes.
 type hybridState struct {
 	bgs  []*netsim.FluidBackground // parallel to domain.links
 	isBg []bool                    // parallel to Config.Classes
 
-	count   []int     // active fluid flows per class
-	offered []float64 // fluid bits offered inside the window, per class
-	lost    []float64 // fluid bits lost inside the window, per class
-	lastT   sim.Time  // time the accumulators were last advanced to
+	count   []int       // live fluid flows per class
+	live    []fluidFlow // the live fluid flows, in no particular order
+	dep     sim.Event   // the next departure among live
+	offered []float64   // fluid bits offered inside the window, per class
+	lost    []float64   // fluid bits lost inside the window, per class
+	lastT   sim.Time    // time the accumulators were last advanced to
 }
+
+// fluidFlow is a live fluid flow: its ID, which its spans carry, and class.
+type fluidFlow struct{ id, class int32 }
 
 // setupHybrid (re)builds the fluid attachments for an enabled hybrid
 // config. Called by Runner.reset after the links are wired, so the
@@ -87,39 +96,48 @@ func (d *domain) setupHybrid() {
 		}
 		h.bgs[i] = bg
 	}
+	h.dep.Init(d.stopFluid)
 	d.hyb = h
 }
 
-// startFluid begins an admitted background flow's data phase on the fluid
-// plane: its average rate joins every path link's background and its
-// death is scheduled from the same lifetime stream the packet path uses,
-// so admission dynamics see an identically distributed population.
-func (d *domain) startFluid(now sim.Time, f *flowState) {
-	cl := d.cfg.Classes[f.class]
-	d.advanceBg(now)
-	for _, li := range d.path(f.class) {
-		d.hyb.bgs[li].Add(now, cl.Preset.AvgRate)
-	}
-	d.hyb.count[f.class]++
-	f.fluid = true
+// joinFluid puts flow id's data phase on the fluid plane's live list; the
+// caller adds its rate (addFluidRate) and redraws the departure clock.
+func (d *domain) joinFluid(now sim.Time, id, class int) {
+	d.hyb.live = append(d.hyb.live, fluidFlow{int32(id), int32(class)})
+	d.hyb.count[class]++
 	d.activeFlows++
-	d.obs.SpanDataStart(now, f.id, f.class)
-	life := sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec))
-	d.s.Schedule(&f.timer, now+life)
+	d.obs.SpanDataStart(now, id, class)
 }
 
-// stopFluid ends a fluid flow's data phase (lifetime expired).
-func (d *domain) stopFluid(now sim.Time, f *flowState) {
-	cl := d.cfg.Classes[f.class]
+// addFluidRate changes the background of every link on class's path by n
+// flows' average rate, after integrating the window up to now under the old.
+func (d *domain) addFluidRate(now sim.Time, class, n int) {
 	d.advanceBg(now)
-	for _, li := range d.path(f.class) {
-		d.hyb.bgs[li].Add(now, -cl.Preset.AvgRate)
+	for _, li := range d.path(class) {
+		d.hyb.bgs[li].Add(now, float64(n)*d.cfg.Classes[class].Preset.AvgRate)
 	}
-	d.hyb.count[f.class]--
-	f.fluid = false
-	f.active = false
+}
+
+// stopFluid is the departure clock's callback: it ends the data phase of a
+// live flow drawn uniformly.
+func (d *domain) stopFluid(now sim.Time) {
+	h := d.hyb
+	i, last := d.rngLife.Intn(len(h.live)), len(h.live)-1
+	f := h.live[i]
+	h.live[i], h.live = h.live[last], h.live[:last]
+	d.addFluidRate(now, int(f.class), -1)
+	h.count[f.class]--
 	d.activeFlows--
-	d.obs.SpanDataEnd(now, f.id)
+	d.obs.SpanDataEnd(now, int(f.id))
+	d.redrawDeparture(now)
+}
+
+// redrawDeparture arms the departure clock for the live count N now in
+// force: the first of N Exp(τ) lifetimes ends after Exp(τ/N).
+func (d *domain) redrawDeparture(now sim.Time) {
+	if n := len(d.hyb.live); n > 0 {
+		d.s.Reschedule(&d.hyb.dep, now+sim.Seconds(d.rngLife.Exp(d.cfg.LifetimeSec/float64(n))))
+	}
 }
 
 // advanceBg integrates the per-class offered/lost fluid bits over

@@ -30,6 +30,9 @@ type digestCase struct {
 // and moved in its last bits (chain4/k1 0.028967174408510536 -> ...0851044).
 // The parent commit with that accumulator patched in prints these digests,
 // so booking data at a recording sink with no delivery event moved none.
+// hybrid/k1 was re-recorded at v6, when the fluid population began to depart
+// on one Exp(τ/N) clock with a uniform victim instead of per-flow lifetimes:
+// the same law, another sample path (TestOracleFluidPopulation holds the law).
 //
 // Cases that share a digest assert an identity: Shards 0, 1 and any count
 // that clamps to one link are the same K = 1 run.
@@ -62,7 +65,7 @@ func kernelDigestCases() []digestCase {
 		{"single/shards8", single(8), "5b677d13abc5fc19b20d9cb13b3d2b25723e15abf5eedd040b83075ffc6121cf"},
 		{"metro/k1", metro(1), "6b588f7e5a658be0c9eccad2f11f047b280b04a6adfb1a6a1302461952a15a83"},
 		{"metro/k2", metro(2), "486d111460a9fd84a450736fa90fb10b20253ec8b5945f11dde986518fe760a3"},
-		{"hybrid/k1", hybridCfg(1), "7a400346e1a2862d4b30b842190d62318cdd87e3056c510105a0bd9b508cb1b0"},
+		{"hybrid/k1", hybridCfg(1), "85816fa74d1ae32802311dc785a51e4d2d44dd3a2dd2bc8dc9efe4a99d44ac3b"}, // v6
 	}
 }
 
@@ -171,6 +174,9 @@ type obsDigestCase struct {
 // another oldest record by the end of the run — the file's first line, and no
 // other, differs. obs/k2 and obs/k3 hist: shard_executed, the executed-event
 // counts, and nothing else ([485699 295804] -> [408271 241342] at K = 2).
+//
+// obs/hybrid-k1 moved whole at v6, with hybrid/k1: its fluid flows depart on
+// the population's one clock, so every file sees another sample path.
 func obsDigestCases() []obsDigestCase {
 	chain := func(shards int) func(string) Config {
 		return func(dir string) Config {
@@ -206,11 +212,11 @@ func obsDigestCases() []obsDigestCase {
 			"8081534be9b60a5d3803e5281f2f23243970a73c36bae7a8d18f07c972a6e78c",
 			"a2a2b75ad26d1d58be2a9198b162313b317fac3cec768fb0bb27e400af9a1bf9", // v5
 			"d7484c9bbc91a5b14a4652fafd082eefee0369d5cc8030131c7df9b26abd2d19"}},
-		{"obs/hybrid-k1", hybrid, [5]string{
-			"6f980a0c5754cef0ccc5a704c906873943d2837af4cc993964f6eb050239bb29",
-			"96a277fc0a3c871ef5508cc10bd75626abdadd5c8713a44a16cdcf7f736eb546",
-			"ba10b845698fd059721394321e3af01f52675c2a204f80242b714d3e39c74af4",
-			"29b3e013582c477881a3f982a9a382982f99325d51b7a0f59ff69971161ee275",
-			"7a06439531961ccf655e041cde717a17ceaf6568f6cd57d6ad04962f934f6cf0"}},
+		{"obs/hybrid-k1", hybrid, [5]string{ // v6
+			"bc0d775621652645fb98b774babe88235f916c8d38f5a4541c67a6e0b3a2921d",
+			"6ccb0c380be943317abe22df409c159a6481797b95254063f58fe736e58423cd",
+			"d623c9f22c987112a565e6e26bc37ecb021f1efeb5e968fcfcc77a7511e135da",
+			"8efb4eac52936b23c325dfd1ba7142e3fa3d093c7649d4c59c3ce66c013d6b86",
+			"6af194fcba7dfe2cf25e953269b8712990cf04e660b5dece9373368ca712da9a"}},
 	}
 }

@@ -240,8 +240,10 @@ func (r *Runner) metrics() Metrics {
 	var hist [1001]int64
 	for _, d := range r.doms {
 		for _, f := range d.flows {
-			m.Classes[f.class].DataSent += f.winSent
-			sent += f.winSent
+			if f != nil {
+				m.Classes[f.class].DataSent += f.winSent
+				sent += f.winSent
+			}
 		}
 		for c, n := range d.dropWin {
 			m.Classes[c].DataLost += n

@@ -307,6 +307,15 @@ func TestValidateNamesField(t *testing.T) {
 		{"AC.ProbeDur", func(c *Config) { c.AC.ProbeDur = -sim.Second }},
 		{"AC.StageDur", func(c *Config) { c.AC.StageDur = -sim.Second }},
 		{"AC.Guard", func(c *Config) { c.AC.Guard = -1 }},
+		{"InterArrival", func(c *Config) { c.InterArrival = math.NaN() }},
+		{"InterArrival", func(c *Config) { c.InterArrival = math.Inf(1) }},
+		{"LifetimeSec", func(c *Config) { c.LifetimeSec = math.NaN() }},
+		{"LifetimeSec", func(c *Config) { c.LifetimeSec = math.Inf(1) }},
+		{"PrepopulateUtil", func(c *Config) { c.PrepopulateUtil = math.NaN() }},
+		{"AC.Eps", func(c *Config) { c.AC.Eps = math.NaN() }},
+		{"AC.Eps", func(c *Config) { c.AC.Eps = math.Inf(-1) }},
+		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.NaN() }},
+		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.Inf(1) }},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)
