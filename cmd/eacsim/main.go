@@ -89,13 +89,8 @@ func main() {
 		policy     = flag.String("policy", "static", "admission policy: static, always-admit, never-admit, token-bucket, epoch-adaptive")
 		bucketCap  = flag.Float64("policy.bucket-cap", 0, "token-bucket: capacity in admission tokens (0 = default 10)")
 		bucketRate = flag.Float64("policy.bucket-rate", 0, "token-bucket: refill rate, tokens/s (0 = default 0.5)")
-		bucketCost = flag.Float64("policy.bucket-cost", 0, "token-bucket: tokens per admission (0 = default 1)")
 		epochN     = flag.Int("policy.epoch", 0, "epoch-adaptive: probes per adaptation epoch (0 = default 50)")
-		epsMin     = flag.Float64("policy.eps-min", 0, "epoch-adaptive: lower eps clamp (0 = default 0.001)")
-		epsMax     = flag.Float64("policy.eps-max", 0, "epoch-adaptive: upper eps clamp (0 = default 0.1)")
-		epsStep    = flag.Float64("policy.step", 0, "epoch-adaptive: multiplicative eps step in [0,1) (0 = default 0.25)")
 		targetLoss = flag.Float64("policy.target-loss", 0, "epoch-adaptive: post-admission loss setpoint (0 = default 0.01)")
-		adaptProbe = flag.Bool("policy.adapt-probe", false, "epoch-adaptive: also adapt the probe duration")
 
 		// Nonstationary load modulation (see README "Temporal workloads").
 		loadSched  = flag.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
@@ -195,9 +190,8 @@ func main() {
 		}
 		cfg.Policy = admission.PolicyConfig{
 			Kind:      pk,
-			BucketCap: *bucketCap, BucketRate: *bucketRate, BucketCost: *bucketCost,
-			Epoch: *epochN, EpsMin: *epsMin, EpsMax: *epsMax,
-			Step: *epsStep, TargetLoss: *targetLoss, AdaptProbe: *adaptProbe,
+			BucketCap: *bucketCap, BucketRate: *bucketRate,
+			Epoch: *epochN, TargetLoss: *targetLoss,
 		}
 	case "mbac":
 		cfg.Method = scenario.MBAC
@@ -307,8 +301,7 @@ func main() {
 		fmt.Printf("shards   : %d (conservative windowed parallel DES; statistically equivalent to serial)\n", cfg.Shards)
 	}
 	if cfg.Hybrid.Active() {
-		fmt.Printf("hybrid   : fluid data plane, packet probes (max background share %.2f)\n",
-			cfg.WithDefaults().Hybrid.MaxShare)
+		fmt.Println("hybrid   : fluid data plane, packet probes")
 	}
 	if cfg.Method == scenario.EAC {
 		fmt.Printf("design   : %s, %s probing, eps=%.3g\n", cfg.AC.Design, cfg.AC.Kind, *eps)

@@ -9,8 +9,8 @@ import (
 // the resolved scenario, not from the flag values. A knob the chosen
 // topology, method or policy ignores is left out — the metro preset
 // derives source, tau and link rate from its dimensions, eps/design/prober
-// mean nothing to MBAC — and what the flags only imply (the hybrid
-// engine's share cap, a policy's defaulted knobs) is filled in. metro is
+// mean nothing to MBAC — and what the flags only imply (a policy's
+// defaulted knobs) is filled in. metro is
 // the metro-star preset's dimensions, nil for the basic topology, whose
 // traffic preset source names.
 func manifestConfig(cfg scenario.Config, source string, metro *scenario.MetroStarOptions) map[string]any {
@@ -42,10 +42,9 @@ func manifestConfig(cfg scenario.Config, source string, metro *scenario.MetroSta
 		c["policy"] = p.Kind.String()
 		switch p.Kind {
 		case admission.PolicyTokenBucket:
-			c["policy_bucket_cap"], c["policy_bucket_rate"], c["policy_bucket_cost"] = p.BucketCap, p.BucketRate, p.BucketCost
+			c["policy_bucket_cap"], c["policy_bucket_rate"] = p.BucketCap, p.BucketRate
 		case admission.PolicyEpochAdaptive:
-			c["policy_epoch"], c["policy_step"], c["policy_target_loss"] = p.Epoch, p.Step, p.TargetLoss
-			c["policy_eps_min"], c["policy_eps_max"] = p.EpsMin, p.EpsMax
+			c["policy_epoch"], c["policy_target_loss"] = p.Epoch, p.TargetLoss
 		}
 	case scenario.MBAC:
 		c["method"], c["target"] = "mbac", cfg.MS.Target
@@ -55,7 +54,7 @@ func manifestConfig(cfg scenario.Config, source string, metro *scenario.MetroSta
 		c["method"] = "none"
 	}
 	if cfg.Hybrid.Active() {
-		c["hybrid"], c["max_share"] = true, cfg.Hybrid.MaxShare
+		c["hybrid"] = true
 	}
 	if cfg.Schedule.Active() {
 		c["load_schedule"] = cfg.Schedule.String()

@@ -36,7 +36,7 @@ func TestManifestConfigSaysWhatRan(t *testing.T) {
 			map[string]any{"topology": "basic", "method": "eac", "design": "mark-out", "prober": "slow-start", "eps": 0.05,
 				"probe_s": 5.0, "policy": "static", "source": "EXP1", "tau_s": 3.5, "life_s": 300.0,
 				"link_bps": 10e6, "duration_s": 100.0},
-			[]string{"target", "hosts", "chains", "hops", "hybrid", "max_share", "policy_bucket_cap", "policy_epoch"}},
+			[]string{"target", "hosts", "chains", "hops", "hybrid", "policy_bucket_cap", "policy_epoch"}},
 		{"mbac", basic(func(c *scenario.Config) {
 			c.Method, c.AC, c.MS.Target = scenario.MBAC, admission.Config{}, 0.9
 		}), nil,
@@ -50,13 +50,13 @@ func TestManifestConfigSaysWhatRan(t *testing.T) {
 			map[string]any{"topology": "metro-star", "hosts": 600, "chains": 8, "hops": 3, "shards": 2},
 			[]string{"source", "tau_s", "life_s", "link_bps", "prepopulate"}},
 		{"hybrid", basic(func(c *scenario.Config) { c.Hybrid.Enabled = true }), nil,
-			map[string]any{"hybrid": true, "max_share": 0.95},
+			map[string]any{"hybrid": true},
 			nil},
 		{"token-bucket", basic(func(c *scenario.Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyTokenBucket, BucketRate: 2}
 		}), nil,
-			map[string]any{"policy": "token-bucket", "policy_bucket_cap": 10.0, "policy_bucket_rate": 2.0, "policy_bucket_cost": 1.0},
-			[]string{"policy_epoch", "policy_step", "hybrid"}},
+			map[string]any{"policy": "token-bucket", "policy_bucket_cap": 10.0, "policy_bucket_rate": 2.0},
+			[]string{"policy_epoch", "policy_target_loss", "hybrid"}},
 	} {
 		got := manifestConfig(tc.cfg, "EXP1", tc.metro)
 		for k, want := range tc.want {

@@ -123,7 +123,6 @@ func TestPublicTCPShare(t *testing.T) {
 		t.Skip("simulation")
 	}
 	res, err := eac.RunTCPShare(eac.TCPShareConfig{
-		NumTCP:       3,
 		Eps:          0.02,
 		InterArrival: 1,
 		LifetimeSec:  30,
@@ -278,9 +277,10 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 }
 
 // TestCommandsRejectBadConfig: a value the model cannot run reaches
-// scenario.Config.Validate and ends eacsim with the field's name — not a
-// panic in netsim or mbac, not a run that ignores it, and not a shard
-// request quietly run on one domain.
+// scenario.Config.Validate (or RunTCPShare's check) and ends the command
+// with the field's name — not a panic in netsim or mbac, not a run that
+// ignores it or prints a table of zeros, and not a shard request quietly
+// run on one domain.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
@@ -303,6 +303,11 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-topology", "metro-star", "-chains", "-1"}, "-chains"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hops", "-2"}, "-hops"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "-5"}, "-hosts"},
+		{[]string{"eacsim", "-duration", "-5"}, "Duration"},
+		{[]string{"eacsim", "-warmup", "-10", "-duration", "60"}, "Warmup"},
+		{[]string{"experiments", "-out", "", "-run", "figure2", "-duration", "-5"}, "Duration"},
+		{[]string{"experiments", "-out", "", "-run", "figure2", "-warmup", "-5"}, "Warmup"},
+		{[]string{"experiments", "-out", "", "-run", "figure11", "-duration", "-5"}, "Duration"},
 	} {
 		assertRejected(t, bin, tc.args, tc.want)
 	}

@@ -21,7 +21,6 @@ import (
 func main() {
 	for _, eps := range []float64{0.01, 0.05} {
 		cfg := eac.TCPShareConfig{
-			NumTCP:       20,
 			Eps:          eps,
 			InterArrival: 0.35,
 			LifetimeSec:  30,

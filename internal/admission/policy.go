@@ -9,9 +9,9 @@ import (
 
 // This file promotes the admission decision to a first-class policy layer.
 // The Prober keeps measuring; a Policy decides. For every admission attempt
-// the scenario asks the policy what to do (probe, and at what threshold and
-// duration, or admit/reject outright), and after each completed probe the
-// policy judges the result (accept, block, or extend with another probe).
+// the scenario asks the policy what to do (probe, and at what threshold, or
+// admit/reject outright), and after each completed probe the policy judges
+// the result (accept, block, or extend with another probe).
 // The default StaticEpsilon policy reproduces the paper's fixed-threshold
 // behaviour exactly — byte-identical simulations, pinned by the golden
 // conformance figures.
@@ -31,14 +31,13 @@ const (
 	// PolicyNeverAdmit rejects every flow without probing.
 	PolicyNeverAdmit
 	// PolicyTokenBucket admits without probing while a token bucket has
-	// capacity: admission costs BucketCost tokens, the bucket refills at
+	// capacity: admission costs one token, the bucket refills at
 	// BucketRate tokens/s up to BucketCap. A rate-cost policy: it bounds
 	// the admission rate, not the measured congestion.
 	PolicyTokenBucket
-	// PolicyEpochAdaptive probes like PolicyStatic but adapts ε (and
-	// optionally the probe duration) every Epoch completed probes, from
-	// the epoch's rejection rate and post-admission loss, clamped to
-	// [EpsMin, EpsMax].
+	// PolicyEpochAdaptive probes like PolicyStatic but adapts ε every
+	// Epoch completed probes, from the epoch's rejection rate and
+	// post-admission loss, clamped to [0.001, 0.1].
 	PolicyEpochAdaptive
 )
 
@@ -77,25 +76,24 @@ type PolicyConfig struct {
 	Kind PolicyKind
 
 	// Token bucket (PolicyTokenBucket): capacity and refill rate in
-	// admission tokens, and the token cost of one admission.
-	BucketCap, BucketRate, BucketCost float64
+	// admission tokens; one admission costs one token.
+	BucketCap, BucketRate float64
 
 	// Epoch adaptation (PolicyEpochAdaptive). Every Epoch completed
-	// probes ε is nudged multiplicatively by Step — down when the
-	// post-admission loss of the epoch exceeded TargetLoss, up when loss
-	// stayed at or below TargetLoss/2 while probes were being rejected —
-	// and clamped to [EpsMin, EpsMax].
-	Epoch                            int
-	EpsMin, EpsMax, Step, TargetLoss float64
-	// AdaptProbe additionally scales the probe duration opposite to ε
-	// (tighter ε probes longer), clamped to [ProbeMin, ProbeMax].
-	AdaptProbe bool
+	// probes ε is scaled by 0.75 when the post-admission loss of the epoch
+	// exceeded TargetLoss, by 1.25 when loss stayed at or below
+	// TargetLoss/2 while probes were being rejected, and clamped to
+	// [0.001, 0.1].
+	Epoch      int
+	TargetLoss float64
 }
 
-// ProbeMin and ProbeMax bound the probe duration AdaptProbe adapts.
+// The adaptive policy's ε clamp and multiplicative step, and the token
+// bucket's price of one admission.
 const (
-	ProbeMin = 1 * sim.Second
-	ProbeMax = 15 * sim.Second
+	epsMin, epsMax = 0.001, 0.1
+	epsStep        = 0.25
+	bucketCost     = 1
 )
 
 // WithDefaults fills the selected kind's unset knobs.
@@ -108,21 +106,9 @@ func (pc PolicyConfig) WithDefaults() PolicyConfig {
 		if pc.BucketRate == 0 {
 			pc.BucketRate = 0.5
 		}
-		if pc.BucketCost == 0 {
-			pc.BucketCost = 1
-		}
 	case PolicyEpochAdaptive:
 		if pc.Epoch == 0 {
 			pc.Epoch = 50
-		}
-		if pc.EpsMin == 0 {
-			pc.EpsMin = 0.001
-		}
-		if pc.EpsMax == 0 {
-			pc.EpsMax = 0.1
-		}
-		if pc.Step == 0 {
-			pc.Step = 0.25
 		}
 		if pc.TargetLoss == 0 {
 			pc.TargetLoss = 0.01
@@ -139,18 +125,12 @@ func (pc PolicyConfig) Validate() error {
 	pc = pc.WithDefaults()
 	switch pc.Kind {
 	case PolicyTokenBucket:
-		if pc.BucketCap < 0 || pc.BucketRate < 0 || pc.BucketCost <= 0 {
-			return fmt.Errorf("admission: token-bucket policy needs cap/rate >= 0 and cost > 0")
+		if pc.BucketCap < 0 || pc.BucketRate < 0 {
+			return fmt.Errorf("admission: token-bucket policy needs cap/rate >= 0")
 		}
 	case PolicyEpochAdaptive:
 		if pc.Epoch < 1 {
 			return fmt.Errorf("admission: epoch-adaptive policy needs Epoch >= 1")
-		}
-		if pc.EpsMin <= 0 || pc.EpsMin > pc.EpsMax {
-			return fmt.Errorf("admission: epoch-adaptive policy needs 0 < EpsMin <= EpsMax")
-		}
-		if pc.Step < 0 || pc.Step >= 1 {
-			return fmt.Errorf("admission: epoch-adaptive Step must be in [0, 1)")
 		}
 		if pc.TargetLoss < 0 {
 			return fmt.Errorf("admission: negative TargetLoss")
@@ -176,8 +156,8 @@ type Action uint8
 
 // Policy decisions for a new attempt.
 const (
-	// ActionProbe runs an admission probe with the decision's ε and
-	// probe duration. The zero value.
+	// ActionProbe runs an admission probe with the decision's ε. The zero
+	// value.
 	ActionProbe Action = iota
 	// ActionAdmit admits the flow immediately, without probing.
 	ActionAdmit
@@ -191,8 +171,6 @@ type Decision struct {
 	Action Action
 	// Eps is the acceptance threshold for the probe (ActionProbe).
 	Eps float64
-	// ProbeDur, if positive, overrides the configured probe duration.
-	ProbeDur sim.Time
 }
 
 // Observation is a completed probe presented for judgment.
@@ -238,9 +216,8 @@ type Policy interface {
 type EpochStats struct {
 	// Epoch numbers completed epochs from 0.
 	Epoch int
-	// Eps and ProbeDur are the values in force after the adaptation.
-	Eps      float64
-	ProbeDur sim.Time
+	// Eps is the threshold in force after the adaptation.
+	Eps float64
 	// RejectRate is the fraction of the epoch's probes that were
 	// rejected; LossRate is the post-admission data loss over the epoch.
 	RejectRate, LossRate float64
@@ -257,7 +234,7 @@ func NewPolicy(pc PolicyConfig, ac Config) Policy {
 	case PolicyNeverAdmit:
 		return NeverAdmit{}
 	case PolicyTokenBucket:
-		return NewTokenBucket(pc.BucketCap, pc.BucketRate, pc.BucketCost)
+		return NewTokenBucket(pc.BucketCap, pc.BucketRate)
 	case PolicyEpochAdaptive:
 		return NewEpochAdaptive(pc, ac)
 	default:
@@ -312,18 +289,17 @@ func (NeverAdmit) Decide(Request) Decision { return Decision{Action: ActionRejec
 func (NeverAdmit) Judge(now sim.Time, o Observation) Outcome { return OutcomeBlock }
 
 // TokenBucket is a rate-cost admission policy: a bucket of capacity cap
-// refills continuously at rate tokens/s; each admission spends cost
-// tokens, and an attempt finding fewer than cost tokens is rejected
-// outright. The bucket starts full.
+// refills continuously at rate tokens/s; each admission spends one token,
+// and an attempt finding less than one is rejected outright. The bucket
+// starts full.
 type TokenBucket struct {
-	cap, rate, cost float64
-	tokens          float64
-	last            sim.Time
+	cap, rate, tokens float64
+	last              sim.Time
 }
 
 // NewTokenBucket builds a full token bucket.
-func NewTokenBucket(capacity, rate, cost float64) *TokenBucket {
-	return &TokenBucket{cap: capacity, rate: rate, cost: cost, tokens: capacity}
+func NewTokenBucket(capacity, rate float64) *TokenBucket {
+	return &TokenBucket{cap: capacity, rate: rate, tokens: capacity}
 }
 
 // Scale multiplies the bucket's capacity, refill rate, and current level
@@ -346,8 +322,8 @@ func (p *TokenBucket) Decide(req Request) Decision {
 	if p.tokens > p.cap {
 		p.tokens = p.cap
 	}
-	if p.tokens >= p.cost {
-		p.tokens -= p.cost
+	if p.tokens >= bucketCost {
+		p.tokens -= bucketCost
 		return Decision{Action: ActionAdmit}
 	}
 	return Decision{Action: ActionReject}
@@ -366,14 +342,11 @@ func (p *TokenBucket) Judge(now sim.Time, o Observation) Outcome {
 // epoch's probe rejection rate and the post-admission data loss reported
 // by the loss signal — stepping ε down multiplicatively when admitted
 // traffic is losing packets and back up when the link is clean but probes
-// are still being rejected, always clamped to [EpsMin, EpsMax]. With
-// AdaptProbe set, the probe duration scales the opposite way (tighter ε
-// probes longer). Adaptation is deterministic: same decision stream, same
-// trajectory.
+// are still being rejected, always clamped to [epsMin, epsMax]. Adaptation
+// is deterministic: same decision stream, same trajectory.
 type EpochAdaptive struct {
-	cfg      PolicyConfig
-	eps      float64
-	probeDur sim.Time
+	cfg PolicyConfig
+	eps float64
 
 	nProbes, nRejects int
 	epoch             int
@@ -390,12 +363,7 @@ type EpochAdaptive struct {
 // NewEpochAdaptive builds the adaptive policy from its resolved config,
 // starting at the static scenario threshold clamped into bounds.
 func NewEpochAdaptive(pc PolicyConfig, ac Config) *EpochAdaptive {
-	p := &EpochAdaptive{cfg: pc}
-	p.eps = clamp(ac.Eps, pc.EpsMin, pc.EpsMax)
-	if pc.AdaptProbe {
-		p.probeDur = clampDur(ac.WithDefaults().ProbeDur)
-	}
-	return p
+	return &EpochAdaptive{cfg: pc, eps: clamp(ac.Eps)}
 }
 
 // SetLossSignal installs the cumulative post-admission loss counters the
@@ -411,9 +379,9 @@ func (p *EpochAdaptive) Eps() float64 { return p.eps }
 // Name implements Policy.
 func (p *EpochAdaptive) Name() string { return PolicyEpochAdaptive.String() }
 
-// Decide implements Policy: probe at the adapted threshold and duration.
+// Decide implements Policy: probe at the adapted threshold.
 func (p *EpochAdaptive) Decide(req Request) Decision {
-	return Decision{Action: ActionProbe, Eps: p.eps, ProbeDur: p.probeDur}
+	return Decision{Action: ActionProbe, Eps: p.eps}
 }
 
 // Judge implements Policy. A probe rejected against a stale, tighter
@@ -468,39 +436,23 @@ func (p *EpochAdaptive) adapt(now sim.Time) {
 	switch {
 	case loss > p.cfg.TargetLoss:
 		// Admitted traffic is losing packets: tighten.
-		p.eps *= 1 - p.cfg.Step
-		if p.cfg.AdaptProbe {
-			p.probeDur = scaleDur(p.probeDur, 1+p.cfg.Step)
-		}
+		p.eps *= 1 - epsStep
 	case loss <= p.cfg.TargetLoss/2 && rej > 0:
 		// Clean link but probes are bouncing: relax.
-		p.eps *= 1 + p.cfg.Step
-		if p.cfg.AdaptProbe {
-			p.probeDur = scaleDur(p.probeDur, 1-p.cfg.Step)
-		}
+		p.eps *= 1 + epsStep
 	}
-	p.eps = clamp(p.eps, p.cfg.EpsMin, p.cfg.EpsMax)
-	if p.cfg.AdaptProbe {
-		p.probeDur = clampDur(p.probeDur)
-	}
+	p.eps = clamp(p.eps)
 	if p.hook != nil {
-		p.hook(now, EpochStats{Epoch: p.epoch, Eps: p.eps, ProbeDur: p.probeDur,
-			RejectRate: rej, LossRate: loss})
+		p.hook(now, EpochStats{Epoch: p.epoch, Eps: p.eps, RejectRate: rej, LossRate: loss})
 	}
 	p.epoch++
 	p.nProbes, p.nRejects = 0, 0
 }
 
-func clamp(x, lo, hi float64) float64 {
-	if math.IsNaN(x) || x < lo {
-		return lo
+// clamp puts x into [epsMin, epsMax]; NaN reads as epsMin.
+func clamp(x float64) float64 {
+	if math.IsNaN(x) || x < epsMin {
+		return epsMin
 	}
-	if x > hi {
-		return hi
-	}
-	return x
+	return min(x, epsMax)
 }
-
-func scaleDur(d sim.Time, f float64) sim.Time { return sim.Time(float64(d) * f) }
-
-func clampDur(d sim.Time) sim.Time { return min(max(d, ProbeMin), ProbeMax) }

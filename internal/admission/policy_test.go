@@ -46,7 +46,7 @@ func TestStaticEpsilonMatchesLegacyProber(t *testing.T) {
 		rng.Read(pattern)
 
 		d := pol.Decide(admission.Request{Now: 0, FlowID: trial, BaseEps: eps})
-		if d.Action != admission.ActionProbe || d.Eps != eps || d.ProbeDur != 0 {
+		if d.Action != admission.ActionProbe || d.Eps != eps {
 			t.Fatalf("trial %d: StaticEpsilon.Decide = %+v, want probe at eps=%v", trial, d, eps)
 		}
 
@@ -72,14 +72,14 @@ func TestStaticEpsilonMatchesLegacyProber(t *testing.T) {
 }
 
 // TestTokenBucketExactRefillBoundary pins the admission boundary at exact
-// token equality: an attempt finding tokens == cost is admitted (and
-// drains the bucket), while tokens one refill-instant short of cost is
+// token equality: an attempt finding tokens == cost (one token) is admitted
+// (and drains the bucket), while tokens one refill-instant short of cost is
 // rejected. Refill is continuous, so the boundary is exercised with
 // controlled clock values.
 func TestTokenBucketExactRefillBoundary(t *testing.T) {
-	// cap 4, rate 1 token/s, cost 2. Drain the full bucket with two
-	// admissions at t=0.
-	p := admission.NewTokenBucket(4, 1, 2)
+	// cap 2, rate 0.5 token/s. Drain the full bucket with two admissions
+	// at t=0.
+	p := admission.NewTokenBucket(2, 0.5)
 	for i := 0; i < 2; i++ {
 		if d := p.Decide(admission.Request{Now: 0}); d.Action != admission.ActionAdmit {
 			t.Fatalf("admission %d from a full bucket: %+v", i, d)
@@ -112,14 +112,11 @@ func TestTokenBucketExactRefillBoundary(t *testing.T) {
 	}
 }
 
-// adaptiveCfg is a small adaptation config with distinctive bounds.
+// adaptiveCfg is a small adaptation config: four probes per epoch.
 func adaptiveCfg() admission.PolicyConfig {
 	return admission.PolicyConfig{
 		Kind:       admission.PolicyEpochAdaptive,
 		Epoch:      4,
-		EpsMin:     0.005,
-		EpsMax:     0.08,
-		Step:       0.25,
 		TargetLoss: 0.01,
 	}.WithDefaults()
 }
@@ -135,7 +132,7 @@ func reject(p *admission.EpochAdaptive) admission.Observation {
 // TestEpochBoundaryExact pins the epoch boundary: with Epoch=N the
 // adaptation fires on the Nth judged probe, not the N-1th and not the
 // N+1th. The loss signal reads clean and every probe is rejected, so each
-// epoch relaxes ε by exactly (1+Step).
+// epoch relaxes ε by exactly (1+EpsStep).
 func TestEpochBoundaryExact(t *testing.T) {
 	pc := adaptiveCfg()
 	ac := admission.Config{Eps: 0.02}
@@ -159,7 +156,7 @@ func TestEpochBoundaryExact(t *testing.T) {
 	if len(epochs) != 1 || epochs[0].Epoch != 0 {
 		t.Fatalf("exactly one epoch must complete at probe N, got %+v", epochs)
 	}
-	want := eps0 * (1 + pc.Step)
+	want := eps0 * (1 + admission.EpsStep)
 	if math.Abs(p.Eps()-want) > 1e-12 {
 		t.Fatalf("clean-link all-rejected epoch must relax eps to %v, got %v", want, p.Eps())
 	}
@@ -195,8 +192,8 @@ func TestAdaptationUnderFullMarking(t *testing.T) {
 			}
 			last = p.Eps()
 		}
-		if last != pc.EpsMax {
-			t.Fatalf("eps must saturate at EpsMax=%v, got %v", pc.EpsMax, last)
+		if last != admission.EpsMax {
+			t.Fatalf("eps must saturate at EpsMax=%v, got %v", admission.EpsMax, last)
 		}
 	})
 
@@ -216,8 +213,8 @@ func TestAdaptationUnderFullMarking(t *testing.T) {
 			}
 			last = p.Eps()
 		}
-		if last != pc.EpsMin {
-			t.Fatalf("eps must saturate at EpsMin=%v, got %v", pc.EpsMin, last)
+		if last != admission.EpsMin {
+			t.Fatalf("eps must saturate at EpsMin=%v, got %v", admission.EpsMin, last)
 		}
 	})
 }
@@ -279,25 +276,20 @@ func TestPolicyKindRoundTrip(t *testing.T) {
 
 // FuzzEpochAdaptive feeds the adaptive policy an arbitrary stream of
 // probe judgments and loss-counter increments and checks its contract:
-// ε stays inside [EpsMin, EpsMax] and finite (never NaN/Inf), the probe
-// duration stays inside [ProbeMin, ProbeMax] when adapted, and the whole
+// ε stays inside [EpsMin, EpsMax] and finite (never NaN/Inf), and the whole
 // trajectory is deterministic — replaying the identical stream on a fresh
 // instance reproduces every decision and every ε bit for bit.
 //
 // Run with: go test ./internal/admission -fuzz FuzzEpochAdaptive
 func FuzzEpochAdaptive(f *testing.F) {
-	f.Add(uint8(4), 0.005, 0.08, 0.25, 0.01, true, []byte{})
-	f.Add(uint8(1), 0.001, 0.1, 0.5, 0.0, false, []byte{0, 1, 2, 3, 255, 128})
-	f.Add(uint8(7), 0.02, 0.02, 0.99, 0.5, true, []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	f.Fuzz(func(t *testing.T, epoch uint8, epsMin, epsMax, step, target float64, adaptProbe bool, stream []byte) {
+	f.Add(uint8(4), 0.01, []byte{})
+	f.Add(uint8(1), 0.0, []byte{0, 1, 2, 3, 255, 128})
+	f.Add(uint8(7), 0.5, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, epoch uint8, target float64, stream []byte) {
 		pc := admission.PolicyConfig{
 			Kind:       admission.PolicyEpochAdaptive,
 			Epoch:      int(epoch),
-			EpsMin:     epsMin,
-			EpsMax:     epsMax,
-			Step:       step,
 			TargetLoss: target,
-			AdaptProbe: adaptProbe,
 		}.WithDefaults()
 		if pc.Validate() != nil {
 			t.Skip()
@@ -305,7 +297,7 @@ func FuzzEpochAdaptive(f *testing.F) {
 		ac := admission.Config{Eps: 0.02}.WithDefaults()
 
 		// One pass of the decision stream against a fresh policy; returns
-		// the trajectory of (outcome, eps, probeDur) for determinism
+		// the trajectory of (outcome, eps) for determinism
 		// comparison. Loss counters advance from the stream bytes too.
 		run := func() []string {
 			p := admission.NewEpochAdaptive(pc, ac)
@@ -327,15 +319,10 @@ func FuzzEpochAdaptive(f *testing.F) {
 				if math.IsNaN(eps) || math.IsInf(eps, 0) {
 					t.Fatalf("eps went non-finite: %v", eps)
 				}
-				if eps < pc.EpsMin || eps > pc.EpsMax {
-					t.Fatalf("eps %v escaped [%v, %v]", eps, pc.EpsMin, pc.EpsMax)
+				if eps < admission.EpsMin || eps > admission.EpsMax {
+					t.Fatalf("eps %v escaped [%v, %v]", eps, admission.EpsMin, admission.EpsMax)
 				}
-				if adaptProbe && d.ProbeDur != 0 &&
-					(d.ProbeDur < admission.ProbeMin || d.ProbeDur > admission.ProbeMax) {
-					t.Fatalf("probe duration %v escaped [%v, %v]", d.ProbeDur, admission.ProbeMin, admission.ProbeMax)
-				}
-				trace = append(trace, string(rune('A'+int(out)))+
-					" "+formatBits(eps)+" "+strconv.FormatInt(int64(d.ProbeDur), 10))
+				trace = append(trace, string(rune('A'+int(out)))+" "+formatBits(eps))
 			}
 			return trace
 		}

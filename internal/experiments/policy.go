@@ -22,7 +22,7 @@ func sweepPolicies(o Options) []admission.PolicyConfig {
 		{Kind: admission.PolicyEpochAdaptive},
 		{Kind: admission.PolicyAlwaysAdmit},
 		{Kind: admission.PolicyNeverAdmit},
-		{Kind: admission.PolicyTokenBucket, BucketCap: 5, BucketRate: 0.5 / o.tau(3.5), BucketCost: 1},
+		{Kind: admission.PolicyTokenBucket, BucketCap: 5, BucketRate: 0.5 / o.tau(3.5)},
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // have had:
 //
 //   - residual capacity: the link serializes foreground packets at
-//     C - F(t) (floored at (1-MaxShare)*C), implemented by rescaling the
+//     C - F(t) (floored at (1-maxShare)*C), implemented by rescaling the
 //     link's precomputed ns-per-bit factor whenever the rate changes, so
 //     the packet hot path pays nothing;
 //   - congestion probability: each arriving foreground packet is dropped
@@ -44,9 +44,6 @@ type FluidBackground struct {
 	// VQFactor is the virtual queue's service-rate fraction (the marking
 	// signal sees load/VQFactor), matching the link's real Marker.
 	VQFactor float64
-	// MaxShare caps the background's share of the link: the foreground
-	// always keeps at least (1-MaxShare)*C of serialization capacity.
-	MaxShare float64
 	// Marking enables the analytic mark signal (ECN designs). When false
 	// (pure drop designs) fluid congestion only drops.
 	Marking bool
@@ -66,19 +63,23 @@ type FluidBackground struct {
 	rng          *stats.RNG
 }
 
+// maxShare caps the background's share of the link: the foreground always
+// keeps at least (1-maxShare)*C of serialization capacity. It is typed so
+// that 1-maxShare is the float64 difference (0.050000000000000044), not
+// the exact 0.05 an untyped constant would fold to.
+const maxShare float64 = 0.95
+
 // NewFluidBackground attaches a fluid background to l with the given
 // congestion model and a dedicated deterministic stream (seed, label pair
 // per the stats stream discipline), rescaling the link for the initial
-// (zero) background rate. BufferPkts zero defaults to 400; VQFactor and
-// MaxShare default to 1 and 0.95 and can be overridden before traffic
-// starts.
+// (zero) background rate. BufferPkts zero defaults to 400; VQFactor
+// defaults to 1 and can be overridden before traffic starts.
 func NewFluidBackground(l *Link, model fluid.QueueModel, bufferPkts int, rng *stats.RNG) *FluidBackground {
 	bg := &FluidBackground{Model: model, BufferPkts: bufferPkts}
 	if bg.BufferPkts == 0 {
 		bg.BufferPkts = 400
 	}
 	bg.VQFactor = 1
-	bg.MaxShare = 0.95
 	bg.rng = rng
 	bg.attach(l)
 	return bg
@@ -175,7 +176,7 @@ func (bg *FluidBackground) recompute() {
 	// Residual capacity: what the delivered fluid leaves behind, floored
 	// so the foreground always makes progress.
 	residual := c - bg.bps*(1-bg.pDrop)
-	if floor := (1 - bg.MaxShare) * c; residual < floor {
+	if floor := (1 - maxShare) * c; residual < floor {
 		residual = floor
 	}
 	l.nsPerBit = float64(sim.Second) / residual

@@ -17,7 +17,7 @@ func newBgRig(rateBps float64) (*sim.Sim, *Link, *FluidBackground) {
 }
 
 // TestFluidBackgroundResidualRate pins the serialization contract: the
-// foreground is served at C - F(t), floored at (1-MaxShare)*C, via the
+// foreground is served at C - F(t), floored at (1-maxShare)*C, via the
 // link's ns-per-bit factor, and removing the background restores the full
 // rate exactly.
 func TestFluidBackgroundResidualRate(t *testing.T) {
@@ -32,14 +32,14 @@ func TestFluidBackgroundResidualRate(t *testing.T) {
 		t.Errorf("residual at F=C/2: nsPerBit %v, want %v", got, want)
 	}
 
-	// Saturating background hits the MaxShare floor.
+	// Saturating background hits the maxShare floor.
 	bg.Add(0, 45e6) // offered 50 Mb/s on a 10 Mb/s link
-	floor := float64(sim.Second) / (0.05 * 10e6)
+	floor := float64(sim.Second) / ((1 - maxShare) * 10e6)
 	if got := l.nsPerBit; math.Abs(got-floor)/floor > 0.25 {
 		t.Errorf("overloaded link should serve foreground near the floor rate: nsPerBit %v, floor %v", got, floor)
 	}
 	if l.nsPerBit > floor {
-		t.Errorf("foreground below the MaxShare floor: nsPerBit %v > floor %v", l.nsPerBit, floor)
+		t.Errorf("foreground below the maxShare floor: nsPerBit %v > floor %v", l.nsPerBit, floor)
 	}
 
 	bg.Add(0, -50e6)

@@ -21,8 +21,8 @@ const (
 	// must be appended here — the order is serialized in JSONL output.
 	evHandoff
 	// evEpoch records one completed adaptation epoch of the
-	// epoch-adaptive admission policy: the ε and probe duration now in
-	// force plus the epoch's rejection and loss rates. Static-policy runs
+	// epoch-adaptive admission policy: the ε now in force plus the
+	// epoch's rejection and loss rates. Static-policy runs
 	// never emit it.
 	evEpoch
 	// evArrival records one flow arrival (offered, before any admission
@@ -130,7 +130,6 @@ type epochEvent struct {
 	Ev         string  `json:"ev"`
 	Epoch      int32   `json:"epoch"`
 	Eps        float64 `json:"eps"`
-	ProbeMs    float64 `json:"probe_ms"`
 	RejectRate float64 `json:"reject_rate"`
 	LossRate   float64 `json:"loss_rate"`
 	Shard      *int    `json:"shard,omitempty"`
@@ -142,15 +141,13 @@ var pktKindNames = [...]string{"data", "probe"}
 // policy in the event trace: the ε trajectory becomes a per-run series of
 // epoch events. Rates are scaled to parts-per-million in the compact ring
 // record and restored on output. Nil-safe; a no-op unless tracing.
-func (c *Collector) Epoch(now sim.Time, epoch int, eps float64, probeDur sim.Time, rejRate, lossRate float64) {
+func (c *Collector) Epoch(now sim.Time, epoch int, eps, rejRate, lossRate float64) {
 	if !c.Tracing() {
 		return
 	}
 	c.trace.push(traceRec{
 		at: now, ev: evEpoch, link: -1, flow: int32(epoch),
-		depth: int32(probeDur / sim.Millisecond),
-		a:     int64(rejRate * 1e6), b: int64(lossRate * 1e6),
-		frac: float32(eps),
+		a: int64(rejRate * 1e6), b: int64(lossRate * 1e6), frac: float32(eps),
 	})
 }
 
@@ -208,8 +205,7 @@ func (c *Collector) traceEvent(f *traceForms, rec traceRec, shard *int) any {
 	}
 	if rec.ev == evEpoch {
 		return put(&f.ep, epochEvent{
-			T: rec.at.Sec(), Ev: evNames[rec.ev], Epoch: rec.flow,
-			Eps: float64(rec.frac), ProbeMs: float64(rec.depth),
+			T: rec.at.Sec(), Ev: evNames[rec.ev], Epoch: rec.flow, Eps: float64(rec.frac),
 			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6, Shard: shard,
 		})
 	}

@@ -96,8 +96,9 @@ type ClassSpec struct {
 // rates on their path links (admission probing stays packet-level), so
 // million-host operating points run in milliseconds while the foreground
 // keeps packet-accurate probe dynamics. See netsim.FluidBackground for
-// the link-level contract and internal/conformance's hybrid crossval for
-// the calibrated agreement envelopes.
+// the link-level contract (the fluid's share of a link is capped at 0.95)
+// and internal/conformance's hybrid crossval for the calibrated agreement
+// envelopes.
 type HybridConfig struct {
 	// Enabled turns the hybrid engine on. The zero value keeps the pure
 	// packet path byte-identical to prior releases.
@@ -105,26 +106,10 @@ type HybridConfig struct {
 	// Background lists the class indices whose data phase is fluid.
 	// Empty means every class: all data is fluid, only probes are packets.
 	Background []int
-	// MaxShare caps the fluid's share of each link's capacity — the
-	// foreground always keeps at least (1-MaxShare)*C of serialization
-	// rate (default 0.95).
-	MaxShare float64
 }
 
 // Active reports whether the hybrid engine is on.
 func (h HybridConfig) Active() bool { return h.Enabled }
-
-// withDefaults resolves an enabled config's unset knobs (disabled configs
-// stay zero so pure-packet configs fingerprint identically).
-func (h HybridConfig) withDefaults() HybridConfig {
-	if !h.Enabled {
-		return h
-	}
-	if h.MaxShare == 0 {
-		h.MaxShare = 0.95
-	}
-	return h
-}
 
 // LinkSpec describes one congested link.
 type LinkSpec struct {
@@ -186,11 +171,9 @@ type Config struct {
 	// MaxRetries, if positive, lets a rejected flow retry admission with
 	// exponential back-off (footnote 10 of the paper: "rejected flows
 	// should use exponential back-off before retrying"). The first retry
-	// waits ~RetryBackoffSec, doubling per attempt, with +/-50% jitter.
-	// Blocking statistics count each flow once, by its final outcome.
+	// waits ~5 s, doubling per attempt, with +/-50% jitter. Blocking
+	// statistics count each flow once, by its final outcome.
 	MaxRetries int
-	// RetryBackoffSec is the base back-off (default 5 s).
-	RetryBackoffSec float64
 
 	// Obs configures the run's observability collector (internal/obs):
 	// per-queue telemetry time series sampled on a sim-time interval, a
@@ -307,12 +290,8 @@ func (c Config) WithDefaults() Config {
 	}
 	c.AC = c.AC.WithDefaults()
 	c.Policy = c.Policy.WithDefaults()
-	c.Hybrid = c.Hybrid.withDefaults()
 	if c.Method == MBAC && c.MS.Target == 0 {
 		c.MS.Target = 0.95
-	}
-	if c.RetryBackoffSec == 0 {
-		c.RetryBackoffSec = 5
 	}
 	return c
 }
@@ -332,6 +311,15 @@ func (c Config) Validate() error {
 	if c.InterArrival < 0 || c.LifetimeSec < 0 {
 		return fmt.Errorf("scenario: InterArrival (%g) and LifetimeSec (%g) must be >= 0", c.InterArrival, c.LifetimeSec)
 	}
+	for _, d := range []struct {
+		field string
+		v     sim.Time
+	}{{"Duration", c.Duration}, {"Warmup", c.Warmup}, {"Drain", c.Drain},
+		{"AC.ProbeDur", c.AC.ProbeDur}, {"AC.StageDur", c.AC.StageDur}, {"AC.Guard", c.AC.Guard}} {
+		if d.v < 0 {
+			return fmt.Errorf("scenario: %s = %v, want >= 0 (0 = default)", d.field, d.v)
+		}
+	}
 	if c.Warmup+c.Drain >= c.Duration && c.Duration > 0 {
 		return fmt.Errorf("scenario: warmup+drain (%v) must be shorter than duration (%v)", c.Warmup+c.Drain, c.Duration)
 	}
@@ -347,14 +335,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: Links[%d].BufferPkts = %d, want >= 0 (0 = default)", i, ls.BufferPkts)
 		case ls.Delay < 0:
 			return fmt.Errorf("scenario: Links[%d].Delay = %v, want >= 0 (0 = default)", i, ls.Delay)
-		}
-	}
-	for _, d := range []struct {
-		field string
-		v     sim.Time
-	}{{"ProbeDur", c.AC.ProbeDur}, {"StageDur", c.AC.StageDur}, {"Guard", c.AC.Guard}} {
-		if d.v < 0 {
-			return fmt.Errorf("scenario: AC.%s = %v, want >= 0 (0 = default)", d.field, d.v)
 		}
 	}
 	if c.Method == MBAC && !(c.MS.Target >= 0) {
@@ -419,9 +399,6 @@ func (c Config) Validate() error {
 	if c.Hybrid.Active() {
 		if c.Method != EAC && c.Method != None {
 			return fmt.Errorf("scenario: hybrid engine requires method EAC or none (%s measures data packets the fluid does not send)", c.Method)
-		}
-		if c.Hybrid.MaxShare <= 0 || c.Hybrid.MaxShare > 1 {
-			return fmt.Errorf("scenario: hybrid MaxShare must be in (0, 1], got %g", c.Hybrid.MaxShare)
 		}
 		for _, ci := range c.Hybrid.Background {
 			if ci < 0 || ci >= len(c.Classes) {

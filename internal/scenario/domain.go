@@ -252,7 +252,7 @@ func (d *domain) buildPolicy() admission.Policy {
 			return
 		})
 		pol.SetEpochHook(func(now sim.Time, st admission.EpochStats) {
-			d.obs.Epoch(now, st.Epoch, st.Eps, st.ProbeDur, st.RejectRate, st.LossRate)
+			d.obs.Epoch(now, st.Epoch, st.Eps, st.RejectRate, st.LossRate)
 		})
 	}
 	return p
@@ -614,6 +614,10 @@ func (d *domain) onFlowArrival(now sim.Time) {
 // normal rejection path.
 const maxProbeExtends = 3
 
+// retryBackoffSec is the mean wait before a rejected flow's first retry
+// (Config.MaxRetries); each further retry doubles it.
+const retryBackoffSec = 5
+
 // admitEAC runs one admission attempt through the policy layer: the
 // policy sees the attempt (class threshold resolved into BaseEps) and
 // either settles it outright or parameterizes the probe. The static
@@ -641,21 +645,18 @@ func (d *domain) admitEAC(now sim.Time, f *flowState) {
 		// re-measure a congested path, not to re-ask a rate limiter.
 		d.recordDecision(now, f, false)
 	default:
-		d.startProbe(now, f, dec)
+		d.startProbe(now, f, dec.Eps)
 	}
 }
 
 // startProbe launches (or relaunches, on retry) a flow's admission probe
-// with the policy's threshold and optional probe-duration override, on the
-// prober the flow holds or else one from the free list.
-func (d *domain) startProbe(now sim.Time, f *flowState, dec admission.Decision) {
+// at the policy's threshold eps, on the prober the flow holds or else one
+// from the free list.
+func (d *domain) startProbe(now sim.Time, f *flowState, eps float64) {
 	cl := d.cfg.Classes[f.class]
 	ac := d.cfg.AC
-	ac.Eps = dec.Eps
-	if dec.ProbeDur > 0 {
-		ac.ProbeDur = dec.ProbeDur
-	}
-	f.lastEps = dec.Eps
+	ac.Eps = eps
+	f.lastEps = eps
 	if n := len(d.freeProbers); f.prober == nil && n > 0 {
 		f.prober, d.freeProbers = d.freeProbers[n-1], d.freeProbers[:n-1]
 	}
@@ -697,7 +698,7 @@ func (d *domain) onProbeDone(res admission.Result) {
 	}
 	// Footnote 10: rejected flows retry with exponential back-off.
 	if f.attempts <= d.cfg.MaxRetries {
-		backoff := d.cfg.RetryBackoffSec * float64(int64(1)<<uint(f.attempts-1))
+		backoff := retryBackoffSec * float64(int64(1)<<uint(f.attempts-1))
 		delay := sim.Seconds(backoff * d.rngRetry.Uniform(0.5, 1.5))
 		if at+delay < d.cfg.Duration {
 			d.retries++

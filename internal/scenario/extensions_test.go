@@ -142,7 +142,6 @@ func TestRetryBackoff(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.MaxRetries = 3
-	cfg.RetryBackoffSec = 2
 	m, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -42,10 +42,11 @@ const ResultsVersion = "eac/results/v6"
 // lists of every struct hashed here; adding a field to any of them fails
 // that test until this function and the salt are revisited.
 //
-// The passive window, the Measured Sum estimator periods and the adaptive
-// probe-duration clamp are constants, not Config fields, and are not
-// hashed; when they stopped being fields every key changed (one cache miss
-// per entry) while no Metrics moved, so ResultsVersion stayed.
+// The passive window, the Measured Sum estimator periods, the retry
+// back-off, the adaptive policy's ε clamp and step, the token bucket's
+// admission cost and the fluid share cap are constants, not Config fields,
+// and are not hashed; when they stopped being fields every key changed (one
+// cache miss per entry) while no Metrics moved, so ResultsVersion stayed.
 func (c Config) Fingerprint() string {
 	c = c.WithDefaults()
 	h := sha256.New()
@@ -59,14 +60,12 @@ func (c Config) Fingerprint() string {
 	w("tau=%g life=%g vq=%g prepop=%g\n",
 		c.InterArrival, c.LifetimeSec, c.VQFactor, c.PrepopulateUtil)
 	w("dur=%d warm=%d drain=%d\n", int64(c.Duration), int64(c.Warmup), int64(c.Drain))
-	w("retries=%d backoff=%g\n", c.MaxRetries, c.RetryBackoffSec)
+	w("retries=%d\n", c.MaxRetries)
 	w("ac=%d/%d/%d eps=%g probe=%d stage=%d guard=%d\n",
 		c.AC.Design.Signal, c.AC.Design.Band, c.AC.Kind, c.AC.Eps,
 		int64(c.AC.ProbeDur), int64(c.AC.StageDur), int64(c.AC.Guard))
-	w("policy=%d bucket=%g/%g/%g epoch=%d eps=%g/%g step=%g target=%g adapt=%t\n",
-		c.Policy.Kind, c.Policy.BucketCap, c.Policy.BucketRate, c.Policy.BucketCost,
-		c.Policy.Epoch, c.Policy.EpsMin, c.Policy.EpsMax, c.Policy.Step, c.Policy.TargetLoss,
-		c.Policy.AdaptProbe)
+	w("policy=%d bucket=%g/%g epoch=%d target=%g\n",
+		c.Policy.Kind, c.Policy.BucketCap, c.Policy.BucketRate, c.Policy.Epoch, c.Policy.TargetLoss)
 	// Schedule and replay lines appear only when active, so configs that use
 	// neither keep the same canonical encoding as before they existed.
 	if c.Schedule.Active() {
@@ -83,7 +82,7 @@ func (c Config) Fingerprint() string {
 	// Like Schedule/Replay, the hybrid line appears only when the engine is
 	// enabled, so pure-packet configs keep their pre-hybrid encoding.
 	if c.Hybrid.Active() {
-		w("hybrid=%v share=%g\n", c.Hybrid.Background, c.Hybrid.MaxShare)
+		w("hybrid=%v\n", c.Hybrid.Background)
 	}
 	w("ms=%g\n", c.MS.Target)
 	w("classes=%d\n", len(c.Classes))

@@ -55,7 +55,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Warmup":          func(c *Config) { c.Warmup = 100 * sim.Second },
 		"Drain":           func(c *Config) { c.Drain = 3 * sim.Second },
 		"MaxRetries":      func(c *Config) { c.MaxRetries = 2 },
-		"RetryBackoffSec": func(c *Config) { c.RetryBackoffSec = 7 },
 		"PrepopulateUtil": func(c *Config) { c.PrepopulateUtil = 0.5 },
 		"AC.Signal":       func(c *Config) { c.AC.Design.Signal = admission.Mark },
 		"AC.Band":         func(c *Config) { c.AC.Design.Band = admission.OutOfBand },
@@ -69,23 +68,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Policy.Bucket": func(c *Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyTokenBucket, BucketRate: 2}
 		},
-		"Policy.BucketCost": func(c *Config) {
-			c.Policy = admission.PolicyConfig{Kind: admission.PolicyTokenBucket, BucketCost: 3}
-		},
 		"Policy.Epoch": func(c *Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, Epoch: 25}
 		},
-		"Policy.EpsBounds": func(c *Config) {
-			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, EpsMin: 0.002}
-		},
-		"Policy.Step": func(c *Config) {
-			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, Step: 0.5}
-		},
 		"Policy.TargetLoss": func(c *Config) {
 			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, TargetLoss: 0.02}
-		},
-		"Policy.AdaptProbe": func(c *Config) {
-			c.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, AdaptProbe: true}
 		},
 		"Schedule.Phases": func(c *Config) {
 			c.Schedule = Schedule{Phases: []Phase{{Kind: PhaseConst, DurationSec: 10, From: 2, To: 2}}}
@@ -139,7 +126,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"Hybrid.Background": func(c *Config) {
 			c.Hybrid = HybridConfig{Enabled: true, Background: []int{0}}
 		},
-		"Hybrid.MaxShare": func(c *Config) { c.Hybrid = HybridConfig{Enabled: true, MaxShare: 0.5} },
 		"Link.RateBps":    func(c *Config) { c.Links = []LinkSpec{{RateBps: 5e6}} },
 		"Link.Delay":      func(c *Config) { c.Links = []LinkSpec{{Delay: 5 * sim.Millisecond}} },
 		"Link.BufferPkts": func(c *Config) { c.Links = []LinkSpec{{BufferPkts: 100}} },
@@ -168,7 +154,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		reflect.TypeOf(Config{}): {"Name", "Classes", "Links", "InterArrival",
 			"LifetimeSec", "Schedule", "Replay", "Method", "AC", "MS", "Policy",
 			"Queue", "VQFactor",
-			"Duration", "Warmup", "Drain", "MaxRetries", "RetryBackoffSec",
+			"Duration", "Warmup", "Drain", "MaxRetries",
 			"Obs", "Cache", "Shards", "Hybrid", "PrepopulateUtil", "Seed"},
 		reflect.TypeOf(ClassSpec{}):        {"Name", "Preset", "Weight", "Eps", "Path"},
 		reflect.TypeOf(LinkSpec{}):         {"RateBps", "Delay", "BufferPkts"},
@@ -176,12 +162,10 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		reflect.TypeOf(Phase{}):            {"Kind", "DurationSec", "From", "To"},
 		reflect.TypeOf(ReplayTrace{}):      {"arrivals", "digest", "source"},
 		reflect.TypeOf(ReplayArrival{}):    {"At", "Class"},
-		reflect.TypeOf(HybridConfig{}):     {"Enabled", "Background", "MaxShare"},
+		reflect.TypeOf(HybridConfig{}):     {"Enabled", "Background"},
 		reflect.TypeOf(admission.Config{}): {"Design", "Kind", "Eps", "ProbeDur", "StageDur", "Guard"},
 		reflect.TypeOf(admission.PolicyConfig{}): {"Kind",
-			"BucketCap", "BucketRate", "BucketCost",
-			"Epoch", "EpsMin", "EpsMax", "Step", "TargetLoss",
-			"AdaptProbe"},
+			"BucketCap", "BucketRate", "Epoch", "TargetLoss"},
 		reflect.TypeOf(admission.Design{}): {"Signal", "Band"},
 		reflect.TypeOf(mbac.Config{}):      {"Target"},
 		reflect.TypeOf(trafgen.Preset{}):   {"Name", "TokenRate", "BucketBytes", "PktSize", "AvgRate", "build"},

@@ -79,7 +79,6 @@ func (d *domain) setupHybrid() {
 	}
 	for i, l := range d.links {
 		bg := netsim.NewFluidBackground(l, model, d.cfg.Links[i].BufferPkts, &d.rngBg)
-		bg.MaxShare = d.cfg.Hybrid.MaxShare
 		if d.cfg.Method == EAC {
 			// Mirror wireLink: marking designs get the analytic mark
 			// signal at the shadow queue's service fraction; virtual

@@ -217,7 +217,6 @@ func TestHybridValidate(t *testing.T) {
 	}{
 		{"mbac", func(c *Config) { c.Method = MBAC }, "requires method"},
 		{"passive", func(c *Config) { c.Method = Passive }, "requires method"},
-		{"share", func(c *Config) { c.Hybrid.MaxShare = 1.5 }, "MaxShare"},
 		{"class", func(c *Config) { c.Hybrid.Background = []int{3} }, "class"},
 		{"shards", func(c *Config) {
 			c.Links = []LinkSpec{{}, {}}

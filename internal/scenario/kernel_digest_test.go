@@ -185,8 +185,9 @@ func obsDigestCases() []obsDigestCase {
 			return cfg
 		}
 	}
-	// The fluid columns are non-zero only here; the adaptive policy puts
-	// epoch events in the trace.
+	// The fluid columns are non-zero only here. The adaptive policy runs,
+	// but no epoch event is among the trace's last 16384 records;
+	// TestTraceEpochEvent pins that event.
 	hybrid := func(dir string) Config {
 		cfg := hybridCfg(1)
 		cfg.Policy.Kind = admission.PolicyEpochAdaptive

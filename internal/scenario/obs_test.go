@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"eac/internal/admission"
 	"eac/internal/netsim"
 	"eac/internal/obs"
 	"eac/internal/sim"
@@ -66,6 +67,43 @@ func TestObsArtifactsWritten(t *testing.T) {
 		if !strings.Contains(string(tb), want) {
 			t.Fatalf("trace missing %s events", want)
 		}
+	}
+}
+
+// TestTraceEpochEvent pins the epoch event's JSONL form: an epoch-adaptive
+// run with tracing writes epoch events carrying exactly these keys.
+func TestTraceEpochEvent(t *testing.T) {
+	cfg := shortCfg()
+	cfg.Policy = admission.PolicyConfig{Kind: admission.PolicyEpochAdaptive, Epoch: 10}
+	cfg.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: 1 << 16}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(cfg.Obs.TraceFile(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"t": true, "ev": true, "epoch": true, "eps": true, "reject_rate": true, "loss_rate": true}
+	epochs := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		if !strings.Contains(line, `"ev":"epoch"`) {
+			continue
+		}
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for k := range ev {
+			got[k] = true
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epoch event %s: keys %v, want %v", line, got, want)
+		}
+		epochs++
+	}
+	if epochs == 0 {
+		t.Fatal("an epoch-adaptive run traced no epoch event")
 	}
 }
 

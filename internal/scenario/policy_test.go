@@ -69,7 +69,7 @@ func TestPolicySpectrum(t *testing.T) {
 	}
 	always := run(admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit})
 	bucket := run(admission.PolicyConfig{
-		Kind: admission.PolicyTokenBucket, BucketCap: 2, BucketRate: 0.5, BucketCost: 1})
+		Kind: admission.PolicyTokenBucket, BucketCap: 2, BucketRate: 0.5})
 	if always.BlockingProb != 0 {
 		t.Fatalf("AlwaysAdmit blocked %v of flows", always.BlockingProb)
 	}

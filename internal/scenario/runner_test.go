@@ -316,6 +316,9 @@ func TestValidateNamesField(t *testing.T) {
 		{"AC.Eps", func(c *Config) { c.AC.Eps = math.Inf(-1) }},
 		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.NaN() }},
 		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.Inf(1) }},
+		{"Duration", func(c *Config) { c.Duration = -5 * sim.Second }},
+		{"Warmup", func(c *Config) { c.Warmup = -10 * sim.Second }},
+		{"Drain", func(c *Config) { c.Drain = -sim.Second }},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)

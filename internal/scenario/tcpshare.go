@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"eac/internal/admission"
 	"eac/internal/netsim"
@@ -12,69 +13,26 @@ import (
 )
 
 // TCPShareConfig describes the Section 4.7 incremental-deployment
-// experiment: NumTCP long-lived TCP Reno flows share one legacy drop-tail
-// FIFO queue with endpoint admission-controlled traffic (in-band dropping —
-// a legacy router has a single class, so in-band is the only possibility).
-// TCP starts at time zero; admission-controlled flow arrivals begin at
-// ACStart.
+// experiment: 20 long-lived TCP Reno flows share one legacy drop-tail FIFO
+// queue on the §4.1 link with endpoint admission-controlled EXP1 flows,
+// which probe the simple 5 s way with in-band dropping (a legacy router has
+// a single class, so in-band is the only possibility). TCP starts at time
+// zero; admission-controlled flow arrivals begin at 50 s, and TCP's share
+// of the link is reported every 10 s.
 type TCPShareConfig struct {
-	LinkBps    float64  // default 10 Mb/s
-	Delay      sim.Time // default 20 ms
-	BufferPkts int      // default 200
-
-	NumTCP  int        // default 20
-	TCP     tcp.Config // TCP parameters
-	ACStart sim.Time   // default 50 s
-
-	Preset       trafgen.Preset // default EXP1
-	InterArrival float64        // default 3.5 s
-	LifetimeSec  float64        // default 300 s
-	Eps          float64        // acceptance threshold under test
-	AC           admission.Config
-
-	Duration sim.Time // default 14000 s
-	Interval sim.Time // reporting interval (default 10 s)
-	Seed     uint64
+	InterArrival float64  // default 3.5 s
+	LifetimeSec  float64  // default 300 s
+	Eps          float64  // acceptance threshold under test
+	Duration     sim.Time // default 14000 s
+	Seed         uint64
 }
 
-// WithDefaults fills unset fields with the paper's values.
-func (c TCPShareConfig) WithDefaults() TCPShareConfig {
-	if c.LinkBps == 0 {
-		c.LinkBps = 10e6
-	}
-	if c.Delay == 0 {
-		c.Delay = 20 * sim.Millisecond
-	}
-	if c.BufferPkts == 0 {
-		c.BufferPkts = 200
-	}
-	if c.NumTCP == 0 {
-		c.NumTCP = 20
-	}
-	if c.ACStart == 0 {
-		c.ACStart = 50 * sim.Second
-	}
-	if c.Preset.Name == "" {
-		c.Preset = trafgen.EXP1
-	}
-	if c.InterArrival == 0 {
-		c.InterArrival = 3.5
-	}
-	if c.LifetimeSec == 0 {
-		c.LifetimeSec = 300
-	}
-	if c.Duration == 0 {
-		c.Duration = 14000 * sim.Second
-	}
-	if c.Interval == 0 {
-		c.Interval = 10 * sim.Second
-	}
-	c.TCP = c.TCP.WithDefaults()
-	c.AC = c.AC.WithDefaults()
-	c.AC.Design = admission.DropInBand
-	c.AC.Eps = c.Eps
-	return c
-}
+// The legacy router's fixed set-up.
+const (
+	tcpShareFlows    = 20
+	tcpShareACStart  = 50 * sim.Second
+	tcpShareInterval = 10 * sim.Second
+)
 
 // TCPShareResult holds the Figure 11 outputs.
 type TCPShareResult struct {
@@ -82,8 +40,8 @@ type TCPShareResult struct {
 	// the link capacity used by TCP goodput in each interval.
 	Times   []float64
 	TCPUtil []float64
-	// MeanTCPUtil and MeanACUtil summarize the post-ACStart steady state
-	// (second half of the run).
+	// MeanTCPUtil and MeanACUtil summarize the steady state (second half
+	// of the run).
 	MeanTCPUtil float64
 	MeanACUtil  float64
 	// ACBlocking is the admission-controlled blocking probability.
@@ -93,10 +51,12 @@ type TCPShareResult struct {
 // tcpShareRunner glues the pieces; it reuses the flow bookkeeping shapes of
 // Runner but with one shared legacy FIFO for all traffic.
 type tcpShareRunner struct {
-	cfg  TCPShareConfig
-	s    *sim.Sim
-	link *netsim.Link
-	pool netsim.Pool
+	cfg    TCPShareConfig
+	ac     admission.Config
+	preset trafgen.Preset
+	s      *sim.Sim
+	link   *netsim.Link
+	pool   netsim.Pool
 
 	senders []*tcp.Sender
 
@@ -119,25 +79,38 @@ type tcpShareFlow struct {
 
 // RunTCPShare executes the experiment.
 func RunTCPShare(cfg TCPShareConfig) (TCPShareResult, error) {
-	cfg = cfg.WithDefaults()
-	if cfg.NumTCP < 0 || cfg.Eps < 0 {
-		return TCPShareResult{}, fmt.Errorf("scenario: invalid TCP-share config")
+	// NaN and ±Inf pass every sign check; the run draws by these.
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"InterArrival", cfg.InterArrival}, {"LifetimeSec", cfg.LifetimeSec},
+		{"Eps", cfg.Eps}, {"Duration", cfg.Duration.Sec()}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 0) {
+			return TCPShareResult{}, fmt.Errorf("scenario: TCPShareConfig.%s = %g, want a finite number >= 0", f.field, f.v)
+		}
 	}
+	// The §4.1 scenario resolves the zero fields, and gives the link and
+	// the EXP1 class.
+	base := Config{InterArrival: cfg.InterArrival, LifetimeSec: cfg.LifetimeSec, Duration: cfg.Duration}.WithDefaults()
+	cfg.InterArrival, cfg.LifetimeSec, cfg.Duration = base.InterArrival, base.LifetimeSec, base.Duration
+	ls, tcpCfg := base.Links[0], tcp.Config{}.WithDefaults()
 	r := &tcpShareRunner{
 		cfg:     cfg,
+		ac:      admission.Config{Design: admission.DropInBand, Eps: cfg.Eps}.WithDefaults(),
+		preset:  base.Classes[0].Preset,
 		s:       sim.New(),
 		rngArr:  stats.NewStream(cfg.Seed, "tcpshare-arrivals"),
 		rngLife: stats.NewStream(cfg.Seed, "tcpshare-lifetimes"),
 		rngSrc:  stats.NewStream(cfg.Seed, "tcpshare-sources"),
 	}
 	// Legacy router: one drop-tail FIFO shared by everything.
-	r.link = netsim.NewLink(r.s, "legacy", cfg.LinkBps, cfg.Delay, netsim.NewDropTail(cfg.BufferPkts))
+	r.link = netsim.NewLink(r.s, "legacy", ls.RateBps, ls.Delay, netsim.NewDropTail(ls.BufferPkts))
 	r.link.OnDrop = func(now sim.Time, p *netsim.Packet) { r.pool.Put(p) }
 
 	// TCP flows: IDs -1.. are not needed; they terminate at their own
 	// receivers, so the shared sink never sees them.
-	for i := 0; i < cfg.NumTCP; i++ {
-		sd := tcp.NewSender(r.s, cfg.TCP, i, nil, &r.pool)
+	for i := 0; i < tcpShareFlows; i++ {
+		sd := tcp.NewSender(r.s, tcpCfg, i, nil, &r.pool)
 		rc := tcp.NewReceiver(r.s, sd, &r.pool)
 		// Route: the shared legacy link, then the TCP receiver.
 		sd.SetRoute([]netsim.Receiver{r.link, rc})
@@ -145,28 +118,27 @@ func RunTCPShare(cfg TCPShareConfig) (TCPShareResult, error) {
 		sd.Start(0)
 	}
 
-	// Admission-controlled arrivals start at ACStart.
-	r.s.Call(cfg.ACStart, r.onArrival)
+	r.s.Call(tcpShareACStart, r.onArrival)
 
 	// Sample TCP goodput per interval.
 	var res TCPShareResult
 	lastAcked := int64(0)
-	intervalBits := cfg.LinkBps * cfg.Interval.Sec()
+	intervalBits := ls.RateBps * tcpShareInterval.Sec()
 	var sampler func(now sim.Time)
 	sampler = func(now sim.Time) {
 		var acked int64
 		for _, sd := range r.senders {
 			acked += sd.AckedSegs
 		}
-		dBits := float64(acked-lastAcked) * float64(cfg.TCP.SegSize*8)
+		dBits := float64(acked-lastAcked) * float64(tcpCfg.SegSize*8)
 		lastAcked = acked
 		res.Times = append(res.Times, now.Sec())
 		res.TCPUtil = append(res.TCPUtil, dBits/intervalBits)
-		if now+cfg.Interval <= cfg.Duration {
-			r.s.Call(now+cfg.Interval, sampler)
+		if now+tcpShareInterval <= cfg.Duration {
+			r.s.Call(now+tcpShareInterval, sampler)
 		}
 	}
-	r.s.Call(cfg.Interval, sampler)
+	r.s.Call(tcpShareInterval, sampler)
 
 	r.s.Run(cfg.Duration)
 
@@ -180,7 +152,7 @@ func RunTCPShare(cfg TCPShareConfig) (TCPShareResult, error) {
 		res.MeanTCPUtil = sum / float64(n)
 	}
 	window := cfg.Duration - cfg.Duration/2
-	res.MeanACUtil = float64(r.acBitsSecondHalf) / (cfg.LinkBps * window.Sec())
+	res.MeanACUtil = float64(r.acBitsSecondHalf) / (ls.RateBps * window.Sec())
 	if r.arrived > 0 {
 		res.ACBlocking = float64(r.blocked) / float64(r.arrived)
 	}
@@ -197,13 +169,13 @@ func (r *tcpShareRunner) onArrival(now sim.Time) {
 	r.flows = append(r.flows, f)
 	f.route = []netsim.Receiver{r.link, (*tcpShareSink)(r)}
 	r.arrived++
-	f.prober = admission.NewProber(r.s, r.cfg.AC, f.id, r.cfg.Preset.TokenRate, r.cfg.Preset.PktSize,
+	f.prober = admission.NewProber(r.s, r.ac, f.id, r.preset.TokenRate, r.preset.PktSize,
 		f.route, &r.pool, func(resu admission.Result) {
 			if !resu.Accepted {
 				r.blocked++
 				return
 			}
-			f.src = r.cfg.Preset.New(r.s, r.rngSrc, func(at sim.Time, size int) {
+			f.src = r.preset.New(r.s, r.rngSrc, func(at sim.Time, size int) {
 				pk := r.pool.Get()
 				pk.FlowID = f.id
 				pk.Kind = netsim.Data

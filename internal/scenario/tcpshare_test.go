@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"eac/internal/sim"
@@ -8,8 +10,6 @@ import (
 
 func quickTCPShare(eps float64) TCPShareConfig {
 	return TCPShareConfig{
-		NumTCP:       5,
-		ACStart:      20 * sim.Second,
 		InterArrival: 1.0,
 		LifetimeSec:  60,
 		Eps:          eps,
@@ -72,7 +72,8 @@ func TestTCPShareSeries(t *testing.T) {
 	if len(res.Times) != len(res.TCPUtil) || len(res.Times) < 5 {
 		t.Fatalf("series lengths: %d vs %d", len(res.Times), len(res.TCPUtil))
 	}
-	// Before ACStart (20 s), TCP alone should be near full utilization.
+	// Before admission-controlled arrivals begin (50 s), TCP alone should be
+	// near full utilization.
 	if res.TCPUtil[1] < 0.8 {
 		t.Fatalf("TCP-only warm-up utilization = %v", res.TCPUtil[1])
 	}
@@ -83,10 +84,28 @@ func TestTCPShareSeries(t *testing.T) {
 	}
 }
 
+// TestTCPShareValidation: a value the run cannot use is an error naming
+// the field — not a panic scheduling into the past (negative InterArrival),
+// nor a table of plausible numbers (NaN LifetimeSec blocked every flow, NaN
+// Eps admitted every flow, a negative Duration reported zeros).
 func TestTCPShareValidation(t *testing.T) {
-	bad := quickTCPShare(0)
-	bad.Eps = -1
-	if _, err := RunTCPShare(bad); err == nil {
-		t.Fatal("negative eps accepted")
+	for _, tc := range []struct {
+		field  string
+		mutate func(*TCPShareConfig)
+	}{
+		{"Eps", func(c *TCPShareConfig) { c.Eps = -1 }},
+		{"Eps", func(c *TCPShareConfig) { c.Eps = math.NaN() }},
+		{"Eps", func(c *TCPShareConfig) { c.Eps = math.Inf(1) }},
+		{"InterArrival", func(c *TCPShareConfig) { c.InterArrival = -1 }},
+		{"InterArrival", func(c *TCPShareConfig) { c.InterArrival = math.Inf(1) }},
+		{"LifetimeSec", func(c *TCPShareConfig) { c.LifetimeSec = math.NaN() }},
+		{"LifetimeSec", func(c *TCPShareConfig) { c.LifetimeSec = -30 }},
+		{"Duration", func(c *TCPShareConfig) { c.Duration = -5 * sim.Second }},
+	} {
+		c := quickTCPShare(0)
+		tc.mutate(&c)
+		if _, err := RunTCPShare(c); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.field, err, tc.field)
+		}
 	}
 }

@@ -217,6 +217,50 @@ func TestScheduleArrivalCounts(t *testing.T) {
 	}
 }
 
+// TestScheduleUnitIsIdentity is a metamorphic law: a schedule whose factor
+// is 1 at every instant — one phase or several, cycling or held — offers
+// the stationary process, so every Metrics field equals the unscheduled
+// run's, on the packet engine at K = 1 and K = 2 and on the hybrid engine.
+// Thinning against a peak of 1 keeps every candidate arrival, and its
+// draws come from the "load" stream, which nothing else reads. Each
+// config blocks some flows and admits others, so a law that held only at
+// blocking 0 or 1 would not pass; a 0.9 schedule must break the equality.
+func TestScheduleUnitIsIdentity(t *testing.T) {
+	k2 := shardChainConfig(4)
+	k2.Shards, k2.InterArrival = 2, 0.12
+	hybrid := quickCfg()
+	hybrid.Hybrid.Enabled = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"k1", quickCfg()}, {"k2", k2}, {"hybrid-k1", hybrid}} {
+		base, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(base.BlockingProb > 0 && base.BlockingProb < 1) {
+			t.Fatalf("%s: blocking %v, want a config strictly inside (0, 1)", tc.name, base.BlockingProb)
+		}
+		t.Logf("%s: blocking %.3f over %d decided flows", tc.name, base.BlockingProb, base.Decided)
+		for _, spec := range []string{"const:7:1", "const:7:1,hold", "const:3:1,const:5:1", "const:7:0.9"} {
+			cfg := tc.cfg
+			s, err := ParseSchedule(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Schedule = s
+			m, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same := reflect.DeepEqual(m, base); same != (s.Peak() == 1) {
+				t.Errorf("%s: schedule %s: metrics equal to the unscheduled run's = %v\ngot  %+v\nbase %+v",
+					tc.name, spec, same, m, base)
+			}
+		}
+	}
+}
+
 // --- Workspace reuse with temporal state --------------------------------
 
 // TestWorkspaceLoadByteIdentical pins Workspace.reset against the new
