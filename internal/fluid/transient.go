@@ -69,12 +69,6 @@ type Transient struct {
 	// of model time (plus the initial and final states).
 	SampleSec float64
 
-	// LambdaFactor, when non-nil, multiplies Lambda at time t — the hook
-	// through which a workload Schedule drives a nonstationary offered
-	// load (scenario threads Schedule.FactorAt here, avoiding an import
-	// cycle). Nil means constant load.
-	LambdaFactor func(t float64) float64
-
 	// A0 and P0 are the initial accepted and probing populations. Zero is
 	// a genuine empty system (not "unset"); prepopulated scenarios pass
 	// their expected populations.
@@ -162,18 +156,15 @@ func (tr Transient) signals(a, p float64) (lossPhys, pm, padm float64) {
 	return
 }
 
-// deriv is the mean-field drift at time t, populations (a, p).
-func (tr Transient) deriv(t, a, p float64) (da, dp float64) {
-	lam := tr.Lambda
-	if tr.LambdaFactor != nil {
-		lam *= tr.LambdaFactor(t)
-	}
+// deriv is the mean-field drift at populations (a, p); the offered load
+// is constant, so the drift does not depend on time.
+func (tr Transient) deriv(a, p float64) (da, dp float64) {
 	mu, nu := 1/tr.Tlife, 1/tr.Tprobe
 	lossPhys, _, padm := tr.signals(a, p)
 	phi := 1 - lossPhys
 	done := p * nu * phi
 	da = done*padm - a*mu
-	dp = lam - done
+	dp = tr.Lambda - done
 	// Mirror the stationary chain's truncation: probers cannot pile past
 	// MaxP (arrivals finding the ceiling are turned away).
 	if p >= float64(tr.MaxP) && dp > 0 {
@@ -251,10 +242,10 @@ func SolveTransient(tr Transient) (TransientResult, error) {
 			probeRej += done * (1 - padm)
 		}
 
-		k1a, k1q := tr.deriv(t, a, q)
-		k2a, k2q := tr.deriv(t+h/2, a+h/2*k1a, q+h/2*k1q)
-		k3a, k3q := tr.deriv(t+h/2, a+h/2*k2a, q+h/2*k2q)
-		k4a, k4q := tr.deriv(t+h, a+h*k3a, q+h*k3q)
+		k1a, k1q := tr.deriv(a, q)
+		k2a, k2q := tr.deriv(a+h/2*k1a, q+h/2*k1q)
+		k3a, k3q := tr.deriv(a+h/2*k2a, q+h/2*k2q)
+		k4a, k4q := tr.deriv(a+h*k3a, q+h*k3q)
 		a += h / 6 * (k1a + 2*k2a + 2*k3a + k4a)
 		q += h / 6 * (k1q + 2*k2q + 2*k3q + k4q)
 		if a < 0 {

@@ -108,63 +108,6 @@ func TestTransientThrashCollapse(t *testing.T) {
 	}
 }
 
-// TestTransientScheduleResponds checks the LambdaFactor hook: a load
-// step must move the trajectory, and a constant factor of one must
-// reproduce the nil-factor trajectory exactly.
-func TestTransientScheduleResponds(t *testing.T) {
-	p := Params{Tlife: 30, Tprobe: 0.5, CapBps: 1e7, RateBps: 128e3, MaxP: 100}
-	p = p.WithDefaults()
-	p.Lambda = 0.5 * p.CapBps / (p.Tlife * p.RateBps) // load 0.5 baseline
-
-	base, err := SolveTransient(Transient{Params: p, HorizonSec: 600, WarmupSec: 100, SampleSec: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := SolveTransient(Transient{
-		Params: p, HorizonSec: 600, WarmupSec: 100, SampleSec: 10,
-		LambdaFactor: func(float64) float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Utilization != one.Utilization || base.FinalA != one.FinalA {
-		t.Errorf("constant factor 1 changed the trajectory: util %v vs %v", base.Utilization, one.Utilization)
-	}
-
-	stepped, err := SolveTransient(Transient{
-		Params: p, HorizonSec: 600, WarmupSec: 100, SampleSec: 10,
-		LambdaFactor: func(t float64) float64 {
-			if t < 300 {
-				return 1
-			}
-			return 2
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stepped.Samples) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	if stepped.FinalA <= base.FinalA*1.5 {
-		t.Errorf("load step did not move the accepted population: %.2f vs baseline %.2f", stepped.FinalA, base.FinalA)
-	}
-	// The step arrives mid-run, so early samples must match the baseline
-	// while late ones diverge.
-	var at290, at590 float64
-	for _, s := range stepped.Samples {
-		if s.T <= 290 {
-			at290 = s.A
-		}
-		if s.T <= 590 {
-			at590 = s.A
-		}
-	}
-	if at590 <= at290 {
-		t.Errorf("trajectory did not rise after the load step: A(290)=%.2f A(590)=%.2f", at290, at590)
-	}
-}
-
 func TestTransientValidation(t *testing.T) {
 	if _, err := SolveTransient(Transient{Params: Params{Lambda: -1}}); err == nil {
 		t.Error("negative lambda accepted")

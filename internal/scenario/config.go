@@ -91,21 +91,17 @@ type ClassSpec struct {
 	Path []int
 }
 
-// HybridConfig selects the hybrid fluid/packet engine: the listed
-// background classes' data phases are carried as piecewise-constant fluid
-// rates on their path links (admission probing stays packet-level), so
-// million-host operating points run in milliseconds while the foreground
-// keeps packet-accurate probe dynamics. See netsim.FluidBackground for
-// the link-level contract (the fluid's share of a link is capped at 0.95)
-// and internal/conformance's hybrid crossval for the calibrated agreement
-// envelopes.
+// HybridConfig selects the hybrid fluid/packet engine: every class's data
+// phase is carried as piecewise-constant fluid rates on its path links
+// while admission probing stays packet-level, so million-host operating
+// points run in milliseconds with packet-accurate probe dynamics. See
+// netsim.FluidBackground for the link-level contract (the fluid's share of
+// a link is capped at 0.95) and internal/conformance's hybrid crossval for
+// the calibrated agreement envelopes.
 type HybridConfig struct {
 	// Enabled turns the hybrid engine on. The zero value keeps the pure
 	// packet path byte-identical to prior releases.
 	Enabled bool
-	// Background lists the class indices whose data phase is fluid.
-	// Empty means every class: all data is fluid, only probes are packets.
-	Background []int
 }
 
 // Active reports whether the hybrid engine is on.
@@ -206,12 +202,11 @@ type Config struct {
 	// DESIGN.md §4e. K ≥ 2 requires Method EAC or None and Hybrid off.
 	Shards int
 
-	// Hybrid, when enabled, carries the configured background classes'
-	// data phases as per-link fluid rates instead of packets (the hybrid
-	// fluid/packet engine; see HybridConfig). Disabled by default — the
-	// zero value leaves the packet path byte-identical. Requires Method
-	// EAC or None (MBAC and Passive measure data packets the fluid no
-	// longer sends) and Shards ≤ 1.
+	// Hybrid, when enabled, carries every class's data phase as per-link
+	// fluid rates instead of packets (the hybrid fluid/packet engine; see
+	// HybridConfig). Disabled by default — the zero value leaves the packet
+	// path byte-identical. Requires Method EAC or None (MBAC and Passive
+	// measure data packets the fluid no longer sends) and Shards ≤ 1.
 	Hybrid HybridConfig
 
 	// PrepopulateUtil, if positive, seeds the simulation at time zero
@@ -399,11 +394,6 @@ func (c Config) Validate() error {
 	if c.Hybrid.Active() {
 		if c.Method != EAC && c.Method != None {
 			return fmt.Errorf("scenario: hybrid engine requires method EAC or none (%s measures data packets the fluid does not send)", c.Method)
-		}
-		for _, ci := range c.Hybrid.Background {
-			if ci < 0 || ci >= len(c.Classes) {
-				return fmt.Errorf("scenario: hybrid background references class %d of %d", ci, len(c.Classes))
-			}
 		}
 	}
 	return nil

@@ -66,47 +66,25 @@ type domain struct {
 	// link does not allocate.
 	onDrop func(sim.Time, *netsim.Packet)
 
-	rngArr, rngPick, rngLife, rngSrc, rngRetry, rngLoad stats.RNG
+	rngLife, rngSrc, rngRetry stats.RNG
 	// rngBg is the fluid backgrounds' congestion-dice stream, seeded only
 	// by setupHybrid.
 	rngBg stats.RNG
 
-	// classW holds the weights of the classes this domain owns (0 for
-	// foreign classes), ownedW their sum and totalW the sum over all
-	// classes: the domain draws its own Poisson arrival stream at the
-	// aggregate rate scaled by ownedW/totalW and picks only among its own
-	// classes (thinning a Poisson process splits it into independent
-	// Poisson processes).
-	classW         []float64
-	ownedW, totalW float64
-	// meanIA is the mean inter-arrival time of this domain's arrival
-	// stream: Config.InterArrival scaled up by totalW/ownedW.
-	meanIA float64
+	// arr is the domain's flow-arrival process: stationary, scheduled or
+	// replayed, over the classes it owns (workload.go).
+	arr arrivals
 	// dropWin counts, per class, the window data packets dropped on this
 	// domain's links — the flow that sent them may live on another domain.
 	dropWin []int64
 
-	// policy is the domain's admission policy instance (Method EAC only).
-	// The static default reproduces the pre-policy code path exactly.
+	// policy is the domain's admission policy (Methods EAC and None). The
+	// static default reproduces the pre-policy code path exactly.
 	policy admission.Policy
-	// loadMaxF caches an active Schedule's peak factor — the Lewis–Shedler
-	// thinning envelope. 0 means modulation is off and the arrival path
-	// (including its RNG consumption) is that of the stationary process.
-	loadMaxF float64
-	// schedCur is the monotone phase cursor of an active Schedule, reset
-	// with the rest of the run state so Workspace reuse cannot leak a
-	// previous run's phase position (TestWorkspaceLoadByteIdentical).
-	schedCur schedCursor
-	// replay / replayIdx drive trace-replay arrivals: replayIdx is the
-	// next recorded arrival to schedule. Entries for classes owned by other
-	// domains are skipped, which partitions the recorded aggregate exactly
-	// as class ownership partitions the live process.
-	replay    *ReplayTrace
-	replayIdx int
-	// epsSum / epsN accumulate the admission threshold in force for each
-	// EAC flow decided inside the window (Metrics.MeanEps).
+	// epsSum accumulates the admission threshold in force for each flow
+	// decided inside the window (Metrics.MeanEps); a method that does not
+	// probe adds 0.
 	epsSum float64
-	epsN   int64
 
 	flows     []*flowState // by flow ID; nil for a prepopulated fluid flow
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
@@ -169,79 +147,50 @@ func (d *domain) reset(cfg Config, owner []int) {
 	d.releaseFlows()
 	d.s.Reset()
 	d.cfg = cfg
-	d.rngArr.ReseedStream(cfg.Seed, "arrivals"+d.streamSuffix)
-	d.rngPick.ReseedStream(cfg.Seed, "classpick"+d.streamSuffix)
+	d.arr.reset(&cfg, owner, d.idx, d.streamSuffix)
 	d.rngLife.ReseedStream(cfg.Seed, "lifetimes"+d.streamSuffix)
 	d.rngSrc.ReseedStream(cfg.Seed, "sources"+d.streamSuffix)
 	d.rngRetry.ReseedStream(cfg.Seed, "retries"+d.streamSuffix)
-	d.rngLoad.ReseedStream(cfg.Seed, "load"+d.streamSuffix)
 	d.winStart = cfg.Warmup
 	d.winEnd = cfg.Duration - cfg.Drain
 
-	d.loadMaxF = 0
-	d.schedCur = schedCursor{}
-	d.replay = cfg.Replay
-	d.replayIdx = 0
-	if d.replay == nil && cfg.Schedule.Active() {
-		// Replay drives arrival times directly and needs no envelope.
-		d.loadMaxF = cfg.Schedule.Peak()
-	}
-
 	n := len(cfg.Classes)
-	if cap(d.classW) < n {
-		d.classW = make([]float64, n)
+	if cap(d.dropWin) < n {
 		d.dropWin = make([]int64, n)
 		d.classes = make([]ClassMetrics, n)
 		d.mkSrc = make([]trafgen.Maker, n)
 	}
-	d.classW, d.dropWin, d.classes, d.mkSrc = d.classW[:n], d.dropWin[:n], d.classes[:n], d.mkSrc[:n]
+	d.dropWin, d.classes, d.mkSrc = d.dropWin[:n], d.classes[:n], d.mkSrc[:n]
 	clear(d.dropWin)
 	clear(d.classes)
-	d.ownedW, d.totalW = 0, 0
 	for c, cl := range cfg.Classes {
-		d.totalW += cl.Weight
 		d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc, d.emit)
-		d.classW[c] = 0
-		if owner[c] == d.idx {
-			d.classW[c] = cl.Weight
-			d.ownedW += cl.Weight
-		}
-	}
-	// A domain that owns every class — always, at K = 1 — draws the
-	// aggregate process at exactly InterArrival: x*w/w need not round-trip
-	// in floating point.
-	d.meanIA = cfg.InterArrival
-	if d.ownedW > 0 && d.ownedW != d.totalW {
-		d.meanIA = cfg.InterArrival * d.totalW / d.ownedW
 	}
 
 	d.links, d.ms, d.monitors = d.links[:0], d.ms[:0], d.monitors[:0]
-	d.decided, d.retries = 0, 0
-	d.epsSum, d.epsN = 0, 0
+	d.decided, d.retries, d.epsSum = 0, 0, 0
 	d.activeFlows, d.lastSample = 0, 0
 	d.delayNs, d.delayN = 0, 0
 	d.delayHist = [1001]int64{}
 }
 
-// loadFactor returns the Schedule's arrival-rate scale in force at now
-// (only called while modulation is active). The phase clock is absolute
-// simulated time, so every domain evaluates the same factor at the same
-// instant.
-func (d *domain) loadFactor(now sim.Time) float64 {
-	return d.cfg.Schedule.factorAt(now.Sec(), &d.schedCur)
-}
-
 // buildPolicy constructs the domain's admission policy and wires its
-// environment: the token bucket is scaled to the domain's owned weight
-// share (so the aggregate admission rate is the configured one), and the
-// adaptive policy reads post-admission loss from the domain's own links
-// and reports epochs to its collector. Requires links wired; Method EAC
-// only.
+// environment: Method None is the always-admit policy, MBAC and Passive
+// decide without one. The token bucket is scaled to the domain's owned
+// weight share (so the aggregate admission rate is the configured one), and
+// the adaptive policy reads post-admission loss from the domain's own links
+// and reports epochs to its collector. Requires links wired.
 func (d *domain) buildPolicy() admission.Policy {
+	switch d.cfg.Method {
+	case None:
+		return admission.AlwaysAdmit{}
+	case MBAC, Passive:
+		return nil
+	}
 	p := admission.NewPolicy(d.cfg.Policy, d.cfg.AC)
 	switch pol := p.(type) {
 	case *admission.TokenBucket:
-		pol.Scale(d.ownedW / d.totalW)
+		pol.Scale(d.arr.ownedW / d.arr.totalW)
 	case *admission.EpochAdaptive:
 		pol.SetLossSignal(func() (arrived, dropped int64) {
 			for _, l := range d.links {
@@ -405,7 +354,7 @@ func (d *domain) start() {
 	})
 	d.startObsSampling()
 	d.prepopulate()
-	if d.ownedW > 0 {
+	if d.arr.ownedW > 0 {
 		d.scheduleNextArrival(0)
 	}
 }
@@ -468,20 +417,19 @@ func (d *domain) sampleObs(now sim.Time) {
 // prepopulate seeds already-admitted flows per Config.PrepopulateUtil: the
 // topology-wide count apportioned to this domain by its owned weight share.
 func (d *domain) prepopulate() {
-	if d.cfg.PrepopulateUtil <= 0 || d.ownedW <= 0 {
+	if d.cfg.PrepopulateUtil <= 0 || d.arr.ownedW <= 0 {
 		return
 	}
-	var avg, wsum float64
+	var avg float64
 	for _, cl := range d.cfg.Classes {
 		avg += cl.Weight * cl.Preset.AvgRate
-		wsum += cl.Weight
 	}
-	avg /= wsum
+	avg /= d.arr.totalW
 	n := int(d.cfg.PrepopulateUtil*d.cfg.Links[0].RateBps/avg + 0.5)
-	n = int(float64(n)*d.ownedW/d.totalW + 0.5)
+	n = int(float64(n)*d.arr.ownedW/d.arr.totalW + 0.5)
 	for i := 0; i < n; i++ {
-		class := d.pickClass()
-		if d.hyb != nil && d.hyb.isBg[class] {
+		class := d.arr.pick()
+		if d.hyb != nil {
 			// A fluid flow is an ID: no flowState, no event, no Add of its own.
 			d.joinFluid(0, len(d.flows), class)
 			d.flows = append(d.flows, nil)
@@ -499,81 +447,26 @@ func (d *domain) prepopulate() {
 	}
 }
 
+// scheduleNextArrival lines up the domain's next flow arrival. Only one is
+// ever pending (each firing schedules the next), so a single persistent
+// event serves the whole run.
 func (d *domain) scheduleNextArrival(now sim.Time) {
-	if d.replay != nil {
-		d.scheduleNextReplay()
-		return
+	if at, ok := d.arr.next(now); ok {
+		d.s.Schedule(d.arrEv, at)
 	}
-	mean := d.meanIA
-	if d.loadMaxF > 0 {
-		// Lewis–Shedler thinning: draw at the peak modulated rate;
-		// onFlowArrival keeps each arrival with probability
-		// factor(now)/loadMaxF.
-		mean /= d.loadMaxF
-	}
-	gap := sim.Seconds(d.rngArr.Exp(mean))
-	at := now + gap
-	if at >= d.cfg.Duration {
-		return
-	}
-	// Only one arrival is ever pending (each firing schedules the next),
-	// so a single persistent event serves the whole run.
-	d.s.Schedule(d.arrEv, at)
-}
-
-// scheduleNextReplay schedules the next recorded arrival this domain owns;
-// a recorded time at or past the horizon ends the stream, mirroring the
-// live arrival process.
-func (d *domain) scheduleNextReplay() {
-	for d.replayIdx < len(d.replay.arrivals) {
-		a := d.replay.arrivals[d.replayIdx]
-		if d.classW[a.Class] <= 0 {
-			d.replayIdx++
-			continue
-		}
-		if a.At >= d.cfg.Duration {
-			return
-		}
-		d.s.Schedule(d.arrEv, a.At)
-		return
-	}
-}
-
-// pickClass samples a class index by weight among the classes the domain
-// owns (classW zeroes the rest), which together with the thinned arrival
-// rate reconstructs the scenario's per-class Poisson arrival processes
-// exactly in distribution.
-func (d *domain) pickClass() int {
-	x := d.rngPick.Float64() * d.ownedW
-	for i, w := range d.classW {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(d.classW) - 1
 }
 
 // path returns a class's link path (defaulting to link 0).
 func (d *domain) path(class int) []int { return classPath(&d.cfg, class) }
 
+// onFlowArrival takes the arrival due now, lines up the next one before the
+// flow's own events (the replay round trip's byte identity depends on that
+// order) and decides the flow.
 func (d *domain) onFlowArrival(now sim.Time) {
-	var class int
-	if d.replay != nil {
-		// The pending arrival is the one scheduleNextReplay stopped at;
-		// consume it and line up the next before anything else so the
-		// Schedule-call order matches the live path (next arrival first,
-		// then the flow's own events) — the replay round-trip's
-		// byte-identity depends on that order.
-		class = d.replay.arrivals[d.replayIdx].Class
-		d.replayIdx++
-		d.scheduleNextArrival(now)
-	} else {
-		d.scheduleNextArrival(now)
-		if d.loadMaxF > 0 && d.rngLoad.Float64()*d.loadMaxF >= d.loadFactor(now) {
-			return // thinned away: the modulated rate is below peak right now
-		}
-		class = d.pickClass()
+	class, kept := d.arr.take(now)
+	d.scheduleNextArrival(now)
+	if !kept {
+		return
 	}
 	cl := d.cfg.Classes[class]
 	f := d.newFlow(class)
@@ -586,7 +479,7 @@ func (d *domain) onFlowArrival(now sim.Time) {
 			hops = append(hops, d.ms[li])
 		}
 		d.recordDecision(now, f, mbac.AdmitPath(now, cl.Preset.TokenRate, hops))
-		if flowAccepted(f) {
+		if f.active {
 			d.startData(now, f)
 		}
 	case Passive:
@@ -601,10 +494,7 @@ func (d *domain) onFlowArrival(now sim.Time) {
 		if admitted {
 			d.startData(now, f)
 		}
-	case None:
-		d.recordDecision(now, f, true)
-		d.startData(now, f)
-	default: // EAC
+	default: // EAC, and None through the always-admit policy
 		d.admitEAC(now, f)
 	}
 }
@@ -709,9 +599,6 @@ func (d *domain) onProbeDone(res admission.Result) {
 	d.recordDecision(at, f, false)
 }
 
-// flowAccepted reports whether the decision recorded the flow as accepted.
-func flowAccepted(f *flowState) bool { return f.active }
-
 // recordDecision books the admission outcome, which is final; accepted
 // flows are marked active (data not yet started). The flow's prober goes to
 // the free list: the sink ignores the flow's probe packets still in flight
@@ -729,10 +616,7 @@ func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 	}
 	f.counted = true
 	d.decided++
-	if d.cfg.Method == EAC {
-		d.epsSum += f.lastEps
-		d.epsN++
-	}
+	d.epsSum += f.lastEps
 	cm := &d.classes[f.class]
 	cm.Arrived++
 	if accepted {
@@ -746,7 +630,7 @@ func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 // joins the population the departure clock ends, else its source starts and
 // its death is scheduled, drawn from the same lifetime stream.
 func (d *domain) startData(now sim.Time, f *flowState) {
-	if d.hyb != nil && d.hyb.isBg[f.class] {
+	if d.hyb != nil {
 		d.addFluidRate(now, f.class, 1)
 		d.joinFluid(now, f.id, f.class)
 		d.redrawDeparture(now)

@@ -82,7 +82,7 @@ func (c Config) Fingerprint() string {
 	// Like Schedule/Replay, the hybrid line appears only when the engine is
 	// enabled, so pure-packet configs keep their pre-hybrid encoding.
 	if c.Hybrid.Active() {
-		w("hybrid=%v\n", c.Hybrid.Background)
+		w("hybrid\n")
 	}
 	w("ms=%g\n", c.MS.Target)
 	w("classes=%d\n", len(c.Classes))

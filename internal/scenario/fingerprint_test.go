@@ -122,10 +122,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 			c.Links = []LinkSpec{{}, {}}
 			c.Shards = 2
 		},
-		"Hybrid.Enabled": func(c *Config) { c.Hybrid.Enabled = true },
-		"Hybrid.Background": func(c *Config) {
-			c.Hybrid = HybridConfig{Enabled: true, Background: []int{0}}
-		},
+		"Hybrid.Enabled":  func(c *Config) { c.Hybrid.Enabled = true },
 		"Link.RateBps":    func(c *Config) { c.Links = []LinkSpec{{RateBps: 5e6}} },
 		"Link.Delay":      func(c *Config) { c.Links = []LinkSpec{{Delay: 5 * sim.Millisecond}} },
 		"Link.BufferPkts": func(c *Config) { c.Links = []LinkSpec{{BufferPkts: 100}} },
@@ -162,7 +159,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		reflect.TypeOf(Phase{}):            {"Kind", "DurationSec", "From", "To"},
 		reflect.TypeOf(ReplayTrace{}):      {"arrivals", "digest", "source"},
 		reflect.TypeOf(ReplayArrival{}):    {"At", "Class"},
-		reflect.TypeOf(HybridConfig{}):     {"Enabled", "Background"},
+		reflect.TypeOf(HybridConfig{}):     {"Enabled"},
 		reflect.TypeOf(admission.Config{}): {"Design", "Kind", "Eps", "ProbeDur", "StageDur", "Guard"},
 		reflect.TypeOf(admission.PolicyConfig{}): {"Kind",
 			"BucketCap", "BucketRate", "Epoch", "TargetLoss"},

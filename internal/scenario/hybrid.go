@@ -8,11 +8,11 @@ import (
 )
 
 // hybridState is the domain-side half of the hybrid fluid/packet engine
-// (Config.Hybrid): one netsim.FluidBackground per link carries the
-// background classes' data phases as piecewise-constant fluid rates, and
-// the per-class accumulators below book the offered/lost fluid bits over
-// the accounting window so metrics() can fold them back into the same
-// ClassMetrics the packet path produces.
+// (Config.Hybrid): one netsim.FluidBackground per link carries every
+// class's data phase as piecewise-constant fluid rates, and the per-class
+// accumulators below book the offered/lost fluid bits over the accounting
+// window so metrics() can fold them back into the same ClassMetrics the
+// packet path produces.
 //
 // The accounting is exact for the fluid model: rates only change at flow
 // admission/departure events, and advanceBg is called with the old rates
@@ -27,8 +27,7 @@ import (
 // the first of N Exp(τ) lifetimes ends after Exp(τ/N), uniform among them;
 // by memorylessness the clock is redrawn whenever N changes.
 type hybridState struct {
-	bgs  []*netsim.FluidBackground // parallel to domain.links
-	isBg []bool                    // parallel to Config.Classes
+	bgs []*netsim.FluidBackground // parallel to domain.links
 
 	count   []int       // live fluid flows per class
 	live    []fluidFlow // the live fluid flows, in no particular order
@@ -63,19 +62,9 @@ func (d *domain) setupHybrid() {
 
 	h := &hybridState{
 		bgs:     make([]*netsim.FluidBackground, len(d.links)),
-		isBg:    make([]bool, len(d.cfg.Classes)),
 		count:   make([]int, len(d.cfg.Classes)),
 		offered: make([]float64, len(d.cfg.Classes)),
 		lost:    make([]float64, len(d.cfg.Classes)),
-	}
-	if len(d.cfg.Hybrid.Background) == 0 {
-		for i := range h.isBg {
-			h.isBg[i] = true
-		}
-	} else {
-		for _, ci := range d.cfg.Hybrid.Background {
-			h.isBg[ci] = true
-		}
 	}
 	for i, l := range d.links {
 		bg := netsim.NewFluidBackground(l, model, d.cfg.Links[i].BufferPkts, &d.rngBg)

@@ -45,29 +45,6 @@ func TestHybridRunSmoke(t *testing.T) {
 	}
 }
 
-// TestHybridMixedForeground keeps one class on the packet plane and one on
-// the fluid plane: both must carry data, and only the packet class can
-// accumulate delay samples (fluid data never traverses the queue).
-func TestHybridMixedForeground(t *testing.T) {
-	c := hybridCfg(2)
-	c.Classes = []ClassSpec{
-		{Name: "pkt", Preset: trafgen.EXP1, Weight: 1, Eps: -1},
-		{Name: "fluid", Preset: trafgen.EXP1, Weight: 1, Eps: -1},
-	}
-	c.Hybrid.Background = []int{1}
-	m, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Classes[0].DataSent == 0 || m.Classes[1].DataSent == 0 {
-		t.Fatalf("both planes must carry data: pkt=%d fluid=%d",
-			m.Classes[0].DataSent, m.Classes[1].DataSent)
-	}
-	if m.MeanDelaySec <= 0 {
-		t.Fatal("packet-plane class produced no delay samples")
-	}
-}
-
 // TestHybridWorkspaceByteIdentical extends the workspace byte-identity
 // contract to hybrid runs, interleaved with pure-packet runs so the reset
 // path must rebuild and tear down the fluid attachments.
@@ -217,7 +194,6 @@ func TestHybridValidate(t *testing.T) {
 	}{
 		{"mbac", func(c *Config) { c.Method = MBAC }, "requires method"},
 		{"passive", func(c *Config) { c.Method = Passive }, "requires method"},
-		{"class", func(c *Config) { c.Hybrid.Background = []int{3} }, "class"},
 		{"shards", func(c *Config) {
 			c.Links = []LinkSpec{{}, {}}
 			c.Shards = 2

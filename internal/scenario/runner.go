@@ -124,10 +124,7 @@ func (r *Runner) reset(cfg Config, plan shardPlan) {
 		d.tmpl = tmpl
 		d.setupHybrid()
 		d.observe(r.obs.Collector(i))
-		d.policy = nil
-		if cfg.Method == EAC {
-			d.policy = d.buildPolicy()
-		}
+		d.policy = d.buildPolicy()
 	}
 }
 
@@ -235,7 +232,6 @@ func (r *Runner) metrics() Metrics {
 	// loss probability.
 	var sent, lost int64
 	var epsSum float64
-	var epsN int64
 	var delayNs, delayN int64
 	var hist [1001]int64
 	for _, d := range r.doms {
@@ -262,7 +258,6 @@ func (r *Runner) metrics() Metrics {
 		m.Decided += d.decided
 		m.Retries += d.retries
 		epsSum += d.epsSum
-		epsN += d.epsN
 		delayNs += d.delayNs
 		delayN += d.delayN
 		for i, v := range d.delayHist {
@@ -278,9 +273,7 @@ func (r *Runner) metrics() Metrics {
 	}
 	if m.Decided > 0 {
 		m.BlockingProb = float64(blocked) / float64(m.Decided)
-	}
-	if epsN > 0 {
-		m.MeanEps = epsSum / float64(epsN)
+		m.MeanEps = epsSum / float64(m.Decided)
 	}
 	if delayN > 0 {
 		m.MeanDelaySec = float64(delayNs) / (float64(delayN) * float64(sim.Second))

@@ -14,15 +14,16 @@ import (
 	"strings"
 
 	"eac/internal/sim"
+	"eac/internal/stats"
 )
 
-// This file is the temporal workload engine: a Schedule of composable load
-// phases, and a ReplayTrace that re-drives flow arrivals recorded in an obs
-// JSONL event trace. Both are realized on the arrival path of domain.go — a
-// Schedule by Lewis–Shedler thinning against its global peak on the
-// dedicated "load" RNG stream (exact for any intensity bounded by the
-// peak), a ReplayTrace by scheduling the recorded arrival times and classes
-// verbatim.
+// This file is the workload engine: a Schedule of composable load phases, a
+// ReplayTrace that re-drives flow arrivals recorded in an obs JSONL event
+// trace, and arrivals, the one process that draws a domain's flow arrivals
+// from either — a Schedule by Lewis–Shedler thinning against its global
+// peak on the dedicated "load" RNG stream (exact for any intensity bounded
+// by the peak), a ReplayTrace by scheduling the recorded arrival times and
+// classes verbatim. The stationary Poisson process is the unit schedule.
 
 // PhaseKind selects how a phase's arrival-rate factor evolves over its
 // duration.
@@ -171,22 +172,23 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// schedCursor is a domain's monotone position inside a Schedule: the
-// absolute start (seconds) of the current phase and its index. Arrivals
-// query the schedule in non-decreasing time order, so advancing the cursor
-// makes each evaluation O(1) amortized however many cycles have elapsed.
-// The zero value points at the first phase at time zero; domain.reset
-// rewinds it with the rest of the run state (Workspace reuse must not leak a previous
-// run's phase position).
+// schedCursor is a position inside one cycle of a Schedule: the current
+// phase and its start, seconds from the cycle's start. Arrivals query the
+// schedule in non-decreasing time order, so advancing the cursor makes an
+// evaluation O(1) amortized within a cycle. The zero value is the first
+// phase; arrivals.reset rewinds it with the rest of the run state
+// (Workspace reuse must not leak a previous run's phase position).
 type schedCursor struct {
 	idx   int
 	start float64
 }
 
 // factorAt evaluates the schedule at absolute time t (seconds), advancing
-// cur. A query behind the cursor rewinds it to zero first, so the function
-// is correct (just slower) for out-of-order queries. The schedule must be
-// validated: non-positive phase durations would not terminate.
+// cur. A cycling schedule reads t's offset in its cycle, which math.Mod
+// computes exactly, so a query walks at most one cycle however short the
+// phases, and the cursor's position is a function of t alone. A query
+// behind the cursor rewinds it to the cycle's start first. The schedule
+// must be validated.
 func (s Schedule) factorAt(t float64, cur *schedCursor) float64 {
 	if !s.Active() {
 		return 1
@@ -195,18 +197,20 @@ func (s Schedule) factorAt(t float64, cur *schedCursor) float64 {
 	if !(total > 0) {
 		return s.Phases[0].From
 	}
-	if s.Hold && t >= total {
-		return s.Phases[len(s.Phases)-1].endFactor()
+	if t >= total {
+		if s.Hold {
+			return s.Phases[len(s.Phases)-1].endFactor()
+		}
+		t = math.Mod(t, total)
 	}
 	if t < cur.start {
 		*cur = schedCursor{}
 	}
+	// The phase starts sum in TotalSec's order, so the last phase ends at
+	// exactly total > t and the walk stops inside the cycle.
 	for t >= cur.start+s.Phases[cur.idx].DurationSec {
 		cur.start += s.Phases[cur.idx].DurationSec
 		cur.idx++
-		if cur.idx == len(s.Phases) {
-			cur.idx = 0
-		}
 	}
 	p := s.Phases[cur.idx]
 	return p.eval((t - cur.start) / p.DurationSec)
@@ -431,4 +435,112 @@ func LoadReplay(path string) (*ReplayTrace, error) {
 	}
 	defer f.Close()
 	return ParseReplay(f, path)
+}
+
+// arrivals is a domain's flow-arrival process. Candidates are a Poisson
+// stream at the peak rate, each kept with probability factor(now)/peak, or
+// the recorded arrivals of a replay. With no active Schedule the peak is 1:
+// Float64() < 1 keeps every candidate, and those draws come from the "load"
+// stream, which nothing else reads, so the stationary process is the unit
+// schedule.
+//
+// A class is owned by the domain of the first link on its path. classW
+// holds the weights of the classes this domain owns (0 for the others),
+// ownedW their sum and totalW the sum over all classes. The domain draws
+// its candidates at the aggregate rate scaled by ownedW/totalW and picks
+// among its own classes (thinning a Poisson process splits it into
+// independent Poisson processes); a replay skips the other domains'
+// classes, which partitions the recorded aggregate the same way.
+type arrivals struct {
+	rngGap, rngPick, rngLoad stats.RNG // "arrivals", "classpick", "load"
+
+	classW         []float64
+	ownedW, totalW float64
+	gap            float64 // mean candidate gap at the peak, seconds
+	peak           float64 // the thinning envelope
+	sched          Schedule
+	cur            schedCursor
+	replay         *ReplayTrace
+	idx            int // the next recorded arrival
+	horizon        sim.Time
+}
+
+// reset starts the process of a run of cfg on domain dom, whose RNG stream
+// labels end in suffix; owner maps each class to its domain.
+func (a *arrivals) reset(cfg *Config, owner []int, dom int, suffix string) {
+	a.rngGap.ReseedStream(cfg.Seed, "arrivals"+suffix)
+	a.rngPick.ReseedStream(cfg.Seed, "classpick"+suffix)
+	a.rngLoad.ReseedStream(cfg.Seed, "load"+suffix)
+	a.sched, a.cur, a.peak = cfg.Schedule, schedCursor{}, 1
+	if a.sched.Active() {
+		a.peak = a.sched.Peak()
+	}
+	a.replay, a.idx, a.horizon = cfg.Replay, 0, cfg.Duration
+
+	n := len(cfg.Classes)
+	if cap(a.classW) < n {
+		a.classW = make([]float64, n)
+	}
+	a.classW = a.classW[:n]
+	a.ownedW, a.totalW = 0, 0
+	for c, cl := range cfg.Classes {
+		a.totalW += cl.Weight
+		a.classW[c] = 0
+		if owner[c] == dom {
+			a.classW[c] = cl.Weight
+			a.ownedW += cl.Weight
+		}
+	}
+	// A domain that owns every class — always, at K = 1 — draws at exactly
+	// InterArrival: x*w/w need not round-trip in floating point.
+	mean := cfg.InterArrival
+	if a.ownedW > 0 && a.ownedW != a.totalW {
+		mean = cfg.InterArrival * a.totalW / a.ownedW
+	}
+	a.gap = mean / a.peak
+}
+
+// next returns when the arrival after now is due, false when that is at or
+// past the horizon: the next recorded arrival of a class the domain owns,
+// or a gap drawn at the peak rate.
+func (a *arrivals) next(now sim.Time) (sim.Time, bool) {
+	at := a.horizon
+	if a.replay == nil {
+		at = now + sim.Seconds(a.rngGap.Exp(a.gap))
+	} else {
+		for ; a.idx < len(a.replay.arrivals); a.idx++ {
+			if r := a.replay.arrivals[a.idx]; a.classW[r.Class] > 0 {
+				at = r.At
+				break
+			}
+		}
+	}
+	return at, at < a.horizon
+}
+
+// take returns the class of the arrival due now, or false when thinning
+// drops it because the modulated rate is below the peak.
+func (a *arrivals) take(now sim.Time) (int, bool) {
+	if a.replay != nil {
+		a.idx++
+		return a.replay.arrivals[a.idx-1].Class, true
+	}
+	if a.rngLoad.Float64()*a.peak >= a.sched.factorAt(now.Sec(), &a.cur) {
+		return 0, false
+	}
+	return a.pick(), true
+}
+
+// pick draws a class by weight among the classes the domain owns, which
+// with the scaled candidate rate reconstructs the scenario's per-class
+// Poisson processes exactly in distribution.
+func (a *arrivals) pick() int {
+	x := a.rngPick.Float64() * a.ownedW
+	for i, w := range a.classW {
+		x -= w
+		if x < 0 {
+			return i
+		}
+	}
+	return len(a.classW) - 1
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"eac/internal/admission"
 	"eac/internal/obs"
@@ -217,47 +218,149 @@ func TestScheduleArrivalCounts(t *testing.T) {
 	}
 }
 
-// TestScheduleUnitIsIdentity is a metamorphic law: a schedule whose factor
-// is 1 at every instant — one phase or several, cycling or held — offers
-// the stationary process, so every Metrics field equals the unscheduled
-// run's, on the packet engine at K = 1 and K = 2 and on the hybrid engine.
-// Thinning against a peak of 1 keeps every candidate arrival, and its
-// draws come from the "load" stream, which nothing else reads. Each
-// config blocks some flows and admits others, so a law that held only at
-// blocking 0 or 1 would not pass; a 0.9 schedule must break the equality.
+// TestScheduleUnitIsIdentity holds the arrival path's metamorphic laws. Each
+// row derives two configs from a base that must give reflect.DeepEqual
+// Metrics (or must not, for the rows that keep a law from passing
+// vacuously), on the packet engine at K = 1 and K = 2 and on the hybrid
+// engine. Each base blocks some flows and admits others, so a law that held
+// only at blocking 0 or 1 would not pass.
+//   - A schedule whose factor is 1 at every instant — one phase or several,
+//     cycling or held — offers the stationary process: thinning against a
+//     peak of 1 keeps every candidate, and its draws come from the "load"
+//     stream, which nothing else reads. A 0.9 schedule must differ.
+//   - Doubling every schedule factor and InterArrival leaves the candidate
+//     gap τ/peak and the keep test u·peak ≥ factor(t) unchanged, exactly:
+//     scaling by 2 is exact in IEEE arithmetic. Doubling the factors alone
+//     must differ.
+//   - Method None is EAC under the always-admit policy.
 func TestScheduleUnitIsIdentity(t *testing.T) {
+	k1 := quickCfg()
+	k1.Duration, k1.Warmup = 150*sim.Second, 30*sim.Second
 	k2 := shardChainConfig(4)
 	k2.Shards, k2.InterArrival = 2, 0.12
-	hybrid := quickCfg()
+	hybrid := k1
 	hybrid.Hybrid.Enabled = true
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{{"k1", quickCfg()}, {"k2", k2}, {"hybrid-k1", hybrid}} {
-		base, err := Run(tc.cfg)
+
+	sched := func(spec string) func(*Config) {
+		s, err := ParseSchedule(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !(base.BlockingProb > 0 && base.BlockingProb < 1) {
-			t.Fatalf("%s: blocking %v, want a config strictly inside (0, 1)", tc.name, base.BlockingProb)
-		}
-		t.Logf("%s: blocking %.3f over %d decided flows", tc.name, base.BlockingProb, base.Decided)
-		for _, spec := range []string{"const:7:1", "const:7:1,hold", "const:3:1,const:5:1", "const:7:0.9"} {
-			cfg := tc.cfg
-			s, err := ParseSchedule(spec)
-			if err != nil {
-				t.Fatal(err)
+		return func(c *Config) { c.Schedule = s }
+	}
+	// double doubles every factor of the schedule (no schedule is the unit
+	// one) and, with tau, InterArrival.
+	double := func(tau bool) func(*Config) {
+		return func(c *Config) {
+			s := Schedule{Phases: append([]Phase(nil), c.Schedule.Phases...), Hold: c.Schedule.Hold}
+			if !s.Active() {
+				s.Phases = []Phase{{Kind: PhaseConst, DurationSec: 1, From: 1, To: 1}}
 			}
-			cfg.Schedule = s
+			for i := range s.Phases {
+				s.Phases[i].From *= 2
+				s.Phases[i].To *= 2
+			}
+			c.Schedule = s
+			if tau {
+				c.InterArrival *= 2
+			}
+		}
+	}
+	type law struct {
+		name  string
+		a, b  []func(*Config)
+		equal bool
+	}
+	laws := []law{
+		{"unit/const:7:1", nil, []func(*Config){sched("const:7:1")}, true},
+		{"unit/const:7:1,hold", nil, []func(*Config){sched("const:7:1,hold")}, true},
+		{"unit/const:3:1,const:5:1", nil, []func(*Config){sched("const:3:1,const:5:1")}, true},
+		{"unit/const:7:0.9", nil, []func(*Config){sched("const:7:0.9")}, false},
+		{"double/none", nil, []func(*Config){double(true)}, true},
+	}
+	for _, spec := range []string{"const:7:0.9,ramp:5:0.5:1.5", "flash:10:5:1:3", "sine:11:0.3:1.7"} {
+		s := sched(spec)
+		laws = append(laws, law{"double/" + spec, []func(*Config){s}, []func(*Config){s, double(true)}, true})
+	}
+	sine := sched("sine:11:0.3:1.7")
+	laws = append(laws, law{"double/factors-alone", []func(*Config){sine}, []func(*Config){sine, double(false)}, false},
+		law{"none-is-always-admit",
+			[]func(*Config){func(c *Config) { c.Method = None }},
+			[]func(*Config){func(c *Config) {
+				c.Method, c.Policy = EAC, admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit}
+				c.AC.Design = admission.DropInBand
+			}}, true})
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"k1", k1}, {"k2", k2}, {"hybrid-k1", hybrid}} {
+		runs := map[string]Metrics{}
+		run := func(muts []func(*Config)) Metrics {
+			cfg := tc.cfg
+			for _, m := range muts {
+				m(&cfg)
+			}
+			fp := cfg.Fingerprint()
+			if m, ok := runs[fp]; ok {
+				return m
+			}
 			m, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if same := reflect.DeepEqual(m, base); same != (s.Peak() == 1) {
-				t.Errorf("%s: schedule %s: metrics equal to the unscheduled run's = %v\ngot  %+v\nbase %+v",
-					tc.name, spec, same, m, base)
+			runs[fp] = m
+			return m
+		}
+		base := run(nil)
+		if !(base.BlockingProb > 0 && base.BlockingProb < 1) {
+			t.Fatalf("%s: blocking %v, want a config strictly inside (0, 1)", tc.name, base.BlockingProb)
+		}
+		t.Logf("%s: blocking %.3f over %d decided flows", tc.name, base.BlockingProb, base.Decided)
+		for _, l := range laws {
+			a, b := run(l.a), run(l.b)
+			if same := reflect.DeepEqual(a, b); same != l.equal {
+				t.Errorf("%s: %s: metrics equal = %v, want %v\na %+v\nb %+v", tc.name, l.name, same, l.equal, a, b)
 			}
 		}
+	}
+}
+
+// TestScheduleShortPhaseRuns pins the cursor's cost: a cycling schedule's
+// phases may be far shorter than an arrival gap (2e11 phases of 1 ns in
+// this run), and an evaluation must still walk at most one cycle. The run
+// must end within the bound and equal the stationary one, since its factor
+// is 1 throughout.
+func TestScheduleShortPhaseRuns(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Duration, cfg.Warmup = 200*sim.Second, 20*sim.Second
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Schedule, err = ParseSchedule("const:1e-9:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		m   Metrics
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		m, err := Run(cfg)
+		done <- result{m, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if !reflect.DeepEqual(r.m, base) {
+			t.Errorf("unit schedule of 1 ns phases moved the metrics\ngot  %+v\nbase %+v", r.m, base)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a run under a 1 ns schedule phase still running after 30 s")
 	}
 }
 
