@@ -204,7 +204,6 @@ const (
 // mutable state. Policies must be deterministic — they draw no random
 // numbers — so runs stay reproducible and cacheable by config fingerprint.
 type Policy interface {
-	Name() string
 	// Decide is called once per admission attempt (including retries).
 	Decide(req Request) Decision
 	// Judge is called once per completed probe (only probing policies
@@ -248,9 +247,6 @@ func NewPolicy(pc PolicyConfig, ac Config) Policy {
 // byte-identical to the pre-policy code path.
 type StaticEpsilon struct{}
 
-// Name implements Policy.
-func (StaticEpsilon) Name() string { return PolicyStatic.String() }
-
 // Decide implements Policy: always probe, at the configured threshold.
 func (StaticEpsilon) Decide(req Request) Decision {
 	return Decision{Action: ActionProbe, Eps: req.BaseEps}
@@ -267,9 +263,6 @@ func (StaticEpsilon) Judge(now sim.Time, o Observation) Outcome {
 // AlwaysAdmit admits every flow without probing.
 type AlwaysAdmit struct{}
 
-// Name implements Policy.
-func (AlwaysAdmit) Name() string { return PolicyAlwaysAdmit.String() }
-
 // Decide implements Policy.
 func (AlwaysAdmit) Decide(Request) Decision { return Decision{Action: ActionAdmit} }
 
@@ -278,9 +271,6 @@ func (AlwaysAdmit) Judge(now sim.Time, o Observation) Outcome { return OutcomeAc
 
 // NeverAdmit rejects every flow without probing.
 type NeverAdmit struct{}
-
-// Name implements Policy.
-func (NeverAdmit) Name() string { return PolicyNeverAdmit.String() }
 
 // Decide implements Policy.
 func (NeverAdmit) Decide(Request) Decision { return Decision{Action: ActionReject} }
@@ -311,9 +301,6 @@ func (p *TokenBucket) Scale(share float64) {
 	p.rate *= share
 	p.tokens *= share
 }
-
-// Name implements Policy.
-func (p *TokenBucket) Name() string { return PolicyTokenBucket.String() }
 
 // Decide implements Policy.
 func (p *TokenBucket) Decide(req Request) Decision {
@@ -375,9 +362,6 @@ func (p *EpochAdaptive) SetEpochHook(f func(now sim.Time, st EpochStats)) { p.ho
 
 // Eps returns the threshold currently in force (for tests).
 func (p *EpochAdaptive) Eps() float64 { return p.eps }
-
-// Name implements Policy.
-func (p *EpochAdaptive) Name() string { return PolicyEpochAdaptive.String() }
 
 // Decide implements Policy: probe at the adapted threshold.
 func (p *EpochAdaptive) Decide(req Request) Decision {

@@ -82,14 +82,13 @@ func (m *MeasuredSum) Load(now sim.Time) float64 { return m.est.Estimate(now.Sec
 // hop-by-hop IntServ admission with atomic failure.
 func AdmitPath(now sim.Time, r float64, hops []*MeasuredSum) bool {
 	for i, h := range hops {
-		if h.est.Estimate(now.Sec())+r > h.cfg.Target*h.capBps {
+		if !h.Admit(now, r) {
 			// Roll back boosts granted to earlier hops.
 			for _, g := range hops[:i] {
 				g.est.Boost(-r)
 			}
 			return false
 		}
-		h.est.Boost(r)
 	}
 	return true
 }

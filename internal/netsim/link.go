@@ -212,38 +212,28 @@ func (l *Link) Reset(rateBps float64, delay sim.Time, recycle func(*Packet)) {
 }
 
 // Receive implements Receiver: the packet arrives at this link's queue, after
-// every transmission that ends by now — at now too, the tie rule. The untraced
-// path (Tap == nil, the default) runs with no per-branch tap checks at all.
+// every transmission that ends by now — at now too, the tie rule.
 func (l *Link) Receive(now sim.Time, p *Packet) {
 	l.sync(now)
 	l.stats.Arrived[p.Kind]++
 	if l.OnArrive != nil {
 		l.OnArrive(now, p)
 	}
-	if l.Tap == nil {
-		l.receiveFast(now, p)
-	} else {
-		l.receiveTraced(now, p)
-	}
-}
-
-// receiveFast is the tap-free arrival path.
-func (l *Link) receiveFast(now sim.Time, p *Packet) {
 	marked := l.Marker != nil && l.Marker.OnArrival(now, p)
 	if l.Bg != nil {
 		drop, mark := l.Bg.arrival(p.Kind)
 		if drop {
-			l.dropFast(now, p)
+			l.drop(now, p)
 			return
 		}
 		marked = marked || mark
 	}
 	if marked && l.VQDropProbes && p.Kind == Probe {
-		l.dropFast(now, p)
+		l.drop(now, p)
 		return
 	}
 	if dropped := l.Q.Enqueue(now, p); dropped != nil {
-		l.dropFast(now, dropped)
+		l.drop(now, dropped)
 		if dropped == p {
 			return
 		}
@@ -253,6 +243,12 @@ func (l *Link) receiveFast(now sim.Time, p *Packet) {
 	if marked {
 		p.Marked = true
 		l.stats.Marked[p.Kind]++
+		if l.Tap != nil {
+			l.Tap.Mark(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+		}
+	}
+	if l.Tap != nil {
+		l.Tap.Enqueue(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	}
 	if !l.busy {
 		l.startTx(now)
@@ -260,52 +256,12 @@ func (l *Link) receiveFast(now sim.Time, p *Packet) {
 	}
 }
 
-// receiveTraced mirrors receiveFast with the trace events of the
-// observability tap (known non-nil here).
-func (l *Link) receiveTraced(now sim.Time, p *Packet) {
-	marked := l.Marker != nil && l.Marker.OnArrival(now, p)
-	if l.Bg != nil {
-		drop, mark := l.Bg.arrival(p.Kind)
-		if drop {
-			l.dropTraced(now, p)
-			return
-		}
-		marked = marked || mark
-	}
-	if marked && l.VQDropProbes && p.Kind == Probe {
-		l.dropTraced(now, p)
-		return
-	}
-	if dropped := l.Q.Enqueue(now, p); dropped != nil {
-		l.dropTraced(now, dropped)
-		if dropped == p {
-			return
-		}
-	}
-	if marked {
-		p.Marked = true
-		l.stats.Marked[p.Kind]++
-		l.Tap.Mark(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
-	}
-	l.Tap.Enqueue(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
-	if !l.busy {
-		l.startTx(now)
-		l.arm()
-	}
-}
-
-// dropFast books a dropped packet on the tap-free path.
-func (l *Link) dropFast(now sim.Time, p *Packet) {
+// drop books a dropped packet, traces it, and hands it to OnDrop.
+func (l *Link) drop(now sim.Time, p *Packet) {
 	l.stats.Dropped[p.Kind]++
-	if l.OnDrop != nil {
-		l.OnDrop(now, p)
+	if l.Tap != nil {
+		l.Tap.Drop(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	}
-}
-
-// dropTraced books a dropped packet and emits its trace event.
-func (l *Link) dropTraced(now sim.Time, p *Packet) {
-	l.stats.Dropped[p.Kind]++
-	l.Tap.Drop(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
 	if l.OnDrop != nil {
 		l.OnDrop(now, p)
 	}

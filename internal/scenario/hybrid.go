@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"eac/internal/admission"
 	"eac/internal/fluid"
 	"eac/internal/netsim"
 	"eac/internal/sim"
@@ -68,20 +67,10 @@ func (d *domain) setupHybrid() {
 	}
 	for i, l := range d.links {
 		bg := netsim.NewFluidBackground(l, model, d.cfg.Links[i].BufferPkts, &d.rngBg)
-		if d.cfg.Method == EAC {
-			// Mirror wireLink: marking designs get the analytic mark
-			// signal at the shadow queue's service fraction; virtual
-			// dropping folds a probe's mark fate into a drop.
-			switch d.cfg.AC.Design.Signal {
-			case admission.Mark:
-				bg.Marking = true
-				bg.VQFactor = d.cfg.VQFactor
-			case admission.VDrop:
-				bg.Marking = true
-				bg.VQFactor = d.cfg.VQFactor
-				bg.VDropProbes = true
-			}
-		}
+		// The fluid follows the link's marking: the analytic mark signal
+		// where wireLink installed a shadow queue, at its service fraction,
+		// and virtual dropping folds a probe's mark fate into a drop.
+		bg.Marking, bg.VDropProbes, bg.VQFactor = l.Marker != nil, l.VQDropProbes, d.cfg.VQFactor
 		h.bgs[i] = bg
 	}
 	h.dep.Init(d.stopFluid)

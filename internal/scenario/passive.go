@@ -1,6 +1,27 @@
 package scenario
 
-import "eac/internal/sim"
+import (
+	"eac/internal/admission"
+	"eac/internal/sim"
+)
+
+// routerPolicy is a router method (MBAC, Passive) behind admission.Policy:
+// the router's state admits or rejects the flow at the arrival instant, and
+// nothing is probed. A rejection is final, as every policy rejection is.
+type routerPolicy func(admission.Request) bool
+
+// Decide implements admission.Policy.
+func (p routerPolicy) Decide(req admission.Request) admission.Decision {
+	if p(req) {
+		return admission.Decision{Action: admission.ActionAdmit}
+	}
+	return admission.Decision{Action: admission.ActionReject}
+}
+
+// Judge implements admission.Policy (unreachable: a router policy never probes).
+func (routerPolicy) Judge(sim.Time, admission.Observation) admission.Outcome {
+	return admission.OutcomeBlock
+}
 
 // lossMonitor is the passive (egress-router) measurement device: a sliding
 // window of per-period packet arrival and drop counts at one link, from

@@ -201,19 +201,14 @@ func (r *Runner) metrics() Metrics {
 	m.Links = make([]LinkMetrics, len(r.links))
 	for i, l := range r.links {
 		st := l.StatsAt(now)
-		dt := (now - st.ResetTime).Sec()
-		var lm LinkMetrics
-		if dt > 0 {
-			lm.Utilization = float64(st.SentBits[netsim.Data]) / (l.RateBps * dt)
+		lm := LinkMetrics{Utilization: st.Utilization(now, l.RateBps), DataLossProb: st.DataLossProb()}
+		if dt := (now - st.ResetTime).Sec(); dt > 0 {
 			lm.ProbeShare = float64(st.SentBits[netsim.Probe]) / (l.RateBps * dt)
 			if l.Bg != nil {
 				// The fluid plane's delivered bits are part of the link's
 				// carried load; the packet counters missed them.
 				lm.Utilization += l.Bg.DeliveredBits(now) / (l.RateBps * dt)
 			}
-		}
-		if a := st.Arrived[netsim.Data]; a > 0 {
-			lm.DataLossProb = float64(st.Dropped[netsim.Data]) / float64(a)
 		}
 		if a := st.Arrived[netsim.Probe]; a > 0 {
 			lm.ProbeLossProb = float64(st.Dropped[netsim.Probe]) / float64(a)
