@@ -43,7 +43,8 @@ const (
 	// Cetinkaya & Knightly [5]: the endpoint (an egress router) admits
 	// flows based on passively monitored recent loss instead of active
 	// probing, avoiding the multi-second set-up delay. Flows start
-	// instantly when the monitored loss fraction is at or below AC.Eps.
+	// instantly when the monitored loss fraction is at or below their
+	// class's threshold (ClassSpec.Eps, else AC.Eps).
 	Passive
 )
 

@@ -5,6 +5,7 @@ import (
 
 	"eac/internal/admission"
 	"eac/internal/sim"
+	"eac/internal/trafgen"
 )
 
 func TestREDQueueScenario(t *testing.T) {
@@ -111,6 +112,33 @@ func TestPassiveAdmission(t *testing.T) {
 	if loose.BlockingProb >= m.BlockingProb {
 		t.Fatalf("permissive passive threshold blocked more: %v >= %v",
 			loose.BlockingProb, m.BlockingProb)
+	}
+}
+
+// TestPassiveClassEps holds Passive to ClassSpec.Eps: a class's non-negative
+// Eps is its loss threshold. On a loaded link the class that tolerates any
+// loss is never blocked, while the class held to AC.Eps is.
+func TestPassiveClassEps(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Method = Passive
+	cfg.AC.Eps = 0.001
+	cfg.Classes = []ClassSpec{
+		{Name: "strict", Preset: trafgen.EXP1, Weight: 1, Eps: -1},
+		{Name: "lax", Preset: trafgen.EXP1, Weight: 1, Eps: 1},
+	}
+	cfg.InterArrival = 0.1
+	cfg.PrepopulateUtil = 0.95
+	cfg.Duration = 200 * sim.Second
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, lax := m.Classes[0], m.Classes[1]
+	if lax.Arrived == 0 || lax.Blocked != 0 {
+		t.Fatalf("lax class (Eps 1) blocked %d of %d", lax.Blocked, lax.Arrived)
+	}
+	if strict.Blocked == 0 {
+		t.Fatalf("strict class (AC.Eps %v) blocked none of %d on a loaded link", cfg.AC.Eps, strict.Arrived)
 	}
 }
 
