@@ -299,6 +299,7 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},
 		{[]string{"eacsim", "-eps", "NaN"}, "AC.Eps"},
+		{[]string{"eacsim", "-eps", "-1"}, "AC.Eps"},
 		{[]string{"eacsim", "-prepopulate", "NaN"}, "PrepopulateUtil"},
 		{[]string{"eacsim", "-topology", "metro-star", "-chains", "-1"}, "-chains"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hops", "-2"}, "-hops"},

@@ -226,14 +226,6 @@ func (st *Store) Stats() Stats {
 	}
 }
 
-// Snapshot returns the stats tagged with the store directory.
-func (st *Store) Snapshot() Snapshot {
-	if st == nil {
-		return Snapshot{}
-	}
-	return Snapshot{Dir: st.dir, Stats: st.Stats()}
-}
-
 // Len walks the store and returns the number of entries and their total
 // on-disk size in bytes (frames included). Intended for the commands'
 // cache summaries, not for hot paths.

@@ -170,20 +170,20 @@ func highLoad(id string, d admission.Design) Experiment {
 // robustnessScenario describes one panel of Figure 8, which Figure 9
 // revisits by name.
 type robustnessScenario struct {
-	id, name, desc string
-	tau            float64
-	classes        []scenario.ClassSpec
-	links          []scenario.LinkSpec
+	id, name string
+	tau      float64
+	classes  []scenario.ClassSpec
+	links    []scenario.LinkSpec
 }
 
 func robustnessScenarios() []robustnessScenario {
 	return []robustnessScenario{
-		{"8a", "EXP2", "EXP2: 4x burst rate, same average", 3.5, classes1(trafgen.EXP2), nil},
-		{"8b", "EXP3", "EXP3: 2x burst and average", 7.0, classes1(trafgen.EXP3), nil},
-		{"8c", "POO1", "POO1: Pareto on/off (LRD)", 3.5, classes1(trafgen.POO1), nil},
-		{"8d", "StarWars", "Synthetic Star Wars trace", 8.0, classes1(trafgen.StarWars), nil},
-		{"8e", "Heterogeneous", "Heterogeneous mix", 3.5, heterogeneousMix(), nil},
-		{"8f", "LowMux", "Low multiplexing (1 Mb/s link)", 35, classes1(trafgen.EXP1),
+		{"8a", "EXP2", 3.5, classes1(trafgen.EXP2), nil}, // 4x burst rate, same average
+		{"8b", "EXP3", 7.0, classes1(trafgen.EXP3), nil}, // 2x burst and average
+		{"8c", "POO1", 3.5, classes1(trafgen.POO1), nil}, // Pareto on/off (LRD)
+		{"8d", "StarWars", 8.0, classes1(trafgen.StarWars), nil},
+		{"8e", "Heterogeneous", 3.5, heterogeneousMix(), nil},
+		{"8f", "LowMux", 35, classes1(trafgen.EXP1),
 			[]scenario.LinkSpec{{RateBps: 1e6}}},
 	}
 }

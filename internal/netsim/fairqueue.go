@@ -25,7 +25,7 @@ type FairQueue struct {
 
 type fqFlow struct {
 	id      int
-	q       fifo
+	q       sim.Ring[*Packet]
 	deficit int
 	queued  bool // present in active
 }
@@ -52,7 +52,7 @@ func (fq *FairQueue) flow(id int) *fqFlow {
 func (fq *FairQueue) longest() *fqFlow {
 	var worst *fqFlow
 	for _, f := range fq.active {
-		if worst == nil || f.q.n > worst.q.n {
+		if worst == nil || f.q.Len() > worst.q.Len() {
 			worst = f
 		}
 	}
@@ -67,11 +67,11 @@ func (fq *FairQueue) Enqueue(_ sim.Time, p *Packet) *Packet {
 		if worst == nil || worst.id == p.FlowID {
 			return p
 		}
-		victim = worst.q.popTail()
+		victim = worst.q.PopTail()
 		fq.total--
 	}
 	f := fq.flow(p.FlowID)
-	f.q.push(p)
+	f.q.Push(p)
 	fq.total++
 	if !f.queued {
 		f.queued = true
@@ -85,23 +85,23 @@ func (fq *FairQueue) Enqueue(_ sim.Time, p *Packet) *Packet {
 func (fq *FairQueue) Dequeue() *Packet {
 	for rounds := 0; len(fq.active) > 0; rounds++ {
 		f := fq.active[0]
-		if f.q.n == 0 {
+		if f.q.Len() == 0 {
 			// Exhausted: drop from the schedule.
 			fq.active = fq.active[1:]
 			f.queued = false
 			continue
 		}
-		head := f.q.buf[f.q.head]
+		head := f.q.Front()
 		if f.deficit < head.Size {
 			// Not enough credit: move to the back with a fresh quantum.
 			f.deficit += fq.quantum
 			fq.active = append(fq.active[1:], f)
 			continue
 		}
-		p := f.q.pop()
+		p := f.q.Pop()
 		f.deficit -= p.Size
 		fq.total--
-		if f.q.n == 0 {
+		if f.q.Len() == 0 {
 			fq.active = fq.active[1:]
 			f.queued = false
 			f.deficit = 0
@@ -117,7 +117,7 @@ func (fq *FairQueue) Len() int { return fq.total }
 // FlowLen returns the queued packets of one flow (for tests).
 func (fq *FairQueue) FlowLen(id int) int {
 	if f := fq.flows[id]; f != nil {
-		return f.q.n
+		return f.q.Len()
 	}
 	return 0
 }

@@ -143,10 +143,8 @@ type Link struct {
 	txPkt  *Packet       // held until txEnd for hand, else nil
 	hand   TxEndReceiver // the packet in service is a boundary hand-off
 
-	pipe   []inflight // power-of-two ring buffer, mask-indexed
-	pipeHd int
-	pipeN  int
-	ev     *sim.Event // the one event: a wake-up or the next pipe delivery (see arm)
+	pipe sim.Ring[inflight]
+	ev   *sim.Event // the one event: a wake-up or the next pipe delivery (see arm)
 }
 
 // NewLink builds a link. The queue discipline q must be non-nil.
@@ -190,14 +188,9 @@ func (l *Link) Reset(rateBps float64, delay sim.Time, recycle func(*Packet)) {
 	for p := l.Q.Dequeue(); p != nil; p = l.Q.Dequeue() {
 		recycle(p)
 	}
-	for l.pipeN > 0 {
-		f := l.pipe[l.pipeHd]
-		l.pipe[l.pipeHd] = inflight{}
-		l.pipeHd = (l.pipeHd + 1) & (len(l.pipe) - 1)
-		l.pipeN--
-		recycle(f.p)
+	for l.pipe.Len() > 0 {
+		recycle(l.pipe.Pop().p)
 	}
-	l.pipeHd = 0
 	l.RateBps = rateBps
 	l.Delay = delay
 	l.nsPerBit = float64(sim.Second) / rateBps
@@ -295,7 +288,7 @@ func (l *Link) startTx(at sim.Time) {
 	}
 	// Constant propagation delay keeps deliveries FIFO, so one pending
 	// event suffices for the whole pipe.
-	l.pipePush(inflight{at: due, p: p})
+	l.pipe.Push(inflight{at: due, p: p})
 }
 
 // sync brings the server up to now. It schedules nothing, and what a Recorder
@@ -338,8 +331,8 @@ func (l *Link) arm() {
 	if !l.Boundary {
 		at += l.Delay
 	}
-	if l.pipeN > 0 && (!ok || l.pipe[l.pipeHd].at < at) {
-		at, ok = l.pipe[l.pipeHd].at, true
+	if l.pipe.Len() > 0 && (!ok || l.pipe.Front().at < at) {
+		at, ok = l.pipe.Front().at, true
 	}
 	switch {
 	case !ok:
@@ -350,32 +343,10 @@ func (l *Link) arm() {
 	}
 }
 
-func (l *Link) pipePush(f inflight) {
-	if l.pipeN == len(l.pipe) {
-		nc := len(l.pipe) * 2
-		if nc == 0 {
-			nc = ringCap()
-		}
-		np := make([]inflight, nc)
-		// The ring is full, so the resident entries are pipe[pipeHd:]
-		// followed by pipe[:pipeHd].
-		k := copy(np, l.pipe[l.pipeHd:])
-		copy(np[k:], l.pipe[:l.pipeHd])
-		l.pipe = np
-		l.pipeHd = 0
-	}
-	l.pipe[(l.pipeHd+l.pipeN)&(len(l.pipe)-1)] = f
-	l.pipeN++
-}
-
 func (l *Link) onDeliver(now sim.Time) {
 	l.sync(now)
-	for l.pipeN > 0 && l.pipe[l.pipeHd].at <= now {
-		p := l.pipe[l.pipeHd].p
-		l.pipe[l.pipeHd] = inflight{}
-		l.pipeHd = (l.pipeHd + 1) & (len(l.pipe) - 1)
-		l.pipeN--
-		p.Forward(now)
+	for l.pipe.Len() > 0 && l.pipe.Front().at <= now {
+		l.pipe.Pop().p.Forward(now)
 	}
 	l.arm()
 }

@@ -15,80 +15,9 @@ type Discipline interface {
 	Len() int
 }
 
-// RingInitCap is the initial capacity, in packets, of the fifo and
-// link-pipe ring buffers; it is rounded up to a power of two so the rings
-// can index with a mask. It exists for the byte-identity tests, which
-// shrink it to 1 to force constant growth and prove ring geometry cannot
-// affect simulation output. Do not change it while simulations are
-// running.
-var RingInitCap = 16
-
-// ringCap returns RingInitCap rounded up to a power of two (mask indexing
-// requires it), minimum 1.
-func ringCap() int {
-	n := 1
-	for n < RingInitCap {
-		n <<= 1
-	}
-	return n
-}
-
-// fifo is a growable ring buffer of packets. The capacity is always a
-// power of two, so positions wrap with a mask instead of a modulo.
-type fifo struct {
-	buf  []*Packet
-	head int
-	n    int
-}
-
-func (f *fifo) push(p *Packet) {
-	if f.n == len(f.buf) {
-		f.grow()
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
-	f.n++
-}
-
-func (f *fifo) pop() *Packet {
-	if f.n == 0 {
-		return nil
-	}
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return p
-}
-
-// popTail removes the most recently pushed packet.
-func (f *fifo) popTail() *Packet {
-	if f.n == 0 {
-		return nil
-	}
-	i := (f.head + f.n - 1) & (len(f.buf) - 1)
-	p := f.buf[i]
-	f.buf[i] = nil
-	f.n--
-	return p
-}
-
-func (f *fifo) grow() {
-	nc := len(f.buf) * 2
-	if nc == 0 {
-		nc = ringCap()
-	}
-	nb := make([]*Packet, nc)
-	// The ring is full (grow is only called then), so the resident packets
-	// are buf[head:] followed by buf[:head].
-	k := copy(nb, f.buf[f.head:])
-	copy(nb[k:], f.buf[:f.head])
-	f.buf = nb
-	f.head = 0
-}
-
 // DropTail is a single FIFO with a finite buffer measured in packets.
 type DropTail struct {
-	q   fifo
+	q   sim.Ring[*Packet]
 	cap int
 }
 
@@ -103,18 +32,18 @@ func NewDropTail(capPackets int) *DropTail {
 
 // Enqueue implements Discipline.
 func (d *DropTail) Enqueue(_ sim.Time, p *Packet) *Packet {
-	if d.q.n >= d.cap {
+	if d.q.Len() >= d.cap {
 		return p
 	}
-	d.q.push(p)
+	d.q.Push(p)
 	return nil
 }
 
 // Dequeue implements Discipline.
-func (d *DropTail) Dequeue() *Packet { return d.q.pop() }
+func (d *DropTail) Dequeue() *Packet { return d.q.Pop() }
 
 // Len implements Discipline.
-func (d *DropTail) Len() int { return d.q.n }
+func (d *DropTail) Len() int { return d.q.Len() }
 
 // PriorityPushout is a strict-priority discipline with NumBands bands
 // sharing one buffer of capPackets. Band 0 (data) is served first. When the
@@ -123,7 +52,7 @@ func (d *DropTail) Len() int { return d.q.n }
 // resident probe packets if the buffer is full"); an arriving probe packet
 // is dropped.
 type PriorityPushout struct {
-	bands [NumBands]fifo
+	bands [NumBands]sim.Ring[*Packet]
 	cap   int
 	total int
 }
@@ -140,16 +69,16 @@ func NewPriorityPushout(capPackets int) *PriorityPushout {
 // Enqueue implements Discipline.
 func (q *PriorityPushout) Enqueue(_ sim.Time, p *Packet) *Packet {
 	if q.total < q.cap {
-		q.bands[p.Band].push(p)
+		q.bands[p.Band].Push(p)
 		q.total++
 		return nil
 	}
 	// Buffer full: higher-priority arrivals may displace lower-band
 	// residents, scanning from the lowest band upward.
 	for b := NumBands - 1; b > p.Band; b-- {
-		if q.bands[b].n > 0 {
-			victim := q.bands[b].popTail()
-			q.bands[p.Band].push(p)
+		if q.bands[b].Len() > 0 {
+			victim := q.bands[b].PopTail()
+			q.bands[p.Band].Push(p)
 			return victim
 		}
 	}
@@ -159,9 +88,9 @@ func (q *PriorityPushout) Enqueue(_ sim.Time, p *Packet) *Packet {
 // Dequeue implements Discipline.
 func (q *PriorityPushout) Dequeue() *Packet {
 	for b := 0; b < NumBands; b++ {
-		if q.bands[b].n > 0 {
+		if q.bands[b].Len() > 0 {
 			q.total--
-			return q.bands[b].pop()
+			return q.bands[b].Pop()
 		}
 	}
 	return nil
@@ -185,4 +114,4 @@ func (q *PriorityPushout) SetCap(capPackets int) {
 }
 
 // BandLen returns the number of waiting packets in one band.
-func (q *PriorityPushout) BandLen(b int) int { return q.bands[b].n }
+func (q *PriorityPushout) BandLen(b int) int { return q.bands[b].Len() }

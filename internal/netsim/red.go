@@ -51,7 +51,7 @@ func (c REDConfig) WithDefaults(capPackets int) REDConfig {
 type RED struct {
 	cfg REDConfig
 	cap int
-	q   fifo
+	q   sim.Ring[*Packet]
 	rng *stats.RNG
 
 	avg        float64
@@ -80,7 +80,7 @@ func (r *RED) Enqueue(now sim.Time, p *Packet) *Packet {
 	// Update the average. While the queue was idle the average decays as
 	// if m small packets had been serviced; the idle period is estimated
 	// from the last arrival, minus the time to drain what was then queued.
-	if r.q.n == 0 && r.everActive {
+	if r.q.Len() == 0 && r.everActive {
 		drain := sim.Time(r.qAtLastArr+1) * r.cfg.MeanPktTime
 		idle := now - r.lastArr - drain
 		if idle > 0 {
@@ -89,12 +89,12 @@ func (r *RED) Enqueue(now sim.Time, p *Packet) *Packet {
 		}
 	}
 	r.lastArr = now
-	r.qAtLastArr = r.q.n
-	r.avg += r.cfg.Wq * (float64(r.q.n) - r.avg)
+	r.qAtLastArr = r.q.Len()
+	r.avg += r.cfg.Wq * (float64(r.q.Len()) - r.avg)
 
 	drop := false
 	switch {
-	case r.q.n >= r.cap:
+	case r.q.Len() >= r.cap:
 		drop = true // hard buffer limit
 	case r.avg >= r.cfg.MaxTh:
 		drop = true
@@ -116,7 +116,7 @@ func (r *RED) Enqueue(now sim.Time, p *Packet) *Packet {
 	if drop {
 		return p
 	}
-	r.q.push(p)
+	r.q.Push(p)
 	r.everActive = true
 	return nil
 }
@@ -144,7 +144,7 @@ func pow1mw(w, m float64) float64 {
 }
 
 // Dequeue implements Discipline.
-func (r *RED) Dequeue() *Packet { return r.q.pop() }
+func (r *RED) Dequeue() *Packet { return r.q.Pop() }
 
 // Len implements Discipline.
-func (r *RED) Len() int { return r.q.n }
+func (r *RED) Len() int { return r.q.Len() }

@@ -129,7 +129,7 @@ func (l *refLink) pipePush(f inflight) {
 	if l.pipeN == len(l.pipe) {
 		nc := len(l.pipe) * 2
 		if nc == 0 {
-			nc = ringCap()
+			nc = 16
 		}
 		np := make([]inflight, nc)
 		k := copy(np, l.pipe[l.pipeHd:])

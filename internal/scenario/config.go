@@ -299,13 +299,19 @@ func (c Config) Validate() error {
 		field string
 		v     float64
 	}{{"InterArrival", c.InterArrival}, {"LifetimeSec", c.LifetimeSec},
-		{"PrepopulateUtil", c.PrepopulateUtil}, {"AC.Eps", c.AC.Eps}} {
+		{"PrepopulateUtil", c.PrepopulateUtil}, {"AC.Eps", c.AC.Eps}, {"VQFactor", c.VQFactor}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("scenario: %s = %g, want a finite number", f.field, f.v)
 		}
 	}
 	if c.InterArrival < 0 || c.LifetimeSec < 0 {
 		return fmt.Errorf("scenario: InterArrival (%g) and LifetimeSec (%g) must be >= 0", c.InterArrival, c.LifetimeSec)
+	}
+	if c.AC.Eps < 0 {
+		return fmt.Errorf("scenario: AC.Eps = %g, want >= 0", c.AC.Eps)
+	}
+	if c.VQFactor < 0 {
+		return fmt.Errorf("scenario: VQFactor = %g, want >= 0 (0 = default)", c.VQFactor)
 	}
 	for _, d := range []struct {
 		field string
@@ -325,8 +331,8 @@ func (c Config) Validate() error {
 	// boundary needs.
 	for i, ls := range c.Links {
 		switch {
-		case !(ls.RateBps >= 0):
-			return fmt.Errorf("scenario: Links[%d].RateBps = %g, want >= 0 (0 = default)", i, ls.RateBps)
+		case !(ls.RateBps >= 0) || math.IsInf(ls.RateBps, 1):
+			return fmt.Errorf("scenario: Links[%d].RateBps = %g, want finite and >= 0 (0 = default)", i, ls.RateBps)
 		case ls.BufferPkts < 0:
 			return fmt.Errorf("scenario: Links[%d].BufferPkts = %d, want >= 0 (0 = default)", i, ls.BufferPkts)
 		case ls.Delay < 0:
@@ -338,8 +344,8 @@ func (c Config) Validate() error {
 	}
 	total := 0.0
 	for i, cl := range c.Classes {
-		if cl.Weight < 0 {
-			return fmt.Errorf("scenario: class %q has negative weight", cl.Name)
+		if !(cl.Weight >= 0) || math.IsInf(cl.Weight, 1) {
+			return fmt.Errorf("scenario: Classes[%d].Weight = %g, want finite and >= 0", i, cl.Weight)
 		}
 		if math.IsNaN(cl.Eps) || math.IsInf(cl.Eps, 0) {
 			return fmt.Errorf("scenario: Classes[%d].Eps = %g, want a finite number (< 0 = AC.Eps)", i, cl.Eps)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eac/internal/admission"
-	"eac/internal/netsim"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
@@ -27,19 +26,19 @@ func identityCfg() Config {
 }
 
 // TestGeometryByteIdentity pins the tentpole's safety argument: the event
-// heap, the lane rings and the link ring buffers are pure priority/FIFO
+// heap and the sim.Ring FIFOs (lanes, queues, pipes) are pure priority/FIFO
 // containers keyed by a total order, so their initial capacities (and hence
 // their growth and internal arrangement) must not be observable in
 // simulation output. It runs the same scenarios with capacity 1 — forcing
 // growth on nearly every insertion — and with generous capacities, and
 // requires the aggregated results to be deep-equal.
 func TestGeometryByteIdentity(t *testing.T) {
-	heap0, lane0, ring0 := sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap
-	defer func() { sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap = heap0, lane0, ring0 }()
+	heap0, ring0 := sim.HeapInitCap, sim.RingInitCap
+	defer func() { sim.HeapInitCap, sim.RingInitCap = heap0, ring0 }()
 
 	seeds := []uint64{1, 2}
-	run := func(heapCap, laneCap, ringCap int) MultiMetrics {
-		sim.HeapInitCap, sim.LaneInitCap, netsim.RingInitCap = heapCap, laneCap, ringCap
+	run := func(heapCap, ringCap int) MultiMetrics {
+		sim.HeapInitCap, sim.RingInitCap = heapCap, ringCap
 		mm, err := RunSeeds(identityCfg(), seeds)
 		if err != nil {
 			t.Fatal(err)
@@ -47,10 +46,10 @@ func TestGeometryByteIdentity(t *testing.T) {
 		return mm
 	}
 
-	preallocated := run(1024, 64, 1024)
-	for _, caps := range [][3]int{{1, 1, 1}, {1024, 1, 1024}, {1, 64, 1}} {
-		if grown := run(caps[0], caps[1], caps[2]); !reflect.DeepEqual(grown, preallocated) {
-			t.Fatalf("container geometry leaked into results:\nheap/lane/ring caps %v: %+v\ncaps 1024/64/1024:      %+v",
+	preallocated := run(1024, 1024)
+	for _, caps := range [][2]int{{1, 1}, {1024, 1}, {1, 1024}} {
+		if grown := run(caps[0], caps[1]); !reflect.DeepEqual(grown, preallocated) {
+			t.Fatalf("container geometry leaked into results:\nheap/ring caps %v: %+v\ncaps 1024/1024:   %+v",
 				caps, grown, preallocated)
 		}
 	}

@@ -301,6 +301,7 @@ func TestValidateNamesField(t *testing.T) {
 	}{
 		{"Links[0].RateBps", func(c *Config) { c.Links = []LinkSpec{{RateBps: -1}} }},
 		{"Links[0].RateBps", func(c *Config) { c.Links = []LinkSpec{{RateBps: math.NaN()}} }},
+		{"Links[0].RateBps", func(c *Config) { c.Links = []LinkSpec{{RateBps: math.Inf(1)}} }},
 		{"Links[1].BufferPkts", func(c *Config) { c.Links = []LinkSpec{{}, {BufferPkts: -5}} }},
 		{"Links[0].Delay", func(c *Config) { c.Links = []LinkSpec{{Delay: -sim.Millisecond}} }},
 		{"MS.Target", func(c *Config) { c.Method, c.MS.Target = MBAC, -1 }},
@@ -314,6 +315,13 @@ func TestValidateNamesField(t *testing.T) {
 		{"PrepopulateUtil", func(c *Config) { c.PrepopulateUtil = math.NaN() }},
 		{"AC.Eps", func(c *Config) { c.AC.Eps = math.NaN() }},
 		{"AC.Eps", func(c *Config) { c.AC.Eps = math.Inf(-1) }},
+		{"AC.Eps", func(c *Config) { c.AC.Eps = -1 }},
+		{"VQFactor", func(c *Config) { c.AC.Design, c.VQFactor = admission.MarkInBand, -1 }},
+		{"VQFactor", func(c *Config) { c.AC.Design, c.VQFactor = admission.MarkInBand, math.NaN() }},
+		{"VQFactor", func(c *Config) { c.AC.Design, c.VQFactor = admission.MarkInBand, math.Inf(1) }},
+		{"Classes[0].Weight", func(c *Config) { c.Classes[0].Weight = math.NaN() }},
+		{"Classes[0].Weight", func(c *Config) { c.Classes[0].Weight = math.Inf(1) }},
+		{"Classes[0].Weight", func(c *Config) { c.Classes[0].Weight = -1 }},
 		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.NaN() }},
 		{"Classes[0].Eps", func(c *Config) { c.Classes[0].Eps = math.Inf(1) }},
 		{"Duration", func(c *Config) { c.Duration = -5 * sim.Second }},

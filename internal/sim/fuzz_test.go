@@ -114,10 +114,10 @@ func FuzzEventHeap(f *testing.F) {
 		const nEvents = 8
 		period := [2]sim.Time{10, 25}
 
-		cap0 := sim.LaneInitCap
-		defer func() { sim.LaneInitCap = cap0 }()
+		cap0 := sim.RingInitCap
+		defer func() { sim.RingInitCap = cap0 }()
 		if len(data) > 0 && data[0]&1 == 1 {
-			sim.LaneInitCap = 1
+			sim.RingInitCap = 1
 		}
 
 		s := sim.New()

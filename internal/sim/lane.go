@@ -25,52 +25,21 @@ type Lane uint8
 // zero Lane and fall through to Schedule.
 const maxLanes = 64
 
-// LaneInitCap is a lane ring's initial capacity, rounded up to a power of
-// two. Like HeapInitCap it exists for the byte-identity tests.
-var LaneInitCap = 64
-
 // lane is one ring plus the state of its tier-resident head. Invariant:
 // the ring holds entries only while head is set — whenever the head leaves
 // the stream tier the next live ring entry replaces it at once.
 type lane struct {
-	buf     []entry // power-of-two ring
-	first   int
-	n       int
+	ring    Ring[entry]
 	dead    int    // tombstones in the ring (Cancel of a ring-resident event)
 	head    bool   // an entry of this lane occupies a stream-tier slot
 	headSeq uint64 // that entry's seq
 	tail    Time   // time of the newest entry; appends must not precede it
 }
 
-func (l *lane) push(ent entry) {
-	if l.n == len(l.buf) {
-		nc := 2 * len(l.buf)
-		if nc == 0 {
-			for nc = 1; nc < LaneInitCap; nc <<= 1 {
-			}
-		}
-		nb := make([]entry, nc)
-		for i := 0; i < l.n; i++ {
-			nb[i] = l.buf[(l.first+i)&(len(l.buf)-1)]
-		}
-		l.buf, l.first = nb, 0
-	}
-	l.buf[(l.first+l.n)&(len(l.buf)-1)] = ent
-	l.n++
-}
-
-func (l *lane) pop() entry {
-	ent := l.buf[l.first]
-	l.buf[l.first] = entry{}
-	l.first = (l.first + 1) & (len(l.buf) - 1)
-	l.n--
-	return ent
-}
-
 // reset empties the lane, keeping the ring's capacity.
 func (l *lane) reset() {
-	clear(l.buf) // drop Event pointers so dead runs are collectable
-	*l = lane{buf: l.buf}
+	l.ring.Reset() // drop Event pointers so dead runs are collectable
+	*l = lane{ring: l.ring}
 }
 
 // Lane returns the lane for events rescheduled at now + d, creating it on
@@ -124,15 +93,15 @@ func (s *Sim) ScheduleLane(ln Lane, e *Event, at Time) {
 	s.nLive++
 	s.ctr.LaneAppends++
 	l.tail = at
-	l.push(entry{when: at, seq: e.seq, e: e})
+	l.ring.Push(entry{when: at, seq: e.seq, e: e})
 }
 
 // promote replaces a lane's departed head with the next live ring entry, if
 // there is one, scrubbing ring tombstones on the way. The entry takes the
 // stream tier's root when the dispatch loop left a hole there.
 func (s *Sim) promote(l *lane) {
-	for l.n > 0 {
-		ent := l.pop()
+	for l.ring.Len() > 0 {
+		ent := l.ring.Pop()
 		if l.dead > 0 && !ent.live() {
 			l.dead--
 			s.ctr.Scrubbed++

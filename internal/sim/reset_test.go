@@ -190,16 +190,16 @@ func TestResetWithLoadedLane(t *testing.T) {
 	s := New()
 	workload(s, 20) // stop with the lane loaded
 	l := &s.lanes[0]
-	if !l.head || l.n == 0 {
-		t.Fatalf("test setup: lane not loaded (head=%v n=%d)", l.head, l.n)
+	if !l.head || l.ring.Len() == 0 {
+		t.Fatalf("test setup: lane not loaded (head=%v n=%d)", l.head, l.ring.Len())
 	}
-	grown := len(l.buf)
-	stale := l.buf[l.first].e
+	grown := len(l.ring.buf)
+	stale := l.ring.Front().e
 	s.Reset()
-	if l.head || l.n != 0 || l.dead != 0 || l.tail != 0 || len(l.buf) != grown {
+	if l.head || l.ring.Len() != 0 || l.ring.head != 0 || l.dead != 0 || l.tail != 0 || len(l.ring.buf) != grown {
 		t.Fatalf("Reset left lane state behind: %+v", *l)
 	}
-	for i, ent := range l.buf {
+	for i, ent := range l.ring.buf {
 		if ent.e != nil {
 			t.Fatalf("lane slot %d retains an event pointer after Reset", i)
 		}

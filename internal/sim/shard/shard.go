@@ -123,9 +123,6 @@ func NewExec[P any](k int, window sim.Time) *Exec[P] {
 	return x
 }
 
-// K returns the shard count.
-func (x *Exec[P]) K() int { return len(x.shards) }
-
 // Shard returns shard i.
 func (x *Exec[P]) Shard(i int) *Shard[P] { return x.shards[i] }
 

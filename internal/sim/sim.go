@@ -258,9 +258,6 @@ func (s *Sim) schedule(e *Event, at Time, stream bool) {
 	}
 }
 
-// ScheduleIn schedules e to fire after delay d.
-func (s *Sim) ScheduleIn(e *Event, d Time) { s.Schedule(e, s.now+d) }
-
 // Reschedule moves a pending event to a new time, or schedules it if it is
 // not pending.
 func (s *Sim) Reschedule(e *Event, at Time) {

@@ -18,25 +18,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Merge folds another accumulator into this one (Chan et al.'s parallel
-// variance combination). The result matches a single accumulator that saw
-// both sample sets, up to floating-point rounding; the shard-merge path
-// uses it to combine per-shard delay statistics.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 

@@ -67,7 +67,6 @@ type Sender struct {
 	dupAcks  int
 	inFR     bool  // in fast recovery
 	recover  int64 // recovery point (Reno: highest seq sent at loss)
-	inflight int64 // segments outstanding
 
 	rtoEv   *sim.Event
 	rto     sim.Time
@@ -275,9 +274,7 @@ type Receiver struct {
 	expect int64
 	ooo    map[int64]bool // out-of-order segments received
 
-	pipe   []pendingAck
-	pipeHd int
-	pipeN  int
+	pipe   sim.Ring[pendingAck]
 	pipeEv *sim.Event
 
 	// Received counts segments that arrived (including out-of-order).
@@ -318,33 +315,17 @@ func (r *Receiver) Receive(now sim.Time, p *netsim.Packet) {
 }
 
 func (r *Receiver) sendAck(now sim.Time, ack int64) {
-	if r.pipeN == len(r.pipe) {
-		nc := len(r.pipe) * 2
-		if nc == 0 {
-			nc = 16
-		}
-		np := make([]pendingAck, nc)
-		for i := 0; i < r.pipeN; i++ {
-			np[i] = r.pipe[(r.pipeHd+i)%len(r.pipe)]
-		}
-		r.pipe = np
-		r.pipeHd = 0
-	}
-	r.pipe[(r.pipeHd+r.pipeN)%len(r.pipe)] = pendingAck{at: now + r.delay, ack: ack}
-	r.pipeN++
+	r.pipe.Push(pendingAck{at: now + r.delay, ack: ack})
 	if !r.pipeEv.Pending() {
 		r.s.Schedule(r.pipeEv, now+r.delay)
 	}
 }
 
 func (r *Receiver) deliverAcks(now sim.Time) {
-	for r.pipeN > 0 && r.pipe[r.pipeHd].at <= now {
-		ack := r.pipe[r.pipeHd].ack
-		r.pipeHd = (r.pipeHd + 1) % len(r.pipe)
-		r.pipeN--
-		r.sender.OnAck(now, ack)
+	for r.pipe.Len() > 0 && r.pipe.Front().at <= now {
+		r.sender.OnAck(now, r.pipe.Pop().ack)
 	}
-	if r.pipeN > 0 {
-		r.s.Schedule(r.pipeEv, r.pipe[r.pipeHd].at)
+	if r.pipe.Len() > 0 {
+		r.s.Schedule(r.pipeEv, r.pipe.Front().at)
 	}
 }
