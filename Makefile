@@ -48,7 +48,7 @@ bench:
 # whenever cached metrics are suspect; entries are also individually
 # checksummed, so corruption never needs a manual clear.
 cache-clear:
-	$(GO) run ./cmd/experiments -cache-clear
+	$(GO) run ./cmd/eacsim figure -cache-clear
 
 # conformance runs the validation harness on its own: golden-figure
 # regression, simulator<->fluid cross-validation, and the invariant

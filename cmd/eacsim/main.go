@@ -1,331 +1,120 @@
-// Command eacsim runs one endpoint-admission-control scenario and prints
-// the paper's metrics: utilization of the allocated share, data packet
-// loss probability, and flow blocking probability.
+// Command eacsim is the simulator's command line, with two subcommands:
+//
+//	eacsim [run] [flags]   one scenario: the paper's metrics (utilization of
+//	                       the allocated share, data loss, flow blocking)
+//	eacsim figure [flags]  the paper's tables and figures (default: all, in
+//	                       quick mode), printed and written as CSV under -out
 //
 // Examples:
 //
 //	eacsim -design drop-in -prober slow-start -eps 0.01
 //	eacsim -method mbac -target 0.95 -tau 1.0 -duration 14000
 //	eacsim -source StarWars -tau 8 -design mark-out -eps 0.05 -seeds 3
+//	eacsim figure                     # all experiments, quick mode
+//	eacsim figure -run figure2        # one experiment
+//	eacsim figure -paper -seeds 7     # full publication scale (hours)
+//	eacsim figure -cache              # serve repeated runs from the result cache
+//	eacsim figure -cache-clear        # wipe the result cache and exit
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
-	"eac/internal/admission"
 	"eac/internal/cache"
 	"eac/internal/obs"
-	"eac/internal/scenario"
-	"eac/internal/sim"
-	"eac/internal/trafgen"
 )
-
-// designNames is the -design vocabulary.
-var designNames = map[string]admission.Design{
-	"drop-in": admission.DropInBand, "drop-out": admission.DropOutOfBand,
-	"mark-in": admission.MarkInBand, "mark-out": admission.MarkOutOfBand,
-	"vdrop-out": admission.VDropOutOfBand,
-}
-
-func parseDesign(s string) (admission.Design, error) {
-	if d, ok := designNames[s]; ok {
-		return d, nil
-	}
-	return admission.Design{}, fmt.Errorf("unknown design %q (drop-in, drop-out, mark-in, mark-out, vdrop-out)", s)
-}
-
-func parseProber(s string) (admission.ProberKind, error) {
-	switch s {
-	case "simple":
-		return admission.Simple, nil
-	case "early-reject":
-		return admission.EarlyReject, nil
-	case "slow-start":
-		return admission.SlowStart, nil
-	}
-	return 0, fmt.Errorf("unknown prober %q (simple, early-reject, slow-start)", s)
-}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("eacsim: ")
-
-	var (
-		method   = flag.String("method", "eac", "admission method: eac, mbac, passive, none")
-		design   = flag.String("design", "drop-in", "endpoint design: drop-in, drop-out, mark-in, mark-out, vdrop-out")
-		prober   = flag.String("prober", "slow-start", "probing algorithm: simple, early-reject, slow-start")
-		eps      = flag.Float64("eps", 0.01, "acceptance threshold")
-		target   = flag.Float64("target", 0.95, "MBAC utilization target")
-		source   = flag.String("source", "EXP1", "traffic source: EXP1, EXP2, EXP3, EXP4, POO1, StarWars")
-		tau      = flag.Float64("tau", 3.5, "mean flow inter-arrival time, seconds")
-		life     = flag.Float64("life", 300, "mean flow lifetime, seconds")
-		linkBps  = flag.Float64("link", 10e6, "allocated link share, bits/s")
-		duration = flag.Float64("duration", 14000, "simulated seconds")
-		warmup   = flag.Float64("warmup", 2000, "discarded warm-up seconds")
-		prepop   = flag.Float64("prepopulate", 0, "seed stationary flows to this utilization (0 = off)")
-		seeds    = flag.Int("seeds", 1, "number of seeds to average")
-		workers  = flag.Int("workers", 0, "parallel seed runs (0 = one per core); results are identical for any value")
-
-		// Topology (see README "Sharded runs and the MetroStar preset").
-		topology = flag.String("topology", "basic", "basic (one congested link) or metro-star (the large star-of-chains preset; -source/-tau/-life/-link/-prepopulate are derived from -hosts and ignored)")
-		chains   = flag.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
-		hops     = flag.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
-		hosts    = flag.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = flag.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac or none and no -hybrid; sharded runs are statistically equivalent, not byte-identical, to serial ones")
-		hybrid   = flag.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac or none and the serial path (exclusive with -shards > 1)")
-		probeDur = flag.Float64("probe", 5, "total probe duration, seconds")
-		useRED   = flag.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
-		retries  = flag.Int("retries", 0, "max admission retries with exponential back-off")
-
-		// Admission policy layer (EAC only; see README "Admission policies").
-		policy     = flag.String("policy", "static", "admission policy: static, always-admit, never-admit, token-bucket, epoch-adaptive")
-		bucketCap  = flag.Float64("policy.bucket-cap", 0, "token-bucket: capacity in admission tokens (0 = default 10)")
-		bucketRate = flag.Float64("policy.bucket-rate", 0, "token-bucket: refill rate, tokens/s (0 = default 0.5)")
-		epochN     = flag.Int("policy.epoch", 0, "epoch-adaptive: probes per adaptation epoch (0 = default 50)")
-		targetLoss = flag.Float64("policy.target-loss", 0, "epoch-adaptive: post-admission loss setpoint (0 = default 0.01)")
-
-		// Nonstationary load modulation (see README "Temporal workloads").
-		loadSched  = flag.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
-		loadReplay = flag.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
-
-		// Result cache (see README "Result cache").
-		useCache = flag.Bool("cache", false, "serve repeated runs from the content-addressed result cache")
-		cacheDir = flag.String("cache-dir", "", "result cache directory (implies -cache; default $EAC_CACHE_DIR or the user cache dir)")
-
-		// Observability and profiling (see README "Observability").
-		obsDir    = flag.String("obs", "", "write observability artifacts (run manifest, per-queue time-series CSVs, JSONL event traces) under this directory")
-		mInterval = flag.Float64("metrics-interval", 1, "queue telemetry sampling interval, simulated seconds (0 disables the time series)")
-		traceOut  = flag.String("trace-out", "", "JSONL event trace path (default <obs>/eacsim-s<seed>-trace.jsonl; implies -obs in the file's directory; single seed only)")
-		perfetto  = flag.String("trace-perfetto", "", "Chrome/Perfetto trace-event JSON export path for the probe-lifecycle spans (open with ui.perfetto.dev; implies -obs in the file's directory; single seed only)")
-		traceCap  = flag.Int("trace-cap", 1<<16, "event trace ring capacity; the oldest events are discarded beyond this")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	)
-	flag.Parse()
-
-	if *seeds < 1 {
-		log.Fatalf("-seeds must be >= 1, got %d", *seeds)
+	args := os.Args[1:]
+	sub := "run"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		sub, args = args[0], args[1:]
 	}
-	if *pprofAddr != "" {
-		go func() { log.Printf("pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
-	}
-
-	var cfg scenario.Config
-	var metro *scenario.MetroStarOptions // nil on the basic topology
-	switch *topology {
-	case "basic":
-		preset, err := trafgen.Lookup(*source)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg = scenario.Config{
-			Classes:         []scenario.ClassSpec{{Preset: preset, Weight: 1, Eps: -1}},
-			Links:           []scenario.LinkSpec{{RateBps: *linkBps}},
-			InterArrival:    *tau,
-			LifetimeSec:     *life,
-			PrepopulateUtil: *prepop,
-		}
-	case "metro-star":
-		for _, f := range []struct {
-			name string
-			v    int
-		}{{"-chains", *chains}, {"-hops", *hops}, {"-hosts", *hosts}} {
-			if f.v < 0 {
-				log.Fatalf("%s must be >= 0 (0 = preset default), got %d", f.name, f.v)
-			}
-		}
-		metro = &scenario.MetroStarOptions{Chains: *chains, Hops: *hops, Hosts: *hosts}
-		cfg = scenario.MetroStar(*metro)
+	switch sub {
+	case "run":
+		runMain(args)
+	case "figure":
+		figureMain(args)
 	default:
-		log.Fatalf("unknown topology %q (basic, metro-star)", *topology)
+		log.Fatalf("unknown subcommand %q (run, figure)", sub)
 	}
-	cfg.Duration = sim.Seconds(*duration)
-	cfg.Warmup = sim.Seconds(*warmup)
-	cfg.MaxRetries = *retries
-	if *useRED {
-		cfg.Queue = scenario.QueueRED
-	}
-	if *loadSched != "" {
-		s, err := scenario.ParseSchedule(*loadSched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Schedule = s
-	}
-	if *loadReplay != "" {
-		if *loadSched != "" {
-			log.Fatal("-load.replay and -load.schedule are mutually exclusive")
-		}
-		tr, err := scenario.LoadReplay(*loadReplay)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tr.Len() == 0 {
-			log.Fatalf("-load.replay: no arrival events in %s (was the trace recorded with -obs and a large enough -trace-cap?)", *loadReplay)
-		}
-		cfg.Replay = tr
-	}
-	switch *method {
-	case "eac":
-		d, err := parseDesign(*design)
-		if err != nil {
-			log.Fatal(err)
-		}
-		k, err := parseProber(*prober)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Method = scenario.EAC
-		cfg.AC = admission.Config{Design: d, Kind: k, Eps: *eps, ProbeDur: sim.Seconds(*probeDur)}
-		pk, err := admission.ParsePolicyKind(*policy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Policy = admission.PolicyConfig{
-			Kind:      pk,
-			BucketCap: *bucketCap, BucketRate: *bucketRate,
-			Epoch: *epochN, TargetLoss: *targetLoss,
-		}
-	case "mbac":
-		cfg.Method = scenario.MBAC
-		cfg.MS.Target = *target
-	case "passive":
-		cfg.Method = scenario.Passive
-		cfg.AC.Eps = *eps
-	case "none":
-		cfg.Method = scenario.None
-	default:
-		log.Fatalf("unknown method %q", *method)
-	}
+}
 
-	for _, f := range []struct{ flag, path string }{
-		{"-trace-out", *traceOut}, {"-trace-perfetto", *perfetto},
-	} {
-		if f.path == "" {
-			continue
-		}
-		if *seeds > 1 {
-			log.Fatalf("%s names a single file; use -seeds 1 or -obs DIR for per-seed traces", f.flag)
-		}
-		if *obsDir == "" {
-			// Trace-only invocation: keep the manifest and series next to
-			// the requested trace file instead of littering the cwd.
-			*obsDir = filepath.Dir(f.path)
-		}
-	}
-	if *obsDir != "" {
-		cfg.Obs = obs.Config{
-			Enabled:         true,
-			Dir:             *obsDir,
-			Label:           "eacsim",
-			MetricsInterval: sim.Seconds(*mInterval),
-			TraceCapacity:   *traceCap,
-			TracePath:       *traceOut,
-			PerfettoPath:    *perfetto,
-		}
-	}
+// common holds the flags both subcommands declare with one meaning and
+// one default.
+type common struct {
+	workers  int
+	useCache bool
+	cacheDir string
+	traceCap int
+	pprof    string
+}
 
-	var store *cache.Store
-	if *useCache || *cacheDir != "" {
-		var err error
-		if store, err = cache.Open(*cacheDir); err != nil {
-			log.Fatal(err)
-		}
-		cfg.Cache = store
-		if cfg.Obs.Enabled {
-			log.Print("result cache: bypassed while observability is active (artifacts cannot come from a cache)")
-		}
+func bindCommon(fs *flag.FlagSet) *common {
+	c := &common{}
+	fs.IntVar(&c.workers, "workers", 0, "parallel simulator runs (0 = one per core); results are identical for any value")
+	// Result cache (see README "Result cache").
+	fs.BoolVar(&c.useCache, "cache", false, "serve repeated runs from the content-addressed result cache")
+	fs.StringVar(&c.cacheDir, "cache-dir", "", "result cache directory (implies -cache; default $EAC_CACHE_DIR or the user cache dir)")
+	// Observability and profiling (see README "Observability").
+	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "event trace ring capacity per run; the oldest events are discarded beyond this")
+	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	return c
+}
+
+// parse parses args into fs. A word left after the flags is a typo (a
+// subcommand written after run's flags, say), never input to ignore.
+func parse(fs *flag.FlagSet, args []string) {
+	fs.Parse(args) // flag.ExitOnError: a bad flag has already exited
+	if fs.NArg() > 0 {
+		log.Fatalf("unexpected argument %q (flags go after the subcommand: eacsim [run|figure] -flag ...)", fs.Arg(0))
 	}
+}
 
-	cfg.Hybrid.Enabled = *hybrid
-	cfg.Shards = *shrds
+// start serves pprof, checks -workers and opens the result cache when
+// -cache or -cache-dir asks for it, or when open does. It returns the
+// store (nil when none is open) and the worker count, 0 resolved to one
+// per core.
+func (c *common) start(open bool) (*cache.Store, int) {
+	if c.workers < 0 {
+		log.Fatalf("-workers must be >= 0 (0 = one per core), got %d", c.workers)
+	}
+	if c.pprof != "" {
+		go func() { log.Printf("pprof: %v", http.ListenAndServe(c.pprof, nil)) }()
+	}
+	workers := c.workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if !c.useCache && c.cacheDir == "" && !open {
+		return nil, workers
+	}
+	return must(cache.Open(c.cacheDir)), workers
+}
 
-	seedVals := scenario.DefaultSeeds(*seeds)
-	start := time.Now()
-	mm, recs, err := scenario.RunSeedsObserved(cfg, seedVals, *workers)
+// newManifest starts the run record both subcommands write: the resolved
+// worker count, the seeds, the wall time, what ran (config), what it gave
+// (summary) and, when a cache was open, its counters.
+func newManifest(workers int, seeds []uint64, wall time.Duration, config, summary map[string]any, snap *cache.Snapshot) obs.Manifest {
+	man := obs.NewManifest()
+	man.Workers, man.Seeds, man.WallSeconds = workers, seeds, wall.Seconds()
+	man.Config, man.Summary, man.Cache = config, summary, snap
+	return man
+}
+
+// must returns v, or ends the command with err.
+func must[T any](v T, err error) T {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wall := time.Since(start)
-	m := mm.Mean
-	// What is printed and filed from here on is the domain count the run
-	// executed: -shards after the link-count clamp.
-	cfg.Shards = recs[0].Shards
-
-	if *obsDir != "" {
-		man := obs.NewManifest()
-		man.Workers = *workers
-		if man.Workers <= 0 {
-			man.Workers = runtime.GOMAXPROCS(0)
-		}
-		man.Seeds = seedVals
-		man.WallSeconds = wall.Seconds()
-		man.Config = manifestConfig(cfg, *source, metro)
-		man.Summary = map[string]any{
-			"utilization": m.Utilization, "util_stderr": mm.UtilStderr,
-			"loss": m.DataLossProb, "loss_stderr": mm.LossStderr,
-			"blocking": m.BlockingProb, "decided": m.Decided,
-			"probe_share": m.ProbeShare,
-		}
-		if cfg.Shards > 1 {
-			man.Shards = cfg.Shards
-		}
-		for _, r := range recs {
-			r.AddTo(&man)
-		}
-		if store != nil {
-			man.Cache = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(),
-				Bypassed: "obs active"}
-		}
-		if err := man.Write(cfg.Obs.ManifestPath()); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("observability: wrote %s and %d artifact(s) under %s",
-			cfg.Obs.ManifestPath(), len(man.Artifacts), *obsDir)
-	}
-	if *topology == "metro-star" {
-		fmt.Printf("scenario : %s %s duration=%.0fs x %d seed(s)\n",
-			*method, cfg.Name, *duration, *seeds)
-	} else {
-		fmt.Printf("scenario : %s %s tau=%.2gs link=%.3gMb/s duration=%.0fs x %d seed(s)\n",
-			*method, *source, *tau, *linkBps/1e6, *duration, *seeds)
-	}
-	if cfg.Shards > 1 {
-		fmt.Printf("shards   : %d (conservative windowed parallel DES; statistically equivalent to serial)\n", cfg.Shards)
-	}
-	if cfg.Hybrid.Active() {
-		fmt.Println("hybrid   : fluid data plane, packet probes")
-	}
-	if cfg.Method == scenario.EAC {
-		fmt.Printf("design   : %s, %s probing, eps=%.3g\n", cfg.AC.Design, cfg.AC.Kind, *eps)
-		if cfg.Policy.Kind != admission.PolicyStatic {
-			fmt.Printf("policy   : %s\n", cfg.Policy.Kind)
-		}
-	}
-	if cfg.Schedule.Active() {
-		fmt.Printf("load     : schedule %s (peak %.3gx)\n", cfg.Schedule, cfg.Schedule.Peak())
-	}
-	if cfg.Replay != nil {
-		fmt.Printf("load     : replaying %d arrivals from %s\n", cfg.Replay.Len(), cfg.Replay.Source())
-	}
-	fmt.Printf("util     : %.4f (+/- %.4f across seeds)\n", m.Utilization, mm.UtilStderr)
-	fmt.Printf("loss     : %.3e (+/- %.1e)\n", m.DataLossProb, mm.LossStderr)
-	fmt.Printf("blocking : %.4f over %d decided flows\n", m.BlockingProb, m.Decided)
-	fmt.Printf("probes   : %.4f of the allocated share\n", m.ProbeShare)
-	if store != nil {
-		log.Printf("result cache: %s (%s)", store.Stats(), store.Dir())
-	}
-	for _, cm := range m.Classes {
-		if len(m.Classes) > 1 {
-			fmt.Printf("  class %-10s blocking=%.4f loss=%.3e\n", cm.Name, cm.BlockingProb(), cm.LossProb())
-		}
-	}
-	os.Exit(0)
+	return v
 }

@@ -33,10 +33,12 @@
 // See the examples directory for runnable programs and EXPERIMENTS.md for
 // the reproduction of every table and figure in the paper.
 //
-// The surface is what it takes to build a Config, run it and read the
-// result: the types of Config's fields and of the returned values, the
-// constants and constructors that produce them, and the run functions.
-// Workspaces, fingerprints, manifests and shard planning stay internal.
+// The surface is what the examples, the README and this package's tests
+// use — Config and the values they set in it, the run functions, the
+// fluid solvers, the result cache — plus the types those signatures name.
+// Policies, load schedules, replay traces and the other presets and queue
+// models are reached through eacsim's flags or internal/scenario, and
+// workspaces, fingerprints, manifests and shard planning stay internal.
 package eac
 
 import (
@@ -72,8 +74,6 @@ type (
 	LinkSpec = scenario.LinkSpec
 	// Metrics is a single run's outcome.
 	Metrics = scenario.Metrics
-	// ClassMetrics holds per-class counters.
-	ClassMetrics = scenario.ClassMetrics
 	// MultiMetrics aggregates runs over several seeds.
 	MultiMetrics = scenario.MultiMetrics
 	// TCPShareConfig describes the Section 4.7 legacy-router experiment.
@@ -98,22 +98,15 @@ type (
 const (
 	// EAC is endpoint admission control.
 	EAC = scenario.EAC
-	// MBAC is the router-based Measured Sum benchmark.
-	MBAC = scenario.MBAC
-	// NoAdmission admits every flow.
-	NoAdmission = scenario.None
 	// PassiveAdmission is the egress-router variant: flows are admitted
 	// on passively monitored recent loss, with no probing delay.
 	PassiveAdmission = scenario.Passive
 )
 
-// Queue disciplines for the admission-controlled class.
-const (
-	// QueuePushout is the default priority queue with probe push-out.
-	QueuePushout = scenario.QueuePushout
-	// QueueRED uses Random Early Detection (in-band designs only).
-	QueueRED = scenario.QueueRED
-)
+// QueueRED selects Random Early Detection for the admission-controlled
+// class (in-band designs only) instead of the default priority queue with
+// probe push-out.
+const QueueRED = scenario.QueueRED
 
 // The four prototype endpoint designs of Section 3.1.
 var (
@@ -136,67 +129,9 @@ const (
 	SlowStart   = admission.SlowStart
 )
 
-// Admission policy layer (see DESIGN.md §5): the accept/reject decision
-// and probe-parameter choice behind Config.Policy.
-type (
-	// PolicyConfig selects and parameterizes the admission policy of an
-	// EAC scenario. The zero value is the paper's static-ε prober.
-	PolicyConfig = admission.PolicyConfig
-	// PolicyKind enumerates the built-in policies.
-	PolicyKind = admission.PolicyKind
-)
-
-// Temporal workload engine (see DESIGN.md §6): composable phase schedules
-// and recorded-trace replay behind Config.Schedule / Config.Replay.
-type (
-	// Schedule is a sequence of load phases modulating the arrival rate
-	// (zero value means stationary arrivals).
-	Schedule = scenario.Schedule
-	// Phase is one segment of a Schedule.
-	Phase = scenario.Phase
-	// PhaseKind enumerates the phase shapes.
-	PhaseKind = scenario.PhaseKind
-	// ReplayTrace re-drives flow arrivals recorded in an obs JSONL trace.
-	ReplayTrace = scenario.ReplayTrace
-	// ReplayArrival is one recorded arrival of a ReplayTrace.
-	ReplayArrival = scenario.ReplayArrival
-)
-
-// Phase shapes.
-const (
-	PhaseConst = scenario.PhaseConst
-	PhaseRamp  = scenario.PhaseRamp
-	PhaseSine  = scenario.PhaseSine
-)
-
-// ParseSchedule parses the textual schedule grammar used by the
-// -load.schedule flag (e.g. "const:100:1,ramp:60:1:3,spike:30:4,hold").
-func ParseSchedule(spec string) (Schedule, error) { return scenario.ParseSchedule(spec) }
-
-// NewReplayTrace builds a replay source from explicit arrivals.
-func NewReplayTrace(arrivals []ReplayArrival, source string) (*ReplayTrace, error) {
-	return scenario.NewReplayTrace(arrivals, source)
-}
-
-// LoadReplay reads a recorded obs JSONL event trace into a replay source.
-func LoadReplay(path string) (*ReplayTrace, error) { return scenario.LoadReplay(path) }
-
-// Built-in admission policies.
-const (
-	PolicyStatic        = admission.PolicyStatic
-	PolicyAlwaysAdmit   = admission.PolicyAlwaysAdmit
-	PolicyNeverAdmit    = admission.PolicyNeverAdmit
-	PolicyTokenBucket   = admission.PolicyTokenBucket
-	PolicyEpochAdaptive = admission.PolicyEpochAdaptive
-)
-
-// Traffic source presets of Table 1.
+// Traffic source presets of Table 1; LookupPreset resolves the others.
 var (
 	EXP1     = trafgen.EXP1
-	EXP2     = trafgen.EXP2
-	EXP3     = trafgen.EXP3
-	EXP4     = trafgen.EXP4
-	POO1     = trafgen.POO1
 	StarWars = trafgen.StarWars
 )
 
@@ -267,25 +202,14 @@ type (
 	// FluidTransientResult holds a transient solve's trajectory and
 	// quasi-stationary tail averages.
 	FluidTransientResult = fluid.TransientResult
-	// FluidTransientSample is one trajectory point of a transient solve.
-	FluidTransientSample = fluid.TransientSample
 	// FluidQueueModel selects the queue/marking approximation mapping
 	// utilization to a congestion signal.
 	FluidQueueModel = fluid.QueueModel
 )
 
-// Queue/marking approximations for the transient model and the hybrid
-// engine's per-link fluid state.
-const (
-	// FluidBufferless is the paper's own fluid loss signal max(0, 1-1/rho).
-	FluidBufferless = fluid.QueueBufferless
-	// FluidDropTail is the M/M/1/B diffusion overflow probability.
-	FluidDropTail = fluid.QueueDropTail
-	// FluidREDApprox is RED's linear marking profile on the mean queue.
-	FluidREDApprox = fluid.QueueREDApprox
-	// FluidVirtual is drop-tail applied to a virtual queue (footnote 14).
-	FluidVirtual = fluid.QueueVirtual
-)
+// FluidDropTail is the M/M/1/B diffusion overflow probability, one of the
+// queue approximations FluidMarkProb and FluidTransient take.
+const FluidDropTail = fluid.QueueDropTail
 
 // SolveFluidTransient integrates the mean-field admission ODE with RK4,
 // returning the trajectory and its quasi-stationary tail.

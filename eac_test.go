@@ -2,10 +2,15 @@ package eac_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -143,11 +148,124 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-// TestDocsReferToExistingThings keeps the four long docs from naming what
-// the tree does not have: every `make <target>`, results/<file>,
-// cmd/<dir>, internal/<path>, Benchmark<Name> and command flag they mention
-// must exist in the Makefile, on disk, as a benchmark of this package, or
-// as a flag the command declares.
+// TestFacadeHasCallers keeps eac.go as big as its callers: every name it
+// exports is used as eac.<Name> by an example, a command, the README or a
+// root test (this one aside), or is named by the signature or type of an
+// exported name that is.
+func TestFacadeHasCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "eac.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// named maps each exported name to the names its signature or type uses.
+	named := map[string][]string{}
+	idents := func(n ast.Node) (out []string) {
+		if n == nil { // a var or const with no written type
+			return nil
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				out = append(out, id.Name)
+			}
+			return true
+		})
+		return out
+	}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				named[d.Name.Name] = idents(d.Type)
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						named[s.Name.Name] = idents(s.Type)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							named[n.Name] = idents(s.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	uses := func(name string, skip string) {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name == skip {
+				return false
+			}
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "eac" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				uses(path, "")
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range tests {
+		uses(f, "TestFacadeHasCallers")
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`\beac\.([A-Z]\w*)`).FindAllStringSubmatch(string(readme), -1) {
+		used[m[1]] = true
+	}
+
+	// A name a used name's signature or type names is used too.
+	for grew := true; grew; {
+		grew = false
+		for name, refs := range named {
+			if !used[name] {
+				continue
+			}
+			for _, r := range refs {
+				if _, exported := named[r]; exported && !used[r] {
+					used[r], grew = true, true
+				}
+			}
+		}
+	}
+	for name := range named {
+		if !used[name] {
+			t.Errorf("eac.%s has no caller: no example, command, README line or root test uses it, and no used name's signature names it", name)
+		}
+	}
+}
+
+// TestDocsReferToExistingThings keeps the four long docs and the verify
+// skill from naming what the tree does not have: every `make <target>`,
+// results/<file>, cmd/<dir>, internal/<path>, Benchmark<Name> and command
+// flag they mention must exist in the Makefile, on disk, as a benchmark of
+// this package, or as a flag the subcommand declares.
 func TestDocsReferToExistingThings(t *testing.T) {
 	read := func(name string) string {
 		b, err := os.ReadFile(name)
@@ -194,16 +312,15 @@ func TestDocsReferToExistingThings(t *testing.T) {
 		{"root benchmark", regexp.MustCompile(`\b(Benchmark[A-Z]\w*)`), func(s string) bool { return benchmarks[s] }},
 	}
 	// A command flag is a -name among the words that follow an invocation
-	// of eacsim or experiments on the same line, up to the end of the code
-	// span or a shell comment; the command must declare it.
-	flagDecl := regexp.MustCompile(`flag\.[A-Z]\w*\("([^"]+)"`)
-	flags := map[string]map[string]bool{}
-	for _, c := range []string{"eacsim", "experiments"} {
-		flags[c] = declared(flagDecl, read("cmd/"+c+"/main.go"))
-	}
-	invocation := regexp.MustCompile("(?:^|[\\s`(])(?:\\./)?(?:cmd/)?(eacsim|experiments)((?:[ \t]+[^\\s`]+)*)")
+	// of eacsim on the same line, up to the end of the code span or a shell
+	// comment. After `eacsim figure` it must be a figure flag, after
+	// `eacsim` or `eacsim run` a run flag, or else one both declare. The
+	// retired `experiments -…` is an error (its cmd/ path fails as a command).
+	flags := subcommandFlags(t)
+	invocation := regexp.MustCompile("(?:^|[\\s`(])(?:\\./)?(?:cmd/)?eacsim((?:[ \t]+[^\\s`]+)*)")
+	retired := regexp.MustCompile("(?:^|[\\s`(])(?:\\./)?experiments[ \t]+-")
 	flagArg := regexp.MustCompile(`^-([a-z][\w.-]*)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
 		for i, line := range strings.Split(read(doc), "\n") {
 			for _, k := range kinds {
 				for _, m := range k.re.FindAllStringSubmatch(line, -1) {
@@ -212,13 +329,24 @@ func TestDocsReferToExistingThings(t *testing.T) {
 					}
 				}
 			}
+			if m := retired.FindString(line); m != "" {
+				t.Errorf("%s:%d: names the retired experiments command (%q); it is eacsim figure", doc, i+1, strings.TrimSpace(m))
+			}
 			for _, m := range invocation.FindAllStringSubmatch(line, -1) {
-				for _, arg := range strings.Fields(m[2]) {
+				args, sub := strings.Fields(m[1]), "run"
+				if len(args) > 0 && (args[0] == "run" || args[0] == "figure") {
+					args, sub = args[1:], args[0]
+				}
+				for _, arg := range args {
 					if strings.HasPrefix(arg, "#") {
 						break
 					}
-					if f := flagArg.FindStringSubmatch(arg); f != nil && !flags[m[1]][strings.TrimRight(f[1], ".")] {
-						t.Errorf("%s:%d: names command flag %s -%s, which does not exist", doc, i+1, m[1], f[1])
+					f := flagArg.FindStringSubmatch(arg)
+					if f == nil {
+						continue
+					}
+					if name := strings.TrimRight(f[1], "."); !flags[sub][name] && !flags[""][name] {
+						t.Errorf("%s:%d: names flag -%s of eacsim %s, which does not exist", doc, i+1, f[1], sub)
 					}
 				}
 			}
@@ -226,13 +354,89 @@ func TestDocsReferToExistingThings(t *testing.T) {
 	}
 }
 
-// buildCommands builds both commands into a temporary directory. The
-// commands are not inputs of this test binary, so `go test` serves a cached
-// pass after a change to them: run the command tests with -count=1.
+// subcommandFlags reads the flags cmd/eacsim declares, keyed by
+// subcommand: a function that makes flag.NewFlagSet("eacsim <sub>", ...)
+// declares <sub>'s flags, and one that is handed a *flag.FlagSet declares
+// flags common to both, filed under "".
+func subcommandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/eacsim/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	define := regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)(Var)?$`)
+	flags := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			sub, found := "", false
+			var names []string
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				for _, a := range call.Args {
+					if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						s, _ := strconv.Unquote(lit.Value)
+						switch {
+						case sel.Sel.Name == "NewFlagSet":
+							sub, found = strings.TrimPrefix(s, "eacsim "), true
+						case define.MatchString(sel.Sel.Name):
+							names = append(names, s)
+						}
+						break
+					}
+				}
+				return true
+			})
+			common := false
+			for _, p := range fn.Type.Params.List {
+				if star, ok := p.Type.(*ast.StarExpr); ok && types.ExprString(star.X) == "flag.FlagSet" {
+					common = true
+				}
+			}
+			if !found && !common {
+				continue
+			}
+			if flags[sub] == nil {
+				flags[sub] = map[string]bool{}
+			}
+			for _, n := range names {
+				flags[sub][n] = true
+			}
+		}
+	}
+	for _, sub := range []string{"", "run", "figure"} {
+		if len(flags[sub]) == 0 {
+			t.Fatalf("found no flags declared for eacsim subcommand %q", sub)
+		}
+	}
+	return flags
+}
+
+// buildCommands builds the command into a temporary directory. It is not
+// an input of this test binary, so `go test` serves a cached pass after a
+// change to it: run the command tests with -count=1.
 func buildCommands(t *testing.T) string {
 	t.Helper()
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/eacsim", "./cmd/experiments").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/eacsim").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return bin
@@ -257,8 +461,8 @@ func assertRejected(t *testing.T, bin string, args []string, want string) {
 	}
 }
 
-// TestCommandsRejectBadSeeds: a seed count that selects no run (eacsim
-// needs >= 1; experiments takes 0 as the mode default) must end the process
+// TestCommandsRejectBadSeeds: a seed count that selects no run (eacsim run
+// needs >= 1; eacsim figure takes 0 as the mode default) must end the process
 // with a message naming -seeds before anything runs — not
 // scenario.DefaultSeeds' makeslice panic, and not eacsim's all-zero table
 // that reads like a result.
@@ -268,9 +472,9 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 		{"eacsim", "-seeds", "0"},
 		{"eacsim", "-seeds", "-1"},
 		{"eacsim", "-seeds=-9223372036854775808", "-duration", "10", "-warmup", "2"},
-		{"experiments", "-run", "table3", "-seeds", "-2"},
-		{"experiments", "-run", "figure1", "-seeds", "-1"},
-		{"experiments", "-list", "-seeds=-9223372036854775808"},
+		{"eacsim", "figure", "-run", "table3", "-seeds", "-2"},
+		{"eacsim", "figure", "-run", "figure1", "-seeds", "-1"},
+		{"eacsim", "figure", "-list", "-seeds=-9223372036854775808"},
 	} {
 		assertRejected(t, bin, args, "-seeds")
 	}
@@ -280,10 +484,14 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 // scenario.Config.Validate (or RunTCPShare's check) and ends the command
 // with the field's name — not a panic in netsim or mbac, not a run that
 // ignores it or prints a table of zeros, and not a shard request quietly
-// run on one domain.
+// run on one domain. Input the command cannot use — a word left after the
+// flags, a misspelt name for a flag this method or topology ignores, an
+// unknown subcommand, a negative worker count — ends it the same way,
+// naming the argument.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
+	short := []string{"eacsim", "-duration", "20", "-warmup", "5"}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -306,9 +514,17 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "-5"}, "-hosts"},
 		{[]string{"eacsim", "-duration", "-5"}, "Duration"},
 		{[]string{"eacsim", "-warmup", "-10", "-duration", "60"}, "Warmup"},
-		{[]string{"experiments", "-out", "", "-run", "figure2", "-duration", "-5"}, "Duration"},
-		{[]string{"experiments", "-out", "", "-run", "figure2", "-warmup", "-5"}, "Warmup"},
-		{[]string{"experiments", "-out", "", "-run", "figure11", "-duration", "-5"}, "Duration"},
+		{[]string{"eacsim", "figure", "-out", "", "-run", "figure2", "-duration", "-5"}, "Duration"},
+		{[]string{"eacsim", "figure", "-out", "", "-run", "figure2", "-warmup", "-5"}, "Warmup"},
+		{[]string{"eacsim", "figure", "-out", "", "-run", "figure11", "-duration", "-5"}, "Duration"},
+		{append(short, "figure", "-run", "figure2"), `"figure"`},
+		{append(short, "-method", "mbac", "-policy", "bogus"), `"bogus"`},
+		{append(short, "-method", "none", "-design", "bogus"), `"bogus"`},
+		{append(short, "-method", "passive", "-prober", "bogus"), `"bogus"`},
+		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-source", "bogus"}, `"bogus"`},
+		{append(short, "-workers", "-3"), "-workers"},
+		{[]string{"eacsim", "figure", "-out", "", "-run", "figure1", "-workers", "-3"}, "-workers"},
+		{[]string{"eacsim", "bogus"}, `"bogus"`},
 	} {
 		assertRejected(t, bin, tc.args, tc.want)
 	}

@@ -313,6 +313,17 @@ func (c Config) Validate() error {
 	if c.VQFactor < 0 {
 		return fmt.Errorf("scenario: VQFactor = %g, want >= 0 (0 = default)", c.VQFactor)
 	}
+	for _, n := range []struct {
+		field string
+		neg   bool
+		v     any
+	}{{"Obs.MetricsInterval", c.Obs.MetricsInterval < 0, c.Obs.MetricsInterval},
+		{"Obs.TraceCapacity", c.Obs.TraceCapacity < 0, c.Obs.TraceCapacity},
+		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries}} {
+		if n.neg {
+			return fmt.Errorf("scenario: %s = %v, want >= 0 (0 = off)", n.field, n.v)
+		}
+	}
 	for _, d := range []struct {
 		field string
 		v     sim.Time

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"eac/internal/admission"
+	"eac/internal/obs"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
@@ -327,6 +328,9 @@ func TestValidateNamesField(t *testing.T) {
 		{"Duration", func(c *Config) { c.Duration = -5 * sim.Second }},
 		{"Warmup", func(c *Config) { c.Warmup = -10 * sim.Second }},
 		{"Drain", func(c *Config) { c.Drain = -sim.Second }},
+		{"Obs.MetricsInterval", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), MetricsInterval: -sim.Second} }},
+		{"Obs.TraceCapacity", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: -1} }},
+		{"MaxRetries", func(c *Config) { c.MaxRetries = -1 }},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)
