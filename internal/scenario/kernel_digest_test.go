@@ -12,6 +12,7 @@ import (
 
 	"eac/internal/admission"
 	"eac/internal/sim"
+	"eac/internal/trafgen"
 )
 
 type digestCase struct {
@@ -300,5 +301,58 @@ func obsDigestCases() []obsDigestCase {
 			"1d05fad5e615b6a64b91fd1760cd843aea5364eafc17bd89c3193a129c5c3102",
 			"d8c548f69d3d0c5eef7786ae9d690575514fab387353101555926851a42e233a",
 			"d695b7b2ee42e4089304712d8dc1e662bb1cb4ce4f73ceec9202c982ccc21307"}},
+	}
+}
+
+// TestProberRecyclingExecutedCounts pins the simulator's executed and
+// scrubbed event counts on two K = 1 runs that recycle probers heavily: a
+// 10 Mb/s link at prepopulate 0.9 with slow-start probing at ε 0.01, where
+// early stops leave stage judges queued, alone and with two retries per
+// flow. Which recycled prober a flow gets decides which stale judge its
+// Reinit cancels, so the counts move with the reuse order while no metric
+// need move; the Metrics digests alone would not see it. Each row runs
+// fresh and on a reused Workspace. The counts were recorded at f791805,
+// when the domain still kept its free probers in a slice of its own.
+func TestProberRecyclingExecutedCounts(t *testing.T) {
+	cfg := func(retries int) Config {
+		return Config{
+			Classes:         []ClassSpec{{Preset: trafgen.EXP1, Eps: -1}},
+			InterArrival:    0.35,
+			LifetimeSec:     30,
+			Method:          EAC,
+			AC:              admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.01},
+			PrepopulateUtil: 0.9,
+			MaxRetries:      retries,
+			Duration:        150 * sim.Second,
+			Warmup:          30 * sim.Second,
+			Seed:            1,
+		}
+	}
+	for _, tc := range []struct {
+		name               string
+		cfg                Config
+		executed, scrubbed uint64
+	}{
+		{"slowstart/prepop0.9", cfg(0), 1536435, 2677},
+		{"slowstart/prepop0.9/retries2", cfg(2), 1669991, 4266},
+	} {
+		ws := NewWorkspace()
+		for _, how := range []string{"fresh", "reused"} {
+			if how == "reused" {
+				warm := tc.cfg
+				warm.Seed++
+				if _, err := ws.Run(warm); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, rec, err := ws.RunRecorded(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q := rec.Queue[0]; q.Executed != tc.executed || q.Scrubbed != tc.scrubbed {
+				t.Errorf("%s %s: executed %d, scrubbed %d; want %d, %d",
+					tc.name, how, q.Executed, q.Scrubbed, tc.executed, tc.scrubbed)
+			}
+		}
 	}
 }
