@@ -186,19 +186,20 @@ type Result struct {
 
 // Prober runs the endpoint admission control handshake for one flow. The
 // caller supplies the probe packet route (ending at a receiver that calls
-// OnProbeArrival) and a completion callback.
+// OnProbeArrival) and a completion callback. Probers live in a ProberArena.
 type Prober struct {
+	a      *ProberArena
 	s      *sim.Sim
+	idx    uint32 // arena index: the argument of every event, the CBR's emit id
 	cfg    Config
 	flowID int
 	rate   float64 // token rate r, bits/s
 	pkt    int     // probe packet size, bytes
 	route  []netsim.Receiver
-	pool   *netsim.Pool
 	done   func(Result)
 
 	cbr     trafgen.CBR
-	stages  []probeStage // one block: a new prober pays for it once, a reused one never
+	stages  []probeStage // carved from the arena: a new prober pays for it once, a reused one never
 	stage   int          // the stage now sending
 	started sim.Time
 
@@ -206,9 +207,8 @@ type Prober struct {
 
 	checkEv sim.Event // periodic early-stop check
 	stageEv sim.Event // end of the currently sending stage
-	// The stage judges fire in stage order, so they share one callback, which
-	// judges stage nextJudge.
-	judgeFn   func(sim.Time)
+	// The stage judges fire in stage order, so the one firing judges stage
+	// nextJudge.
 	nextJudge int
 	// All three timers fire a fixed interval after they are set, so every
 	// prober's go through the simulator's lane for that interval.
@@ -233,22 +233,18 @@ type stageCounts struct {
 }
 
 // NewProber builds a prober for a flow with token rate r (bits/s) and
-// probe packets of pktSize bytes. done is invoked exactly once.
+// probe packets of pktSize bytes, in an arena of its own. done is invoked
+// exactly once.
 func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, pool *netsim.Pool, done func(Result)) *Prober {
-	p := &Prober{s: s, pool: pool}
-	p.cbr.Init(s, 1, 1, p.emit, 0) // re-parameterized by Reinit
-	p.checkEv.Init(p.periodicCheck)
-	p.stageEv.Init(p.endStage)
-	p.judgeFn = p.judgeNext
+	p := NewProberArena(s, pool).Get()
 	p.Reinit(cfg, flowID, r, pktSize, route, done)
 	return p
 }
 
-// Reinit rewinds an idle prober for another admission attempt — of the same
+// Reinit readies an idle prober for an admission attempt — of the same
 // flow or, since the scenario recycles probers inside a run, of another —
-// reusing its stage block, CBR source and internal events in place of a
-// NewProber allocation (probers dominate the per-flow allocation bill).
-// The prober must not be probing: finished, Abort-ed, or retired by
+// reusing its stage block, CBR source and internal events. The prober must
+// not be probing: new from its arena, finished, Abort-ed, or retired by
 // ForgetEvents after a simulator reset. Stale probe packets cannot confuse
 // the reincarnation: they carry their flow's ID, and the scenario retries a
 // flow only after a back-off far exceeding the path drain time.
@@ -260,18 +256,12 @@ func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []
 	p.cancelJudges()
 	n := cfg.numStages()
 	if cap(p.stages) < n {
-		p.stages = make([]probeStage, n)
-		for i := range p.stages {
-			p.stages[i].judge.Init(p.judgeFn)
-		}
+		p.a.carveStages(p, n)
 	}
 	p.stages = p.stages[:n]
 	for i := range p.stages {
 		st := &p.stages[i]
 		st.rate, st.start, st.stageCounts = cfg.stageRate(i, n, r), 0, stageCounts{}
-	}
-	if cap(p.stageFracs) < n {
-		p.stageFracs = make([]float64, 0, n)
 	}
 	p.stageFracs = p.stageFracs[:0]
 	p.cbr.Reinit(p.stages[0].rate, pktSize)
@@ -325,12 +315,12 @@ func (p *Prober) Abort() {
 }
 
 // emit sends one probe packet.
-func (p *Prober) emit(now sim.Time, _, size int) {
+func (p *Prober) emit(now sim.Time, size int) {
 	band := netsim.BandData
 	if p.cfg.Design.Band == OutOfBand {
 		band = netsim.BandProbe
 	}
-	pk := p.pool.Get()
+	pk := p.a.pool.Get()
 	pk.FlowID = p.flowID
 	pk.Kind = netsim.Probe
 	pk.Band = band
@@ -443,8 +433,8 @@ func (p *Prober) fraction(stage int) float64 {
 	return float64(p.bad(stage, max(st.sent-st.recv, st.gaps))) / float64(st.sent)
 }
 
-// judgeNext is the callback of every stage's judge; it applies the stage
-// acceptance test after the guard period. Judges come due in stage order,
+// judgeNext runs on every stage's judge; it applies the stage acceptance
+// test after the guard period. Judges come due in stage order,
 // so the one firing is nextJudge's. finish does not cancel a judge still
 // queued: it fires into the finished prober and does nothing, which keeps
 // a run's executed-event count what it was when each judge was a one-shot

@@ -404,12 +404,13 @@ func TestVDropStrings(t *testing.T) {
 	}
 }
 
-// TestProbeAllocBill holds the per-probe allocation bill. A prober's first
-// probe pays for the prober (the struct with its CBR source inside, five
-// bound callbacks, one block holding every stage's rate, counters and judge
-// event, the StageFracs buffer): eight allocations, where a slice per counter
-// and a separate CBR and judge block made sixteen. A reused prober — every
-// prober after a run's first generation — pays nothing.
+// TestProbeAllocBill holds the per-probe allocation bill. NewProber's first
+// probe pays for an arena of one (the arena with the prober and its CBR
+// source inside, five arena-wide callbacks, one block holding every stage's
+// rate, counters and judge event, the StageFracs buffer): eight allocations,
+// where a slice per counter and a separate CBR and judge block made sixteen.
+// A reused prober — every prober after a run's first generation — pays
+// nothing. TestProberArenaAllocs holds what a large arena pays.
 func TestProbeAllocBill(t *testing.T) {
 	h := newHarness(10e6, 200, false)
 	cfg := Config{Design: DropInBand, Kind: SlowStart, Eps: 0}
@@ -474,5 +475,55 @@ func TestReinitDropsLeftoverJudge(t *testing.T) {
 	h.s.Run(10 * sim.Second)
 	if len(results) != 2 || !results[1].Accepted || results[1].Elapsed != cfg.ProbeDur+200*sim.Millisecond {
 		t.Fatalf("second probe on an idle link: %+v", results)
+	}
+}
+
+// TestProberArenaAllocs holds the arena's allocation bill: a recycled
+// prober's whole attempt (Get, Reinit, Start, the probe, Put) allocates
+// nothing, and carving a new block of 64 probers costs at most three
+// allocations — the probers, their stages and their StageFracs buffers —
+// however many stages a prober has and with no closure per prober.
+func TestProberArenaAllocs(t *testing.T) {
+	h := newHarness(10e6, 200, false)
+	cfg := Config{Design: DropInBand, Kind: SlowStart, Eps: 0}
+	a := NewProberArena(h.s, &h.pool)
+	sink := &probeSink{pool: &h.pool}
+	route := []netsim.Receiver{h.link, sink}
+	accepted := 0
+	done := func(r Result) {
+		if r.Accepted {
+			accepted++
+		}
+	}
+	attempt := func() {
+		sink.p = a.Get()
+		sink.p.Reinit(cfg, 0, 256e3, 125, route, done)
+		sink.p.Start(h.s.Now())
+		h.s.Run(h.s.Now() + 6*sim.Second)
+		a.Put(sink.p)
+	}
+	attempt() // warm the packet pool, the lanes, the event queue, the free list
+	if recycled := testing.AllocsPerRun(5, attempt); recycled != 0 {
+		t.Fatalf("recycled attempt: %.0f allocs, want 0", recycled)
+	}
+	if accepted != 7 { // AllocsPerRun makes one warm-up call of its own
+		t.Fatalf("%d of 7 probes accepted on an idle link", accepted)
+	}
+	a.Get() // the free prober, so that every later Get carves
+	carve := func() {
+		for range proberBlockMax {
+			a.Get().Reinit(cfg, 0, 256e3, 125, route, done)
+		}
+	}
+	for len(a.blocks[len(a.blocks)-1]) < proberBlockMax || a.used < proberBlockMax {
+		a.Get().Reinit(cfg, 0, 256e3, 125, route, done) // up to full blocks of 64
+	}
+	perBlock := testing.AllocsPerRun(8, carve)
+	t.Logf("new block of %d five-stage probers: %.0f allocs", proberBlockMax, perBlock)
+	if perBlock > 3 || perBlock < 1 {
+		t.Fatalf("new block of %d probers: %.0f allocs, want 1 to 3", proberBlockMax, perBlock)
+	}
+	if p := a.Get(); a.at(p.idx) != p || p.idx != uint32(len(a.blocks)-1)<<proberBlockBits {
+		t.Fatalf("prober index %d does not name its slot, the first of block %d", p.idx, len(a.blocks)-1)
 	}
 }

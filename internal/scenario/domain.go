@@ -20,8 +20,8 @@ type flowState struct {
 	dataSeq int64
 	winSent int64 // emitted within the accounting window
 	// prober is the flow's while its admission is open: taken from the
-	// domain's free list at the first probe, handed back when the decision
-	// is final (probeDone).
+	// domain's prober arena at the first probe, handed back when the
+	// decision is final (probeDone).
 	prober *admission.Prober
 	src    trafgen.Source
 	// timer is the flow's one event: the retry back-off while its admission
@@ -88,10 +88,11 @@ type domain struct {
 	flows     []*flowState // by flow ID; nil for a prepopulated fluid flow
 	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
 	flowSlab  []flowState  // remainder of the arena block newFlow carves from
-	// freeProbers holds the probers no flow is using: a flow whose decision
-	// is final hands its prober on, so a run allocates one generation of
-	// probers — those probing at once — not one per flow.
-	freeProbers []*admission.Prober
+	// probers carves the flows' probers and keeps those no flow is using: a
+	// flow whose decision is final hands its prober on, so a run allocates
+	// one generation of probers — those probing at once — not one per flow.
+	// Like the flow slab, it serves every run of the domain.
+	probers *admission.ProberArena
 	// mkSrc builds the data sources of each class (trafgen.Preset.Maker).
 	mkSrc []trafgen.Maker
 	// flowTimer, probeDone and emit are the callbacks of every flow's timer,
@@ -130,6 +131,7 @@ type domain struct {
 func newDomain(idx int, s *sim.Sim, suffix string) *domain {
 	d := &domain{idx: idx, s: s, streamSuffix: suffix}
 	d.arrEv = sim.NewEvent(d.onFlowArrival)
+	d.probers = admission.NewProberArena(s, &d.pool)
 	d.onDrop = d.onLinkDrop
 	d.flowTimer = d.onFlowTimer
 	d.probeDone = d.onProbeDone
@@ -281,15 +283,13 @@ func (d *domain) releaseFlows() {
 			continue
 		}
 		if f.prober != nil {
-			d.freeProbers = append(d.freeProbers, f.prober)
+			d.probers.Put(f.prober)
 		}
 		f.timer.Forget()
 		*f = flowState{timer: f.timer}
 		d.freeFlows = append(d.freeFlows, f)
 	}
-	for _, p := range d.freeProbers {
-		p.ForgetEvents()
-	}
+	d.probers.ForgetFree()
 	d.flows = d.flows[:0]
 }
 
@@ -528,21 +528,16 @@ func (d *domain) admit(now sim.Time, f *flowState) {
 
 // startProbe launches (or relaunches, on retry) a flow's admission probe
 // at the policy's threshold eps, on the prober the flow holds or else one
-// from the free list.
+// from the arena.
 func (d *domain) startProbe(now sim.Time, f *flowState, eps float64) {
 	cl := d.cfg.Classes[f.class]
 	ac := d.cfg.AC
 	ac.Eps = eps
 	f.lastEps = eps
-	if n := len(d.freeProbers); f.prober == nil && n > 0 {
-		f.prober, d.freeProbers = d.freeProbers[n-1], d.freeProbers[:n-1]
-	}
 	if f.prober == nil {
-		f.prober = admission.NewProber(d.s, ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize,
-			f.route, &d.pool, d.probeDone)
-	} else {
-		f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, d.probeDone)
+		f.prober = d.probers.Get()
 	}
+	f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, d.probeDone)
 	d.obs.SpanProbeStart(now, f.id, f.class)
 	f.prober.Start(now)
 }
@@ -587,13 +582,13 @@ func (d *domain) onProbeDone(res admission.Result) {
 }
 
 // recordDecision books the admission outcome, which is final; accepted
-// flows are marked active (data not yet started). The flow's prober goes to
-// the free list: the sink ignores the flow's probe packets still in flight
+// flows are marked active (data not yet started). The flow's prober goes back
+// to the arena: the sink ignores the flow's probe packets still in flight
 // (sinkRecv.Receive), and the next user's Reinit cancels a judge the finished
 // probe left queued.
 func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 	if f.prober != nil {
-		d.freeProbers = append(d.freeProbers, f.prober)
+		d.probers.Put(f.prober)
 		f.prober = nil
 	}
 	f.active = accepted

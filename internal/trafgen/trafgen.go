@@ -43,15 +43,25 @@ func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
 	return new(CBR).Init(s, rateBps, pktSize, func(now sim.Time, _, size int) { emit(now, size) }, 0)
 }
 
-// Init builds, in place, a CBR that emits as id: one embedded by value in its
-// owner (a prober's probe stream) or a preset's. Call it once, at the CBR's
-// final address.
+// Init builds, in place, a CBR that emits as id: a preset's, or one embedded
+// by value in its owner. Call it once, at the CBR's final address.
 func (c *CBR) Init(s *sim.Sim, rateBps float64, pktSize int, emit FlowEmit, id int) *CBR {
+	c.InitShared(s, rateBps, pktSize, emit, id, nil)
+	c.ev.InitStream(c.Tick)
+	return c
+}
+
+// InitShared is Init for a CBR whose owner runs the ticks of many sources
+// through one callback, tick, which must call Tick on the source whose id
+// Sim.Arg returns: the source then costs no closure of its own (a prober
+// arena's probe streams).
+func (c *CBR) InitShared(s *sim.Sim, rateBps float64, pktSize int, emit FlowEmit, id int, tick func(sim.Time)) *CBR {
 	*c = CBR{s: s, emit: emit, id: id}
 	c.Reinit(rateBps, pktSize)
 	// A stream head: Start fires the first tick at now and every later one
 	// goes through the lane, so the event never waits among the timers.
-	c.ev.InitStream(c.tick)
+	c.ev.InitStream(tick)
+	c.ev.SetArg(uint32(id))
 	return c
 }
 
@@ -100,7 +110,8 @@ func (c *CBR) Stop() {
 	c.s.Cancel(&c.ev)
 }
 
-func (c *CBR) tick(now sim.Time) {
+// Tick emits one packet and schedules the next: the CBR's event callback.
+func (c *CBR) Tick(now sim.Time) {
 	c.emit(now, c.id, c.pktSize)
 	// emit may deliver synchronously (zero-delay routes) and the receiver
 	// may Stop this source — e.g. a prober rejecting on the packet it just
@@ -223,7 +234,7 @@ func (o *OnOff) tick(now sim.Time) {
 		return
 	}
 	o.emit(now, o.id, o.pktSize)
-	if !o.active { // stopped from inside emit (see CBR.tick)
+	if !o.active { // stopped from inside emit (see CBR.Tick)
 		return
 	}
 	next := now + o.iv
