@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"eac/internal/obs"
 	"eac/internal/sim"
 	"eac/internal/stats"
 	"eac/internal/trafgen"
@@ -35,12 +36,32 @@ func (ps *poolRecorder) Record(_ sim.Time, p *Packet) bool {
 // drop, transmit, record or propagate and deliver, recycle) must be
 // allocation-free.
 // The data packets come from on-off sources, so their ticks go through a
-// sim lane; the probe stream reschedules on the heap.
+// sim lane; the probe stream reschedules on the heap. The traced row gives
+// the link a tap from an enabled collector whose 64-record trace ring wraps
+// within the first slice: tracing a packet must allocate nothing either.
 func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		t.Run(name, func(t *testing.T) { steadyStatePacketPath(t, traced) })
+	}
+}
+
+func steadyStatePacketPath(t *testing.T, traced bool) {
 	s := sim.New()
 	pool := &Pool{}
 	q := NewPriorityPushout(64)
 	link := NewLink(s, "hot", 10e6, 5*sim.Millisecond, q)
+	var col *obs.Collector
+	tap := func() {
+		if traced {
+			col = obs.New(obs.Config{Enabled: true, TraceCapacity: 64}, 1)
+			link.Tap = col.RegisterLink("hot")
+		}
+	}
+	tap()
 	link.Marker = NewVirtualQueue(9e6, 64*1000)
 	link.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
 	route := []Receiver{link, &poolRecorder{poolSink{pool: pool}}}
@@ -78,6 +99,7 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	s.Run(until) // warmup: grow rings, heap, and pool to steady state
 
 	appends, drops := s.Counters().LaneAppends, link.StatsAt(s.Now()).Dropped[Data]
+	overwritten := col.TraceDropped()
 	allocs := testing.AllocsPerRun(5, func() {
 		until += 200 * sim.Millisecond
 		s.Run(until)
@@ -89,6 +111,9 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 		t.Fatalf("guarded section is vacuous: lane appends %d -> %d, data drops %d -> %d",
 			appends, s.Counters().LaneAppends, drops, link.StatsAt(s.Now()).Dropped[Data])
 	}
+	if traced && col.TraceDropped() == overwritten {
+		t.Fatalf("trace ring did not wrap in the guarded section: %d overwritten before and after", overwritten)
+	}
 
 	// Reused-worker path: rewind the simulator and the link as the grid
 	// reset path does and replay. The recycled slabs are already at
@@ -97,6 +122,7 @@ func TestSteadyStatePacketPathZeroAlloc(t *testing.T) {
 	s.Reset()
 	link.Reset(10e6, 5*sim.Millisecond, pool.Put)
 	q.SetCap(64)
+	tap()
 	link.Marker = NewVirtualQueue(9e6, 64*1000)
 	link.OnDrop = func(_ sim.Time, p *Packet) { pool.Put(p) }
 	startData()

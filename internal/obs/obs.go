@@ -307,10 +307,9 @@ func (c *Collector) Decision(now sim.Time, flow, class int, accepted bool, attem
 		c.dec.Rejected++
 	}
 	if len(c.trace.buf) > 0 {
-		c.trace.push(traceRec{
-			at: now, ev: ev, link: -1, flow: int32(flow),
-			kind: uint8(class), a: int64(attempt), frac: float32(frac),
-		})
+		r := c.trace.slot()
+		r.at, r.ev, r.kind, r.link, r.flow, r.depth = now, ev, 0, -1, int32(flow), 0
+		r.a, r.b, r.frac = int64(attempt), int64(class), float32(frac)
 		s := c.span(flow)
 		s.class = int32(class)
 		s.decided = true
@@ -341,10 +340,9 @@ func (t *LinkTap) record(now sim.Time, ev uint8, flow int, kind uint8, size int,
 	if t == nil || len(t.c.trace.buf) == 0 {
 		return
 	}
-	t.c.trace.push(traceRec{
-		at: now, ev: ev, link: t.link, flow: int32(flow),
-		kind: kind, a: int64(size), b: seq, depth: int32(depth),
-	})
+	r := t.c.trace.slot()
+	r.at, r.ev, r.kind, r.link, r.flow, r.depth = now, ev, kind, t.link, int32(flow), int32(depth)
+	r.a, r.b, r.frac = int64(size), seq, 0
 }
 
 // Enqueue records a packet accepted into the queue (depth = occupancy

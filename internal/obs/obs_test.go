@@ -130,7 +130,10 @@ func TestTraceDecisionEvents(t *testing.T) {
 	c := New(Config{Enabled: true, TraceCapacity: 8}, 1)
 	c.Decision(2*sim.Second, 7, 1, true, 2, 0.005)
 	c.Decision(3*sim.Second, 8, 0, false, 1, 0.25)
-	if got := c.DecisionCounts(); got.Admitted != 1 || got.Rejected != 1 {
+	// A class index past 255 survives the ring, as an arrival's does.
+	c.Decision(4*sim.Second, 9, 300, true, 1, 0)
+	c.Decision(5*sim.Second, 10, 300, false, 3, 0.5)
+	if got := c.DecisionCounts(); got.Admitted != 2 || got.Rejected != 2 {
 		t.Fatalf("DecisionCounts = %+v", got)
 	}
 	var b strings.Builder
@@ -138,15 +141,23 @@ func TestTraceDecisionEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace lines = %d, want 2", len(lines))
+	want := []decisionEvent{
+		{T: 2, Ev: "admit", Flow: 7, Class: 1, Attempt: 2, Frac: float64(float32(0.005))},
+		{T: 3, Ev: "reject", Flow: 8, Class: 0, Attempt: 1, Frac: 0.25},
+		{T: 4, Ev: "admit", Flow: 9, Class: 300, Attempt: 1, Frac: 0},
+		{T: 5, Ev: "reject", Flow: 10, Class: 300, Attempt: 3, Frac: 0.5},
 	}
-	var ev decisionEvent
-	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
-		t.Fatal(err)
+	if len(lines) != len(want) {
+		t.Fatalf("trace lines = %d, want %d", len(lines), len(want))
 	}
-	if ev.Ev != "reject" || ev.Flow != 8 || ev.Class != 0 || ev.Attempt != 1 || ev.Frac != 0.25 {
-		t.Fatalf("reject event = %+v", ev)
+	for i, line := range lines {
+		var ev decisionEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, ev, want[i])
+		}
 	}
 }
 

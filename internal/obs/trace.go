@@ -36,8 +36,10 @@ var evNames = [...]string{"enqueue", "dequeue", "drop", "mark", "admit", "reject
 
 // traceRec is the compact in-ring representation of one event. Packet
 // events use link/kind/a(size)/b(seq)/depth; admission decisions use
-// link = -1 with kind holding the class index, a the attempt count, and
-// frac the measured bad-packet fraction.
+// link = -1 with b holding the class index (wide, like an arrival's a), a
+// the attempt count, and frac the measured bad-packet fraction. Every
+// writer fills every field of the slot it is given (ring.slot), stale
+// ones included.
 type traceRec struct {
 	at    sim.Time
 	ev    uint8
@@ -58,18 +60,26 @@ type ring struct {
 	dropped int64
 }
 
-func (r *ring) push(rec traceRec) {
-	if len(r.buf) == 0 {
-		return
-	}
+// slot returns the slot of the next record, the oldest one's once the ring
+// is full, for the caller to fill in place: a record built elsewhere and
+// copied in is written with narrow stores and read back with wide loads, a
+// store-forwarding stall on every traced packet. The ring must have room
+// for at least one record.
+func (r *ring) slot() *traceRec {
 	if r.n == len(r.buf) {
-		r.buf[r.head] = rec
-		r.head = (r.head + 1) % len(r.buf)
+		i := r.head
+		if r.head++; r.head == len(r.buf) {
+			r.head = 0
+		}
 		r.dropped++
-		return
+		return &r.buf[i]
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = rec
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
 	r.n++
+	return &r.buf[i]
 }
 
 func (r *ring) at(i int) traceRec { return r.buf[(r.head+i)%len(r.buf)] }
@@ -145,10 +155,9 @@ func (c *Collector) Epoch(now sim.Time, epoch int, eps, rejRate, lossRate float6
 	if !c.Tracing() {
 		return
 	}
-	c.trace.push(traceRec{
-		at: now, ev: evEpoch, link: -1, flow: int32(epoch),
-		a: int64(rejRate * 1e6), b: int64(lossRate * 1e6), frac: float32(eps),
-	})
+	r := c.trace.slot()
+	r.at, r.ev, r.kind, r.link, r.flow, r.depth = now, evEpoch, 0, -1, int32(epoch), 0
+	r.a, r.b, r.frac = int64(rejRate*1e6), int64(lossRate*1e6), float32(eps)
 }
 
 // Arrival records one offered flow arrival in the event trace. The class
@@ -158,7 +167,9 @@ func (c *Collector) Arrival(now sim.Time, flow, class int) {
 	if !c.Tracing() {
 		return
 	}
-	c.trace.push(traceRec{at: now, ev: evArrival, link: -1, flow: int32(flow), a: int64(class)})
+	r := c.trace.slot()
+	r.at, r.ev, r.kind, r.link, r.flow, r.depth = now, evArrival, 0, -1, int32(flow), 0
+	r.a, r.b, r.frac = int64(class), 0, 0
 }
 
 // TraceLen returns the number of buffered trace events.
@@ -195,7 +206,7 @@ func (c *Collector) traceEvent(f *traceForms, rec traceRec, shard *int) any {
 	if rec.ev == evAdmit || rec.ev == evReject {
 		return put(&f.dec, decisionEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow,
-			Class: int(rec.kind), Attempt: rec.a, Frac: float64(rec.frac), Shard: shard,
+			Class: int(rec.b), Attempt: rec.a, Frac: float64(rec.frac), Shard: shard,
 		})
 	}
 	if rec.ev == evArrival {
