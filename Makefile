@@ -70,6 +70,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventHeap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceRing$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzDropTail$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzPriorityPushout$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzRED$$' -fuzztime $(FUZZTIME)

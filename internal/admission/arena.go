@@ -38,8 +38,10 @@ type ProberArena struct {
 	check, stage, judge, tick func(sim.Time)
 	emit                      trafgen.FlowEmit
 
-	blockTab [8][]Prober // blocks' first backing array
-	first    [1]Prober   // the first block, inside the arena
+	// The block table's first backing array and the first block live in the
+	// arena itself, so that NewProber's arena of one allocates neither.
+	blockTab [8][]Prober
+	first    [1]Prober
 }
 
 // NewProberArena returns an empty arena for probers that run on s and take

@@ -43,12 +43,10 @@ func NewCBR(s *sim.Sim, rateBps float64, pktSize int, emit EmitFunc) *CBR {
 	return new(CBR).Init(s, rateBps, pktSize, func(now sim.Time, _, size int) { emit(now, size) }, 0)
 }
 
-// Init builds, in place, a CBR that emits as id: a preset's, or one embedded
-// by value in its owner. Call it once, at the CBR's final address.
+// Init builds, in place, a CBR that emits as id. Call it once, at the CBR's
+// final address.
 func (c *CBR) Init(s *sim.Sim, rateBps float64, pktSize int, emit FlowEmit, id int) *CBR {
-	c.InitShared(s, rateBps, pktSize, emit, id, nil)
-	c.ev.InitStream(c.Tick)
-	return c
+	return c.InitShared(s, rateBps, pktSize, emit, id, c.Tick)
 }
 
 // InitShared is Init for a CBR whose owner runs the ticks of many sources
