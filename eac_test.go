@@ -509,6 +509,7 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-eps", "NaN"}, "AC.Eps"},
 		{[]string{"eacsim", "-eps", "-1"}, "AC.Eps"},
 		{[]string{"eacsim", "-prepopulate", "NaN"}, "PrepopulateUtil"},
+		{[]string{"eacsim", "-prepopulate", "1e9"}, "PrepopulateUtil"},
 		{[]string{"eacsim", "-topology", "metro-star", "-chains", "-1"}, "-chains"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hops", "-2"}, "-hops"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "-5"}, "-hosts"},

@@ -216,7 +216,8 @@ type Config struct {
 	// seeded population is a valid stationary sample and lets shortened
 	// runs (with warmups much smaller than the paper's 2000 s) start near
 	// steady state. Seeded flows bypass admission and are excluded from
-	// blocking statistics (their packets still count).
+	// blocking statistics (their packets still count). Validate rejects a
+	// value that would seed more than 10⁷ flows.
 	PrepopulateUtil float64
 
 	Seed uint64
@@ -371,6 +372,9 @@ func (c Config) Validate() error {
 	if len(c.Classes) > 0 && total <= 0 {
 		return fmt.Errorf("scenario: class weights sum to zero")
 	}
+	if n := c.prepopulatedFlows(); !(n <= maxPrepopulatedFlows) {
+		return fmt.Errorf("scenario: PrepopulateUtil = %g seeds %.3g flows at time zero, want at most %g", c.PrepopulateUtil, n, float64(maxPrepopulatedFlows))
+	}
 	if c.Method == EAC {
 		if c.AC.Design.Signal == admission.VDrop && c.AC.Design.Band != admission.OutOfBand {
 			return fmt.Errorf("scenario: virtual dropping requires out-of-band probing (footnote 14)")
@@ -415,6 +419,28 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// maxPrepopulatedFlows caps the flows a PrepopulateUtil may seed at time
+// zero, each a flow state or a fluid live-list slot: ten times the
+// 10⁶-host MetroStar preset's population, and far below what exhausts
+// memory.
+const maxPrepopulatedFlows = 10_000_000
+
+// prepopulatedFlows is the topology-wide flow count PrepopulateUtil seeds,
+// before rounding: enough flows of the weighted mean class rate to load
+// link 0 to that utilization. Zero when nothing is seeded.
+func (c *Config) prepopulatedFlows() float64 {
+	if c.PrepopulateUtil <= 0 || len(c.Links) == 0 || len(c.Classes) == 0 {
+		return 0
+	}
+	var avg, total float64
+	for _, cl := range c.Classes {
+		avg += cl.Weight * cl.Preset.AvgRate
+		total += cl.Weight
+	}
+	avg /= total
+	return c.PrepopulateUtil * c.Links[0].RateBps / avg
 }
 
 // ClassMetrics aggregates per-class results.

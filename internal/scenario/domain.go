@@ -10,15 +10,14 @@ import (
 	"eac/internal/trafgen"
 )
 
-// flowState tracks one offered flow through its lifecycle. The timer
-// survives recycling (releaseFlows); everything else is per-run.
+// flowState tracks one offered flow through its lifecycle, and goes back to
+// the domain as soon as nothing can reach it (freeFlow). The timer survives
+// recycling; everything else is per-flow.
 type flowState struct {
-	id    int
-	class int
-	route []netsim.Receiver // the class's shared template (domain.tmpl)
-	// emitData's counters, beside what else it reads; the sink books per domain.
-	dataSeq int64
-	winSent int64 // emitted within the accounting window
+	id      int
+	class   int
+	route   []netsim.Receiver // the class's shared template (domain.tmpl)
+	dataSeq int64             // emitData's packet counter
 	// prober is the flow's while its admission is open: taken from the
 	// domain's prober arena at the first probe, handed back when the
 	// decision is final (probeDone).
@@ -28,13 +27,13 @@ type flowState struct {
 	// is open, then the end of its lifetime. It fires domain.onFlowTimer with
 	// the flow's id as argument.
 	timer    sim.Event
-	counted  bool // decision falls inside the measurement window
-	attempts int  // completed admission attempts (for retries)
-	extends  int  // probe extensions granted by the policy this attempt chain
+	attempts int // completed admission attempts (for retries)
+	extends  int // probe extensions granted by the policy this attempt chain
 
 	active   bool
-	lastFrac float64 // bad-packet fraction of the last probe (EAC)
-	lastEps  float64 // threshold the last probe ran against (EAC)
+	lastFrac float64    // bad-packet fraction of the last probe (EAC)
+	lastEps  float64    // threshold the last probe ran against (EAC)
+	next     *flowState // the domain's free list, while freed
 }
 
 // domain is one shard domain of a run: a private simulator, the links that
@@ -72,9 +71,10 @@ type domain struct {
 	// arr is the domain's flow-arrival process: stationary, scheduled or
 	// replayed, over the classes it owns (workload.go).
 	arr arrivals
-	// dropWin counts, per class, the window data packets dropped on this
-	// domain's links — the flow that sent them may live on another domain.
-	dropWin []int64
+	// sentWin counts, per class, the window data packets this domain's flows
+	// emitted; dropWin those dropped on this domain's links — the flow that
+	// sent them may live on another domain.
+	sentWin, dropWin []int64
 
 	// policy decides every admission attempt, whatever the Method
 	// (buildPolicy). The static default reproduces the pre-policy code path
@@ -85,9 +85,15 @@ type domain struct {
 	// probe adds 0.
 	epsSum float64
 
-	flows     []*flowState // by flow ID; nil for a prepopulated fluid flow
-	freeFlows []*flowState // retired flow states awaiting reuse (reset path)
-	flowSlab  []flowState  // remainder of the arena block newFlow carves from
+	// flows is the window of flow IDs from flowBase on: flows[id-flowBase]
+	// is the live flow id, nil once it was freed. The freed slots before the
+	// first live one, flows[:head], are cut off when they reach half the
+	// window (freeFlow), so the table spans the live flows, not the run.
+	flows     []*flowState
+	flowBase  int
+	head      int
+	freeFlows *flowState  // freed flow states awaiting reuse, linked by next
+	flowSlab  []flowState // remainder of the arena block newFlow carves from
 	// probers carves the flows' probers and keeps those no flow is using: a
 	// flow whose decision is final hands its prober on, so a run allocates
 	// one generation of probers — those probing at once — not one per flow.
@@ -157,11 +163,13 @@ func (d *domain) reset(cfg Config, owner []int) {
 
 	n := len(cfg.Classes)
 	if cap(d.dropWin) < n {
+		d.sentWin = make([]int64, n)
 		d.dropWin = make([]int64, n)
 		d.classes = make([]ClassMetrics, n)
 		d.mkSrc = make([]trafgen.Maker, n)
 	}
-	d.dropWin, d.classes, d.mkSrc = d.dropWin[:n], d.classes[:n], d.mkSrc[:n]
+	d.sentWin, d.dropWin, d.classes, d.mkSrc = d.sentWin[:n], d.dropWin[:n], d.classes[:n], d.mkSrc[:n]
+	clear(d.sentWin)
 	clear(d.dropWin)
 	clear(d.classes)
 	for c, cl := range cfg.Classes {
@@ -272,8 +280,8 @@ func (d *domain) observe(c *obs.Collector) {
 	c.SetDuration(d.cfg.Duration)
 }
 
-// releaseFlows retires the previous run's flow states into the freelist,
-// keeping each one's timer, and its probers into theirs. Must
+// releaseFlows retires the previous run's live flow states into the
+// freelist, keeping each one's timer, and its probers into theirs. Must
 // run before Sim.Reset wipes the heap, which is what makes the blanket
 // Forget calls safe — a free prober may still have a judge queued.
 func (d *domain) releaseFlows() {
@@ -286,11 +294,11 @@ func (d *domain) releaseFlows() {
 			d.probers.Put(f.prober)
 		}
 		f.timer.Forget()
-		*f = flowState{timer: f.timer}
-		d.freeFlows = append(d.freeFlows, f)
+		d.recycle(f)
 	}
 	d.probers.ForgetFree()
-	d.flows = d.flows[:0]
+	clear(d.flows)
+	d.flows, d.flowBase, d.head = d.flows[:0], 0, 0
 }
 
 // flowSlabSize is the flowState arena block size (cf. netsim's packet slabs).
@@ -300,11 +308,9 @@ const flowSlabSize = 64
 // one, else carved from the arena — registered under the next flow ID and
 // routed over its class template.
 func (d *domain) newFlow(class int) *flowState {
-	var f *flowState
-	if n := len(d.freeFlows); n > 0 {
-		f = d.freeFlows[n-1]
-		d.freeFlows[n-1] = nil
-		d.freeFlows = d.freeFlows[:n-1]
+	f := d.freeFlows
+	if f != nil {
+		d.freeFlows, f.next = f.next, nil
 	} else {
 		if len(d.flowSlab) == 0 {
 			d.flowSlab = make([]flowState, flowSlabSize)
@@ -313,7 +319,7 @@ func (d *domain) newFlow(class int) *flowState {
 		d.flowSlab = d.flowSlab[1:]
 		f.timer.Init(d.flowTimer)
 	}
-	f.id = len(d.flows)
+	f.id = d.flowBase + len(d.flows)
 	f.timer.SetArg(uint32(f.id))
 	f.class = class
 	f.route = d.tmpl[class]
@@ -321,22 +327,57 @@ func (d *domain) newFlow(class int) *flowState {
 	return f
 }
 
+// freeFlow takes back the state of a flow nothing can reach any more: it
+// was rejected for good, its lifetime ended, or its data went to the fluid
+// plane. Its prober is back in the arena already, and its timer is idle. The
+// flow's slot in the table goes nil, and once the nil slots before the first
+// live one make half the table they are cut off in place: each cut moves no
+// more slots than it drops, so it costs O(1) per flow, amortised.
+func (d *domain) freeFlow(f *flowState) {
+	d.flows[f.id-d.flowBase] = nil
+	d.recycle(f)
+	for d.head < len(d.flows) && d.flows[d.head] == nil {
+		d.head++
+	}
+	if 2*d.head >= len(d.flows) {
+		n := copy(d.flows, d.flows[d.head:])
+		clear(d.flows[n:])
+		d.flows, d.flowBase, d.head = d.flows[:n], d.flowBase+d.head, 0
+	}
+}
+
+// recycle clears f but for its timer and puts it on the free list.
+func (d *domain) recycle(f *flowState) {
+	*f = flowState{timer: f.timer, next: d.freeFlows}
+	d.freeFlows = f
+}
+
+// flow returns the live flow id, or nil when it was freed.
+func (d *domain) flow(id int) *flowState {
+	if i := id - d.flowBase; i >= 0 {
+		return d.flows[i]
+	}
+	return nil
+}
+
 // onFlowTimer is the callback of every flow's timer: an admitted flow's
 // lifetime has expired, or a rejected one's retry back-off (footnote 10).
 func (d *domain) onFlowTimer(now sim.Time) {
-	if f := d.flows[d.s.Arg()]; f.active {
+	if f := d.flows[int(d.s.Arg())-d.flowBase]; f.active {
 		d.stopFlow(now, f)
 	} else {
 		d.admit(now, f)
 	}
 }
 
-// stopFlow ends a packet flow's data phase (its lifetime expired).
+// stopFlow ends a packet flow's data phase (its lifetime expired) and frees
+// the flow: its source went back to its maker, and its packets in flight
+// name only their class.
 func (d *domain) stopFlow(now sim.Time, f *flowState) {
 	f.src.Stop()
-	f.active = false
 	d.activeFlows--
 	d.obs.SpanDataEnd(now, f.id)
+	d.freeFlow(f)
 }
 
 // onLinkDrop is the drop hook of the domain's links: it books the loss
@@ -434,19 +475,19 @@ func (d *domain) prepopulate() {
 	if d.cfg.PrepopulateUtil <= 0 || d.arr.ownedW <= 0 {
 		return
 	}
-	var avg float64
-	for _, cl := range d.cfg.Classes {
-		avg += cl.Weight * cl.Preset.AvgRate
-	}
-	avg /= d.arr.totalW
-	n := int(d.cfg.PrepopulateUtil*d.cfg.Links[0].RateBps/avg + 0.5)
+	n := int(d.cfg.prepopulatedFlows() + 0.5)
 	n = int(float64(n)*d.arr.ownedW/d.arr.totalW + 0.5)
+	if d.hyb != nil {
+		d.hyb.live = make([]fluidFlow, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		class := d.arr.pick()
 		if d.hyb != nil {
-			// A fluid flow is an ID: no flowState, no event, no Add of its own.
-			d.joinFluid(0, len(d.flows), class)
-			d.flows = append(d.flows, nil)
+			// A fluid flow is an ID and a live-list slot: no flowState, no
+			// event, no Add of its own. The table is still empty, so taking
+			// the next ID moves the window's base.
+			d.joinFluid(0, d.flowBase, class)
+			d.flowBase++
 			continue
 		}
 		f := d.newFlow(class)
@@ -521,6 +562,7 @@ func (d *domain) admit(now sim.Time, f *flowState) {
 		// Policy rejections are final: the retry back-off exists to
 		// re-measure a congested path, not to re-ask a rate limiter.
 		d.recordDecision(now, f, false)
+		d.freeFlow(f)
 	default:
 		d.startProbe(now, f, dec.Eps)
 	}
@@ -547,7 +589,7 @@ func (d *domain) startProbe(now sim.Time, f *flowState, eps float64) {
 // retry, or is rejected for good. It reads only live state (the domain, the
 // flowState), so recycling cannot leak a previous run's decisions.
 func (d *domain) onProbeDone(res admission.Result) {
-	f := d.flows[res.FlowID]
+	f := d.flows[res.FlowID-d.flowBase]
 	at := d.s.Now()
 	f.attempts++
 	f.lastFrac = res.Fraction
@@ -579,6 +621,7 @@ func (d *domain) onProbeDone(res admission.Result) {
 		}
 	}
 	d.recordDecision(at, f, false)
+	d.freeFlow(f)
 }
 
 // recordDecision books the admission outcome, which is final; accepted
@@ -596,7 +639,6 @@ func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 	if now < d.winStart || now > d.winEnd {
 		return
 	}
-	f.counted = true
 	d.decided++
 	d.epsSum += f.lastEps
 	cm := &d.classes[f.class]
@@ -609,13 +651,15 @@ func (d *domain) recordDecision(now sim.Time, f *flowState, accepted bool) {
 }
 
 // startData begins the admitted flow's data phase: on the fluid plane it
-// joins the population the departure clock ends, else its source starts and
-// its death is scheduled, drawn from the same lifetime stream.
+// joins the population the departure clock ends, which needs nothing of its
+// flowState, else its source starts and its death is scheduled, drawn from
+// the same lifetime stream.
 func (d *domain) startData(now sim.Time, f *flowState) {
 	if d.hyb != nil {
 		d.addFluidRate(now, f.class, 1)
 		d.joinFluid(now, f.id, f.class)
 		d.redrawDeparture(now)
+		d.freeFlow(f)
 		return
 	}
 	f.src = d.mkSrc[f.class](f.id)
@@ -628,7 +672,7 @@ func (d *domain) startData(now sim.Time, f *flowState) {
 
 // emitData sends one data packet of flow id: the emit callback of every source.
 func (d *domain) emitData(now sim.Time, id, size int) {
-	f := d.flows[id]
+	f := d.flows[id-d.flowBase]
 	pk := d.pool.Get()
 	pk.FlowID = id
 	pk.Class = f.class
@@ -639,7 +683,7 @@ func (d *domain) emitData(now sim.Time, id, size int) {
 	pk.Route = f.route
 	f.dataSeq++
 	if now >= d.winStart && now <= d.winEnd {
-		f.winSent++
+		d.sentWin[f.class]++
 	}
 	netsim.Send(now, pk)
 }
@@ -650,13 +694,14 @@ func (d *domain) emitData(now sim.Time, id, size int) {
 type sinkRecv domain
 
 // Receive implements netsim.Receiver: probes always, data when it arrives
-// through a portal from a last link on another domain.
+// through a portal from a last link on another domain. A probe of a flow
+// already freed is dropped here.
 func (k *sinkRecv) Receive(now sim.Time, p *netsim.Packet) {
 	if k.Record(now, p) {
 		return
 	}
 	d := (*domain)(k)
-	if f := d.flows[p.FlowID]; f.prober != nil {
+	if f := d.flow(p.FlowID); f != nil && f.prober != nil {
 		f.prober.OnProbeArrival(now, p)
 	}
 	d.pool.Put(p)

@@ -150,9 +150,9 @@ func TestOracleFluidPopulation(t *testing.T) {
 }
 
 // TestHybridMemoryCeiling: a prepopulated fluid flow costs a live-list slot
-// and an ID, not a flow state and a timer. Between the 10⁵- and 10⁶-host
-// hybrid MetroStar presets, run to a 1 ms horizon, the heap in use may grow
-// by at most 40 B per added flow.
+// and an ID, not a flow state, a timer or a slot of the flow table. Between
+// the 10⁵- and 10⁶-host hybrid MetroStar presets, run to a 1 ms horizon, the
+// heap in use may grow by at most 12 B per added flow (8 B measured).
 func TestHybridMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a million-flow population")
@@ -180,8 +180,51 @@ func TestHybridMemoryCeiling(t *testing.T) {
 	h6, n6 := inuse(1_000_000)
 	perFlow := (float64(h6) - float64(h5)) / float64(n6-n5)
 	t.Logf("heap in use %.1f MB at %d flows, %.1f MB at %d: %.1f B per flow", float64(h5)/1e6, n5, float64(h6)/1e6, n6, perFlow)
-	if perFlow > 40 {
-		t.Errorf("heap in use grows %.1f B per prepopulated fluid flow, want <= 40", perFlow)
+	if perFlow > 12 {
+		t.Errorf("heap in use grows %.1f B per prepopulated fluid flow, want <= 12", perFlow)
+	}
+}
+
+// TestPacketFlowMemoryCeiling: a packet flow's state, its source and its
+// slot of the flow table go back to the domain once nothing can reach the
+// flow, so a run holds its live flows, not every flow it was offered. On one
+// 10 Mb/s link, between a 300 s and a 3000 s run, the heap in use may grow
+// by at most 32 B per added arrival (264 B when flow states lived to the end
+// of the run). The flow table is cut whenever its leading freed slots make
+// half of it, so it never holds more of them than of the rest.
+func TestPacketFlowMemoryCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 3000 simulated seconds")
+	}
+	inuse := func(dur sim.Time) (heap uint64, ids int) {
+		cfg := quickCfg()
+		cfg.PrepopulateUtil, cfg.Duration = 0.9, dur
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Run()
+		d := r.doms[0]
+		ids = d.flowBase + len(d.flows)
+		lead := 0
+		for lead < len(d.flows) && d.flows[lead] == nil {
+			lead++
+		}
+		if len(d.flows) > 0 && 2*lead >= len(d.flows) {
+			t.Errorf("%v run: %d of the flow table's %d slots lead with nil", dur, lead, len(d.flows))
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(r)
+		return ms.HeapInuse, ids
+	}
+	hShort, nShort := inuse(300 * sim.Second)
+	hLong, nLong := inuse(3000 * sim.Second)
+	perFlow := (float64(hLong) - float64(hShort)) / float64(nLong-nShort)
+	t.Logf("heap in use %.2f MB after %d flows, %.2f MB after %d: %.1f B per arrival", float64(hShort)/1e6, nShort, float64(hLong)/1e6, nLong, perFlow)
+	if perFlow > 32 {
+		t.Errorf("heap in use grows %.1f B per flow arrival, want <= 32", perFlow)
 	}
 }
 

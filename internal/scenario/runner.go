@@ -187,9 +187,9 @@ func (r *Runner) FlushObs() ([]string, error) { return r.obs.Flush() }
 // tests and composition).
 func (r *Runner) Sim() *sim.Sim { return r.doms[0].s }
 
-// metrics merges the per-domain results into one Metrics. Per-flow window
-// counters live with the owning domain; window drops are booked per class
-// on the domain of the link that dropped (domain.dropWin). Delay
+// metrics merges the per-domain results into one Metrics. Window sends are
+// booked per class on the flow's owning domain (domain.sentWin), window
+// drops on the domain of the link that dropped (domain.dropWin). Delay
 // statistics merge by integer addition. Iteration is in domain order, so
 // the result is deterministic for a fixed K.
 func (r *Runner) metrics() Metrics {
@@ -230,15 +230,11 @@ func (r *Runner) metrics() Metrics {
 	var delayNs, delayN int64
 	var hist [1001]int64
 	for _, d := range r.doms {
-		for _, f := range d.flows {
-			if f != nil {
-				m.Classes[f.class].DataSent += f.winSent
-				sent += f.winSent
-			}
-		}
-		for c, n := range d.dropWin {
-			m.Classes[c].DataLost += n
-			lost += n
+		for c := range d.dropWin {
+			m.Classes[c].DataSent += d.sentWin[c]
+			m.Classes[c].DataLost += d.dropWin[c]
+			sent += d.sentWin[c]
+			lost += d.dropWin[c]
 		}
 		if d.hyb != nil {
 			fs, fl := d.mergeFluidClasses(&m, now)

@@ -314,6 +314,7 @@ func TestValidateNamesField(t *testing.T) {
 		{"LifetimeSec", func(c *Config) { c.LifetimeSec = math.NaN() }},
 		{"LifetimeSec", func(c *Config) { c.LifetimeSec = math.Inf(1) }},
 		{"PrepopulateUtil", func(c *Config) { c.PrepopulateUtil = math.NaN() }},
+		{"PrepopulateUtil", func(c *Config) { c.PrepopulateUtil = 1e9 }}, // ~7.8e10 flows
 		{"AC.Eps", func(c *Config) { c.AC.Eps = math.NaN() }},
 		{"AC.Eps", func(c *Config) { c.AC.Eps = math.Inf(-1) }},
 		{"AC.Eps", func(c *Config) { c.AC.Eps = -1 }},

@@ -31,7 +31,7 @@ func (pr Preset) New(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
 
 // Maker returns the constructor to use for many instances: what they share,
 // emit included, is built once, here, instead of once per instance (see
-// onOffMaker).
+// onOffMaker and cbrMaker).
 func (pr Preset) Maker(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
 	return pr.build(s, rng, emit)
 }
@@ -39,13 +39,13 @@ func (pr Preset) Maker(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
 // expOnOff and paretoOnOff are the build functions of the on-off presets.
 func expOnOff(burstBps float64, pktSize int, onMean, offMean float64) func(*sim.Sim, *stats.RNG, FlowEmit) Maker {
 	return func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
-		return onOffMaker(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean), emit)
+		return newOnOffMaker(s, rng, burstBps, pktSize, expDur(rng, onMean), expDur(rng, offMean), emit)
 	}
 }
 
 func paretoOnOff(burstBps float64, pktSize int, onMean, offMean, shape float64) func(*sim.Sim, *stats.RNG, FlowEmit) Maker {
 	return func(s *sim.Sim, rng *stats.RNG, emit FlowEmit) Maker {
-		return onOffMaker(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean), emit)
+		return newOnOffMaker(s, rng, burstBps, pktSize, paretoDur(rng, shape, onMean), paretoDur(rng, shape, offMean), emit)
 	}
 }
 
@@ -100,8 +100,58 @@ func NewCBRPreset(rateBps float64, pktSize int) Preset {
 		Name:      fmt.Sprintf("CBR-%.0fk", rateBps/1e3),
 		TokenRate: rateBps, BucketBytes: pktSize, PktSize: pktSize, AvgRate: rateBps,
 		build: func(s *sim.Sim, _ *stats.RNG, emit FlowEmit) Maker {
-			return func(id int) Source { return new(CBR).Init(s, rateBps, pktSize, emit, id) }
+			m := &cbrMaker{s: s, rate: rateBps, pktSize: pktSize, emit: emit}
+			return m.make
 		},
+	}
+}
+
+// cbrMaker builds the sources of a CBR preset the way onOffMaker builds
+// on-off ones: carved from slabs with one tick callback per block, found by
+// the event's argument, and recycled through a free list on Stop.
+type cbrMaker struct {
+	s       *sim.Sim
+	rate    float64
+	pktSize int
+	emit    FlowEmit
+	slab    []cbrSource // what is left of the current block
+	tick    func(sim.Time)
+	free    *cbrSource
+}
+
+// cbrSource is a CBR preset's source. The CBR alone cannot go back to a
+// maker on Stop: a prober stops and restarts its probe CBR at every stage.
+type cbrSource struct {
+	CBR
+	mk   *cbrMaker
+	next *cbrSource // mk's free list while stopped
+}
+
+// make hands out a stopped source, or else carves one, emitting as id.
+func (m *cbrMaker) make(id int) Source {
+	c := m.free
+	if c != nil {
+		m.free, c.next = c.next, nil
+	} else {
+		if len(m.slab) == 0 {
+			blk, s := make([]cbrSource, sourceSlab), m.s
+			m.slab, m.tick = blk, func(now sim.Time) { blk[s.Arg()].Tick(now) }
+		}
+		c = &m.slab[0]
+		c.InitShared(m.s, m.rate, m.pktSize, m.emit, 0, m.tick)
+		c.ev.SetArg(uint32(sourceSlab - len(m.slab)))
+		c.mk = m
+		m.slab = m.slab[1:]
+	}
+	c.id = id
+	return c
+}
+
+// Stop implements Source, and hands the source back to its maker.
+func (c *cbrSource) Stop() {
+	if c.active {
+		c.CBR.Stop()
+		c.next, c.mk.free = c.mk.free, c
 	}
 }
 

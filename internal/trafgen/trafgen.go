@@ -21,6 +21,8 @@ type EmitFunc func(now sim.Time, size int)
 
 // Source is a packet generator that can be started and stopped. Sources
 // are single-shot per flow: Start begins emission, Stop ends it for good.
+// A Maker's source goes back to its Maker on Stop, which may hand it to the
+// next flow, so its owner drops it there.
 type Source interface {
 	Start(now sim.Time)
 	Stop()
@@ -122,18 +124,11 @@ func (c *CBR) Tick(now sim.Time) {
 // OnOff alternates between an on state, during which it emits fixed-size
 // packets at the burst rate, and a silent off state. State holding times
 // are drawn from the configured samplers (exponential or Pareto). Sources
-// are built by a preset's Maker (onOffMaker).
+// are built by a preset's Maker (onOffMaker), which holds what they share.
 type OnOff struct {
-	s       *sim.Sim
-	pktSize int
-	iv      sim.Time       // per-packet interval at the burst rate, precomputed
-	lane    sim.Lane       // the simulator's lane for ticks iv apart
-	onDur   func() float64 // seconds
-	offDur  func() float64
-	emit    FlowEmit
-	id      int // emit's id argument
-	rng     *stats.RNG
-
+	mk     *onOffMaker
+	id     int       // emit's id argument
+	next   *OnOff    // mk's free list while stopped
 	ev     sim.Event // next packet while on, or on-transition while off
 	onEnd  sim.Time
 	on     bool
@@ -150,36 +145,62 @@ func paretoDur(rng *stats.RNG, shape, mean float64) func() float64 {
 	return func() float64 { return rng.Pareto(shape, mean) }
 }
 
-// onOffSlab is the OnOff arena block size (cf. netsim's packet slabs).
-const onOffSlab = 64
+// sourceSlab is the block size of the sources a Maker carves (cf. netsim's
+// packet slabs).
+const sourceSlab = 64
 
-// onOffMaker returns the constructor of on-off sources of one kind. They
-// share everything but their state — samplers, emit callback, lane — and are
+// onOffMaker builds the on-off sources of one kind and holds everything
+// they share — simulator, samplers, emit callback, lane — once. Sources are
 // carved from slabs with one tick callback each, which finds the source by
 // its event's argument: a source costs a 64th of two allocations, not a
 // struct, two samplers and a tick and an emit closure per flow (at MetroStar
-// scale, most of a run's allocations).
-func onOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit FlowEmit) Maker {
+// scale, most of a run's allocations). Stop puts a source on the free list,
+// which make pops before it carves, so a run holds as many sources as flows
+// send at once, not one per flow.
+type onOffMaker struct {
+	s             *sim.Sim
+	pktSize       int
+	iv            sim.Time // per-packet interval at the burst rate, precomputed
+	lane          sim.Lane // the simulator's lane for ticks iv apart
+	onDur, offDur func() float64
+	emit          FlowEmit
+	rng           *stats.RNG
+
+	slab []OnOff // what is left of the current block
+	tick func(sim.Time)
+	free *OnOff
+}
+
+// newOnOffMaker returns the Maker of on-off sources of one kind.
+func newOnOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, onDur, offDur func() float64, emit FlowEmit) Maker {
 	if burstBps <= 0 || pktSize <= 0 {
 		panic("trafgen: an on-off source requires positive rate and packet size")
 	}
 	iv := sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
-	proto := OnOff{s: s, rng: rng, pktSize: pktSize, iv: iv, lane: s.Lane(iv), onDur: onDur, offDur: offDur, emit: emit}
-	var slab []OnOff
-	var tick func(sim.Time)
-	return func(id int) Source {
-		if len(slab) == 0 {
-			blk := make([]OnOff, onOffSlab)
-			slab, tick = blk, func(now sim.Time) { blk[s.Arg()].tick(now) }
+	m := &onOffMaker{s: s, pktSize: pktSize, iv: iv, lane: s.Lane(iv), onDur: onDur, offDur: offDur, emit: emit, rng: rng}
+	return m.make
+}
+
+// make hands out a stopped source, or else carves one, emitting as id. A
+// recycled source keeps its event: a tombstone it left behind names the
+// event's old sequence number, so it stays dead (sim.Sim.Cancel).
+func (m *onOffMaker) make(id int) Source {
+	o := m.free
+	if o != nil {
+		m.free, o.next = o.next, nil
+	} else {
+		if len(m.slab) == 0 {
+			blk, s := make([]OnOff, sourceSlab), m.s
+			m.slab, m.tick = blk, func(now sim.Time) { blk[s.Arg()].tick(now) }
 		}
-		o := &slab[0]
-		*o = proto
-		o.id = id
-		o.ev.Init(tick)
-		o.ev.SetArg(uint32(onOffSlab - len(slab)))
-		slab = slab[1:]
-		return o
+		o = &m.slab[0]
+		o.mk = m
+		o.ev.Init(m.tick)
+		o.ev.SetArg(uint32(sourceSlab - len(m.slab)))
+		m.slab = m.slab[1:]
 	}
+	o.id = id
+	return o
 }
 
 // Start implements Source. The source begins in the on or off state with
@@ -193,33 +214,34 @@ func (o *OnOff) Start(now sim.Time) {
 	// Estimate state probabilities from single samples of each sampler;
 	// for the exponential case this matches the stationary distribution
 	// in expectation and keeps the code sampler-agnostic.
-	on := o.onDur()
-	off := o.offDur()
-	if o.rng.Bool(on / (on + off)) {
+	on := o.mk.onDur()
+	off := o.mk.offDur()
+	if o.mk.rng.Bool(on / (on + off)) {
 		o.enterOn(now)
 	} else {
 		o.enterOff(now)
 	}
 }
 
-// Stop implements Source.
+// Stop implements Source, and hands the source back to its maker.
 func (o *OnOff) Stop() {
 	if !o.active {
 		return
 	}
 	o.active = false
-	o.s.Cancel(&o.ev)
+	o.mk.s.Cancel(&o.ev)
+	o.next, o.mk.free = o.mk.free, o
 }
 
 func (o *OnOff) enterOn(now sim.Time) {
 	o.on = true
-	o.onEnd = now + sim.Seconds(o.onDur())
-	o.s.Schedule(&o.ev, now) // first packet immediately
+	o.onEnd = now + sim.Seconds(o.mk.onDur())
+	o.mk.s.Schedule(&o.ev, now) // first packet immediately
 }
 
 func (o *OnOff) enterOff(now sim.Time) {
 	o.on = false
-	o.s.Schedule(&o.ev, now+sim.Seconds(o.offDur()))
+	o.mk.s.Schedule(&o.ev, now+sim.Seconds(o.mk.offDur()))
 }
 
 func (o *OnOff) tick(now sim.Time) {
@@ -231,13 +253,14 @@ func (o *OnOff) tick(now sim.Time) {
 		o.enterOff(now)
 		return
 	}
-	o.emit(now, o.id, o.pktSize)
+	m := o.mk
+	m.emit(now, o.id, m.pktSize)
 	if !o.active { // stopped from inside emit (see CBR.Tick)
 		return
 	}
-	next := now + o.iv
+	next := now + m.iv
 	if next > o.onEnd {
 		next = o.onEnd // fires the off transition (off the lane if that breaks its order)
 	}
-	o.s.ScheduleLane(o.lane, &o.ev, next)
+	m.s.ScheduleLane(m.lane, &o.ev, next)
 }

@@ -307,8 +307,8 @@ func TestPresetAverageRates(t *testing.T) {
 func TestMakerSourcesEmitAsTheirID(t *testing.T) {
 	for _, pr := range []Preset{EXP1, POO1, StarWars, NewCBRPreset(64e3, 125)} {
 		t.Run(pr.Name, func(t *testing.T) {
-			const n = onOffSlab + 6
-			stopped := map[int]bool{3: true, onOffSlab + 1: true}
+			const n = sourceSlab + 6
+			stopped := map[int]bool{3: true, sourceSlab + 1: true}
 			s := sim.New()
 			var pkts [n]int
 			mk := pr.Maker(s, stats.NewStream(12, pr.Name), func(now sim.Time, id, size int) {
@@ -343,6 +343,46 @@ func TestMakerSourcesEmitAsTheirID(t *testing.T) {
 			}
 			if live < (n-len(stopped))*3/4 {
 				t.Fatalf("%d of %d live sources emitted after the stops", live, n-len(stopped))
+			}
+		})
+	}
+}
+
+// TestMakerRecyclesStoppedSources: a stopped source of a slab-built preset
+// goes back to its Maker, which hands it to the next id without allocating;
+// the reused source emits as its new id only, and a second Stop does not put
+// it on the free list twice.
+func TestMakerRecyclesStoppedSources(t *testing.T) {
+	for _, pr := range []Preset{EXP1, POO1, NewCBRPreset(64e3, 125)} {
+		t.Run(pr.Name, func(t *testing.T) {
+			s := sim.New()
+			pkts := map[int]int{}
+			mk := pr.Maker(s, stats.NewStream(13, pr.Name), func(_ sim.Time, id, _ int) { pkts[id]++ })
+			a := mk(1)
+			a.Start(0)
+			s.Run(50 * sim.Second)
+			a.Stop()
+			a.Stop()
+			b := mk(2)
+			if b != a {
+				t.Fatal("the next source is not the stopped one")
+			}
+			if c := mk(3); c == a {
+				t.Fatal("a source stopped twice was handed out twice")
+			}
+			before := pkts[1]
+			b.Start(s.Now())
+			s.Run(250 * sim.Second)
+			if pkts[1] != before || pkts[2] == 0 {
+				t.Fatalf("after reuse id 1 went from %d to %d packets and id 2 sent %d", before, pkts[1], pkts[2])
+			}
+			b.Stop()
+			if n := testing.AllocsPerRun(100, func() {
+				src := mk(4)
+				src.Start(s.Now())
+				src.Stop()
+			}); n != 0 {
+				t.Fatalf("a recycled source costs %.1f allocations", n)
 			}
 		})
 	}
