@@ -68,7 +68,8 @@ type (
 	// Config describes one experiment: traffic mix, topology, admission
 	// method, and measurement windows.
 	Config = scenario.Config
-	// ClassSpec is one traffic class of the offered mix.
+	// ClassSpec is one traffic class of the offered mix; TCPFlows makes
+	// it greedy TCP Reno flows (the Section 4.7 legacy router).
 	ClassSpec = scenario.ClassSpec
 	// LinkSpec describes one congested link.
 	LinkSpec = scenario.LinkSpec
@@ -76,10 +77,6 @@ type (
 	Metrics = scenario.Metrics
 	// MultiMetrics aggregates runs over several seeds.
 	MultiMetrics = scenario.MultiMetrics
-	// TCPShareConfig describes the Section 4.7 legacy-router experiment.
-	TCPShareConfig = scenario.TCPShareConfig
-	// TCPShareResult is its outcome.
-	TCPShareResult = scenario.TCPShareResult
 	// ObsConfig configures a run's observability collector (Config.Obs):
 	// per-queue telemetry time series, a JSONL packet/event trace, and
 	// artifact output. The zero value disables it at zero cost.
@@ -157,12 +154,6 @@ func RunSeeds(cfg Config, seeds []uint64) (MultiMetrics, error) {
 
 // DefaultSeeds returns n deterministic seeds.
 func DefaultSeeds(n int) []uint64 { return scenario.DefaultSeeds(n) }
-
-// RunTCPShare executes the Section 4.7 legacy-router coexistence
-// experiment (Figure 11).
-func RunTCPShare(cfg TCPShareConfig) (TCPShareResult, error) {
-	return scenario.RunTCPShare(cfg)
-}
 
 // ResultCache is the content-addressed on-disk result store behind
 // Config.Cache (see DESIGN.md §4d): runs whose resolved-config+seed

@@ -123,22 +123,26 @@ func TestPublicHybrid(t *testing.T) {
 	}
 }
 
+// TestPublicTCPShare runs the Section 4.7 legacy router through the
+// facade: a TCP class beside the admission-controlled one.
 func TestPublicTCPShare(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	res, err := eac.RunTCPShare(eac.TCPShareConfig{
-		Eps:          0.02,
+	m, err := eac.Run(eac.Config{
+		Classes:      []eac.ClassSpec{{Preset: eac.EXP1, Eps: -1}, {TCPFlows: 20}},
+		AC:           eac.ACConfig{Design: eac.DropInBand, Kind: eac.Simple, Eps: 0.02},
 		InterArrival: 1,
 		LifetimeSec:  30,
 		Duration:     120 * eac.Second,
+		Warmup:       60 * eac.Second,
 		Seed:         1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.TCPUtil) == 0 {
-		t.Fatal("no samples")
+	if tcp := m.Classes[1]; tcp.DataSent == 0 || tcp.Arrived != 0 {
+		t.Fatalf("TCP class: %+v", tcp)
 	}
 }
 
@@ -481,13 +485,12 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 }
 
 // TestCommandsRejectBadConfig: a value the model cannot run reaches
-// scenario.Config.Validate (or RunTCPShare's check) and ends the command
-// with the field's name — not a panic in netsim or mbac, not a run that
-// ignores it or prints a table of zeros, and not a shard request quietly
-// run on one domain. Input the command cannot use — a word left after the
-// flags, a misspelt name for a flag this method or topology ignores, an
-// unknown subcommand, a negative worker count — ends it the same way,
-// naming the argument.
+// scenario.Config.Validate and ends the command with the field's name —
+// not a panic in netsim or mbac, not a run that ignores it or prints a
+// table of zeros, and not a shard request quietly run on one domain. Input
+// the command cannot use — a word left after the flags, a misspelt name
+// for a flag this method or topology ignores, an unknown subcommand, a
+// negative worker count — ends it the same way, naming the argument.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}

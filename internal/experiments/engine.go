@@ -30,8 +30,8 @@ type Point struct {
 	Cfg scenario.Config
 	Row func(scenario.Metrics) []string
 	// Solve, if set, replaces the scenario run: one task whose result is
-	// the point's row (Figure 1's fluid solves, Figure 11's TCP-share
-	// runs). Options.Cache and Options.Obs do not apply to it.
+	// the point's row (Figure 1's fluid solves). Options.Cache and
+	// Options.Obs do not apply to it.
 	Solve func() ([]string, error)
 }
 

@@ -7,6 +7,7 @@ import (
 	"eac/internal/fluid"
 	"eac/internal/scenario"
 	"eac/internal/sim"
+	"eac/internal/tcp"
 	"eac/internal/trafgen"
 )
 
@@ -241,10 +242,11 @@ var figure9 = Experiment{
 	},
 }
 
-// figure11 regenerates the legacy-router coexistence experiment: TCP
-// utilization against admission-controlled traffic for several eps. Its
-// points run a different simulator entry point (RunTCPShare) at seed 1,
-// whatever Options.Seeds says, without the cache or observability.
+// figure11 regenerates the legacy-router coexistence experiment (Section
+// 4.7): EXP1 flows probing the simple in-band-dropping way share one
+// drop-tail FIFO with 20 TCP Reno flows — a priority queue fed only band-0
+// packets is one. The row is each class's share of link 0 over the window,
+// the run's second half, and the EXP1 flows' blocking.
 var figure11 = Experiment{
 	ID:     "figure11",
 	Title:  "TCP utilization vs eps at a legacy drop-tail router (20 TCP flows)",
@@ -255,18 +257,26 @@ var figure11 = Experiment{
 		if o.Quick {
 			epsList = []float64{0, 0.02, 0.05}
 		}
+		// Every EXP1 flow is probed: none is seeded past admission.
+		base := o.basic(3.5)
+		base.Classes = append(base.Classes, scenario.ClassSpec{TCPFlows: 20})
+		base.Duration, base.Warmup, base.PrepopulateUtil = 2*o.duration(), o.duration(), 0
+		// Row sees the seeds' summed class counts: a share divides the
+		// delivered bits by the link's capacity over every seed's window.
+		seeds, _ := o.seeds()
+		r := base.WithDefaults()
+		capBits := r.Links[0].RateBps * (r.Duration - r.Drain - r.Warmup).Sec() * float64(len(seeds))
+		share := func(cm scenario.ClassMetrics, pktBytes int) string {
+			return f(float64((cm.DataSent-cm.DataLost)*int64(8*pktBytes)) / capBits)
+		}
 		var pts []Point
 		for _, eps := range epsList {
-			pts = append(pts, Point{Label: fmt.Sprintf("figure11 eps=%.2f", eps), Solve: func() ([]string, error) {
-				res, err := scenario.RunTCPShare(scenario.TCPShareConfig{
-					Eps:          eps,
-					InterArrival: o.tau(3.5),
-					LifetimeSec:  o.lifetime(),
-					Duration:     o.duration() * 2,
-					Seed:         1,
-				})
-				return []string{knob(eps), f(res.MeanTCPUtil), f(res.MeanACUtil), f2(res.ACBlocking)}, err
-			}})
+			pts = append(pts, Point{Label: fmt.Sprintf("figure11 eps=%.2f", eps),
+				Cfg: eacCfg(base, admission.DropInBand, admission.Simple, eps),
+				Row: func(m scenario.Metrics) []string {
+					return []string{knob(eps), share(m.Classes[1], tcp.Config{}.WithDefaults().SegSize),
+						share(m.Classes[0], trafgen.EXP1.PktSize), f2(m.Classes[0].BlockingProb())}
+				}})
 		}
 		return pts
 	},

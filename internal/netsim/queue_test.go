@@ -3,6 +3,8 @@ package netsim
 import (
 	"testing"
 	"testing/quick"
+
+	"eac/internal/stats"
 )
 
 func mkPkt(band int, kind Kind, seq int64) *Packet {
@@ -245,5 +247,30 @@ func TestPriorityPushoutTotalMatchesBandSum(t *testing.T) {
 	check("low-band refill")
 	for q.Dequeue() != nil {
 		check("drain")
+	}
+}
+
+// TestPriorityPushoutBandZeroIsDropTail: fed only band-0 packets — all
+// traffic under in-band dropping, the legacy router of Section 4.7 — the
+// priority queue makes DropTail's every decision, on random arrival and
+// departure sequences: the same arrivals dropped, the same packets served in
+// the same order.
+func TestPriorityPushoutBandZeroIsDropTail(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := stats.NewStream(seed, "band0")
+		pp, dt := NewPriorityPushout(8), NewDropTail(8)
+		for i := int64(0); i < 10000; i++ {
+			if rng.Bool(0.45) {
+				a, b := pp.Dequeue(), dt.Dequeue()
+				if (a == nil) != (b == nil) || a != nil && a.Seq != b.Seq {
+					t.Fatalf("seed %d op %d: dequeued %v, DropTail %v", seed, i, a, b)
+				}
+				continue
+			}
+			da, db := pp.Enqueue(0, mkPkt(BandData, Kind(rng.Intn(2)), i)), dt.Enqueue(0, mkPkt(BandData, Data, i))
+			if (da == nil) != (db == nil) || da != nil && da.Seq != db.Seq {
+				t.Fatalf("seed %d op %d: dropped %v, DropTail %v", seed, i, da, db)
+			}
+		}
 	}
 }

@@ -90,6 +90,12 @@ type ClassSpec struct {
 	// Path lists the indices of the congested links this class's flows
 	// traverse, in order. Empty means link 0 only.
 	Path []int
+	// TCPFlows, if positive, makes the class that many greedy TCP Reno
+	// flows (internal/tcp) on its Path, started at time zero and never
+	// admitted or blocked: the Section 4.7 legacy-router traffic. Weight
+	// stays 0, so no arrival is drawn for it; its segments count in
+	// DataSent and DataLost like any data packet. Preset and Eps are unused.
+	TCPFlows int
 }
 
 // HybridConfig selects the hybrid fluid/packet engine: every class's data
@@ -233,17 +239,22 @@ func (c Config) WithDefaults() Config {
 	// needs a default is filled in a copy. Resolved configs copy nothing.
 	copied := false
 	for i, cl := range c.Classes {
-		if cl.Weight != 0 && cl.Name != "" {
+		// A TCP class keeps Weight 0: the arrival picker never draws it.
+		noWeight := cl.Weight == 0 && cl.TCPFlows == 0
+		if !noWeight && cl.Name != "" {
 			continue
 		}
 		if !copied {
 			c.Classes, copied = append([]ClassSpec(nil), c.Classes...), true
 		}
-		if cl.Weight == 0 {
+		if noWeight {
 			c.Classes[i].Weight = 1
 		}
 		if cl.Name == "" {
 			c.Classes[i].Name = cl.Preset.Name
+			if cl.TCPFlows > 0 {
+				c.Classes[i].Name = "TCP"
+			}
 		}
 	}
 	copied = len(c.Links) == 0
@@ -354,7 +365,7 @@ func (c Config) Validate() error {
 	if c.Method == MBAC && !(c.MS.Target >= 0) {
 		return fmt.Errorf("scenario: MS.Target = %g, want >= 0 (0 = default)", c.MS.Target)
 	}
-	total := 0.0
+	total, tcpFlows := 0.0, 0
 	for i, cl := range c.Classes {
 		if !(cl.Weight >= 0) || math.IsInf(cl.Weight, 1) {
 			return fmt.Errorf("scenario: Classes[%d].Weight = %g, want finite and >= 0", i, cl.Weight)
@@ -362,14 +373,25 @@ func (c Config) Validate() error {
 		if math.IsNaN(cl.Eps) || math.IsInf(cl.Eps, 0) {
 			return fmt.Errorf("scenario: Classes[%d].Eps = %g, want a finite number (< 0 = AC.Eps)", i, cl.Eps)
 		}
+		switch {
+		case cl.TCPFlows < 0:
+			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d, want >= 0 (0 = admitted flows)", i, cl.TCPFlows)
+		case cl.TCPFlows > 0 && cl.Weight != 0:
+			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d needs Weight 0, got %g (TCP flows do not arrive)", i, cl.TCPFlows, cl.Weight)
+		case cl.TCPFlows > 0 && c.Hybrid.Active():
+			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d requires Hybrid off (the fluid plane carries no TCP)", i, cl.TCPFlows)
+		case cl.TCPFlows > 0 && effectiveShards(c) > 1:
+			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d requires Shards <= 1, got %d", i, cl.TCPFlows, c.Shards)
+		}
 		total += cl.Weight
+		tcpFlows += cl.TCPFlows
 		for _, li := range cl.Path {
 			if li < 0 || li >= len(c.Links) {
 				return fmt.Errorf("scenario: class %q path references link %d of %d", cl.Name, li, len(c.Links))
 			}
 		}
 	}
-	if len(c.Classes) > 0 && total <= 0 {
+	if len(c.Classes) > 0 && total <= 0 && tcpFlows == 0 {
 		return fmt.Errorf("scenario: class weights sum to zero")
 	}
 	if n := c.prepopulatedFlows(); !(n <= maxPrepopulatedFlows) {
@@ -438,6 +460,9 @@ func (c *Config) prepopulatedFlows() float64 {
 	for _, cl := range c.Classes {
 		avg += cl.Weight * cl.Preset.AvgRate
 		total += cl.Weight
+	}
+	if total == 0 {
+		return 0 // TCP classes only: nothing arrives to seed
 	}
 	avg /= total
 	return c.PrepopulateUtil * c.Links[0].RateBps / avg
@@ -518,8 +543,9 @@ func (m Metrics) Summary() string {
 // MultiMetrics averages metrics over seeds.
 type MultiMetrics struct {
 	Runs []Metrics
-	// Mean holds per-field means; Classes and Links are averaged
-	// elementwise.
+	// Mean holds per-field means; Links are averaged elementwise, and
+	// Classes hold the runs' summed counts, whose ratios (BlockingProb,
+	// LossProb) pool the runs.
 	Mean Metrics
 	// UtilStderr and LossStderr are standard errors of the headline
 	// means across runs.

@@ -1,12 +1,15 @@
 package scenario
 
 import (
+	"slices"
+
 	"eac/internal/admission"
 	"eac/internal/mbac"
 	"eac/internal/netsim"
 	"eac/internal/obs"
 	"eac/internal/sim"
 	"eac/internal/stats"
+	"eac/internal/tcp"
 	"eac/internal/trafgen"
 )
 
@@ -173,7 +176,10 @@ func (d *domain) reset(cfg Config, owner []int) {
 	clear(d.dropWin)
 	clear(d.classes)
 	for c, cl := range cfg.Classes {
-		d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc, d.emit)
+		d.mkSrc[c] = nil
+		if cl.TCPFlows == 0 {
+			d.mkSrc[c] = cl.Preset.Maker(d.s, &d.rngSrc, d.emit)
+		}
 	}
 
 	d.links = d.links[:0]
@@ -396,8 +402,8 @@ func (d *domain) onLinkDrop(now sim.Time, p *netsim.Packet) {
 
 // start schedules the domain's time-zero work: the warmup boundary (link
 // counters, and the fluid plane's delivered/offered integrals that feed
-// window utilization, restart there), obs sampling, the prepopulated flows
-// and the first arrival.
+// window utilization, restart there), obs sampling, the TCP flows, the
+// prepopulated flows and the first arrival.
 func (d *domain) start() {
 	d.s.Call(d.cfg.Warmup, func(now sim.Time) {
 		for _, l := range d.links {
@@ -408,9 +414,36 @@ func (d *domain) start() {
 		}
 	})
 	d.startObsSampling()
+	for c, cl := range d.cfg.Classes {
+		if cl.TCPFlows > 0 {
+			d.startTCP(c, cl.TCPFlows)
+		}
+	}
 	d.prepopulate()
 	if d.arr.ownedW > 0 {
 		d.scheduleNextArrival(0)
+	}
+}
+
+// startTCP starts class c's n greedy TCP Reno flows under the next n flow
+// IDs, which no other flow then takes. They run on the class's links to
+// receivers of their own, not the sink; each segment is stamped with the
+// class, so the window counters book it like any data packet (sentWin
+// here, dropWin at the link).
+func (d *domain) startTCP(c, n int) {
+	links := slices.Clip(d.tmpl[c][:len(d.tmpl[c])-1]) // the path, without the sink
+	onSend := func(now sim.Time, p *netsim.Packet) {
+		p.Class = c
+		if now >= d.winStart && now <= d.winEnd {
+			d.sentWin[c]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		sd := tcp.NewSender(d.s, tcp.Config{}, d.flowBase, nil, &d.pool)
+		sd.OnSend = onSend
+		sd.SetRoute(append(links, tcp.NewReceiver(d.s, sd, &d.pool)))
+		sd.Start(0)
+		d.flowBase++
 	}
 }
 

@@ -47,6 +47,7 @@ const ResultsVersion = "eac/results/v6"
 // admission cost and the fluid share cap are constants, not Config fields,
 // and are not hashed; when they stopped being fields every key changed (one
 // cache miss per entry) while no Metrics moved, so ResultsVersion stayed.
+// The TCP model's parameters (tcp.Config's defaults) are constants too.
 func (c Config) Fingerprint() string {
 	c = c.WithDefaults()
 	h := sha256.New()
@@ -90,6 +91,10 @@ func (c Config) Fingerprint() string {
 		w("class=%q preset=%q/%g/%d/%d/%g w=%g eps=%g path=%v\n",
 			cl.Name, cl.Preset.Name, cl.Preset.TokenRate, cl.Preset.BucketBytes,
 			cl.Preset.PktSize, cl.Preset.AvgRate, cl.Weight, cl.Eps, cl.Path)
+		// Only a TCP class writes this line, so every other key is as before.
+		if cl.TCPFlows > 0 {
+			w("tcp=%d\n", cl.TCPFlows)
+		}
 	}
 	w("links=%d\n", len(c.Links))
 	for _, ls := range c.Links {

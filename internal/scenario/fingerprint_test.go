@@ -153,7 +153,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 			"Queue", "VQFactor",
 			"Duration", "Warmup", "Drain", "MaxRetries",
 			"Obs", "Cache", "Shards", "Hybrid", "PrepopulateUtil", "Seed"},
-		reflect.TypeOf(ClassSpec{}):        {"Name", "Preset", "Weight", "Eps", "Path"},
+		reflect.TypeOf(ClassSpec{}):        {"Name", "Preset", "Weight", "Eps", "Path", "TCPFlows"},
 		reflect.TypeOf(LinkSpec{}):         {"RateBps", "Delay", "BufferPkts"},
 		reflect.TypeOf(Schedule{}):         {"Phases", "Hold"},
 		reflect.TypeOf(Phase{}):            {"Kind", "DurationSec", "From", "To"},

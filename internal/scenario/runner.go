@@ -9,6 +9,7 @@ import (
 	"eac/internal/sim"
 	"eac/internal/sim/shard"
 	"eac/internal/stats"
+	"eac/internal/tcp"
 )
 
 // Runner is the run kernel: one scenario executed as K ≥ 1 domains, each a
@@ -97,6 +98,9 @@ func (r *Runner) reset(cfg Config, plan shardPlan) {
 	maxPkt := 0
 	for _, cl := range cfg.Classes {
 		maxPkt = max(maxPkt, cl.Preset.PktSize)
+		if cl.TCPFlows > 0 {
+			maxPkt = max(maxPkt, tcp.Config{}.WithDefaults().SegSize)
+		}
 	}
 	for i, ls := range cfg.Links {
 		d := r.doms[plan.shardOf[i]]

@@ -332,6 +332,14 @@ func TestValidateNamesField(t *testing.T) {
 		{"Obs.MetricsInterval", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), MetricsInterval: -sim.Second} }},
 		{"Obs.TraceCapacity", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: -1} }},
 		{"MaxRetries", func(c *Config) { c.MaxRetries = -1 }},
+		{"InterArrival", func(c *Config) { c.InterArrival = -1 }},
+		{"LifetimeSec", func(c *Config) { c.LifetimeSec = -30 }},
+		{"Classes[1].TCPFlows", func(c *Config) { c.Classes = append(c.Classes, ClassSpec{TCPFlows: -1}) }},
+		{"Classes[1].TCPFlows", func(c *Config) { c.Classes = append(c.Classes, ClassSpec{TCPFlows: 5, Weight: 1}) }},
+		{"Classes[1].TCPFlows", func(c *Config) { c.Classes, c.Hybrid.Enabled = append(c.Classes, ClassSpec{TCPFlows: 5}), true }},
+		{"Classes[1].TCPFlows", func(c *Config) {
+			c.Classes, c.Links, c.Shards = append(c.Classes, ClassSpec{TCPFlows: 5}), []LinkSpec{{}, {}}, 2
+		}},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)

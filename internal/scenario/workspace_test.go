@@ -42,6 +42,11 @@ func reuseSequence() []Config {
 	pv := reuseCfg(6)
 	pv.Method = Passive
 	seq = append(seq, pv)
+	// TCP flows are rebuilt each run, after a run without them and before
+	// one without them.
+	tc := reuseCfg(10)
+	tc.Classes = []ClassSpec{{Preset: trafgen.EXP1, Eps: -1}, {TCPFlows: 5}}
+	seq = append(seq, tc)
 	red := reuseCfg(7)
 	red.Queue = QueueRED
 	seq = append(seq, red)

@@ -3,7 +3,9 @@
 // recovery, and exponential-backoff retransmission timeouts — sufficient
 // for the paper's Section 4.7 incremental-deployment study, where 20
 // long-lived TCP flows share a legacy drop-tail queue with
-// admission-controlled traffic.
+// admission-controlled traffic (a scenario class with TCPFlows set).
+// Under random loss its goodput follows Mathis et al.'s square-root law
+// (tcp_test.go's oracle).
 //
 // Simplifications relative to a production stack (and why they are safe
 // here): the reverse (ACK) path is modeled as a fixed-delay pipe because
@@ -82,6 +84,9 @@ type Sender struct {
 	AckedSegs int64
 	// Retransmits counts retransmitted segments.
 	Retransmits int64
+	// OnSend, if set, sees every segment just before it leaves: a
+	// scenario stamps its class there and books it.
+	OnSend func(now sim.Time, p *netsim.Packet)
 }
 
 // NewSender builds a TCP Reno sender for flow flowID whose data packets
@@ -135,6 +140,9 @@ func (sd *Sender) transmit(now sim.Time, seq int64, isRetx bool) {
 	pk.Size = sd.cfg.SegSize
 	pk.Seq = seq
 	pk.Route = sd.route
+	if sd.OnSend != nil {
+		sd.OnSend(now, pk)
+	}
 	netsim.Send(now, pk)
 	if isRetx {
 		sd.Retransmits++
@@ -249,12 +257,12 @@ func (sd *Sender) onTimeout(now sim.Time) {
 	sd.dupAcks = 0
 	sd.inFR = false
 	sd.rttValid = false
-	sd.backoff++
-	// Exponential backoff, capped.
-	rto := sd.rto << uint(sd.backoff)
-	if rto > sd.cfg.MaxRTO {
-		rto = sd.cfg.MaxRTO
+	// Exponential backoff, capped: the doubling stops at MaxRTO, so no run of
+	// timeouts can shift the RTO past the int64 range.
+	if sd.rto<<sd.backoff < sd.cfg.MaxRTO {
+		sd.backoff++
 	}
+	rto := min(sd.rto<<sd.backoff, sd.cfg.MaxRTO)
 	sd.transmit(now, sd.highAck, true)
 	sd.s.Cancel(sd.rtoEv)
 	sd.s.Schedule(sd.rtoEv, now+rto)

@@ -1,10 +1,12 @@
 package tcp
 
 import (
+	"math"
 	"testing"
 
 	"eac/internal/netsim"
 	"eac/internal/sim"
+	"eac/internal/stats"
 )
 
 // rig builds n TCP flows through one shared link.
@@ -175,6 +177,97 @@ func TestTimeoutRecovery(t *testing.T) {
 	s.Run(s.Now() + sim.Second)
 	if sd.nextSeq < 2 {
 		t.Fatal("sender did not resume after the ack")
+	}
+}
+
+// TestRTOBackoffCapped black-holes a sender for 4000 s: its RTO doubles up
+// to MaxRTO and then stays there. An unbounded shift wrapped negative after
+// 32 timeouts, about 1821 s in, and scheduled the next one into the past.
+func TestRTOBackoffCapped(t *testing.T) {
+	s := sim.New()
+	var pool netsim.Pool
+	sd := NewSender(s, Config{}, 0, nil, &pool)
+	var sentAt []sim.Time
+	sd.SetRoute([]netsim.Receiver{recvFunc(func(now sim.Time, p *netsim.Packet) {
+		sentAt = append(sentAt, now)
+		pool.Put(p)
+	})})
+	sd.Start(0)
+	s.Run(4000 * sim.Second)
+	capped := 0
+	for i := 1; i < len(sentAt); i++ {
+		switch gap := sentAt[i] - sentAt[i-1]; {
+		case gap == sd.cfg.MaxRTO:
+			capped++
+		case gap > sd.cfg.MaxRTO || capped > 0:
+			t.Fatalf("gap %d = %v, want the RTO to stay at MaxRTO = %v once there", i, gap, sd.cfg.MaxRTO)
+		}
+	}
+	if capped < 50 {
+		t.Fatalf("%d retransmissions at MaxRTO in 4000 s, want about 60", capped)
+	}
+}
+
+// lossyGoodput runs one Reno flow over a 1 Gb/s link with a 20 ms delay
+// (plus the 20 ms ACK path: a fixed 40 ms round trip) to a receiver that
+// loses each segment independently with probability p, drawn from its own
+// stream, and returns the goodput in bits/s.
+func lossyGoodput(p float64, seed uint64, dur sim.Time) float64 {
+	s := sim.New()
+	var pool netsim.Pool
+	link := netsim.NewLink(s, "lossy", 1e9, 20*sim.Millisecond, netsim.NewDropTail(1000))
+	link.OnDrop = func(now sim.Time, pk *netsim.Packet) { pool.Put(pk) }
+	sd := NewSender(s, Config{}, 0, nil, &pool)
+	rc := NewReceiver(s, sd, &pool)
+	loss := stats.NewStream(seed, "tcp-loss")
+	sd.SetRoute([]netsim.Receiver{link, recvFunc(func(now sim.Time, pk *netsim.Packet) {
+		if loss.Float64() < p {
+			pool.Put(pk)
+			return
+		}
+		rc.Receive(now, pk)
+	})})
+	sd.Start(0)
+	s.Run(dur)
+	return float64(sd.AckedSegs*int64(sd.cfg.SegSize*8)) / dur.Sec()
+}
+
+// TestMathisOracle holds the Reno model to closed forms from outside this
+// repo. Under independent loss p, Mathis et al. (1997) give the goodput
+// (MSS/RTT)·√(3/(2p)); the constant is √(3/2) because the model has no
+// delayed ACK. Padhye et al. (1998) add the timeout term that takes over at
+// high p: MSS / (RTT·√(2bp/3) + T0·min(1, 3·√(3bp/8))·p·(1+32p²)), with
+// b = 1 and T0 = MinRTO.
+//
+// The tolerances are set here, before any run: the mean over seeds lies
+// within 10 % of Mathis at p = 0.001 and p = 0.01, and between Padhye and
+// Mathis at p = 0.03, where timeouts hold much of the time. A miss is a
+// finding about the model for EXPERIMENTS, not a tolerance to widen.
+func TestMathisOracle(t *testing.T) {
+	seeds, dur := 10, 2000*sim.Second
+	if testing.Short() {
+		seeds = 3
+	}
+	cfg := Config{}.WithDefaults()
+	mss := float64(cfg.SegSize * 8)
+	rtt := 0.040 + mss/1e9 // link and ACK delays plus one serialisation
+	t0 := cfg.MinRTO.Sec()
+	for _, p := range []float64{0.001, 0.01, 0.03} {
+		mathis := mss / rtt * math.Sqrt(3/(2*p))
+		padhye := mss / (rtt*math.Sqrt(2*p/3) + t0*math.Min(1, 3*math.Sqrt(3*p/8))*p*(1+32*p*p))
+		var ratio stats.Welford
+		for seed := 1; seed <= seeds; seed++ {
+			ratio.Add(lossyGoodput(p, uint64(seed), dur) / mathis)
+		}
+		got := ratio.Mean()
+		t.Logf("p = %g: goodput/Mathis = %.3f (sd %.3f, %d seeds), Padhye/Mathis = %.3f", p, got, ratio.Stddev(), seeds, padhye/mathis)
+		if p < 0.03 {
+			if math.Abs(got-1) > 0.10 {
+				t.Errorf("p = %g: goodput/Mathis = %.3f, want within 10 %%", p, got)
+			}
+		} else if got < padhye/mathis || got > 1 {
+			t.Errorf("p = %g: goodput/Mathis = %.3f, want between Padhye (%.3f) and Mathis (1)", p, got, padhye/mathis)
+		}
 	}
 }
 
