@@ -513,6 +513,10 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-eps", "-1"}, "AC.Eps"},
 		{[]string{"eacsim", "-prepopulate", "NaN"}, "PrepopulateUtil"},
 		{[]string{"eacsim", "-prepopulate", "1e9"}, "PrepopulateUtil"},
+		{[]string{"eacsim", "-tau", "-1"}, "InterArrival"},
+		{[]string{"eacsim", "-life", "-30"}, "LifetimeSec"},
+		{[]string{"eacsim", "-probe", "70000"}, "AC.ProbeDur/AC.StageDur"},
+		{[]string{"eacsim", "-topology", "metro-star", "-chains", "1", "-hops", "40000"}, "Classes[0].Path"},
 		{[]string{"eacsim", "-topology", "metro-star", "-chains", "-1"}, "-chains"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hops", "-2"}, "-hops"},
 		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "-5"}, "-hosts"},

@@ -29,7 +29,7 @@ import (
 )
 
 // cbr injects jittered constant-bit-rate traffic into a link.
-func cbr(s *sim.Sim, l *netsim.Link, sink netsim.Receiver, flow, band int, kind netsim.Kind, rateBps float64, start sim.Time, counted *int) {
+func cbr(s *sim.Sim, l *netsim.Link, sink netsim.Receiver, flow int, band uint8, kind netsim.Kind, rateBps float64, start sim.Time, counted *int) {
 	rng := stats.NewStream(uint64(flow), "arch-demo")
 	gap := float64(sim.Second) * 125 * 8 / rateBps
 	var ev *sim.Event

@@ -316,7 +316,7 @@ func (p *Prober) Abort() {
 
 // emit sends one probe packet.
 func (p *Prober) emit(now sim.Time, size int) {
-	band := netsim.BandData
+	band := uint8(netsim.BandData)
 	if p.cfg.Design.Band == OutOfBand {
 		band = netsim.BandProbe
 	}
@@ -324,9 +324,9 @@ func (p *Prober) emit(now sim.Time, size int) {
 	pk.FlowID = p.flowID
 	pk.Kind = netsim.Probe
 	pk.Band = band
-	pk.Size = size
+	pk.Size = int32(size)
 	st := &p.stages[p.stage]
-	pk.Stage = p.stage
+	pk.Stage = uint16(p.stage)
 	pk.Seq = st.sent
 	pk.Route = p.route
 	st.sent++
@@ -408,10 +408,11 @@ func (p *Prober) OnProbeArrival(now sim.Time, pk *netsim.Packet) {
 	if p.finished {
 		return
 	}
-	if pk.Stage < 0 || pk.Stage >= len(p.stages) {
+	stage := int(pk.Stage)
+	if stage >= len(p.stages) {
 		return
 	}
-	st := &p.stages[pk.Stage]
+	st := &p.stages[stage]
 	if pk.Seq > st.expect {
 		st.gaps += pk.Seq - st.expect
 	}
@@ -420,7 +421,7 @@ func (p *Prober) OnProbeArrival(now sim.Time, pk *netsim.Packet) {
 	if pk.Marked {
 		st.marked++
 	}
-	p.stopIfBad(now, pk.Stage, st.gaps) // sequence gaps are known losses
+	p.stopIfBad(now, stage, st.gaps) // sequence gaps are known losses
 }
 
 // fraction returns the stage's current bad fraction using losses implied by

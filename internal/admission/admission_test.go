@@ -61,7 +61,7 @@ func (h *harness) cbrLoad(rateBps float64, band int, kind netsim.Kind) {
 		pk := h.pool.Get()
 		pk.FlowID = 999
 		pk.Kind = kind
-		pk.Band = band
+		pk.Band = uint8(band)
 		pk.Size = 125
 		pk.Route = route
 		netsim.Send(now, pk)

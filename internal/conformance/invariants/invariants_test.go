@@ -108,7 +108,7 @@ func TestGuardPassesRealDisciplines(t *testing.T) {
 			// Overfill with alternating bands, then drain; the guard checks
 			// depth, drop semantics and conservation on every operation.
 			for i := 0; i < 40; i++ {
-				p := &netsim.Packet{Size: 125, Band: i % 2 * netsim.BandProbe}
+				p := &netsim.Packet{Size: 125, Band: uint8(i % 2 * netsim.BandProbe)}
 				g.Enqueue(sim.Time(i), p)
 				if i%3 == 0 {
 					g.Dequeue()

@@ -91,8 +91,8 @@ var diffChains = []struct {
 // arrival is one generated input packet.
 type arrival struct {
 	at   sim.Time
-	size int
-	band int
+	size int32
+	band uint8
 	kind Kind
 }
 
@@ -124,7 +124,7 @@ func genArrivals(seed uint64, n int, rate float64) []arrival {
 			now += sim.Time(float64(sizes[rng.Intn(len(sizes))]*8) * float64(sim.Second) / rate)
 		}
 		for b := 0; b < burst && len(out) < n; b++ {
-			a := arrival{at: now, size: sizes[rng.Intn(len(sizes))], band: BandData, kind: Data}
+			a := arrival{at: now, size: int32(sizes[rng.Intn(len(sizes))]), band: BandData, kind: Data}
 			switch rng.Intn(4) {
 			case 0:
 				a.band, a.kind = BandProbe, Probe

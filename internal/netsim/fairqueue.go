@@ -92,14 +92,14 @@ func (fq *FairQueue) Dequeue() *Packet {
 			continue
 		}
 		head := f.q.Front()
-		if f.deficit < head.Size {
+		if f.deficit < int(head.Size) {
 			// Not enough credit: move to the back with a fresh quantum.
 			f.deficit += fq.quantum
 			fq.active = append(fq.active[1:], f)
 			continue
 		}
 		p := f.q.Pop()
-		f.deficit -= p.Size
+		f.deficit -= int(p.Size)
 		fq.total--
 		if f.q.Len() == 0 {
 			fq.active = fq.active[1:]

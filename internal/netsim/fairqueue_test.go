@@ -8,7 +8,7 @@ import (
 )
 
 func fqPkt(flow int, seq int64, size int) *Packet {
-	return &Packet{FlowID: flow, Seq: seq, Size: size, Kind: Data, Band: BandData}
+	return &Packet{FlowID: flow, Seq: seq, Size: int32(size), Kind: Data, Band: BandData}
 }
 
 func TestFairQueueRoundRobin(t *testing.T) {
@@ -179,7 +179,7 @@ func TestMultiLevelService(t *testing.T) {
 	l := NewLink(s, "ml", 1e6, sim.Millisecond, q)
 	counts := map[int]int{}
 	sink := sinkCounter{counts: counts}
-	emit := func(flow, band int, kind Kind, rateBps float64) {
+	emit := func(flow int, band uint8, kind Kind, rateBps float64) {
 		gap := sim.Time(float64(sim.Second) * 125 * 8 / rateBps)
 		var ev *sim.Event
 		ev = sim.NewEvent(func(now sim.Time) {

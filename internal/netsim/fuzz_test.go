@@ -25,8 +25,8 @@ func fuzzDiscipline(t *testing.T, name string, d netsim.Discipline, capPkts int,
 			continue
 		}
 		g.Enqueue(now, &netsim.Packet{
-			Size: 64 + int(arg)*8,
-			Band: int(op) % netsim.NumBands,
+			Size: 64 + int32(arg)*8,
+			Band: op % netsim.NumBands,
 			Kind: netsim.Kind(op % 2),
 		})
 	}
@@ -96,7 +96,7 @@ func FuzzVirtualQueue(f *testing.F) {
 			op, arg := data[k], data[k+1]
 			now += sim.Time(arg) * 100 * sim.Microsecond
 			before := vq.TotalBacklog()
-			p := &netsim.Packet{Size: 1 + int(arg)*8, Band: int(op) % netsim.NumBands}
+			p := &netsim.Packet{Size: 1 + int32(arg)*8, Band: op % netsim.NumBands}
 			marked := vq.OnArrival(now, p)
 			if marked && before+int64(p.Size) <= capBytes {
 				// Drain can only shrink the backlog, so a packet that

@@ -37,7 +37,7 @@ func TestLinkInvariantsUnderLoad(t *testing.T) {
 	emit = func(now sim.Time) {
 		for i := 0; i < 4; i++ {
 			kind := netsim.Data
-			band := netsim.BandData
+			band := uint8(netsim.BandData)
 			if rng.Bool(0.3) {
 				kind = netsim.Probe
 				band = netsim.BandProbe

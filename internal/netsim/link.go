@@ -237,11 +237,11 @@ func (l *Link) Receive(now sim.Time, p *Packet) {
 		p.Marked = true
 		l.stats.Marked[p.Kind]++
 		if l.Tap != nil {
-			l.Tap.Mark(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+			l.Tap.Mark(now, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 		}
 	}
 	if l.Tap != nil {
-		l.Tap.Enqueue(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+		l.Tap.Enqueue(now, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 	}
 	if !l.busy {
 		l.startTx(now)
@@ -253,7 +253,7 @@ func (l *Link) Receive(now sim.Time, p *Packet) {
 func (l *Link) drop(now sim.Time, p *Packet) {
 	l.stats.Dropped[p.Kind]++
 	if l.Tap != nil {
-		l.Tap.Drop(now, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+		l.Tap.Drop(now, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 	}
 	if l.OnDrop != nil {
 		l.OnDrop(now, p)
@@ -270,7 +270,7 @@ func (l *Link) startTx(at sim.Time) {
 		return
 	}
 	if l.Tap != nil {
-		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq, l.Q.Len())
+		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 	}
 	l.txBits, l.txKind = int64(p.Bits()), p.Kind
 	l.txEnd = at + sim.Time(float64(l.txBits)*l.nsPerBit) // no division on the packet path
@@ -281,7 +281,7 @@ func (l *Link) startTx(at sim.Time) {
 		}
 	}
 	due := l.txEnd + l.Delay
-	if p.hop == len(p.Route)-1 {
+	if int(p.hop) == len(p.Route)-1 {
 		if r, ok := p.Route[p.hop].(Recorder); ok && r.Record(due, p) {
 			return // p is the recorder's: the link may not touch it again
 		}
@@ -310,7 +310,7 @@ func (l *Link) finishTx(now sim.Time) {
 		l.stats.SentPkts[l.txKind]++
 		if p := l.txPkt; p != nil {
 			if l.Tap != nil {
-				l.Tap.Handoff(at, p.FlowID, uint8(p.Kind), p.Size, p.Seq)
+				l.Tap.Handoff(at, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq)
 			}
 			p.hop++
 			l.hand.ReceiveTxEnd(at, l.Delay, p)

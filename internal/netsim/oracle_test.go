@@ -75,7 +75,7 @@ func TestOraclePriorityWaits(t *testing.T) {
 				sent := 0
 				var arrive *sim.Event
 				arrive = sim.NewEvent(func(now sim.Time) {
-					band := BandProbe
+					band := uint8(BandProbe)
 					if rng.Bool(rho1 / rho) {
 						band = BandData
 					}

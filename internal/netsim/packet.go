@@ -58,28 +58,32 @@ type Receiver interface {
 
 // Packet is one simulated packet. Packets are pooled; do not retain a
 // packet after handing it to a Receiver or after freeing it.
+//
+// A packet is 64 bytes, one cache line (TestPacketSize), with the fields a
+// hop reads first: a packet-hop then misses the cache once, not twice. The
+// narrow fields bound what Config.Validate accepts: a route of at most
+// MaxUint16 hops, probes of at most MaxUint16 stages, MaxInt32-byte packets.
 type Packet struct {
-	FlowID int
-	Class  int   // traffic class index (for accounting away from the source)
-	Seq    int64 // per-flow, per-kind sequence number
-	Size   int   // bytes
-	Kind   Kind
-	Band   int // priority band (0 highest)
-	Marked bool
-	Stage  int      // probing stage that emitted this probe packet
-	SentAt sim.Time // emission time at the source
-
 	// Route is the sequence of receivers the packet visits; hop indexes
 	// the next one. The final receiver is the terminating endpoint. The
 	// route slice is shared and read-only: scenario hands every packet of
 	// every flow of a class the same one.
-	Route []Receiver
-	hop   int
+	Route  []Receiver
+	FlowID int
+	Seq    int64    // per-flow, per-kind sequence number
+	SentAt sim.Time // emission time at the source
+	Size   int32    // bytes
+	Class  int32    // traffic class index (for accounting away from the source)
+	hop    uint16
+	Stage  uint16 // probing stage that emitted this probe packet
+	Kind   Kind
+	Band   uint8 // priority band (0 highest)
+	Marked bool
 }
 
 // Forward delivers the packet to its next hop, if any.
 func (p *Packet) Forward(now sim.Time) {
-	if p.hop >= len(p.Route) {
+	if int(p.hop) >= len(p.Route) {
 		return
 	}
 	next := p.Route[p.hop]
@@ -90,19 +94,21 @@ func (p *Packet) Forward(now sim.Time) {
 // nextHop returns the receiver the packet would visit next without
 // advancing, or nil at the end of the route.
 func (p *Packet) nextHop() Receiver {
-	if p.hop >= len(p.Route) {
+	if int(p.hop) >= len(p.Route) {
 		return nil
 	}
 	return p.Route[p.hop]
 }
 
 // Bits returns the packet size in bits.
-func (p *Packet) Bits() int { return p.Size * 8 }
+func (p *Packet) Bits() int { return int(p.Size) * 8 }
 
 // poolSlab is the arena block size: fresh packets are carved from
 // contiguous []Packet slabs so the packets a run churns through stay
-// cache-local instead of being scattered by individual allocations.
-const poolSlab = 256
+// cache-local instead of being scattered by individual allocations. A slab
+// is 32 KB, which Go allocates page-aligned, so each packet fills one line;
+// below 32 KB an 8-byte malloc header would split every packet over two.
+const poolSlab = 512
 
 // Pool is a freelist of packets over slab arenas. A pool (and everything
 // carved from it) belongs to one simulation thread — a shard or a serial

@@ -75,7 +75,7 @@ func (q *PriorityPushout) Enqueue(_ sim.Time, p *Packet) *Packet {
 	}
 	// Buffer full: higher-priority arrivals may displace lower-band
 	// residents, scanning from the lowest band upward.
-	for b := NumBands - 1; b > p.Band; b-- {
+	for b := NumBands - 1; b > int(p.Band); b-- {
 		if q.bands[b].Len() > 0 {
 			victim := q.bands[b].PopTail()
 			q.bands[p.Band].Push(p)

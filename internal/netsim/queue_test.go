@@ -7,7 +7,7 @@ import (
 	"eac/internal/stats"
 )
 
-func mkPkt(band int, kind Kind, seq int64) *Packet {
+func mkPkt(band uint8, kind Kind, seq int64) *Packet {
 	return &Packet{Band: band, Kind: kind, Seq: seq, Size: 125}
 }
 
@@ -150,7 +150,7 @@ func TestQueueConservationProperty(t *testing.T) {
 		in, out, dropped := 0, 0, 0
 		for i := 0; i < 2000; i++ {
 			if next()%3 != 0 {
-				band := BandData
+				band := uint8(BandData)
 				kind := Data
 				if usePrio && next()%2 == 0 {
 					band, kind = BandProbe, Probe

@@ -70,13 +70,13 @@ func (v *VirtualQueue) OnArrival(now sim.Time, p *Packet) (mark bool) {
 	// shadow probe backlog on every oversized data arrival).
 	need := total + size - v.capBytes
 	avail := int64(0)
-	for b := NumBands - 1; b > p.Band; b-- {
+	for b := NumBands - 1; b > int(p.Band); b-- {
 		avail += v.backlog[b]
 	}
 	if avail < need {
 		return true
 	}
-	for b := NumBands - 1; b > p.Band; b-- {
+	for b := NumBands - 1; b > int(p.Band); b-- {
 		if v.backlog[b] >= need {
 			v.backlog[b] -= need
 			break

@@ -208,7 +208,7 @@ func TestVQDropProbesMode(t *testing.T) {
 	n := 0
 	var ev *sim.Event
 	ev = sim.NewEvent(func(now sim.Time) {
-		kind, band := Data, BandData
+		kind, band := Data, uint8(BandData)
 		if n%2 == 1 {
 			kind, band = Probe, BandProbe
 		}

@@ -316,14 +316,16 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: %s = %g, want a finite number", f.field, f.v)
 		}
 	}
-	if c.InterArrival < 0 || c.LifetimeSec < 0 {
-		return fmt.Errorf("scenario: InterArrival (%g) and LifetimeSec (%g) must be >= 0", c.InterArrival, c.LifetimeSec)
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{{"InterArrival", c.InterArrival}, {"LifetimeSec", c.LifetimeSec}, {"VQFactor", c.VQFactor}} {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: %s = %g, want >= 0 (0 = default)", f.field, f.v)
+		}
 	}
 	if c.AC.Eps < 0 {
 		return fmt.Errorf("scenario: AC.Eps = %g, want >= 0", c.AC.Eps)
-	}
-	if c.VQFactor < 0 {
-		return fmt.Errorf("scenario: VQFactor = %g, want >= 0 (0 = default)", c.VQFactor)
 	}
 	for _, n := range []struct {
 		field string
@@ -383,6 +385,14 @@ func (c Config) Validate() error {
 		case cl.TCPFlows > 0 && effectiveShards(c) > 1:
 			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d requires Shards <= 1, got %d", i, cl.TCPFlows, c.Shards)
 		}
+		// A packet's Size, and its hop along a route of up to two hops per
+		// link (the link, a portal) and the sink, are narrow (netsim.Packet).
+		if cl.Preset.PktSize > math.MaxInt32 {
+			return fmt.Errorf("scenario: Classes[%d].Preset.PktSize = %d, want at most %d bytes", i, cl.Preset.PktSize, math.MaxInt32)
+		}
+		if len(cl.Path) > math.MaxUint16/2 {
+			return fmt.Errorf("scenario: Classes[%d].Path has %d links, want at most %d", i, len(cl.Path), math.MaxUint16/2)
+		}
 		total += cl.Weight
 		tcpFlows += cl.TCPFlows
 		for _, li := range cl.Path {
@@ -398,6 +408,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: PrepopulateUtil = %g seeds %.3g flows at time zero, want at most %g", c.PrepopulateUtil, n, float64(maxPrepopulatedFlows))
 	}
 	if c.Method == EAC {
+		// A probe packet names its stage in a uint16 (netsim.Packet.Stage).
+		if ac := c.AC.WithDefaults(); ac.Kind != admission.Simple && ac.ProbeDur/ac.StageDur > math.MaxUint16 {
+			return fmt.Errorf("scenario: AC.ProbeDur/AC.StageDur = %gs/%gs makes %d probe stages, want at most %d",
+				ac.ProbeDur.Sec(), ac.StageDur.Sec(), int64(ac.ProbeDur/ac.StageDur), math.MaxUint16)
+		}
 		if c.AC.Design.Signal == admission.VDrop && c.AC.Design.Band != admission.OutOfBand {
 			return fmt.Errorf("scenario: virtual dropping requires out-of-band probing (footnote 14)")
 		}

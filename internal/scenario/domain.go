@@ -15,12 +15,11 @@ import (
 
 // flowState tracks one offered flow through its lifecycle, and goes back to
 // the domain as soon as nothing can reach it (freeFlow). The timer survives
-// recycling; everything else is per-flow.
+// recycling; everything else is per-flow. Its packets route over the class's
+// template, domain.tmpl[class].
 type flowState struct {
-	id      int
-	class   int
-	route   []netsim.Receiver // the class's shared template (domain.tmpl)
-	dataSeq int64             // emitData's packet counter
+	id    int
+	class int
 	// prober is the flow's while its admission is open: taken from the
 	// domain's prober arena at the first probe, handed back when the
 	// decision is final (probeDone).
@@ -37,6 +36,14 @@ type flowState struct {
 	lastFrac float64    // bad-packet fraction of the last probe (EAC)
 	lastEps  float64    // threshold the last probe ran against (EAC)
 	next     *flowState // the domain's free list, while freed
+}
+
+// flowSlot is a flow's entry in the domain's table: the flow, and what
+// emitData needs of it, so that emitting a packet reads no flowState.
+type flowSlot struct {
+	f     *flowState // nil once the flow was freed
+	seq   int64      // the flow's next data packet sequence number
+	class int
 }
 
 // domain is one shard domain of a run: a private simulator, the links that
@@ -89,10 +96,10 @@ type domain struct {
 	epsSum float64
 
 	// flows is the window of flow IDs from flowBase on: flows[id-flowBase]
-	// is the live flow id, nil once it was freed. The freed slots before the
-	// first live one, flows[:head], are cut off when they reach half the
-	// window (freeFlow), so the table spans the live flows, not the run.
-	flows     []*flowState
+	// is the slot of flow id. The freed slots before the first live one,
+	// flows[:head], are cut off when they reach half the window (freeFlow),
+	// so the table spans the live flows, not the run.
+	flows     []flowSlot
 	flowBase  int
 	head      int
 	freeFlows *flowState  // freed flow states awaiting reuse, linked by next
@@ -292,7 +299,8 @@ func (d *domain) observe(c *obs.Collector) {
 // Forget calls safe — a free prober may still have a judge queued.
 func (d *domain) releaseFlows() {
 	d.arrEv.Forget()
-	for _, f := range d.flows {
+	for _, sl := range d.flows {
+		f := sl.f
 		if f == nil {
 			continue
 		}
@@ -311,8 +319,7 @@ func (d *domain) releaseFlows() {
 const flowSlabSize = 64
 
 // newFlow hands out the next flowState — recycled when the freelist has
-// one, else carved from the arena — registered under the next flow ID and
-// routed over its class template.
+// one, else carved from the arena — registered under the next flow ID.
 func (d *domain) newFlow(class int) *flowState {
 	f := d.freeFlows
 	if f != nil {
@@ -328,21 +335,21 @@ func (d *domain) newFlow(class int) *flowState {
 	f.id = d.flowBase + len(d.flows)
 	f.timer.SetArg(uint32(f.id))
 	f.class = class
-	f.route = d.tmpl[class]
-	d.flows = append(d.flows, f)
+	d.flows = append(d.flows, flowSlot{f: f, class: class})
 	return f
 }
 
 // freeFlow takes back the state of a flow nothing can reach any more: it
 // was rejected for good, its lifetime ended, or its data went to the fluid
 // plane. Its prober is back in the arena already, and its timer is idle. The
-// flow's slot in the table goes nil, and once the nil slots before the first
-// live one make half the table they are cut off in place: each cut moves no
-// more slots than it drops, so it costs O(1) per flow, amortised.
+// flow's slot in the table is cleared, and once the free slots before the
+// first live one make half the table they are cut off in place: each cut moves
+// no more slots than it drops, so it costs O(1) per flow, amortised. A slot
+// moves whole, its sequence counter with it.
 func (d *domain) freeFlow(f *flowState) {
-	d.flows[f.id-d.flowBase] = nil
+	d.flows[f.id-d.flowBase] = flowSlot{}
 	d.recycle(f)
-	for d.head < len(d.flows) && d.flows[d.head] == nil {
+	for d.head < len(d.flows) && d.flows[d.head].f == nil {
 		d.head++
 	}
 	if 2*d.head >= len(d.flows) {
@@ -361,7 +368,7 @@ func (d *domain) recycle(f *flowState) {
 // flow returns the live flow id, or nil when it was freed.
 func (d *domain) flow(id int) *flowState {
 	if i := id - d.flowBase; i >= 0 {
-		return d.flows[i]
+		return d.flows[i].f
 	}
 	return nil
 }
@@ -369,7 +376,7 @@ func (d *domain) flow(id int) *flowState {
 // onFlowTimer is the callback of every flow's timer: an admitted flow's
 // lifetime has expired, or a rejected one's retry back-off (footnote 10).
 func (d *domain) onFlowTimer(now sim.Time) {
-	if f := d.flows[int(d.s.Arg())-d.flowBase]; f.active {
+	if f := d.flows[int(d.s.Arg())-d.flowBase].f; f.active {
 		d.stopFlow(now, f)
 	} else {
 		d.admit(now, f)
@@ -433,7 +440,7 @@ func (d *domain) start() {
 func (d *domain) startTCP(c, n int) {
 	links := slices.Clip(d.tmpl[c][:len(d.tmpl[c])-1]) // the path, without the sink
 	onSend := func(now sim.Time, p *netsim.Packet) {
-		p.Class = c
+		p.Class = int32(c)
 		if now >= d.winStart && now <= d.winEnd {
 			d.sentWin[c]++
 		}
@@ -612,7 +619,7 @@ func (d *domain) startProbe(now sim.Time, f *flowState, eps float64) {
 	if f.prober == nil {
 		f.prober = d.probers.Get()
 	}
-	f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, f.route, d.probeDone)
+	f.prober.Reinit(ac, f.id, cl.Preset.TokenRate, cl.Preset.PktSize, d.tmpl[f.class], d.probeDone)
 	d.obs.SpanProbeStart(now, f.id, f.class)
 	f.prober.Start(now)
 }
@@ -622,7 +629,7 @@ func (d *domain) startProbe(now sim.Time, f *flowState, eps float64) {
 // retry, or is rejected for good. It reads only live state (the domain, the
 // flowState), so recycling cannot leak a previous run's decisions.
 func (d *domain) onProbeDone(res admission.Result) {
-	f := d.flows[res.FlowID-d.flowBase]
+	f := d.flows[res.FlowID-d.flowBase].f
 	at := d.s.Now()
 	f.attempts++
 	f.lastFrac = res.Fraction
@@ -705,18 +712,18 @@ func (d *domain) startData(now sim.Time, f *flowState) {
 
 // emitData sends one data packet of flow id: the emit callback of every source.
 func (d *domain) emitData(now sim.Time, id, size int) {
-	f := d.flows[id-d.flowBase]
+	sl := &d.flows[id-d.flowBase]
 	pk := d.pool.Get()
 	pk.FlowID = id
-	pk.Class = f.class
+	pk.Class = int32(sl.class)
 	pk.Kind = netsim.Data
 	pk.Band = netsim.BandData
-	pk.Size = size
-	pk.Seq = f.dataSeq
-	pk.Route = f.route
-	f.dataSeq++
+	pk.Size = int32(size)
+	pk.Seq = sl.seq
+	pk.Route = d.tmpl[sl.class]
+	sl.seq++
 	if now >= d.winStart && now <= d.winEnd {
-		d.sentWin[f.class]++
+		d.sentWin[sl.class]++
 	}
 	netsim.Send(now, pk)
 }
@@ -755,7 +762,7 @@ func (k *sinkRecv) Record(at sim.Time, p *netsim.Packet) bool {
 		d.delayNs += int64(dl)
 		d.delayN++
 		d.delayHist[min(int(dl/sim.Millisecond), len(d.delayHist)-1)]++
-		d.obs.Delay(p.Class, dl)
+		d.obs.Delay(int(p.Class), dl)
 	}
 	d.pool.Put(p)
 	return true

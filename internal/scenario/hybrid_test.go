@@ -207,11 +207,11 @@ func TestPacketFlowMemoryCeiling(t *testing.T) {
 		d := r.doms[0]
 		ids = d.flowBase + len(d.flows)
 		lead := 0
-		for lead < len(d.flows) && d.flows[lead] == nil {
+		for lead < len(d.flows) && d.flows[lead].f == nil {
 			lead++
 		}
 		if len(d.flows) > 0 && 2*lead >= len(d.flows) {
-			t.Errorf("%v run: %d of the flow table's %d slots lead with nil", dur, lead, len(d.flows))
+			t.Errorf("%v run: %d of the flow table's %d slots are empty ones before the first live flow", dur, lead, len(d.flows))
 		}
 		runtime.GC()
 		var ms runtime.MemStats

@@ -365,3 +365,65 @@ func TestRecorderStopsAtHorizon(t *testing.T) {
 		t.Fatalf("leak: %d packets allocated, %d free, %d queued", dr.pool.Allocated, dr.pool.FreeLen(), held)
 	}
 }
+
+// TestFlowDataSeqUnbroken is the law of a flow's data sequence numbers: the
+// packets a flow emits carry 0, 1, 2, … with no gap or repeat. The counter
+// lives in the flow's table slot, which the table's compaction moves (domain
+// freeFlow) while the flow emits; a compaction that dropped or swapped a
+// slot's counter breaks the law. Short probes and lives, most flows rejected
+// at once, make the table compact many times in 30 simulated seconds; every
+// data packet is traced once on arrival at the one link, enqueued or dropped.
+func TestFlowDataSeqUnbroken(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Duration, cfg.Warmup = 90*sim.Second, 5*sim.Second
+	cfg.InterArrival, cfg.LifetimeSec = 0.1, 1
+	cfg.AC.ProbeDur, cfg.AC.StageDur = sim.Second, 250*sim.Millisecond
+	cfg.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: 1 << 20}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Run()
+	if _, err := r.FlushObs(); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.obs.Collector(0).TraceDropped(); n != 0 {
+		t.Fatalf("the trace ring dropped %d records: raise TraceCapacity", n)
+	}
+	// Each compaction advances flowBase by at most the table's length, which
+	// never exceeds its capacity.
+	if d := r.doms[0]; d.flowBase < 3*cap(d.flows) {
+		t.Fatalf("test setup: flowBase %d, table capacity %d: fewer than 3 compactions", d.flowBase, cap(d.flows))
+	}
+	f, err := os.Open(cfg.Obs.TraceFile(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	next := map[int32]int64{} // each flow's next expected sequence number
+	pkts := 0
+	dec := json.NewDecoder(f)
+	for dec.More() {
+		var ev struct {
+			Ev   string
+			Flow int32
+			Kind string
+			Seq  int64
+		}
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != "data" || (ev.Ev != "enqueue" && ev.Ev != "drop") {
+			continue
+		}
+		if ev.Seq != next[ev.Flow] {
+			t.Fatalf("flow %d emitted data seq %d after %d packets", ev.Flow, ev.Seq, next[ev.Flow])
+		}
+		next[ev.Flow]++
+		pkts++
+	}
+	if len(next) < 50 || pkts < 10000 {
+		t.Fatalf("test setup: %d data packets of %d flows traced, want a busy run", pkts, len(next))
+	}
+	t.Logf("%d data packets of %d flows, flowBase %d", pkts, len(next), r.doms[0].flowBase)
+}

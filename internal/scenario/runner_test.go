@@ -340,10 +340,18 @@ func TestValidateNamesField(t *testing.T) {
 		{"Classes[1].TCPFlows", func(c *Config) {
 			c.Classes, c.Links, c.Shards = append(c.Classes, ClassSpec{TCPFlows: 5}), []LinkSpec{{}, {}}, 2
 		}},
+		// What netsim.Packet's narrow fields cannot hold. A 1 ns stage would
+		// carve 5·10⁹ probe stages; Validate must refuse before any is made.
+		{"Classes[0].Preset.PktSize", func(c *Config) { c.Classes[0].Preset.PktSize = math.MaxInt32 + 1 }},
+		{"Classes[0].Path", func(c *Config) { c.Classes[0].Path = make([]int, math.MaxUint16/2+1) }},
+		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.StageDur = sim.Nanosecond }},
+		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.Kind, c.AC.ProbeDur = admission.EarlyReject, 70000*sim.Second }},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)
-		if _, err := Run(c); err == nil || !strings.Contains(err.Error(), tc.field) {
+		// The message leads with the field: one naming another field first
+		// does not pass a row.
+		if _, err := Run(c); err == nil || !strings.HasPrefix(err.Error(), "scenario: "+tc.field+" ") {
 			t.Errorf("%s: err = %v, want one naming %s", tc.field, err, tc.field)
 		}
 	}

@@ -145,8 +145,8 @@ func TestWorkspaceAllocReduction(t *testing.T) {
 }
 
 // TestSerialRoutesShared pins the route-template unification: at K = 1
-// every flow of a class carries the class's one template (same backing
-// array, not a per-flow copy), and a Workspace whose next config keeps the
+// every live flow's table slot names its class, whose one template (same
+// backing array, not a per-flow copy) all its packets carry, and a Workspace whose next config keeps the
 // link count — so the Runner is reset, not rebuilt — but changes the class
 // and path layout routes the new run over fresh templates.
 func TestSerialRoutesShared(t *testing.T) {
@@ -171,14 +171,14 @@ func TestSerialRoutesShared(t *testing.T) {
 	r := ws.r
 	d := r.doms[0]
 	old := d.tmpl[0]
-	// A freed flow's slot is nil; the live ones all share the template.
+	// A freed flow's slot is empty; the live ones all route over the template.
 	live := 0
-	for _, f := range d.flows {
-		if f == nil {
+	for _, sl := range d.flows {
+		if sl.f == nil {
 			continue
 		}
-		if &f.route[0] != &old[0] {
-			t.Fatalf("flow %d of class %d does not carry the runner's class template", f.id, f.class)
+		if sl.class != sl.f.class || &d.tmpl[sl.class][0] != &old[0] {
+			t.Fatalf("flow %d of class %d sits in a slot of class %d, not on the runner's class template", sl.f.id, sl.f.class, sl.class)
 		}
 		live++
 	}

@@ -137,7 +137,7 @@ func (sd *Sender) transmit(now sim.Time, seq int64, isRetx bool) {
 	pk.FlowID = sd.flowID
 	pk.Kind = netsim.Data
 	pk.Band = netsim.BandData
-	pk.Size = sd.cfg.SegSize
+	pk.Size = int32(sd.cfg.SegSize)
 	pk.Seq = seq
 	pk.Route = sd.route
 	if sd.OnSend != nil {
