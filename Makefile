@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzWindowMax$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME)
 
 # The conformance harness runs inside `make test`; bench-module and
 # fuzz-smoke are the extra tier-1 steps. `make bench` measures and is not

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"eac"
+	"eac/internal/admission"
+	"eac/internal/scenario"
 	"eac/internal/sim"
 )
 
@@ -102,7 +104,7 @@ func BenchmarkAblationProber(b *testing.B) {
 		k    eac.ACConfig
 	}{
 		{"simple", eac.ACConfig{Design: eac.DropInBand, Kind: eac.Simple, Eps: 0.01}},
-		{"early-reject", eac.ACConfig{Design: eac.DropInBand, Kind: eac.EarlyReject, Eps: 0.01}},
+		{"early-reject", eac.ACConfig{Design: eac.DropInBand, Kind: admission.EarlyReject, Eps: 0.01}},
 		{"slow-start", eac.ACConfig{Design: eac.DropInBand, Kind: eac.SlowStart, Eps: 0.01}},
 	}
 	for i := 0; i < b.N; i++ {
@@ -129,7 +131,7 @@ func BenchmarkAblationRED(b *testing.B) {
 			kind eac.Config
 		}{
 			{"drop-tail", func() eac.Config { c := ablationBase(); return c }()},
-			{"RED", func() eac.Config { c := ablationBase(); c.Queue = eac.QueueRED; return c }()},
+			{"RED", func() eac.Config { c := ablationBase(); c.Queue = scenario.QueueRED; return c }()},
 		} {
 			m, err := eac.Run(q.kind)
 			if err != nil {

@@ -50,8 +50,6 @@ func manifestConfig(cfg scenario.Config, source string, metro *scenario.MetroSta
 		c["method"], c["target"] = "mbac", cfg.MS.Target
 	case scenario.Passive:
 		c["method"], c["eps"] = "passive", cfg.AC.Eps
-	default:
-		c["method"] = "none"
 	}
 	if cfg.Hybrid.Active() {
 		c["hybrid"] = true

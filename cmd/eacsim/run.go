@@ -20,7 +20,7 @@ import (
 // The -method, -design and -prober vocabularies.
 var (
 	methodNames = map[string]scenario.Method{
-		"eac": scenario.EAC, "mbac": scenario.MBAC, "passive": scenario.Passive, "none": scenario.None,
+		"eac": scenario.EAC, "mbac": scenario.MBAC, "passive": scenario.Passive,
 	}
 	designNames = map[string]admission.Design{
 		"drop-in": admission.DropInBand, "drop-out": admission.DropOutOfBand,
@@ -51,7 +51,7 @@ func lookup[T any](name, s string, vocab map[string]T) T {
 func runMain(args []string) {
 	fs := flag.NewFlagSet("eacsim run", flag.ExitOnError)
 	var (
-		methodName = fs.String("method", "eac", "admission method: eac, mbac, passive, none")
+		methodName = fs.String("method", "eac", "admission method: eac, mbac, passive (admit every flow with -policy always-admit)")
 		designName = fs.String("design", "drop-in", "endpoint design: drop-in, drop-out, mark-in, mark-out, vdrop-out")
 		proberName = fs.String("prober", "slow-start", "probing algorithm: simple, early-reject, slow-start")
 		eps        = fs.Float64("eps", 0.01, "acceptance threshold")
@@ -70,8 +70,8 @@ func runMain(args []string) {
 		chains   = fs.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = fs.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = fs.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac or none and no -hybrid; sharded runs are statistically equivalent, not byte-identical, to serial ones")
-		hybrid   = fs.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac or none and the serial path (exclusive with -shards > 1)")
+		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac and no -hybrid; sharded runs are statistically equivalent, not byte-identical, to serial ones")
+		hybrid   = fs.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac and the serial path (exclusive with -shards > 1)")
 		probeDur = fs.Float64("probe", 5, "total probe duration, seconds")
 		useRED   = fs.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
 		retries  = fs.Int("retries", 0, "max admission retries with exponential back-off")
@@ -101,6 +101,9 @@ func runMain(args []string) {
 	}
 	// Every name is checked whatever the method and topology: a misspelt
 	// name is an error even where the run would ignore the flag.
+	if *methodName == "none" {
+		log.Fatal(`-method none is gone: admit every flow with -policy always-admit`)
+	}
 	method := lookup("-method", *methodName, methodNames)
 	design := lookup("-design", *designName, designNames)
 	prober := lookup("-prober", *proberName, proberNames)

@@ -33,35 +33,24 @@
 // See the examples directory for runnable programs and EXPERIMENTS.md for
 // the reproduction of every table and figure in the paper.
 //
-// The surface is what the examples, the README and this package's tests
-// use — Config and the values they set in it, the run functions, the
-// fluid solvers, the result cache — plus the types those signatures name.
-// Policies, load schedules, replay traces and the other presets and queue
-// models are reached through eacsim's flags or internal/scenario, and
-// workspaces, fingerprints, manifests and shard planning stay internal.
+// The surface is what the examples and the README's code use — Config
+// and the values they set in it, Run, the result cache — plus the types
+// those signatures name. Everything else (policies, load schedules, the
+// fluid model, seed sweeps, shard planning) is reached through eacsim's
+// flags or the internal packages.
 package eac
 
 import (
 	"eac/internal/admission"
 	"eac/internal/cache"
-	"eac/internal/fluid"
 	"eac/internal/obs"
 	"eac/internal/scenario"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
 )
 
-// Time re-exports the simulator clock type (int64 nanoseconds).
-type Time = sim.Time
-
-// Time units.
-const (
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
-
-// Seconds converts float seconds to a Time.
-func Seconds(s float64) Time { return sim.Seconds(s) }
+// Second is one second of simulated time (sim.Time counts nanoseconds).
+const Second = sim.Second
 
 // Scenario configuration and results.
 type (
@@ -75,8 +64,6 @@ type (
 	LinkSpec = scenario.LinkSpec
 	// Metrics is a single run's outcome.
 	Metrics = scenario.Metrics
-	// MultiMetrics aggregates runs over several seeds.
-	MultiMetrics = scenario.MultiMetrics
 	// ObsConfig configures a run's observability collector (Config.Obs):
 	// per-queue telemetry time series, a JSONL packet/event trace, and
 	// artifact output. The zero value disables it at zero cost.
@@ -100,11 +87,6 @@ const (
 	PassiveAdmission = scenario.Passive
 )
 
-// QueueRED selects Random Early Detection for the admission-controlled
-// class (in-band designs only) instead of the default priority queue with
-// probe push-out.
-const QueueRED = scenario.QueueRED
-
 // The four prototype endpoint designs of Section 3.1.
 var (
 	DropInBand    = admission.DropInBand
@@ -115,45 +97,22 @@ var (
 	// router's virtual queue drops probe packets early instead of
 	// marking them, giving marking-like signals without ECN bits.
 	VDropOutOfBand = admission.VDropOutOfBand
-	// Designs lists the paper's four prototype designs.
-	Designs = admission.Designs
 )
 
 // Probing algorithms.
 const (
-	Simple      = admission.Simple
-	EarlyReject = admission.EarlyReject
-	SlowStart   = admission.SlowStart
+	Simple    = admission.Simple
+	SlowStart = admission.SlowStart
 )
 
-// Traffic source presets of Table 1; LookupPreset resolves the others.
-var (
-	EXP1     = trafgen.EXP1
-	StarWars = trafgen.StarWars
-)
-
-// Preset is a Table 1 traffic source description.
-type Preset = trafgen.Preset
-
-// LookupPreset resolves a preset by name (EXP1..EXP4, POO1, StarWars).
-func LookupPreset(name string) (Preset, error) { return trafgen.Lookup(name) }
+// EXP1 is Table 1's exponential on-off voice source.
+var EXP1 = trafgen.EXP1
 
 // Run executes one scenario and returns its metrics. A run is always
 // K >= 1 domains over one kernel (DESIGN.md §4e): cfg.Shards > 1 asks the
 // conservative-parallel executor for that many, and Shards <= 1 is K = 1,
 // the barrier-free case whose output the goldens pin byte for byte.
 func Run(cfg Config) (Metrics, error) { return scenario.Run(cfg) }
-
-// RunSeeds runs a scenario once per seed and aggregates the results,
-// mirroring the paper's seven-run averaging. Runs execute concurrently
-// on up to GOMAXPROCS cores; the aggregate is identical to a sequential
-// execution.
-func RunSeeds(cfg Config, seeds []uint64) (MultiMetrics, error) {
-	return scenario.RunSeeds(cfg, seeds)
-}
-
-// DefaultSeeds returns n deterministic seeds.
-func DefaultSeeds(n int) []uint64 { return scenario.DefaultSeeds(n) }
 
 // ResultCache is the content-addressed on-disk result store behind
 // Config.Cache (see DESIGN.md §4d): runs whose resolved-config+seed
@@ -163,53 +122,3 @@ type ResultCache = cache.Store
 // OpenResultCache opens (creating if necessary) a result cache rooted at
 // dir; an empty dir selects $EAC_CACHE_DIR or the user cache directory.
 func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) }
-
-// Fluid model (Section 2.2.3 / Figure 1).
-type (
-	// FluidParams parameterizes the analytic thrashing model.
-	FluidParams = fluid.Params
-	// FluidResult holds its stationary metrics.
-	FluidResult = fluid.Result
-)
-
-// SolveFluid computes the thrashing model's stationary metrics exactly.
-func SolveFluid(p FluidParams) (FluidResult, error) { return fluid.Solve(p) }
-
-// NewFluidSolver returns a reusable workspace for SolveFluid-equivalent
-// solves: its Solve method is identical to the package function but
-// recycles internal slabs across calls (zero steady-state allocations).
-func NewFluidSolver() *fluid.Solver { return fluid.NewSolver() }
-
-// Transient fluid model and hybrid engine (see DESIGN.md, "Hybrid
-// engine").
-type (
-	// HybridConfig enables the hybrid fluid/packet engine on a scenario
-	// (Config.Hybrid): data phases become per-link fluid rates, probes
-	// stay packets. The zero value keeps the pure packet engine.
-	HybridConfig = scenario.HybridConfig
-	// FluidTransient parameterizes the mean-field ODE model of admission
-	// dynamics (time-varying counterpart of FluidParams).
-	FluidTransient = fluid.Transient
-	// FluidTransientResult holds a transient solve's trajectory and
-	// quasi-stationary tail averages.
-	FluidTransientResult = fluid.TransientResult
-	// FluidQueueModel selects the queue/marking approximation mapping
-	// utilization to a congestion signal.
-	FluidQueueModel = fluid.QueueModel
-)
-
-// FluidDropTail is the M/M/1/B diffusion overflow probability, one of the
-// queue approximations FluidMarkProb and FluidTransient take.
-const FluidDropTail = fluid.QueueDropTail
-
-// SolveFluidTransient integrates the mean-field admission ODE with RK4,
-// returning the trajectory and its quasi-stationary tail.
-func SolveFluidTransient(tr FluidTransient) (FluidTransientResult, error) {
-	return fluid.SolveTransient(tr)
-}
-
-// FluidMarkProb maps utilization rho to a drop/mark probability under the
-// given queue model with the given buffer (packets).
-func FluidMarkProb(m FluidQueueModel, rho float64, buffer int) float64 {
-	return fluid.MarkProb(m, rho, buffer)
-}

@@ -48,78 +48,19 @@ func TestPublicRun(t *testing.T) {
 	}
 }
 
-func TestPublicRunSeeds(t *testing.T) {
-	mm, err := eac.RunSeeds(facadeCfg(), eac.DefaultSeeds(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mm.Runs) != 2 {
-		t.Fatalf("runs = %d", len(mm.Runs))
-	}
-}
-
+// TestPublicDesignsAndPresets: the facade's five designs are distinct and
+// its EXP1 is Table 1's.
 func TestPublicDesignsAndPresets(t *testing.T) {
-	if len(eac.Designs) != 4 {
-		t.Fatal("expected four designs")
-	}
-	for _, name := range []string{"EXP1", "EXP2", "EXP3", "EXP4", "POO1", "StarWars"} {
-		if _, err := eac.LookupPreset(name); err != nil {
-			t.Fatal(err)
+	designs := []eac.Design{eac.DropInBand, eac.DropOutOfBand, eac.MarkInBand, eac.MarkOutOfBand, eac.VDropOutOfBand}
+	for i, a := range designs {
+		for _, b := range designs[i+1:] {
+			if a == b {
+				t.Fatalf("design %v listed twice", a)
+			}
 		}
 	}
-	if _, err := eac.LookupPreset("bogus"); err == nil {
-		t.Fatal("bogus preset accepted")
-	}
-	if eac.EXP1.TokenRate != 256e3 || eac.StarWars.PktSize != 200 {
-		t.Fatal("preset re-exports broken")
-	}
-}
-
-func TestPublicFluid(t *testing.T) {
-	res, err := eac.SolveFluid(eac.FluidParams{Tprobe: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Utilization <= 0 || res.Utilization > 1 {
-		t.Fatalf("fluid utilization = %v", res.Utilization)
-	}
-}
-
-func TestPublicFluidTransient(t *testing.T) {
-	res, err := eac.SolveFluidTransient(eac.FluidTransient{
-		Params:     eac.FluidParams{Tprobe: 3},
-		HorizonSec: 200,
-		SampleSec:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) == 0 {
-		t.Fatal("no trajectory samples")
-	}
-	if res.Utilization <= 0 || res.Utilization > 1 {
-		t.Fatalf("transient utilization = %v", res.Utilization)
-	}
-	if p := eac.FluidMarkProb(eac.FluidDropTail, 1.2, 40); p <= 0 || p >= 1 {
-		t.Fatalf("drop-tail mark prob = %v", p)
-	}
-	if eac.NewFluidSolver() == nil {
-		t.Fatal("nil fluid solver")
-	}
-}
-
-func TestPublicHybrid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	cfg := facadeCfg()
-	cfg.Hybrid = eac.HybridConfig{Enabled: true}
-	m, err := eac.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Utilization <= 0 || m.Decided == 0 {
-		t.Fatalf("hybrid run: util=%v decided=%d", m.Utilization, m.Decided)
+	if eac.EXP1.TokenRate != 256e3 {
+		t.Fatal("preset re-export broken")
 	}
 }
 
@@ -146,16 +87,11 @@ func TestPublicTCPShare(t *testing.T) {
 	}
 }
 
-func TestTimeHelpers(t *testing.T) {
-	if eac.Seconds(2.5) != 2500*eac.Millisecond {
-		t.Fatal("Seconds conversion")
-	}
-}
-
 // TestFacadeHasCallers keeps eac.go as big as its callers: every name it
-// exports is used as eac.<Name> by an example, a command, the README or a
-// root test (this one aside), or is named by the signature or type of an
-// exported name that is.
+// exports is used as eac.<Name> by an example, a command or a code block
+// of the README, or is named by the signature or type of an exported name
+// that is. This package's own tests are not callers, and neither is a
+// mention in the README's prose.
 func TestFacadeHasCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	facade, err := parser.ParseFile(fset, "eac.go", nil, 0)
@@ -201,15 +137,12 @@ func TestFacadeHasCallers(t *testing.T) {
 	}
 
 	used := map[string]bool{}
-	uses := func(name string, skip string) {
+	uses := func(name string) {
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name == skip {
-				return false
-			}
 			if sel, ok := n.(*ast.SelectorExpr); ok {
 				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "eac" {
 					used[sel.Sel.Name] = true
@@ -221,7 +154,7 @@ func TestFacadeHasCallers(t *testing.T) {
 	for _, dir := range []string{"examples", "cmd"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
-				uses(path, "")
+				uses(path)
 			}
 			return err
 		})
@@ -229,19 +162,15 @@ func TestFacadeHasCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tests, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range tests {
-		uses(f, "TestFacadeHasCallers")
-	}
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range regexp.MustCompile(`\beac\.([A-Z]\w*)`).FindAllStringSubmatch(string(readme), -1) {
-		used[m[1]] = true
+	eacName := regexp.MustCompile(`\beac\.([A-Z]\w*)`)
+	for _, block := range regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```").FindAllStringSubmatch(string(readme), -1) {
+		for _, m := range eacName.FindAllStringSubmatch(block[1], -1) {
+			used[m[1]] = true
+		}
 	}
 
 	// A name a used name's signature or type names is used too.
@@ -260,7 +189,7 @@ func TestFacadeHasCallers(t *testing.T) {
 	}
 	for name := range named {
 		if !used[name] {
-			t.Errorf("eac.%s has no caller: no example, command, README line or root test uses it, and no used name's signature names it", name)
+			t.Errorf("eac.%s has no caller: no example, command or README code block uses it, and no used name's signature names it", name)
 		}
 	}
 }
@@ -527,7 +456,8 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "figure", "-out", "", "-run", "figure11", "-duration", "-5"}, "Duration"},
 		{append(short, "figure", "-run", "figure2"), `"figure"`},
 		{append(short, "-method", "mbac", "-policy", "bogus"), `"bogus"`},
-		{append(short, "-method", "none", "-design", "bogus"), `"bogus"`},
+		{append(short, "-method", "mbac", "-design", "bogus"), `"bogus"`},
+		{append(short, "-method", "none"), "-policy always-admit"},
 		{append(short, "-method", "passive", "-prober", "bogus"), `"bogus"`},
 		{[]string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-source", "bogus"}, `"bogus"`},
 		{append(short, "-workers", "-3"), "-workers"},

@@ -15,6 +15,7 @@ package admission
 
 import (
 	"fmt"
+	"math"
 
 	"eac/internal/netsim"
 	"eac/internal/sim"
@@ -152,7 +153,7 @@ func (c Config) numStages() int {
 // rate r.
 func (c Config) stageRate(i, n int, r float64) float64 {
 	if c.Kind == SlowStart {
-		return r / float64(int64(1)<<uint(n-1-i))
+		return math.Ldexp(r, i-(n-1)) // r/2^(n-1-i), exact, for any n
 	}
 	return r
 }
@@ -264,7 +265,9 @@ func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []
 		st.rate, st.start, st.stageCounts = cfg.stageRate(i, n, r), 0, stageCounts{}
 	}
 	p.stageFracs = p.stageFracs[:0]
-	p.cbr.Reinit(p.stages[0].rate, pktSize)
+	// Start sets the first stage's rate, which a deep slow-start ramp
+	// makes too small for a float.
+	p.cbr.Reinit(r, pktSize)
 	p.stage, p.nextJudge, p.started, p.finished = 0, 0, 0, false
 }
 
@@ -358,8 +361,7 @@ func (p *Prober) sentBy(stage int, t sim.Time) int64 {
 	if t < st.start {
 		return 0
 	}
-	interval := sim.Time(float64(p.pkt*8) / st.rate * float64(sim.Second))
-	return min(int64((t-st.start)/interval)+1, st.sent)
+	return min(int64((t-st.start)/trafgen.Interval(st.rate, p.pkt))+1, st.sent)
 }
 
 // periodicCheck implements the time-driven half of the early-stop rule: a

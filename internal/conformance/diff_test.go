@@ -1,7 +1,8 @@
 // Package conformance is the repository's correctness backstop: it pins
 // the behaviour of the whole pipeline — simulator, admission designs,
 // sweep engine, fluid model — so that refactors and optimisations cannot
-// silently drift the results the paper reproduction rests on.
+// silently drift the results the paper reproduction rests on. It is all
+// tests: no program imports it, so its helpers live in _test.go files.
 //
 // It has three layers:
 //
@@ -12,7 +13,7 @@
 //     `go test ./internal/conformance -update` to regenerate goldens
 //     after an intentional behaviour change.
 //
-//  2. Paired comparisons (pair.go): one question answered twice — the
+//  2. Paired comparisons (pair_test.go): one question answered twice — the
 //     numerically solved Markov model and the packet simulator from one
 //     shared M/M-style config, the packet and hybrid engines on the same,
 //     the serial and a sharded plan of any scenario — whose seed-averaged

@@ -159,11 +159,11 @@ func TestEnvelopeCatchesDivergence(t *testing.T) {
 	heavier.InterArrival = cfg.InterArrival / 2
 	// Three seeds suffice: doubling the load moves every metric far
 	// beyond the bounds, not marginally.
-	sm, err := scenario.RunSeeds(cfg, envelopeSeeds[:3])
+	sm, _, err := scenario.RunSeedsObserved(cfg, envelopeSeeds[:3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := scenario.RunSeeds(heavier, envelopeSeeds[:3])
+	pm, _, err := scenario.RunSeedsObserved(heavier, envelopeSeeds[:3], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func scenarioBasicConfig() scenario.Config {
 // metrics, one row per seed plus the aggregate mean.
 func scenarioCSV(t *testing.T, cfg scenario.Config, seeds []uint64) string {
 	t.Helper()
-	mm, err := scenario.RunSeeds(cfg, seeds)
+	mm, _, err := scenario.RunSeedsObserved(cfg, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func (p Pair) Report() string {
 // beside the pair, the record of the got side's first seed (what ran).
 func runPair(p Pair, ref, got scenario.Config, seeds []uint64) (Pair, scenario.RunRecord, error) {
 	var rec scenario.RunRecord
-	rm, err := scenario.RunSeeds(ref, seeds)
+	rm, _, err := scenario.RunSeedsObserved(ref, seeds, 0)
 	if err != nil {
 		return p, rec, fmt.Errorf("%s run: %w", p.RefLabel, err)
 	}
@@ -148,7 +148,7 @@ func FluidPair(cc CrossConfig, seeds []uint64) (Pair, error) {
 	if err != nil {
 		return p, fmt.Errorf("fluid solve: %w", err)
 	}
-	mm, err := scenario.RunSeeds(cc.ScenarioConfig(), seeds)
+	mm, _, err := scenario.RunSeedsObserved(cc.ScenarioConfig(), seeds, 0)
 	if err != nil {
 		return p, fmt.Errorf("simulator run: %w", err)
 	}

@@ -25,7 +25,11 @@ func TestPolicyGoldenDivergenceFails(t *testing.T) {
 	// pinned policies and stay within tolerance; the perturbation must
 	// surface in the token-bucket row.
 	o := experiments.Conformance()
-	tbl, err := experiments.PolicyThrash(o)
+	e, err := experiments.Lookup("policy_thrash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,15 +82,8 @@ func thrashLoad(o Options) scenario.Schedule {
 	}}
 }
 
-// PolicyThrash compares admission policies under nonstationary on/off
-// load — the thrashing regime of Section 4.4: arrival bursts drive the
-// measured fraction past any fixed threshold, so a static ε alternates
-// between over-admitting and over-blocking, while the epoch-adaptive
-// policy tracks the cycle. In-band dropping, slow-start probing.
-func PolicyThrash(o Options) (Table, error) { return PolicyThrashWith(o, nil) }
-
-// PolicyThrashWith is PolicyThrash with each policy configuration passed
-// through mutate before running (nil leaves them unchanged). The
+// PolicyThrashWith runs policy_thrash with each policy configuration
+// passed through mutate before running (nil leaves them unchanged). The
 // conformance harness uses it to prove the policy goldens are sensitive:
 // starving the token bucket must fail the golden diff.
 func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.PolicyConfig) (Table, error) {
@@ -98,7 +91,12 @@ func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.P
 }
 
 // policyThrash declares policy_thrash with each policy passed through
-// mutate (nil leaves them unchanged).
+// mutate (nil leaves them unchanged). It compares admission policies under
+// nonstationary on/off load — the thrashing regime of Section 4.4: arrival
+// bursts drive the measured fraction past any fixed threshold, so a static
+// ε alternates between over-admitting and over-blocking, while the
+// epoch-adaptive policy tracks the cycle. In-band dropping, slow-start
+// probing.
 func policyThrash(mutate func(admission.PolicyConfig) admission.PolicyConfig) Experiment {
 	return Experiment{
 		ID:     "policy_thrash",

@@ -273,7 +273,9 @@ func (l *Link) startTx(at sim.Time) {
 		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 	}
 	l.txBits, l.txKind = int64(p.Bits()), p.Kind
-	l.txEnd = at + sim.Time(float64(l.txBits)*l.nsPerBit) // no division on the packet path
+	// No division on the packet path; a rate so low that the time overflows
+	// the clock ends the transmission after the end of any run instead.
+	l.txEnd = at + sim.Time(min(float64(l.txBits)*l.nsPerBit, 1<<62))
 	if l.Boundary {
 		if l.hand, _ = p.nextHop().(TxEndReceiver); l.hand != nil {
 			l.txPkt = p

@@ -84,14 +84,3 @@ func (m Manifest) Write(path string) error {
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
-
-// ReadManifest loads a manifest written by Write.
-func ReadManifest(path string) (Manifest, error) {
-	var m Manifest
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return m, err
-	}
-	err = json.Unmarshal(b, &m)
-	return m, err
-}

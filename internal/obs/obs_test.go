@@ -27,6 +27,17 @@ func one(c *Collector) *Merged {
 	return &Merged{cfg: c.cfg, seed: c.seed, cs: []*Collector{c}, tags: make([]*int, 1)}
 }
 
+// ReadManifest loads a manifest written by Write.
+func ReadManifest(path string) (Manifest, error) {
+	var m Manifest
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return m, err
+	}
+	err = json.Unmarshal(b, &m)
+	return m, err
+}
+
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
 	if c.Enabled() || c.Sampling() || c.Tracing() {

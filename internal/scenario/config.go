@@ -37,8 +37,6 @@ const (
 	EAC Method = iota
 	// MBAC is the router-based Measured Sum benchmark.
 	MBAC
-	// None admits every flow (used for calibration and tests).
-	None
 	// Passive is the edge-router variant the paper attributes to
 	// Cetinkaya & Knightly [5]: the endpoint (an egress router) admits
 	// flows based on passively monitored recent loss instead of active
@@ -52,8 +50,6 @@ func (m Method) String() string {
 	switch m {
 	case MBAC:
 		return "MBAC"
-	case None:
-		return "none"
 	case Passive:
 		return "passive"
 	default:
@@ -206,13 +202,13 @@ type Config struct {
 	// propagation delay as lookahead. Runs are deterministic for a fixed K
 	// but only statistically equivalent across K (the per-domain arrival
 	// processes are independent thinnings of the aggregate process); see
-	// DESIGN.md §4e. K ≥ 2 requires Method EAC or None and Hybrid off.
+	// DESIGN.md §4e. K ≥ 2 requires Method EAC and Hybrid off.
 	Shards int
 
 	// Hybrid, when enabled, carries every class's data phase as per-link
 	// fluid rates instead of packets (the hybrid fluid/packet engine; see
 	// HybridConfig). Disabled by default — the zero value leaves the packet
-	// path byte-identical. Requires Method EAC or None (MBAC and Passive
+	// path byte-identical. Requires Method EAC (MBAC and Passive
 	// measure data packets the fluid no longer sends) and Shards ≤ 1.
 	Hybrid HybridConfig
 
@@ -364,6 +360,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: Links[%d].Delay = %v, want >= 0 (0 = default)", i, ls.Delay)
 		}
 	}
+	if c.Method > Passive {
+		return fmt.Errorf("scenario: Method = %d, want EAC, MBAC or Passive", c.Method)
+	}
 	if c.Method == MBAC && !(c.MS.Target >= 0) {
 		return fmt.Errorf("scenario: MS.Target = %g, want >= 0 (0 = default)", c.MS.Target)
 	}
@@ -384,6 +383,18 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d requires Hybrid off (the fluid plane carries no TCP)", i, cl.TCPFlows)
 		case cl.TCPFlows > 0 && effectiveShards(c) > 1:
 			return fmt.Errorf("scenario: Classes[%d].TCPFlows = %d requires Shards <= 1, got %d", i, cl.TCPFlows, c.Shards)
+		}
+		// An admitted class's data, probes and fluid rate come from its
+		// preset; a TCP class does not read it.
+		if cl.TCPFlows == 0 {
+			for _, f := range []struct {
+				field string
+				v     float64
+			}{{"PktSize", float64(cl.Preset.PktSize)}, {"TokenRate", cl.Preset.TokenRate}, {"AvgRate", cl.Preset.AvgRate}} {
+				if !(f.v > 0) || math.IsInf(f.v, 1) {
+					return fmt.Errorf("scenario: Classes[%d].Preset.%s = %g, want positive and finite", i, f.field, f.v)
+				}
+			}
 		}
 		// A packet's Size, and its hop along a route of up to two hops per
 		// link (the link, a portal) and the sink, are narrow (netsim.Packet).
@@ -443,16 +454,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: Shards = %d, want >= 0 (0 and 1 = one domain)", c.Shards)
 	}
 	if effectiveShards(c) > 1 {
-		if c.Method != EAC && c.Method != None {
-			return fmt.Errorf("scenario: Shards = %d requires method EAC or none (%s reads router state across shards)", c.Shards, c.Method)
+		if c.Method != EAC {
+			return fmt.Errorf("scenario: Shards = %d requires method EAC (%s reads router state across shards)", c.Shards, c.Method)
 		}
 		if c.Hybrid.Active() {
 			return fmt.Errorf("scenario: hybrid engine requires Shards <= 1, got %d (fluid link state is not shard-local)", c.Shards)
 		}
 	}
 	if c.Hybrid.Active() {
-		if c.Method != EAC && c.Method != None {
-			return fmt.Errorf("scenario: hybrid engine requires method EAC or none (%s measures data packets the fluid does not send)", c.Method)
+		if c.Method != EAC {
+			return fmt.Errorf("scenario: hybrid engine requires method EAC (%s measures data packets the fluid does not send)", c.Method)
 		}
 	}
 	return nil
@@ -570,7 +581,8 @@ type MultiMetrics struct {
 // Aggregate combines per-seed run metrics into a MultiMetrics. The runs
 // slice is retained as MultiMetrics.Runs; averaging is order-sensitive
 // only through float summation, so callers that want reproducible output
-// must pass runs in seed order (RunSeeds and the experiment engine do).
+// must pass runs in seed order (RunSeedsObserved and the experiment
+// engine do).
 func Aggregate(runs []Metrics) MultiMetrics {
 	mm := MultiMetrics{Runs: runs}
 	if len(runs) == 0 {

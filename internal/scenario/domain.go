@@ -197,16 +197,13 @@ func (d *domain) reset(cfg Config, owner []int) {
 }
 
 // buildPolicy constructs the domain's admission policy and wires its
-// environment: Method None is the always-admit policy, MBAC and Passive are
-// router policies that install their link taps here. The token bucket is
-// scaled to the domain's owned weight share (so the aggregate admission rate
-// is the configured one), and the adaptive policy reads post-admission loss
-// from the domain's own links and reports epochs to its collector. Requires
-// links wired.
+// environment: MBAC and Passive are router policies that install their link
+// taps here. The token bucket is scaled to the domain's owned weight share
+// (so the aggregate admission rate is the configured one), and the adaptive
+// policy reads post-admission loss from the domain's own links and reports
+// epochs to its collector. Requires links wired.
 func (d *domain) buildPolicy() admission.Policy {
 	switch d.cfg.Method {
-	case None:
-		return admission.AlwaysAdmit{}
 	case MBAC:
 		// One Measured Sum per link, and per class the ones on its path.
 		ms := make([]*mbac.MeasuredSum, len(d.links))

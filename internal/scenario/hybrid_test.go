@@ -116,7 +116,7 @@ func TestOracleFluidPopulation(t *testing.T) {
 				Links:           []LinkSpec{{RateBps: 1e6}},
 				InterArrival:    1 / lambda,
 				LifetimeSec:     tau,
-				Method:          None,
+				Policy:          admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit},
 				Hybrid:          HybridConfig{Enabled: true},
 				PrepopulateUtil: n0 * 1e3 / 1e6,
 				Duration:        horizon,

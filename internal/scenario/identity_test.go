@@ -39,7 +39,7 @@ func TestGeometryByteIdentity(t *testing.T) {
 	seeds := []uint64{1, 2}
 	run := func(heapCap, ringCap int) MultiMetrics {
 		sim.HeapInitCap, sim.RingInitCap = heapCap, ringCap
-		mm, err := RunSeeds(identityCfg(), seeds)
+		mm, _, err := RunSeedsObserved(identityCfg(), seeds, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -315,13 +315,14 @@ func TestLossExcludesInFlightPackets(t *testing.T) {
 func inFlightCfg() Config {
 	return Config{
 		Classes:      []ClassSpec{{Preset: trafgen.EXP1, Eps: -1}},
-		Method:       None, // admit everything; only queueing could drop
-		InterArrival: 3.5,  // ~11% offered load: the queue stays empty
+		InterArrival: 3.5, // ~11% offered load: the queue stays empty
 		LifetimeSec:  30,
 		Duration:     60 * sim.Second,
 		Warmup:       5 * sim.Second,
 		Drain:        sim.Millisecond, // < 20 ms link delay: in-flight tail
 		Seed:         1,
+		// Admit everything: only queueing could drop.
+		Policy: admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit},
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"eac/internal/sim/shard"
 	"eac/internal/stats"
 	"eac/internal/tcp"
+	"eac/internal/trafgen"
 )
 
 // Runner is the run kernel: one scenario executed as K ≥ 1 domains, each a
@@ -138,7 +139,7 @@ func newDiscipline(cfg *Config, i, maxPkt int) netsim.Discipline {
 	switch cfg.Queue {
 	case QueueRED:
 		return netsim.NewRED(ls.BufferPkts, netsim.REDConfig{
-			MeanPktTime: sim.Time(float64(maxPkt*8) / ls.RateBps * float64(sim.Second)),
+			MeanPktTime: trafgen.Interval(ls.RateBps, maxPkt),
 		}, stats.NewStream(cfg.Seed, fmt.Sprintf("red-%d", i)))
 	default:
 		return netsim.NewPriorityPushout(ls.BufferPkts)
@@ -299,14 +300,6 @@ func delayPercentile(hist *[1001]int64, total int64, q float64) float64 {
 // result cache attached (Config.Cache) the run is served from — and on a
 // miss, stored into — the cache.
 func Run(cfg Config) (Metrics, error) { return NewWorkspace().Run(cfg) }
-
-// RunSeeds runs the scenario once per seed and aggregates, mirroring the
-// paper's 7-run averaging: RunSeedsObserved on runtime.GOMAXPROCS(0)
-// workers, without the records.
-func RunSeeds(cfg Config, seeds []uint64) (MultiMetrics, error) {
-	mm, _, err := RunSeedsObserved(cfg, seeds, 0)
-	return mm, err
-}
 
 // RunRecord describes one completed run beyond its Metrics: where it
 // came from and, for sharded runs, how the event load split. Metrics

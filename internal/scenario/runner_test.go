@@ -76,22 +76,22 @@ func TestSeedsChangeOutcome(t *testing.T) {
 
 func TestNoAdmissionOverloads(t *testing.T) {
 	cfg := quickCfg()
-	cfg.Method = None
-	mNone, err := Run(cfg)
+	cfg.Policy = admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit}
+	mAll, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Method = EAC
+	cfg.Policy = admission.PolicyConfig{}
 	mEAC, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mNone.BlockingProb != 0 {
-		t.Fatal("Method None blocked flows")
+	if mAll.BlockingProb != 0 {
+		t.Fatal("the always-admit policy blocked flows")
 	}
-	if mNone.DataLossProb <= mEAC.DataLossProb {
-		t.Fatalf("admission control should reduce loss: none=%v eac=%v",
-			mNone.DataLossProb, mEAC.DataLossProb)
+	if mAll.DataLossProb <= mEAC.DataLossProb {
+		t.Fatalf("admission control should reduce loss: always-admit=%v static=%v",
+			mAll.DataLossProb, mEAC.DataLossProb)
 	}
 }
 
@@ -306,6 +306,7 @@ func TestValidateNamesField(t *testing.T) {
 		{"Links[1].BufferPkts", func(c *Config) { c.Links = []LinkSpec{{}, {BufferPkts: -5}} }},
 		{"Links[0].Delay", func(c *Config) { c.Links = []LinkSpec{{Delay: -sim.Millisecond}} }},
 		{"MS.Target", func(c *Config) { c.Method, c.MS.Target = MBAC, -1 }},
+		{"Method", func(c *Config) { c.Method = Passive + 1 }},
 		{"AC.ProbeDur", func(c *Config) { c.AC.ProbeDur = -sim.Second }},
 		{"AC.StageDur", func(c *Config) { c.AC.StageDur = -sim.Second }},
 		{"AC.Guard", func(c *Config) { c.AC.Guard = -1 }},
@@ -343,6 +344,16 @@ func TestValidateNamesField(t *testing.T) {
 		// What netsim.Packet's narrow fields cannot hold. A 1 ns stage would
 		// carve 5·10⁹ probe stages; Validate must refuse before any is made.
 		{"Classes[0].Preset.PktSize", func(c *Config) { c.Classes[0].Preset.PktSize = math.MaxInt32 + 1 }},
+		// An admitted class needs a preset it can send: zero sizes and rates
+		// used to panic in trafgen or run on a negative rate.
+		{"Classes[0].Preset.PktSize", func(c *Config) { c.Classes[0].Preset.PktSize = 0 }},
+		{"Classes[0].Preset.PktSize", func(c *Config) { c.Classes[0].Preset.PktSize = -125 }},
+		{"Classes[0].Preset.TokenRate", func(c *Config) { c.Classes[0].Preset.TokenRate = 0 }},
+		{"Classes[0].Preset.TokenRate", func(c *Config) { c.Classes[0].Preset.TokenRate = math.NaN() }},
+		{"Classes[0].Preset.AvgRate", func(c *Config) { c.Classes[0].Preset.AvgRate = 0 }},
+		{"Classes[0].Preset.AvgRate", func(c *Config) { c.Classes[0].Preset.AvgRate = -1 }},
+		{"Classes[0].Preset.AvgRate", func(c *Config) { c.Classes[0].Preset.AvgRate = math.Inf(1) }},
+		{"Classes[1].Preset.PktSize", func(c *Config) { c.Classes = append(c.Classes, ClassSpec{Weight: 1}) }},
 		{"Classes[0].Path", func(c *Config) { c.Classes[0].Path = make([]int, math.MaxUint16/2+1) }},
 		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.StageDur = sim.Nanosecond }},
 		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.Kind, c.AC.ProbeDur = admission.EarlyReject, 70000*sim.Second }},
@@ -360,7 +371,7 @@ func TestValidateNamesField(t *testing.T) {
 func TestRunSeedsAggregation(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Duration = 150 * sim.Second
-	mm, err := RunSeeds(cfg, DefaultSeeds(3))
+	mm, _, err := RunSeedsObserved(cfg, DefaultSeeds(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +425,7 @@ func TestPacketConservation(t *testing.T) {
 }
 
 func TestMethodAndQueueStrings(t *testing.T) {
-	for m, want := range map[Method]string{EAC: "EAC", MBAC: "MBAC", None: "none", Passive: "passive"} {
+	for m, want := range map[Method]string{EAC: "EAC", MBAC: "MBAC", Passive: "passive"} {
 		if m.String() != want {
 			t.Fatalf("Method(%d).String() = %q", m, m.String())
 		}
@@ -486,13 +497,13 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 		}
 	}
 
-	// RunSeeds (default worker count) must agree too.
-	def, err := RunSeeds(cfg, seeds)
+	// The default worker count must agree too.
+	def, _, err := RunSeedsObserved(cfg, seeds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, def) {
-		t.Fatal("RunSeeds default workers differs from sequential")
+		t.Fatal("default workers differ from sequential")
 	}
 }
 

@@ -136,8 +136,8 @@ func squareWave(onSec, on, offSec, off float64) Schedule {
 
 // loadCountCfg is a light scenario for counting arrivals: no admission
 // control, tiny lifetimes, and a Warmup/Drain pair placing the accounting
-// window over one phase of the modulation. Method None decides every flow
-// at its arrival instant, so Metrics.Decided counts in-window arrivals.
+// window over one phase of the modulation. The always-admit policy decides
+// every flow at its arrival instant, so Metrics.Decided counts in-window arrivals.
 func loadCountCfg(winStart, winEnd float64) Config {
 	// Warmup/Drain of exactly zero would be defaulted to the paper's
 	// choices by Validate; a millisecond keeps the window edge in place.
@@ -150,7 +150,7 @@ func loadCountCfg(winStart, winEnd float64) Config {
 		drain = sim.Millisecond
 	}
 	return Config{
-		Method:       None,
+		Policy:       admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit},
 		InterArrival: 0.5, // 2 arrivals/s at factor 1
 		LifetimeSec:  1,
 		Duration:     100 * sim.Second,
@@ -232,7 +232,6 @@ func TestScheduleArrivalCounts(t *testing.T) {
 //     gap τ/peak and the keep test u·peak ≥ factor(t) unchanged, exactly:
 //     scaling by 2 is exact in IEEE arithmetic. Doubling the factors alone
 //     must differ.
-//   - Method None is EAC under the always-admit policy.
 func TestScheduleUnitIsIdentity(t *testing.T) {
 	k1 := quickCfg()
 	k1.Duration, k1.Warmup = 150*sim.Second, 30*sim.Second
@@ -283,13 +282,7 @@ func TestScheduleUnitIsIdentity(t *testing.T) {
 		laws = append(laws, law{"double/" + spec, []func(*Config){s}, []func(*Config){s, double(true)}, true})
 	}
 	sine := sched("sine:11:0.3:1.7")
-	laws = append(laws, law{"double/factors-alone", []func(*Config){sine}, []func(*Config){sine, double(false)}, false},
-		law{"none-is-always-admit",
-			[]func(*Config){func(c *Config) { c.Method = None }},
-			[]func(*Config){func(c *Config) {
-				c.Method, c.Policy = EAC, admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit}
-				c.AC.Design = admission.DropInBand
-			}}, true})
+	laws = append(laws, law{"double/factors-alone", []func(*Config){sine}, []func(*Config){sine, double(false)}, false})
 
 	for _, tc := range []struct {
 		name string
@@ -641,7 +634,7 @@ func TestReplayRoundTripSharded(t *testing.T) {
 // the full metric set).
 func TestScheduleShardPhaseClock(t *testing.T) {
 	base := shardChainConfig(4)
-	base.Method = None
+	base.Policy = admission.PolicyConfig{Kind: admission.PolicyAlwaysAdmit}
 	base.LifetimeSec = 2
 	base.InterArrival = 0.2
 	base.Schedule = Schedule{Phases: []Phase{

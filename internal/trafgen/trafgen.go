@@ -67,8 +67,19 @@ func (c *CBR) InitShared(s *sim.Sim, rateBps float64, pktSize int, emit FlowEmit
 
 // SetRate changes the emission rate; it takes effect from the next packet.
 func (c *CBR) SetRate(rateBps float64) {
-	c.iv = sim.Time(float64(c.pktSize*8) / rateBps * float64(sim.Second))
+	c.iv = Interval(rateBps, c.pktSize)
 	c.lane = c.s.Lane(c.iv)
+}
+
+// Interval is the time between the packets of a stream of pktSize-byte
+// packets at rateBps, kept on the clock: at least 1 ns, so a rate too high
+// to resolve still advances time, and at most 2⁶² ns (146 years: past the
+// end of any run, and far enough inside the clock's range that now plus it
+// cannot overflow), so a rate too low to send twice in a run — zero
+// included, as in the first stages of a deep slow-start ramp — sends once.
+func Interval(rateBps float64, pktSize int) sim.Time {
+	iv := float64(pktSize*8) / rateBps * float64(sim.Second)
+	return sim.Time(max(1, min(iv, 1<<62)))
 }
 
 // Reinit re-parameterizes an idle CBR for another use, keeping its event
@@ -176,7 +187,7 @@ func newOnOffMaker(s *sim.Sim, rng *stats.RNG, burstBps float64, pktSize int, on
 	if burstBps <= 0 || pktSize <= 0 {
 		panic("trafgen: an on-off source requires positive rate and packet size")
 	}
-	iv := sim.Time(float64(pktSize*8) / burstBps * float64(sim.Second))
+	iv := Interval(burstBps, pktSize)
 	m := &onOffMaker{s: s, pktSize: pktSize, iv: iv, lane: s.Lane(iv), onDur: onDur, offDur: offDur, emit: emit, rng: rng}
 	return m.make
 }
