@@ -1,7 +1,7 @@
 # Tier-1 flow: `make ci` is what a checkin must keep green.
 GO ?= go
 
-.PHONY: build test race vet bench bench-module cache-clear cover ci conformance update-golden fuzz-smoke
+.PHONY: build test race vet bench bench-module cache-clear cover ci conformance update-golden fuzz-smoke counts
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,21 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME)
+
+# counts prints the sizes the roadmap and the change log quote: Go lines
+# outside bench/ (non-test, test, and non-test per package) and the byte
+# sizes of the four docs and CHANGES.md.
+GOSRC = find . -path ./bench -prune -o -name '*.go'
+counts:
+	@echo "non-test Go outside bench/: $$($(GOSRC) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go outside bench/:     $$($(GOSRC) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "non-test Go per package:"
+	@for d in $$($(GOSRC) ! -name '*_test.go' -printf '%h\n' | sort -u); do \
+		printf '  %-34s %5d\n' "$${d#./}" "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; \
+	done
+	@echo "bytes:"
+	@wc -c README.md DESIGN.md EXPERIMENTS.md TESTING.md | sed 's/total/four docs/'
+	@wc -c CHANGES.md
 
 # The conformance harness runs inside `make test`; bench-module and
 # fuzz-smoke are the extra tier-1 steps. `make bench` measures and is not

@@ -129,7 +129,7 @@ func figureMain(args []string) {
 		var snap *cache.Snapshot
 		if store != nil {
 			snap = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats().Sub(statsBefore)}
-			if opts.Obs.Active() {
+			if opts.Obs.Enabled {
 				snap.Bypassed = "obs active"
 			}
 			log.Printf("cache %-10s %s", ex.ID, snap.Stats)

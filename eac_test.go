@@ -443,6 +443,7 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "-prepopulate", "NaN"}, "PrepopulateUtil"},
 		{[]string{"eacsim", "-prepopulate", "1e9"}, "PrepopulateUtil"},
 		{[]string{"eacsim", "-tau", "-1"}, "InterArrival"},
+		{append(short, "-tau", "1e-12"), "InterArrival"},
 		{[]string{"eacsim", "-life", "-30"}, "LifetimeSec"},
 		{[]string{"eacsim", "-probe", "70000"}, "AC.ProbeDur/AC.StageDur"},
 		{[]string{"eacsim", "-topology", "metro-star", "-chains", "1", "-hops", "40000"}, "Classes[0].Path"},

@@ -245,8 +245,8 @@ func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route
 // Reinit readies an idle prober for an admission attempt — of the same
 // flow or, since the scenario recycles probers inside a run, of another —
 // reusing its stage block, CBR source and internal events. The prober must
-// not be probing: new from its arena, finished, Abort-ed, or retired by
-// ForgetEvents after a simulator reset. Stale probe packets cannot confuse
+// not be probing: new from its arena, finished, or retired by ForgetEvents
+// after a simulator reset. Stale probe packets cannot confuse
 // the reincarnation: they carry their flow's ID, and the scenario retries a
 // flow only after a back-off far exceeding the path drain time.
 func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, done func(Result)) {
@@ -279,8 +279,8 @@ func (p *Prober) cancelJudges() {
 
 // ForgetEvents clears the prober's pending internal events without
 // touching any simulator. Valid only together with a sim.Reset that wiped
-// the old heap (see sim.Event.Forget); use Abort otherwise. The prober is
-// left finished, ready for Reinit.
+// the old heap (see sim.Event.Forget). The prober is left finished, ready
+// for Reinit.
 func (p *Prober) ForgetEvents() {
 	p.finished = true
 	p.checkEv.Forget()
@@ -307,15 +307,6 @@ func (p *Prober) Start(now sim.Time) {
 
 // checkInterval is the cadence of the timer-driven early-stop check.
 func (p *Prober) checkInterval() sim.Time { return 100 * sim.Millisecond }
-
-// Abort cancels an in-progress probe without invoking the done callback.
-func (p *Prober) Abort() {
-	p.finished = true
-	p.cbr.Stop()
-	p.s.Cancel(&p.checkEv)
-	p.s.Cancel(&p.stageEv)
-	p.cancelJudges()
-}
 
 // emit sends one probe packet.
 func (p *Prober) emit(now sim.Time, size int) {
@@ -441,8 +432,8 @@ func (p *Prober) fraction(stage int) float64 {
 // so the one firing is nextJudge's. finish does not cancel a judge still
 // queued: it fires into the finished prober and does nothing, which keeps
 // a run's executed-event count what it was when each judge was a one-shot
-// closure (the benchmark compares it across commits). Reinit and Abort do
-// cancel them.
+// closure (the benchmark compares it across commits). Reinit does cancel
+// them.
 func (p *Prober) judgeNext(now sim.Time) {
 	if p.finished {
 		return

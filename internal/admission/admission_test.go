@@ -316,17 +316,6 @@ func TestHigherEpsilonAcceptsMore(t *testing.T) {
 	}
 }
 
-func TestAbortSuppressesCallback(t *testing.T) {
-	h := newHarness(10e6, 200, false)
-	p := h.startProbe(Config{Design: DropInBand, Kind: Simple, Eps: 0}, 256e3)
-	h.s.Run(sim.Second)
-	p.Abort()
-	h.s.Run(20 * sim.Second)
-	if h.res != nil {
-		t.Fatal("done callback invoked after Abort")
-	}
-}
-
 func TestResultCounters(t *testing.T) {
 	h := newHarness(10e6, 200, false)
 	h.startProbe(Config{Design: DropInBand, Kind: Simple, Eps: 0}, 256e3)

@@ -43,7 +43,7 @@ type Point struct {
 // lines are identical for every Options.Workers.
 func (ex Experiment) Run(o Options) (Table, error) {
 	t := Table{ID: ex.ID, Title: ex.Title, Header: ex.Header, Notes: ex.Notes}
-	seeds, err := o.seeds()
+	seeds, err := o.SeedValues()
 	if err != nil {
 		return t, err
 	}
@@ -119,7 +119,7 @@ func (ex Experiment) Run(o Options) (Table, error) {
 func (o Options) override(p Point) scenario.Config {
 	c := p.Cfg
 	c.Cache = o.Cache
-	if o.Obs.Active() {
+	if o.Obs.Enabled {
 		// Every run gets its own collector; artifacts are named by point
 		// label + seed.
 		c.Obs = o.Obs

@@ -69,9 +69,9 @@ type Options struct {
 	// config + seed fingerprint is stored are served without simulating,
 	// and computed runs are stored. Tables and CSVs stay byte-identical
 	// with the cache cold, warm, or absent. Ignored for runs that have
-	// observability active (artifacts cannot come from a cache).
+	// observability enabled (artifacts cannot come from a cache).
 	Cache *cache.Store
-	// Obs, if active, attaches a per-run observability collector
+	// Obs, if enabled, attaches a per-run observability collector
 	// (internal/obs) to every sweep run: time-series and trace artifacts
 	// are written under Obs.Dir, named by sweep-point label and seed.
 	// Obs.TracePath must stay empty here — per-run naming keeps the
@@ -101,7 +101,9 @@ func Conformance() Options {
 	}
 }
 
-func (o Options) seeds() ([]uint64, error) {
+// SeedValues returns the seed list these options resolve to; a negative
+// Seeds is an error.
+func (o Options) SeedValues() ([]uint64, error) {
 	n := o.Seeds
 	switch {
 	case n < 0:
@@ -114,7 +116,8 @@ func (o Options) seeds() ([]uint64, error) {
 	return scenario.DefaultSeeds(n), nil
 }
 
-func (o Options) duration() sim.Time {
+// RunDuration returns the resolved per-run simulated duration.
+func (o Options) RunDuration() sim.Time {
 	if o.Duration != 0 {
 		return o.Duration
 	}
@@ -124,7 +127,8 @@ func (o Options) duration() sim.Time {
 	return 14000 * sim.Second
 }
 
-func (o Options) warmup() sim.Time {
+// RunWarmup returns the resolved per-run warmup.
+func (o Options) RunWarmup() sim.Time {
 	if o.Warmup != 0 {
 		return o.Warmup
 	}
@@ -155,23 +159,13 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// SeedValues returns the seed list these options resolve to (for run
-// manifests); a negative Seeds is an error.
-func (o Options) SeedValues() ([]uint64, error) { return o.seeds() }
-
-// RunDuration returns the resolved per-run simulated duration.
-func (o Options) RunDuration() sim.Time { return o.duration() }
-
-// RunWarmup returns the resolved per-run warmup.
-func (o Options) RunWarmup() sim.Time { return o.warmup() }
-
 // base returns a scenario config with this mode's scale applied.
 func (o Options) base(paperTau float64) scenario.Config {
 	cfg := scenario.Config{
 		InterArrival: o.tau(paperTau),
 		LifetimeSec:  o.lifetime(),
-		Duration:     o.duration(),
-		Warmup:       o.warmup(),
+		Duration:     o.RunDuration(),
+		Warmup:       o.RunWarmup(),
 	}
 	if o.Quick {
 		cfg.PrepopulateUtil = 0.75

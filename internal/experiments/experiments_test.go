@@ -85,7 +85,7 @@ func TestOptionsModes(t *testing.T) {
 	p := Paper()
 	nSeeds := func(o Options) int {
 		t.Helper()
-		s, err := o.seeds()
+		s, err := o.SeedValues()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestOptionsModes(t *testing.T) {
 	if nSeeds(q) != 1 || nSeeds(p) != 7 {
 		t.Fatalf("seed defaults: quick=%d paper=%d", nSeeds(q), nSeeds(p))
 	}
-	if q.duration() != 800*sim.Second || p.duration() != 14000*sim.Second {
+	if q.RunDuration() != 800*sim.Second || p.RunDuration() != 14000*sim.Second {
 		t.Fatal("duration defaults")
 	}
 	if q.tau(3.5) != 0.35 || p.tau(3.5) != 3.5 {
@@ -105,7 +105,7 @@ func TestOptionsModes(t *testing.T) {
 		t.Fatal("seed override")
 	}
 	q.Duration = 5 * sim.Second
-	if q.duration() != 5*sim.Second {
+	if q.RunDuration() != 5*sim.Second {
 		t.Fatal("duration override")
 	}
 }

@@ -260,10 +260,10 @@ var figure11 = Experiment{
 		// Every EXP1 flow is probed: none is seeded past admission.
 		base := o.basic(3.5)
 		base.Classes = append(base.Classes, scenario.ClassSpec{TCPFlows: 20})
-		base.Duration, base.Warmup, base.PrepopulateUtil = 2*o.duration(), o.duration(), 0
+		base.Duration, base.Warmup, base.PrepopulateUtil = 2*o.RunDuration(), o.RunDuration(), 0
 		// Row sees the seeds' summed class counts: a share divides the
 		// delivered bits by the link's capacity over every seed's window.
-		seeds, _ := o.seeds()
+		seeds, _ := o.SeedValues()
 		r := base.WithDefaults()
 		capBits := r.Links[0].RateBps * (r.Duration - r.Drain - r.Warmup).Sec() * float64(len(seeds))
 		share := func(cm scenario.ClassMetrics, pktBytes int) string {

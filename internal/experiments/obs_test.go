@@ -8,47 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"eac/internal/admission"
 	"eac/internal/obs"
-	"eac/internal/scenario"
 	"eac/internal/sim"
 )
 
-// TestObsDisabledByteIdentical is the observability layer's acceptance
-// test: attaching a collector that is constructed but disabled changes
-// nothing — a representative Figure 2 point keeps bitwise-identical
-// aggregate Metrics, and a whole experiment (Table 3) keeps identical
-// rows and byte-identical progress lines, extending the
-// TestParallelDeterminism guarantee to the instrumented build.
+// TestObsDisabledByteIdentical: an Options.Obs that sets fields but not
+// Enabled is no observation at all — a whole experiment (Table 3) keeps
+// identical rows and byte-identical progress lines.
 func TestObsDisabledByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	o := tinyOpts()
-
-	// Figure 2 point: zero Obs config vs a constructed-but-disabled
-	// collector in every run.
-	cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, 0.01)
-	seeds := scenario.DefaultSeeds(3)
-	plain, _, err := scenario.RunSeedsObserved(cfg, seeds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Obs = obs.Config{MetricsInterval: sim.Second, TraceCapacity: 1 << 10}
-	if !cfg.Obs.Active() || cfg.Obs.Enabled {
-		t.Fatal("test config must construct a disabled collector")
-	}
-	observed, _, err := scenario.RunSeedsObserved(cfg, seeds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, observed) {
-		t.Fatalf("figure2 point diverged with a disabled collector:\nplain %+v\nobs   %+v",
-			plain.Mean, observed.Mean)
-	}
-
-	// Whole experiment: Options.Obs threading a disabled collector into
-	// every sweep run must leave the Table and progress lines untouched.
 	run := func(oc obs.Config) (Table, []string) {
 		o := tinyOpts()
 		o.Workers = 4
@@ -58,7 +28,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 	tblPlain, logPlain := run(obs.Config{})
 	tblObs, logObs := run(obs.Config{MetricsInterval: sim.Second, TraceCapacity: 1 << 10})
 	if !reflect.DeepEqual(tblPlain, tblObs) {
-		t.Fatalf("table3 diverged with a disabled collector:\n%s\n%s", tblPlain, tblObs)
+		t.Fatalf("table3 diverged with a disabled obs config:\n%s\n%s", tblPlain, tblObs)
 	}
 	if !reflect.DeepEqual(logPlain, logObs) {
 		t.Fatalf("progress logs diverged:\n%q\n%q", logPlain, logObs)

@@ -56,9 +56,8 @@ type FluidBackground struct {
 	lastT sim.Time // time of the last integral advance
 
 	deliveredBits float64 // exact integral of the delivered fluid rate
-	offeredBits   float64 // exact integral of the offered fluid rate
 
-	pDrop, pMark float64    // current per-arrival probabilities (for obs)
+	pDrop, pMark float64    // current per-arrival probabilities
 	dropP, markP [2]float64 // per-Kind cached thresholds
 	rng          *stats.RNG
 }
@@ -94,10 +93,8 @@ func (bg *FluidBackground) attach(l *Link) {
 // Rate returns the current offered background rate in bits/s.
 func (bg *FluidBackground) Rate() float64 { return bg.bps }
 
-// PDrop and PMark return the current per-arrival congestion
-// probabilities, for observability sampling.
+// PDrop returns the current per-arrival drop probability.
 func (bg *FluidBackground) PDrop() float64 { return bg.pDrop }
-func (bg *FluidBackground) PMark() float64 { return bg.pMark }
 
 // Congestion returns the combined probability that a foreground data
 // packet is dropped or marked by the fluid signal — the single number
@@ -105,7 +102,7 @@ func (bg *FluidBackground) PMark() float64 { return bg.pMark }
 func (bg *FluidBackground) Congestion() float64 { return bg.pDrop + (1-bg.pDrop)*bg.pMark }
 
 // Add changes the offered background rate by delta bits/s (negative to
-// remove a departing flow) at time now, advancing the integrals to now
+// remove a departing flow) at time now, advancing the integral to now
 // first and rescaling the link's residual capacity — after syncing the link,
 // so that a transmission it has yet to start before now is timed at the old rate.
 func (bg *FluidBackground) Add(now sim.Time, delta float64) {
@@ -119,7 +116,8 @@ func (bg *FluidBackground) Add(now sim.Time, delta float64) {
 	bg.recompute()
 }
 
-// advance accumulates the offered- and delivered-bit integrals up to now.
+// advance accumulates the delivered-bit integral up to now: the rate
+// B*(1-loss), with loss the pDrop computed for B at its last change.
 func (bg *FluidBackground) advance(now sim.Time) {
 	if now <= bg.lastT {
 		return
@@ -129,15 +127,7 @@ func (bg *FluidBackground) advance(now sim.Time) {
 	if bg.bps <= 0 {
 		return
 	}
-	bg.offeredBits += bg.bps * dt
-	bg.deliveredBits += bg.delivered() * dt
-}
-
-// delivered returns the instantaneous delivered fluid rate B*(1-loss).
-func (bg *FluidBackground) delivered() float64 {
-	c := bg.link.RateBps
-	loss := fluid.MarkProb(bg.Model, bg.bps/c, bg.BufferPkts)
-	return bg.bps * (1 - loss)
+	bg.deliveredBits += bg.bps * (1 - bg.pDrop) * dt
 }
 
 // DeliveredBits advances to now and returns the delivered-bit integral
@@ -147,18 +137,11 @@ func (bg *FluidBackground) DeliveredBits(now sim.Time) float64 {
 	return bg.deliveredBits
 }
 
-// OfferedBits advances to now and returns the offered-bit integral since
-// the last ResetWindow.
-func (bg *FluidBackground) OfferedBits(now sim.Time) float64 {
-	bg.advance(now)
-	return bg.offeredBits
-}
-
-// ResetWindow advances to now and zeroes the integrals; the runner calls
+// ResetWindow advances to now and zeroes the integral; the runner calls
 // it at the warmup boundary alongside LinkStats.Reset.
 func (bg *FluidBackground) ResetWindow(now sim.Time) {
 	bg.advance(now)
-	bg.deliveredBits, bg.offeredBits = 0, 0
+	bg.deliveredBits = 0
 }
 
 // recompute refreshes the congestion probabilities and the link's

@@ -52,26 +52,23 @@ func TestFluidBackgroundResidualRate(t *testing.T) {
 }
 
 // TestFluidBackgroundIntegrals pins the lazy piecewise-constant
-// integrals: exact delivered/offered bits across rate changes, and
-// ResetWindow starting a fresh measurement epoch.
+// integral: exact delivered bits across rate changes, and ResetWindow
+// starting a fresh measurement epoch.
 func TestFluidBackgroundIntegrals(t *testing.T) {
 	_, _, bg := newBgRig(10e6)
 	bg.Add(0, 2e6)
 	bg.Add(1*sim.Second, 2e6) // 2 Mb/s over [0,1), 4 Mb/s over [1,2)
-	if got, want := bg.OfferedBits(2*sim.Second), 6e6; math.Abs(got-want) > 1 {
-		t.Errorf("offered integral: %v, want %v", got, want)
-	}
 	// Under capacity with a 400-packet buffer the fluid loses nothing.
 	if got, want := bg.DeliveredBits(2*sim.Second), 6e6; math.Abs(got-want) > 1 {
 		t.Errorf("delivered integral: %v, want %v", got, want)
 	}
 
 	bg.ResetWindow(2 * sim.Second)
-	if bg.DeliveredBits(2*sim.Second) != 0 || bg.OfferedBits(2*sim.Second) != 0 {
-		t.Error("ResetWindow did not zero the integrals")
+	if bg.DeliveredBits(2*sim.Second) != 0 {
+		t.Error("ResetWindow did not zero the integral")
 	}
-	if got, want := bg.OfferedBits(3*sim.Second), 4e6; math.Abs(got-want) > 1 {
-		t.Errorf("offered integral after reset: %v, want %v", got, want)
+	if got, want := bg.DeliveredBits(3*sim.Second), 4e6; math.Abs(got-want) > 1 {
+		t.Errorf("delivered integral after reset: %v, want %v", got, want)
 	}
 
 	// In overload the delivered rate saturates near capacity.
@@ -116,8 +113,8 @@ func TestFluidBackgroundCongestion(t *testing.T) {
 	if mbg.PDrop() > 1e-6 {
 		t.Errorf("below capacity the physical drop prob should be ~0, got %v", mbg.PDrop())
 	}
-	if mbg.PMark() < 0.1 {
-		t.Errorf("shadow overload should mark, pMark %v", mbg.PMark())
+	if mbg.pMark < 0.1 {
+		t.Errorf("shadow overload should mark, pMark %v", mbg.pMark)
 	}
 	marks := 0
 	for i := 0; i < n; i++ {
@@ -127,19 +124,19 @@ func TestFluidBackgroundCongestion(t *testing.T) {
 			marks++
 		}
 	}
-	if f := float64(marks) / float64(n); math.Abs(f-mbg.PMark()) > 0.02 {
-		t.Errorf("empirical mark fraction %v, want ~%v", f, mbg.PMark())
+	if f := float64(marks) / float64(n); math.Abs(f-mbg.pMark) > 0.02 {
+		t.Errorf("empirical mark fraction %v, want ~%v", f, mbg.pMark)
 	}
 
 	// Virtual dropping folds the probe's mark fate into a drop.
 	mbg.VDropProbes = true
 	mbg.Add(0, 0) // recompute
 	pd, pm := mbg.dropP[Probe], mbg.markP[Probe]
-	if pm != 0 || pd < mbg.PMark() {
+	if pm != 0 || pd < mbg.pMark {
 		t.Errorf("vdrop probes: dropP=%v markP=%v, want drop >= mark prob and no marking", pd, pm)
 	}
-	if mbg.markP[Data] != mbg.PMark() {
-		t.Errorf("vdrop must not change data marking: %v vs %v", mbg.markP[Data], mbg.PMark())
+	if mbg.markP[Data] != mbg.pMark {
+		t.Errorf("vdrop must not change data marking: %v vs %v", mbg.markP[Data], mbg.pMark)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestLinkInvariantsUnderLoad(t *testing.T) {
 		}
 		c.CheckVirtualQueue("L0 vq", l.Marker, vqCap)
 		if sent < 4000 {
-			s.CallIn(sim.Seconds(rng.Exp(0.002)), emit)
+			s.Call(now+sim.Seconds(rng.Exp(0.002)), emit)
 		}
 	}
 	s.Call(0, emit)

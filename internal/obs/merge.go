@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"os"
@@ -23,7 +24,7 @@ import (
 // run end publishes them to the merging goroutine), so the zero-overhead
 // and nil-safety contracts of Collector carry over per shard. A nil
 // *Merged is the canonical "disabled" value, mirroring *Collector: the
-// methods a run calls (Collector, Enabled, SetShardExecuted, Flush) are
+// methods a run calls (Collector, SetShardExecuted, Flush) are
 // nil-safe, the Write methods need a set.
 type Merged struct {
 	cfg  Config
@@ -36,11 +37,11 @@ type Merged struct {
 }
 
 // NewMerged returns a collector set with k per-shard collectors, or nil
-// when cfg is fully zero. The trace capacity is split across shards
+// unless cfg.Enabled. The trace capacity is split across shards
 // (ceil(TraceCapacity/k) each) so a sharded run buffers about as many
 // events in total as a serial one.
 func NewMerged(cfg Config, seed uint64, k int) *Merged {
-	if !cfg.Active() || k < 1 {
+	if !cfg.Enabled || k < 1 {
 		return nil
 	}
 	per := cfg
@@ -67,9 +68,6 @@ func (m *Merged) Collector(i int) *Collector {
 	return m.cs[i]
 }
 
-// Enabled reports whether the set records anything.
-func (m *Merged) Enabled() bool { return m != nil && m.cfg.Enabled }
-
 // SetShardExecuted records the per-shard executed-event counts for the
 // histogram artifact.
 func (m *Merged) SetShardExecuted(exec []uint64) {
@@ -92,52 +90,39 @@ func (m *Merged) WriteSeries(w io.Writer) error {
 		"fluid_bg_bps,fluid_mark\n"); err != nil {
 		return err
 	}
-	idx := make([]int, len(m.cs))
 	var row []byte
-	for {
-		best := -1
-		for shard, c := range m.cs {
-			if idx[shard] >= len(c.sams) {
-				continue
+	return mergeByTime(m.cs, func(c *Collector) int { return len(c.sams) },
+		func(c *Collector, i int) float64 { return c.sams[i].T },
+		func(shard, i int) error {
+			c := m.cs[shard]
+			s := &c.sams[i]
+			var busy int64
+			if s.Busy {
+				busy = 1
 			}
-			if best < 0 || c.sams[idx[shard]].T < m.cs[best].sams[idx[best]].T {
-				best = shard
+			// strconv into one reused buffer, not Fprintf: the same bytes as
+			// %.6f / %d / %.0f with no boxing of 17 arguments per row.
+			row = strconv.AppendFloat(row[:0], s.T, 'f', 6, 64)
+			if len(m.cs) > 1 {
+				row = strconv.AppendInt(append(row, ','), int64(shard), 10)
 			}
-		}
-		if best < 0 {
-			return nil
-		}
-		c := m.cs[best]
-		s := &c.sams[idx[best]]
-		idx[best]++
-		var busy int64
-		if s.Busy {
-			busy = 1
-		}
-		// strconv into one reused buffer, not Fprintf: the same bytes as
-		// %.6f / %d / %.0f with no boxing of 17 arguments per row.
-		row = strconv.AppendFloat(row[:0], s.T, 'f', 6, 64)
-		if len(m.cs) > 1 {
-			row = strconv.AppendInt(append(row, ','), int64(best), 10)
-		}
-		row = append(append(row, ','), c.LinkName(s.Link)...)
-		for _, v := range [...]int64{int64(s.Depth), busy, int64(s.ActiveFlows)} {
-			row = strconv.AppendInt(append(row, ','), v, 10)
-		}
-		row = strconv.AppendFloat(append(row, ','), s.Util, 'f', 6, 64)
-		row = strconv.AppendInt(append(row, ','), s.VQBacklog, 10)
-		for kind := range s.Arrived {
-			for _, v := range [...]int64{s.Arrived[kind], s.Dropped[kind], s.Marked[kind], s.SentPkts[kind]} {
+			row = append(append(row, ','), c.LinkName(s.Link)...)
+			for _, v := range [...]int64{int64(s.Depth), busy, int64(s.ActiveFlows)} {
 				row = strconv.AppendInt(append(row, ','), v, 10)
 			}
-		}
-		row = strconv.AppendFloat(append(row, ','), s.FluidBg, 'f', 0, 64)
-		row = strconv.AppendFloat(append(row, ','), s.FluidMark, 'f', 6, 64)
-		row = append(row, '\n')
-		if _, err := w.Write(row); err != nil {
+			row = strconv.AppendFloat(append(row, ','), s.Util, 'f', 6, 64)
+			row = strconv.AppendInt(append(row, ','), s.VQBacklog, 10)
+			for kind := range s.Arrived {
+				for _, v := range [...]int64{s.Arrived[kind], s.Dropped[kind], s.Marked[kind], s.SentPkts[kind]} {
+					row = strconv.AppendInt(append(row, ','), v, 10)
+				}
+			}
+			row = strconv.AppendFloat(append(row, ','), s.FluidBg, 'f', 0, 64)
+			row = strconv.AppendFloat(append(row, ','), s.FluidMark, 'f', 6, 64)
+			row = append(row, '\n')
+			_, err := w.Write(row)
 			return err
-		}
-	}
+		})
 }
 
 // WriteTrace k-way-merges the per-shard rings into one JSONL stream
@@ -151,27 +136,37 @@ func (m *Merged) WriteTrace(w io.Writer) error {
 		c.trace.sortByTime()
 	}
 	enc := json.NewEncoder(w)
-	idx := make([]int, len(m.cs))
 	var forms traceForms
+	return mergeByTime(m.cs, func(c *Collector) int { return c.trace.n },
+		func(c *Collector, i int) sim.Time { return c.trace.at(i).at },
+		func(shard, i int) error {
+			c := m.cs[shard]
+			return enc.Encode(c.traceEvent(&forms, c.trace.at(i), m.tags[shard]))
+		})
+}
+
+// mergeByTime visits every shard's records in (time, shard, record order)
+// order — the k-way merge behind the series and the trace. n is a
+// collector's record count, at the time of its i-th record, which must
+// not decrease with i; visit gets each record's shard and index.
+func mergeByTime[T cmp.Ordered](cs []*Collector, n func(*Collector) int, at func(*Collector, int) T, visit func(shard, i int) error) error {
+	idx := make([]int, len(cs))
 	for {
 		best := -1
-		var bestAt sim.Time
-		for shard, c := range m.cs {
-			if idx[shard] >= c.trace.n {
+		var bestAt T
+		for shard, c := range cs {
+			if idx[shard] >= n(c) {
 				continue
 			}
-			at := c.trace.at(idx[shard]).at
-			if best < 0 || at < bestAt {
-				best, bestAt = shard, at
+			if t := at(c, idx[shard]); best < 0 || t < bestAt {
+				best, bestAt = shard, t
 			}
 		}
 		if best < 0 {
 			return nil
 		}
-		c := m.cs[best]
-		rec := c.trace.at(idx[best])
 		idx[best]++
-		if err := enc.Encode(c.traceEvent(&forms, rec, m.tags[best])); err != nil {
+		if err := visit(best, idx[best]-1); err != nil {
 			return err
 		}
 	}
@@ -210,10 +205,10 @@ func (m *Merged) WritePerfetto(w io.Writer) error {
 
 // Flush renders each artifact the configuration enables into its file, in
 // the fixed order series, trace, spans, hist, perfetto, and returns the
-// paths written (also on error: the ones completed before it). A nil or
-// disabled set flushes nothing.
+// paths written (also on error: the ones completed before it). A nil set
+// flushes nothing.
 func (m *Merged) Flush() ([]string, error) {
-	if !m.Enabled() {
+	if m == nil {
 		return nil, nil
 	}
 	var paths []string

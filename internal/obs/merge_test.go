@@ -12,14 +12,14 @@ import (
 )
 
 func TestNewMergedGating(t *testing.T) {
-	if NewMerged(Config{}, 1, 4) != nil {
-		t.Fatal("inactive config constructed a merged set")
+	if NewMerged(Config{MetricsInterval: sim.Second}, 1, 4) != nil {
+		t.Fatal("disabled config constructed a merged set")
 	}
 	if NewMerged(Config{Enabled: true}, 1, 0) != nil {
 		t.Fatal("k=0 constructed a merged set")
 	}
 	var nilM *Merged
-	if nilM.Enabled() || nilM.Collector(0) != nil {
+	if nilM.Collector(0) != nil {
 		t.Fatal("nil Merged reports state")
 	}
 	nilM.SetShardExecuted([]uint64{1}) // must not panic

@@ -5,10 +5,10 @@
 //
 // The layer is designed around one hard requirement: zero overhead and
 // byte-identical simulation output when disabled. A nil *Collector is the
-// default and every method is nil-safe; a constructed-but-disabled
-// collector (Config.Enabled == false) is equally inert. Producers guard
-// their hot paths with a single pointer check (netsim.Link.Tap) or call
-// the nil-safe methods directly (scenario.Runner), so the default
+// disabled value — New returns one unless Config.Enabled — and every
+// method is nil-safe. Producers guard their hot paths with a single
+// pointer check (netsim.Link.Tap) or call the nil-safe methods directly
+// (scenario.Runner), so the default
 // configuration adds no events, no allocations, and no output changes —
 // preserving the determinism guarantees of the parallel sweep engine.
 //
@@ -34,12 +34,10 @@ import (
 )
 
 // Config selects which telemetry a run collects and where the artifacts
-// land. The zero value is fully inactive: no collector is constructed and
-// the simulation's hot paths see only nil checks.
+// land. Without Enabled no collector is constructed, whatever the other
+// fields say, and the simulation's hot paths see only nil checks.
 type Config struct {
-	// Enabled is the master switch. A false value with other fields set
-	// still constructs collectors (so callers can hold one), but every
-	// recording method is a no-op and Merged.Flush writes nothing.
+	// Enabled is the switch: the other fields apply only when it is set.
 	Enabled bool
 	// Dir is the artifact output directory (default "." at flush time).
 	Dir string
@@ -64,11 +62,6 @@ type Config struct {
 	PerfettoPath string
 }
 
-// Active reports whether a collector should be constructed at all — any
-// non-zero Config is "active" even when Enabled is false, so tests can
-// exercise the disabled collector's no-op guards.
-func (c Config) Active() bool { return c != Config{} }
-
 func (c Config) label() string {
 	if c.Label == "" {
 		return "run"
@@ -83,51 +76,45 @@ func (c Config) dir() string {
 	return c.Dir
 }
 
-// SeriesPath returns the per-queue time-series CSV path for one seed, or
-// "" when the series is disabled.
-func (c Config) SeriesPath(seed uint64) string {
-	if !c.Enabled || c.MetricsInterval <= 0 {
+// seedPath is the path of one seed's artifact of the given kind, or ""
+// when on is false (that artifact is not collected).
+func (c Config) seedPath(on bool, seed uint64, kind string) string {
+	if !on {
 		return ""
 	}
-	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-series.csv", c.label(), seed))
+	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-%s", c.label(), seed, kind))
+}
+
+// SeriesPath returns the per-queue time-series CSV path for one seed, or
+// "" when the series is off.
+func (c Config) SeriesPath(seed uint64) string {
+	return c.seedPath(c.MetricsInterval > 0, seed, "series.csv")
 }
 
 // TraceFile returns the JSONL event-trace path for one seed, or "" when
-// the trace is disabled.
+// the trace is off.
 func (c Config) TraceFile(seed uint64) string {
-	if !c.Enabled || c.TraceCapacity <= 0 {
-		return ""
-	}
-	if c.TracePath != "" {
+	if c.TracePath != "" && c.TraceCapacity > 0 {
 		return c.TracePath
 	}
-	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-trace.jsonl", c.label(), seed))
+	return c.seedPath(c.TraceCapacity > 0, seed, "trace.jsonl")
 }
 
 // SpansPath returns the probe-lifecycle span JSONL path for one seed, or
-// "" when spans are disabled. Spans ride with the event trace: they are
+// "" when spans are off. Spans ride with the event trace: they are
 // collected (and written) exactly when tracing is on.
 func (c Config) SpansPath(seed uint64) string {
-	if !c.Enabled || c.TraceCapacity <= 0 {
-		return ""
-	}
-	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-spans.jsonl", c.label(), seed))
+	return c.seedPath(c.TraceCapacity > 0, seed, "spans.jsonl")
 }
 
 // HistPath returns the log-bucket histogram JSON path (per-class delay
-// and per-link queue-depth distributions) for one seed, or "" when the
-// collector is disabled.
-func (c Config) HistPath(seed uint64) string {
-	if !c.Enabled {
-		return ""
-	}
-	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-hist.json", c.label(), seed))
-}
+// and per-link queue-depth distributions) for one seed.
+func (c Config) HistPath(seed uint64) string { return c.seedPath(true, seed, "hist.json") }
 
 // PerfettoFile returns the Perfetto export path, or "" when not
 // requested or when spans are unavailable (no trace).
 func (c Config) PerfettoFile() string {
-	if !c.Enabled || c.TraceCapacity <= 0 {
+	if c.TraceCapacity <= 0 {
 		return ""
 	}
 	return c.PerfettoPath
@@ -168,7 +155,7 @@ type Decisions struct {
 // Collector records one shard domain's telemetry (a serial run has one
 // domain). It is strictly single-run, single-goroutine state — a Merged
 // set constructs one per domain and writes what they recorded — and a nil
-// *Collector is the canonical "disabled" value.
+// *Collector is the disabled value.
 type Collector struct {
 	cfg     Config
 	seed    uint64
@@ -188,24 +175,21 @@ type Collector struct {
 	spanIdx []int32 // flow id -> index+1 into spans (0 = no span yet)
 }
 
-// New returns a collector for cfg, or nil when cfg is fully zero. The
-// seed tags artifact filenames so multi-seed runs do not collide.
+// New returns a collector for cfg, or nil unless cfg.Enabled. The seed
+// tags artifact filenames so multi-seed runs do not collide.
 func New(cfg Config, seed uint64) *Collector {
-	if !cfg.Active() {
+	if !cfg.Enabled {
 		return nil
 	}
 	c := &Collector{cfg: cfg, seed: seed}
-	if cfg.Enabled && cfg.TraceCapacity > 0 {
+	if cfg.TraceCapacity > 0 {
 		c.trace.buf = make([]traceRec, cfg.TraceCapacity)
 	}
 	return c
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c != nil && c.cfg.Enabled }
-
 // Sampling reports whether the time series is being collected.
-func (c *Collector) Sampling() bool { return c.Enabled() && c.cfg.MetricsInterval > 0 }
+func (c *Collector) Sampling() bool { return c != nil && c.cfg.MetricsInterval > 0 }
 
 // Interval returns the configured sampling period.
 func (c *Collector) Interval() sim.Time {
@@ -216,13 +200,13 @@ func (c *Collector) Interval() sim.Time {
 }
 
 // Tracing reports whether the packet/event trace is being collected.
-func (c *Collector) Tracing() bool { return c.Enabled() && len(c.trace.buf) > 0 }
+func (c *Collector) Tracing() bool { return c != nil && len(c.trace.buf) > 0 }
 
 // RegisterLink declares one link and returns its tap for packet-level
 // events, or nil when the collector is disabled (so links keep their
 // zero-overhead nil check).
 func (c *Collector) RegisterLink(name string) *LinkTap {
-	if !c.Enabled() {
+	if c == nil {
 		return nil
 	}
 	c.links = append(c.links, name)
@@ -242,7 +226,7 @@ func (c *Collector) LinkName(i int) string {
 // delay histograms and span exports can carry class names. No-op when
 // disabled.
 func (c *Collector) RegisterClass(name string) {
-	if !c.Enabled() {
+	if c == nil {
 		return
 	}
 	c.classes = append(c.classes, name)
@@ -260,7 +244,7 @@ func (c *Collector) ClassName(i int) string {
 // SetDuration records the run's sim-time length; exports use it to clamp
 // spans still open at run end. No-op when disabled.
 func (c *Collector) SetDuration(d sim.Time) {
-	if c.Enabled() {
+	if c != nil {
 		c.dur = d
 	}
 }
@@ -268,7 +252,7 @@ func (c *Collector) SetDuration(d sim.Time) {
 // Delay records one delivered data packet's end-to-end window delay into
 // the owning class's log-bucket histogram. No-op when disabled.
 func (c *Collector) Delay(class int, d sim.Time) {
-	if c == nil || !c.cfg.Enabled {
+	if c == nil {
 		return
 	}
 	if class >= 0 && class < len(c.delayH) {
@@ -296,7 +280,7 @@ func (c *Collector) Samples() []Sample {
 // event when tracing. frac is the measured bad-packet fraction of the
 // deciding probe stage (0 for methods that do not probe).
 func (c *Collector) Decision(now sim.Time, flow, class int, accepted bool, attempt int, frac float64) {
-	if !c.Enabled() {
+	if c == nil {
 		return
 	}
 	ev := evReject

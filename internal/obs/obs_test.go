@@ -40,7 +40,7 @@ func ReadManifest(path string) (Manifest, error) {
 
 func TestNilCollectorIsInert(t *testing.T) {
 	var c *Collector
-	if c.Enabled() || c.Sampling() || c.Tracing() {
+	if c.Sampling() || c.Tracing() {
 		t.Fatal("nil collector reports activity")
 	}
 	if c.Interval() != 0 || c.TraceLen() != 0 || c.TraceDropped() != 0 {
@@ -65,33 +65,21 @@ func TestZeroConfigConstructsNothing(t *testing.T) {
 	if New(Config{}, 1) != nil {
 		t.Fatal("zero config constructed a collector")
 	}
-	if !enabledCfg("x").Active() {
-		t.Fatal("non-zero config not active")
-	}
-	if (Config{TraceCapacity: 1}).Active() != true {
-		t.Fatal("disabled-but-configured should still be active")
+	if New(enabledCfg("x"), 1) == nil {
+		t.Fatal("enabled config constructed no collector")
 	}
 }
 
+// TestDisabledCollectorIsInert: Enabled is the only switch. A config that
+// sets everything else constructs no collector and no set, so its run
+// sees the nil value's no-ops and flushes nothing.
 func TestDisabledCollectorIsInert(t *testing.T) {
 	cfg := enabledCfg(t.TempDir())
 	cfg.Enabled = false
-	c := New(cfg, 1)
-	if c == nil {
-		t.Fatal("active config produced nil collector")
+	if New(cfg, 1) != nil || NewMerged(cfg, 1, 2) != nil {
+		t.Fatal("a disabled config constructed a collector")
 	}
-	if c.Enabled() || c.Sampling() || c.Tracing() {
-		t.Fatal("disabled collector reports activity")
-	}
-	if tap := c.RegisterLink("L0"); tap != nil {
-		t.Fatal("disabled collector handed out a tap")
-	}
-	c.AddSample(Sample{T: 1})
-	c.Decision(0, 0, 0, true, 1, 0)
-	if len(c.Samples()) != 0 || c.DecisionCounts() != (Decisions{}) || c.TraceLen() != 0 {
-		t.Fatal("disabled collector recorded something")
-	}
-	paths, err := one(c).Flush()
+	paths, err := NewMerged(cfg, 1, 1).Flush()
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("disabled Flush wrote %v (err %v)", paths, err)
 	}
@@ -239,9 +227,9 @@ func TestArtifactPathOverrides(t *testing.T) {
 	if trace := cfg.TraceFile(7); trace != "custom.jsonl" {
 		t.Fatalf("trace = %q", trace)
 	}
-	cfg.Enabled = false
+	cfg.MetricsInterval, cfg.TraceCapacity = 0, 0
 	if s, tr := cfg.SeriesPath(7), cfg.TraceFile(7); s != "" || tr != "" {
-		t.Fatalf("disabled paths = %q, %q", s, tr)
+		t.Fatalf("paths of artifacts turned off = %q, %q", s, tr)
 	}
 	if got := cfg.ManifestPath(); got != filepath.Join("d", "x-manifest.json") {
 		t.Fatalf("manifest path = %q", got)

@@ -155,3 +155,29 @@ func TestCacheBypassedWhileObserving(t *testing.T) {
 		t.Fatalf("workspace observed run hit the cache: %+v", st)
 	}
 }
+
+// TestObsDisabledServedFromCache: Enabled is obs's only switch. A config
+// that sets every other obs field but not Enabled is an unobserved run: the
+// same Metrics, no artifact, and a result cache that serves it.
+func TestObsDisabledServedFromCache(t *testing.T) {
+	cfg, store := cacheCfg(t, 8)
+	want, err := Run(cfg) // populate the slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg.Obs = obs.Config{Dir: dir, Label: "t", MetricsInterval: sim.Second, TraceCapacity: 1 << 10}
+	got, rec, err := NewWorkspace().RunRecorded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("disabled obs changed metrics:\nwant %+v\ngot  %+v", want, got)
+	}
+	if st := store.Stats(); st.Hits != 1 {
+		t.Fatalf("disabled obs bypassed the cache: %+v", st)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 || rec.Artifacts != nil {
+		t.Fatalf("disabled obs wrote %d file(s), artifacts %v", len(files), rec.Artifacts)
+	}
+}

@@ -177,9 +177,9 @@ type Config struct {
 	// Obs configures the run's observability collector (internal/obs):
 	// per-queue telemetry time series sampled on a sim-time interval, a
 	// ring-buffered packet/event trace exported as JSONL, and admission
-	// decision events. The zero value keeps observability fully disabled
-	// — no collector is constructed, the hot paths see only nil checks,
-	// and all metrics and logs are byte-identical to an unobserved run.
+	// decision events. Without Obs.Enabled no collector is constructed,
+	// the hot paths see only nil checks, and all metrics and logs are
+	// byte-identical to an unobserved run.
 	// Each seed's run constructs its own collector from this value, so
 	// parallel seed runs stay independent.
 	Obs obs.Config
@@ -190,7 +190,7 @@ type Config struct {
 	// without simulating, and a computed run is stored for next time.
 	// Corrupt or undecodable entries are dropped and recomputed silently.
 	// The field itself is excluded from the fingerprint, and it is ignored
-	// while Obs is active — a cached run cannot produce the observability
+	// while Obs is enabled — a cached run cannot produce the observability
 	// artifacts the caller asked for.
 	Cache *cache.Store
 
@@ -395,6 +395,13 @@ func (c Config) Validate() error {
 					return fmt.Errorf("scenario: Classes[%d].Preset.%s = %g, want positive and finite", i, f.field, f.v)
 				}
 			}
+			if pps := cl.Preset.TokenRate / (8 * float64(cl.Preset.PktSize)); pps > maxPresetPktRate {
+				return fmt.Errorf("scenario: Classes[%d].Preset.TokenRate = %g sends %.3g packets/s of %d bytes, want at most %g",
+					i, cl.Preset.TokenRate, pps, cl.Preset.PktSize, float64(maxPresetPktRate))
+			}
+			if !cl.Preset.HasSource() {
+				return fmt.Errorf("scenario: Classes[%d].Preset %q builds no source (use a trafgen preset or NewCBRPreset)", i, cl.Preset.Name)
+			}
 		}
 		// A packet's Size, and its hop along a route of up to two hops per
 		// link (the link, a portal) and the sink, are narrow (netsim.Packet).
@@ -414,6 +421,14 @@ func (c Config) Validate() error {
 	}
 	if len(c.Classes) > 0 && total <= 0 && tcpFlows == 0 {
 		return fmt.Errorf("scenario: class weights sum to zero")
+	}
+	peak := 1.0
+	if c.Schedule.Active() {
+		peak = c.Schedule.Peak()
+	}
+	if c.InterArrival > 0 && peak/c.InterArrival > maxArrivalRate {
+		return fmt.Errorf("scenario: InterArrival = %g at load peak %g asks for %.3g arrivals/s, want at most %g",
+			c.InterArrival, peak, peak/c.InterArrival, float64(maxArrivalRate))
 	}
 	if n := c.prepopulatedFlows(); !(n <= maxPrepopulatedFlows) {
 		return fmt.Errorf("scenario: PrepopulateUtil = %g seeds %.3g flows at time zero, want at most %g", c.PrepopulateUtil, n, float64(maxPrepopulatedFlows))
@@ -474,6 +489,18 @@ func (c Config) Validate() error {
 // 10⁶-host MetroStar preset's population, and far below what exhausts
 // memory.
 const maxPrepopulatedFlows = 10_000_000
+
+// maxArrivalRate caps the candidate flow arrivals a second, Peak/InterArrival:
+// 300 times the 10⁶-host MetroStar preset's 3 333. Every candidate is an
+// event, and a kept one a probe, so a rate past this is a run that cannot
+// finish, not a scenario.
+const maxArrivalRate = 1_000_000
+
+// maxPresetPktRate caps the packets a second of one source at its token
+// rate, TokenRate/(8·PktSize), which is also its probe rate: a thousand
+// times Table 1's fastest (EXP2, 1 024). A packet every microsecond is a
+// 1 Gb/s source of 125-byte packets; past it, one flow floods the event heap.
+const maxPresetPktRate = 1_000_000
 
 // prepopulatedFlows is the topology-wide flow count PrepopulateUtil seeds,
 // before rounding: enough flows of the weighted mean class rate to load
@@ -570,8 +597,8 @@ func (m Metrics) Summary() string {
 type MultiMetrics struct {
 	Runs []Metrics
 	// Mean holds per-field means; Links are averaged elementwise, and
-	// Classes hold the runs' summed counts, whose ratios (BlockingProb,
-	// LossProb) pool the runs.
+	// Decided, Retries and Classes hold the runs' summed counts, whose
+	// ratios (BlockingProb, LossProb) pool the runs.
 	Mean Metrics
 	// UtilStderr and LossStderr are standard errors of the headline
 	// means across runs.
@@ -588,7 +615,7 @@ func Aggregate(runs []Metrics) MultiMetrics {
 	if len(runs) == 0 {
 		return mm
 	}
-	var util, loss, block, probe, decided, retries, mdel, p99, meps stats.Welford
+	var util, loss, block, probe, mdel, p99, meps stats.Welford
 	mm.Mean.Classes = make([]ClassMetrics, len(runs[0].Classes))
 	mm.Mean.Links = make([]LinkMetrics, len(runs[0].Links))
 	for i := range mm.Mean.Classes {
@@ -599,8 +626,8 @@ func Aggregate(runs []Metrics) MultiMetrics {
 		loss.Add(r.DataLossProb)
 		block.Add(r.BlockingProb)
 		probe.Add(r.ProbeShare)
-		decided.Add(float64(r.Decided))
-		retries.Add(float64(r.Retries))
+		mm.Mean.Decided += r.Decided
+		mm.Mean.Retries += r.Retries
 		mdel.Add(r.MeanDelaySec)
 		p99.Add(r.P99DelaySec)
 		meps.Add(r.MeanEps)
@@ -622,8 +649,6 @@ func Aggregate(runs []Metrics) MultiMetrics {
 	mm.Mean.DataLossProb = loss.Mean()
 	mm.Mean.BlockingProb = block.Mean()
 	mm.Mean.ProbeShare = probe.Mean()
-	mm.Mean.Decided = int64(decided.Mean() * float64(len(runs)))
-	mm.Mean.Retries = int64(retries.Mean() * float64(len(runs)))
 	mm.Mean.MeanDelaySec = mdel.Mean()
 	mm.Mean.P99DelaySec = p99.Mean()
 	mm.Mean.MeanEps = meps.Mean()

@@ -274,11 +274,11 @@ func (d *domain) wireLink(i int, l *netsim.Link, maxPkt int) {
 }
 
 // observe attaches the domain's collector (nil unless Config.Obs is
-// active): link taps, class names and the horizon. A nil or disabled
-// collector leaves every hot path untouched.
+// enabled): link taps, class names and the horizon. A nil collector
+// leaves every hot path untouched.
 func (d *domain) observe(c *obs.Collector) {
 	d.obs = c
-	if !c.Enabled() {
+	if c == nil {
 		return
 	}
 	for _, l := range d.links {

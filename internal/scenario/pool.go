@@ -29,19 +29,6 @@ func RunOrdered[T any](workers, n int, run func(worker, i int) (T, error), done 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := run(0, i)
-			if err != nil {
-				return err
-			}
-			if err := done(i, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	results := make([]T, n)
 	errs := make([]error, n)
 	completed := make(chan int, n) // buffered: workers never block

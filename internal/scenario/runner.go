@@ -321,8 +321,6 @@ type RunRecord struct {
 	// Artifacts lists the observability files the run's flush wrote, in
 	// flush order; nil without an enabled Config.Obs.
 	Artifacts []string
-	// Cached reports whether the result came from the result cache.
-	Cached bool
 }
 
 // AddTo files the run's sections in a manifest: its per-shard event counts

@@ -357,6 +357,18 @@ func TestValidateNamesField(t *testing.T) {
 		{"Classes[0].Path", func(c *Config) { c.Classes[0].Path = make([]int, math.MaxUint16/2+1) }},
 		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.StageDur = sim.Nanosecond }},
 		{"AC.ProbeDur/AC.StageDur", func(c *Config) { c.AC.Kind, c.AC.ProbeDur = admission.EarlyReject, 70000*sim.Second }},
+		// A preset filled in field by field has no source to build: the run
+		// panicked at the first flow.
+		{"Classes[0].Preset", func(c *Config) {
+			c.Classes[0].Preset = trafgen.Preset{Name: "EXP1", TokenRate: 256e3, BucketBytes: 125, PktSize: 125, AvgRate: 128e3}
+		}},
+		// Event rates no run can finish: 10¹² arrivals a second, directly or
+		// at a schedule's peak, and a packet every nanosecond.
+		{"InterArrival", func(c *Config) { c.InterArrival = 1e-12 }},
+		{"InterArrival", func(c *Config) {
+			c.Schedule = Schedule{Phases: []Phase{{Kind: PhaseConst, DurationSec: 10, From: 1e6, To: 1e6}}}
+		}},
+		{"Classes[0].Preset.TokenRate", func(c *Config) { c.Classes[0].Preset.TokenRate = 1e12 }},
 	} {
 		c := quickCfg()
 		tc.mutate(&c)
@@ -364,6 +376,23 @@ func TestValidateNamesField(t *testing.T) {
 		// does not pass a row.
 		if _, err := Run(c); err == nil || !strings.HasPrefix(err.Error(), "scenario: "+tc.field+" ") {
 			t.Errorf("%s: err = %v, want one naming %s", tc.field, err, tc.field)
+		}
+	}
+}
+
+// TestAggregateCountsExact: Decided and Retries are counts, summed over
+// the runs exactly. Rebuilding them as mean × n fell one short of the sum
+// for about one aggregate of 2–10 runs in twenty (1, 1, 5 gave 6).
+func TestAggregateCountsExact(t *testing.T) {
+	for _, counts := range [][]int64{{1, 1, 5}, {3, 3, 3, 3, 3, 3, 7}, {9, 1}} {
+		runs := make([]Metrics, len(counts))
+		var sum int64
+		for i, n := range counts {
+			runs[i].Decided, runs[i].Retries = n, 2*n
+			sum += n
+		}
+		if m := Aggregate(runs).Mean; m.Decided != sum || m.Retries != 2*sum {
+			t.Errorf("%v: Decided %d, Retries %d, want %d and %d", counts, m.Decided, m.Retries, sum, 2*sum)
 		}
 	}
 }

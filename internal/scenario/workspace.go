@@ -31,7 +31,7 @@ func (ws *Workspace) Run(cfg Config) (Metrics, error) {
 
 // RunRecorded is Run returning, additionally, a RunRecord describing the
 // run (seed, shard count, per-shard executed-event counts and queue
-// ledgers, the artifact files written, cache hit).
+// ledgers, the artifact files written).
 // The Metrics are computed exactly as Run computes them.
 func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	cfg = cfg.WithDefaults()
@@ -41,7 +41,6 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 	rec := RunRecord{Seed: cfg.Seed, Shards: effectiveShards(cfg)}
 	key, m, ok := cacheGet(cfg)
 	if ok {
-		rec.Cached = true
 		return m, rec, nil
 	}
 	plan := planShards(&cfg, rec.Shards)
@@ -65,14 +64,14 @@ func (ws *Workspace) RunRecorded(cfg Config) (Metrics, RunRecord, error) {
 
 // cacheGet consults cfg.Cache for the run's fingerprinted result. The
 // returned key is "" when caching does not apply to this run (no store
-// attached, or observability active — a cached run cannot produce the
+// attached, or observability enabled — a cached run cannot produce the
 // requested artifacts); otherwise the key is valid for cachePut whether or
 // not there was a hit. Entries that fail checksum verification are deleted
 // by the store itself; entries that pass but fail to decode (e.g. written
 // by a build with a different Metrics shape and an unbumped salt) are
 // discarded here. Both count as misses and recompute silently.
 func cacheGet(cfg Config) (key string, m Metrics, ok bool) {
-	if cfg.Cache == nil || cfg.Obs.Active() {
+	if cfg.Cache == nil || cfg.Obs.Enabled {
 		return "", Metrics{}, false
 	}
 	key = cfg.Fingerprint()

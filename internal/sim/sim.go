@@ -289,9 +289,6 @@ func (s *Sim) Call(at Time, fn func(now Time)) *Event {
 	return e
 }
 
-// CallIn schedules fn to run after delay d.
-func (s *Sim) CallIn(d Time, fn func(now Time)) *Event { return s.Call(s.now+d, fn) }
-
 // Halt stops Run before the next event is dispatched.
 func (s *Sim) Halt() { s.halted = true }
 

@@ -284,9 +284,6 @@ type Receiver struct {
 
 	pipe   sim.Ring[pendingAck]
 	pipeEv *sim.Event
-
-	// Received counts segments that arrived (including out-of-order).
-	Received int64
 }
 
 type pendingAck struct {
@@ -308,7 +305,6 @@ func NewReceiver(s *sim.Sim, sender *Sender, pool *netsim.Pool) *Receiver {
 // Receive implements netsim.Receiver.
 func (r *Receiver) Receive(now sim.Time, p *netsim.Packet) {
 	seq := p.Seq
-	r.Received++
 	r.pool.Put(p)
 	if seq == r.expect {
 		r.expect++

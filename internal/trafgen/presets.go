@@ -29,6 +29,10 @@ func (pr Preset) New(s *sim.Sim, rng *stats.RNG, emit EmitFunc) Source {
 	return pr.Maker(s, rng, func(now sim.Time, _, size int) { emit(now, size) })(0)
 }
 
+// HasSource reports whether the preset can build sources: the Table 1
+// presets and NewCBRPreset's can, one filled in field by field cannot.
+func (pr Preset) HasSource() bool { return pr.build != nil }
+
 // Maker returns the constructor to use for many instances: what they share,
 // emit included, is built once, here, instead of once per instance (see
 // onOffMaker and cbrMaker).

@@ -14,9 +14,6 @@ type TokenBucket struct {
 
 	tokens float64 // bytes
 	last   sim.Time
-
-	// Passed and Dropped count reshaper decisions.
-	Passed, Dropped int64
 }
 
 // NewTokenBucket returns a full bucket with rate r (bits/s) and depth b
@@ -41,10 +38,8 @@ func (tb *TokenBucket) Conform(now sim.Time, size int) bool {
 	}
 	if tb.tokens >= float64(size) {
 		tb.tokens -= float64(size)
-		tb.Passed++
 		return true
 	}
-	tb.Dropped++
 	return false
 }
 

@@ -157,9 +157,6 @@ func TestTokenBucketConformance(t *testing.T) {
 	if !tb.Conform(100*sim.Millisecond, 100) {
 		t.Fatal("refilled tokens should pass")
 	}
-	if tb.Passed != 2 || tb.Dropped != 1 {
-		t.Fatalf("counters: passed=%d dropped=%d", tb.Passed, tb.Dropped)
-	}
 }
 
 // TestTokenBucketOutputConformsProperty: for arbitrary arrival patterns,
@@ -196,8 +193,8 @@ func TestTokenBucketShapeWrapper(t *testing.T) {
 	emit := tb.Shape(func(sim.Time, int, int) { out++ })
 	emit(0, 7, 400) // passes
 	emit(0, 7, 400) // dropped (only 100 tokens left)
-	if out != 1 || tb.Dropped != 1 {
-		t.Fatalf("out=%d dropped=%d", out, tb.Dropped)
+	if out != 1 {
+		t.Fatalf("out=%d, want 1", out)
 	}
 }
 
