@@ -70,7 +70,7 @@ func runMain(args []string) {
 		chains   = fs.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = fs.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = fs.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac and no -hybrid; sharded runs are statistically equivalent, not byte-identical, to serial ones")
+		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac and neither -hybrid nor observability (-obs, -trace-out, -trace-perfetto); sharded runs are statistically equivalent, not byte-identical, to serial ones")
 		hybrid   = fs.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac and the serial path (exclusive with -shards > 1)")
 		probeDur = fs.Float64("probe", 5, "total probe duration, seconds")
 		useRED   = fs.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
@@ -229,9 +229,6 @@ func runMain(args []string) {
 			"blocking": m.BlockingProb, "decided": m.Decided,
 			"probe_share": m.ProbeShare,
 		}, snap)
-		if cfg.Shards > 1 {
-			man.Shards = cfg.Shards
-		}
 		for _, r := range recs {
 			r.AddTo(&man)
 		}

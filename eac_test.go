@@ -424,6 +424,7 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
 	short := []string{"eacsim", "-duration", "20", "-warmup", "5"}
+	dir := t.TempDir()
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -435,6 +436,8 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(metro, "-hybrid"), "Shards"},
 		{append(metro, "-hybrid", "-method", "mbac"), "Shards"},
 		{append(metro, "-method", "mbac"), "Shards"},
+		{append(metro, "-obs", dir), "Obs.Enabled"},
+		{append(short, "-tau", "1", "-life", "10", "-trace-cap", "0", "-trace-out", filepath.Join(dir, "trace.jsonl")), "Obs.TracePath"},
 		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},

@@ -123,9 +123,9 @@ type Link struct {
 
 	// Tap, if set, streams packet-level telemetry (enqueue, dequeue,
 	// drop, mark) into the observability layer's event trace. Nil — the
-	// default — costs one pointer check per event. Dequeue and handoff
-	// events are emitted, late, with their true times (sync): a tap must not
-	// wake the link, tracing may not change what is scheduled.
+	// default — costs one pointer check per event. Dequeue events are
+	// emitted, late, with their true times (sync): a tap must not wake the
+	// link, tracing may not change what is scheduled.
 	Tap *obs.LinkTap
 
 	s        *sim.Sim
@@ -311,9 +311,6 @@ func (l *Link) finishTx(now sim.Time) {
 		l.stats.SentBits[l.txKind] += l.txBits
 		l.stats.SentPkts[l.txKind]++
 		if p := l.txPkt; p != nil {
-			if l.Tap != nil {
-				l.Tap.Handoff(at, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq)
-			}
 			p.hop++
 			l.hand.ReceiveTxEnd(at, l.Delay, p)
 		}

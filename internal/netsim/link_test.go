@@ -212,10 +212,10 @@ func TestMarkedCountsOnlyEnqueuedPackets(t *testing.T) {
 // dropped arrival produces a drop event and no mark event.
 func TestTracedMarkOnlyForTransitingPackets(t *testing.T) {
 	s := sim.New()
-	set := obs.NewMerged(obs.Config{Enabled: true, TraceCapacity: 64}, 1, 1)
+	c := obs.New(obs.Config{Enabled: true, TraceCapacity: 64}, 1)
 	l := NewLink(s, "m", 1e6, 0, NewDropTail(1))
 	l.Marker = NewVirtualQueue(8000, 100)
-	l.Tap = set.Collector(0).RegisterLink("m")
+	l.Tap = c.RegisterLink("m")
 	for i := int64(0); i < 3; i++ {
 		p := mkPkt(BandData, Data, i)
 		p.Size = 200
@@ -223,7 +223,7 @@ func TestTracedMarkOnlyForTransitingPackets(t *testing.T) {
 		Send(0, p)
 	}
 	var b strings.Builder
-	if err := set.WriteTrace(&b); err != nil {
+	if err := c.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	marks, drops := 0, 0

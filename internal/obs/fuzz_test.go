@@ -37,8 +37,8 @@ func FuzzTraceRing(f *testing.F) {
 				tap.Drop(at, flow, kind, 100+step, int64(step), step%5)
 				rec.ev = evDrop
 			case 3:
-				tap.Handoff(at, flow, kind, 100+step, int64(step))
-				rec.ev, rec.depth = evHandoff, 0
+				tap.Dequeue(at, flow, kind, 100+step, int64(step), step%5)
+				rec.ev = evDequeue
 			case 4:
 				class := 37 * step // past 255 from step 7 on
 				c.Decision(at, flow, class, step%2 == 0, step%4, 0.125)

@@ -25,7 +25,7 @@ type classHist struct {
 }
 
 // linkHist is one link's queue-depth distribution (occupancy after each
-// accepted enqueue).
+// accepted enqueue). Shard is 0, a constant of the format.
 type linkHist struct {
 	Link    string       `json:"link"`
 	Shard   int          `json:"shard"`
@@ -37,17 +37,16 @@ type linkHist struct {
 
 // histDoc is the histogram artifact: distributional stats that survive
 // trace-ring wraparound, replacing point P99 estimates. Buckets are
-// power-of-two [lo, hi, count] triples, exactly mergeable across shards
-// and seeds (stats.LogHist).
+// power-of-two [lo, hi, count] triples, exactly mergeable across seeds
+// (stats.LogHist). Shards is 1, a constant of the format.
 type histDoc struct {
-	Schema        string      `json:"schema"`
-	Seed          uint64      `json:"seed"`
-	Shards        int         `json:"shards"`
-	ShardExecuted []uint64    `json:"shard_executed,omitempty"`
-	Decisions     Decisions   `json:"decisions"`
-	TraceDropped  int64       `json:"trace_dropped"`
-	DelayNs       []classHist `json:"delay_ns"`
-	QueueDepth    []linkHist  `json:"queue_depth"`
+	Schema       string      `json:"schema"`
+	Seed         uint64      `json:"seed"`
+	Shards       int         `json:"shards"`
+	Decisions    Decisions   `json:"decisions"`
+	TraceDropped int64       `json:"trace_dropped"`
+	DelayNs      []classHist `json:"delay_ns"`
+	QueueDepth   []linkHist  `json:"queue_depth"`
 }
 
 func buckets(h *stats.LogHist) []histBucket {
@@ -58,44 +57,27 @@ func buckets(h *stats.LogHist) []histBucket {
 	return out
 }
 
-// WriteHist renders the cross-shard histogram document: delay histograms
-// merged per class (exact, by log-bucket addition) — every shard
-// registers the same class list — depth histograms per (link, shard)
-// because a link is owned by exactly one shard, decision counters and
-// trace drops summed, and the per-shard executed-event counts when there
-// is more than one shard to tell apart.
-func (m *Merged) WriteHist(w io.Writer) error {
+// WriteHist renders the histogram document: a delay histogram per class, a
+// depth histogram per link, the decision counters and the trace drops.
+func (c *Collector) WriteHist(w io.Writer) error {
 	doc := histDoc{
-		Schema: HistSchema, Seed: m.seed, Shards: len(m.cs),
+		Schema: HistSchema, Seed: c.seed, Shards: 1, Decisions: c.dec, TraceDropped: c.TraceDropped(),
 		DelayNs: []classHist{}, QueueDepth: []linkHist{},
 	}
-	if len(m.cs) > 1 {
-		doc.ShardExecuted = m.exec
-	}
-	for class, name := range m.cs[0].classes {
-		var merged stats.LogHist
-		for _, c := range m.cs {
-			if class < len(c.delayH) {
-				merged.Merge(c.delayH[class])
-			}
-		}
+	for class, name := range c.classes {
+		h := &c.delayH[class]
 		doc.DelayNs = append(doc.DelayNs, classHist{
-			Class: name, N: merged.N(), MeanNs: merged.Mean(),
-			P50Ns: merged.Quantile(0.50), P90Ns: merged.Quantile(0.90),
-			P99Ns: merged.Quantile(0.99), Buckets: buckets(&merged),
+			Class: name, N: h.N(), MeanNs: h.Mean(),
+			P50Ns: h.Quantile(0.50), P90Ns: h.Quantile(0.90),
+			P99Ns: h.Quantile(0.99), Buckets: buckets(h),
 		})
 	}
-	for shard, c := range m.cs {
-		doc.Decisions.Admitted += c.dec.Admitted
-		doc.Decisions.Rejected += c.dec.Rejected
-		doc.TraceDropped += c.TraceDropped()
-		for link := range c.links {
-			h := &c.depth[link]
-			doc.QueueDepth = append(doc.QueueDepth, linkHist{
-				Link: c.links[link], Shard: shard, N: h.N(), Mean: h.Mean(),
-				P99: h.Quantile(0.99), Buckets: buckets(h),
-			})
-		}
+	for link, name := range c.links {
+		h := &c.depth[link]
+		doc.QueueDepth = append(doc.QueueDepth, linkHist{
+			Link: name, N: h.N(), Mean: h.Mean(),
+			P99: h.Quantile(0.99), Buckets: buckets(h),
+		})
 	}
 	return json.NewEncoder(w).Encode(doc)
 }

@@ -12,11 +12,9 @@ import (
 )
 
 // ManifestSchema versions the manifest layout for downstream tooling.
-// v2 adds shard-awareness: `shards` (the resolved shard count) and
-// `shard_executed` (per-shard executed-event counts keyed by seed), plus
-// the cache snapshot's `bypassed` note. v1 manifests remain readable —
-// the new fields are additive and omitted when empty, as is `queue` (the
-// event-queue ledger per seed and shard), added without a version bump.
+// v2 adds the cache snapshot's `bypassed` note. v1 manifests remain
+// readable — the field is additive and omitted when empty, as is `queue`
+// (the event-queue ledger per seed), added without a version bump.
 const ManifestSchema = "eac/obs/manifest/v2"
 
 // Manifest is the per-invocation run record written next to result CSVs,
@@ -32,14 +30,9 @@ type Manifest struct {
 
 	// Workers is the resolved worker-pool size of the run.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the resolved intra-run shard count (0 or 1 = serial).
-	Shards int `json:"shards,omitempty"`
-	// ShardExecuted records per-shard executed-event counts of sharded
-	// runs, keyed by "s<seed>"; the slice is indexed by shard.
-	ShardExecuted map[string][]uint64 `json:"shard_executed,omitempty"`
 	// Queue records each run's event-queue ledger (sim.Counters: executed
 	// events, schedules per tier, lane appends, high-water marks), keyed
-	// by "s<seed>" and indexed by shard (one entry for a serial run).
+	// by "s<seed>": one entry, an observed run being serial.
 	Queue map[string][]sim.Counters `json:"queue,omitempty"`
 	// Seeds lists every seed simulated.
 	Seeds []uint64 `json:"seeds,omitempty"`

@@ -6,19 +6,17 @@
 // The layer is designed around one hard requirement: zero overhead and
 // byte-identical simulation output when disabled. A nil *Collector is the
 // disabled value — New returns one unless Config.Enabled — and every
-// method is nil-safe. Producers guard their hot paths with a single
-// pointer check (netsim.Link.Tap) or call the nil-safe methods directly
-// (scenario.Runner), so the default
-// configuration adds no events, no allocations, and no output changes —
-// preserving the determinism guarantees of the parallel sweep engine.
+// recording method, and Flush, is nil-safe. Producers guard their hot
+// paths with a single pointer check (netsim.Link.Tap) or call the nil-safe
+// methods directly (scenario.Runner), so the default configuration adds no
+// events, no allocations, and no output changes — preserving the
+// determinism guarantees of the parallel sweep engine.
 //
-// Two types split the work. A Collector is the recorder: one per shard
-// domain, touched only by that domain's goroutine, it takes link taps,
-// decisions, arrivals, epochs, delays, spans and series samples and writes
-// nothing. A Merged set is the writer: it owns the run's collectors (one
-// for a serial run) and is the only code that renders or flushes an
-// artifact, so a serial run's files are the one-collector case of a
-// sharded run's. EXPERIMENTS.md "Observability" describes the formats.
+// A Collector records a run's link taps, decisions, arrivals, epochs,
+// delays, spans and series samples, and writes them (Flush). It is a
+// serial-run feature: scenario.Config.Validate rejects it at Shards > 1,
+// so a run owns at most one. EXPERIMENTS.md "Observability" describes the
+// formats.
 //
 // Run manifests (manifest.go) tie the artifacts together: one JSON file
 // per invocation recording configuration, seeds, worker count, wall-clock
@@ -27,7 +25,10 @@ package obs
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
+	"strconv"
 
 	"eac/internal/sim"
 	"eac/internal/stats"
@@ -152,10 +153,9 @@ type Decisions struct {
 	Admitted, Rejected int64
 }
 
-// Collector records one shard domain's telemetry (a serial run has one
-// domain). It is strictly single-run, single-goroutine state — a Merged
-// set constructs one per domain and writes what they recorded — and a nil
-// *Collector is the disabled value.
+// Collector records one run's telemetry and writes its artifacts. It is
+// strictly single-run, single-goroutine state, and a nil *Collector is the
+// disabled value.
 type Collector struct {
 	cfg     Config
 	seed    uint64
@@ -166,7 +166,7 @@ type Collector struct {
 	dec     Decisions
 	dur     sim.Time // run duration; clamps open spans in exports
 
-	// Log-bucket distributions (stats.LogHist: mergeable across shards).
+	// Log-bucket distributions.
 	delayH []stats.LogHist // per class: end-to-end data-packet delay, ns
 	depth  []stats.LogHist // per link: queue occupancy after each accepted enqueue
 
@@ -176,7 +176,7 @@ type Collector struct {
 }
 
 // New returns a collector for cfg, or nil unless cfg.Enabled. The seed
-// tags artifact filenames so multi-seed runs do not collide.
+// names the artifact files, so multi-seed runs do not collide.
 func New(cfg Config, seed uint64) *Collector {
 	if !cfg.Enabled {
 		return nil
@@ -357,9 +357,86 @@ func (t *LinkTap) Mark(now sim.Time, flow int, kind uint8, size int, seq int64, 
 	t.record(now, evMark, flow, kind, size, seq, depth)
 }
 
-// Handoff records a packet leaving this shard across a boundary link
-// (sharded runs only: transmission finished, the packet now belongs to
-// the neighbouring shard's portal).
-func (t *LinkTap) Handoff(now sim.Time, flow int, kind uint8, size int, seq int64) {
-	t.record(now, evHandoff, flow, kind, size, seq, 0)
+// WriteSeries renders the time series as CSV, one row per sample.
+func (c *Collector) WriteSeries(w io.Writer) error {
+	if _, err := io.WriteString(w, "t_s,link,depth,busy,active_flows,util,vq_backlog_bytes,"+
+		"data_arrived,data_dropped,data_marked,data_sent_pkts,"+
+		"probe_arrived,probe_dropped,probe_marked,probe_sent_pkts,"+
+		"fluid_bg_bps,fluid_mark\n"); err != nil {
+		return err
+	}
+	var row []byte
+	for i := range c.sams {
+		s := &c.sams[i]
+		var busy int64
+		if s.Busy {
+			busy = 1
+		}
+		// strconv into one reused buffer, not Fprintf: the same bytes as
+		// %.6f / %d / %.0f with no boxing of 17 arguments per row.
+		row = strconv.AppendFloat(row[:0], s.T, 'f', 6, 64)
+		row = append(append(row, ','), c.LinkName(s.Link)...)
+		for _, v := range [...]int64{int64(s.Depth), busy, int64(s.ActiveFlows)} {
+			row = strconv.AppendInt(append(row, ','), v, 10)
+		}
+		row = strconv.AppendFloat(append(row, ','), s.Util, 'f', 6, 64)
+		row = strconv.AppendInt(append(row, ','), s.VQBacklog, 10)
+		for kind := range s.Arrived {
+			for _, v := range [...]int64{s.Arrived[kind], s.Dropped[kind], s.Marked[kind], s.SentPkts[kind]} {
+				row = strconv.AppendInt(append(row, ','), v, 10)
+			}
+		}
+		row = strconv.AppendFloat(append(row, ','), s.FluidBg, 'f', 0, 64)
+		row = strconv.AppendFloat(append(row, ','), s.FluidMark, 'f', 6, 64)
+		row = append(row, '\n')
+		if _, err := w.Write(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Flush renders each artifact the configuration enables into its file, in
+// the fixed order series, trace, spans, hist, perfetto, and returns the
+// paths written (also on error: the ones completed before it). A nil
+// collector flushes nothing.
+func (c *Collector) Flush() ([]string, error) {
+	if c == nil {
+		return nil, nil
+	}
+	var paths []string
+	for _, a := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{c.cfg.SeriesPath(c.seed), c.WriteSeries},
+		{c.cfg.TraceFile(c.seed), c.WriteTrace},
+		{c.cfg.SpansPath(c.seed), c.WriteSpans},
+		{c.cfg.HistPath(c.seed), c.WriteHist},
+		{c.cfg.PerfettoFile(), c.WritePerfetto},
+	} {
+		if a.path == "" {
+			continue
+		}
+		if err := writeFile(a.path, a.render); err != nil {
+			return paths, err
+		}
+		paths = append(paths, a.path)
+	}
+	return paths, nil
+}
+
+func writeFile(path string, render func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

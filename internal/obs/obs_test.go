@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,11 +21,6 @@ func enabledCfg(dir string) Config {
 		MetricsInterval: sim.Second,
 		TraceCapacity:   8,
 	}
-}
-
-// one wraps a collector as the set of one that writes a serial run's files.
-func one(c *Collector) *Merged {
-	return &Merged{cfg: c.cfg, seed: c.seed, cs: []*Collector{c}, tags: make([]*int, 1)}
 }
 
 // ReadManifest loads a manifest written by Write.
@@ -71,15 +67,15 @@ func TestZeroConfigConstructsNothing(t *testing.T) {
 }
 
 // TestDisabledCollectorIsInert: Enabled is the only switch. A config that
-// sets everything else constructs no collector and no set, so its run
-// sees the nil value's no-ops and flushes nothing.
+// sets everything else constructs no collector, so its run sees the nil
+// value's no-ops and flushes nothing.
 func TestDisabledCollectorIsInert(t *testing.T) {
 	cfg := enabledCfg(t.TempDir())
 	cfg.Enabled = false
-	if New(cfg, 1) != nil || NewMerged(cfg, 1, 2) != nil {
+	if New(cfg, 1) != nil {
 		t.Fatal("a disabled config constructed a collector")
 	}
-	paths, err := NewMerged(cfg, 1, 1).Flush()
+	paths, err := New(cfg, 1).Flush()
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("disabled Flush wrote %v (err %v)", paths, err)
 	}
@@ -99,7 +95,7 @@ func TestRingWrapsAndCountsDropped(t *testing.T) {
 	}
 	// Oldest-first order after wrapping: flows 6,7,8,9 survive.
 	var b strings.Builder
-	if err := one(c).WriteTrace(&b); err != nil {
+	if err := c.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -136,7 +132,7 @@ func TestTraceDecisionEvents(t *testing.T) {
 		t.Fatalf("DecisionCounts = %+v", got)
 	}
 	var b strings.Builder
-	if err := one(c).WriteTrace(&b); err != nil {
+	if err := c.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -169,7 +165,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		FluidBg: 2.5e6, FluidMark: 0.125,
 	})
 	var b strings.Builder
-	if err := one(c).WriteSeries(&b); err != nil {
+	if err := c.WriteSeries(&b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -193,7 +189,7 @@ func TestFlushWritesArtifacts(t *testing.T) {
 	tap.Enqueue(0, 0, 0, 100, 0, 1)
 	c.AddSample(Sample{T: 1, Link: 0})
 	c.Decision(sim.Second, 0, 0, true, 1, 0) // gives the span artifact content
-	paths, err := one(c).Flush()
+	paths, err := c.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +232,16 @@ func TestArtifactPathOverrides(t *testing.T) {
 	}
 }
 
-// TestManifestV2ShardFields pins the v2 schema additions: shard count,
-// per-seed per-shard executed counts, and the cache snapshot's bypassed
-// note — the manifest must say the artifacts could not have come from a
-// cache while observability forces a bypass.
+// TestManifestV2ShardFields pins the v2 schema's additive fields: the
+// per-seed queue ledger and the cache snapshot's bypassed note — the
+// manifest must say the artifacts could not have come from a cache while
+// observability forces a bypass.
 func TestManifestV2ShardFields(t *testing.T) {
 	if ManifestSchema != "eac/obs/manifest/v2" {
 		t.Fatalf("schema = %q; bump this pin only with a layout change", ManifestSchema)
 	}
 	m := NewManifest()
-	m.Shards = 2
-	m.ShardExecuted = map[string][]uint64{"s1": {100, 200}}
-	m.Queue = map[string][]sim.Counters{"s1": {{Executed: 100, StreamSchedules: 90}, {Executed: 200}}}
+	m.Queue = map[string][]sim.Counters{"s1": {{Executed: 100, StreamSchedules: 90}}}
 	m.Cache = &cache.Snapshot{Dir: "/c", Bypassed: "obs active"}
 	path := filepath.Join(t.TempDir(), "m.json")
 	if err := m.Write(path); err != nil {
@@ -258,8 +252,6 @@ func TestManifestV2ShardFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"shards": 2`,
-		`"shard_executed"`,
 		`"queue"`,
 		`"stream_schedules": 90`,
 		`"bypassed": "obs active"`,
@@ -272,11 +264,11 @@ func TestManifestV2ShardFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards != 2 || got.ShardExecuted["s1"][1] != 200 || got.Cache.Bypassed != "obs active" ||
+	if got.Cache.Bypassed != "obs active" ||
 		!reflect.DeepEqual(got.Queue, m.Queue) {
 		t.Fatalf("round trip = %+v", got)
 	}
-	// Serial manifests omit the shard fields entirely (v1 compatibility).
+	// A manifest without them omits the fields entirely (v1 compatibility).
 	m2 := NewManifest()
 	if err := m2.Write(path); err != nil {
 		t.Fatal(err)
@@ -309,5 +301,50 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Schema != m.Schema || got.Workers != 4 || len(got.Seeds) != 2 ||
 		got.Config["method"] != "eac" || got.Artifacts[0] != "a.csv" {
 		t.Fatalf("round trip = %+v", got)
+	}
+}
+
+// TestFlushAllocsPerEvent bounds what rendering costs per event: no JSONL
+// form or series row may allocate per event.
+func TestFlushAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 1000
+	c := New(Config{Enabled: true, MetricsInterval: sim.Second, TraceCapacity: n}, 1)
+	c.RegisterClass("voice")
+	tap := c.RegisterLink("L0")
+	for j := 0; j < n; j++ {
+		at := sim.Time(j) * sim.Millisecond
+		switch j % 4 {
+		case 0:
+			c.Arrival(at, j, 0)
+			c.SpanProbeStart(at, j, 0)
+		case 1:
+			c.Decision(at, j-1, 0, true, 1, 0.004)
+		default:
+			tap.Enqueue(at, j, 0, 1500, int64(j)<<20, 300)
+		}
+		c.AddSample(Sample{T: at.Sec(), Depth: 300, Util: 0.7, VQBacklog: 1 << 20,
+			Arrived: [2]int64{1 << 30, 1 << 20}, FluidBg: 2.5e6, FluidMark: 0.125})
+	}
+	// Per event: nothing. The encoder is handed a pointer to a reused value
+	// (a struct boxed per record was one allocation each), a decided span's
+	// *bool points into the span, a series row is strconv.
+	for _, a := range []struct {
+		name   string
+		events int
+		render func(io.Writer) error
+	}{
+		{"trace", n, c.WriteTrace}, {"spans", c.SpanCount(), c.WriteSpans}, {"series", n, c.WriteSeries},
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if err := a.render(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 16 {
+			t.Errorf("%s: %.0f allocs for %d events, want <= 16", a.name, got, a.events)
+		}
 	}
 }

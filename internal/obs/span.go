@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"fmt"
+	"encoding/json"
+	"io"
 
 	"eac/internal/sim"
 )
@@ -100,7 +101,6 @@ type spanEvent struct {
 	Frac       float64 `json:"frac"`
 	DataStart  float64 `json:"data_start"`
 	DataEnd    float64 `json:"data_end"`
-	Shard      *int    `json:"shard,omitempty"`
 }
 
 func sec(t sim.Time) float64 {
@@ -111,7 +111,7 @@ func sec(t sim.Time) float64 {
 }
 
 // spanEvent writes the JSONL form of s into ev.
-func (c *Collector) spanEvent(ev *spanEvent, s *spanRec, shard *int) {
+func (c *Collector) spanEvent(ev *spanEvent, s *spanRec) {
 	*ev = spanEvent{
 		Flow:       s.flow,
 		Class:      c.ClassName(int(s.class)),
@@ -120,7 +120,6 @@ func (c *Collector) spanEvent(ev *spanEvent, s *spanRec, shard *int) {
 		Frac:       float64(s.frac),
 		DataStart:  sec(s.dataStart),
 		DataEnd:    sec(s.dataEnd),
-		Shard:      shard,
 	}
 	if s.decided {
 		ev.Accepted = &s.accepted
@@ -143,17 +142,40 @@ type perfettoEvent struct {
 
 func usec(t sim.Time) float64 { return t.Sec() * 1e6 }
 
-// appendPerfetto converts one collector's spans into trace events for
-// shard `shard`, clamping phases still open at run end to the run
-// duration. Tracks are pid = shard, tid = flow.
-func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEvent {
-	if c == nil || len(c.spans) == 0 {
-		return evs
+// WriteSpans renders the probe-lifecycle spans as JSONL, one flow per line
+// in flow-creation order.
+func (c *Collector) WriteSpans(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	var ev spanEvent
+	for i := range c.spans {
+		c.spanEvent(&ev, &c.spans[i])
+		if err := enc.Encode(&ev); err != nil {
+			return err
+		}
 	}
-	evs = append(evs, perfettoEvent{
-		Name: "process_name", Ph: "M", Pid: shard,
-		Args: map[string]any{"name": fmt.Sprintf("shard %d", shard)},
-	})
+	return nil
+}
+
+// WritePerfetto renders the spans as one Chrome/Perfetto trace-event JSON
+// document: one track per flow (pid 0, tid = flow; the process is named
+// "shard 0", a constant of the format), probe and data phases as duration
+// events, phases still open at run end clamped to the run duration.
+func (c *Collector) WritePerfetto(w io.Writer) error {
+	doc := struct {
+		TraceEvents     []perfettoEvent `json:"traceEvents"`
+		DisplayTimeUnit string          `json:"displayTimeUnit"`
+	}{DisplayTimeUnit: "ms"}
+	if len(c.spans) > 0 {
+		doc.TraceEvents = c.perfettoEvents()
+	}
+	return json.NewEncoder(w).Encode(doc)
+}
+
+func (c *Collector) perfettoEvents() []perfettoEvent {
+	evs := []perfettoEvent{{
+		Name: "process_name", Ph: "M", Pid: 0,
+		Args: map[string]any{"name": "shard 0"},
+	}}
 	clamp := func(t sim.Time) sim.Time {
 		if t < 0 || (c.dur > 0 && t > c.dur) {
 			return c.dur
@@ -178,7 +200,7 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 			evs = append(evs, perfettoEvent{
 				Name: name, Cat: "admission", Ph: "X",
 				Ts: usec(s.probeStart), Dur: usec(end - s.probeStart),
-				Pid: shard, Tid: s.flow,
+				Pid: 0, Tid: s.flow,
 				Args: map[string]any{
 					"class": class, "attempts": s.attempts,
 					"frac": float64(s.frac), "accepted": s.decided && s.accepted,
@@ -193,7 +215,7 @@ func (c *Collector) appendPerfetto(evs []perfettoEvent, shard int) []perfettoEve
 			evs = append(evs, perfettoEvent{
 				Name: "data", Cat: "lifetime", Ph: "X",
 				Ts: usec(s.dataStart), Dur: usec(end - s.dataStart),
-				Pid: shard, Tid: s.flow,
+				Pid: 0, Tid: s.flow,
 				Args: map[string]any{"class": class},
 			})
 		}

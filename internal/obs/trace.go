@@ -2,6 +2,8 @@ package obs
 
 import (
 	"cmp"
+	"encoding/json"
+	"io"
 	"slices"
 
 	"eac/internal/sim"
@@ -15,11 +17,6 @@ const (
 	evMark
 	evAdmit
 	evReject
-	// evHandoff records a packet crossing a shard boundary: transmission
-	// on a boundary link finished and the packet was handed to the
-	// neighbouring shard's portal. Serial runs never emit it. New kinds
-	// must be appended here — the order is serialized in JSONL output.
-	evHandoff
 	// evEpoch records one completed adaptation epoch of the
 	// epoch-adaptive admission policy: the ε now in force plus the
 	// epoch's rejection and loss rates. Static-policy runs
@@ -32,7 +29,7 @@ const (
 	evArrival
 )
 
-var evNames = [...]string{"enqueue", "dequeue", "drop", "mark", "admit", "reject", "handoff", "epoch", "arrival"}
+var evNames = [...]string{"enqueue", "dequeue", "drop", "mark", "admit", "reject", "epoch", "arrival"}
 
 // traceRec is the compact in-ring representation of one event. Packet
 // events use link/kind/a(size)/b(seq)/depth; admission decisions use
@@ -86,8 +83,8 @@ func (r *ring) at(i int) traceRec { return r.buf[(r.head+i)%len(r.buf)] }
 
 // sortByTime puts the buffered records in time order, records of one instant
 // staying in push order. Push order is time order but for a link's dequeue
-// and handoff events: netsim.Link finishes transmissions lazily and emits
-// those, with their true timestamps, when it next looks at the link.
+// events: netsim.Link finishes transmissions lazily and emits those, with
+// their true timestamps, when it next looks at the link.
 func (r *ring) sortByTime() {
 	if r.head != 0 { // full and wrapped: rotate the oldest record to the front
 		slices.Reverse(r.buf[:r.head])
@@ -98,8 +95,7 @@ func (r *ring) sortByTime() {
 	slices.SortStableFunc(r.buf[:r.n], func(a, b traceRec) int { return cmp.Compare(a.at, b.at) })
 }
 
-// packetEvent is the JSONL form of a packet-level trace event. Like every
-// event form it ends in the owning shard, nil (omitted) in a set of one.
+// packetEvent is the JSONL form of a packet-level trace event.
 type packetEvent struct {
 	T     float64 `json:"t"`
 	Ev    string  `json:"ev"`
@@ -109,7 +105,6 @@ type packetEvent struct {
 	Size  int64   `json:"size"`
 	Seq   int64   `json:"seq"`
 	Depth int32   `json:"depth"`
-	Shard *int    `json:"shard,omitempty"`
 }
 
 // decisionEvent is the JSONL form of an admission decision.
@@ -120,7 +115,6 @@ type decisionEvent struct {
 	Class   int     `json:"class"`
 	Attempt int64   `json:"attempt"`
 	Frac    float64 `json:"frac"`
-	Shard   *int    `json:"shard,omitempty"`
 }
 
 // arrivalEvent is the JSONL form of a flow arrival. The field set is the
@@ -131,7 +125,6 @@ type arrivalEvent struct {
 	Ev    string  `json:"ev"`
 	Flow  int32   `json:"flow"`
 	Class int     `json:"class"`
-	Shard *int    `json:"shard,omitempty"`
 }
 
 // epochEvent is the JSONL form of a policy adaptation epoch.
@@ -142,7 +135,6 @@ type epochEvent struct {
 	Eps        float64 `json:"eps"`
 	RejectRate float64 `json:"reject_rate"`
 	LossRate   float64 `json:"loss_rate"`
-	Shard      *int    `json:"shard,omitempty"`
 }
 
 var pktKindNames = [...]string{"data", "probe"}
@@ -200,24 +192,23 @@ type traceForms struct {
 
 func put[T any](dst *T, v T) any { *dst = v; return dst }
 
-// traceEvent builds, in f, the JSONL form of one buffered record, tagged
-// with the owning shard (nil in a set of one).
-func (c *Collector) traceEvent(f *traceForms, rec traceRec, shard *int) any {
+// traceEvent builds, in f, the JSONL form of one buffered record.
+func (c *Collector) traceEvent(f *traceForms, rec traceRec) any {
 	if rec.ev == evAdmit || rec.ev == evReject {
 		return put(&f.dec, decisionEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow,
-			Class: int(rec.b), Attempt: rec.a, Frac: float64(rec.frac), Shard: shard,
+			Class: int(rec.b), Attempt: rec.a, Frac: float64(rec.frac),
 		})
 	}
 	if rec.ev == evArrival {
 		return put(&f.arr, arrivalEvent{
-			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow, Class: int(rec.a), Shard: shard,
+			T: rec.at.Sec(), Ev: evNames[rec.ev], Flow: rec.flow, Class: int(rec.a),
 		})
 	}
 	if rec.ev == evEpoch {
 		return put(&f.ep, epochEvent{
 			T: rec.at.Sec(), Ev: evNames[rec.ev], Epoch: rec.flow, Eps: float64(rec.frac),
-			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6, Shard: shard,
+			RejectRate: float64(rec.a) / 1e6, LossRate: float64(rec.b) / 1e6,
 		})
 	}
 	kind := "data"
@@ -226,6 +217,21 @@ func (c *Collector) traceEvent(f *traceForms, rec traceRec, shard *int) any {
 	}
 	return put(&f.pkt, packetEvent{
 		T: rec.at.Sec(), Ev: evNames[rec.ev], Link: c.LinkName(int(rec.link)),
-		Flow: rec.flow, Kind: kind, Size: rec.a, Seq: rec.b, Depth: rec.depth, Shard: shard,
+		Flow: rec.flow, Kind: kind, Size: rec.a, Seq: rec.b, Depth: rec.depth,
 	})
+}
+
+// WriteTrace renders the ring as JSONL, one event per line, oldest first
+// and in time order (ring.sortByTime). Packet events carry
+// link/kind/size/seq/depth, admit/reject events class/attempt/frac.
+func (c *Collector) WriteTrace(w io.Writer) error {
+	c.trace.sortByTime()
+	enc := json.NewEncoder(w)
+	var forms traceForms
+	for i := 0; i < c.trace.n; i++ {
+		if err := enc.Encode(c.traceEvent(&forms, c.trace.at(i))); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +26,7 @@ func fillRing(c *Collector, n int) *LinkTap {
 func traceFlows(t *testing.T, c *Collector) []int {
 	t.Helper()
 	var b strings.Builder
-	if err := one(c).WriteTrace(&b); err != nil {
+	if err := c.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := strings.TrimSpace(b.String())
@@ -99,21 +101,36 @@ func TestRingWriteAfterMultipleWraps(t *testing.T) {
 	}
 }
 
-// TestRingHandoffEvent pins the evHandoff serialization added for shard
-// boundaries: a distinct "handoff" ev name on an ordinary packet event.
-func TestRingHandoffEvent(t *testing.T) {
+// TestTraceOrdersLateRecords: a link finishes transmissions lazily, so its
+// dequeue events reach the ring after events of later instants. The
+// written trace is in time order all the same — also when the ring has
+// wrapped — and events of one instant keep their push order.
+func TestTraceOrdersLateRecords(t *testing.T) {
 	c := New(Config{Enabled: true, TraceCapacity: 4}, 1)
-	tap := c.RegisterLink("L0")
-	tap.Handoff(sim.Second, 3, 1, 576, 9)
+	tap := c.RegisterLink("A")
+	tap.Enqueue(1*sim.Second, 1, 0, 1, 0, 0) // overwritten: the ring holds four
+	tap.Enqueue(2*sim.Second, 2, 0, 1, 0, 0)
+	tap.Enqueue(5*sim.Second, 3, 0, 1, 0, 0)
+	tap.Dequeue(3*sim.Second, 4, 0, 1, 0, 0) // late: ended at 3 s, seen at 5 s
+	tap.Drop(5*sim.Second, 5, 0, 1, 0, 0)    // same instant as flow 3's enqueue, pushed after it
 	var b strings.Builder
-	if err := one(c).WriteTrace(&b); err != nil {
+	if err := c.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
-	var ev packetEvent
-	if err := json.Unmarshal([]byte(strings.TrimSpace(b.String())), &ev); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, l := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		var r struct {
+			T    float64 `json:"t"`
+			Ev   string  `json:"ev"`
+			Flow int     `json:"flow"`
+		}
+		if err := json.Unmarshal([]byte(l), &r); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, fmt.Sprintf("%v %s %d", r.T, r.Ev, r.Flow))
 	}
-	if ev.Ev != "handoff" || ev.Flow != 3 || ev.Kind != "probe" || ev.Size != 576 || ev.Seq != 9 {
-		t.Fatalf("handoff event = %+v", ev)
+	want := []string{"2 enqueue 2", "3 dequeue 4", "5 enqueue 3", "5 drop 5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace = %q, want %q", got, want)
 	}
 }

@@ -181,7 +181,7 @@ type Config struct {
 	// the hot paths see only nil checks, and all metrics and logs are
 	// byte-identical to an unobserved run.
 	// Each seed's run constructs its own collector from this value, so
-	// parallel seed runs stay independent.
+	// parallel seed runs stay independent. Requires Shards ≤ 1.
 	Obs obs.Config
 
 	// Cache, if non-nil, is a content-addressed result store consulted by
@@ -202,7 +202,7 @@ type Config struct {
 	// propagation delay as lookahead. Runs are deterministic for a fixed K
 	// but only statistically equivalent across K (the per-domain arrival
 	// processes are independent thinnings of the aggregate process); see
-	// DESIGN.md §4e. K ≥ 2 requires Method EAC and Hybrid off.
+	// DESIGN.md §4e. K ≥ 2 requires Method EAC, Hybrid off and Obs off.
 	Shards int
 
 	// Hybrid, when enabled, carries every class's data phase as per-link
@@ -332,6 +332,12 @@ func (c Config) Validate() error {
 		{"MaxRetries", c.MaxRetries < 0, c.MaxRetries}} {
 		if n.neg {
 			return fmt.Errorf("scenario: %s = %v, want >= 0 (0 = off)", n.field, n.v)
+		}
+	}
+	for _, p := range []struct{ field, path string }{
+		{"Obs.TracePath", c.Obs.TracePath}, {"Obs.PerfettoPath", c.Obs.PerfettoPath}} {
+		if p.path != "" && c.Obs.TraceCapacity == 0 {
+			return fmt.Errorf("scenario: %s = %q needs Obs.TraceCapacity > 0 (a zero capacity writes no trace)", p.field, p.path)
 		}
 	}
 	for _, d := range []struct {
@@ -474,6 +480,9 @@ func (c Config) Validate() error {
 		}
 		if c.Hybrid.Active() {
 			return fmt.Errorf("scenario: hybrid engine requires Shards <= 1, got %d (fluid link state is not shard-local)", c.Shards)
+		}
+		if c.Obs.Enabled {
+			return fmt.Errorf("scenario: Obs.Enabled requires Shards <= 1, got %d", c.Shards)
 		}
 	}
 	if c.Hybrid.Active() {

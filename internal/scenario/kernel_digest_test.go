@@ -208,26 +208,21 @@ func traceHolds(trace []byte, has string) bool {
 }
 
 // obsDigestCases pins every artifact file of an observed run. The digests
-// were recorded at the last commit where Collector wrote the K = 1 files
-// and Merged the K >= 2 ones (0f15220): the one writer reproduces all of
-// them except the K >= 2 series, which gained the fluid_bg_bps and
-// fluid_mark columns the K = 1 writer always had.
+// were recorded at 0f15220, when K = 1 files were written by their own
+// writer; observability has since become K = 1 only, and the files are
+// unchanged.
 //
-// Five were re-recorded at the commit that made netsim.Link finish
-// transmissions lazily (ResultsVersion v4), marked "v4" below. Every hist
-// file moved: an arrival at the instant a transmission ends is now enqueued
-// after the next packet has left the queue, so the depth it records is one
-// lower (L2's mean depth at K = 1 1.0539 -> 1.0536; behind an equal-rate hop
-// such ties are the common case), and shard_executed fell by a quarter. The
-// K >= 2 traces moved where their 2048-event windows hold such a tie: the
-// dequeue now precedes the enqueue of the same nanosecond.
+// obs/k1's hist was re-recorded at the commit that made netsim.Link finish
+// transmissions lazily (ResultsVersion v4), marked "v4" below: an arrival at
+// the instant a transmission ends is now enqueued after the next packet has
+// left the queue, so the depth it records is one lower (L2's mean depth
+// 1.0539 -> 1.0536; behind an equal-rate hop such ties are the common case).
 //
-// Three moved again, "v5", when links stopped spending an event on a recording
-// last hop. obs/k1 trace: a dequeue record is emitted when the link catches
-// up, which it now does at other moments, so the 4096-record ring has dropped
-// another oldest record by the end of the run — the file's first line, and no
-// other, differs. obs/k2 and obs/k3 hist: shard_executed, the executed-event
-// counts, and nothing else ([485699 295804] -> [408271 241342] at K = 2).
+// Its trace moved again, "v5", when links stopped spending an event on a
+// recording last hop: a dequeue record is emitted when the link catches up,
+// which it now does at other moments, so the 4096-record ring has dropped
+// another oldest record by the end of the run — the file's first line, and
+// no other, differs.
 //
 // obs/hybrid-k1 moved whole at v6, with hybrid/k1: its fluid flows depart on
 // the population's one clock, so every file sees another sample path.
@@ -236,12 +231,10 @@ func traceHolds(trace []byte, has string) bool {
 // netsim.Link still kept a separate traced arrival path: they pin its mark
 // and shadow-queue drop events.
 func obsDigestCases() []obsDigestCase {
-	chain := func(shards int) func(string) Config {
-		return func(dir string) Config {
-			cfg := obsShardCfg(4, shards, dir)
-			cfg.Obs.TraceCapacity = 1 << 12
-			return cfg
-		}
+	chain := func(dir string) Config {
+		cfg := obsChainCfg(4, dir)
+		cfg.Obs.TraceCapacity = 1 << 12
+		return cfg
 	}
 	// The fluid columns are non-zero only here. The adaptive policy runs,
 	// but no epoch event is among the trace's last 16384 records;
@@ -249,14 +242,14 @@ func obsDigestCases() []obsDigestCase {
 	hybrid := func(dir string) Config {
 		cfg := hybridCfg(1)
 		cfg.Policy.Kind = admission.PolicyEpochAdaptive
-		cfg.Obs = obsShardCfg(1, 1, dir).Obs
+		cfg.Obs = obsChainCfg(1, dir).Obs
 		return cfg
 	}
 	// A loaded link under a marking design: marks, and for virtual dropping
 	// probe drops at the shadow queue, reach the trace's ring.
 	marking := func(design admission.Design) func(string) Config {
 		return func(dir string) Config {
-			cfg := obsShardCfg(1, 0, dir)
+			cfg := obsChainCfg(1, dir)
 			cfg.AC.Design = design
 			cfg.PrepopulateUtil = 0.95
 			cfg.InterArrival = 0.2
@@ -265,24 +258,12 @@ func obsDigestCases() []obsDigestCase {
 		}
 	}
 	return []obsDigestCase{
-		{"obs/k1", chain(0), [5]string{
+		{"obs/k1", chain, [5]string{
 			"0b249b7382a2c5bf006bacfc19ccf6619611204d90305fb9b7801bd49d03ee42",
 			"b5b8cbe5c444980c31b7fb28a640709dd9d1fc09f6781cbfdccfdac2a06f4885", // v5
 			"a5e85a652100130664a5050c1186b8e3fd85acf98ff5b6e14e96cf4782960202",
 			"0ccfdfa21f7ed41a1c4ec0204c3a64445c5a085f75f2bd3664cca669c3e6c4e6", // v4
 			"ded618361d6b611bcd5430dbc6d0d5475db49ba14fdb62c06cb2e1278e0b1453"}},
-		{"obs/k2", chain(2), [5]string{
-			"f6166e69649a8b8aa181ee5fd0f983d64d4adeaea8dadfdd6977f8adbb245fbb", // 67ccdc92…1dcf78 at 0f15220, without the fluid columns
-			"414ba50ffd1ded004d4c3552c27c584157047fe9c967943c3ee367be0fccedc3", // v4
-			"30d8c9fdf20bb989422884735d0a9741350ec7d22764f786902c3c6c98c4473c",
-			"3edbbdda1d88dc8fec1e53b1f04a251749b51dcd7b83180d71160c559f5fd62e", // v5
-			"15dfae1ab8935574fc48e152ecba372b1f2e829ed2909137beb2bbbdd640471c"}},
-		{"obs/k3", chain(3), [5]string{
-			"4d8e4536ca9fb9a01792113e3817ba68e5b96be0103561459669f86b57b2c459", // 0541a7f0…c14841 at 0f15220, without the fluid columns
-			"9408301ef5188f4e49d37d8925e1a67fb7f0b4a68a0a0e85e22132e32c345754", // v4
-			"8081534be9b60a5d3803e5281f2f23243970a73c36bae7a8d18f07c972a6e78c",
-			"a2a2b75ad26d1d58be2a9198b162313b317fac3cec768fb0bb27e400af9a1bf9", // v5
-			"d7484c9bbc91a5b14a4652fafd082eefee0369d5cc8030131c7df9b26abd2d19"}},
 		{"obs/hybrid-k1", hybrid, [5]string{ // v6
 			"bc0d775621652645fb98b774babe88235f916c8d38f5a4541c67a6e0b3a2921d",
 			"6ccb0c380be943317abe22df409c159a6481797b95254063f58fe736e58423cd",

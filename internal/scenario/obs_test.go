@@ -17,6 +17,19 @@ import (
 	"eac/internal/trafgen"
 )
 
+// obsChainCfg is shardChainConfig with observability attached.
+func obsChainCfg(links int, dir string) Config {
+	cfg := shardChainConfig(links)
+	cfg.Obs = obs.Config{
+		Enabled:         true,
+		Dir:             dir,
+		Label:           "sh",
+		MetricsInterval: sim.Second,
+		TraceCapacity:   1 << 14,
+	}
+	return cfg
+}
+
 // shortCfg is quickCfg scaled down further for observability tests.
 func shortCfg() Config {
 	cfg := quickCfg()
@@ -174,7 +187,7 @@ func TestMeanDelayMatchesTrace(t *testing.T) {
 	if _, err := r.FlushObs(); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.obs.Collector(0).TraceDropped(); n != 0 {
+	if n := r.obs.TraceDropped(); n != 0 {
 		t.Fatalf("the trace ring dropped %d records: raise TraceCapacity", n)
 	}
 	f, err := os.Open(cfg.Obs.TraceFile(cfg.Seed))
@@ -250,7 +263,7 @@ func TestObsSamplesCarrySimState(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Run() // nothing is flushed: the collector is read in place
-	c := r.obs.Collector(0)
+	c := r.obs
 	sams := c.Samples()
 	if len(sams) != 120 {
 		t.Fatalf("samples = %d, want 120", len(sams))
@@ -375,7 +388,7 @@ func TestFlowDataSeqUnbroken(t *testing.T) {
 	if _, err := r.FlushObs(); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.obs.Collector(0).TraceDropped(); n != 0 {
+	if n := r.obs.TraceDropped(); n != 0 {
 		t.Fatalf("the trace ring dropped %d records: raise TraceCapacity", n)
 	}
 	// Each compaction advances flowBase by at most the table's length, which
@@ -414,4 +427,50 @@ func TestFlowDataSeqUnbroken(t *testing.T) {
 		t.Fatalf("test setup: %d data packets of %d flows traced, want a busy run", pkts, len(next))
 	}
 	t.Logf("%d data packets of %d flows, flowBase %d", pkts, len(next), r.doms[0].flowBase)
+}
+
+// TestRunRecordAddTo: what Flush wrote reaches the manifest through the
+// record — the artifact list is the directory's contents, and the
+// per-seed sections land under "s<seed>".
+func TestRunRecordAddTo(t *testing.T) {
+	dir := t.TempDir()
+	seeds := []uint64{7, 8}
+	_, recs, err := RunSeedsObserved(obsChainCfg(3, dir), seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man obs.Manifest
+	for _, r := range recs {
+		r.AddTo(&man)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, e := range ents {
+		onDisk[filepath.Join(dir, e.Name())] = true
+	}
+	if len(man.Artifacts) != 8 || len(onDisk) != 8 {
+		t.Fatalf("manifest lists %d artifacts, directory holds %d; want series, trace, spans, hist x 2 seeds", len(man.Artifacts), len(onDisk))
+	}
+	for _, p := range man.Artifacts {
+		if !onDisk[p] {
+			t.Errorf("manifest lists %s, which Flush did not write", p)
+		}
+	}
+	for _, key := range []string{"s7", "s8"} {
+		if len(man.Queue[key]) != 1 {
+			t.Errorf("%s: queue %v, want one ledger", key, man.Queue[key])
+		}
+	}
+
+	// A record files its ledger under its seed; a cached run's record has
+	// neither a ledger nor artifacts to file.
+	var man2 obs.Manifest
+	RunRecord{Seed: 1, Shards: 1, Queue: []sim.Counters{{Executed: 9}}}.AddTo(&man2)
+	RunRecord{Seed: 2, Shards: 1}.AddTo(&man2)
+	if len(man2.Queue) != 1 || man2.Queue["s1"][0].Executed != 9 || man2.Artifacts != nil {
+		t.Fatalf("manifest = %+v", man2)
+	}
 }

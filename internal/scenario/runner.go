@@ -19,8 +19,8 @@ import (
 // internal/sim/shard. The serial run is the K = 1 case — one domain owning
 // every link, no boundary link, no portal, and an executor with no barrier
 // to keep. The kernel looks at K in one place only: a single domain keeps
-// the unsuffixed RNG stream labels (newRunner). What the run observed is
-// written by obs.Merged, whose one-collector case is the serial formats.
+// the unsuffixed RNG stream labels (newRunner). Observability is a K = 1
+// feature (Config.Validate), so a run has at most one obs.Collector.
 //
 // Runs at K > 1 are deterministic per K but only statistically equivalent
 // to K = 1 (each domain draws its own thinned arrival stream);
@@ -32,11 +32,9 @@ type Runner struct {
 	doms  []*domain
 	links []*netsim.Link // indexed like cfg.Links
 
-	// obs is the per-domain collector set (nil unless Config.Obs is
-	// active). Each domain's collector is touched only by that domain's
-	// goroutine during the run; the barrier at run end publishes them for
-	// merging.
-	obs *obs.Merged
+	// obs is the run's collector, nil unless Config.Obs is enabled; it is
+	// the one domain's.
+	obs *obs.Collector
 }
 
 // NewRunner builds (but does not run) a scenario on cfg.Shards domains.
@@ -124,11 +122,11 @@ func (r *Runner) reset(cfg Config, plan shardPlan) {
 	}
 	tmpl := r.routeTemplates(&plan) // classes and paths may have changed
 
-	r.obs = obs.NewMerged(cfg.Obs, cfg.Seed, len(r.doms))
-	for i, d := range r.doms {
+	r.obs = obs.New(cfg.Obs, cfg.Seed)
+	for _, d := range r.doms {
 		d.tmpl = tmpl
 		d.setupHybrid()
-		d.observe(r.obs.Collector(i))
+		d.observe(r.obs)
 		d.policy = d.buildPolicy()
 	}
 }
@@ -179,13 +177,12 @@ func (r *Runner) Run() Metrics {
 		d.start()
 	}
 	r.ex.Run(r.cfg.Duration)
-	r.obs.SetShardExecuted(r.ex.Executed())
 	return r.metrics()
 }
 
 // FlushObs writes the run's observability artifacts (time-series CSV,
 // event trace, spans, histograms) and returns their paths. No-op without
-// an enabled collector set.
+// an enabled collector.
 func (r *Runner) FlushObs() ([]string, error) { return r.obs.Flush() }
 
 // Sim exposes the first domain's simulator — the only one at K = 1 (for
@@ -323,22 +320,14 @@ type RunRecord struct {
 	Artifacts []string
 }
 
-// AddTo files the run's sections in a manifest: its per-shard event counts
-// (sharded runs only) and event-queue ledger under "s<seed>", and the
-// artifact paths it wrote.
+// AddTo files the run's sections in a manifest: its event-queue ledger
+// under "s<seed>" and the artifact paths it wrote.
 func (r RunRecord) AddTo(man *obs.Manifest) {
-	key := fmt.Sprintf("s%d", r.Seed)
-	if r.Shards > 1 && len(r.ShardExecuted) > 0 {
-		if man.ShardExecuted == nil {
-			man.ShardExecuted = map[string][]uint64{}
-		}
-		man.ShardExecuted[key] = r.ShardExecuted
-	}
 	if len(r.Queue) > 0 {
 		if man.Queue == nil {
 			man.Queue = map[string][]sim.Counters{}
 		}
-		man.Queue[key] = r.Queue
+		man.Queue[fmt.Sprintf("s%d", r.Seed)] = r.Queue
 	}
 	man.Artifacts = append(man.Artifacts, r.Artifacts...)
 }

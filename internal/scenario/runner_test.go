@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -332,6 +333,16 @@ func TestValidateNamesField(t *testing.T) {
 		{"Drain", func(c *Config) { c.Drain = -sim.Second }},
 		{"Obs.MetricsInterval", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), MetricsInterval: -sim.Second} }},
 		{"Obs.TraceCapacity", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: -1} }},
+		// A trace file asked for with no ring to fill it was silently not written.
+		{"Obs.TracePath", func(c *Config) {
+			c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TracePath: filepath.Join(t.TempDir(), "trace.jsonl")}
+		}},
+		{"Obs.PerfettoPath", func(c *Config) {
+			c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), PerfettoPath: filepath.Join(t.TempDir(), "p.json")}
+		}},
+		{"Obs.Enabled", func(c *Config) {
+			c.Links, c.Shards, c.Obs = []LinkSpec{{}, {}}, 2, obs.Config{Enabled: true, Dir: t.TempDir()}
+		}},
 		{"MaxRetries", func(c *Config) { c.MaxRetries = -1 }},
 		{"InterArrival", func(c *Config) { c.InterArrival = -1 }},
 		{"LifetimeSec", func(c *Config) { c.LifetimeSec = -30 }},

@@ -150,7 +150,7 @@ func TestShardValidate(t *testing.T) {
 		want   string // "" means valid
 	}{
 		{"three", func(c *Config) { c.Shards = 3 }, ""},
-		{"obs", func(c *Config) { c.Shards = 3; c.Obs = obs.Config{Enabled: true, MetricsInterval: sim.Second} }, ""},
+		{"obs", func(c *Config) { c.Shards = 3; c.Obs = obs.Config{Enabled: true, MetricsInterval: sim.Second} }, "Obs.Enabled"},
 		{"one-link", func(c *Config) { *c = Config{Method: MBAC, Shards: 8} }, ""},
 		{"negative", func(c *Config) { c.Shards = -1 }, "Shards"},
 		{"mbac", func(c *Config) { c.Shards = 2; c.Method = MBAC }, "Shards"},
@@ -196,5 +196,59 @@ func TestMetroStarPreset(t *testing.T) {
 	}
 	if m.Utilization <= 0.2 || m.Utilization > 1 {
 		t.Errorf("metro-star hub utilization %v implausible", m.Utilization)
+	}
+}
+
+// TestRunSeedsObservedRecords pins the RunRecord side channel: per-seed
+// shard counts and executed-event totals come back without touching
+// Metrics, identically for serial and pooled workers.
+func TestRunSeedsObservedRecords(t *testing.T) {
+	cfg := shardChainConfig(3)
+	cfg.Shards = 2
+	seeds := []uint64{7, 8}
+	mm, recs, err := RunSeedsObserved(cfg, seeds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(seeds) {
+		t.Fatalf("records = %d, want %d", len(recs), len(seeds))
+	}
+	for i, r := range recs {
+		if r.Seed != seeds[i] {
+			t.Fatalf("record %d seed = %d, want %d (order must match input)", i, r.Seed, seeds[i])
+		}
+		if r.Shards != 2 || len(r.ShardExecuted) != 2 {
+			t.Fatalf("record %d: shards=%d executed=%v, want 2 shards", i, r.Shards, r.ShardExecuted)
+		}
+		if r.ShardExecuted[0] == 0 || r.ShardExecuted[1] == 0 {
+			t.Fatalf("record %d executed = %v, want nonzero per shard", i, r.ShardExecuted)
+		}
+		for k, q := range r.Queue {
+			if q.Executed != r.ShardExecuted[k] || q.StreamSchedules == 0 || q.StreamSchedules > q.HeapSchedules ||
+				q.StreamHighWater == 0 || q.StreamHighWater > q.HeapHighWater {
+				t.Fatalf("record %d shard %d queue ledger = %+v, executed %d", i, k, q, r.ShardExecuted[k])
+			}
+		}
+		if len(r.Queue) != 2 {
+			t.Fatalf("record %d: %d queue ledgers, want one per shard", i, len(r.Queue))
+		}
+	}
+	mm2, recs2, err := RunSeedsObserved(cfg, seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mm, mm2) || !reflect.DeepEqual(recs, recs2) {
+		t.Fatal("pooled RunSeedsObserved diverged from the serial-worker path")
+	}
+
+	// Serial runs report a single executed total and Shards <= 1.
+	serial := shardChainConfig(3)
+	_, srecs, err := RunSeedsObserved(serial, []uint64{7}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(srecs) != 1 || srecs[0].Shards > 1 || len(srecs[0].ShardExecuted) != 1 || srecs[0].ShardExecuted[0] == 0 ||
+		len(srecs[0].Queue) != 1 || srecs[0].Queue[0].Executed != srecs[0].ShardExecuted[0] {
+		t.Fatalf("serial record = %+v", srecs[0])
 	}
 }

@@ -560,73 +560,6 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReplayRoundTripSharded extends the round trip across the sharded
-// executor: a 2-shard run's merged trace, replayed under the same shard
-// count, reproduces the sharded metrics byte for byte. Each shard replays
-// exactly the arrivals of the classes it owns — the same partition the
-// recording shards drew them under.
-func TestReplayRoundTripSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full sharded simulations")
-	}
-	dir := t.TempDir()
-	cfg := Config{
-		Classes: []ClassSpec{
-			{Name: "long", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{0, 1}},
-			{Name: "x0", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{0}},
-			{Name: "x1", Preset: trafgen.EXP1, Weight: 1, Eps: -1, Path: []int{1}},
-		},
-		Links: []LinkSpec{
-			{RateBps: 2e6, Delay: 10 * sim.Millisecond, BufferPkts: 40},
-			{RateBps: 2e6, Delay: 10 * sim.Millisecond, BufferPkts: 40},
-		},
-		InterArrival:    0.5,
-		LifetimeSec:     10,
-		Duration:        40 * sim.Second,
-		Warmup:          10 * sim.Second,
-		Method:          EAC,
-		AC:              admission.Config{Design: admission.DropInBand, Kind: admission.SlowStart, Eps: 0.02},
-		PrepopulateUtil: 0.5,
-		Seed:            7,
-		Shards:          2,
-		Schedule: Schedule{Phases: []Phase{
-			{Kind: PhaseConst, DurationSec: 15, From: 1, To: 1},
-			{Kind: PhaseConst, DurationSec: 8, From: 3, To: 3},
-			{Kind: PhaseConst, DurationSec: 20, From: 1, To: 1},
-		}, Hold: true},
-		Obs: obs.Config{
-			Enabled:       true,
-			Dir:           dir,
-			Label:         "replayshard",
-			TraceCapacity: 1 << 20,
-			TracePath:     filepath.Join(dir, "shard-trace.jsonl"),
-		},
-	}
-	m1, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := LoadReplay(cfg.Obs.TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("recorded merged trace contains no arrival events")
-	}
-
-	rep := cfg
-	rep.Schedule = Schedule{}
-	rep.Obs = obs.Config{}
-	rep.Replay = tr
-	m2, err := Run(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatalf("sharded replay diverges from the recorded sharded run\nrecorded: %+v\nreplayed: %+v", m1, m2)
-	}
-}
-
 // TestScheduleShardPhaseClock pins that sharded thinning reads the same
 // absolute phase clock as the serial path: with a one-shot spike schedule,
 // the sharded run's in-window arrival count must sit in the same band as
