@@ -287,6 +287,24 @@ func TestDocsReferToExistingThings(t *testing.T) {
 	}
 }
 
+// TestDocsWithinBudget keeps the four long docs within 80 000 bytes
+// together. Each fact has one home: a mechanism a package comment argues
+// is pointed to, not restated, and a test's doc comment is not copied.
+func TestDocsWithinBudget(t *testing.T) {
+	const budget = 80000
+	total := int64(0)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md"} {
+		fi, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	if total > budget {
+		t.Errorf("the four docs hold %d bytes, over the %d-byte budget", total, budget)
+	}
+}
+
 // subcommandFlags reads the flags cmd/eacsim declares, keyed by
 // subcommand: a function that makes flag.NewFlagSet("eacsim <sub>", ...)
 // declares <sub>'s flags, and one that is handed a *flag.FlagSet declares

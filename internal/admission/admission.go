@@ -178,11 +178,6 @@ type Result struct {
 	// FlowID is the flow the probe ran for, so that probers of many flows
 	// can report to one callback.
 	FlowID int
-	// StageFracs holds the measured bad-packet fraction of every stage
-	// that sent at least one packet — including on an early reject, where
-	// Fraction alone only reports the deciding stage. The slice is owned
-	// by the Prober and valid until its next Reinit or Start.
-	StageFracs []float64
 }
 
 // Prober runs the endpoint admission control handshake for one flow. The
@@ -194,8 +189,7 @@ type Prober struct {
 	idx    uint32 // arena index: the argument of every event, the CBR's emit id
 	cfg    Config
 	flowID int
-	rate   float64 // token rate r, bits/s
-	pkt    int     // probe packet size, bytes
+	pkt    int // probe packet size, bytes
 	route  []netsim.Receiver
 	done   func(Result)
 
@@ -203,8 +197,6 @@ type Prober struct {
 	stages  []probeStage // carved from the arena: a new prober pays for it once, a reused one never
 	stage   int          // the stage now sending
 	started sim.Time
-
-	stageFracs []float64 // Result.StageFracs buffer, reused across attempts
 
 	checkEv sim.Event // periodic early-stop check
 	stageEv sim.Event // end of the currently sending stage
@@ -251,7 +243,7 @@ func NewProber(s *sim.Sim, cfg Config, flowID int, r float64, pktSize int, route
 // flow only after a back-off far exceeding the path drain time.
 func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []netsim.Receiver, done func(Result)) {
 	cfg = cfg.WithDefaults()
-	p.cfg, p.flowID, p.rate, p.pkt = cfg, flowID, r, pktSize
+	p.cfg, p.flowID, p.pkt = cfg, flowID, pktSize
 	p.route, p.done = route, done
 	// A judge the previous attempt left behind must not judge this one.
 	p.cancelJudges()
@@ -264,7 +256,6 @@ func (p *Prober) Reinit(cfg Config, flowID int, r float64, pktSize int, route []
 		st := &p.stages[i]
 		st.rate, st.start, st.stageCounts = cfg.stageRate(i, n, r), 0, stageCounts{}
 	}
-	p.stageFracs = p.stageFracs[:0]
 	// Start sets the first stage's rate, which a deep slow-start ramp
 	// makes too small for a float.
 	p.cbr.Reinit(r, pktSize)
@@ -430,10 +421,9 @@ func (p *Prober) fraction(stage int) float64 {
 // judgeNext runs on every stage's judge; it applies the stage acceptance
 // test after the guard period. Judges come due in stage order,
 // so the one firing is nextJudge's. finish does not cancel a judge still
-// queued: it fires into the finished prober and does nothing, which keeps
-// a run's executed-event count what it was when each judge was a one-shot
-// closure (the benchmark compares it across commits). Reinit does cancel
-// them.
+// queued: it fires into the finished prober and does nothing, so it counts
+// among a run's executed events (TestProberRecyclingExecutedCounts pins
+// them). Reinit does cancel them.
 func (p *Prober) judgeNext(now sim.Time) {
 	if p.finished {
 		return
@@ -458,17 +448,12 @@ func (p *Prober) finish(now sim.Time, r Result) {
 	p.cbr.Stop()
 	p.s.Cancel(&p.checkEv)
 	p.s.Cancel(&p.stageEv)
-	p.stageFracs = p.stageFracs[:0]
 	for i := range p.stages {
 		st := &p.stages[i]
 		r.Sent += st.sent
 		r.Marked += st.marked
 		r.Lost += st.sent - st.recv
-		if st.sent > 0 {
-			p.stageFracs = append(p.stageFracs, p.fraction(i))
-		}
 	}
-	r.StageFracs = p.stageFracs
 	r.Elapsed = now - p.started
 	r.FlowID = p.flowID
 	p.done(r)

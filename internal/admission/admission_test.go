@@ -396,10 +396,9 @@ func TestVDropStrings(t *testing.T) {
 // TestProbeAllocBill holds the per-probe allocation bill. NewProber's first
 // probe pays for an arena of one (the arena with the prober and its CBR
 // source inside, five arena-wide callbacks, one block holding every stage's
-// rate, counters and judge event, the StageFracs buffer): eight allocations,
-// where a slice per counter and a separate CBR and judge block made sixteen.
-// A reused prober — every prober after a run's first generation — pays
-// nothing. TestProberArenaAllocs holds what a large arena pays.
+// rate, counters and judge event): seven allocations. A reused prober —
+// every prober after a run's first generation — pays nothing.
+// TestProberArenaAllocs holds what a large arena pays.
 func TestProbeAllocBill(t *testing.T) {
 	h := newHarness(10e6, 200, false)
 	cfg := Config{Design: DropInBand, Kind: SlowStart, Eps: 0}
@@ -426,8 +425,8 @@ func TestProbeAllocBill(t *testing.T) {
 	t.Logf("five-stage accepted probe: %.0f allocs with a new prober, %.0f reused", fresh, reused)
 	// The new-prober ceiling is for the plain build: `make race` (which
 	// runs -short) instruments one allocation more.
-	if (fresh > 8 && !testing.Short()) || reused != 0 {
-		t.Fatalf("allocs per probe: %.0f fresh (ceiling 8), %.0f reused (want 0)", fresh, reused)
+	if (fresh > 7 && !testing.Short()) || reused != 0 {
+		t.Fatalf("allocs per probe: %.0f fresh (ceiling 7), %.0f reused (want 0)", fresh, reused)
 	}
 	if accepted != 10 { // AllocsPerRun makes one warm-up call of its own
 		t.Fatalf("%d of 10 probes accepted on an idle link", accepted)
@@ -469,9 +468,9 @@ func TestReinitDropsLeftoverJudge(t *testing.T) {
 
 // TestProberArenaAllocs holds the arena's allocation bill: a recycled
 // prober's whole attempt (Get, Reinit, Start, the probe, Put) allocates
-// nothing, and carving a new block of 64 probers costs at most three
-// allocations — the probers, their stages and their StageFracs buffers —
-// however many stages a prober has and with no closure per prober.
+// nothing, and carving a new block of 64 probers costs at most two
+// allocations — the probers and their stages — however many stages a
+// prober has and with no closure per prober.
 func TestProberArenaAllocs(t *testing.T) {
 	h := newHarness(10e6, 200, false)
 	cfg := Config{Design: DropInBand, Kind: SlowStart, Eps: 0}
@@ -509,8 +508,8 @@ func TestProberArenaAllocs(t *testing.T) {
 	}
 	perBlock := testing.AllocsPerRun(8, carve)
 	t.Logf("new block of %d five-stage probers: %.0f allocs", proberBlockMax, perBlock)
-	if perBlock > 3 || perBlock < 1 {
-		t.Fatalf("new block of %d probers: %.0f allocs, want 1 to 3", proberBlockMax, perBlock)
+	if perBlock > 2 || perBlock < 1 {
+		t.Fatalf("new block of %d probers: %.0f allocs, want 1 to 2", proberBlockMax, perBlock)
 	}
 	if p := a.Get(); a.at(p.idx) != p || p.idx != uint32(len(a.blocks)-1)<<proberBlockBits {
 		t.Fatalf("prober index %d does not name its slot, the first of block %d", p.idx, len(a.blocks)-1)

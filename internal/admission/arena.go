@@ -15,10 +15,10 @@ const (
 	proberBlockMax  = 1 << proberBlockBits
 )
 
-// ProberArena carves probers, their stage blocks and their StageFracs
-// buffers from blocks, and runs every prober's events through one callback
-// per event kind — the early-stop check, the stage end, the stage judge and
-// the probe CBR's tick — which finds its prober by the event's argument
+// ProberArena carves probers and their stage blocks from blocks, and runs
+// every prober's events through one callback per event kind — the
+// early-stop check, the stage end, the stage judge and the probe CBR's
+// tick — which finds its prober by the event's argument
 // (sim.Event.SetArg); the probe emit finds it by its CBR's id. A prober
 // thus costs no closure of its own. The arena also keeps the free list of
 // probers no flow is using, so a run allocates one generation of probers —
@@ -27,13 +27,10 @@ type ProberArena struct {
 	s    *sim.Sim
 	pool *netsim.Pool
 
-	blocks [][]Prober // blocks[b][o] has index b<<proberBlockBits | o
-	used   int        // probers carved from the last block
-	// stageSlab and fracSlab are what is left of the current stage and
-	// StageFracs blocks.
-	stageSlab []probeStage
-	fracSlab  []float64
-	free      []*Prober // LIFO: Get pops what Put pushed last
+	blocks    [][]Prober   // blocks[b][o] has index b<<proberBlockBits | o
+	used      int          // probers carved from the last block
+	stageSlab []probeStage // what is left of the current stage block
+	free      []*Prober    // LIFO: Get pops what Put pushed last
 
 	check, stage, judge, tick func(sim.Time)
 	emit                      trafgen.FlowEmit
@@ -103,16 +100,14 @@ func (a *ProberArena) ForgetFree() {
 	}
 }
 
-// carveStages gives p a block of n stages and a StageFracs buffer of
-// capacity n. When the slabs run short it starts new ones with room for a
-// whole prober block of n-stage probers.
+// carveStages gives p a block of n stages. When the slab runs short it
+// starts a new one with room for a whole prober block of n-stage probers.
 func (a *ProberArena) carveStages(p *Prober, n int) {
 	if len(a.stageSlab) < n {
 		k := len(a.blocks[len(a.blocks)-1]) * n
-		a.stageSlab, a.fracSlab = make([]probeStage, k), make([]float64, k)
+		a.stageSlab = make([]probeStage, k)
 	}
 	p.stages, a.stageSlab = a.stageSlab[:n:n], a.stageSlab[n:]
-	p.stageFracs, a.fracSlab = a.fracSlab[:0:n], a.fracSlab[n:]
 	for i := range p.stages {
 		p.stages[i].judge.Init(a.judge)
 		p.stages[i].judge.SetArg(p.idx)

@@ -144,8 +144,6 @@ type Request struct {
 	Now    sim.Time
 	FlowID int
 	Class  int
-	// Attempts counts the flow's completed (rejected) probes so far.
-	Attempts int
 	// BaseEps is the statically configured threshold for the flow's
 	// class (scenario ε with any per-class override applied).
 	BaseEps float64
@@ -243,8 +241,8 @@ func NewPolicy(pc PolicyConfig, ac Config) Policy {
 
 // StaticEpsilon is the paper's fixed-threshold rule behind the Policy
 // interface: probe at the class's configured ε, admit iff the probe
-// accepted. It is stateless, and the scenario wired through it is
-// byte-identical to the pre-policy code path.
+// accepted. It is stateless and draws nothing, so a run through it is the
+// paper's rule exactly.
 type StaticEpsilon struct{}
 
 // Decide implements Policy: always probe, at the configured threshold.

@@ -74,8 +74,8 @@ type Options struct {
 	// Obs, if enabled, attaches a per-run observability collector
 	// (internal/obs) to every sweep run: time-series and trace artifacts
 	// are written under Obs.Dir, named by sweep-point label and seed.
-	// Obs.TracePath must stay empty here — per-run naming keeps the
-	// artifacts of concurrent runs distinct.
+	// Obs.TracePath and Obs.PerfettoPath name one file, so Run rejects
+	// them when the experiment has more than one scenario run.
 	Obs obs.Config
 }
 

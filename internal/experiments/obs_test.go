@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +64,27 @@ func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 				names = append(names, e.Name())
 			}
 			t.Fatalf("missing artifact %s (err %v); dir has %v", p, err, names)
+		}
+	}
+}
+
+// TestObsTracePathNeedsOneRun: Options.Obs.TracePath names one file, so an
+// experiment with more than one scenario run — two seeds of a point, or
+// two points — is refused before it runs instead of every run overwriting
+// the same trace.
+func TestObsTracePathNeedsOneRun(t *testing.T) {
+	o := tinyOpts()
+	dir := t.TempDir()
+	o.Obs = obs.Config{Enabled: true, Dir: dir, TraceCapacity: 16, TracePath: filepath.Join(dir, "t.jsonl")}
+	a, b := basicPoint(o, "a", 0.01), basicPoint(o, "b", 0.05)
+	for _, c := range []struct {
+		name  string
+		seeds int
+		ex    Experiment
+	}{{"two seeds", 2, declared(a)}, {"two points", 1, declared(a, b)}} {
+		o.Seeds = c.seeds
+		if _, err := c.ex.Run(o); err == nil || !strings.Contains(err.Error(), "Obs.TracePath") {
+			t.Fatalf("%s sharing Obs.TracePath: err = %v, want one naming it", c.name, err)
 		}
 	}
 }

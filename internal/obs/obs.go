@@ -52,15 +52,30 @@ type Config struct {
 	// the trace. When the ring is full the oldest events are discarded
 	// (the manifest and trace writer report how many).
 	TraceCapacity int
-	// TracePath, if set, overrides the trace artifact path. Intended for
-	// single-seed runs; multi-seed runs must leave it empty so the
-	// per-seed default naming keeps files distinct.
+	// TracePath, if set, overrides the trace artifact path. It names one
+	// file, so it serves one run only (OneRun).
 	TracePath string
 	// PerfettoPath, if set, additionally exports the probe-lifecycle
 	// spans as Chrome/Perfetto trace-event JSON to this path (open with
 	// ui.perfetto.dev or chrome://tracing). Spans ride with the event
-	// trace, so this requires TraceCapacity > 0. Single-seed runs only.
+	// trace, so this requires TraceCapacity > 0. One run only (OneRun).
 	PerfettoPath string
+}
+
+// OneRun returns an error naming TracePath or PerfettoPath when c is
+// enabled, sets one of them and would serve runs > 1 runs: every run
+// after the first would overwrite the same file.
+func (c Config) OneRun(runs int) error {
+	if !c.Enabled || runs <= 1 {
+		return nil
+	}
+	for _, p := range []struct{ field, path string }{
+		{"TracePath", c.TracePath}, {"PerfettoPath", c.PerfettoPath}} {
+		if p.path != "" {
+			return fmt.Errorf("Obs.%s = %q names one file, but %d runs would write it; leave it empty for per-run names", p.field, p.path, runs)
+		}
+	}
+	return nil
 }
 
 func (c Config) label() string {

@@ -102,8 +102,8 @@ type ClassSpec struct {
 // a link is capped at 0.95) and internal/conformance's hybrid crossval for
 // the calibrated agreement envelopes.
 type HybridConfig struct {
-	// Enabled turns the hybrid engine on. The zero value keeps the pure
-	// packet path byte-identical to prior releases.
+	// Enabled turns the hybrid engine on. The zero value keeps every
+	// class's data on the packet path.
 	Enabled bool
 }
 
@@ -149,8 +149,8 @@ type Config struct {
 	MS     mbac.Config      // used when Method == MBAC
 	// Policy selects the admission policy layered over the probing
 	// machinery (Method == EAC): the zero value is the paper's static-ε
-	// rule, byte-identical to prior releases; other kinds add token-bucket
-	// rate costs or epoch-based ε adaptation (see admission.PolicyConfig).
+	// rule; other kinds add token-bucket rate costs or epoch-based ε
+	// adaptation (see admission.PolicyConfig).
 	Policy admission.PolicyConfig
 
 	// Queue selects the router buffering discipline for the

@@ -87,8 +87,8 @@ type domain struct {
 	sentWin, dropWin []int64
 
 	// policy decides every admission attempt, whatever the Method
-	// (buildPolicy). The static default reproduces the pre-policy code path
-	// exactly.
+	// (buildPolicy). The static default probes at the class's ε and
+	// echoes the probe's verdict.
 	policy admission.Policy
 	// epsSum accumulates the admission threshold in force for each flow
 	// decided inside the window (Metrics.MeanEps); a method that does not
@@ -577,14 +577,14 @@ const retryBackoffSec = 5
 // admit runs one admission attempt through the policy layer: the policy
 // sees the attempt (class threshold resolved into BaseEps) and either
 // settles it outright or parameterizes the probe. The static default always
-// probes at BaseEps, reproducing the pre-policy behaviour exactly.
+// probes at BaseEps.
 func (d *domain) admit(now sim.Time, f *flowState) {
 	base := d.cfg.AC.Eps
 	if cl := d.cfg.Classes[f.class]; cl.Eps >= 0 {
 		base = cl.Eps
 	}
 	dec := d.policy.Decide(admission.Request{
-		Now: now, FlowID: f.id, Class: f.class, Attempts: f.attempts, BaseEps: base,
+		Now: now, FlowID: f.id, Class: f.class, BaseEps: base,
 	})
 	// The threshold in force for this attempt, whatever the action — it
 	// feeds Metrics.MeanEps when the flow's final decision is recorded

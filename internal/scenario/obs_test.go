@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -427,6 +428,36 @@ func TestFlowDataSeqUnbroken(t *testing.T) {
 		t.Fatalf("test setup: %d data packets of %d flows traced, want a busy run", pkts, len(next))
 	}
 	t.Logf("%d data packets of %d flows, flowBase %d", pkts, len(next), r.doms[0].flowBase)
+}
+
+// TestRunSeedsRejectsSharedTracePath: Obs.TracePath and Obs.PerfettoPath
+// name one file, so a two-seed run that sets either fails before any seed
+// runs, naming the field, instead of letting seed 2 overwrite seed 1.
+// One seed may set them.
+func TestRunSeedsRejectsSharedTracePath(t *testing.T) {
+	for _, field := range []string{"Obs.TracePath", "Obs.PerfettoPath"} {
+		dir := t.TempDir()
+		cfg := obsChainCfg(3, dir)
+		if field == "Obs.TracePath" {
+			cfg.Obs.TracePath = filepath.Join(dir, "t.jsonl")
+		} else {
+			cfg.Obs.PerfettoPath = filepath.Join(dir, "p.json")
+		}
+		_, _, err := RunSeedsObserved(cfg, []uint64{1, 2}, 1)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("two seeds sharing %s: err = %v, want one naming it", field, err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Fatalf("rejected run wrote %d files", len(ents))
+		}
+	}
+	dir := t.TempDir()
+	cfg := obsChainCfg(3, dir)
+	cfg.Obs.TracePath = filepath.Join(dir, "t.jsonl")
+	_, recs, err := RunSeedsObserved(cfg, []uint64{1}, 1)
+	if err != nil || !slices.Contains(recs[0].Artifacts, cfg.Obs.TracePath) {
+		t.Fatalf("one seed with Obs.TracePath: err = %v, records %+v", err, recs)
+	}
 }
 
 // TestRunRecordAddTo: what Flush wrote reaches the manifest through the

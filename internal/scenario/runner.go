@@ -339,7 +339,11 @@ func (r RunRecord) AddTo(man *obs.Manifest) {
 // (seed, label) — and the per-seed Metrics are aggregated in seed order,
 // so the MultiMetrics is bitwise-identical for every worker count; only
 // wall-clock time changes. A failing seed stops the seeds not yet started.
+// An Obs.TracePath or Obs.PerfettoPath serves one seed only.
 func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []RunRecord, error) {
+	if err := cfg.Obs.OneRun(len(seeds)); err != nil {
+		return MultiMetrics{}, nil, fmt.Errorf("scenario: %w", err)
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -4,11 +4,7 @@ import "math/bits"
 
 // LogHist is a histogram over non-negative int64 values with
 // power-of-two ("log-bucket") bucket edges: bucket 0 holds the value 0,
-// bucket i >= 1 holds values in [2^(i-1), 2^i - 1]. The fixed bucket
-// layout makes histograms from different shards (or seeds) mergeable by
-// plain elementwise addition, so a sharded run can aggregate exactly the
-// distribution a serial run over the same events would have produced —
-// no rebinning, no approximation beyond the bucket width itself.
+// bucket i >= 1 holds values in [2^(i-1), 2^i - 1].
 //
 // Negative values are clamped to 0 (callers record durations and queue
 // depths, which are never meaningfully negative). The zero value is an
@@ -36,29 +32,13 @@ func bucketHi(i int) int64 {
 }
 
 // Add records one value.
-func (h *LogHist) Add(v int64) { h.AddN(v, 1) }
-
-// AddN records a value n times (n <= 0 is a no-op).
-func (h *LogHist) AddN(v int64, n int64) {
-	if n <= 0 {
-		return
-	}
+func (h *LogHist) Add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.b[bucketOf(v)] += n
-	h.n += n
-	h.sum += v * n
-}
-
-// Merge folds o into h. Because bucket edges are fixed, the result is
-// exactly the histogram of the concatenated value streams.
-func (h *LogHist) Merge(o LogHist) {
-	h.n += o.n
-	h.sum += o.sum
-	for i := range h.b {
-		h.b[i] += o.b[i]
-	}
+	h.b[bucketOf(v)]++
+	h.n++
+	h.sum += v
 }
 
 // N returns the number of recorded values.
