@@ -63,25 +63,20 @@ update-golden:
 	$(GO) test ./internal/conformance -run TestGolden -update
 
 # fuzz-smoke gives each native fuzz target a short budget (Go runs one
-# -fuzz pattern per invocation, hence one line per target). A finding
-# fails the run and writes its reproducer under the package's
-# testdata/fuzz/ directory, which should be committed.
+# -fuzz pattern per invocation, hence one run per target). The targets are
+# whatever `go test -list '^Fuzz'` finds, so a new one joins without an edit
+# here; finding none is a failure. A finding fails the run and writes its
+# reproducer under the package's testdata/fuzz/ directory, which should be
+# committed.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventHeap$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzRing$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzTraceRing$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzDropTail$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzPriorityPushout$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzRED$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzVirtualQueue$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/admission -run '^$$' -fuzz '^FuzzProbeLossFraction$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/admission -run '^$$' -fuzz '^FuzzEpochAdaptive$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzWelford$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats -run '^$$' -fuzz '^FuzzWindowMax$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzConfig$$' -fuzztime $(FUZZTIME)
+	@out=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$out"; exit 1; }; \
+	targets=$$(echo "$$out" | awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2 "," f[i]; n = 0}'); \
+	test -n "$$targets" || { echo "fuzz-smoke: go test -list found no Fuzz targets" >&2; exit 1; }; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t#*,} in $${t%,*}"; \
+		$(GO) test $${t%,*} -run '^$$' -fuzz "^$${t#*,}\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # counts prints the sizes the roadmap and the change log quote: Go lines
 # outside bench/ (non-test, test, and non-test per package) and the byte

@@ -12,6 +12,7 @@ import (
 	"eac/internal/cache"
 	"eac/internal/experiments"
 	"eac/internal/obs"
+	"eac/internal/scenario"
 	"eac/internal/sim"
 )
 
@@ -40,8 +41,8 @@ func figureMain(args []string) {
 	cf := bindCommon(fs)
 	parse(fs, args)
 
-	if *seeds < 0 {
-		log.Fatalf("-seeds must be >= 0 (0 = mode default), got %d", *seeds)
+	if *seeds < 0 || *seeds > scenario.MaxSeeds {
+		log.Fatalf("-seeds must be in 0..%d (0 = mode default), got %d", scenario.MaxSeeds, *seeds)
 	}
 	if *list {
 		for _, ex := range experiments.All() {

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -70,7 +69,7 @@ func runMain(args []string) {
 		chains   = fs.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = fs.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = fs.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
-		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac and neither -hybrid nor observability (-obs, -trace-out, -trace-perfetto); sharded runs are statistically equivalent, not byte-identical, to serial ones")
+		shrds    = fs.Int("shards", 1, "partition the run's links into this many domains advanced in parallel (conservative parallel DES; at most one per link, 0 or 1 = serial). Requires -method eac and neither -hybrid nor -obs; sharded runs are statistically equivalent, not byte-identical, to serial ones")
 		hybrid   = fs.Bool("hybrid", false, "carry data phases as per-link fluid rates instead of packets (hybrid fluid/packet engine; probes stay packet-level). Orders of magnitude faster at large scale; requires -method eac and the serial path (exclusive with -shards > 1)")
 		probeDur = fs.Float64("probe", 5, "total probe duration, seconds")
 		useRED   = fs.Bool("red", false, "use a RED queue instead of drop-tail (in-band designs only)")
@@ -88,16 +87,18 @@ func runMain(args []string) {
 		loadReplay = fs.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
 
 		// Observability (see README "Observability").
-		obsDir    = fs.String("obs", "", "write observability artifacts (run manifest, per-queue time-series CSVs, JSONL event traces) under this directory")
+		obsDir    = fs.String("obs", "", "write observability artifacts under this directory: the run manifest and, per seed, eacsim-s<seed>-<kind> (series.csv, trace.jsonl, spans.jsonl, hist.json)")
 		mInterval = fs.Float64("metrics-interval", 1, "queue telemetry sampling interval, simulated seconds (0 disables the time series)")
-		traceOut  = fs.String("trace-out", "", "JSONL event trace path (default <obs>/eacsim-s<seed>-trace.jsonl; implies -obs in the file's directory; single seed only)")
-		perfetto  = fs.String("trace-perfetto", "", "Chrome/Perfetto trace-event JSON export path for the probe-lifecycle spans (open with ui.perfetto.dev; implies -obs in the file's directory; single seed only)")
+		perfetto  = fs.Bool("perfetto", false, "with -obs, also export each seed's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, eacsim-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	)
 	cf := bindCommon(fs)
 	parse(fs, args)
 
-	if *seeds < 1 {
-		log.Fatalf("-seeds must be >= 1, got %d", *seeds)
+	if *seeds < 1 || *seeds > scenario.MaxSeeds {
+		log.Fatalf("-seeds must be in 1..%d, got %d", scenario.MaxSeeds, *seeds)
+	}
+	if *perfetto && *obsDir == "" {
+		log.Fatal("-perfetto writes beside the other artifacts: it needs -obs DIR")
 	}
 	// Every name is checked whatever the method and topology: a misspelt
 	// name is an error even where the run would ignore the flag.
@@ -170,21 +171,6 @@ func runMain(args []string) {
 	}
 	store, workers := cf.start(false)
 
-	for _, f := range []struct{ flag, path string }{
-		{"-trace-out", *traceOut}, {"-trace-perfetto", *perfetto},
-	} {
-		if f.path == "" {
-			continue
-		}
-		if *seeds > 1 {
-			log.Fatalf("%s names a single file; use -seeds 1 or -obs DIR for per-seed traces", f.flag)
-		}
-		if *obsDir == "" {
-			// Trace-only invocation: keep the manifest and series next to
-			// the requested trace file instead of littering the cwd.
-			*obsDir = filepath.Dir(f.path)
-		}
-	}
 	if *obsDir != "" {
 		cfg.Obs = obs.Config{
 			Enabled:         true,
@@ -192,8 +178,7 @@ func runMain(args []string) {
 			Label:           "eacsim",
 			MetricsInterval: sim.Seconds(*mInterval),
 			TraceCapacity:   cf.traceCap,
-			TracePath:       *traceOut,
-			PerfettoPath:    *perfetto,
+			Perfetto:        *perfetto,
 		}
 	}
 	if store != nil {

@@ -413,10 +413,11 @@ func assertRejected(t *testing.T, bin string, args []string, want string) {
 }
 
 // TestCommandsRejectBadSeeds: a seed count that selects no run (eacsim run
-// needs >= 1; eacsim figure takes 0 as the mode default) must end the process
-// with a message naming -seeds before anything runs — not
-// scenario.DefaultSeeds' makeslice panic, and not eacsim's all-zero table
-// that reads like a result.
+// needs >= 1; eacsim figure takes 0 as the mode default) or more than
+// scenario.MaxSeeds must end the process with a message naming -seeds
+// before anything runs — not scenario.DefaultSeeds' makeslice panic or
+// gigabyte seed list, and not eacsim's all-zero table that reads like a
+// result.
 func TestCommandsRejectBadSeeds(t *testing.T) {
 	bin := buildCommands(t)
 	for _, args := range [][]string{
@@ -426,6 +427,8 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 		{"eacsim", "figure", "-run", "table3", "-seeds", "-2"},
 		{"eacsim", "figure", "-run", "figure1", "-seeds", "-1"},
 		{"eacsim", "figure", "-list", "-seeds=-9223372036854775808"},
+		{"eacsim", "-seeds", "10001"},
+		{"eacsim", "figure", "-run", "table3", "-seeds", "10001"},
 	} {
 		assertRejected(t, bin, args, "-seeds")
 	}
@@ -455,7 +458,9 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(metro, "-hybrid", "-method", "mbac"), "Shards"},
 		{append(metro, "-method", "mbac"), "Shards"},
 		{append(metro, "-obs", dir), "Obs.Enabled"},
-		{append(short, "-tau", "1", "-life", "10", "-trace-cap", "0", "-trace-out", filepath.Join(dir, "trace.jsonl")), "Obs.TracePath"},
+		{append(short, "-obs", dir, "-perfetto", "-trace-cap", "0"), "Obs.Perfetto"},
+		{append(short, "-perfetto"), "-obs"},
+		{append(short, "-obs", dir, "-trace-cap", "16777217"), "Obs.TraceCapacity"},
 		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},

@@ -50,7 +50,6 @@ func (ex Experiment) Run(o Options) (Table, error) {
 	pts := ex.points(o)
 	type task struct{ pt, seed int }
 	var tasks []task
-	sims := 0
 	for i, p := range pts {
 		if p.Solve != nil {
 			tasks = append(tasks, task{i, 0})
@@ -59,10 +58,6 @@ func (ex Experiment) Run(o Options) (Table, error) {
 		for s := range seeds {
 			tasks = append(tasks, task{i, s})
 		}
-		sims += len(seeds)
-	}
-	if err := o.Obs.OneRun(sims); err != nil {
-		return t, fmt.Errorf("%s: %w", ex.ID, err)
 	}
 	type result struct {
 		m   scenario.Metrics

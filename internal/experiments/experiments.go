@@ -74,8 +74,6 @@ type Options struct {
 	// Obs, if enabled, attaches a per-run observability collector
 	// (internal/obs) to every sweep run: time-series and trace artifacts
 	// are written under Obs.Dir, named by sweep-point label and seed.
-	// Obs.TracePath and Obs.PerfettoPath name one file, so Run rejects
-	// them when the experiment has more than one scenario run.
 	Obs obs.Config
 }
 
@@ -101,13 +99,13 @@ func Conformance() Options {
 	}
 }
 
-// SeedValues returns the seed list these options resolve to; a negative
-// Seeds is an error.
+// SeedValues returns the seed list these options resolve to; a Seeds
+// outside 0..scenario.MaxSeeds is an error.
 func (o Options) SeedValues() ([]uint64, error) {
 	n := o.Seeds
 	switch {
-	case n < 0:
-		return nil, fmt.Errorf("experiments: Options.Seeds = %d, want >= 0 (0 = mode default)", n)
+	case n < 0 || n > scenario.MaxSeeds:
+		return nil, fmt.Errorf("experiments: Options.Seeds = %d, want 0..%d (0 = mode default)", n, scenario.MaxSeeds)
 	case n == 0 && o.Quick:
 		n = 1
 	case n == 0:

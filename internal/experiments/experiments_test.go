@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eac/internal/admission"
+	"eac/internal/scenario"
 	"eac/internal/sim"
 )
 
@@ -57,11 +58,11 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestNegativeSeedsIsAnError: the -seeds flag lands in Options.Seeds, so a
-// negative count is user input. Every consumer of the seed list must
-// answer it with an error naming the field, not with DefaultSeeds'
-// makeslice panic.
+// negative count, or one past scenario.MaxSeeds, is user input. Every
+// consumer of the seed list must answer it with an error naming the field,
+// not with DefaultSeeds' makeslice panic or a gigabyte seed list.
 func TestNegativeSeedsIsAnError(t *testing.T) {
-	for _, n := range []int{-1, -2, -1 << 40} {
+	for _, n := range []int{-1, -2, -1 << 40, scenario.MaxSeeds + 1} {
 		o := Conformance()
 		o.Seeds = n
 		for _, c := range []struct {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +37,7 @@ func TestObsDisabledByteIdentical(t *testing.T) {
 
 // TestObsEnabledSweepWritesArtifacts checks the Options.Obs plumbing end
 // to end: an enabled collector makes every point×seed run write its own
-// label+seed-named artifacts under Obs.Dir.
+// label+seed-named artifacts under Obs.Dir, Perfetto export included.
 func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -46,45 +45,29 @@ func TestObsEnabledSweepWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	o := tinyOpts()
 	o.Seeds = 2
-	o.Obs = obs.Config{Enabled: true, Dir: dir, MetricsInterval: sim.Second}
+	o.Obs = obs.Config{Enabled: true, Dir: dir, MetricsInterval: sim.Second, TraceCapacity: 1 << 10, Perfetto: true}
 
-	if _, err := declared(basicPoint(o, "pt eps=0.01", 0.01)).Run(o); err != nil {
+	ex := declared(basicPoint(o, "pt eps=0.01", 0.01), basicPoint(o, "pt eps=0.05", 0.05))
+	if _, err := ex.Run(o); err != nil {
 		t.Fatal(err)
 	}
 	seeds, err := o.SeedValues()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seed := range seeds {
-		p := filepath.Join(dir, fmt.Sprintf("pt-eps-0.01-s%d-series.csv", seed))
-		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
-			ents, _ := os.ReadDir(dir)
-			var names []string
-			for _, e := range ents {
-				names = append(names, e.Name())
+	for _, pt := range []string{"pt-eps-0.01", "pt-eps-0.05"} {
+		for _, seed := range seeds {
+			for _, kind := range []string{"series.csv", "perfetto.json"} {
+				p := filepath.Join(dir, fmt.Sprintf("%s-s%d-%s", pt, seed, kind))
+				if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+					ents, _ := os.ReadDir(dir)
+					var names []string
+					for _, e := range ents {
+						names = append(names, e.Name())
+					}
+					t.Fatalf("missing artifact %s (err %v); dir has %v", p, err, names)
+				}
 			}
-			t.Fatalf("missing artifact %s (err %v); dir has %v", p, err, names)
-		}
-	}
-}
-
-// TestObsTracePathNeedsOneRun: Options.Obs.TracePath names one file, so an
-// experiment with more than one scenario run — two seeds of a point, or
-// two points — is refused before it runs instead of every run overwriting
-// the same trace.
-func TestObsTracePathNeedsOneRun(t *testing.T) {
-	o := tinyOpts()
-	dir := t.TempDir()
-	o.Obs = obs.Config{Enabled: true, Dir: dir, TraceCapacity: 16, TracePath: filepath.Join(dir, "t.jsonl")}
-	a, b := basicPoint(o, "a", 0.01), basicPoint(o, "b", 0.05)
-	for _, c := range []struct {
-		name  string
-		seeds int
-		ex    Experiment
-	}{{"two seeds", 2, declared(a)}, {"two points", 1, declared(a, b)}} {
-		o.Seeds = c.seeds
-		if _, err := c.ex.Run(o); err == nil || !strings.Contains(err.Error(), "Obs.TracePath") {
-			t.Fatalf("%s sharing Obs.TracePath: err = %v, want one naming it", c.name, err)
 		}
 	}
 }

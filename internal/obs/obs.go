@@ -52,31 +52,19 @@ type Config struct {
 	// the trace. When the ring is full the oldest events are discarded
 	// (the manifest and trace writer report how many).
 	TraceCapacity int
-	// TracePath, if set, overrides the trace artifact path. It names one
-	// file, so it serves one run only (OneRun).
-	TracePath string
-	// PerfettoPath, if set, additionally exports the probe-lifecycle
-	// spans as Chrome/Perfetto trace-event JSON to this path (open with
-	// ui.perfetto.dev or chrome://tracing). Spans ride with the event
-	// trace, so this requires TraceCapacity > 0. One run only (OneRun).
-	PerfettoPath string
+	// Perfetto additionally exports the probe-lifecycle spans as
+	// Chrome/Perfetto trace-event JSON (open with ui.perfetto.dev or
+	// chrome://tracing). Spans ride with the event trace, so this needs
+	// TraceCapacity > 0. It is opt-in because it allocates per span: on
+	// the benchmark's bottleneck_obs workload it raises allocations from
+	// 0.049 to 4.68 per thousand events and doubles peak RSS.
+	Perfetto bool
 }
 
-// OneRun returns an error naming TracePath or PerfettoPath when c is
-// enabled, sets one of them and would serve runs > 1 runs: every run
-// after the first would overwrite the same file.
-func (c Config) OneRun(runs int) error {
-	if !c.Enabled || runs <= 1 {
-		return nil
-	}
-	for _, p := range []struct{ field, path string }{
-		{"TracePath", c.TracePath}, {"PerfettoPath", c.PerfettoPath}} {
-		if p.path != "" {
-			return fmt.Errorf("Obs.%s = %q names one file, but %d runs would write it; leave it empty for per-run names", p.field, p.path, runs)
-		}
-	}
-	return nil
-}
+// MaxTraceCapacity bounds TraceCapacity: the ring is allocated whole
+// before the run starts, at 48 B per event, so 2^24 events is 768 MiB per
+// run: sixteen times the largest ring a test or CI step uses.
+const MaxTraceCapacity = 1 << 24
 
 func (c Config) label() string {
 	if c.Label == "" {
@@ -92,48 +80,12 @@ func (c Config) dir() string {
 	return c.Dir
 }
 
-// seedPath is the path of one seed's artifact of the given kind, or ""
-// when on is false (that artifact is not collected).
-func (c Config) seedPath(on bool, seed uint64, kind string) string {
-	if !on {
-		return ""
-	}
+// Path returns the path of one seed's artifact of the given kind
+// ("series.csv", "trace.jsonl", "spans.jsonl", "hist.json",
+// "perfetto.json"): every file a run writes is <Dir>/<Label>-s<seed>-<kind>,
+// so the runs of a seed list or a sweep never share one.
+func (c Config) Path(seed uint64, kind string) string {
 	return filepath.Join(c.dir(), fmt.Sprintf("%s-s%d-%s", c.label(), seed, kind))
-}
-
-// SeriesPath returns the per-queue time-series CSV path for one seed, or
-// "" when the series is off.
-func (c Config) SeriesPath(seed uint64) string {
-	return c.seedPath(c.MetricsInterval > 0, seed, "series.csv")
-}
-
-// TraceFile returns the JSONL event-trace path for one seed, or "" when
-// the trace is off.
-func (c Config) TraceFile(seed uint64) string {
-	if c.TracePath != "" && c.TraceCapacity > 0 {
-		return c.TracePath
-	}
-	return c.seedPath(c.TraceCapacity > 0, seed, "trace.jsonl")
-}
-
-// SpansPath returns the probe-lifecycle span JSONL path for one seed, or
-// "" when spans are off. Spans ride with the event trace: they are
-// collected (and written) exactly when tracing is on.
-func (c Config) SpansPath(seed uint64) string {
-	return c.seedPath(c.TraceCapacity > 0, seed, "spans.jsonl")
-}
-
-// HistPath returns the log-bucket histogram JSON path (per-class delay
-// and per-link queue-depth distributions) for one seed.
-func (c Config) HistPath(seed uint64) string { return c.seedPath(true, seed, "hist.json") }
-
-// PerfettoFile returns the Perfetto export path, or "" when not
-// requested or when spans are unavailable (no trace).
-func (c Config) PerfettoFile() string {
-	if c.TraceCapacity <= 0 {
-		return ""
-	}
-	return c.PerfettoPath
 }
 
 // ManifestPath returns the run-manifest path for this configuration.
@@ -419,24 +371,27 @@ func (c *Collector) Flush() ([]string, error) {
 	if c == nil {
 		return nil, nil
 	}
+	tracing := c.Tracing()
 	var paths []string
 	for _, a := range []struct {
-		path   string
+		on     bool
+		kind   string
 		render func(io.Writer) error
 	}{
-		{c.cfg.SeriesPath(c.seed), c.WriteSeries},
-		{c.cfg.TraceFile(c.seed), c.WriteTrace},
-		{c.cfg.SpansPath(c.seed), c.WriteSpans},
-		{c.cfg.HistPath(c.seed), c.WriteHist},
-		{c.cfg.PerfettoFile(), c.WritePerfetto},
+		{c.Sampling(), "series.csv", c.WriteSeries},
+		{tracing, "trace.jsonl", c.WriteTrace},
+		{tracing, "spans.jsonl", c.WriteSpans},
+		{true, "hist.json", c.WriteHist},
+		{tracing && c.cfg.Perfetto, "perfetto.json", c.WritePerfetto},
 	} {
-		if a.path == "" {
+		if !a.on {
 			continue
 		}
-		if err := writeFile(a.path, a.render); err != nil {
+		path := c.cfg.Path(c.seed, a.kind)
+		if err := writeFile(path, a.render); err != nil {
 			return paths, err
 		}
-		paths = append(paths, a.path)
+		paths = append(paths, path)
 	}
 	return paths, nil
 }

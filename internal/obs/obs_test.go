@@ -181,54 +181,64 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
+// TestFlushWritesArtifacts: Flush writes what the configuration turns on,
+// in flush order, each named <Dir>/<Label>-s<seed>-<kind>; the histograms
+// are always on, and the Perfetto export only when asked for.
 func TestFlushWritesArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	cfg := enabledCfg(dir)
-	c := New(cfg, 42)
-	tap := c.RegisterLink("L0")
-	tap.Enqueue(0, 0, 0, 100, 0, 1)
-	c.AddSample(Sample{T: 1, Link: 0})
-	c.Decision(sim.Second, 0, 0, true, 1, 0) // gives the span artifact content
-	paths, err := c.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		filepath.Join(dir, "t-s42-series.csv"),
-		filepath.Join(dir, "t-s42-trace.jsonl"),
-		filepath.Join(dir, "t-s42-spans.jsonl"),
-		filepath.Join(dir, "t-s42-hist.json"),
-	}
-	if len(paths) != len(want) {
-		t.Fatalf("Flush paths = %v, want %v", paths, want)
-	}
-	for i := range want {
-		if paths[i] != want[i] {
-			t.Fatalf("Flush paths[%d] = %q, want %q", i, paths[i], want[i])
+	for _, tc := range []struct {
+		mutate func(*Config)
+		kinds  []string
+	}{
+		{func(*Config) {}, []string{"series.csv", "trace.jsonl", "spans.jsonl", "hist.json"}},
+		{func(c *Config) { c.Perfetto = true }, []string{"series.csv", "trace.jsonl", "spans.jsonl", "hist.json", "perfetto.json"}},
+		{func(c *Config) { c.MetricsInterval, c.TraceCapacity, c.Perfetto = 0, 0, true }, []string{"hist.json"}},
+	} {
+		dir := t.TempDir()
+		cfg := enabledCfg(dir)
+		tc.mutate(&cfg)
+		c := New(cfg, 42)
+		tap := c.RegisterLink("L0")
+		tap.Enqueue(0, 0, 0, 100, 0, 1)
+		c.AddSample(Sample{T: 1, Link: 0})
+		c.Decision(sim.Second, 0, 0, true, 1, 0) // gives the span artifact content
+		paths, err := c.Flush()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, p := range paths {
-		if b, err := os.ReadFile(p); err != nil || len(b) == 0 {
-			t.Fatalf("artifact %s: err %v, %d bytes", p, err, len(b))
+		var want []string
+		for _, k := range tc.kinds {
+			want = append(want, filepath.Join(dir, "t-s42-"+k))
+		}
+		if !reflect.DeepEqual(paths, want) {
+			t.Fatalf("Flush paths = %v, want %v", paths, want)
+		}
+		for _, p := range paths {
+			if b, err := os.ReadFile(p); err != nil || len(b) == 0 {
+				t.Fatalf("artifact %s: err %v, %d bytes", p, err, len(b))
+			}
 		}
 	}
 }
 
+// TestArtifactPathOverrides: Dir and Label override the defaults "." and
+// "run" in every artifact name, and the seed keeps two runs' files apart.
 func TestArtifactPathOverrides(t *testing.T) {
-	cfg := Config{Enabled: true, Dir: "d", Label: "x", MetricsInterval: sim.Second,
-		TraceCapacity: 4, TracePath: "custom.jsonl"}
-	if series := cfg.SeriesPath(7); series != filepath.Join("d", "x-s7-series.csv") {
-		t.Fatalf("series = %q", series)
+	cfg := Config{Enabled: true, Dir: "d", Label: "x", MetricsInterval: sim.Second, TraceCapacity: 4}
+	if got := cfg.Path(7, "series.csv"); got != filepath.Join("d", "x-s7-series.csv") {
+		t.Fatalf("series = %q", got)
 	}
-	if trace := cfg.TraceFile(7); trace != "custom.jsonl" {
-		t.Fatalf("trace = %q", trace)
-	}
-	cfg.MetricsInterval, cfg.TraceCapacity = 0, 0
-	if s, tr := cfg.SeriesPath(7), cfg.TraceFile(7); s != "" || tr != "" {
-		t.Fatalf("paths of artifacts turned off = %q, %q", s, tr)
+	if a, b := cfg.Path(1, "trace.jsonl"), cfg.Path(2, "trace.jsonl"); a == b {
+		t.Fatalf("seeds 1 and 2 share trace path %q", a)
 	}
 	if got := cfg.ManifestPath(); got != filepath.Join("d", "x-manifest.json") {
 		t.Fatalf("manifest path = %q", got)
+	}
+	cfg.Dir, cfg.Label = "", ""
+	if got := cfg.Path(7, "hist.json"); got != "run-s7-hist.json" {
+		t.Fatalf("default path = %q", got)
+	}
+	if got := cfg.ManifestPath(); got != "run-manifest.json" {
+		t.Fatalf("default manifest path = %q", got)
 	}
 }
 

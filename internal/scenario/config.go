@@ -334,11 +334,11 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: %s = %v, want >= 0 (0 = off)", n.field, n.v)
 		}
 	}
-	for _, p := range []struct{ field, path string }{
-		{"Obs.TracePath", c.Obs.TracePath}, {"Obs.PerfettoPath", c.Obs.PerfettoPath}} {
-		if p.path != "" && c.Obs.TraceCapacity == 0 {
-			return fmt.Errorf("scenario: %s = %q needs Obs.TraceCapacity > 0 (a zero capacity writes no trace)", p.field, p.path)
-		}
+	if c.Obs.TraceCapacity > obs.MaxTraceCapacity {
+		return fmt.Errorf("scenario: Obs.TraceCapacity = %d, want <= %d (the ring is allocated whole, 48 B per event)", c.Obs.TraceCapacity, obs.MaxTraceCapacity)
+	}
+	if c.Obs.Perfetto && c.Obs.TraceCapacity == 0 {
+		return fmt.Errorf("scenario: Obs.Perfetto needs Obs.TraceCapacity > 0 (the export renders the traced spans)")
 	}
 	for _, d := range []struct {
 		field string

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -150,7 +149,7 @@ func TestKernelDigests(t *testing.T) {
 		for _, how := range []string{"fresh", "reused"} {
 			dir := t.TempDir()
 			cfg := tc.cfg(dir)
-			cfg.Obs.PerfettoPath = filepath.Join(dir, "perfetto.json")
+			cfg.Obs.Perfetto = true
 			var err error
 			if how == "fresh" {
 				_, err = Run(cfg)
@@ -160,10 +159,8 @@ func TestKernelDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", tc.name, how, err)
 			}
-			oc := cfg.Obs
-			for i, p := range []string{oc.SeriesPath(cfg.Seed), oc.TraceFile(cfg.Seed),
-				oc.SpansPath(cfg.Seed), oc.HistPath(cfg.Seed), oc.PerfettoPath} {
-				b, err := os.ReadFile(p)
+			for i, kind := range artifactFiles {
+				b, err := os.ReadFile(cfg.Obs.Path(cfg.Seed, kind))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +177,7 @@ func TestKernelDigests(t *testing.T) {
 }
 
 // artifactFiles names the columns of an obsDigestCase, in flush order.
-var artifactFiles = [5]string{"series", "trace", "spans", "hist", "perfetto"}
+var artifactFiles = [5]string{"series.csv", "trace.jsonl", "spans.jsonl", "hist.json", "perfetto.json"}
 
 type obsDigestCase struct {
 	name string

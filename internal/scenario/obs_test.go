@@ -1,13 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -93,7 +93,7 @@ func TestTraceEpochEvent(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(cfg.Obs.TraceFile(cfg.Seed))
+	b, err := os.ReadFile(cfg.Obs.Path(cfg.Seed, "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestMeanDelayMatchesTrace(t *testing.T) {
 	if n := r.obs.TraceDropped(); n != 0 {
 		t.Fatalf("the trace ring dropped %d records: raise TraceCapacity", n)
 	}
-	f, err := os.Open(cfg.Obs.TraceFile(cfg.Seed))
+	f, err := os.Open(cfg.Obs.Path(cfg.Seed, "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFlowDataSeqUnbroken(t *testing.T) {
 	if d := r.doms[0]; d.flowBase < 3*cap(d.flows) {
 		t.Fatalf("test setup: flowBase %d, table capacity %d: fewer than 3 compactions", d.flowBase, cap(d.flows))
 	}
-	f, err := os.Open(cfg.Obs.TraceFile(cfg.Seed))
+	f, err := os.Open(cfg.Obs.Path(cfg.Seed, "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,33 +430,35 @@ func TestFlowDataSeqUnbroken(t *testing.T) {
 	t.Logf("%d data packets of %d flows, flowBase %d", pkts, len(next), r.doms[0].flowBase)
 }
 
-// TestRunSeedsRejectsSharedTracePath: Obs.TracePath and Obs.PerfettoPath
-// name one file, so a two-seed run that sets either fails before any seed
-// runs, naming the field, instead of letting seed 2 overwrite seed 1.
-// One seed may set them.
-func TestRunSeedsRejectsSharedTracePath(t *testing.T) {
-	for _, field := range []string{"Obs.TracePath", "Obs.PerfettoPath"} {
-		dir := t.TempDir()
-		cfg := obsChainCfg(3, dir)
-		if field == "Obs.TracePath" {
-			cfg.Obs.TracePath = filepath.Join(dir, "t.jsonl")
-		} else {
-			cfg.Obs.PerfettoPath = filepath.Join(dir, "p.json")
-		}
-		_, _, err := RunSeedsObserved(cfg, []uint64{1, 2}, 1)
-		if err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("two seeds sharing %s: err = %v, want one naming it", field, err)
-		}
-		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-			t.Fatalf("rejected run wrote %d files", len(ents))
-		}
+// TestRunSeedsPerfettoPerSeed: with Obs.Perfetto set, each seed of a list
+// writes its own export, named by its seed, holding the bytes a one-seed
+// run of that seed writes.
+func TestRunSeedsPerfettoPerSeed(t *testing.T) {
+	seeds := []uint64{1, 2}
+	cfg := obsChainCfg(3, t.TempDir())
+	cfg.Obs.Perfetto = true
+	if _, _, err := RunSeedsObserved(cfg, seeds, 2); err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	cfg := obsChainCfg(3, dir)
-	cfg.Obs.TracePath = filepath.Join(dir, "t.jsonl")
-	_, recs, err := RunSeedsObserved(cfg, []uint64{1}, 1)
-	if err != nil || !slices.Contains(recs[0].Artifacts, cfg.Obs.TracePath) {
-		t.Fatalf("one seed with Obs.TracePath: err = %v, records %+v", err, recs)
+	var exports [][]byte
+	for _, seed := range seeds {
+		one := obsChainCfg(3, t.TempDir())
+		one.Obs.Perfetto = true
+		if _, _, err := RunSeedsObserved(one, []uint64{seed}, 1); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(one.Obs.Path(seed, "perfetto.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(cfg.Obs.Path(seed, "perfetto.json"))
+		if err != nil || len(got) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: export of the two-seed run (%d B, err %v) differs from the one-seed run's (%d B)", seed, len(got), err, len(want))
+		}
+		exports = append(exports, got)
+	}
+	if bytes.Equal(exports[0], exports[1]) {
+		t.Fatal("two seeds wrote the same export")
 	}
 }
 

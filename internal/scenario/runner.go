@@ -339,11 +339,7 @@ func (r RunRecord) AddTo(man *obs.Manifest) {
 // (seed, label) — and the per-seed Metrics are aggregated in seed order,
 // so the MultiMetrics is bitwise-identical for every worker count; only
 // wall-clock time changes. A failing seed stops the seeds not yet started.
-// An Obs.TracePath or Obs.PerfettoPath serves one seed only.
 func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []RunRecord, error) {
-	if err := cfg.Obs.OneRun(len(seeds)); err != nil {
-		return MultiMetrics{}, nil, fmt.Errorf("scenario: %w", err)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -370,6 +366,12 @@ func RunSeedsObserved(cfg Config, seeds []uint64, workers int) (MultiMetrics, []
 	}
 	return Aggregate(runs), recs, nil
 }
+
+// MaxSeeds bounds the seed count a user asks for (eacsim's -seeds,
+// experiments.Options.Seeds): the seed list, and one Metrics and one
+// RunRecord per seed, are allocated before any seed runs. The largest
+// count the docs use is 40.
+const MaxSeeds = 10000
 
 // DefaultSeeds returns n deterministic seeds.
 func DefaultSeeds(n int) []uint64 {

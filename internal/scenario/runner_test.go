@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -333,13 +332,12 @@ func TestValidateNamesField(t *testing.T) {
 		{"Drain", func(c *Config) { c.Drain = -sim.Second }},
 		{"Obs.MetricsInterval", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), MetricsInterval: -sim.Second} }},
 		{"Obs.TraceCapacity", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: -1} }},
-		// A trace file asked for with no ring to fill it was silently not written.
-		{"Obs.TracePath", func(c *Config) {
-			c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TracePath: filepath.Join(t.TempDir(), "trace.jsonl")}
+		// The ring is allocated whole before the run: Validate refuses first.
+		{"Obs.TraceCapacity", func(c *Config) {
+			c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), TraceCapacity: obs.MaxTraceCapacity + 1}
 		}},
-		{"Obs.PerfettoPath", func(c *Config) {
-			c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), PerfettoPath: filepath.Join(t.TempDir(), "p.json")}
-		}},
+		// An export asked for with no ring to fill it was silently not written.
+		{"Obs.Perfetto", func(c *Config) { c.Obs = obs.Config{Enabled: true, Dir: t.TempDir(), Perfetto: true} }},
 		{"Obs.Enabled", func(c *Config) {
 			c.Links, c.Shards, c.Obs = []LinkSpec{{}, {}}, 2, obs.Config{Enabled: true, Dir: t.TempDir()}
 		}},

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"math"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -522,7 +521,6 @@ func replayRecordCfg(dir string) Config {
 			Dir:           dir,
 			Label:         "replaytest",
 			TraceCapacity: 1 << 20,
-			TracePath:     filepath.Join(dir, "record-trace.jsonl"),
 		},
 	}
 }
@@ -539,7 +537,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := LoadReplay(cfg.Obs.TracePath)
+	tr, err := LoadReplay(cfg.Obs.Path(cfg.Seed, "trace.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
