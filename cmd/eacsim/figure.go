@@ -11,7 +11,6 @@ import (
 
 	"eac/internal/cache"
 	"eac/internal/experiments"
-	"eac/internal/obs"
 	"eac/internal/scenario"
 	"eac/internal/sim"
 )
@@ -30,13 +29,9 @@ func figureMain(args []string) {
 		outDir   = fs.String("out", "results", "directory for CSV output and manifests (empty = no files)")
 		verbose  = fs.Bool("v", false, "log every completed run")
 		list     = fs.Bool("list", false, "list experiment ids and exit")
+		eta      = fs.Bool("eta", false, "report live progress and ETA on stderr")
 
 		cacheClear = fs.Bool("cache-clear", false, "delete every entry in the result cache and exit")
-
-		// Observability (see EXPERIMENTS.md "Observability").
-		eta       = fs.Bool("eta", false, "report live progress and ETA on stderr")
-		mInterval = fs.Float64("metrics-interval", 0, "per-run queue telemetry sampling interval, simulated seconds (0 = off)")
-		traceDir  = fs.String("trace-out", "", "directory for per-run JSONL event traces (implies telemetry)")
 	)
 	cf := bindCommon(fs)
 	parse(fs, args)
@@ -70,6 +65,7 @@ func figureMain(args []string) {
 	opts.Warmup = sim.Seconds(*warmup)
 	opts.Workers = workers
 	opts.Cache = store
+	opts.Obs = cf.obsConfig(fs, "")
 	if *verbose {
 		opts.Progress = func(format string, args ...any) { log.Printf(format, args...) }
 	}
@@ -82,21 +78,6 @@ func figureMain(args []string) {
 			if done == total {
 				fmt.Fprintln(os.Stderr)
 			}
-		}
-	}
-	if *mInterval > 0 || *traceDir != "" {
-		dir := *traceDir
-		if dir == "" {
-			dir = filepath.Join(*outDir, "obs")
-		}
-		opts.Obs = obs.Config{
-			Enabled:         true,
-			Dir:             dir,
-			MetricsInterval: sim.Seconds(*mInterval),
-			TraceCapacity:   cf.traceCap,
-		}
-		if *traceDir == "" {
-			opts.Obs.TraceCapacity = 0 // telemetry only; no traces requested
 		}
 	}
 

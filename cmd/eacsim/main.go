@@ -24,11 +24,13 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"eac/internal/cache"
 	"eac/internal/obs"
+	"eac/internal/sim"
 )
 
 func main() {
@@ -52,11 +54,14 @@ func main() {
 // common holds the flags both subcommands declare with one meaning and
 // one default.
 type common struct {
-	workers  int
-	useCache bool
-	cacheDir string
-	traceCap int
-	pprof    string
+	workers   int
+	useCache  bool
+	cacheDir  string
+	obsDir    string
+	mInterval float64
+	traceCap  int
+	perfetto  bool
+	pprof     string
 }
 
 func bindCommon(fs *flag.FlagSet) *common {
@@ -65,8 +70,11 @@ func bindCommon(fs *flag.FlagSet) *common {
 	// Result cache (see README "Result cache").
 	fs.BoolVar(&c.useCache, "cache", false, "serve repeated runs from the content-addressed result cache")
 	fs.StringVar(&c.cacheDir, "cache-dir", "", "result cache directory (implies -cache; default $EAC_CACHE_DIR or the user cache dir)")
-	// Observability and profiling (see README "Observability").
-	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "event trace ring capacity per run; the oldest events are discarded beyond this")
+	// Observability and profiling (see EXPERIMENTS.md "Observability").
+	fs.StringVar(&c.obsDir, "obs", "", "write observability artifacts under this directory: per run <label>-s<seed>-<kind> (series.csv, trace.jsonl, spans.jsonl, hist.json), labelled eacsim by run (beside eacsim-manifest.json) and by sweep point by figure")
+	fs.Float64Var(&c.mInterval, "metrics-interval", 1, "with -obs, queue telemetry sampling interval, simulated seconds (0 disables the time series)")
+	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "with -obs, event trace ring capacity per run; the oldest events are discarded beyond this")
+	fs.BoolVar(&c.perfetto, "perfetto", false, "with -obs, also export each run's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, <label>-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	return c
 }
@@ -78,6 +86,29 @@ func parse(fs *flag.FlagSet, args []string) {
 	if fs.NArg() > 0 {
 		log.Fatalf("unexpected argument %q (flags go after the subcommand: eacsim [run|figure] -flag ...)", fs.Arg(0))
 	}
+}
+
+// rejectSet ends the command if fs was given any of the named flags: the
+// run would ignore it, and a flag that does nothing is an error.
+func rejectSet(fs *flag.FlagSet, why string, names ...string) {
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			log.Fatalf("-%s %s", f.Name, why)
+		}
+	})
+}
+
+// obsConfig is the observability config the flags ask for, with artifacts
+// named by label (empty: by sweep point). Without -obs it is disabled,
+// and -metrics-interval, -trace-cap or -perfetto set on their own is an
+// error.
+func (c *common) obsConfig(fs *flag.FlagSet, label string) (off obs.Config) {
+	if c.obsDir == "" {
+		rejectSet(fs, "needs -obs DIR: no artifacts are written without it", "metrics-interval", "trace-cap", "perfetto")
+		return off
+	}
+	return obs.Config{Enabled: true, Dir: c.obsDir, Label: label,
+		MetricsInterval: sim.Seconds(c.mInterval), TraceCapacity: c.traceCap, Perfetto: c.perfetto}
 }
 
 // start serves pprof, checks -workers and opens the result cache when

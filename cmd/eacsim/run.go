@@ -10,7 +10,6 @@ import (
 
 	"eac/internal/admission"
 	"eac/internal/cache"
-	"eac/internal/obs"
 	"eac/internal/scenario"
 	"eac/internal/sim"
 	"eac/internal/trafgen"
@@ -65,7 +64,7 @@ func runMain(args []string) {
 		seeds      = fs.Int("seeds", 1, "number of seeds to average")
 
 		// Topology (see README "Sharded runs and the MetroStar preset").
-		topology = fs.String("topology", "basic", "basic (one congested link) or metro-star (the large star-of-chains preset; -source/-tau/-life/-link/-prepopulate are derived from -hosts and ignored)")
+		topology = fs.String("topology", "basic", "basic (one congested link) or metro-star (the large star-of-chains preset)")
 		chains   = fs.Int("chains", 0, "metro-star: access chains off the hub (0 = preset default 8)")
 		hops     = fs.Int("hops", 0, "metro-star: links per chain (0 = preset default 3)")
 		hosts    = fs.Int("hosts", 0, "metro-star: target concurrent host population (0 = preset default 10000)")
@@ -85,20 +84,12 @@ func runMain(args []string) {
 		// Nonstationary load modulation (see README "Temporal workloads").
 		loadSched  = fs.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
 		loadReplay = fs.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
-
-		// Observability (see README "Observability").
-		obsDir    = fs.String("obs", "", "write observability artifacts under this directory: the run manifest and, per seed, eacsim-s<seed>-<kind> (series.csv, trace.jsonl, spans.jsonl, hist.json)")
-		mInterval = fs.Float64("metrics-interval", 1, "queue telemetry sampling interval, simulated seconds (0 disables the time series)")
-		perfetto  = fs.Bool("perfetto", false, "with -obs, also export each seed's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, eacsim-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	)
 	cf := bindCommon(fs)
 	parse(fs, args)
 
 	if *seeds < 1 || *seeds > scenario.MaxSeeds {
 		log.Fatalf("-seeds must be in 1..%d, got %d", scenario.MaxSeeds, *seeds)
-	}
-	if *perfetto && *obsDir == "" {
-		log.Fatal("-perfetto writes beside the other artifacts: it needs -obs DIR")
 	}
 	// Every name is checked whatever the method and topology: a misspelt
 	// name is an error even where the run would ignore the flag.
@@ -115,6 +106,7 @@ func runMain(args []string) {
 	var metro *scenario.MetroStarOptions // nil on the basic topology
 	switch *topology {
 	case "basic":
+		rejectSet(fs, "sizes -topology metro-star; the basic topology is one link", "chains", "hops", "hosts")
 		cfg = scenario.Config{
 			Classes:         []scenario.ClassSpec{{Preset: preset, Weight: 1, Eps: -1}},
 			Links:           []scenario.LinkSpec{{RateBps: *linkBps}},
@@ -123,6 +115,7 @@ func runMain(args []string) {
 			PrepopulateUtil: *prepop,
 		}
 	case "metro-star":
+		rejectSet(fs, "is not read by -topology metro-star: the preset derives its traffic and link rates from -hosts", "source", "tau", "life", "link", "prepopulate")
 		for _, f := range []struct {
 			name string
 			v    int
@@ -169,27 +162,14 @@ func runMain(args []string) {
 	case scenario.Passive:
 		cfg.AC.Eps = *eps
 	}
-	store, workers := cf.start(false)
-
-	if *obsDir != "" {
-		cfg.Obs = obs.Config{
-			Enabled:         true,
-			Dir:             *obsDir,
-			Label:           "eacsim",
-			MetricsInterval: sim.Seconds(*mInterval),
-			TraceCapacity:   cf.traceCap,
-			Perfetto:        *perfetto,
-		}
-	}
-	if store != nil {
-		cfg.Cache = store
-		if cfg.Obs.Enabled {
-			log.Print("result cache: bypassed while observability is active (artifacts cannot come from a cache)")
-		}
-	}
-
+	cfg.Obs = cf.obsConfig(fs, "eacsim")
 	cfg.Hybrid.Enabled = *hybrid
 	cfg.Shards = *shrds
+	store, workers := cf.start(false)
+	cfg.Cache = store
+	if store != nil && cfg.Obs.Enabled {
+		log.Print("result cache: bypassed while observability is active (artifacts cannot come from a cache)")
+	}
 
 	seedVals := scenario.DefaultSeeds(*seeds)
 	start := time.Now()
@@ -203,7 +183,7 @@ func runMain(args []string) {
 	// executed: -shards after the link-count clamp.
 	cfg.Shards = recs[0].Shards
 
-	if *obsDir != "" {
+	if cfg.Obs.Enabled {
 		var snap *cache.Snapshot
 		if store != nil {
 			snap = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(), Bypassed: "obs active"}
@@ -221,7 +201,7 @@ func runMain(args []string) {
 			log.Fatal(err)
 		}
 		log.Printf("observability: wrote %s and %d artifact(s) under %s",
-			cfg.Obs.ManifestPath(), len(man.Artifacts), *obsDir)
+			cfg.Obs.ManifestPath(), len(man.Artifacts), cfg.Obs.Dir)
 	}
 	if *topology == "metro-star" {
 		fmt.Printf("scenario : %s %s duration=%.0fs x %d seed(s)\n",
@@ -248,8 +228,13 @@ func runMain(args []string) {
 	if cfg.Replay != nil {
 		fmt.Printf("load     : replaying %d arrivals from %s\n", cfg.Replay.Len(), cfg.Replay.Source())
 	}
-	fmt.Printf("util     : %.4f (+/- %.4f across seeds)\n", m.Utilization, mm.UtilStderr)
-	fmt.Printf("loss     : %.3e (+/- %.1e)\n", m.DataLossProb, mm.LossStderr)
+	if *seeds > 1 {
+		fmt.Printf("util     : %.4f (+/- %.4f across seeds)\n", m.Utilization, mm.UtilStderr)
+		fmt.Printf("loss     : %.3e (+/- %.1e)\n", m.DataLossProb, mm.LossStderr)
+	} else {
+		fmt.Printf("util     : %.4f\n", m.Utilization)
+		fmt.Printf("loss     : %.3e\n", m.DataLossProb)
+	}
 	fmt.Printf("blocking : %.4f over %d decided flows\n", m.BlockingProb, m.Decided)
 	fmt.Printf("probes   : %.4f of the allocated share\n", m.ProbeShare)
 	if store != nil {

@@ -440,11 +440,14 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 // table of zeros, and not a shard request quietly run on one domain. Input
 // the command cannot use — a word left after the flags, a misspelt name
 // for a flag this method or topology ignores, an unknown subcommand, a
-// negative worker count — ends it the same way, naming the argument.
+// negative worker count, an obs flag without -obs, a flag of the other
+// topology — ends it the same way, naming the argument.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
+	star := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5"}
 	short := []string{"eacsim", "-duration", "20", "-warmup", "5"}
+	fig := []string{"eacsim", "figure", "-run", "table3", "-duration", "20", "-warmup", "5", "-out", ""}
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		args []string
@@ -461,6 +464,19 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(short, "-obs", dir, "-perfetto", "-trace-cap", "0"), "Obs.Perfetto"},
 		{append(short, "-perfetto"), "-obs"},
 		{append(short, "-obs", dir, "-trace-cap", "16777217"), "Obs.TraceCapacity"},
+		{append(short, "-metrics-interval", "5"), "-metrics-interval needs -obs"},
+		{append(short, "-trace-cap", "7"), "-trace-cap needs -obs"},
+		{append(fig, "-metrics-interval", "5"), "-metrics-interval needs -obs"},
+		{append(fig, "-trace-cap", "7"), "-trace-cap needs -obs"},
+		{append(fig, "-perfetto"), "-perfetto needs -obs"},
+		{append(star, "-source", "EXP2"), "-source"},
+		{append(star, "-tau", "0.001"), "-tau"},
+		{append(star, "-life", "30"), "-life"},
+		{append(star, "-link", "1e6"), "-link"},
+		{append(star, "-prepopulate", "0.5"), "-prepopulate"},
+		{append(short, "-chains", "4"), "-chains"},
+		{append(short, "-hops", "2"), "-hops"},
+		{append(short, "-hosts", "600"), "-hosts"},
 		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},
@@ -492,5 +508,55 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "bogus"}, `"bogus"`},
 	} {
 		assertRejected(t, bin, tc.args, tc.want)
+	}
+}
+
+// TestFigureWritesObsOnlyUnderObs: eacsim figure writes observability
+// artifacts only under -obs DIR, four per design point and seed, named by
+// point label; without -obs (and with -out "") it writes no file at all.
+func TestFigureWritesObsOnlyUnderObs(t *testing.T) {
+	bin := buildCommands(t)
+	args := []string{"figure", "-run", "table3", "-duration", "20", "-warmup", "5", "-out", ""}
+	files := func(extra ...string) []string {
+		t.Helper()
+		wd := t.TempDir()
+		cmd := exec.Command(filepath.Join(bin, "eacsim"), append(args, extra...)...)
+		cmd.Dir = wd
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("eacsim %v: %v\n%s", append(args, extra...), err, out)
+		}
+		var names []string
+		err := filepath.WalkDir(wd, func(path string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				rel, _ := filepath.Rel(wd, path)
+				names = append(names, filepath.ToSlash(rel))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	if got := files(); len(got) != 0 {
+		t.Errorf("without -obs: wrote %v, want no file", got)
+	}
+	artifact := regexp.MustCompile(`^D/(table3-.+-s\d+)-(series\.csv|trace\.jsonl|spans\.jsonl|hist\.json)$`)
+	kinds := map[string]int{}
+	for _, f := range files("-obs", "D") {
+		m := artifact.FindStringSubmatch(f)
+		if m == nil {
+			t.Errorf("with -obs D: wrote %s, want only D/table3-<point>-s<seed>-<kind>", f)
+			continue
+		}
+		kinds[m[1]]++
+	}
+	if len(kinds) == 0 {
+		t.Error("with -obs D: wrote no artifact")
+	}
+	for run, n := range kinds {
+		if n != 4 {
+			t.Errorf("with -obs D: %d artifacts for %s, want 4", n, run)
+		}
 	}
 }

@@ -37,8 +37,8 @@ type linkHist struct {
 
 // histDoc is the histogram artifact: distributional stats that survive
 // trace-ring wraparound, replacing point P99 estimates. Buckets are
-// power-of-two [lo, hi, count] triples, exactly mergeable across seeds
-// (stats.LogHist). Shards is 1, a constant of the format.
+// power-of-two [lo, hi, count] triples (stats.LogHist). Shards is 1, a
+// constant of the format.
 type histDoc struct {
 	Schema       string      `json:"schema"`
 	Seed         uint64      `json:"seed"`
