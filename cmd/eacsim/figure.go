@@ -35,6 +35,7 @@ func figureMain(args []string) {
 	)
 	cf := bindCommon(fs)
 	parse(fs, args)
+	obsCfg := cf.obsConfig(fs, "", false)
 
 	if *seeds < 0 || *seeds > scenario.MaxSeeds {
 		log.Fatalf("-seeds must be in 0..%d (0 = mode default), got %d", scenario.MaxSeeds, *seeds)
@@ -65,7 +66,7 @@ func figureMain(args []string) {
 	opts.Warmup = sim.Seconds(*warmup)
 	opts.Workers = workers
 	opts.Cache = store
-	opts.Obs = cf.obsConfig(fs, "")
+	opts.Obs = obsCfg
 	if *verbose {
 		opts.Progress = func(format string, args ...any) { log.Printf(format, args...) }
 	}

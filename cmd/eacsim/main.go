@@ -60,7 +60,6 @@ type common struct {
 	obsDir    string
 	mInterval float64
 	traceCap  int
-	perfetto  bool
 	pprof     string
 }
 
@@ -74,7 +73,6 @@ func bindCommon(fs *flag.FlagSet) *common {
 	fs.StringVar(&c.obsDir, "obs", "", "write observability artifacts under this directory: per run <label>-s<seed>-<kind> (series.csv, trace.jsonl, spans.jsonl, hist.json), labelled eacsim by run (beside eacsim-manifest.json) and by sweep point by figure")
 	fs.Float64Var(&c.mInterval, "metrics-interval", 1, "with -obs, queue telemetry sampling interval, simulated seconds (0 disables the time series)")
 	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "with -obs, event trace ring capacity per run; the oldest events are discarded beyond this")
-	fs.BoolVar(&c.perfetto, "perfetto", false, "with -obs, also export each run's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, <label>-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	return c
 }
@@ -99,16 +97,16 @@ func rejectSet(fs *flag.FlagSet, why string, names ...string) {
 }
 
 // obsConfig is the observability config the flags ask for, with artifacts
-// named by label (empty: by sweep point). Without -obs it is disabled,
-// and -metrics-interval, -trace-cap or -perfetto set on their own is an
-// error.
-func (c *common) obsConfig(fs *flag.FlagSet, label string) (off obs.Config) {
+// named by label (empty: by sweep point) and perfetto from run's -perfetto.
+// Without -obs it is disabled, and -metrics-interval, -trace-cap or
+// -perfetto set on their own is an error.
+func (c *common) obsConfig(fs *flag.FlagSet, label string, perfetto bool) (off obs.Config) {
 	if c.obsDir == "" {
 		rejectSet(fs, "needs -obs DIR: no artifacts are written without it", "metrics-interval", "trace-cap", "perfetto")
 		return off
 	}
 	return obs.Config{Enabled: true, Dir: c.obsDir, Label: label,
-		MetricsInterval: sim.Seconds(c.mInterval), TraceCapacity: c.traceCap, Perfetto: c.perfetto}
+		MetricsInterval: sim.Seconds(c.mInterval), TraceCapacity: c.traceCap, Perfetto: perfetto}
 }
 
 // start serves pprof, checks -workers and opens the result cache when

@@ -84,6 +84,9 @@ func runMain(args []string) {
 		// Nonstationary load modulation (see README "Temporal workloads").
 		loadSched  = fs.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
 		loadReplay = fs.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
+
+		// Observability: -obs and the flags it shares with figure are in bindCommon.
+		perfetto = fs.Bool("perfetto", false, "with -obs, also export each seed's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, eacsim-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	)
 	cf := bindCommon(fs)
 	parse(fs, args)
@@ -162,7 +165,7 @@ func runMain(args []string) {
 	case scenario.Passive:
 		cfg.AC.Eps = *eps
 	}
-	cfg.Obs = cf.obsConfig(fs, "eacsim")
+	cfg.Obs = cf.obsConfig(fs, "eacsim", *perfetto)
 	cfg.Hybrid.Enabled = *hybrid
 	cfg.Shards = *shrds
 	store, workers := cf.start(false)
@@ -228,13 +231,8 @@ func runMain(args []string) {
 	if cfg.Replay != nil {
 		fmt.Printf("load     : replaying %d arrivals from %s\n", cfg.Replay.Len(), cfg.Replay.Source())
 	}
-	if *seeds > 1 {
-		fmt.Printf("util     : %.4f (+/- %.4f across seeds)\n", m.Utilization, mm.UtilStderr)
-		fmt.Printf("loss     : %.3e (+/- %.1e)\n", m.DataLossProb, mm.LossStderr)
-	} else {
-		fmt.Printf("util     : %.4f\n", m.Utilization)
-		fmt.Printf("loss     : %.3e\n", m.DataLossProb)
-	}
+	fmt.Printf("util     : %.4f (+/- %.4f across seeds)\n", m.Utilization, mm.UtilStderr)
+	fmt.Printf("loss     : %.3e (+/- %.1e)\n", m.DataLossProb, mm.LossStderr)
 	fmt.Printf("blocking : %.4f over %d decided flows\n", m.BlockingProb, m.Decided)
 	fmt.Printf("probes   : %.4f of the allocated share\n", m.ProbeShare)
 	if store != nil {

@@ -468,7 +468,7 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(short, "-trace-cap", "7"), "-trace-cap needs -obs"},
 		{append(fig, "-metrics-interval", "5"), "-metrics-interval needs -obs"},
 		{append(fig, "-trace-cap", "7"), "-trace-cap needs -obs"},
-		{append(fig, "-perfetto"), "-perfetto needs -obs"},
+		{[]string{"eacsim", "figure", "-list", "-trace-cap", "7"}, "-trace-cap needs -obs"},
 		{append(star, "-source", "EXP2"), "-source"},
 		{append(star, "-tau", "0.001"), "-tau"},
 		{append(star, "-life", "30"), "-life"},
