@@ -152,8 +152,20 @@ func runMain(args []string) {
 		cfg.Replay = tr
 	}
 	cfg.Method = method
+	// A flag the method or the policy never reads is an error, not a no-op.
+	eacOnly := []string{"design", "prober", "probe", "policy", "policy.bucket-cap", "policy.bucket-rate", "policy.epoch", "policy.target-loss"}
 	switch method {
 	case scenario.EAC:
+		rejectSet(fs, "is read by -method mbac only", "target")
+		switch policy {
+		case admission.PolicyTokenBucket:
+			rejectSet(fs, "is read by -policy epoch-adaptive only", "policy.epoch", "policy.target-loss")
+		case admission.PolicyEpochAdaptive:
+			rejectSet(fs, "is read by -policy token-bucket only", "policy.bucket-cap", "policy.bucket-rate")
+		default:
+			rejectSet(fs, "is read by -policy token-bucket or epoch-adaptive only",
+				"policy.bucket-cap", "policy.bucket-rate", "policy.epoch", "policy.target-loss")
+		}
 		cfg.AC = admission.Config{Design: design, Kind: prober, Eps: *eps, ProbeDur: sim.Seconds(*probeDur)}
 		cfg.Policy = admission.PolicyConfig{
 			Kind:      policy,
@@ -161,8 +173,12 @@ func runMain(args []string) {
 			Epoch: *epochN, TargetLoss: *targetLoss,
 		}
 	case scenario.MBAC:
+		rejectSet(fs, "is read by -method eac or passive only", "eps")
+		rejectSet(fs, "is read by -method eac only: mbac sends no probes", eacOnly...)
 		cfg.MS.Target = *target
 	case scenario.Passive:
+		rejectSet(fs, "is read by -method mbac only", "target")
+		rejectSet(fs, "is read by -method eac only: passive sends no probes", eacOnly...)
 		cfg.AC.Eps = *eps
 	}
 	cfg.Obs = cf.obsConfig(fs, "eacsim", *perfetto)

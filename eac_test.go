@@ -441,7 +441,7 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 // the command cannot use — a word left after the flags, a misspelt name
 // for a flag this method or topology ignores, an unknown subcommand, a
 // negative worker count, an obs flag without -obs, a flag of the other
-// topology — ends it the same way, naming the argument.
+// topology, method or policy — ends it the same way, naming the argument.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
@@ -477,6 +477,11 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(short, "-chains", "4"), "-chains"},
 		{append(short, "-hops", "2"), "-hops"},
 		{append(short, "-hosts", "600"), "-hosts"},
+		{append(short, "-target", "0.5"), "-target"},
+		{append(short, "-method", "mbac", "-probe", "2"), "-probe"},
+		{append(short, "-method", "passive", "-design", "mark-in"), "-design"},
+		{append(short, "-policy.bucket-cap", "5"), "-policy.bucket-cap"},
+		{append(short, "-policy", "token-bucket", "-policy.epoch", "5"), "-policy.epoch"},
 		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},

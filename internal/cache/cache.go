@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -37,8 +38,10 @@ const magic = "EACRES1\n"
 // headerLen is magic + uint32 payload length + uint32 CRC-32C.
 const headerLen = len(magic) + 4 + 4
 
-// crcTable is the Castagnoli polynomial, hardware-accelerated on amd64.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// crcTable is the Castagnoli polynomial, hardware-accelerated on amd64. It
+// is built on first use: every process that imports this package and never
+// opens a store would otherwise pay for it at init.
+var crcTable = sync.OnceValue(func() *crc32.Table { return crc32.MakeTable(crc32.Castagnoli) })
 
 // Stats counts a store's traffic since Open. All fields are monotonic.
 type Stats struct {
@@ -267,7 +270,7 @@ func encode(payload []byte) []byte {
 	out := make([]byte, headerLen+len(payload))
 	copy(out, magic)
 	binary.LittleEndian.PutUint32(out[len(magic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[len(magic)+4:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(out[len(magic)+4:], crc32.Checksum(payload, crcTable()))
 	copy(out[headerLen:], payload)
 	return out
 }
@@ -283,7 +286,7 @@ func decode(raw []byte) ([]byte, error) {
 	if uint32(len(payload)) != n {
 		return nil, fmt.Errorf("cache: truncated entry: have %d payload bytes, want %d", len(payload), n)
 	}
-	if crc32.Checksum(payload, crcTable) != sum {
+	if crc32.Checksum(payload, crcTable()) != sum {
 		return nil, fmt.Errorf("cache: checksum mismatch")
 	}
 	return payload, nil

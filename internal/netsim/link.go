@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"unsafe"
 
 	"eac/internal/obs"
 	"eac/internal/sim"
@@ -269,6 +270,11 @@ func (l *Link) startTx(at sim.Time) {
 	if p == nil {
 		return
 	}
+	if l.s.Len() > sim.PrefetchMinLive {
+		if q, ok := l.Q.(*PriorityPushout); ok {
+			q.prefetchNext()
+		}
+	}
 	if l.Tap != nil {
 		l.Tap.Dequeue(at, p.FlowID, uint8(p.Kind), int(p.Size), p.Seq, l.Q.Len())
 	}
@@ -345,7 +351,11 @@ func (l *Link) arm() {
 func (l *Link) onDeliver(now sim.Time) {
 	l.sync(now)
 	for l.pipe.Len() > 0 && l.pipe.Front().at <= now {
-		l.pipe.Pop().p.Forward(now)
+		p := l.pipe.Pop().p
+		if l.pipe.Len() > 0 && l.s.Len() > sim.PrefetchMinLive {
+			sim.Prefetch(unsafe.Pointer(l.pipe.Front().p))
+		}
+		p.Forward(now)
 	}
 	l.arm()
 }

@@ -1,6 +1,10 @@
 package netsim
 
-import "eac/internal/sim"
+import (
+	"unsafe"
+
+	"eac/internal/sim"
+)
 
 // Discipline is a buffering/scheduling discipline for packets awaiting
 // transmission. Enqueue returns the packet that was dropped as a result of
@@ -98,6 +102,17 @@ func (q *PriorityPushout) Dequeue() *Packet {
 
 // Len implements Discipline.
 func (q *PriorityPushout) Len() int { return q.total }
+
+// prefetchNext prefetches the packet the next Dequeue returns if nothing
+// arrives first: the front of the highest non-empty band (sim.Prefetch).
+func (q *PriorityPushout) prefetchNext() {
+	for b := range q.bands {
+		if q.bands[b].Len() > 0 {
+			sim.Prefetch(unsafe.Pointer(q.bands[b].Front()))
+			return
+		}
+	}
+}
 
 // SetCap changes the shared buffer capacity of an EMPTY queue, retaining
 // the band rings' backing arrays. It is the discipline half of the

@@ -377,7 +377,7 @@ const MaxSeeds = 10000
 func DefaultSeeds(n int) []uint64 {
 	s := make([]uint64, n)
 	for i := range s {
-		s[i] = uint64(0x9E3779B9*(i+1)) + 1
+		s[i] = 0x9E3779B9*uint64(i+1) + 1
 	}
 	return s
 }

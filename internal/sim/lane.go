@@ -1,5 +1,7 @@
 package sim
 
+import "unsafe"
+
 // Lane names a monotone lane of a Sim: a FIFO ring of ordinary
 // (when, seq, *Event) entries whose times are non-decreasing in scheduling
 // order, which "now + d" for a fixed d always is. Only a lane's head
@@ -110,6 +112,11 @@ func (s *Sim) promote(l *lane) {
 		l.headSeq = ent.seq
 		s.ctr.Promotions++
 		s.stream.push(ent)
+		// In a big run the ring's Events lie far apart in memory: warm the
+		// one that this lane promotes (and reads) three promotions on.
+		if n := l.ring.Len(); n > 0 && s.nLive > PrefetchMinLive {
+			Prefetch(unsafe.Pointer(l.ring.At(min(2, n-1)).e))
+		}
 		return
 	}
 	l.head = false

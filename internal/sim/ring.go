@@ -39,6 +39,15 @@ func (r *Ring[T]) Front() (v T) {
 	return r.buf[r.head]
 }
 
+// At returns the element i places behind the oldest (At(0) is Front), or
+// the zero value when i is not in [0, Len).
+func (r *Ring[T]) At(i int) (v T) {
+	if uint(i) >= uint(r.n) {
+		return v
+	}
+	return r.buf[(r.head+i)&(len(r.buf)-1)]
+}
+
 // Pop removes and returns the oldest element, or the zero value when the
 // ring is empty.
 func (r *Ring[T]) Pop() (v T) {

@@ -6,9 +6,10 @@ import "testing"
 // initial capacity (odd: RingInitCap 1, growing on nearly every push; even:
 // the default); each further byte is one operation, b%8: 0–3 Push, 4 Pop,
 // 5 PopTail, 6 Front, 7 Reset. Every result must equal the model's — the
-// zero value on an empty ring — and after every operation the backing array
-// must hold the model's elements in order from head, wrapped, and nil in
-// every other slot: a vacated slot keeps no pointer, after Reset included.
+// zero value on an empty ring — and after every operation At(i) must be
+// model[i] for every i in [0, Len) and nil just outside it, and the backing
+// array must hold the model's elements in order from head, wrapped, and nil
+// in every other slot: a vacated slot keeps no pointer, after Reset included.
 // The committed seeds under testdata/fuzz/FuzzRing/ cover growth with the
 // head wrapped at both capacities and every operation on an empty ring.
 //
@@ -55,6 +56,15 @@ func FuzzRing(f *testing.F) {
 			}
 			if r.Len() != len(model) {
 				t.Fatalf("step %d: Len = %d, model has %d", step, r.Len(), len(model))
+			}
+			for i := -1; i <= len(model); i++ {
+				want = nil
+				if i >= 0 && i < len(model) {
+					want = model[i]
+				}
+				if got := r.At(i); got != want {
+					t.Fatalf("step %d: At(%d) = %p, want %p", step, i, got, want)
+				}
 			}
 			mask := len(r.buf) - 1
 			if len(r.buf)&mask != 0 || r.Len() > len(r.buf) {

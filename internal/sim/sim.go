@@ -154,6 +154,16 @@ const heapArity = 4
 // simulations are running.
 var HeapInitCap = 1024
 
+// PrefetchMinLive is the live-event count above which the engine and the
+// packet path prefetch what they read one step later: the Event of a lane
+// entry a few promotions ahead, the next packet out of a link's pipe and the
+// next packet out of a priority queue (DESIGN §4c). At or below it a run's
+// live state fits in L2, where a prefetch is one call per event for nothing.
+// Like HeapInitCap it exists for the byte-identity tests, which set it to 0
+// to prefetch at every site: a prefetch cannot change a result. Do not
+// change it while simulations are running.
+var PrefetchMinLive = 1 << 13
+
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
 	now    Time
