@@ -33,9 +33,18 @@ func figureMain(args []string) {
 
 		cacheClear = fs.Bool("cache-clear", false, "delete every entry in the result cache and exit")
 	)
-	cf := bindCommon(fs)
-	parse(fs, args)
-	obsCfg := cf.obsConfig(fs, "", false)
+	cf := parseCommon(fs, args)
+	reader(func(flag string) string {
+		switch {
+		case (flag == "metrics-interval" || flag == "trace-cap") && cf.obsDir == "":
+			return needsObs
+		case *list && flag != "list":
+			return "is not read with -list: it prints the experiment ids and exits"
+		case *cacheClear && flag != "cache-clear" && flag != "cache-dir":
+			return "is not read with -cache-clear: it empties the result cache and exits"
+		}
+		return ""
+	}).check(fs)
 
 	if *seeds < 0 || *seeds > scenario.MaxSeeds {
 		log.Fatalf("-seeds must be in 0..%d (0 = mode default), got %d", scenario.MaxSeeds, *seeds)
@@ -47,28 +56,23 @@ func figureMain(args []string) {
 		return
 	}
 
-	store, workers := cf.start(*cacheClear)
 	if *cacheClear {
+		store := must(cache.Open(cf.cacheDir))
 		entries, bytes := store.Len()
-		if err := store.Clear(); err != nil {
-			log.Fatal(err)
-		}
+		fatal(store.Clear())
 		log.Printf("result cache cleared: %d entries, %d bytes (%s)", entries, bytes, store.Dir())
 		return
 	}
 
+	store, workers := cf.start()
 	opts := experiments.Quick()
 	if *paper {
 		opts = experiments.Paper()
 	}
-	opts.Seeds = *seeds
-	opts.Duration = sim.Seconds(*duration)
-	opts.Warmup = sim.Seconds(*warmup)
-	opts.Workers = workers
-	opts.Cache = store
-	opts.Obs = obsCfg
+	opts.Seeds, opts.Duration, opts.Warmup = *seeds, sim.Seconds(*duration), sim.Seconds(*warmup)
+	opts.Workers, opts.Cache, opts.Obs = workers, store, cf.obsConfig("", false)
 	if *verbose {
-		opts.Progress = func(format string, args ...any) { log.Printf(format, args...) }
+		opts.Progress = log.Printf
 	}
 	if *eta {
 		opts.ETA = func(done, total int, elapsed time.Duration) {
@@ -82,20 +86,14 @@ func figureMain(args []string) {
 		}
 	}
 
-	var todo []experiments.Experiment
-	if *run == "" {
-		todo = experiments.All()
-	} else {
+	todo := experiments.All()
+	if *run != "" {
+		todo = nil
 		for _, id := range strings.Split(*run, ",") {
 			todo = append(todo, must(experiments.Lookup(strings.TrimSpace(id))))
 		}
 	}
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-	}
 	for _, ex := range todo {
 		start := time.Now()
 		var statsBefore cache.Stats
@@ -120,9 +118,8 @@ func figureMain(args []string) {
 		if *outDir == "" {
 			continue
 		}
-		if err := os.WriteFile(filepath.Join(*outDir, ex.ID+".csv"), []byte(tbl.CSV()), 0o644); err != nil {
-			log.Fatal(err)
-		}
+		fatal(os.MkdirAll(*outDir, 0o755))
+		fatal(os.WriteFile(filepath.Join(*outDir, ex.ID+".csv"), []byte(tbl.CSV()), 0o644))
 		man := newManifest(workers, must(opts.SeedValues()), wall, map[string]any{
 			"experiment": ex.ID, "title": ex.Title,
 			"quick":      !*paper,
@@ -130,9 +127,7 @@ func figureMain(args []string) {
 			"warmup_s":   opts.RunWarmup().Sec(),
 		}, map[string]any{"rows": len(tbl.Rows)}, snap)
 		man.Artifacts = []string{ex.ID + ".csv"}
-		if err := man.Write(filepath.Join(*outDir, ex.ID+".manifest.json")); err != nil {
-			log.Fatal(err)
-		}
+		fatal(man.Write(filepath.Join(*outDir, ex.ID+".manifest.json")))
 	}
 	if store != nil {
 		log.Printf("result cache: %s (%s)", store.Stats(), store.Dir())

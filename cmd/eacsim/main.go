@@ -63,7 +63,10 @@ type common struct {
 	pprof     string
 }
 
-func bindCommon(fs *flag.FlagSet) *common {
+// parseCommon declares the common flags on fs and parses args into it. A
+// word left after the flags is a typo (a subcommand written after run's
+// flags, say), never input to ignore.
+func parseCommon(fs *flag.FlagSet, args []string) *common {
 	c := &common{}
 	fs.IntVar(&c.workers, "workers", 0, "parallel simulator runs (0 = one per core); results are identical for any value")
 	// Result cache (see README "Result cache").
@@ -74,35 +77,59 @@ func bindCommon(fs *flag.FlagSet) *common {
 	fs.Float64Var(&c.mInterval, "metrics-interval", 1, "with -obs, queue telemetry sampling interval, simulated seconds (0 disables the time series)")
 	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "with -obs, event trace ring capacity per run; the oldest events are discarded beyond this")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	return c
-}
-
-// parse parses args into fs. A word left after the flags is a typo (a
-// subcommand written after run's flags, say), never input to ignore.
-func parse(fs *flag.FlagSet, args []string) {
 	fs.Parse(args) // flag.ExitOnError: a bad flag has already exited
 	if fs.NArg() > 0 {
 		log.Fatalf("unexpected argument %q (flags go after the subcommand: eacsim [run|figure] -flag ...)", fs.Arg(0))
 	}
+	return c
 }
 
-// rejectSet ends the command if fs was given any of the named flags: the
-// run would ignore it, and a flag that does nothing is an error.
-func rejectSet(fs *flag.FlagSet, why string, names ...string) {
+// A reader is what one invocation reads: "" for a flag it reads, else why
+// setting the flag is an error. Each subcommand builds one from what it
+// resolved; it alone decides which set flag ends the command (check), which
+// knob run's manifest records and which header line run prints.
+type reader func(flag string) (why string)
+
+// reads reports whether the invocation reads flag.
+func (r reader) reads(flag string) bool { return r(flag) == "" }
+
+// check ends the command if fs was given a flag the invocation does not
+// read: a flag that does nothing is an error.
+func (r reader) check(fs *flag.FlagSet) {
 	fs.Visit(func(f *flag.Flag) {
-		if slices.Contains(names, f.Name) {
+		if why := r(f.Name); why != "" {
 			log.Fatalf("-%s %s", f.Name, why)
 		}
 	})
 }
 
+// A gate lets an invocation read flags, space-separated, only while open;
+// why is the error for one of them set while it is shut.
+type gate struct {
+	open       bool
+	why, flags string
+}
+
+// gates is the reader that rejects a flag the first shut gate names.
+func gates(gs ...gate) reader {
+	return func(flag string) string {
+		for _, g := range gs {
+			if !g.open && slices.Contains(strings.Fields(g.flags), flag) {
+				return g.why
+			}
+		}
+		return ""
+	}
+}
+
+// needsObs is why an obs flag is an error without -obs.
+const needsObs = "needs -obs DIR: no artifacts are written without it"
+
 // obsConfig is the observability config the flags ask for, with artifacts
-// named by label (empty: by sweep point) and perfetto from run's -perfetto.
-// Without -obs it is disabled, and -metrics-interval, -trace-cap or
-// -perfetto set on their own is an error.
-func (c *common) obsConfig(fs *flag.FlagSet, label string, perfetto bool) (off obs.Config) {
+// named by label (empty: by sweep point) and perfetto from run's
+// -perfetto; without -obs it is disabled.
+func (c *common) obsConfig(label string, perfetto bool) (off obs.Config) {
 	if c.obsDir == "" {
-		rejectSet(fs, "needs -obs DIR: no artifacts are written without it", "metrics-interval", "trace-cap", "perfetto")
 		return off
 	}
 	return obs.Config{Enabled: true, Dir: c.obsDir, Label: label,
@@ -110,10 +137,9 @@ func (c *common) obsConfig(fs *flag.FlagSet, label string, perfetto bool) (off o
 }
 
 // start serves pprof, checks -workers and opens the result cache when
-// -cache or -cache-dir asks for it, or when open does. It returns the
-// store (nil when none is open) and the worker count, 0 resolved to one
-// per core.
-func (c *common) start(open bool) (*cache.Store, int) {
+// -cache or -cache-dir asks for it. It returns the store (nil when none is
+// open) and the worker count, 0 resolved to one per core.
+func (c *common) start() (*cache.Store, int) {
 	if c.workers < 0 {
 		log.Fatalf("-workers must be >= 0 (0 = one per core), got %d", c.workers)
 	}
@@ -124,7 +150,7 @@ func (c *common) start(open bool) (*cache.Store, int) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if !c.useCache && c.cacheDir == "" && !open {
+	if !c.useCache && c.cacheDir == "" {
 		return nil, workers
 	}
 	return must(cache.Open(c.cacheDir)), workers
@@ -140,10 +166,15 @@ func newManifest(workers int, seeds []uint64, wall time.Duration, config, summar
 	return man
 }
 
-// must returns v, or ends the command with err.
-func must[T any](v T, err error) T {
+// fatal ends the command with err, if there is one.
+func fatal(err error) {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// must returns v, or ends the command with err.
+func must[T any](v T, err error) T {
+	fatal(err)
 	return v
 }

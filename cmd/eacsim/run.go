@@ -45,6 +45,37 @@ func lookup[T any](name, s string, vocab map[string]T) T {
 	return v
 }
 
+// nameOf is v's name in vocab.
+func nameOf[T comparable](vocab map[string]T, v T) string {
+	for n, x := range vocab {
+		if x == v {
+			return n
+		}
+	}
+	return ""
+}
+
+// runReads is what eacsim run reads, given the resolved config and whether
+// the topology is basic: ε, the design and the prober only when flows probe,
+// τ only when arrivals are drawn.
+func runReads(cfg scenario.Config, basic bool) reader {
+	eac, policy := cfg.Method == scenario.EAC, cfg.Policy.Kind
+	probes := eac && policy.Probes()
+	noProbe := "when flows probe (-method eac with a probing -policy)"
+	return gates(
+		gate{cfg.Obs.Enabled, needsObs, "metrics-interval trace-cap perfetto"},
+		gate{basic, "is not read by -topology metro-star: the preset derives its traffic and link rates from -hosts", "source tau life link prepopulate"},
+		gate{cfg.Replay == nil, "is not read with -load.replay: the recorded arrivals replace the Poisson process", "tau"},
+		gate{!basic, "sizes -topology metro-star; the basic topology is one link", "chains hops hosts"},
+		gate{cfg.Method == scenario.MBAC, "is read by -method mbac only", "target"},
+		gate{eac, "is read by -method eac only", "policy"},
+		gate{probes || cfg.Method == scenario.Passive, "is read by -method passive and " + noProbe, "eps"},
+		gate{probes, "is read only " + noProbe, "design prober probe retries"},
+		gate{eac && policy == admission.PolicyTokenBucket, "is read by -policy token-bucket only", "policy.bucket-cap policy.bucket-rate"},
+		gate{eac && policy == admission.PolicyEpochAdaptive, "is read by -policy epoch-adaptive only", "policy.epoch policy.target-loss"},
+	)
+}
+
 // runMain is the run subcommand: one scenario, averaged over -seeds.
 func runMain(args []string) {
 	fs := flag.NewFlagSet("eacsim run", flag.ExitOnError)
@@ -85,31 +116,26 @@ func runMain(args []string) {
 		loadSched  = fs.String("load.schedule", "", "phase schedule modulating the arrival rate, e.g. 'const:100:1,ramp:60:1:3,spike:30:4,hold'; an on/off square wave is 'const:100:2,const:100:0' (see README)")
 		loadReplay = fs.String("load.replay", "", "replay flow arrivals from a recorded obs JSONL event trace instead of drawing them (exclusive with -load.schedule)")
 
-		// Observability: -obs and the flags it shares with figure are in bindCommon.
+		// Observability: -obs and the flags it shares with figure are in parseCommon.
 		perfetto = fs.Bool("perfetto", false, "with -obs, also export each seed's probe-lifecycle spans as Chrome/Perfetto trace-event JSON, eacsim-s<seed>-perfetto.json (open with ui.perfetto.dev; needs -trace-cap > 0)")
 	)
-	cf := bindCommon(fs)
-	parse(fs, args)
+	cf := parseCommon(fs, args)
 
 	if *seeds < 1 || *seeds > scenario.MaxSeeds {
 		log.Fatalf("-seeds must be in 1..%d, got %d", scenario.MaxSeeds, *seeds)
 	}
-	// Every name is checked whatever the method and topology: a misspelt
-	// name is an error even where the run would ignore the flag.
+	// Every name is checked, also where the run would not read the flag.
 	if *methodName == "none" {
 		log.Fatal(`-method none is gone: admit every flow with -policy always-admit`)
 	}
-	method := lookup("-method", *methodName, methodNames)
-	design := lookup("-design", *designName, designNames)
-	prober := lookup("-prober", *proberName, proberNames)
-	policy := must(admission.ParsePolicyKind(*policyName))
+	method, design := lookup("-method", *methodName, methodNames), lookup("-design", *designName, designNames)
+	prober, policy := lookup("-prober", *proberName, proberNames), must(admission.ParsePolicyKind(*policyName))
 	preset := must(trafgen.Lookup(*source))
 
 	var cfg scenario.Config
 	var metro *scenario.MetroStarOptions // nil on the basic topology
 	switch *topology {
 	case "basic":
-		rejectSet(fs, "sizes -topology metro-star; the basic topology is one link", "chains", "hops", "hosts")
 		cfg = scenario.Config{
 			Classes:         []scenario.ClassSpec{{Preset: preset, Weight: 1, Eps: -1}},
 			Links:           []scenario.LinkSpec{{RateBps: *linkBps}},
@@ -118,13 +144,9 @@ func runMain(args []string) {
 			PrepopulateUtil: *prepop,
 		}
 	case "metro-star":
-		rejectSet(fs, "is not read by -topology metro-star: the preset derives its traffic and link rates from -hosts", "source", "tau", "life", "link", "prepopulate")
-		for _, f := range []struct {
-			name string
-			v    int
-		}{{"-chains", *chains}, {"-hops", *hops}, {"-hosts", *hosts}} {
-			if f.v < 0 {
-				log.Fatalf("%s must be >= 0 (0 = preset default), got %d", f.name, f.v)
+		for i, v := range []int{*chains, *hops, *hosts} {
+			if v < 0 {
+				log.Fatalf("-%s must be >= 0 (0 = preset default), got %d", []string{"chains", "hops", "hosts"}[i], v)
 			}
 		}
 		metro = &scenario.MetroStarOptions{Chains: *chains, Hops: *hops, Hosts: *hosts}
@@ -132,9 +154,7 @@ func runMain(args []string) {
 	default:
 		log.Fatalf("unknown topology %q (basic, metro-star)", *topology)
 	}
-	cfg.Duration = sim.Seconds(*duration)
-	cfg.Warmup = sim.Seconds(*warmup)
-	cfg.MaxRetries = *retries
+	cfg.Duration, cfg.Warmup, cfg.MaxRetries = sim.Seconds(*duration), sim.Seconds(*warmup), *retries
 	if *useRED {
 		cfg.Queue = scenario.QueueRED
 	}
@@ -142,49 +162,21 @@ func runMain(args []string) {
 		cfg.Schedule = must(scenario.ParseSchedule(*loadSched))
 	}
 	if *loadReplay != "" {
-		if *loadSched != "" {
-			log.Fatal("-load.replay and -load.schedule are mutually exclusive")
-		}
 		tr := must(scenario.LoadReplay(*loadReplay))
 		if tr.Len() == 0 {
 			log.Fatalf("-load.replay: no arrival events in %s (was the trace recorded with -obs and a large enough -trace-cap?)", *loadReplay)
 		}
 		cfg.Replay = tr
 	}
-	cfg.Method = method
-	// A flag the method or the policy never reads is an error, not a no-op.
-	eacOnly := []string{"design", "prober", "probe", "policy", "policy.bucket-cap", "policy.bucket-rate", "policy.epoch", "policy.target-loss"}
-	switch method {
-	case scenario.EAC:
-		rejectSet(fs, "is read by -method mbac only", "target")
-		switch policy {
-		case admission.PolicyTokenBucket:
-			rejectSet(fs, "is read by -policy epoch-adaptive only", "policy.epoch", "policy.target-loss")
-		case admission.PolicyEpochAdaptive:
-			rejectSet(fs, "is read by -policy token-bucket only", "policy.bucket-cap", "policy.bucket-rate")
-		default:
-			rejectSet(fs, "is read by -policy token-bucket or epoch-adaptive only",
-				"policy.bucket-cap", "policy.bucket-rate", "policy.epoch", "policy.target-loss")
-		}
-		cfg.AC = admission.Config{Design: design, Kind: prober, Eps: *eps, ProbeDur: sim.Seconds(*probeDur)}
-		cfg.Policy = admission.PolicyConfig{
-			Kind:      policy,
-			BucketCap: *bucketCap, BucketRate: *bucketRate,
-			Epoch: *epochN, TargetLoss: *targetLoss,
-		}
-	case scenario.MBAC:
-		rejectSet(fs, "is read by -method eac or passive only", "eps")
-		rejectSet(fs, "is read by -method eac only: mbac sends no probes", eacOnly...)
-		cfg.MS.Target = *target
-	case scenario.Passive:
-		rejectSet(fs, "is read by -method mbac only", "target")
-		rejectSet(fs, "is read by -method eac only: passive sends no probes", eacOnly...)
-		cfg.AC.Eps = *eps
-	}
-	cfg.Obs = cf.obsConfig(fs, "eacsim", *perfetto)
-	cfg.Hybrid.Enabled = *hybrid
-	cfg.Shards = *shrds
-	store, workers := cf.start(false)
+	// A flag the run does not read holds its default: runReads rejects it.
+	cfg.Method, cfg.MS.Target = method, *target
+	cfg.AC = admission.Config{Design: design, Kind: prober, Eps: *eps, ProbeDur: sim.Seconds(*probeDur)}
+	cfg.Policy = admission.PolicyConfig{Kind: policy, BucketCap: *bucketCap, BucketRate: *bucketRate, Epoch: *epochN, TargetLoss: *targetLoss}
+	cfg.Obs = cf.obsConfig("eacsim", *perfetto)
+	reads := runReads(cfg, metro == nil)
+	reads.check(fs)
+	cfg.Hybrid.Enabled, cfg.Shards = *hybrid, *shrds
+	store, workers := cf.start()
 	cfg.Cache = store
 	if store != nil && cfg.Obs.Enabled {
 		log.Print("result cache: bypassed while observability is active (artifacts cannot come from a cache)")
@@ -207,7 +199,7 @@ func runMain(args []string) {
 		if store != nil {
 			snap = &cache.Snapshot{Dir: store.Dir(), Stats: store.Stats(), Bypassed: "obs active"}
 		}
-		man := newManifest(workers, seedVals, wall, manifestConfig(cfg, *source, metro), map[string]any{
+		man := newManifest(workers, seedVals, wall, manifestConfig(cfg, *source, metro, reads), map[string]any{
 			"utilization": m.Utilization, "util_stderr": mm.UtilStderr,
 			"loss": m.DataLossProb, "loss_stderr": mm.LossStderr,
 			"blocking": m.BlockingProb, "decided": m.Decided,
@@ -216,30 +208,30 @@ func runMain(args []string) {
 		for _, r := range recs {
 			r.AddTo(&man)
 		}
-		if err := man.Write(cfg.Obs.ManifestPath()); err != nil {
-			log.Fatal(err)
-		}
+		fatal(man.Write(cfg.Obs.ManifestPath()))
 		log.Printf("observability: wrote %s and %d artifact(s) under %s",
 			cfg.Obs.ManifestPath(), len(man.Artifacts), cfg.Obs.Dir)
 	}
-	if *topology == "metro-star" {
-		fmt.Printf("scenario : %s %s duration=%.0fs x %d seed(s)\n",
-			*methodName, cfg.Name, *duration, *seeds)
-	} else {
-		fmt.Printf("scenario : %s %s tau=%.2gs link=%.3gMb/s duration=%.0fs x %d seed(s)\n",
-			*methodName, *source, *tau, *linkBps/1e6, *duration, *seeds)
+	where := cfg.Name
+	if reads.reads("source") {
+		where = *source
+		if reads.reads("tau") {
+			where += fmt.Sprintf(" tau=%.2gs", *tau)
+		}
+		where += fmt.Sprintf(" link=%.3gMb/s", *linkBps/1e6)
 	}
+	fmt.Printf("scenario : %s %s duration=%.0fs x %d seed(s)\n", *methodName, where, *duration, *seeds)
 	if cfg.Shards > 1 {
 		fmt.Printf("shards   : %d (conservative windowed parallel DES; statistically equivalent to serial)\n", cfg.Shards)
 	}
 	if cfg.Hybrid.Active() {
 		fmt.Println("hybrid   : fluid data plane, packet probes")
 	}
-	if cfg.Method == scenario.EAC {
+	if reads.reads("design") {
 		fmt.Printf("design   : %s, %s probing, eps=%.3g\n", cfg.AC.Design, cfg.AC.Kind, *eps)
-		if cfg.Policy.Kind != admission.PolicyStatic {
-			fmt.Printf("policy   : %s\n", cfg.Policy.Kind)
-		}
+	}
+	if reads.reads("policy") && cfg.Policy.Kind != admission.PolicyStatic {
+		fmt.Printf("policy   : %s\n", cfg.Policy.Kind)
 	}
 	if cfg.Schedule.Active() {
 		fmt.Printf("load     : schedule %s (peak %.3gx)\n", cfg.Schedule, cfg.Schedule.Peak())

@@ -440,8 +440,11 @@ func TestCommandsRejectBadSeeds(t *testing.T) {
 // table of zeros, and not a shard request quietly run on one domain. Input
 // the command cannot use — a word left after the flags, a misspelt name
 // for a flag this method or topology ignores, an unknown subcommand, a
-// negative worker count, an obs flag without -obs, a flag of the other
-// topology, method or policy — ends it the same way, naming the argument.
+// negative worker count, any set flag the invocation does not read (an obs
+// flag without -obs, a flag of the other topology, method or policy, ε or
+// the design under a policy that does not probe, -tau under -load.replay,
+// any other flag beside figure -list or -cache-clear) — ends it the same
+// way, naming the argument.
 func TestCommandsRejectBadConfig(t *testing.T) {
 	bin := buildCommands(t)
 	metro := []string{"eacsim", "-topology", "metro-star", "-hosts", "600", "-duration", "20", "-warmup", "5", "-shards", "2"}
@@ -449,6 +452,10 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 	short := []string{"eacsim", "-duration", "20", "-warmup", "5"}
 	fig := []string{"eacsim", "figure", "-run", "table3", "-duration", "20", "-warmup", "5", "-out", ""}
 	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.jsonl")
+	if err := os.WriteFile(trace, []byte(`{"t":1,"ev":"arrival","flow":1,"class":0}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -482,6 +489,10 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{append(short, "-method", "passive", "-design", "mark-in"), "-design"},
 		{append(short, "-policy.bucket-cap", "5"), "-policy.bucket-cap"},
 		{append(short, "-policy", "token-bucket", "-policy.epoch", "5"), "-policy.epoch"},
+		{append(short, "-method", "mbac", "-retries", "2"), "-retries"},
+		{append(short, "-load.replay", trace, "-tau", "1"), "-tau"},
+		{[]string{"eacsim", "figure", "-list", "-run", "figure2"}, "-run"},
+		{[]string{"eacsim", "figure", "-cache-clear", "-run", "figure2"}, "-run"},
 		{[]string{"eacsim", "-life", "NaN"}, "LifetimeSec"},
 		{[]string{"eacsim", "-life", "Inf"}, "LifetimeSec"},
 		{[]string{"eacsim", "-tau", "NaN"}, "InterArrival"},
@@ -513,6 +524,13 @@ func TestCommandsRejectBadConfig(t *testing.T) {
 		{[]string{"eacsim", "bogus"}, `"bogus"`},
 	} {
 		assertRejected(t, bin, tc.args, tc.want)
+	}
+	// A policy that decides without probing reads no ε, design, prober
+	// or probe duration.
+	for _, policy := range []string{"always-admit", "never-admit", "token-bucket"} {
+		for _, kv := range [][2]string{{"-eps", "0.5"}, {"-design", "mark-out"}, {"-prober", "simple"}, {"-probe", "1"}} {
+			assertRejected(t, bin, append(short, "-policy", policy, kv[0], kv[1]), kv[0])
+		}
 	}
 }
 

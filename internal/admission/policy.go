@@ -56,6 +56,11 @@ func (k PolicyKind) String() string {
 	}
 }
 
+// Probes reports whether the policy decides by probing: the static and
+// epoch-adaptive rules read ε, the design and the prober; the others settle
+// every attempt without a probe.
+func (k PolicyKind) Probes() bool { return k == PolicyStatic || k == PolicyEpochAdaptive }
+
 // ParsePolicyKind maps a command-line name to a PolicyKind.
 func ParsePolicyKind(s string) (PolicyKind, error) {
 	for _, k := range []PolicyKind{PolicyStatic, PolicyAlwaysAdmit,

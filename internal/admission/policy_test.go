@@ -265,6 +265,12 @@ func TestPolicyKindRoundTrip(t *testing.T) {
 		if err := pc.Validate(); err != nil {
 			t.Fatalf("default %v config invalid: %v", k, err)
 		}
+		// Probes is what the command reads to reject ε, the design and
+		// the prober: it must say what Decide does with a first attempt.
+		dec := admission.NewPolicy(pc, admission.Config{Eps: 0.01}).Decide(admission.Request{BaseEps: 0.01})
+		if probed := dec.Action == admission.ActionProbe; probed != k.Probes() {
+			t.Errorf("%v: first Decide probes = %v, Probes() = %v", k, probed, k.Probes())
+		}
 	}
 	if _, err := admission.ParsePolicyKind("bogus"); err == nil {
 		t.Fatal("ParsePolicyKind accepted garbage")

@@ -7,6 +7,7 @@ import (
 
 	"eac/internal/admission"
 	"eac/internal/experiments"
+	"eac/internal/scenario"
 )
 
 // TestPolicyGoldenDivergenceFails proves the per-policy goldens are not
@@ -57,19 +58,21 @@ func TestPolicyGoldenDivergenceFails(t *testing.T) {
 }
 
 // perturbedThrashCSV reruns policy_thrash with the token-bucket row's
-// refill rate slashed via a table rewrite of its config — implemented by
-// re-running the experiment with a starved bucket patched in through the
-// policy sweep itself (the experiment pins its policies, so we rebuild
-// the row set manually from the public pieces it uses).
+// refill rate cut tenfold through Options.Vary, which edits each point's
+// config before it runs; the other rows run as declared.
 func perturbedThrashCSV(t *testing.T) string {
 	t.Helper()
 	o := experiments.Conformance()
-	tbl, err := experiments.PolicyThrashWith(o, func(pc admission.PolicyConfig) admission.PolicyConfig {
-		if pc.Kind == admission.PolicyTokenBucket {
-			pc.BucketRate /= 10
+	o.Vary = func(c *scenario.Config) {
+		if c.Policy.Kind == admission.PolicyTokenBucket {
+			c.Policy.BucketRate /= 10
 		}
-		return pc
-	})
+	}
+	e, err := experiments.Lookup("policy_thrash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,11 +113,16 @@ func (ex Experiment) Run(o Options) (Table, error) {
 	return t, err
 }
 
-// override applies the run-wide Options to one scenario point: the
-// result cache and per-run observability, both output-neutral — a figure
-// runs the configurations it declares.
+// override applies the run-wide Options to one scenario point: Vary, then
+// the result cache and per-run observability, both output-neutral — without
+// Vary a figure runs the configurations it declares.
 func (o Options) override(p Point) scenario.Config {
 	c := p.Cfg
+	if o.Vary != nil {
+		v := c // escapes to the heap; c, which a nil Vary leaves alone, does not
+		o.Vary(&v)
+		c = v
+	}
 	c.Cache = o.Cache
 	if o.Obs.Enabled {
 		// Every run gets its own collector; artifacts are named by point

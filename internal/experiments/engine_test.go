@@ -140,3 +140,28 @@ func basicPoint(o Options, label string, eps float64) Point {
 	return Point{Label: label, Cfg: eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, eps),
 		Row: func(scenario.Metrics) []string { return nil }}
 }
+
+// TestVaryEditsEveryScenarioRun: Options.Vary edits each scenario run's
+// config, once per seed, and a nil Vary runs the point as declared.
+func TestVaryEditsEveryScenarioRun(t *testing.T) {
+	o := tinyOpts()
+	o.Seeds, o.Workers = 2, 1
+	var blocking float64
+	pt := basicPoint(o, "p", 0.05)
+	pt.Row = func(m scenario.Metrics) []string { blocking = m.BlockingProb; return nil }
+	solved := Point{Label: "solve", Solve: func() ([]string, error) { return nil, nil }}
+	if _, err := declared(pt, solved).Run(o); err != nil || blocking == 1 {
+		t.Fatalf("declared run: blocking %v, err %v; want flows admitted", blocking, err)
+	}
+	calls := 0
+	o.Vary = func(c *scenario.Config) {
+		calls++
+		c.Policy.Kind = admission.PolicyNeverAdmit
+	}
+	if _, err := declared(pt, solved).Run(o); err != nil {
+		t.Fatal(err)
+	}
+	if calls != o.Seeds || blocking != 1 {
+		t.Errorf("varied run: Vary called %d times, blocking %v; want %d calls and every flow rejected", calls, blocking, o.Seeds)
+	}
+}

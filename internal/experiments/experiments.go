@@ -75,6 +75,13 @@ type Options struct {
 	// (internal/obs) to every sweep run: time-series and trace artifacts
 	// are written under Obs.Dir, named by sweep-point label and seed.
 	Obs obs.Config
+	// Vary, if set, edits every scenario point's Cfg before it runs (not
+	// Solve points, which run no scenario). It sees a copy whose slices
+	// are shared with other points and seeds, so it assigns fields and
+	// replaces slices rather than writing through them. The result cache
+	// keys on the varied config, so varied cells never collide with base
+	// ones.
+	Vary func(*scenario.Config)
 }
 
 // Quick returns quick-mode options.

@@ -26,12 +26,6 @@ func sweepPolicies(o Options) []admission.PolicyConfig {
 	}
 }
 
-// probing reports whether a policy kind runs admission probes (and hence
-// sweeps ε meaningfully).
-func probing(k admission.PolicyKind) bool {
-	return k == admission.PolicyStatic || k == admission.PolicyEpochAdaptive
-}
-
 // policySweep regenerates the basic-scenario loss-load frontier once per
 // admission policy. Probing policies sweep the Figure 2 ε grid across all
 // four designs (for the adaptive policy the knob is the initial ε,
@@ -46,7 +40,7 @@ var policySweep = Experiment{
 		var pts []Point
 		for _, pc := range sweepPolicies(o) {
 			name := pc.Kind.String()
-			if !probing(pc.Kind) {
+			if !pc.Kind.Probes() {
 				cfg := eacCfg(o.basic(3.5), admission.DropInBand, admission.SlowStart, fixedEps(admission.DropInBand))
 				cfg.Policy = pc
 				pts = append(pts, Point{Label: "policy_sweep " + name, Cfg: cfg,
@@ -82,48 +76,33 @@ func thrashLoad(o Options) scenario.Schedule {
 	}}
 }
 
-// PolicyThrashWith runs policy_thrash with each policy configuration
-// passed through mutate before running (nil leaves them unchanged). The
-// conformance harness uses it to prove the policy goldens are sensitive:
-// starving the token bucket must fail the golden diff.
-func PolicyThrashWith(o Options, mutate func(admission.PolicyConfig) admission.PolicyConfig) (Table, error) {
-	return policyThrash(mutate).Run(o)
-}
-
-// policyThrash declares policy_thrash with each policy passed through
-// mutate (nil leaves them unchanged). It compares admission policies under
-// nonstationary on/off load — the thrashing regime of Section 4.4: arrival
-// bursts drive the measured fraction past any fixed threshold, so a static
-// ε alternates between over-admitting and over-blocking, while the
-// epoch-adaptive policy tracks the cycle. In-band dropping, slow-start
-// probing.
-func policyThrash(mutate func(admission.PolicyConfig) admission.PolicyConfig) Experiment {
-	return Experiment{
-		ID:     "policy_thrash",
-		Title:  "Thrashing resistance under on/off load (EXP1, in-band dropping, slow-start)",
-		Header: []string{"policy", "utilization", "loss_prob", "blocking", "p99_delay_ms"},
-		Notes:  "on/off arrival modulation: rate doubles half the period, silent otherwise",
-		points: func(o Options) []Point {
-			base := o.basic(3.5)
-			base.Schedule = thrashLoad(o)
-			var pts []Point
-			for _, pc := range sweepPolicies(o) {
-				if pc.Kind == admission.PolicyNeverAdmit {
-					continue // admits nothing, so nothing to thrash
-				}
-				if mutate != nil {
-					pc = mutate(pc)
-				}
-				name := pc.Kind.String()
-				cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
-				cfg.Policy = pc
-				pts = append(pts, Point{Label: "policy_thrash " + name, Cfg: cfg,
-					Row: func(m scenario.Metrics) []string {
-						return []string{name, f(m.Utilization), e(m.DataLossProb),
-							f2(m.BlockingProb), f2(m.P99DelaySec * 1000)}
-					}})
+// policyThrash compares admission policies under nonstationary on/off
+// load — the thrashing regime of Section 4.4: arrival bursts drive the
+// measured fraction past any fixed threshold, so a static ε alternates
+// between over-admitting and over-blocking, while the epoch-adaptive
+// policy tracks the cycle. In-band dropping, slow-start probing.
+var policyThrash = Experiment{
+	ID:     "policy_thrash",
+	Title:  "Thrashing resistance under on/off load (EXP1, in-band dropping, slow-start)",
+	Header: []string{"policy", "utilization", "loss_prob", "blocking", "p99_delay_ms"},
+	Notes:  "on/off arrival modulation: rate doubles half the period, silent otherwise",
+	points: func(o Options) []Point {
+		base := o.basic(3.5)
+		base.Schedule = thrashLoad(o)
+		var pts []Point
+		for _, pc := range sweepPolicies(o) {
+			if pc.Kind == admission.PolicyNeverAdmit {
+				continue // admits nothing, so nothing to thrash
 			}
-			return pts
-		},
-	}
+			name := pc.Kind.String()
+			cfg := eacCfg(base, admission.DropInBand, admission.SlowStart, 0.02)
+			cfg.Policy = pc
+			pts = append(pts, Point{Label: "policy_thrash " + name, Cfg: cfg,
+				Row: func(m scenario.Metrics) []string {
+					return []string{name, f(m.Utilization), e(m.DataLossProb),
+						f2(m.BlockingProb), f2(m.P99DelaySec * 1000)}
+				}})
+		}
+		return pts
+	},
 }

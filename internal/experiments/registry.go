@@ -15,7 +15,7 @@ func All() []Experiment {
 		highLoad("figure6", admission.MarkInBand),
 		highLoad("figure7", admission.MarkOutOfBand),
 		figure8, figure9, table3, table4, table5, table6, figure11,
-		policySweep, policyThrash(nil), flashCrowd,
+		policySweep, policyThrash, flashCrowd,
 	}
 }
 

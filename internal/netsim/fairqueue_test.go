@@ -112,8 +112,11 @@ func TestFairQueueLongestQueueDrop(t *testing.T) {
 // then many small flows (rate r) arrive. Under Fair Queueing each later
 // arrival still sees a clean fair share, so all are admitted and the large
 // flow's bandwidth is stolen: it suffers heavy loss although it probed an
-// empty link. Under FIFO the same arrivals see the aggregate congestion
-// and the large flow keeps working.
+// empty link. Under FIFO the same arrivals see the aggregate congestion,
+// the overload is spread, and the large flow's probe verdict stays
+// meaningful. Hence admission-controlled traffic must not be served by
+// Fair Queueing. The test reaches below the scenario API on purpose: the
+// argument is about router scheduling, not about a scenario.
 func TestStolenBandwidth(t *testing.T) {
 	const steadyFrom = 10 * sim.Second
 	run := func(useFQ bool) float64 {
@@ -171,8 +174,11 @@ func TestStolenBandwidth(t *testing.T) {
 
 // TestMultiLevelService demonstrates the Section 2.1.3 rule: several data
 // priority levels can coexist only because all probes share one (lowest)
-// band. Gold data pre-empts silver data entirely when the link saturates,
-// while probes in the probe band never displace either.
+// band. Under strict priority gold > silver > probes, gold data takes all
+// it needs, silver keeps exactly the leftover capacity, and probes never
+// displace either. A probe admitted at silver priority would later be
+// crushed by gold admissions, so probes of every service level ride the
+// lowest band.
 func TestMultiLevelService(t *testing.T) {
 	s := sim.New()
 	q := NewPriorityPushout(50)
